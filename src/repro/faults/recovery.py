@@ -1,9 +1,13 @@
 """Spark-side recovery: task retry, stage resubmission, blacklisting.
 
-:class:`ResilientScheduler` is a fault-tolerant replacement for
-``SparkSimCluster.run_profile``. It runs the same workload stages but
-supervises every task: a task that dies with its executor is retried (with
-backoff) on a survivor; a reduce task whose fetch fails raises
+:class:`ResilientScheduler` is a recovery *policy over*
+``SparkSimCluster.run_profile``, not a second implementation of it: the
+cluster's one stage loop runs the stages and its one task body spends
+every task's time; this module supplies only the stage step
+(:meth:`ResilientScheduler._run_stage`) that decides which tasks run
+where and what happens when they die. It supervises every task: a task
+that dies with its executor is retried (with backoff) on a survivor; a
+reduce task whose fetch fails raises
 ``FetchFailedException``, which — exactly as in Spark's DAGScheduler —
 marks the source executor's map output lost, recomputes those map tasks on
 survivors, redistributes the shuffle matrix, and resubmits only the
@@ -23,16 +27,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.harness.profile import (
-    RAMDISK_READ_BPS,
-    RAMDISK_WRITE_BPS,
     TASK_SCHED_DELAY_S,
-    ComputeStage,
     ShuffleReadStage,
     ShuffleWriteStage,
 )
 from repro.mpi.errors import WorldAbortedError
 from repro.simnet.events import Interrupt, SimError
-from repro.spark.deploy import RunResult, SimExecutor
+from repro.spark.deploy import JobFailedError, RunResult, SimExecutor
 from repro.spark.network import FetchFailedException
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.topology import SimNode
     from repro.spark.conf import SparkConf
     from repro.spark.deploy import SparkSimCluster
-
-
-class JobFailedError(RuntimeError):
-    """The job could not complete under the active fault plan."""
 
 
 @dataclass
@@ -150,44 +147,16 @@ class ResilientScheduler:
     def run_profile(
         self, profile: "WorkloadProfile", deadline_s: float | None = None
     ) -> RunResult:
-        sim = self.sim
-        if not sim._launched:
-            sim.launch()
-        if profile.n_executors != sim.n_workers:
-            raise ValueError(
-                f"profile built for {profile.n_executors} executors, "
-                f"cluster has {sim.n_workers}"
-            )
-        result = RunResult(
-            workload=profile.name,
-            transport=sim.transport.name,
-            system=sim.system.name,
-            n_workers=sim.n_workers,
-            total_cores=sim.n_workers * sim.cores_per_executor,
-            launch_seconds=sim.launch_seconds,
+        return self.sim.run_profile(
+            profile, run_stage=self._run_stage, deadline_s=deadline_s
         )
-        env = sim.env
-        job = env.process(self._run_job(profile, result), name="driver-job")
-        if deadline_s is None:
-            env.run(until=job)
-        else:
-            env.run(until=env.any_of([job, env.timeout(deadline_s)]))
-            if not job.triggered:
-                raise JobFailedError(f"job exceeded deadline of {deadline_s:g}s")
-        return result
-
-    def _run_job(self, profile: "WorkloadProfile", result: RunResult) -> Generator:
-        env = self.sim.env
-        for stage in profile.stages:
-            if self.on_stage_start is not None:
-                self.on_stage_start(stage)
-            t0 = env.now
-            yield from self._run_stage(stage)
-            result.stage_seconds[stage.label] = env.now - t0
 
     # -- stage machinery ----------------------------------------------------
     def _run_stage(self, stage: "Stage") -> Generator:
+        """The stage step: supervised attempts until every task finished."""
         env = self.sim.env
+        if self.on_stage_start is not None:
+            self.on_stage_start(stage)
         if isinstance(stage, ShuffleReadStage):
             # Recovery rewrites the fetch matrix; keep the profile pristine.
             stage = ShuffleReadStage(
@@ -210,25 +179,21 @@ class ResilientScheduler:
                 )
             self._fetch_failed_execs = set()
             pending = [t for t in range(stage.n_tasks) if t not in finished]
-            self._current_exchange = None
-            if isinstance(stage, ShuffleReadStage) and getattr(
-                self.sim.transport, "collective_shuffle", False
-            ):
-                # One alltoallv per stage attempt: aggregate the pending
-                # tasks' (possibly recovery-rewritten) fetch rows at their
-                # planned executors. A participant dying mid-exchange fails
-                # the whole exchange → FetchFailedException → this loop's
-                # resubmission path, never a hang.
-                placement: dict[int, int] = {}
-                for t in pending:
-                    ex = self._pick_executor(t)
-                    if ex is None:
-                        raise JobFailedError("no live executors left")
-                    placement[t] = ex.exec_id
-                self._current_exchange = self.sim.start_collective_exchange(
-                    stage, self.sim.executors, tasks=pending,
-                    placement=placement,
-                )
+            # Collective transports, one alltoallv per stage attempt:
+            # aggregate the pending tasks' (possibly recovery-rewritten)
+            # fetch rows at their planned executors. A participant dying
+            # mid-exchange fails the whole exchange →
+            # FetchFailedException → this loop's resubmission path, never
+            # a hang.
+            placement: dict[int, int] = {}
+            for t in pending:
+                ex = self._pick_executor(t)
+                if ex is None:
+                    raise JobFailedError("no live executors left")
+                placement[t] = ex.exec_id
+            self._current_exchange = self.sim.stage_exchange(
+                stage, self.sim.executors, tasks=pending, placement=placement
+            )
             sups = [
                 env.process(
                     self._supervise(stage, t, finished, durations),
@@ -368,7 +333,7 @@ class ResilientScheduler:
         env = self.sim.env
         copy: "Process | None" = None
         try:
-            thr = self._speculation_threshold(stage, t, durations)
+            thr = self._speculation_threshold(ex, stage, t, durations)
             if thr is not None:
                 yield env.any_of([proc, env.timeout(thr)])
                 if not proc.triggered:
@@ -403,7 +368,7 @@ class ResilientScheduler:
                         p.interrupt("abandoned")
 
     def _speculation_threshold(
-        self, stage: "Stage", t: int, durations: list[float]
+        self, ex: SimExecutor, stage: "Stage", t: int, durations: list[float]
     ) -> float | None:
         """Spark's rule: once a quantile of tasks finished, a task running
         longer than multiplier × median is a straggler. Before enough
@@ -414,66 +379,20 @@ class ResilientScheduler:
         if len(durations) >= need:
             median = sorted(durations)[len(durations) // 2]
             return max(self.policy.speculation_multiplier * median, TASK_SCHED_DELAY_S)
-        nominal = self._nominal_seconds(stage, t)
-        if nominal is None or nominal <= 0:
+        costs = ex.nominal_costs(stage, t)
+        if costs is None or (nominal := sum(costs)) <= 0:
             return None
         return self.policy.speculation_multiplier * nominal + TASK_SCHED_DELAY_S
 
-    def _nominal_seconds(self, stage: "Stage", t: int) -> float | None:
-        infl = self.sim.transport.compute_inflation
-        if isinstance(stage, ComputeStage):
-            return float(stage.seconds_per_task[t]) * infl
-        if isinstance(stage, ShuffleWriteStage):
-            return (
-                float(stage.seconds_per_task[t]) * infl
-                + float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
-            )
-        return None  # read tasks: fetch time dominates and is not nominal
-
-    # -- the task bodies (fault-aware variants of SimExecutor.run_*) --------
     def _task_body(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
-        env = self.sim.env
-        infl = self.sim.transport.compute_inflation
+        """One unaccounted attempt: the shared task body under a slot claim
+        made inside the ``try``, so an interrupt while queued withdraws it."""
         req = ex.slots.request()
         try:
             yield req
-            if isinstance(stage, ComputeStage):
-                yield env.timeout(
-                    TASK_SCHED_DELAY_S + float(stage.seconds_per_task[t]) * infl
-                )
-            elif isinstance(stage, ShuffleWriteStage):
-                yield env.timeout(
-                    TASK_SCHED_DELAY_S
-                    + float(stage.seconds_per_task[t]) * infl
-                    + float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
-                )
-            elif isinstance(stage, ShuffleReadStage):
-                yield env.timeout(TASK_SCHED_DELAY_S)
-                fetch_row = stage.fetch_bytes[t]
-                blocks_row = stage.blocks[t]
-                local = float(fetch_row[ex.exec_id])
-                if local > 0:
-                    ex.bytes_read_local += int(local)
-                    yield env.timeout(local / RAMDISK_READ_BPS)
-                if self._current_exchange is not None:
-                    # Collective transport: wait on the attempt's shared
-                    # exchange (dead participants fail it → FetchFailed).
-                    remote = float(fetch_row.sum() - fetch_row[ex.exec_id])
-                    yield from ex.collective_fetch(
-                        self._current_exchange, self.sim.executors, remote
-                    )
-                else:
-                    # Dead sources are NOT filtered here: fetching from them
-                    # is what raises FetchFailedException, triggering recovery.
-                    sources = [
-                        (src, int(fetch_row[src.exec_id]), int(blocks_row[src.exec_id]))
-                        for src in self.sim.executors
-                        if src.exec_id != ex.exec_id and fetch_row[src.exec_id] > 0
-                    ]
-                    yield from ex.fetch_shuffle(sources)
-                yield env.timeout(float(stage.combine_seconds_per_task[t]) * infl)
-            else:
-                raise TypeError(f"unknown stage type {type(stage)}")
+            yield from ex.task_body(
+                stage, t, self.sim.executors, ex.exec_id, self._current_exchange
+            )
         finally:
             try:
                 ex.slots.release(req)

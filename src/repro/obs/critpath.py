@@ -142,8 +142,24 @@ def stage_bounds(flight: "FlightRecorder") -> dict[str, tuple[float, float, int]
     return bounds
 
 
+def polls_for_messages(transport: str) -> bool:
+    """Whether the recorded transport discovers MPI messages by polling.
+
+    The trait is declared on the transport class. Recordings arrive from
+    disk, so a name this tree does not know is not poll-sensitive rather
+    than an error.
+    """
+    from repro.transports import transport_class
+
+    try:
+        return transport_class(transport).polls_for_messages
+    except KeyError:
+        return False
+
+
 def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
     """Walk the causal DAG of a finished run; one critical path per stage."""
+    poll_tax = polls_for_messages(transport)
     sends: dict[int, tuple[float, int]] = {}  # span -> (t, nbytes)
     recvs: dict[int, float] = {}
     waited: dict[int, float] = {}
@@ -240,7 +256,7 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
                 # The classification at the heart of Fig 9: only the Basic
                 # design discovers MPI messages by busy-polling, so only
                 # there is matching dwell a polling tax.
-                add("poll-tax" if transport == "mpi-basic" else "queue", discovery)
+                add("poll-tax" if poll_tax else "queue", discovery)
         add("fetch-wait", fetch - chain)
         report.stages.append(
             StageCriticalPath(

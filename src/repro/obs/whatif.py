@@ -47,6 +47,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from repro.obs.critpath import polls_for_messages
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
     from repro.spark.deploy import RunResult
@@ -335,7 +337,7 @@ class ReplayModel:
         global_wire = _merged(wire_legs)
         global_all = _merged(wire_legs + dwell_legs)
 
-        poll_sensitive = transport == "mpi-basic"
+        poll_sensitive = polls_for_messages(transport)
         per_stage: dict[str, list[TaskRecord]] = {
             label: [] for label, _, _ in stage_bounds
         }

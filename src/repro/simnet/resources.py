@@ -261,6 +261,14 @@ class SlotGate:
         self.held -= 1
         self._admit()
 
+    def cancel(self, claim: Event) -> None:
+        """Give back a :meth:`request`: its slot if granted, else its place
+        in the queue (a requester interrupted while it was still waiting)."""
+        if claim.triggered:
+            self.release()
+        else:
+            self.queue.remove(claim)
+
     def set_capacity(self, capacity: int) -> None:
         """Re-cap the gate. Raising wakes waiters; lowering never preempts."""
         if capacity < 0:

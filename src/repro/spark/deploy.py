@@ -90,6 +90,11 @@ _FETCHABLE_ERRORS = (
 )
 
 
+class JobFailedError(RuntimeError):
+    """The job could not complete: its deadline passed or, under a fault
+    plan, recovery gave up."""
+
+
 class ShuffleOpenBlocksHandler(RpcHandler):
     """Server side of OneForOneBlockFetcher's OpenBlocks RPC.
 
@@ -224,6 +229,8 @@ class SimExecutor:
         self.slots = Resource(sim.env, capacity=effective)
         self.bytes_fetched_remote = 0
         self.bytes_read_local = 0
+        # Default fetch-request rotation: advances once per fetch_shuffle call.
+        self._fetch_seq = 0
         # Cleared by the recovery scheduler when this executor's node dies.
         self.alive = True
         # Cluster-wide scheduler metrics (get-or-create: all executors
@@ -314,7 +321,7 @@ class SimExecutor:
         # randomizes fetch-request order (ShuffleBlockFetcherIterator) so
         # synchronized reducers don't all hammer the same server at once.
         if rot is None:
-            self._fetch_seq = getattr(self, "_fetch_seq", 0) + 1
+            self._fetch_seq += 1
             rot = self._fetch_seq + self.exec_id
         per_source = per_source[rot % len(per_source):] + per_source[: rot % len(per_source)] if per_source else []
         plan = [
@@ -405,167 +412,155 @@ class SimExecutor:
             self.bytes_fetched_remote += int(remote_bytes)
             tm.remote_bytes.inc(remote_bytes)
 
-    # -- task runners -------------------------------------------------------------
-    def _task_start(self, label: str):
-        """Open a causal root for one task (None when tracing is off)."""
-        causal = self.sim.env.causal
-        if not causal.enabled:
+    # -- the task body and its accounting envelope --------------------------
+    def nominal_costs(self, stage, t: int) -> tuple[float, float] | None:
+        """``(compute, write)`` seconds task ``t`` costs here with nothing
+        contending, or None for a read task (fetch time dominates and is
+        not nominal)."""
+        if isinstance(stage, ShuffleReadStage):
             return None
-        ctx = causal.mint()
-        causal.event("task.start", ctx, task=label, exec=self.exec_id)
-        return ctx
+        if not isinstance(stage, (ComputeStage, ShuffleWriteStage)):
+            raise TypeError(f"unknown stage type {type(stage)}")
+        compute = float(stage.seconds_per_task[t]) * self.sim.transport.compute_inflation
+        if isinstance(stage, ComputeStage):
+            return compute, 0.0
+        return compute, float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
 
-    def run_compute_task(
-        self, seconds: float, label: str = "compute", app: AppHandle | None = None
-    ) -> Generator:
-        tm = self._metrics_for(app)
-        gated = app is not None and app.gate is not None
-        if gated:
-            yield app.gate.request()
-        req = self.slots.request()
-        yield req
-        try:
-            ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
-                label, cat="task", track=f"exec{self.exec_id}"
-            ):
-                compute = seconds * self.sim.transport.compute_inflation
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S + compute)
-                tm.compute.inc(compute)
-                tm.tasks.inc()
-            if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id, compute_s=compute,
-                )
-        finally:
-            self.slots.release(req)
-            if gated:
-                app.gate.release()
-
-    def run_write_task(
+    def task_body(
         self,
-        seconds: float,
-        write_bytes: float,
-        label: str = "write",
-        app: AppHandle | None = None,
-    ) -> Generator:
-        tm = self._metrics_for(app)
-        gated = app is not None and app.gate is not None
-        if gated:
-            yield app.gate.request()
-        req = self.slots.request()
-        yield req
-        try:
-            ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
-                label, cat="task", track=f"exec{self.exec_id}"
-            ):
-                compute = seconds * self.sim.transport.compute_inflation
-                write = write_bytes / RAMDISK_WRITE_BPS
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S + compute + write)
-                tm.compute.inc(compute)
-                tm.write.inc(write)
-                tm.tasks.inc()
-            if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id,
-                    compute_s=compute, write_s=write,
-                )
-        finally:
-            self.slots.release(req)
-            if gated:
-                app.gate.release()
-
-    def run_read_task(
-        self,
-        fetch_bytes: np.ndarray,
-        blocks: np.ndarray,
-        combine_seconds: float,
-        label: str = "read",
-        app: AppHandle | None = None,
-        peers: "list[SimExecutor] | None" = None,
-        col: int | None = None,
-        rot: int | None = None,
+        stage,
+        t: int,
+        peers: "list[SimExecutor]",
+        col: int,
         exchange=None,
+        tm: _TaskMetrics | None = None,
+        ctx=None,
+        app: AppHandle | None = None,
+        rot: int | None = None,
     ) -> Generator:
-        """One reduce task: local read + windowed remote fetch + combine.
+        """The simulated work of task ``t`` of ``stage`` on this executor.
 
-        ``peers``/``col`` define the shuffle geometry: ``fetch_bytes[i]``
-        is the traffic sourced from ``peers[i]``, and column ``col`` is
-        this task's local read. The defaults (whole cluster, own exec id)
-        are the single-application geometry; a packed multi-tenant app
-        passes its granted executor subset instead.
+        This is the only place a task's time is spent, for every driver:
+        the caller already holds the slot. Returns the task's phase
+        seconds (the ``task.finish`` attributes). ``tm`` receives the
+        per-phase task metrics; the recovery scheduler passes none.
 
-        ``exchange`` (collective transports only) is the stage boundary's
-        shared :class:`CollectiveShuffleExchange`: instead of issuing
-        per-block fetches, the task waits on it — its fetch-wait is the
-        time until the stage's one alltoallv completes.
+        ``peers``/``col`` define a read task's shuffle geometry:
+        ``stage.fetch_bytes[t][i]`` is the traffic sourced from
+        ``peers[i]``, and column ``col`` (this executor's index in
+        ``peers``) is the local read. ``exchange`` (collective transports
+        only) is the stage attempt's shared
+        :class:`CollectiveShuffleExchange`: instead of issuing per-block
+        fetches the task waits on it — its fetch-wait is the time until
+        the stage's one alltoallv completes.
         """
-        if peers is None:
-            peers = self.sim.executors
-        if col is None:
-            col = self.exec_id
+        env = self.sim.env
+        costs = self.nominal_costs(stage, t)
+        if costs is not None:
+            compute, write = costs
+            yield env.timeout(TASK_SCHED_DELAY_S + compute + write)
+            phases = {"compute_s": compute}
+            if tm is not None:
+                tm.compute.inc(compute)
+            if isinstance(stage, ShuffleWriteStage):
+                phases["write_s"] = write
+                if tm is not None:
+                    tm.write.inc(write)
+            return phases
+        yield env.timeout(TASK_SCHED_DELAY_S)
+        # Fetch wait mirrors Spark's shuffle-read "fetch wait time":
+        # everything between scheduling and the first combine byte.
+        t_fetch = env.now
+        fetch_bytes, blocks = stage.fetch_bytes[t], stage.blocks[t]
+        # Local blocks: straight off the RAM disk.
+        local = float(fetch_bytes[col])
+        local_read = 0.0
+        if local > 0:
+            self.bytes_read_local += int(local)
+            if tm is not None:
+                tm.local_bytes.inc(local)
+            local_read = local / RAMDISK_READ_BPS
+            yield env.timeout(local_read)
+        # Remote blocks: through the transport under test.
+        if exchange is not None:
+            remote = float(sum(fetch_bytes[i] for i in range(len(peers)) if i != col))
+            yield from self.collective_fetch(exchange, peers, remote, app=app)
+        else:
+            # Dead sources are NOT filtered here: fetching from them is
+            # what raises FetchFailedException, triggering recovery.
+            sources = [
+                (src, int(fetch_bytes[i]), int(blocks[i]))
+                for i, src in enumerate(peers)
+                if i != col and fetch_bytes[i] > 0
+            ]
+            yield from self.fetch_shuffle(sources, trace_parent=ctx, app=app, rot=rot)
+        fetch_wait = env.now - t_fetch
+        if tm is not None:
+            tm.fetch_wait.inc(fetch_wait)
+            tm.h_fetch_wait.observe(fetch_wait)
+        combine = (
+            float(stage.combine_seconds_per_task[t]) * self.sim.transport.compute_inflation
+        )
+        yield env.timeout(combine)
+        if tm is not None:
+            tm.combine.inc(combine)
+        return {"fetch_wait_s": fetch_wait, "combine_s": combine, "local_s": local_read}
+
+    def run_task(
+        self,
+        stage,
+        t: int,
+        label: str,
+        peers: "list[SimExecutor]",
+        col: int,
+        exchange=None,
+        app: AppHandle | None = None,
+        rot: int | None = None,
+    ) -> Generator:
+        """One accounted task: app gate → slot → :meth:`task_body`.
+
+        The envelope owns everything around the body that the fault-free
+        and multi-tenant drivers publish: the application's concurrency
+        grant, the task metrics, the causal ``task.start``/``task.finish``
+        root and the tracer span. Both claims are made inside the ``try``
+        so an interrupt delivered while the task still queues for either
+        one withdraws it instead of leaking a grant to a dead process.
+        """
+        env = self.sim.env
         tm = self._metrics_for(app)
-        gated = app is not None and app.gate is not None
-        if gated:
-            yield app.gate.request()
-        req = self.slots.request()
-        yield req
+        gate = None if app is None else app.gate
+        grant = slot = None
         try:
-            ctx = self._task_start(label)
-            with self.sim.env.tracer.span(
+            if gate is not None:
+                grant = gate.request()
+                yield grant
+            slot = self.slots.request()
+            yield slot
+            ctx = None
+            if env.causal.enabled:
+                ctx = env.causal.mint()
+                env.causal.event("task.start", ctx, task=label, exec=self.exec_id)
+            with env.tracer.span(
                 label, cat="task", track=f"exec{self.exec_id}"
             ) as span:
-                yield self.sim.env.timeout(TASK_SCHED_DELAY_S)
-                # Fetch wait mirrors Spark's shuffle-read "fetch wait time":
-                # everything between scheduling and the first combine byte.
-                t_fetch = self.sim.env.now
-                # Local blocks: straight off the RAM disk.
-                local = float(fetch_bytes[col])
-                local_read = 0.0
-                if local > 0:
-                    self.bytes_read_local += int(local)
-                    tm.local_bytes.inc(local)
-                    local_read = local / RAMDISK_READ_BPS
-                    yield self.sim.env.timeout(local_read)
-                # Remote blocks: through the transport under test.
-                if exchange is not None:
-                    remote = float(
-                        sum(fetch_bytes[i] for i in range(len(peers)) if i != col)
-                    )
-                    yield from self.collective_fetch(
-                        exchange, peers, remote, app=app
-                    )
-                else:
-                    sources = [
-                        (src, int(fetch_bytes[i]), int(blocks[i]))
-                        for i, src in enumerate(peers)
-                        if i != col and fetch_bytes[i] > 0
-                    ]
-                    yield from self.fetch_shuffle(
-                        sources, trace_parent=ctx, app=app, rot=rot
-                    )
-                fetch_wait = self.sim.env.now - t_fetch
-                tm.fetch_wait.inc(fetch_wait)
-                tm.h_fetch_wait.observe(fetch_wait)
-                combine = combine_seconds * self.sim.transport.compute_inflation
-                yield self.sim.env.timeout(combine)
-                tm.combine.inc(combine)
+                phases = yield from self.task_body(
+                    stage, t, peers, col, exchange, tm=tm, ctx=ctx, app=app, rot=rot
+                )
                 tm.tasks.inc()
-                span.annotate(fetch_wait_s=fetch_wait, combine_s=combine)
+                if isinstance(stage, ShuffleReadStage):
+                    span.annotate(
+                        fetch_wait_s=phases["fetch_wait_s"],
+                        combine_s=phases["combine_s"],
+                    )
             if ctx is not None:
-                self.sim.env.causal.event(
-                    "task.finish", ctx,
-                    task=label, exec=self.exec_id,
-                    fetch_wait_s=fetch_wait, combine_s=combine,
-                    local_s=local_read,
+                env.causal.event(
+                    "task.finish", ctx, task=label, exec=self.exec_id, **phases
                 )
         finally:
-            self.slots.release(req)
-            if gated:
-                app.gate.release()
+            if slot is not None:
+                self.slots.release(slot)
+            if grant is not None:
+                gate.cancel(grant)
 
 
 @dataclass
@@ -877,43 +872,28 @@ class SparkSimCluster:
             raise RuntimeError("cluster is shut down")
         if not self._launched:
             raise RuntimeError("launch() the cluster before running applications")
-        n_exec = len(self.app_executors(app))
-        if profile.n_executors != n_exec:
-            raise ValueError(
-                f"profile built for {profile.n_executors} executors, "
-                f"app {app.app_id} granted {n_exec}"
-            )
-        env = self.env
-        causal = env.causal
-        stage_seconds: dict[str, float] = {}
         try:
-            for stage in profile.stages:
-                t0 = env.now
-                causal.event(
-                    "stage.start", None,
-                    stage=f"{app.name}:{stage.label}", n_tasks=stage.n_tasks,
-                )
-                tasks = self._spawn_stage_tasks(stage, app=app)
-                yield env.all_of(tasks)
-                stage_seconds[stage.label] = env.now - t0
-                causal.event(
-                    "stage.finish", None,
-                    stage=f"{app.name}:{stage.label}",
-                    seconds=stage_seconds[stage.label],
-                )
+            return (yield from self._stage_loop(profile, app=app))
         finally:
             self.release_app(app)
-        return stage_seconds
 
     # -- profile execution -------------------------------------------------------
-    def run_profile(self, profile: WorkloadProfile) -> RunResult:
+    def run_profile(
+        self,
+        profile: WorkloadProfile,
+        run_stage=None,
+        deadline_s: float | None = None,
+    ) -> RunResult:
+        """Drive ``profile`` to completion on the whole cluster.
+
+        ``run_stage`` replaces the stage step (a generator function of one
+        stage): the default runs every task once and waits;
+        :class:`~repro.faults.recovery.ResilientScheduler` passes its
+        retry/resubmission policy. A job still running ``deadline_s``
+        simulated seconds from now fails with :class:`JobFailedError`.
+        """
         if not self._launched:
             self.launch()
-        if profile.n_executors != self.n_workers:
-            raise ValueError(
-                f"profile built for {profile.n_executors} executors, "
-                f"cluster has {self.n_workers}"
-            )
         result = RunResult(
             workload=profile.name,
             transport=self.transport.name,
@@ -922,7 +902,8 @@ class SparkSimCluster:
             total_cores=self.n_workers * self.cores_per_executor,
             launch_seconds=self.launch_seconds,
         )
-        causal = self.env.causal
+        env = self.env
+        causal = env.causal
         if causal.enabled:
             # Self-describing trace header: everything the what-if replay
             # engine needs to rebuild its model from an exported JSONL log
@@ -946,38 +927,109 @@ class SparkSimCluster:
                 n_tasks=sum(s.n_tasks for s in profile.stages),
                 compute_inflation=float(self.transport.compute_inflation),
             )
-        for stage in profile.stages:
-            t0 = self.env.now
-            causal.event("stage.start", None, stage=stage.label, n_tasks=stage.n_tasks)
-            with self.env.tracer.span(
-                stage.label, cat="stage", track="driver", n_tasks=stage.n_tasks
-            ):
-                tasks = self._spawn_stage_tasks(stage)
-                finished = self.env.all_of(tasks)
-                self.env.run(until=finished)
-            result.stage_seconds[stage.label] = self.env.now - t0
-            causal.event(
-                "stage.finish", None,
-                stage=stage.label, seconds=result.stage_seconds[stage.label],
-            )
+        job = env.process(
+            self._stage_loop(profile, run_stage=run_stage), name="driver-job"
+        )
+        if deadline_s is None:
+            env.run(until=job)
+        else:
+            env.run(until=env.any_of([job, env.timeout(deadline_s)]))
+            if not job.triggered:
+                raise JobFailedError(f"job exceeded deadline of {deadline_s:g}s")
+        result.stage_seconds = job.value
         if self.obs_enabled:
-            result.metrics = self.env.metrics.snapshot()
+            result.metrics = env.metrics.snapshot()
         if causal.enabled:
             result.flight = causal.flight
         return result
 
-    def start_collective_exchange(
+    def _stage_loop(
+        self,
+        profile: WorkloadProfile,
+        app: AppHandle | None = None,
+        run_stage=None,
+    ) -> Generator:
+        """The one stage loop: run each stage in turn, timing it.
+
+        Every driver — :meth:`run_profile`, :meth:`run_application`, the
+        recovery scheduler — executes this generator; they differ only in
+        the ``run_stage`` step (default :meth:`_run_stage`). Returns the
+        ``{stage label: seconds}`` dict.
+        """
+        n_exec = len(self.app_executors(app))
+        if profile.n_executors != n_exec:
+            raise ValueError(
+                f"profile built for {profile.n_executors} executors, "
+                + (
+                    f"cluster has {n_exec}"
+                    if app is None
+                    else f"app {app.app_id} granted {n_exec}"
+                )
+            )
+        env = self.env
+        prefix = "" if app is None else f"{app.name}:"
+        stage_seconds: dict[str, float] = {}
+        for stage in profile.stages:
+            label = prefix + stage.label
+            t0 = env.now
+            env.causal.event("stage.start", None, stage=label, n_tasks=stage.n_tasks)
+            with env.tracer.span(
+                label, cat="stage", track="driver", n_tasks=stage.n_tasks
+            ):
+                if run_stage is None:
+                    yield from self._run_stage(stage, app)
+                else:
+                    yield from run_stage(stage)
+            stage_seconds[stage.label] = env.now - t0
+            env.causal.event(
+                "stage.finish", None,
+                stage=label, seconds=stage_seconds[stage.label],
+            )
+        return stage_seconds
+
+    def _run_stage(self, stage, app: AppHandle | None = None) -> Generator:
+        """Default stage step: every task once, at its preferred executor."""
+        from repro.util.rng import derive_seed
+
+        executors = self.app_executors(app)
+        n_exec = len(executors)
+        prefix = "" if app is None else f"{app.name}:"
+        # Collective transports: all map→reduce bytes start moving now and
+        # every reduce task below just waits on this shared exchange.
+        exchange = self.stage_exchange(stage, executors, app=app)
+        # Per-app fetch rotation: a pure function of (app seed, stage,
+        # task), never of a shared mutable counter — one tenant's fetch
+        # order is interleaving-independent.
+        seeded_rot = app is not None and isinstance(stage, ShuffleReadStage)
+        procs = []
+        for t in range(stage.n_tasks):
+            task_label = f"{prefix}{stage.label}-task{t}"
+            rot = (
+                derive_seed(app.seed, "fetch", stage.label, t) % 65536
+                if seeded_rot
+                else None
+            )
+            gen = executors[t % n_exec].run_task(
+                stage, t, task_label, executors, t % n_exec, exchange,
+                app=app, rot=rot,
+            )
+            procs.append(self.env.process(gen, name=task_label))
+        yield self.env.all_of(procs)
+
+    def stage_exchange(
         self,
         stage,
         executors: "list[SimExecutor]",
-        app: AppHandle | None = None,
         tasks=None,
         placement: dict[int, int] | None = None,
+        app: AppHandle | None = None,
     ):
-        """One stage boundary's alltoallv exchange (collective transports).
+        """A stage attempt's shared alltoallv exchange, or None.
 
-        Aggregates the :class:`ShuffleReadStage` fetch matrix over its
-        reduce tasks into an executor-pair byte matrix and launches a
+        None unless ``stage`` is a shuffle read on a collective transport
+        — the one place that decision is made. Otherwise aggregates the
+        :class:`ShuffleReadStage` fetch matrix over its reduce tasks into
+        an executor-pair byte matrix and launches a
         :class:`~repro.transports.mpi_coll.CollectiveShuffleExchange`
         over the executors' DPM communicator.  ``tasks``/``placement``
         restrict and re-home the aggregation (the resilient scheduler's
@@ -986,6 +1038,10 @@ class SparkSimCluster:
         ``t % n_exec`` executor.  The matching tag is cluster-unique so
         concurrent exchanges never cross-match.
         """
+        if not (
+            isinstance(stage, ShuffleReadStage) and self.transport.collective_shuffle
+        ):
+            return None
         n = len(executors)
         totals = np.zeros((n, n), dtype=float)
         task_ids = range(stage.n_tasks) if tasks is None else tasks
@@ -1002,60 +1058,6 @@ class SparkSimCluster:
             for ex in executors
         ]
         return self.transport.start_exchange(label, members, totals, tag)
-
-    def _spawn_stage_tasks(self, stage, app: AppHandle | None = None) -> list:
-        from repro.util.rng import derive_seed
-
-        procs = []
-        executors = self.app_executors(app)
-        n_exec = len(executors)
-        prefix = "" if app is None else f"{app.name}:"
-        exchange = None
-        if isinstance(stage, ShuffleReadStage) and getattr(
-            self.transport, "collective_shuffle", False
-        ):
-            # The fetch phase degenerates into one collective per stage
-            # boundary: all map→reduce bytes start moving now, and every
-            # reduce task below just waits on this shared exchange.
-            exchange = self.start_collective_exchange(stage, executors, app)
-        for t in range(stage.n_tasks):
-            ex = executors[t % n_exec]
-            task_label = f"{prefix}{stage.label}-task{t}"
-            if isinstance(stage, ComputeStage):
-                gen = ex.run_compute_task(
-                    float(stage.seconds_per_task[t]), label=task_label, app=app
-                )
-            elif isinstance(stage, ShuffleWriteStage):
-                gen = ex.run_write_task(
-                    float(stage.seconds_per_task[t]),
-                    float(stage.write_bytes_per_task[t]),
-                    label=task_label,
-                    app=app,
-                )
-            elif isinstance(stage, ShuffleReadStage):
-                # Per-app fetch rotation: a pure function of (app seed,
-                # stage, task), never of a shared mutable counter — one
-                # tenant's fetch order is interleaving-independent.
-                rot = (
-                    None
-                    if app is None
-                    else derive_seed(app.seed, "fetch", stage.label, t) % 65536
-                )
-                gen = ex.run_read_task(
-                    stage.fetch_bytes[t],
-                    stage.blocks[t],
-                    float(stage.combine_seconds_per_task[t]),
-                    label=task_label,
-                    app=app,
-                    peers=executors,
-                    col=t % n_exec,
-                    rot=rot,
-                    exchange=exchange,
-                )
-            else:
-                raise TypeError(f"unknown stage type {type(stage)}")
-            procs.append(self.env.process(gen, name=task_label))
-        return procs
 
     def shutdown(self) -> None:
         """Tear the cluster down; idempotent and safe mid-application.

@@ -30,6 +30,24 @@ ALIASES = {
 }
 
 
+def transport_class(name: str) -> type[Transport]:
+    """The transport class for a name or paper-legend alias.
+
+    The class carries the design's declared traits (``uses_mpi``,
+    ``polling_tax_cores``, ``compute_inflation``, ``collective_shuffle``,
+    ``polls_for_messages``), so analyses of a recorded run can look them
+    up from the recorded transport name without building a cluster.
+    """
+    key = ALIASES.get(name.lower(), name.lower())
+    cls = TRANSPORTS.get(key)
+    if cls is None:
+        raise KeyError(
+            f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)} "
+            f"or aliases {sorted(ALIASES)}"
+        )
+    return cls
+
+
 def make_transport(
     name: str, env, cluster, loaded: bool = False, fault_mode: str = "abort"
 ) -> Transport:
@@ -40,14 +58,7 @@ def make_transport(
     ``fault_mode`` ("abort" | "shrink") selects the MPI world's reaction
     to rank death; socket transports ignore it.
     """
-    key = ALIASES.get(name.lower(), name.lower())
-    cls = TRANSPORTS.get(key)
-    if cls is None:
-        raise KeyError(
-            f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)} "
-            f"or aliases {sorted(ALIASES)}"
-        )
-    return cls(env, cluster, loaded=loaded, fault_mode=fault_mode)
+    return transport_class(name)(env, cluster, loaded=loaded, fault_mode=fault_mode)
 
 
 __all__ = [
@@ -60,4 +71,5 @@ __all__ = [
     "TRANSPORTS",
     "ALIASES",
     "make_transport",
+    "transport_class",
 ]

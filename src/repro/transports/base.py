@@ -35,6 +35,12 @@ class Transport:
     # Multiplier on task compute time from communication interference
     # (cache pollution / scheduler churn from busy-polling threads).
     compute_inflation = 1.0
+    # The shuffle-read fetch phase is one collective exchange per stage
+    # boundary instead of per-block ChunkFetch requests.
+    collective_shuffle = False
+    # MPI messages are discovered by busy-polling (selectNow + Iprobe), so
+    # matching dwell is a polling tax rather than plain queueing.
+    polls_for_messages = False
 
     def __init__(
         self,

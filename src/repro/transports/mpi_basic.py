@@ -37,6 +37,7 @@ class MpiBasicTransport(Transport):
     uses_mpi = True
     polling_tax_cores = 4
     compute_inflation = 1.3
+    polls_for_messages = True
 
     def __init__(
         self, env, cluster, loaded: bool = False, fault_mode: str = "abort"

@@ -9,7 +9,7 @@ from repro.mpi import MPIWorld, RankSpec, SpawnSpec
 from repro.mpi.errors import CommError
 from repro.netty.bytebuf import ByteBuf
 from repro.simnet import IB_EDR, IB_HDR, SimCluster, SimEngine, mpi_over
-from repro.transports import ALIASES, TRANSPORTS, make_transport
+from repro.transports import ALIASES, TRANSPORTS, make_transport, transport_class
 from repro.util.units import KiB, MiB
 
 
@@ -32,6 +32,25 @@ class TestTransportRegistry:
         cluster = SimCluster(env, IB_HDR, n_nodes=2, cores_per_node=2)
         with pytest.raises(KeyError):
             make_transport("quantum", env, cluster)
+
+    def test_transport_class_resolves_names_and_aliases(self):
+        for name, cls in TRANSPORTS.items():
+            assert transport_class(name) is cls
+        for alias, target in ALIASES.items():
+            assert transport_class(alias) is TRANSPORTS[target]
+        assert transport_class("MPI-Basic") is TRANSPORTS["mpi-basic"]
+        with pytest.raises(KeyError, match="quantum"):
+            transport_class("quantum")
+
+    def test_declared_traits(self):
+        # Callers read these off the class, never off the transport's name.
+        polls = {n for n, c in TRANSPORTS.items() if c.polls_for_messages}
+        collects = {n for n, c in TRANSPORTS.items() if c.collective_shuffle}
+        assert polls == {"mpi-basic"}
+        assert collects == {"mpi-coll"}
+        assert {n for n, c in TRANSPORTS.items() if c.uses_mpi} == {
+            "mpi-basic", "mpi-opt", "mpi-coll"
+        }
 
     def test_taxes(self):
         env = SimEngine()

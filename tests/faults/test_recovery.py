@@ -173,3 +173,37 @@ class TestSpeculation:
         sched.run_profile(profile, deadline_s=60.0)
         sim.shutdown()
         assert report.speculative_launches == 0
+
+
+class TestSharedTaskBody:
+    """The scheduler is a policy over deploy's task body, not a copy of it."""
+
+    @staticmethod
+    def _stage_seconds(resilient):
+        sim = make_sim()
+        sim.launch()
+        driver = ResilientScheduler(sim) if resilient else sim
+        result = driver.run_profile(make_chaos_profile(4, 4, 64 * MiB))
+        sim.shutdown()
+        return result.stage_seconds
+
+    def test_resilient_run_honours_patched_ramdisk_rates(self):
+        # The what-if truth harness, the perf-gate blame injector and the
+        # run-cache key all patch / read ``deploy.RAMDISK_*``. A resilient
+        # run used to time tasks from its own import-time copies of the
+        # constants, so those patches never reached it.
+        from repro.spark import deploy
+
+        before = {r: self._stage_seconds(r) for r in (False, True)}
+        saved = (deploy.RAMDISK_WRITE_BPS, deploy.RAMDISK_READ_BPS)
+        try:
+            deploy.RAMDISK_WRITE_BPS = saved[0] / 8
+            deploy.RAMDISK_READ_BPS = saved[1] / 8
+            after = {r: self._stage_seconds(r) for r in (False, True)}
+        finally:
+            deploy.RAMDISK_WRITE_BPS, deploy.RAMDISK_READ_BPS = saved
+        for stage in ("write", "read"):
+            assert after[True][stage] == after[False][stage]
+            for resilient in (False, True):
+                assert after[resilient][stage] > before[resilient][stage]
+        assert after[True]["gen"] == before[True]["gen"]

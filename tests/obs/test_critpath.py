@@ -83,6 +83,14 @@ class TestSyntheticAnalysis:
                 analyze(synthetic_flight(), "mpi-basic").total_seconds
             )
 
+    def test_classification_follows_the_declared_trait(self):
+        # Aliases resolve to the trait; a name this tree does not know
+        # (a recording loaded from disk) is not poll-sensitive, not an error.
+        aliased = analyze(synthetic_flight(), "mpi4spark-basic")
+        assert aliased.stage("Job0-read").seconds("poll-tax") == pytest.approx(0.03)
+        unknown = analyze(synthetic_flight(), "some-future-transport")
+        assert unknown.stage("Job0-read").seconds("poll-tax") == 0.0
+
     def test_rollups_and_shares(self):
         report = analyze(synthetic_flight(), "mpi-basic")
         assert report.total_seconds == pytest.approx(0.42 + 0.4)

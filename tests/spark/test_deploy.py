@@ -126,3 +126,89 @@ class TestProfileExecution:
             sum(result.stage_seconds.values())
         )
         assert result.shuffle_read_seconds() == result.stage_seconds["read"]
+
+
+class TestTaskEnvelopeInterruptSafety:
+    """An interrupted task gives back every claim it made or queued for.
+
+    ``run_task`` claims the app gate and the executor slot inside its
+    ``try``; before that, a task interrupted while still *waiting* for a
+    slot was later granted one as a dead process and never released it.
+    """
+
+    @staticmethod
+    def _cluster():
+        sim = SparkSimCluster(INTERNAL_CLUSTER, 2, "nio", cores_per_executor=2)
+        sim.launch()
+        assert sim.executors[0].slots.capacity == 2
+        return sim
+
+    @staticmethod
+    def _spawn(sim, n_tasks, app=None):
+        from repro.simnet.events import Interrupt
+
+        def join(proc):
+            # The engine surfaces a process that dies unjoined; the
+            # interrupted task's death is the scenario, not an error.
+            try:
+                yield proc
+            except Interrupt:
+                pass
+
+        ex = sim.executors[0]
+        stage = ComputeStage("gen", np.full(n_tasks, 0.01))
+        procs = [
+            sim.env.process(
+                ex.run_task(stage, t, f"gen-task{t}", sim.executors, 0, app=app)
+            )
+            for t in range(n_tasks)
+        ]
+        for proc in procs:
+            sim.env.process(join(proc))
+        return procs
+
+    def test_interrupt_while_queued_for_a_slot(self):
+        sim = self._cluster()
+        ex = sim.executors[0]
+        procs = self._spawn(sim, 3)
+        sim.env.run(until=sim.env.now + 1e-3)
+        assert ex.slots.count == 2 and len(ex.slots.queue) == 1
+        procs[2].interrupt("abandoned")
+        sim.env.run(until=sim.env.all_of(procs[:2]))
+        assert not procs[2].is_alive
+        assert ex.slots.count == 0
+        assert len(ex.slots.queue) == 0
+        sim.shutdown()
+
+    def test_interrupt_while_queued_for_the_app_gate(self):
+        from repro.simnet.resources import SlotGate
+
+        sim = self._cluster()
+        ex = sim.executors[0]
+        gate = SlotGate(sim.env, capacity=1)
+        app = sim.register_app(1, gate=gate)
+        procs = self._spawn(sim, 2, app=app)
+        sim.env.run(until=sim.env.now + 1e-3)
+        assert gate.held == 1 and gate.waiting == 1
+        procs[1].interrupt("abandoned")
+        sim.env.run(until=procs[0])
+        assert not procs[1].is_alive
+        assert gate.held == 0 and gate.waiting == 0
+        assert ex.slots.count == 0 and len(ex.slots.queue) == 0
+        sim.shutdown()
+
+    def test_interrupt_holding_the_gate_but_queued_for_a_slot(self):
+        from repro.simnet.resources import SlotGate
+
+        sim = self._cluster()
+        ex = sim.executors[0]
+        fillers = self._spawn(sim, 2)  # ungated: occupy both slots
+        gate = SlotGate(sim.env, capacity=1)
+        (gated,) = self._spawn(sim, 1, app=sim.register_app(1, gate=gate))
+        sim.env.run(until=sim.env.now + 1e-3)
+        assert gate.held == 1 and len(ex.slots.queue) == 1
+        gated.interrupt("abandoned")
+        sim.env.run(until=sim.env.all_of(fillers))
+        assert gate.held == 0 and gate.waiting == 0
+        assert ex.slots.count == 0 and len(ex.slots.queue) == 0
+        sim.shutdown()

@@ -60,7 +60,7 @@ class TestRegistration:
         cluster = SimCluster(env, IB_HDR, n_nodes=2, cores_per_node=2)
         for name in ("nio", "rdma", "mpi-basic", "mpi-opt"):
             t = make_transport(name, env, cluster)
-            assert not getattr(t, "collective_shuffle", False)
+            assert not t.collective_shuffle
 
     def test_sparkconf_selection(self):
         conf = SparkConf({"spark.repro.transport": "mpi-coll"})
