@@ -9,6 +9,13 @@ of cells. Run it directly::
 With ``REPRO_PERF_GATE=1`` the suite additionally fails if any cell's
 events/sec dropped >30% against the committed ``results/BENCH_perf.json``
 (the committed file is read at import time, before this run overwrites it).
+
+Event totals are comparable only within one tree. A kernel change that
+stops scheduling events nobody can observe lowers a cell's
+``events_processed`` — and with it events/sec — while its wall improves
+(ISSUE 17: 4-28 % fewer dispatches per pinned cell), so the gate means
+something only against a committed file that the gated tree itself
+produced: a PR that moves dispatch counts regenerates the file.
 """
 
 import json
@@ -61,17 +68,22 @@ def test_all_pinned_cells_ran(payload):
 
 
 def test_speedup_vs_pre_pr_baseline_recorded(payload):
-    # The fast-path work is the point of this file: the payload must carry
-    # per-cell speedups against the pre-PR walls (live division) plus the
-    # paired alternating-process ratios, whose heavy-cell entry is the
-    # >=3x serial win the kernel work bought.
+    # Kernel speed is the point of this file: the payload must carry
+    # per-cell speedups against the walls of the latest kernel pass's
+    # parent tree (live division) plus the paired alternating-process
+    # ratios. The block is refreshed, not multiplied, by each kernel
+    # pass: since ISSUE 17 it holds the object-lifetime pass, whose
+    # largest pinned win is the select-heavy TeraSort cell (the fast-path
+    # PR's >=3x on the fig10 8w cell is in DESIGN.md §10).
     speedups = payload["baseline"]["speedup_vs_baseline"]
-    # Cells added after the fast-path PR (e.g. the causal-tracing pair's
-    # obs-on twin) have no pre-PR wall to divide by.
+    # Cells added after the first kernel PR (e.g. the causal-tracing
+    # pair's obs-on twin) are not part of the paired measurement.
     baselined = {c["name"] for c in payload["cells"]} & set(PRE_PR_BASELINE)
     assert set(speedups) == baselined
-    assert payload["baseline"]["paired_speedup"]["fig10_groupby_8w_mpi-basic"] >= 3.0
-    assert payload["baseline"]["best_speedup"] >= 3.0
+    paired = payload["baseline"]["paired_speedup"]
+    assert paired["fig12_terasort_frontera_mpi-opt"] >= 1.3
+    assert min(paired.values()) >= 1.0
+    assert payload["baseline"]["best_speedup"] >= 1.3
 
 
 def test_fluid_rerate_scale_cells_and_baseline(payload):

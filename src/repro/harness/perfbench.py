@@ -9,9 +9,9 @@ payload that ``benchmarks/test_perf_suite.py`` writes to
 
 Two comparisons hang off that file:
 
-* ``PRE_PR_BASELINE`` — wall seconds of the same cells on the tree
-  before the fast-path work (min of 3 alternating runs, same machine).
-  The payload records per-cell speedups against it.
+* ``PRE_PR_BASELINE`` — wall seconds of the same cells on the parent
+  tree of the latest kernel pass (min of 3 alternating runs, same
+  machine).  The payload records per-cell speedups against it.
 * ``regressions(current, committed)`` — events/sec of a fresh run vs
   the committed ``results/BENCH_perf.json``; CI gates on it when
   ``REPRO_PERF_GATE=1`` (>30% drop fails).
@@ -46,14 +46,19 @@ SCHEMA = "repro-perf/1"
 # Pre-PR wall seconds for the pinned cells: min of 3 runs alternating
 # old/new interpreter processes on the same machine (see DESIGN.md §10
 # for the methodology).  Used only to report speedups in the payload.
+# "Pre-PR" is the parent of the latest kernel pass — since ISSUE 17 the
+# object-lifetime pass (decided conditions detach, no per-flow timer
+# closure, unobserved events never scheduled), parent 69e1880.  The
+# fast-path PR's own table (fig10 8w mpi-basic 13.48 -> 4.1 s, 3.1x) is
+# history and lives in DESIGN.md §10.
 PRE_PR_BASELINE: dict[str, float] = {
-    "fig8_pingpong_nio": 0.0079,
-    "fig8_pingpong_mpi": 0.0128,
-    "fig9_groupby_2w_nio": 0.301,
-    "fig9_groupby_2w_mpi-basic": 0.467,
-    "fig9_groupby_2w_mpi-opt": 0.427,
-    "fig10_groupby_8w_mpi-basic": 13.48,
-    "fig12_terasort_frontera_mpi-opt": 4.69,
+    "fig8_pingpong_nio": 0.0054,
+    "fig8_pingpong_mpi": 0.0085,
+    "fig9_groupby_2w_nio": 0.1905,
+    "fig9_groupby_2w_mpi-basic": 0.3099,
+    "fig9_groupby_2w_mpi-opt": 0.2788,
+    "fig10_groupby_8w_mpi-basic": 3.029,
+    "fig12_terasort_frontera_mpi-opt": 3.543,
 }
 
 # Speedups from the paired measurement itself (old and new trees in
@@ -61,16 +66,18 @@ PRE_PR_BASELINE: dict[str, float] = {
 # live ``speedup_vs_baseline`` division — whose denominator moves with
 # whatever else the machine is doing — the paired ratio exposes both
 # trees to the same noise, so it is the authoritative before/after
-# number.  The win grows with worker count because the removed matching
-# scans grew with channel count and queue depth.
+# number.  The win follows the share of a cell's dispatches that nobody
+# observed (socket put/get events, stale select wake-ups: the NIO and
+# mpi-opt cells) and the garbage its flows and selects left behind; the
+# mpi-basic cells poll instead of selecting and gain least.
 PRE_PR_PAIRED_SPEEDUP: dict[str, float] = {
-    "fig8_pingpong_nio": 0.96,
-    "fig8_pingpong_mpi": 1.01,
-    "fig9_groupby_2w_nio": 1.06,
-    "fig9_groupby_2w_mpi-basic": 1.13,
-    "fig9_groupby_2w_mpi-opt": 1.11,
-    "fig10_groupby_8w_mpi-basic": 3.08,
-    "fig12_terasort_frontera_mpi-opt": 1.27,
+    "fig8_pingpong_nio": 1.37,
+    "fig8_pingpong_mpi": 1.27,
+    "fig9_groupby_2w_nio": 1.15,
+    "fig9_groupby_2w_mpi-basic": 1.05,
+    "fig9_groupby_2w_mpi-opt": 1.06,
+    "fig10_groupby_8w_mpi-basic": 1.18,
+    "fig12_terasort_frontera_mpi-opt": 1.46,
 }
 
 # Paired measurement for the fluid-rerate / event-loop work (vectorized
@@ -526,11 +533,15 @@ def run_perf_suite(
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "baseline": {
             "description": (
-                "pre-PR tree, min of 3 runs alternating old/new processes "
-                "on the machine that produced this file; paired_speedup is "
-                "the ratio from that alternating measurement (noise-immune), "
-                "speedup_vs_baseline divides this run's walls by the frozen "
-                "pre-PR walls"
+                "parent tree of the latest kernel pass (ISSUE 17, object "
+                "lifetime; parent 69e1880), min of 3 runs alternating "
+                "old/new processes on the machine that produced this file; "
+                "paired_speedup is the ratio from that alternating "
+                "measurement (noise-immune), speedup_vs_baseline divides "
+                "this run's walls by the frozen pre-PR walls; event totals "
+                "differ across the two trees (unobserved events are no "
+                "longer scheduled), so events/sec is comparable only within "
+                "one tree"
             ),
             "wall_seconds": dict(PRE_PR_BASELINE),
             "speedup_vs_baseline": speedups,
@@ -574,6 +585,9 @@ def regressions(
 ) -> list[str]:
     """Cells whose events/sec dropped more than ``threshold`` vs a
     committed payload.  Missing cells are skipped (renames don't fail CI).
+
+    Only meaningful when ``committed`` came from the same tree's kernel:
+    event totals move when a change stops scheduling unobservable events.
     """
     committed_eps = {
         c["name"]: c["events_per_sec"] for c in committed.get("cells", [])

@@ -447,7 +447,7 @@ class MPIWorld:
         if pipe is None:
             pipe = _Pipe(self, self.process(envl.src_gid), self.process(envl.dst_gid))
             self._pipes[key] = pipe
-        pipe.store.put(envl)
+        pipe.store.put_nowait(envl)
 
     # -- world creation --------------------------------------------------------
     def create_processes(

@@ -137,7 +137,7 @@ class EventLoop:
     # -- task & blocking-continuation submission ---------------------------------
     def submit(self, fn: Callable[[], Any]) -> None:
         """Run ``fn()`` on the loop thread at the next iteration."""
-        self.tasks.put(fn)
+        self.tasks.put_nowait(fn)
         self.selector.wakeup()
 
     def run_blocking(self, gen: Generator) -> None:
@@ -172,9 +172,7 @@ class EventLoop:
 
             # Run queued tasks.
             while self.tasks.items:
-                ev = self.tasks.get()
-                assert ev.triggered
-                fn = ev.value
+                fn = self.tasks.get_nowait()
                 yield env.timeout(TASK_COST_S)
                 fn()
                 yield from self._drain_blocking()

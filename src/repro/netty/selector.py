@@ -61,6 +61,7 @@ class Selector:
         self.keys: list[SelectionKey] = []
         self._wakeups: Store = Store(env)
         self._pending_events: dict[int, "Event"] = {}
+        self._pending_wake: "Event | None" = None
         self.select_calls = 0
         self.select_now_calls = 0
 
@@ -124,7 +125,12 @@ class Selector:
                         continue
                     self._pending_events[id(key)] = ev
                 events.append(ev)
-            wake = self._wakeups.when_nonempty()
+            # Like the per-key events, the wake-up event is reused until it
+            # fires: a select decided by a ready key must not leave one more
+            # waiter parked on the wake-up queue.
+            wake = self._pending_wake
+            if wake is None or wake.triggered:
+                wake = self._pending_wake = self._wakeups.when_nonempty()
             events.append(wake)
             if timeout is not None:
                 events.append(self.env.timeout(timeout))
@@ -140,9 +146,8 @@ class Selector:
 
     def wakeup(self) -> None:
         """Unblock a pending select (NIO Selector.wakeup)."""
-        self._wakeups.put(None)
+        self._wakeups.put_nowait(None)
 
     def _drain_wakeups(self) -> None:
         while self._wakeups.items:
-            ev = self._wakeups.get()
-            assert ev.triggered
+            self._wakeups.get_nowait()

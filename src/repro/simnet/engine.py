@@ -8,6 +8,7 @@ share one engine per simulated cluster.
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Any, Generator, Iterable
 
 from repro.simnet.events import (
@@ -22,7 +23,8 @@ from repro.util.rng import SeededRng
 
 
 class EmptySchedule(SimError):
-    """Raised by :meth:`SimEngine.step` when no events remain."""
+    """Raised by ``run(until=event)`` when no events remain and the event
+    has not fired: nothing left could ever trigger it."""
 
 
 class SimEngine:
@@ -70,7 +72,7 @@ class SimEngine:
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        heappush(self._heap, (self.now + delay, self._seq, event))
 
     @property
     def active_process(self) -> Process | None:
@@ -88,11 +90,13 @@ class SimEngine:
         the run loop (advancing the clock exactly as the old no-op callback
         did) — and the heap is compacted in place once tombstones outnumber
         live entries. Cancelling an already-fired or already-cancelled
-        timeout is a no-op.
+        timeout is a no-op. The tombstone keeps nothing alive: it drops
+        the timeout's value.
         """
         if timeout.callbacks is None or timeout._dead:
             return
         timeout._dead = True
+        timeout._value = None
         self._n_dead += 1
         if self._n_dead > 64 and self._n_dead * 2 > len(self._heap):
             self._compact()
@@ -118,32 +122,6 @@ class SimEngine:
         heap[:] = live
         heapq.heapify(heap)
         self._n_dead = 0
-
-    def step(self) -> None:
-        """Process one scheduled event, advancing the clock to it."""
-        while True:
-            try:
-                when, _, event = heapq.heappop(self._heap)
-            except IndexError:
-                raise EmptySchedule("no scheduled events") from None
-            if when < self.now:
-                raise SimError(f"time went backwards: {when} < {self.now}")
-            self.now = when
-            if type(event) is Timeout and event._dead:
-                # Cancelled timer: skip the tombstone (clock still advances).
-                self._n_dead -= 1
-                event._dead = False
-                if len(self._timeout_pool) < self._POOL_MAX:
-                    self._timeout_pool.append(event)
-                continue
-            break
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks or ():
-            cb(event)
-        if not event._ok and not callbacks and not isinstance(event, Process):
-            # A failed event nobody waited on would silently vanish.
-            raise event._value
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the schedule drains, ``until`` time passes, or an
@@ -202,7 +180,9 @@ class SimEngine:
                             raise event._value
                         return event._value
                     if event.__class__ is timeout_cls and len(pool) < pool_max:
-                        # Fired and fully dispatched: back to the free list.
+                        # Fired and fully dispatched: back to the free list,
+                        # which keeps nothing alive.
+                        event._value = None
                         pool.append(event)
         finally:
             self.events_processed += n_dispatched
@@ -210,7 +190,7 @@ class SimEngine:
             # Reached when the loop broke (event already processed) or the
             # schedule drained; the in-loop pop of the event returns above.
             if not stop_event.triggered:
-                raise SimError(
+                raise EmptySchedule(
                     "run(until=event): schedule drained before event fired"
                 )
             if not stop_event._ok:
@@ -225,11 +205,42 @@ class SimEngine:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(
+        self, delay: float, value: Any = None, supersedes: Timeout | None = None
+    ) -> Timeout:
+        """A :class:`Timeout` firing ``delay`` from now with ``value``.
+
+        ``supersedes`` names a timer this one replaces: it is cancelled
+        first, exactly as by :meth:`cancel`. The fluid re-rate replaces one
+        completion timer per affected flow on every network event, which
+        made cancel + timeout the kernel's two most-called functions;
+        together they cost one call.
+        """
+        if (
+            supersedes is not None
+            and supersedes.callbacks is not None
+            and not supersedes._dead
+        ):
+            supersedes._dead = True
+            supersedes._value = None
+            self._n_dead += 1
+            if self._n_dead > 64 and self._n_dead * 2 > len(self._heap):
+                self._compact()
         pool = self._timeout_pool
-        if pool:
-            return pool.pop()._reuse(delay, value)
-        return Timeout(self, delay, value)
+        if not pool:
+            return Timeout(self, delay, value)
+        # Re-initialise a recycled instance (same contract as
+        # Timeout.__init__; ``_ok`` stays True and ``_dead`` False on
+        # every path into the pool).
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        timeout = pool.pop()
+        timeout.callbacks = []
+        timeout._value = value
+        timeout.delay = delay
+        self._seq += 1
+        heappush(self._heap, (self.now + delay, self._seq, timeout))
+        return timeout
 
     def process(
         self, gen: Generator[Event, Any, Any], name: str | None = None

@@ -127,10 +127,12 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds in the future.
 
     Timeouts are by far the most-allocated event type (every simulated
-    cost charge is one), so the engine keeps a free list: :meth:`_reuse`
-    re-initialises a recycled instance in place of ``__init__``.  A
-    pending timeout can also be cancelled via ``SimEngine.cancel`` — the
-    ``_dead`` flag tombstones its heap entry, and its callbacks never run.
+    cost charge is one), so the engine keeps a free list:
+    ``SimEngine.timeout`` re-initialises a recycled instance itself in
+    place of ``__init__``.  A pending timeout can also be cancelled via
+    ``SimEngine.cancel`` — the ``_dead`` flag tombstones its heap entry,
+    and its callbacks never run.  Neither a tombstone nor a pooled
+    instance keeps its value: read it from the callback, not afterwards.
     """
 
     __slots__ = ("delay", "_dead")
@@ -146,20 +148,6 @@ class Timeout(Event):
         self._dead = False
         env._seq += 1
         heappush(env._heap, (env.now + delay, env._seq, self))
-
-    def _reuse(self, delay: float, value: Any = None) -> "Timeout":
-        """Re-initialise a pooled instance (same contract as ``__init__``)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.callbacks = []
-        self._ok = True
-        self._value = value
-        self.delay = delay
-        self._dead = False
-        env = self.env
-        env._seq += 1
-        heappush(env._heap, (env.now + delay, env._seq, self))
-        return self
 
 
 class Initialize(Event):
@@ -183,7 +171,7 @@ class Process(Event):
     or fails with the exception that escaped the generator.
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts")
+    __slots__ = ("gen", "name", "_target", "_interrupts", "_resume_cb")
 
     def __init__(
         self,
@@ -193,22 +181,28 @@ class Process(Event):
     ) -> None:
         if not hasattr(gen, "throw"):
             raise TypeError(f"process body must be a generator, got {gen!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Event | None = None
         self._interrupts: list[Interrupt] = []
+        # The one callback this process ever registers, bound once instead
+        # of once per yield. It makes the live process a reference cycle of
+        # its own, so termination drops it.
+        self._resume_cb = self._resume
         init = Initialize(env)
-        init.add_callback(self._resume)
-        self._target = init
+        init.callbacks.append(self._resume_cb)
+        self._target: Event | None = init
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimError(f"cannot interrupt finished process {self.name}")
         self._interrupts.append(Interrupt(cause))
         target = self._target
@@ -217,18 +211,18 @@ class Process(Event):
             # callback must go too: if the old target triggers later (e.g. a
             # queued resource request cancelled by the dying process's own
             # finally-release), it would re-resume a finished process.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
+            if target.callbacks is not None and self._resume_cb in target.callbacks:
+                target.callbacks.remove(self._resume_cb)
             wakeup = Event(self.env)
             wakeup._ok = True
             wakeup._value = None
             self.env._schedule(wakeup)
-            wakeup.add_callback(self._resume)
+            wakeup.add_callback(self._resume_cb)
             self._target = wakeup
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self.triggered:
+        if self._value is not _PENDING:
             return  # stale callback from an event this process detached from
         env = self.env
         env._active_process = self
@@ -243,50 +237,42 @@ class Process(Event):
                 else:
                     next_event = gen.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self._ok = True
                 self._value = stop.value
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
-            except Interrupt as exc:
-                # An unhandled interrupt terminates the process "with cause".
-                env._active_process = None
-                self._ok = False
-                self._value = exc
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
             except BaseException as exc:
-                env._active_process = None
+                # Includes an unhandled Interrupt: the process terminates
+                # "with cause".
                 self._ok = False
                 self._value = exc
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
 
             # EAFP: everything yieldable has a ``callbacks`` slot; anything
             # else is a programming error surfaced as a SimError failure.
             try:
                 cbs = next_event.callbacks
             except AttributeError:
-                env._active_process = None
                 self._ok = False
                 self._value = SimError(
                     f"process {self.name!r} yielded non-event {next_event!r}"
                 )
-                env._seq += 1
-                heappush(env._heap, (env.now, env._seq, self))
-                return
+                break
 
             self._target = next_event
             if cbs is None:
                 # Already-processed events resume synchronously (loop again).
                 event = next_event
                 continue
-            cbs.append(self._resume)
+            cbs.append(self._resume_cb)
             env._active_process = None
             return
+
+        # Terminated: let go of what only a live process needs, then
+        # schedule ourselves so joiners wake.
+        env._active_process = None
+        self._resume_cb = self._target = None
+        env._seq += 1
+        heappush(env._heap, (env.now, env._seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name} {'done' if self.triggered else 'alive'}>"
@@ -298,39 +284,73 @@ class Condition(Event):
     Completion is tracked through callbacks (``processed``), not the
     ``triggered`` flag — :class:`Timeout` pre-sets its value at construction,
     so ``triggered`` does not mean "has already happened".
+
+    A decided condition detaches: it takes its callback off every sub-event
+    that has not been processed yet, so a long-lived pending event (an idle
+    selector key) never accumulates the callbacks — and with them the
+    conditions, their other sub-events and their waiters — of every wait
+    that was decided by something else. :class:`Process` sub-events are the
+    exception and stay attached: a decided condition is still the joiner of
+    a process it raced, and the engine raises for a failed process that
+    nobody joined.
     """
 
     __slots__ = ("events", "_needed", "_done")
 
-    def __init__(self, env: "SimEngine", events: Iterable[Event], wait_all: bool) -> None:
-        super().__init__(env)
-        self.events = tuple(events)
+    _wait_all = True  # AnyOf overrides: one sub-event decides
+
+    def __init__(self, env: "SimEngine", events: Iterable[Event]) -> None:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self.events = events = tuple(events)
         # (event, value) pairs captured at fire time: a Timeout sub-event
         # may be recycled (engine free list) before the condition completes,
         # so its _value cannot be read later.
         self._done: list[tuple[Event, Any]] = []
-        if not self.events:
-            self._ok = True
+        if not events:
             self._value = {}
             env._schedule(self)
             return
-        for ev in self.events:
+        for ev in events:
             if ev.env is not env:
                 raise SimError("condition mixes events from different engines")
-        self._needed = len(self.events) if wait_all else 1
-        for ev in self.events:
-            ev.add_callback(self._on_sub_event)
+        self._needed = len(events) if self._wait_all else 1
+        callback = self._on_sub_event
+        for ev in events:
+            callbacks = ev.callbacks
+            if callbacks is not None:
+                callbacks.append(callback)
+                continue
+            callback(ev)  # already processed: it counts now
+            if self._value is not _PENDING:
+                # Decided on the spot: attaching to the rest would undo
+                # the detach.
+                break
 
     def _on_sub_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._done.append((event, event._value))
-        self._needed -= 1
-        if self._needed <= 0:
+        else:
+            self._done.append((event, event._value))
+            self._needed -= 1
+            if self._needed > 0:
+                return
             self.succeed(dict(self._done))
+        # Decided: detach from whatever has not fired yet.
+        callback = self._on_sub_event
+        for ev in self.events:
+            callbacks = ev.callbacks
+            if callbacks is not None and not isinstance(ev, Process):
+                try:
+                    callbacks.remove(callback)
+                except ValueError:
+                    # Never attached (decided during construction), or a
+                    # Timeout that fired for us and was recycled since.
+                    pass
 
 
 class AllOf(Condition):
@@ -338,14 +358,10 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, env: "SimEngine", events: Iterable[Event]) -> None:
-        super().__init__(env, events, wait_all=True)
-
 
 class AnyOf(Condition):
     """Triggers when *any* sub-event triggers."""
 
     __slots__ = ()
 
-    def __init__(self, env: "SimEngine", events: Iterable[Event]) -> None:
-        super().__init__(env, events, wait_all=False)
+    _wait_all = False

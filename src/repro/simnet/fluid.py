@@ -58,7 +58,6 @@ class Flow:
         "last",
         "done",
         "timer",
-        "cb",
     )
 
     def __init__(
@@ -76,13 +75,11 @@ class Flow:
         self.rate = 0.0
         self.last = 0.0  # sim time of the last progress drain
         self.done = done
-        self.timer = None  # pending completion Timeout (cancelled on re-rate)
-        # Persistent completion callback, attached to every timer this flow
-        # arms (re-rates churn timers far faster than flows are created, so
-        # one closure per flow beats one per arm). Stale timers cannot fire
-        # — arming always cancels the predecessor — and the callback checks
-        # timer identity anyway as a belt-and-braces guard.
-        self.cb = None
+        # Pending completion Timeout (cancelled on re-rate). The timer
+        # carries this flow as its value, so one network-level callback
+        # serves every flow; the engine drops the value when the timer is
+        # cancelled or recycled, so the pair is a cycle only while armed.
+        self.timer = None
 
 
 class FluidNetwork:
@@ -166,7 +163,6 @@ class FluidNetwork:
         fid = self._next_fid
         self._next_fid = fid + 1
         flow = Flow(fid, tuple(keys), tuple(lidx), nbytes, done)
-        flow.cb = lambda ev, f=flow, on=self._on_timer: on(f, ev)
         flow.last = self.env.now
         self.flows[fid] = flow
         self._g_active.set(len(self.flows))
@@ -328,10 +324,6 @@ class FluidNetwork:
         self._n_rerate_flows += k
         if k > self._max_batch:
             self._max_batch = k
-        link_rate = self.link_rate
-        env = self.env
-        cancel = env.cancel
-        new_timeout = env.timeout
         if k >= self._VECTOR_MIN:
             # Vectorized path: gather each flow's links' cap/count pairs
             # in one shot. Wire flows always have exactly two links; mixed
@@ -351,53 +343,43 @@ class FluidNetwork:
             idx = np.array(flat, dtype=np.int64)
             shares = self._caps_arr[idx] / self._counts_arr[idx]
             if uniform2:
-                rates = shares.reshape(k, 2).min(axis=1)
+                rates = shares.reshape(k, 2).min(axis=1).tolist()
             else:
-                rates = np.minimum.reduceat(shares, np.array(offsets, dtype=np.int64))
-            for flow, rate in zip(touched, rates.tolist()):
-                delta = rate - flow.rate
-                if delta:
-                    for key in flow.links:
-                        link_rate[key] += delta
-                flow.rate = rate
-                t = flow.timer
-                if t is not None:
-                    cancel(t)
-                if rate > 0.0:
-                    timer = new_timeout(flow.remaining / rate)
-                    timer.callbacks.append(flow.cb)
-                    flow.timer = timer
+                rates = np.minimum.reduceat(
+                    shares, np.array(offsets, dtype=np.int64)
+                ).tolist()
+        else:
+            link_caps = self.link_caps
+            link_flows = self.link_flows
+            rates = []
+            for flow in touched:
+                links = flow.links
+                if len(links) == 2:
+                    # Fast path: the wire path always shares a TX and an RX lane.
+                    a, b = links
+                    ra = link_caps[a] / len(link_flows[a])
+                    rb = link_caps[b] / len(link_flows[b])
+                    rates.append(ra if ra < rb else rb)
                 else:
-                    flow.timer = None
-            return
-        link_caps = self.link_caps
-        link_flows = self.link_flows
-        for flow in touched:
-            links = flow.links
-            if len(links) == 2:
-                # Fast path: the wire path always shares a TX and an RX lane.
-                a, b = links
-                ra = link_caps[a] / len(link_flows[a])
-                rb = link_caps[b] / len(link_flows[b])
-                rate = ra if ra < rb else rb
-            else:
-                rate = min(
-                    link_caps[key] / len(link_flows[key]) for key in links
-                )
+                    rates.append(
+                        min(link_caps[key] / len(link_flows[key]) for key in links)
+                    )
+        link_rate = self.link_rate
+        new_timeout = self.env.timeout
+        on_timer = self._on_timer
+        for flow, rate in zip(touched, rates):
             delta = rate - flow.rate
             if delta:
-                for key in links:
+                for key in flow.links:
                     link_rate[key] += delta
             flow.rate = rate
-            t = flow.timer
-            if t is not None:
-                cancel(t)
             if rate > 0.0:
-                timer = new_timeout(flow.remaining / rate)
-                timer.callbacks.append(flow.cb)
-                flow.timer = timer
+                timer = flow.timer = new_timeout(
+                    flow.remaining / rate, flow, flow.timer
+                )
+                timer.callbacks.append(on_timer)
             else:
-                flow.timer = None
+                self._cancel_timer(flow)
 
     def _cancel_timer(self, flow: Flow) -> None:
         if flow.timer is not None:
@@ -409,11 +391,12 @@ class FluidNetwork:
         if flow.rate <= 0:
             return
         horizon = flow.remaining / flow.rate
-        timer = self.env.timeout(max(horizon, 0.0))
-        timer.callbacks.append(flow.cb)
+        timer = self.env.timeout(max(horizon, 0.0), flow)
+        timer.callbacks.append(self._on_timer)
         flow.timer = timer
 
-    def _on_timer(self, flow: Flow, ev) -> None:
+    def _on_timer(self, ev) -> None:
+        flow: Flow = ev._value
         if flow.timer is not ev or flow.fid not in self.flows:
             return  # superseded by a later rate change, or already finished
         flow.timer = None

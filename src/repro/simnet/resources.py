@@ -14,7 +14,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator
 
 from repro.simnet.engine import SimEngine
-from repro.simnet.events import Event, SimError
+from repro.simnet.events import _PENDING, Event, SimError
 
 
 class StoreGet(Event):
@@ -23,12 +23,15 @@ class StoreGet(Event):
     __slots__ = ("filter",)
 
     def __init__(self, env: SimEngine, filt: Callable[[Any], bool] | None) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.filter = filt
 
     def cancel(self) -> None:
         """Withdraw the request (no-op if already satisfied)."""
-        if not self.triggered:
+        if self._value is _PENDING:
             self.fail(StoreCancelled())
 
 
@@ -42,6 +45,18 @@ class Store:
     ``get`` may carry a *filter*: the first queued item satisfying the
     predicate is returned (this supports MPI tag matching). Items that no
     getter wants stay queued — that is the "unexpected message queue".
+
+    :meth:`put_nowait` / :meth:`get_nowait` are the same operations for
+    callers that never wait on the outcome: they build and schedule no
+    event, and share getter-FIFO order and putter admission with the
+    event forms (a store may be driven through any mix of the four).
+
+    Two invariants hold between operations. No pending getter matches a
+    queued item (``_dispatch`` runs after every change that could make a
+    match). And ``when_nonempty`` waiters exist only while the store is
+    empty — one is parked only on an empty store, and a put that leaves
+    its item queued wakes them all — so taking an item, or admitting a
+    putter into the space it frees, never has anyone to wake.
     """
 
     def __init__(self, env: SimEngine, capacity: float = float("inf")) -> None:
@@ -51,7 +66,8 @@ class Store:
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[StoreGet] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        # (acceptance event or None for put_nowait, item), in arrival order.
+        self._putters: Deque[tuple[Event | None, Any]] = deque()
         self._nonempty_waiters: list[Event] = []
 
     def __len__(self) -> int:
@@ -61,13 +77,33 @@ class Store:
         """Queue ``item``; the returned event triggers once it is accepted."""
         ev = Event(self.env)
         if len(self.items) < self.capacity:
-            self.items.append(item)
             ev.succeed()
-            self._dispatch()
-            self._wake_nonempty()
+            self.put_nowait(item)
         else:
             self._putters.append((ev, item))
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Queue ``item`` without an acceptance event.
+
+        On a full bounded store the item waits its turn behind earlier
+        putters and is admitted as space frees, exactly as with :meth:`put`.
+        """
+        items = self.items
+        if len(items) >= self.capacity:
+            self._putters.append((None, item))
+            return
+        items.append(item)
+        if self._getters:
+            self._dispatch()
+        waiters = self._nonempty_waiters
+        if waiters and items:
+            # Still queued after the getters had their pick: the store is
+            # observably non-empty.
+            self._nonempty_waiters = []
+            for ev in waiters:
+                if ev._value is _PENDING:
+                    ev.succeed()
 
     def when_nonempty(self) -> Event:
         """Event triggering when an item is queued, *without* consuming it.
@@ -82,19 +118,35 @@ class Store:
             self._nonempty_waiters.append(ev)
         return ev
 
-    def _wake_nonempty(self) -> None:
-        if self._nonempty_waiters and self.items:
-            waiters, self._nonempty_waiters = self._nonempty_waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
-
     def get(self, filt: Callable[[Any], bool] | None = None) -> StoreGet:
         """Take the first (matching) item; blocks the caller until one exists."""
         ev = StoreGet(self.env, filt)
         self._getters.append(ev)
         self._dispatch()
         return ev
+
+    def get_nowait(self, filt: Callable[[Any], bool] | None = None) -> Any | None:
+        """Take and return the first (matching) item, or None if there is none.
+
+        No getter is queued: every pending getter was already offered every
+        queued item (``_dispatch`` runs after each change), so whatever is
+        queued now is free for the taking.
+        """
+        items = self.items
+        if filt is None:
+            if not items:
+                return None
+            item = items.popleft()
+        else:
+            idx = self._find(filt)
+            if idx is None:
+                return None
+            item = items[idx]
+            del items[idx]
+        if self._putters:
+            self._admit()
+            self._dispatch()
+        return item
 
     def peek(self, filt: Callable[[Any], bool] | None = None) -> Any | None:
         """Non-destructively return the first (matching) item, or None."""
@@ -108,12 +160,13 @@ class Store:
     def _dispatch(self) -> None:
         # Satisfy getters in FIFO order; a getter whose filter matches no
         # queued item stays pending without blocking later getters.
+        getters = self._getters
         progressed = True
-        while progressed:
+        while progressed and getters:
             progressed = False
-            for getter in list(self._getters):
-                if getter.triggered:
-                    self._getters.remove(getter)
+            for getter in list(getters):
+                if getter._value is not _PENDING:  # cancelled
+                    getters.remove(getter)
                     progressed = True
                     continue
                 idx = self._find(getter.filter)
@@ -121,16 +174,21 @@ class Store:
                     continue
                 item = self.items[idx]
                 del self.items[idx]
-                self._getters.remove(getter)
+                getters.remove(getter)
                 getter.succeed(item)
                 progressed = True
-                # Space freed: admit a waiting putter.
-                while self._putters and len(self.items) < self.capacity:
-                    put_ev, put_item = self._putters.popleft()
-                    self.items.append(put_item)
-                    put_ev.succeed()
-                if self.items:
-                    self._wake_nonempty()
+                if self._putters:
+                    self._admit()
+
+    def _admit(self) -> None:
+        """Space was freed: accept waiting putters in arrival order."""
+        items = self.items
+        putters = self._putters
+        while putters and len(items) < self.capacity:
+            put_ev, put_item = putters.popleft()
+            items.append(put_item)
+            if put_ev is not None:
+                put_ev.succeed()
 
     def _find(self, filt: Callable[[Any], bool] | None) -> int | None:
         if filt is None:

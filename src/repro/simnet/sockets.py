@@ -87,8 +87,8 @@ class SimSocket:
         self._pump = stack.env.process(self._pump_loop(), name=f"sock{self.socket_id}-pump")
 
     # -- API -------------------------------------------------------------
-    def send(self, payload: Any, nbytes: int) -> Event:
-        """Queue a message on the stream. Returns the enqueue event.
+    def send(self, payload: Any, nbytes: int) -> None:
+        """Queue a message on the stream (the send buffer is unbounded).
 
         Sends on a closed socket raise :class:`SocketError` — Spark treats
         that as a fetch failure.
@@ -97,25 +97,19 @@ class SimSocket:
             raise SocketError(f"send on closed socket {self.local}->{self.remote}")
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self._outbound.put(Segment(payload, nbytes))
+        self._outbound.put_nowait(Segment(payload, nbytes))
 
     def recv(self) -> Event:
         """Event yielding the next :class:`Segment` (``eof`` on close)."""
         return self._inbound.get()
 
     def recv_nowait(self) -> Segment | None:
-        """Non-blocking peek-and-take, used by the NIO selector loop."""
-        seg = self._inbound.peek()
-        if seg is None:
-            return None
-        # Drain via an immediate get; Store guarantees it succeeds.
-        ev = self._inbound.get()
-        assert ev.triggered
-        return ev.value
+        """Non-blocking take, used by the NIO selector loop."""
+        return self._inbound.get_nowait()
 
     @property
     def readable(self) -> bool:
-        return len(self._inbound) > 0
+        return bool(self._inbound.items)
 
     def when_readable(self):
         """Non-consuming event: triggers when a segment is queued (NIO OP_READ)."""
@@ -126,7 +120,7 @@ class SimSocket:
         if self.closed:
             return
         self.closed = True
-        self._outbound.put(Segment(None, 0, eof=True))
+        self._outbound.put_nowait(Segment(None, 0, eof=True))
 
     def abort(self) -> None:
         """Abrupt teardown (peer died / connection reset): no flush.
@@ -137,7 +131,7 @@ class SimSocket:
         if self.closed:
             return
         self.closed = True
-        self._inbound.put(Segment(None, 0, eof=True))
+        self._inbound.put_nowait(Segment(None, 0, eof=True))
 
     # -- internals ---------------------------------------------------------
     def _pump_loop(self) -> Generator[Event, Any, None]:
@@ -153,7 +147,7 @@ class SimSocket:
                         )
                     except (LinkDown, MessageDropped):
                         return  # peer gone; FIN is moot
-                    peer._inbound.put(seg)
+                    peer._inbound.put_nowait(seg)
                 return
             # Sender-side stack cost, wire, receiver-side stack cost.
             yield env.timeout(self.model.sender_cpu_time(seg.nbytes))
@@ -178,7 +172,7 @@ class SimSocket:
             if peer is None:
                 raise SocketError("socket pump running before peer wired")
             peer.bytes_received += seg.nbytes
-            peer._inbound.put(seg)
+            peer._inbound.put_nowait(seg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimSocket {self.local}->{self.remote}>"
@@ -202,7 +196,7 @@ class ListeningSocket:
 
     @property
     def acceptable(self) -> bool:
-        return len(self._backlog) > 0
+        return bool(self._backlog.items)
 
     def when_acceptable(self) -> Event:
         """Non-consuming event: a connection is waiting (NIO OP_ACCEPT)."""
@@ -297,5 +291,5 @@ class SocketStack:
         server = SimSocket(self, server_node, node, remote, local, self.model)
         client.peer = server
         server.peer = client
-        listener._backlog.put(server)
+        listener._backlog.put_nowait(server)
         return client

@@ -184,7 +184,9 @@ class NetTrace:
     def record(
         self, model: WireModel, src: SimNode, dst: SimNode, nbytes: int, elapsed: float
     ) -> None:
-        stats = self.by_model.setdefault(model.name, OnlineStats())
+        stats = self.by_model.get(model.name)
+        if stats is None:
+            stats = self.by_model[model.name] = OnlineStats()
         stats.add(elapsed)
         self.bytes_by_model[model.name] = (
             self.bytes_by_model.get(model.name, 0) + nbytes

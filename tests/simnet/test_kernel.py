@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel (events, processes, engine)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simnet import (
@@ -10,6 +13,7 @@ from repro.simnet import (
     SimEngine,
     SimError,
 )
+from repro.simnet.events import Process
 
 
 @pytest.fixture
@@ -54,9 +58,9 @@ class TestClock:
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
-    def test_step_empty_raises(self, env):
+    def test_run_until_event_on_empty_schedule_raises(self, env):
         with pytest.raises(EmptySchedule):
-            env.step()
+            env.run(until=env.event())
 
 
 class TestProcesses:
@@ -396,3 +400,171 @@ class TestConditions:
         p = env.process(waiter(env))
         env.run()
         assert p.value == 3.0
+
+    @pytest.mark.parametrize("outcome", ["success", "failure"])
+    def test_decided_any_of_leaves_no_callback_on_pending_event(self, env, outcome):
+        # An idle selector key is this shape: one long-lived pending event
+        # that every select() waits on and something else decides.
+        idle = env.event()
+        decider = env.event()
+        cond = AnyOf(env, [idle, decider])
+        assert len(idle.callbacks) == 1
+
+        def waiter(env):
+            try:
+                yield cond
+            except RuntimeError:
+                return "failed"
+            return "ok"
+
+        p = env.process(waiter(env))
+        if outcome == "success":
+            decider.succeed()
+        else:
+            decider.fail(RuntimeError("boom"))
+        env.run()
+        assert p.value == ("ok" if outcome == "success" else "failed")
+        assert idle.callbacks == []
+
+    def test_failed_all_of_detaches_from_the_rest(self, env):
+        slow = env.event()
+        bad = env.event()
+        cond = AllOf(env, [slow, bad])
+        cond.callbacks.append(lambda ev: None)  # observed: failure is not raised
+        bad.fail(RuntimeError("boom"))
+        env.run()
+        assert not cond.ok
+        assert slow.callbacks == []
+
+    def test_condition_decided_at_construction_skips_later_children(self, env):
+        done = env.event()
+        done.succeed("early")
+        env.run()
+        assert done.processed
+        before, after = env.event(), env.event()
+        cond = AnyOf(env, [before, done, after])
+        assert cond.triggered
+        # Detached from the child attached before the decision, never
+        # attached to the one after it.
+        assert before.callbacks == [] and after.callbacks == []
+
+    def test_decided_condition_stays_the_joiner_of_process_children(self, env):
+        # The detach rule has one exception, and this is where it lives: a
+        # decided condition keeps its callback on Process sub-events. The
+        # engine raises for a failed process nobody joined, and the loser
+        # of a race (speculative task copies, a deadline beating a worker)
+        # is joined by nothing but the AnyOf that already moved on.
+        def loser(env):
+            yield env.timeout(10)
+            raise RuntimeError("lost the race, then died")
+
+        def racer(env):
+            slow = env.process(loser(env))
+            yield AnyOf(env, [env.timeout(1), slow])
+            return (env.now, len(slow.callbacks))
+
+        p = env.process(racer(env))
+        env.run()  # the loser's failure at t=10 is observed, not raised
+        assert p.value == (1.0, 1)
+
+
+class TestUnobservedFailure:
+    """One rule, one dispatch body: ``run()`` raises for a failed *process*
+    nobody joined (a hung simulation would hide the traceback); any other
+    failed event with no waiter is dropped — requests failed by an abort
+    sweep, cancelled getters and the like are routinely abandoned."""
+
+    def test_failed_process_nobody_joined_raises(self, env):
+        def bad(env):
+            yield env.timeout(1)
+            raise RuntimeError("unobserved")
+
+        env.process(bad(env))
+        with pytest.raises(RuntimeError, match="unobserved"):
+            env.run(until=5.0)
+
+    def test_failed_plain_event_nobody_waits_on_is_dropped(self, env):
+        env.event().fail(RuntimeError("abandoned request"))
+        env.run()
+        assert env.events_processed == 1
+
+    def test_joined_process_failure_goes_to_the_joiner_only(self, env):
+        def bad(env):
+            yield env.timeout(1)
+            raise RuntimeError("joined")
+
+        def parent(env):
+            try:
+                yield env.process(bad(env))
+            except RuntimeError as exc:
+                return str(exc)
+
+        p = env.process(parent(env))
+        env.run()
+        assert p.value == "joined"
+
+
+class TestLifetime:
+    """What the kernel lets go of, checked by reference counting alone
+    (collector off). The rule set is DESIGN §10, "Object lifetime in the
+    kernel"; the whole-run fence is in ``test_kernel_fences.py``."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    class Payload:
+        pass
+
+    def test_cancelled_timeout_drops_its_value(self, env):
+        payload = self.Payload()
+        ref = weakref.ref(payload)
+        timer = env.timeout(5, payload)
+        del payload
+        assert ref() is not None
+        env.cancel(timer)
+        assert ref() is None
+
+    def test_recycled_timeout_drops_its_value(self, env):
+        payload = self.Payload()
+        ref = weakref.ref(payload)
+
+        def sleeper(env, payload):
+            got = yield env.timeout(1, payload)
+            return got is payload
+
+        p = env.process(sleeper(env, payload))
+        del payload
+        env.run()
+        # The fired Timeout sits in the engine's free list, empty.
+        assert p.value is True and ref() is None
+
+    def test_superseding_timeout_cancels_its_predecessor(self, env):
+        fired = []
+        payload = self.Payload()
+        ref = weakref.ref(payload)
+        old = env.timeout(1, payload)
+        old.callbacks.append(lambda ev: fired.append("old"))
+        del payload
+        new = env.timeout(2, "new", supersedes=old)
+        new.callbacks.append(lambda ev: fired.append(ev.value))
+        assert ref() is None
+        env.run()
+        assert fired == ["new"] and env.now == 2.0
+
+    def test_finished_process_is_not_its_own_cycle(self, env):
+        def quick(env):
+            yield env.timeout(1)
+
+        def n_processes():
+            return sum(isinstance(o, Process) for o in gc.get_objects())
+
+        before = n_processes()
+        p = env.process(quick(env))
+        env.run()
+        assert n_processes() == before + 1
+        del p
+        assert n_processes() == before

@@ -1,0 +1,86 @@
+"""Whole-run fences for the kernel: dispatch order and object lifetime.
+
+Both drive the Fig-9 GroupByTest 2-worker cell end to end (the golden's
+configuration), because the properties they pin are about what a real
+run leaves behind and in which order it resumes its processes — not
+about one primitive in isolation (those live in ``test_kernel.py`` and
+``test_resources.py``).
+"""
+
+import gc
+import hashlib
+import itertools
+from collections import Counter
+
+import pytest
+
+from repro.harness.experiments import _run_ohb
+from repro.simnet.events import AllOf, AnyOf, Event, Process
+from repro.simnet.fluid import Flow
+from repro.simnet.sockets import SimSocket
+from repro.util.units import GiB
+from repro.workloads.ohb import GROUP_BY
+
+# Length and sha256 of the "(sim time, process name)" resume sequence of
+# the Fig-9 GroupByTest cell (2 workers, 28 GiB, fidelity 0.25, Frontera),
+# recorded once at commit 69e1880 — the last tree whose kernel scheduled
+# every event, observed or not. A kernel change that claims to preserve
+# order must reproduce these; a change meant to move simulated schedules
+# re-records them (``resume_digest`` is the recorder) in the same PR that
+# regenerates the goldens.
+RESUME_DIGESTS = {
+    "nio": (24912, "b1681a71d0fe8909beb02c71c6cef839b614c9478d61a88e31358191fef178a4"),
+    "rdma": (24912, "341fb303089e1d59eb9d29c65bc5a480c83b6d4ed0124a1661c43893d0fc7a05"),
+    "mpi-basic": (38386, "4265827d4328fe4fbb5cfac698a3394ecf68b2fb89683f399c312d976aca6efd"),
+    "mpi-opt": (37240, "af2fbcef15655c634c7fd6a7aff7588cae183c241ce24d00ec0995a6c3af2713"),
+    "mpi-coll": (617, "6eeadd64a6f8e1104ac8146cfe354a9ef7b74dd292d3a217a5b66a84fd1dca21"),
+}
+
+
+def resume_digest(transport: str, monkeypatch) -> tuple[int, str]:
+    """Run the cell with every ``Process._resume`` logged: (count, sha256)."""
+    digest = hashlib.sha256()
+    count = itertools.count()
+    resume = Process._resume
+
+    def logged(proc, event):
+        next(count)
+        digest.update(f"{proc.env.now.hex()} {proc.name}\n".encode())
+        resume(proc, event)
+
+    monkeypatch.setattr(Process, "_resume", logged)
+    # Socket pump names carry a process-global socket counter.
+    monkeypatch.setattr(SimSocket, "_ids", itertools.count(1))
+    _run_ohb(GROUP_BY, 2, 28 * GiB, transport, 0.25)
+    return next(count), digest.hexdigest()
+
+
+@pytest.mark.parametrize("transport", sorted(RESUME_DIGESTS))
+def test_resume_order_matches_recording(transport, monkeypatch):
+    assert resume_digest(transport, monkeypatch) == RESUME_DIGESTS[transport]
+
+
+def _census(transport: str, data_bytes: int) -> dict[str, int]:
+    """Kernel objects still alive after one cell, collector off: whatever
+    reference counting alone did not free."""
+    gc.collect()  # the previous run's parked processes are real cycles
+    cell = _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
+    del cell
+    alive = Counter(type(obj) for obj in gc.get_objects())
+    return {cls.__name__: alive[cls] for cls in (Flow, AnyOf, AllOf, Event)}
+
+
+@pytest.mark.parametrize("transport", sorted(RESUME_DIGESTS))
+def test_run_leaves_nothing_behind_that_grows_with_its_length(transport):
+    # What survives a run is what is parked when it ends (one pending
+    # select per event loop, the waiters of idle keys): a function of the
+    # cluster, not of how much data went through it. Four times the data
+    # is four times the flows, selects and wake-ups; none may be left.
+    gc.disable()
+    try:
+        small = _census(transport, 2 * GiB)
+        large = _census(transport, 8 * GiB)
+    finally:
+        gc.enable()
+    assert small == large
+    assert small["Flow"] == 0

@@ -1,6 +1,8 @@
 """Unit tests for Store and Resource primitives."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.simnet import SimEngine, Store
 from repro.simnet.resources import Resource, StoreCancelled
@@ -134,6 +136,139 @@ class TestStore:
     def test_invalid_capacity(self, env):
         with pytest.raises(ValueError):
             Store(env, capacity=0)
+
+
+class TestStoreNowait:
+    def test_put_nowait_wakes_blocked_getter(self, env):
+        store = Store(env)
+
+        def consumer(env):
+            item = yield store.get()
+            return (env.now, item)
+
+        def producer(env):
+            yield env.timeout(3)
+            assert store.put_nowait("late") is None
+
+        c = env.process(consumer(env))
+        env.process(producer(env))
+        env.run()
+        assert c.value == (3.0, "late")
+
+    def test_nowait_operations_schedule_nothing(self, env):
+        store = Store(env)
+        store.put_nowait("a")
+        store.put_nowait("b")
+        assert store.get_nowait() == "a"
+        assert store.get_nowait(lambda x: x == "z") is None
+        assert store.get_nowait() == "b"
+        assert store.get_nowait() is None
+        env.run()
+        assert env.events_processed == 0
+
+    def test_put_nowait_on_full_store_waits_its_turn(self, env):
+        store = Store(env, capacity=1)
+        store.put_nowait("a")
+        accepted = store.put("b")  # full: queued behind nothing
+        store.put_nowait("c")  # full: queued behind "b"
+        assert list(store.items) == ["a"] and not accepted.triggered
+        assert store.get_nowait() == "a"
+        assert list(store.items) == ["b"] and accepted.triggered
+        assert store.get_nowait() == "b"
+        assert store.get_nowait() == "c"
+
+
+# One op of a random Store history. ``nowait`` picks the event-free form
+# where the subject has one; the reference run ignores it.
+_FILTERS = (None, lambda x: x % 3 == 0, lambda x: x % 3 == 1)
+_store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.booleans()),
+        st.tuples(st.just("take"), st.booleans(), st.integers(0, 2)),
+        st.tuples(st.just("get"), st.integers(0, 2)),
+        st.tuples(st.just("cancel"), st.integers(0, 7)),
+        st.tuples(st.just("when_nonempty")),
+        st.tuples(st.just("run")),
+    ),
+    max_size=40,
+)
+
+
+def _drive(ops, capacity, use_nowait):
+    """Apply ``ops`` to a fresh store; return everything observable.
+
+    The reference (``use_nowait=False``) is the event API alone: ``put``,
+    and for a non-blocking take the peek-then-get idiom the selector loop
+    used before ``get_nowait`` existed.
+    """
+    env = SimEngine()
+    store = Store(env, capacity=capacity)
+    woken = []  # dispatch order of every getter and when_nonempty waiter
+    taken = []
+    getters = []
+
+    def watch(ev, label):
+        ev.callbacks.append(
+            lambda e: woken.append((label, e._value if e._ok else "cancelled"))
+        )
+
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind == "put":
+            if use_nowait and op[1]:
+                store.put_nowait(i)
+            else:
+                store.put(i)
+        elif kind == "take":
+            filt = _FILTERS[op[2]]
+            if use_nowait and op[1]:
+                taken.append(store.get_nowait(filt))
+            elif store.peek(filt) is None:
+                taken.append(None)
+            else:
+                taken.append(store.get(filt).value)
+        elif kind == "get":
+            getters.append(store.get(_FILTERS[op[1]]))
+            watch(getters[-1], f"get{i}")
+        elif kind == "cancel":
+            if op[1] < len(getters):
+                getters[op[1]].cancel()
+        elif kind == "when_nonempty":
+            watch(store.when_nonempty(), f"nonempty{i}")
+        else:
+            env.run()
+        if use_nowait:
+            # The two invariants the event-free forms rely on.
+            assert not (store.items and store._nonempty_waiters)
+            assert not any(
+                store.peek(g.filter) is not None
+                for g in store._getters
+                if not g.triggered
+            )
+    env.run()
+    queued_puts = [item for _, item in store._putters]
+    return woken, taken, list(store.items), queued_puts
+
+
+class TestStoreNowaitEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_store_ops, capacity=st.sampled_from([float("inf"), 1, 2, 3]))
+    # A take frees space, the admitted putter's item is what a parked
+    # getter was waiting for.
+    @example(
+        ops=[("put", True), ("put", True), ("get", 2), ("take", True, 0)],
+        capacity=1,
+    )
+    # A put consumed at once by a parked getter leaves the store empty:
+    # the when_nonempty waiter stays parked until the next put.
+    @example(
+        ops=[("get", 0), ("when_nonempty",), ("put", True), ("run",), ("put", True)],
+        capacity=float("inf"),
+    )
+    def test_any_mix_matches_the_event_api(self, ops, capacity):
+        # Same items taken, same getter wake order and values, same
+        # when_nonempty wake-ups, same queue and putter backlog left.
+        assert _drive(ops, capacity, True) == _drive(ops, capacity, False)
 
 
 class TestResource:
