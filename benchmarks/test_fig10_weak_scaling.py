@@ -23,6 +23,7 @@ from benchmarks.conftest import (
     write_bench_json,
 )
 from repro.harness.experiments import _run_ohb, fig10_weak_scaling
+from repro.harness.parallel import run_ohb_cell
 from repro.harness.report import ohb_speedups, render_ohb
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
@@ -106,6 +107,17 @@ class TestFig10Shape:
             if c.workload == "GroupByTest" and c.transport == "mpi-opt"
         )
         assert times[-1][1] < times[0][1] * 2.5
+
+
+def test_groupby_64w_mpi_basic_completes():
+    # The widest mpi-basic world anything in the tree runs (~25 s of host
+    # time, poll/channel-dominated): reduced data and fidelity, un-timed.
+    # It only has to finish and to have moved its shuffle over the wire.
+    cell = run_ohb_cell(
+        (GROUP_BY.name, 64, 64 * 2 * GiB, "mpi-basic", 0.1, "Frontera")
+    )
+    assert cell.total_seconds > 0
+    assert cell.result.metrics.value("spark.scheduler.remote_fetch_bytes") > 0
 
 
 def test_fig10_bench_json(cells):

@@ -64,6 +64,19 @@ class TestCollectiveShape:
         assert opt > 0
         assert coll <= 0.7 * opt, f"opt={opt:.4f}s coll={coll:.4f}s"
 
+    def test_collective_collapses_wire_messages(self, cells):
+        # The host-cost side of the same design, as a deterministic
+        # counter: one alltoallv per stage boundary moves the same shuffle
+        # bytes in >= 10x fewer wire messages than per-block ChunkFetch
+        # (7,627 vs 24 on the two worker links), which is why the cell
+        # dispatches ~64x fewer kernel events (49,590 vs 775).
+        opt = _by(cells, "mpi-opt").result.metrics
+        coll = _by(cells, "mpi-coll").result.metrics
+        fetched = "spark.scheduler.remote_fetch_bytes"
+        assert coll.value(fetched) == pytest.approx(opt.value(fetched), rel=1e-6)
+        sent = "simnet.link.*.tx_messages"
+        assert 0 < 10 * coll.total(sent) <= opt.total(sent)
+
     def test_flight_logs_complete(self, cells):
         for c in cells:
             flight = c.result.flight

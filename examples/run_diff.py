@@ -13,8 +13,8 @@ flight recording, then:
   Gantt plus the per-segment delta waterfall,
 * checks each transport's fresh recording against its committed
   baseline under ``baselines/`` (must be the zero-identity diff),
-* forces a regression with the ``REPRO_BLAME_INJECT`` knob and checks
-  the blame report names the injected segment,
+* forces a regression (``blame_report(..., inject=(segment, factor))``)
+  and checks the blame report names the injected segment,
 * appends the headline walls to the perf ledger and prints any EWMA
   step-change flags.
 
@@ -31,7 +31,7 @@ import pathlib
 import sys
 
 from repro.harness import ledger
-from repro.harness.perfbench import (
+from repro.harness.blame import (
     BLAME_TRANSPORTS,
     baseline_path,
     blame_report,
@@ -90,7 +90,7 @@ def main() -> int:
         if not baseline_path(transport).exists():
             ok &= check(f"baseline {transport}", False, "missing recording")
             continue
-        bdiff, html = blame_report(transport, inject=None)
+        bdiff, html = blame_report(transport)
         ok &= check(
             f"baseline identity {transport}",
             bdiff.is_identity(),

@@ -2,8 +2,8 @@
 
 ``results/BENCH_*.json`` files are rewritten on every run, so the perf
 trajectory across PRs only exists as git archaeology.  The ledger turns
-it into a queryable artifact: every perf-suite and figure-benchmark run
-appends one JSONL entry — keyed by the :func:`~repro.harness.runcache.
+it into a queryable artifact: every figure-benchmark run appends one
+JSONL entry — keyed by the :func:`~repro.harness.runcache.
 code_fingerprint` of the source tree that produced it plus a wall-clock
 timestamp — and :meth:`PerfLedger.drift` walks the history with a
 per-cell EWMA to flag step changes (a cell whose latest value deviates
@@ -11,9 +11,9 @@ from its smoothed history by more than ``step_threshold``).
 
 Entry schema (one JSON object per line)::
 
-    {"schema": "repro-ledger/1", "source": "perf",
+    {"schema": "repro-ledger/1", "source": "fig:fig9_basic_vs_opt",
      "fingerprint": "<sha256 of src/repro>", "ts": 1754650000.0,
-     "units": "events_per_sec", "cells": {"fig9_groupby_2w_nio": 123456.0}}
+     "units": "seconds", "cells": {"GroupByTest_2w_nio": 41.8}}
 
 The ledger is an observer, never a participant: it does not modify any
 ``BENCH_*`` payload (byte-identity of the committed results is asserted
@@ -38,8 +38,7 @@ LEDGER_SCHEMA = "repro-ledger/1"
 
 # EWMA smoothing weight for the newest observation, and the relative
 # deviation from the smoothed history past which a cell is flagged as a
-# step change. 0.25 sits above min-of-N timer noise (the perf gate uses
-# 0.30 for a single comparison) while still catching real regressions.
+# step change.
 DEFAULT_ALPHA = 0.3
 DEFAULT_STEP_THRESHOLD = 0.25
 
@@ -86,7 +85,7 @@ class PerfLedger:
     ) -> dict[str, Any]:
         """Append one entry; returns it (also when writing was skipped).
 
-        ``source`` names the producing suite (``perf``, ``fig:fig9_...``);
+        ``source`` names the producing suite (``fig:fig9_...``);
         the fingerprint defaults to the live source tree's, so two
         entries with the same fingerprint compare the same code.
         """
@@ -178,15 +177,6 @@ class PerfLedger:
 
 # -- payload adapters ---------------------------------------------------------
 
-def perf_cells(payload: dict[str, Any]) -> dict[str, float]:
-    """``BENCH_perf`` payload → ``{cell name: events_per_sec}``."""
-    return {
-        c["name"]: float(c["events_per_sec"])
-        for c in payload.get("cells", [])
-        if c.get("events_per_sec")
-    }
-
-
 def figure_cells(payload: dict[str, Any]) -> dict[str, float]:
     """Figure payload → ``{derived cell key: headline seconds}``.
 
@@ -219,19 +209,6 @@ def figure_cells(payload: dict[str, Any]) -> dict[str, float]:
         key = "_".join(bits) or f"row{len(out)}"
         out[key] = float(value)
     return out
-
-
-def record_perf(payload: dict[str, Any]) -> dict[str, Any] | None:
-    """Ledger one perf-suite payload (no-op when disabled/empty)."""
-    if not ledger_enabled():
-        return None
-    cells = perf_cells(payload)
-    if not cells:
-        return None
-    try:
-        return PerfLedger().append("perf", cells, units="events_per_sec")
-    except OSError:
-        return None
 
 
 def record_figure(figure: str, payload: dict[str, Any]) -> dict[str, Any] | None:

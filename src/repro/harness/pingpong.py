@@ -34,7 +34,6 @@ class PingPongResult:
     transport: str
     fabric: str
     latency_s: dict[int, float]  # message size -> seconds
-    events_processed: int = 0  # kernel events dispatched for the whole run
 
     def speedup_over(self, other: "PingPongResult") -> dict[int, float]:
         return {
@@ -112,5 +111,4 @@ def run_pingpong(
         transport=transport_name,
         fabric=fabric.name,
         latency_s=dict(latencies),
-        events_processed=env.events_processed,
     )

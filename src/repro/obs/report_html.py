@@ -568,7 +568,7 @@ def render_diff_page(
 ) -> str:
     """A standalone blame-report page for one run diff.
 
-    This is the artifact CI uploads when the perf gate fails: the
+    This is the artifact the ``diff-smoke`` CI job uploads: the
     side-by-side stage Gantt, the per-segment delta waterfall and the
     attribution table, self-contained in one HTML file.
     """

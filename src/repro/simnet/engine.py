@@ -51,7 +51,7 @@ class SimEngine:
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         self._n_dead = 0  # tombstoned (cancelled) entries still in the heap
-        self.events_processed = 0  # lifetime dispatch count (perf harness)
+        self.events_processed = 0  # lifetime dispatch count (read by bench/)
         # Every stochastic component (fault injection, chaos filters) forks a
         # substream off this so one seed reproduces the whole simulation.
         self.seed = int(seed)

@@ -205,8 +205,8 @@ class HiBenchSpec:
         """Execute this workload's real sample program; freeze the traces.
 
         Unlike OHB, the HiBench profiles above are analytic (calibrated
-        constants), so the sample trace feeds correctness tests and the
-        perf suite's cold/warm cells rather than ``build_profile``.
+        constants), so the sample trace feeds correctness tests rather
+        than ``build_profile``.
         """
         program = SAMPLE_PROGRAMS.get(self.name)
         if program is None:

@@ -11,7 +11,6 @@ from repro.harness.ledger import (
     DriftPoint,
     PerfLedger,
     figure_cells,
-    perf_cells,
 )
 
 
@@ -23,7 +22,7 @@ def book(tmp_path):
 class TestAppendAndEntries:
     def test_round_trip(self, book):
         entry = book.append("perf", {"cell_a": 100.0, "cell_b": 2.5},
-                            units="events_per_sec", fingerprint="f1",
+                            units="seconds", fingerprint="f1",
                             timestamp=1000.0)
         assert entry["schema"] == LEDGER_SCHEMA
         assert entry["fingerprint"] == "f1"
@@ -121,14 +120,6 @@ class TestDrift:
 
 
 class TestAdapters:
-    def test_perf_cells(self):
-        payload = {"cells": [
-            {"name": "fig8_pingpong_nio", "events_per_sec": 1234.5},
-            {"name": "dead_cell", "events_per_sec": 0.0},  # dropped
-        ]}
-        assert perf_cells(payload) == {"fig8_pingpong_nio": 1234.5}
-        assert perf_cells({}) == {}
-
     def test_figure_cells_ohb_rows(self):
         payload = {"cells": [
             {"workload": "GroupByTest", "n_workers": 2, "transport": "nio",
@@ -150,16 +141,15 @@ class TestAdapters:
 
 
 class TestRecordingHooks:
-    PERF = {"cells": [{"name": "c", "events_per_sec": 10.0}]}
     FIG = {"cells": [{"workload": "w", "n_workers": 2, "transport": "nio",
                       "total_seconds": 1.0}]}
 
     def test_record_perf_appends_to_env_path(self, tmp_path, monkeypatch):
         path = tmp_path / "custom.jsonl"
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
-        entry = ledger.record_perf(self.PERF)
-        assert entry is not None and entry["source"] == "perf"
-        assert PerfLedger(path).entries()[0]["cells"] == {"c": 10.0}
+        entry = ledger.record_figure("f", self.FIG)
+        assert entry is not None and entry["source"] == "fig:f"
+        assert PerfLedger(path).entries()[0]["cells"] == {"w_2w_nio": 1.0}
 
     def test_record_figure_appends_with_fig_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(tmp_path / "l.jsonl"))
@@ -172,7 +162,6 @@ class TestRecordingHooks:
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
         monkeypatch.setenv("REPRO_LEDGER", "0")
         assert not ledger.ledger_enabled()
-        assert ledger.record_perf(self.PERF) is None
         assert ledger.record_figure("f", self.FIG) is None
         assert not path.exists()
 
@@ -186,4 +175,4 @@ class TestRecordingHooks:
         monkeypatch.setenv(
             "REPRO_LEDGER_PATH", "/proc/definitely/not/writable/l.jsonl"
         )
-        assert ledger.record_perf(self.PERF) is None
+        assert ledger.record_figure("f", self.FIG) is None

@@ -130,6 +130,19 @@ class TestProfileIdentity:
         disabled = _canon_profile(build())
         assert cold == warm == disk == disabled
 
+    def test_one_sample_run_per_workload_across_worker_counts(self):
+        # The sample key is (workload, sample-params): worker count and
+        # data size scale the profile afterwards and never enter it, so a
+        # sweep from a cold store executes each workload's sample program
+        # exactly once.
+        before = tracecache.trace_cache_stats()["sample_runs"]
+        for workload in (GROUP_BY, SORT_BY):
+            for n_workers in (2, 4, 8):
+                workload.build_profile(
+                    FRONTERA, n_workers, n_workers * 14 * GiB, fidelity=0.25
+                )
+        assert tracecache.trace_cache_stats()["sample_runs"] - before == 2
+
     def test_fig9_and_fig10_shaped_rows_identical_across_cache_states(
         self, monkeypatch
     ):
