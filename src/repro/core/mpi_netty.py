@@ -15,6 +15,7 @@ documented weakness.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.endpoint import CommBinding
@@ -110,7 +111,7 @@ def optimized_transport_write(channel: Channel, msg: Any, promise: "Event") -> N
             c_body_msgs.inc()
             c_body_bytes.inc(body_nbytes)
             if not promise.triggered:
-                promise.succeed()
+                promise.complete()
             return
     # Everything else rides the socket unchanged (vanilla path).
     Channel._transport_write(channel, msg, promise)
@@ -177,7 +178,7 @@ def basic_transport_write(channel: Channel, msg: Any, promise: "Event") -> None:
         c_msgs.inc()
         c_bytes.inc(msg.nbytes)
         if not promise.triggered:
-            promise.succeed()
+            promise.complete()
         return
     # Non-frame payloads (handshake envelopes) still use the socket.
     Channel._transport_write(channel, msg, promise)
@@ -207,44 +208,12 @@ class MpiBasicEventLoop(EventLoop):
         self._c_poll_rounds = env.metrics.counter(
             f"netty.loop.{name}.poll_rounds"
         )
-        # Idle-park plumbing: one *persistent* waiter per signal source
-        # (socket, probe bucket, task queue, wakeup queue) instead of a
-        # fresh fan-out every park. Only spent waiters are re-armed, so a
-        # park costs O(sources fired since last park), not O(sources).
-        self._park_ev: "Event | None" = None
-        self._park_waiters: dict = {}
         # (channel, binding, tag) rows mirroring mpi_channels; rebuilt
         # lazily when a bind/unbind invalidates it (order must match —
         # the iprobe drain order is simulation-visible).
         self._poll_cache: list = []
         self._poll_dirty = True
         self._endpoint = None
-
-    def _on_park_signal(self, key, ev) -> None:
-        """A signal-source waiter fired: wake the park, ignore stale fires.
-
-        A waiter replaced by a newer one for the same source (it fired
-        during a busy round and was re-armed at the next park) must not
-        wake a *later* park — that would add a spurious poll round and
-        change simulated time.
-        """
-        entry = self._park_waiters.get(key)
-        if entry is None or entry[1] is not ev:
-            return
-        park = self._park_ev
-        if park is not None and not park.triggered:
-            park.succeed()
-
-    def _arm_park_waiter(self, key, source, make) -> None:
-        # ``key`` is id(source) for object sources (SelectionKey is
-        # unhashable); the entry pins ``source`` alive so a recycled id
-        # can never alias a stale waiter.
-        waiters = self._park_waiters
-        entry = waiters.get(key)
-        if entry is None or entry[1].triggered:
-            ev = make()
-            waiters[key] = (source, ev)
-            ev.add_callback(lambda e, k=key: self._on_park_signal(k, e))
 
     def _poll_rows(self) -> list:
         """The (channel, binding, tag) drain list, cached across rounds.
@@ -353,44 +322,24 @@ class MpiBasicEventLoop(EventLoop):
     def _wait_for_signal(self) -> Generator:
         """Park until any signal source fires (message, task, wakeup).
 
-        Sources keep one persistent waiter each (``_arm_park_waiter``):
-        a pending waiter means the source has been quiet since it was
-        armed, so only spent waiters need re-arming — the park's cost is
-        proportional to the signals since the last park, not to the
-        number of channels. A waiter for a source that is already ready
-        triggers at creation, exactly like the per-park fan-out it
-        replaces, so wake timing (and thus simulated time) is unchanged.
+        :meth:`Selector.park` keeps one persistent waiter per source (its
+        keys and wake-up queue, plus the probe buckets and task queue
+        named here), so a park costs the signals since the last one, not
+        the number of channels.
         """
-        env = self.env
-        arm = self._arm_park_waiter
-        for key in self.selector.keys:
-            channel = key.channel
-            if channel is not None:
-                arm(id(key), key, channel.socket.when_readable)
-            elif key.listener is not None:
-                arm(id(key), key, key.listener.when_acceptable)
+        sources = []
         endpoint = self._endpoint
         if endpoint is None:
             endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
         if endpoint is not None:
-            matching = endpoint.proc.matching
-            for channel, binding, tag in self._poll_rows():
-                if binding is None or tag is None:
-                    continue
-                arm(
-                    id(channel),
-                    channel,
-                    lambda m=matching, b=binding, t=tag: m.probe_event(
-                        b.peer_rank, t, b.context_id
-                    ),
-                )
-        arm("tasks", None, self.tasks.when_nonempty)
-        arm("wakeups", None, self.selector._wakeups.when_nonempty)
-        park = env.event()
-        self._park_ev = park
-        yield park
-        self._park_ev = None
-        self.selector._drain_wakeups()
+            probe_event = endpoint.proc.matching.probe_event
+            sources = [
+                (channel, partial(probe_event, b.peer_rank, tag, b.context_id))
+                for channel, b, tag in self._poll_rows()
+                if b is not None and tag is not None
+            ]
+        sources.append((self.tasks, self.tasks.when_nonempty))
+        yield from self.selector.park(extra=sources)
 
 
 class NotifyingHandshakeHandler(MpiHandshakeHandler):

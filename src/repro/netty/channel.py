@@ -86,7 +86,7 @@ class Channel:
         self._c_socket_messages.inc()
         self._c_socket_bytes.inc(nbytes)
         if not promise.triggered:
-            promise.succeed()
+            promise.complete()
 
     @staticmethod
     def _wire_size(msg: Any) -> int:

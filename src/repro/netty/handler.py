@@ -48,7 +48,13 @@ ChannelDuplexHandler = ChannelHandler
 
 
 class HandlerContext:
-    """A handler's position in its pipeline (doubly linked)."""
+    """A handler's position in its pipeline (doubly linked).
+
+    ``next``/``prev`` are the structural neighbours. The per-message
+    events travel skip links instead (Netty's ``executionMask``): the next
+    context whose handler overrides ``channel_read``, the previous one
+    overriding ``write``; the pipeline relinks them on every change.
+    """
 
     def __init__(self, pipeline: "ChannelPipeline", name: str, handler: ChannelHandler) -> None:
         self.pipeline = pipeline
@@ -56,6 +62,8 @@ class HandlerContext:
         self.handler = handler
         self.prev: HandlerContext | None = None
         self.next: HandlerContext | None = None
+        self.next_reader: HandlerContext | None = None
+        self.prev_writer: HandlerContext | None = None
 
     @property
     def channel(self) -> "Channel":
@@ -67,8 +75,9 @@ class HandlerContext:
             self.next.handler.channel_active(self.next)
 
     def fire_channel_read(self, msg: Any) -> None:
-        if self.next is not None:
-            self.next.handler.channel_read(self.next, msg)
+        ctx = self.next_reader
+        if ctx is not None:
+            ctx.handler.channel_read(ctx, msg)
 
     def fire_channel_inactive(self) -> None:
         if self.next is not None:
@@ -83,10 +92,11 @@ class HandlerContext:
 
     # -- outbound propagation ----------------------------------------------------
     def write(self, msg: Any, promise: "Event") -> None:
-        if self.prev is not None:
-            self.prev.handler.write(self.prev, msg, promise)
+        ctx = self.prev_writer
+        if ctx is not None:
+            ctx.handler.write(ctx, msg, promise)
         else:
-            # Head of pipeline: hand to the transport.
+            # No writer left towards the head: hand to the transport.
             self.pipeline.channel._transport_write(msg, promise)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

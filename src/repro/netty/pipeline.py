@@ -42,6 +42,7 @@ class ChannelPipeline:
         self._head.next = self._tail
         self._tail.prev = self._head
         self._by_name: dict[str, HandlerContext] = {}
+        self._relink()
 
     # -- construction ----------------------------------------------------------
     def add_last(self, name: str, handler: ChannelHandler) -> "ChannelPipeline":
@@ -55,6 +56,7 @@ class ChannelPipeline:
         ctx.next = self._tail
         self._tail.prev = ctx
         self._by_name[name] = ctx
+        self._relink()
         handler.handler_added(ctx)
         return self
 
@@ -69,6 +71,7 @@ class ChannelPipeline:
         ctx.next = nxt
         nxt.prev = ctx
         self._by_name[name] = ctx
+        self._relink()
         handler.handler_added(ctx)
         return self
 
@@ -79,7 +82,29 @@ class ChannelPipeline:
         assert ctx.prev is not None and ctx.next is not None
         ctx.prev.next = ctx.next
         ctx.next.prev = ctx.prev
+        self._relink()
         return ctx.handler
+
+    def _relink(self) -> None:
+        """Recompute every context's skip links (see HandlerContext).
+
+        The tail overrides ``channel_read``, so a read always lands
+        somewhere; with no ``write`` override left, writes go straight to
+        the transport. A removed context keeps the links it had.
+        """
+        base_read, base_write = ChannelHandler.channel_read, ChannelHandler.write
+        ctx, reader = self._tail, None
+        while ctx is not None:
+            ctx.next_reader = reader
+            if type(ctx.handler).channel_read is not base_read:
+                reader = ctx
+            ctx = ctx.prev
+        ctx, writer = self._head, None
+        while ctx is not None:
+            ctx.prev_writer = writer
+            if type(ctx.handler).write is not base_write:
+                writer = ctx
+            ctx = ctx.next
 
     def get(self, name: str) -> ChannelHandler:
         ctx = self._by_name.get(name)
@@ -110,8 +135,7 @@ class ChannelPipeline:
 
     def write(self, msg: Any, promise: "Event") -> None:
         """Outbound entry: starts at the tail, ends at the transport."""
-        assert self._tail.prev is not None
-        self._tail.prev.handler.write(self._tail.prev, msg, promise)
+        self._tail.write(msg, promise)
 
     def on_unhandled_exception(self, exc: BaseException) -> None:
         self.unhandled_exceptions.append(exc)

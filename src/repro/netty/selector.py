@@ -11,21 +11,21 @@ operation and counts its invocations (the polling tax the paper measures).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
+from repro.simnet.events import Event
 from repro.simnet.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netty.channel import Channel
     from repro.simnet.engine import SimEngine
-    from repro.simnet.events import Event
     from repro.simnet.sockets import ListeningSocket
 
 OP_READ = 1
 OP_ACCEPT = 16
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionKey:
     """A registered interest: either a connected channel or a listener."""
 
@@ -37,6 +37,9 @@ class SelectionKey:
     # server-side: loop group accepted channels are spread over (None =
     # register them on the accepting loop itself)
     child_group: Any = None
+    # The key's pending readiness event (see Selector.park); it lives and
+    # dies with the key, so a later key can never inherit it.
+    waiter: Event | None = field(default=None, repr=False)
 
     def is_readable(self) -> bool:
         return (
@@ -52,6 +55,12 @@ class SelectionKey:
             and self.listener.acceptable
         )
 
+    def when_ready(self) -> Event:
+        """A fresh non-consuming event for the key's next readiness."""
+        if self.channel is not None:
+            return self.channel.socket.when_readable()
+        return self.listener.when_acceptable()
+
 
 class Selector:
     """Tracks registered keys and provides select / selectNow."""
@@ -60,8 +69,10 @@ class Selector:
         self.env = env
         self.keys: list[SelectionKey] = []
         self._wakeups: Store = Store(env)
-        self._pending_events: dict[int, "Event"] = {}
-        self._pending_wake: "Event | None" = None
+        # What a blocked select (or the mpi-basic idle park) waits on, and
+        # the pending waiters of its non-key sources (source -> event).
+        self._park: Event | None = None
+        self._park_waiters: dict[Any, Event] = {}
         self.select_calls = 0
         self.select_now_calls = 0
 
@@ -94,55 +105,35 @@ class Selector:
         return key
 
     def deregister(self, channel: "Channel") -> None:
-        self.keys = [k for k in self.keys if k.channel is not channel]
+        kept = []
+        for key in self.keys:
+            if key.channel is channel:
+                self._detach(key.waiter)
+                key.waiter = None
+            else:
+                kept.append(key)
+        self.keys = kept
 
     # -- selection -----------------------------------------------------------
+    def _ready(self) -> list[SelectionKey]:
+        return [k for k in self.keys if k.is_readable() or k.is_acceptable()]
+
     def select_now(self) -> list[SelectionKey]:
         """Non-blocking poll of ready keys (NIO selectNow)."""
         self.select_now_calls += 1
-        return [k for k in self.keys if k.is_readable() or k.is_acceptable()]
+        return self._ready()
 
     def select(self, timeout: float | None = None) -> Generator:
         """Blocking select (generator): waits until a key is ready, a
-        wakeup arrives, or ``timeout`` elapses. Returns ready keys."""
+        wakeup arrives (the loop has tasks to run: no keys are returned),
+        or ``timeout`` elapses. Returns ready keys."""
         self.select_calls += 1
-        ready = self.select_now()
-        self.select_now_calls -= 1  # internal poll, not a user selectNow
+        ready = self._ready()
         self._drain_wakeups()
         if ready:
             return ready
-
-        while True:
-            events = []
-            for i, key in enumerate(self.keys):
-                ev = self._pending_events.get(id(key))
-                if ev is None or ev.triggered:
-                    if key.channel is not None:
-                        ev = key.channel.socket.when_readable()
-                    elif key.listener is not None:
-                        ev = key.listener.when_acceptable()
-                    else:  # pragma: no cover - defensive
-                        continue
-                    self._pending_events[id(key)] = ev
-                events.append(ev)
-            # Like the per-key events, the wake-up event is reused until it
-            # fires: a select decided by a ready key must not leave one more
-            # waiter parked on the wake-up queue.
-            wake = self._pending_wake
-            if wake is None or wake.triggered:
-                wake = self._pending_wake = self._wakeups.when_nonempty()
-            events.append(wake)
-            if timeout is not None:
-                events.append(self.env.timeout(timeout))
-            yield self.env.any_of(events)
-            self._drain_wakeups()
-            ready = self.select_now()
-            self.select_now_calls -= 1
-            if ready or timeout is not None:
-                return ready
-            # A wakeup (e.g. task submission) with nothing readable: return
-            # control so the loop can run its tasks.
-            return ready
+        yield from self.park(timeout)
+        return self._ready()
 
     def wakeup(self) -> None:
         """Unblock a pending select (NIO Selector.wakeup)."""
@@ -151,3 +142,52 @@ class Selector:
     def _drain_wakeups(self) -> None:
         while self._wakeups.items:
             self._wakeups.get_nowait()
+
+    # -- parking -------------------------------------------------------------
+    def park(self, timeout: float | None = None, extra: Iterable = ()) -> Generator:
+        """Block until a key, the wake-up queue or an ``extra`` source signals.
+
+        ``extra`` yields ``(source, make)`` pairs, ``make()`` building the
+        non-consuming event of one more long-lived source. Every source
+        keeps one pending waiter while it stays quiet, so a park re-arms
+        only what fired since the last one and waits on one plain event.
+        A waiter made for an already-ready source triggers at creation and
+        wakes the park through the heap like any other.
+        """
+        arm = self._arm_park_waiter
+        for key in self.keys:
+            waiter = key.waiter
+            if waiter is None or waiter.triggered:
+                key.waiter = arm(waiter, key.when_ready)
+        waiters = self._park_waiters
+        for source, make in (*extra, (self._wakeups, self._wakeups.when_nonempty)):
+            waiter = waiters.get(source)
+            if waiter is None or waiter.triggered:
+                waiters[source] = arm(waiter, make)
+        park = self._park = Event(self.env)
+        if timeout is not None:
+            park = self.env.any_of((park, self.env.timeout(timeout)))
+        yield park
+        self._park = None  # still set only if the timeout won
+        self._drain_wakeups()
+
+    def _arm_park_waiter(self, spent: Event | None, make: Callable[[], Event]) -> Event:
+        """Replace a source's spent waiter with a fresh one wired to the park."""
+        self._detach(spent)
+        waiter = make()
+        waiter.add_callback(self._on_park_signal)
+        return waiter
+
+    @staticmethod
+    def _detach(waiter: Event | None) -> None:
+        """Staleness guard: a waiter replaced before the heap dispatched
+        it (it fired during a busy round), or whose key is gone, must never
+        wake a later park — a spurious iteration moves simulated time."""
+        if waiter is not None and waiter.callbacks is not None:
+            waiter.callbacks.clear()
+
+    def _on_park_signal(self, _waiter: Event) -> None:
+        park = self._park
+        if park is not None:
+            self._park = None  # the first signal decides; the rest find nobody
+            park.succeed()

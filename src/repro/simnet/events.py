@@ -70,7 +70,7 @@ class Event:
 
     @property
     def ok(self) -> bool:
-        if not self.triggered:
+        if self._value is _PENDING:
             raise SimError("event not yet triggered")
         return self._ok
 
@@ -102,6 +102,20 @@ class Event:
         env = self.env
         env._seq += 1
         heappush(env._heap, (env.now, env._seq, self))
+        return self
+
+    def complete(self, value: Any = None) -> "Event":
+        """:meth:`succeed` minus the dispatch nobody would see: with no
+        callback attached the event is marked processed in place, never
+        scheduled, and a later ``yield`` on it resumes at once. For
+        outcomes that are usually ignored (a write promise)."""
+        if self.callbacks:
+            return self.succeed(value)
+        if self._value is not _PENDING:
+            raise SimError(f"event {self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:

@@ -335,6 +335,19 @@ class SimExecutor:
         pending: dict[Any, tuple[int, int, "SimExecutor"]] = {}
         in_flight = 0
         next_req = 0
+        park = None  # the event this task waits on, until a chunk decides it
+
+        def on_chunk_done(future) -> None:
+            # The one callback a chunk future ever carries: the first to
+            # run while a park waits decides it.
+            nonlocal park
+            if park is not None:
+                waiting, park = park, None
+                if future.ok:
+                    waiting.succeed()
+                else:
+                    waiting.fail(future.value)
+
         while next_req < len(plan) or pending:
             while next_req < len(plan) and (
                 not pending or in_flight + plan[next_req][3] <= MAX_BYTES_IN_FLIGHT
@@ -350,13 +363,20 @@ class SimExecutor:
                     raise FetchFailedException(
                         src.address, str(exc), exec_id=src.exec_id
                     ) from exc
+                future.add_callback(on_chunk_done)
                 pending[future] = (size, blk, src)
                 in_flight += size
                 next_req += 1
             if not pending:
                 break
+            wait = park = env.event()
+            for future in pending:
+                if future.callbacks is None:
+                    # Processed while this task was busy: decided on the spot.
+                    on_chunk_done(future)
+                    break
             try:
-                yield env.any_of(list(pending))
+                yield wait
             except WorldAbortedError:
                 raise
             except _FETCHABLE_ERRORS as exc:

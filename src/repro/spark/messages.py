@@ -14,26 +14,39 @@ over MPI, so the codec here must keep them separable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from operator import attrgetter
+from struct import Struct
+from struct import error as StructError
+from typing import Any, ClassVar, NamedTuple
 
-from repro.netty.bytebuf import ByteBuf
-from repro.netty.frame import WireFrame, decode_frame_header, encode_frame_header
+from repro.netty.frame import WireFrame
+
+# Every header starts with the 8-byte frame length (header + body) and the
+# 1-byte type tag; a class's ``HEADER`` continues with its fixed-width
+# fields, big-endian. A UTF-8 string is an ``i`` byte count inside the
+# packed part followed by the bytes themselves (Spark's Encoders.Strings).
+_PREFIX = Struct(">qB")
+_TAG_AT = 8
+_CHUNK = Struct(">qBqii")  # stream id, chunk index, then blocks or len(error)
+_RPC = Struct(">qBq")  # request id
+_RPC_FAILURE = Struct(">qBqi")  # request id, len(error)
+_STREAM = Struct(">qBi")  # len(stream id)
+_INT = Struct(">i")
+_LONG = Struct(">q")
 
 
-@dataclass(frozen=True)
-class StreamChunkId:
+def _text(header: bytes, at: int, n: int) -> str:
+    """The ``n``-byte UTF-8 string at ``header[at:]``."""
+    if n < 0 or at + n > len(header):
+        raise ValueError(f"string of {n} bytes at {at} overruns a {len(header)}-byte header")
+    return str(header[at : at + n], "utf-8")
+
+
+class StreamChunkId(NamedTuple):
     """Identifies one chunk of one stream (Spark's StreamChunkId)."""
 
     stream_id: int
     chunk_index: int
-
-    def encode(self, buf: ByteBuf) -> None:
-        buf.write_long(self.stream_id)
-        buf.write_int(self.chunk_index)
-
-    @staticmethod
-    def decode(buf: ByteBuf) -> "StreamChunkId":
-        return StreamChunkId(buf.read_long(), buf.read_int())
 
 
 class Message:
@@ -41,26 +54,29 @@ class Message:
 
     type_tag: ClassVar[int] = -1
     is_request: ClassVar[bool] = True
+    # The fixed-width part of the on-wire header: one precompiled layout
+    # per class, packed and unpacked in one call each.
+    HEADER: ClassVar[Struct] = _PREFIX
     # Causal trace context (repro.obs.causal). A plain class-level default —
     # deliberately NOT a dataclass field, so message equality, reprs and
     # encodings are untouched; minted per instance by :func:`ensure_trace`.
     trace_ctx: Any = None
 
     # -- codec interface -----------------------------------------------------
-    def encode_fields(self, buf: ByteBuf) -> None:
+    def encode_header(self) -> bytes:
+        """The complete on-wire header: ``HEADER`` packed, then any strings."""
         raise NotImplementedError
 
     @classmethod
-    def decode_fields(cls, buf: ByteBuf, body: Any, body_nbytes: int) -> "Message":
+    def decode_header(cls, fields: tuple, header: bytes, body: Any, body_nbytes: int) -> "Message":
+        """Rebuild the message from ``fields = HEADER.unpack_from(header)``
+        (strings are read from ``header``); the body rides beside the bytes."""
         raise NotImplementedError
 
-    @property
-    def body(self) -> Any:
-        return None
-
-    @property
-    def body_nbytes(self) -> int:
-        return 0
+    # The bulk payload riding beside the header and its size in bytes;
+    # body-carrying classes alias their own fields here.
+    body: ClassVar[Any] = None
+    body_nbytes: ClassVar[int] = 0
 
 
 @dataclass
@@ -77,14 +93,14 @@ class ChunkFetchRequest(Message):
 
     type_tag: ClassVar[int] = 0
     is_request: ClassVar[bool] = True
+    HEADER: ClassVar[Struct] = _CHUNK
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        self.stream_chunk_id.encode(buf)
-        buf.write_int(self.num_blocks)
+    def encode_header(self) -> bytes:
+        return _CHUNK.pack(_CHUNK.size, self.type_tag, *self.stream_chunk_id, self.num_blocks)
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(StreamChunkId.decode(buf), buf.read_int())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(StreamChunkId(fields[2], fields[3]), fields[4])
 
 
 @dataclass
@@ -98,23 +114,20 @@ class ChunkFetchSuccess(Message):
 
     type_tag: ClassVar[int] = 1
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _CHUNK
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        self.stream_chunk_id.encode(buf)
-        buf.write_int(self.num_blocks)
+    def encode_header(self) -> bytes:
+        return _CHUNK.pack(
+            _CHUNK.size + self.chunk_nbytes,
+            self.type_tag, *self.stream_chunk_id, self.num_blocks,
+        )
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        chunk_id = StreamChunkId.decode(buf)
-        return cls(chunk_id, body, body_nbytes, buf.read_int())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(StreamChunkId(fields[2], fields[3]), body, body_nbytes, fields[4])
 
-    @property
-    def body(self) -> Any:
-        return self.chunk
-
-    @property
-    def body_nbytes(self) -> int:
-        return self.chunk_nbytes
+    body = property(attrgetter("chunk"))
+    body_nbytes = property(attrgetter("chunk_nbytes"))
 
 
 @dataclass
@@ -126,14 +139,17 @@ class ChunkFetchFailure(Message):
 
     type_tag: ClassVar[int] = 2
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _CHUNK
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        self.stream_chunk_id.encode(buf)
-        buf.write_string(self.error)
+    def encode_header(self) -> bytes:
+        error = self.error.encode("utf-8")
+        return _CHUNK.pack(
+            _CHUNK.size + len(error), self.type_tag, *self.stream_chunk_id, len(error)
+        ) + error
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(StreamChunkId.decode(buf), buf.read_string())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(StreamChunkId(fields[2], fields[3]), _text(header, _CHUNK.size, fields[4]))
 
 
 @dataclass
@@ -146,21 +162,17 @@ class RpcRequest(Message):
 
     type_tag: ClassVar[int] = 3
     is_request: ClassVar[bool] = True
+    HEADER: ClassVar[Struct] = _RPC
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_long(self.request_id)
+    def encode_header(self) -> bytes:
+        return _RPC.pack(_RPC.size + self.payload_nbytes, self.type_tag, self.request_id)
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(buf.read_long(), body, body_nbytes)
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(fields[2], body, body_nbytes)
 
-    @property
-    def body(self) -> Any:
-        return self.payload
-
-    @property
-    def body_nbytes(self) -> int:
-        return self.payload_nbytes
+    body = property(attrgetter("payload"))
+    body_nbytes = property(attrgetter("payload_nbytes"))
 
 
 @dataclass
@@ -173,21 +185,17 @@ class RpcResponse(Message):
 
     type_tag: ClassVar[int] = 4
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _RPC
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_long(self.request_id)
+    def encode_header(self) -> bytes:
+        return _RPC.pack(_RPC.size + self.payload_nbytes, self.type_tag, self.request_id)
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(buf.read_long(), body, body_nbytes)
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(fields[2], body, body_nbytes)
 
-    @property
-    def body(self) -> Any:
-        return self.payload
-
-    @property
-    def body_nbytes(self) -> int:
-        return self.payload_nbytes
+    body = property(attrgetter("payload"))
+    body_nbytes = property(attrgetter("payload_nbytes"))
 
 
 @dataclass
@@ -199,14 +207,17 @@ class RpcFailure(Message):
 
     type_tag: ClassVar[int] = 5
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _RPC_FAILURE
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_long(self.request_id)
-        buf.write_string(self.error)
+    def encode_header(self) -> bytes:
+        error = self.error.encode("utf-8")
+        return _RPC_FAILURE.pack(
+            _RPC_FAILURE.size + len(error), self.type_tag, self.request_id, len(error)
+        ) + error
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(buf.read_long(), buf.read_string())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(fields[2], _text(header, _RPC_FAILURE.size, fields[3]))
 
 
 @dataclass
@@ -217,13 +228,15 @@ class StreamRequest(Message):
 
     type_tag: ClassVar[int] = 6
     is_request: ClassVar[bool] = True
+    HEADER: ClassVar[Struct] = _STREAM
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_string(self.stream_id)
+    def encode_header(self) -> bytes:
+        sid = self.stream_id.encode("utf-8")
+        return _STREAM.pack(_STREAM.size + len(sid), self.type_tag, len(sid)) + sid
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(buf.read_string())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        return cls(_text(header, _STREAM.size, fields[2]))
 
 
 @dataclass
@@ -236,24 +249,22 @@ class StreamResponse(Message):
 
     type_tag: ClassVar[int] = 7
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _STREAM
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_string(self.stream_id)
-        buf.write_long(self.byte_count)
+    def encode_header(self) -> bytes:
+        sid = self.stream_id.encode("utf-8")
+        tail = sid + _LONG.pack(self.byte_count)
+        return _STREAM.pack(
+            _STREAM.size + len(tail) + self.byte_count, self.type_tag, len(sid)
+        ) + tail
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        stream_id = buf.read_string()
-        byte_count = buf.read_long()
-        return cls(stream_id, byte_count, body)
+    def decode_header(cls, fields, header, body, body_nbytes):
+        stream_id = _text(header, _STREAM.size, fields[2])
+        return cls(stream_id, _LONG.unpack_from(header, _STREAM.size + fields[2])[0], body)
 
-    @property
-    def body(self) -> Any:
-        return self.data
-
-    @property
-    def body_nbytes(self) -> int:
-        return self.byte_count
+    body = property(attrgetter("data"))
+    body_nbytes = property(attrgetter("byte_count"))
 
 
 @dataclass
@@ -265,14 +276,18 @@ class StreamFailure(Message):
 
     type_tag: ClassVar[int] = 8
     is_request: ClassVar[bool] = False
+    HEADER: ClassVar[Struct] = _STREAM
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        buf.write_string(self.stream_id)
-        buf.write_string(self.error)
+    def encode_header(self) -> bytes:
+        sid, error = self.stream_id.encode("utf-8"), self.error.encode("utf-8")
+        tail = sid + _INT.pack(len(error)) + error
+        return _STREAM.pack(_STREAM.size + len(tail), self.type_tag, len(sid)) + tail
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
-        return cls(buf.read_string(), buf.read_string())
+    def decode_header(cls, fields, header, body, body_nbytes):
+        at = _STREAM.size + fields[2]
+        error = _text(header, at + _INT.size, _INT.unpack_from(header, at)[0])
+        return cls(_text(header, _STREAM.size, fields[2]), error)
 
 
 @dataclass
@@ -285,20 +300,15 @@ class OneWayMessage(Message):
     type_tag: ClassVar[int] = 9
     is_request: ClassVar[bool] = True
 
-    def encode_fields(self, buf: ByteBuf) -> None:
-        pass
+    def encode_header(self) -> bytes:
+        return _PREFIX.pack(_PREFIX.size + self.payload_nbytes, self.type_tag)
 
     @classmethod
-    def decode_fields(cls, buf, body, body_nbytes):
+    def decode_header(cls, fields, header, body, body_nbytes):
         return cls(body, body_nbytes)
 
-    @property
-    def body(self) -> Any:
-        return self.payload
-
-    @property
-    def body_nbytes(self) -> int:
-        return self.payload_nbytes
+    body = property(attrgetter("payload"))
+    body_nbytes = property(attrgetter("payload_nbytes"))
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {
@@ -340,21 +350,27 @@ def ensure_trace(msg: Message, causal, parent=None):
 
 def encode_message(msg: Message) -> WireFrame:
     """Message → WireFrame (header bytes + body reference)."""
-    fields = ByteBuf()
-    msg.encode_fields(fields)
-    header = encode_frame_header(msg.type_tag, fields.to_bytes(), msg.body_nbytes)
-    frame = WireFrame(header=header, body=msg.body, body_nbytes=msg.body_nbytes)
+    frame = WireFrame(msg.encode_header(), msg.body, msg.body_nbytes)
     frame.trace_ctx = msg.trace_ctx  # side channel, never in header bytes
     return frame
 
 
 def decode_message(frame: WireFrame) -> Message:
     """WireFrame → Message (inverse of :func:`encode_message`)."""
-    tag, body_nbytes, fields = decode_frame_header(frame.header)
-    cls = MESSAGE_TYPES.get(tag)
-    if cls is None:
-        raise ValueError(f"unknown message type tag {tag}")
-    msg = cls.decode_fields(fields, frame.body, frame.body_nbytes)
+    header = frame.header
+    try:
+        cls = MESSAGE_TYPES[header[_TAG_AT]]
+    except IndexError:
+        raise ValueError(f"truncated header: {len(header)} bytes, no type tag") from None
+    except KeyError:
+        raise ValueError(f"unknown message type tag {header[_TAG_AT]}") from None
+    try:
+        fields = cls.HEADER.unpack_from(header)
+        if fields[0] < len(header):
+            raise ValueError(f"frame length {fields[0]} shorter than header {len(header)}")
+        msg = cls.decode_header(fields, header, frame.body, frame.body_nbytes)
+    except StructError as exc:
+        raise ValueError(f"truncated {cls.__name__} header: {exc}") from exc
     if frame.trace_ctx is not None:
         msg.trace_ctx = frame.trace_ctx
     return msg
@@ -367,5 +383,11 @@ def peek_message_type(frame: WireFrame) -> tuple[int, int]:
     header to decide whether an ``MPI_Recv`` must be triggered for the body
     (paper Sec. VI-E / Fig. 7).
     """
-    tag, body_nbytes, _fields = decode_frame_header(frame.header)
-    return tag, body_nbytes
+    header = frame.header
+    try:
+        frame_len, tag = _PREFIX.unpack_from(header)
+    except StructError as exc:
+        raise ValueError(f"truncated header ({len(header)} bytes): {exc}") from exc
+    if frame_len < len(header):
+        raise ValueError(f"frame length {frame_len} shorter than header {len(header)}")
+    return tag, frame_len - len(header)

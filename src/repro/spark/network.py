@@ -365,10 +365,7 @@ class TransportClient:
     def __init__(self, channel: Channel, handler: TransportResponseHandler) -> None:
         self.channel = channel
         self.handler = handler
-
-    @property
-    def env(self):
-        return self.channel.env
+        self.env = channel.env
 
     def _parent(self, msg: Message, trace_parent) -> Message:
         """Attach a causal child context when the caller named a parent span."""

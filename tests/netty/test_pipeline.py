@@ -163,6 +163,114 @@ class TestOutboundPropagation:
         promise = channel.write_and_flush("x")
         assert promise.triggered and promise.ok
 
+    def test_unobserved_write_promise_is_never_scheduled(self, channel):
+        env = channel.env
+        promise = channel.write_and_flush("x")
+        # Processed in place: there is no dispatch left to wait for.
+        assert promise.processed and promise.ok
+
+        def late_waiter(env):
+            yield promise
+            return env.now
+
+        now = env.now
+        waiter = env.process(late_waiter(env))
+        env.run(until=waiter)
+        assert waiter.value == now
+
+    def test_observed_write_promise_fires_through_the_heap(self, channel):
+        seen = []
+
+        class Observer(ChannelHandler):
+            def write(self, ctx, msg, promise):
+                promise.add_callback(lambda p: seen.append(msg))
+                ctx.write(msg, promise)
+
+        channel.pipeline.add_last("obs", Observer())
+        promise = channel.write_and_flush("x")
+        assert promise.triggered and not promise.processed and seen == []
+        channel.env.run()
+        assert seen == ["x"]
+
+
+class TestSkipLinks:
+    """Reads skip handlers that only write and vice versa (executionMask)."""
+
+    def test_write_only_handler_is_skipped_inbound(self, channel):
+        log = []
+        p = channel.pipeline
+        p.add_last("out", OutRecorder("out", log))
+        p.add_last("in", Recorder("in", log))
+        assert p._head.next_reader.name == "in"
+        p.fire_channel_read("msg")
+        assert log == [("in", "read", "msg")]
+
+    def test_read_only_handler_is_skipped_outbound(self, channel):
+        log = []
+        p = channel.pipeline
+        p.add_last("out", OutRecorder("out", log))
+        p.add_last("in", Recorder("in", log))
+        assert p._tail.prev_writer.name == "out"
+        channel.write_and_flush("msg")
+        assert log == [("out", "write", "msg")]
+
+    def test_add_first_and_remove_relink_at_runtime(self, channel):
+        log = []
+        p = channel.pipeline
+        p.add_last("b", Recorder("b", log))
+        p.fire_channel_read(1)
+        p.add_first("a", Recorder("a", log))
+        p.add_first("w", OutRecorder("w", log))
+        p.fire_channel_read(2)
+        p.remove("b")
+        p.fire_channel_read(3)
+        channel.write_and_flush(4)
+        p.remove("w")
+        channel.write_and_flush(5)
+        assert log == [
+            ("b", "read", 1),
+            ("a", "read", 2), ("b", "read", 2),
+            ("a", "read", 3),
+            ("w", "write", 4),
+        ]
+        assert p.unhandled_reads == [1, 2, 3]
+
+    def test_handler_removing_itself_mid_read_still_forwards(self, channel):
+        log = []
+
+        class OneShot(ChannelHandler):
+            def channel_read(self, ctx, msg):
+                ctx.pipeline.remove("once")
+                ctx.fire_channel_read(msg)
+
+        p = channel.pipeline
+        p.add_last("once", OneShot())
+        p.add_last("b", Recorder("b", log))
+        p.fire_channel_read("first")
+        p.fire_channel_read("second")
+        assert log == [("b", "read", "first"), ("b", "read", "second")]
+
+    def test_all_pass_through_pipeline_reaches_tail_and_transport(self, channel):
+        p = channel.pipeline
+        p.add_last("a", ChannelHandler())
+        p.add_last("b", ChannelHandler())
+        assert p._head.next_reader is p._tail and p._tail.prev_writer is None
+        p.fire_channel_read("orphan")
+        assert p.unhandled_reads == ["orphan"]
+        sent = []
+        channel._transport_write = lambda msg, promise: sent.append(msg)
+        channel.write_and_flush("out")
+        assert sent == ["out"]
+
+    def test_other_events_still_visit_every_handler(self, channel):
+        log = []
+        p = channel.pipeline
+        p.add_last("out", OutRecorder("out", log))
+        p.add_last("in", Recorder("in", log))
+        p.fire_channel_active()
+        p.fire_channel_inactive()
+        assert log == [("in", "active"), ("in", "inactive")]
+
 
 class TestExceptionFlow:
     def test_exception_recorded_at_tail(self, channel):

@@ -16,15 +16,15 @@ def rig():
     return env, cluster, stack
 
 
-def connect_pair(env, stack, loop):
-    stack_listener = stack.listen(0, 9000)
+def connect_pair(env, stack, loop, port=9000):
+    stack_listener = stack.listen(0, port)
     holder = {}
 
     def server(env):
         holder["server_sock"] = yield stack_listener.accept()
 
     def client(env):
-        sock = yield from stack.connect(1, SocketAddress("node0", 9000))
+        sock = yield from stack.connect(1, SocketAddress("node0", port))
         holder["client"] = Channel(loop, sock)
 
     env.process(server(env))
@@ -144,3 +144,172 @@ class TestBlockingSelect:
         env.process(selecting(env))
         env.run()
         assert selector.select_calls == 1
+
+    def test_select_returns_early_when_ready_before_timeout(self, rig):
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        channel, server_sock = connect_pair(env, stack, loop)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        woke = []
+
+        def selecting(env):
+            woke.append((yield from selector.select(timeout=5.0)))
+            woke.append(env.now)
+            channel.socket.recv_nowait()
+            # The first select's abandoned timeout fires at t=5: it must
+            # not cut this one short.
+            woke.append((yield from selector.select(timeout=20.0)))
+            woke.append(env.now)
+
+        def sender(env):
+            yield env.timeout(1.0)
+            server_sock.send("early", 10)
+
+        env.process(selecting(env))
+        env.process(sender(env))
+        env.run()
+        assert woke[0] == [key] and 1.0 <= woke[1] < 5.0
+        assert woke[2] == [] and woke[3] == pytest.approx(woke[1] + 20.0)
+
+    def test_ready_key_returns_without_parking(self, rig):
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        channel, server_sock = connect_pair(env, stack, loop)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        server_sock.send("data", 10)
+        env.run()
+        # Readable the instant select is entered: the generator finishes
+        # on its first step, having armed no waiter and built no park.
+        with pytest.raises(StopIteration) as done:
+            next(selector.select())
+        assert done.value.value == [key]
+        assert key.waiter is None and selector._park is None
+
+
+class TestParkWaiters:
+    """The persistent per-source waiters behind select and the mpi-basic park."""
+
+    def test_recycled_key_does_not_inherit_a_dead_waiter(self, rig):
+        # Regression: waiters used to live in a dict keyed by id(key) that
+        # outlived deregister. A locally closed channel's waiter never fires
+        # (its EOF goes to the peer), so a later key recycling the freed
+        # key's id inherited a dead socket's event and was never woken.
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        selector = Selector(env)
+        n = 8
+        old = [connect_pair(env, stack, loop, 9100 + i)[0] for i in range(n)]
+        fresh = [connect_pair(env, stack, loop, 9200 + i) for i in range(n)]
+        for channel in old:
+            selector.register_channel(channel)
+        woke = []
+
+        def selecting(env):
+            while True:
+                ready = yield from selector.select()
+                for key in ready:
+                    key.channel.socket.recv_nowait()
+                if ready:
+                    woke.append(ready)
+
+        env.process(selecting(env))
+        env.run()  # parked with one waiter per old key
+        for channel in old:
+            channel.socket.close()
+        keys = []
+        for channel, (replacement, _) in zip(old, fresh):
+            # Freed and re-allocated back to back: some of the new keys
+            # land on the addresses of the old ones.
+            selector.deregister(channel)
+            keys.append(selector.register_channel(replacement))
+        env.run()
+        assert woke == []
+        for i, (_, server_sock) in enumerate(fresh):
+            server_sock.send("hello", 10)
+            env.run()
+            assert woke[i:] == [[keys[i]]]
+
+    def test_deregister_drops_the_keys_waiter(self, rig):
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        channel, server_sock = connect_pair(env, stack, loop)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        woke = []
+
+        def selecting(env):
+            yield from selector.select()
+            woke.append(env.now)
+
+        env.process(selecting(env))
+        env.run()
+        waiter = key.waiter
+        assert waiter is not None and not waiter.triggered
+        selector.deregister(channel)
+        assert key.waiter is None
+        server_sock.send("late", 10)  # fires the dropped waiter
+        env.run()
+        assert waiter.processed and woke == []
+
+    def test_stale_waiter_does_not_wake_a_later_park(self, rig):
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        channel, _ = connect_pair(env, stack, loop)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        woke = []
+
+        t0 = env.now
+
+        def selecting(env):
+            yield from selector.select()  # parked; woken by the wakeup at t0+1
+            woke.append(env.now - t0)
+            # Data lands and is consumed within this very instant: the
+            # key's waiter has triggered but is still waiting in the heap.
+            channel.socket.abort()
+            assert channel.socket.recv_nowait().eof
+            spent = key.waiter
+            assert spent.triggered and not spent.processed
+            yield from selector.select()
+            assert key.waiter is not spent and spent.processed
+            woke.append(env.now - t0)
+
+        def waker(env):
+            yield env.timeout(1.0)
+            selector.wakeup()
+            yield env.timeout(4.0)
+            selector.wakeup()
+
+        env.process(selecting(env))
+        env.process(waker(env))
+        env.run()
+        # A spent waiter waking the third select would read [1.0, 1.0].
+        assert woke == pytest.approx([1.0, 5.0])
+
+    def test_extra_sources_wake_the_park(self, rig):
+        from repro.simnet.resources import Store
+
+        env, cluster, stack = rig
+        selector = Selector(env)
+        tasks = Store(env)
+        woke = []
+
+        def parking(env):
+            for _ in range(2):
+                yield from selector.park(extra=[(tasks, tasks.when_nonempty)])
+                woke.append((env.now, len(tasks)))
+                tasks.get_nowait()
+
+        def producer(env):
+            for t in (1.0, 2.0):
+                yield env.timeout(t)
+                tasks.put_nowait("job")
+
+        env.process(parking(env))
+        env.process(producer(env))
+        env.run()
+        assert woke == [(1.0, 1), (3.0, 1)]
+        # One persistent waiter per source, replaced only when spent.
+        assert set(selector._park_waiters) == {tasks, selector._wakeups}

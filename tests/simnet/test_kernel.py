@@ -287,6 +287,31 @@ class TestEvents:
         with pytest.raises(SimError):
             ev.succeed(2)
 
+    def test_complete_unobserved_is_processed_in_place(self, env):
+        ev = env.event()
+        assert ev.complete("done") is ev
+        assert ev.processed and ev.ok and ev.value == "done"
+        assert env.peek() == float("inf")  # nothing was scheduled
+
+        def late_waiter(env):
+            value = yield ev  # resumes at once, no dispatch needed
+            return (env.now, value)
+
+        w = env.process(late_waiter(env))
+        env.run()
+        assert w.value == (0.0, "done")
+        with pytest.raises(SimError):
+            ev.complete()
+
+    def test_complete_with_a_callback_goes_through_the_heap(self, env):
+        ev = env.event()
+        seen = []
+        ev.add_callback(lambda e: seen.append(e.value))
+        ev.complete("done")
+        assert ev.triggered and not ev.processed and seen == []
+        env.run()
+        assert ev.processed and seen == ["done"]
+
     def test_fail_requires_exception(self, env):
         with pytest.raises(TypeError):
             env.event().fail("not an exception")

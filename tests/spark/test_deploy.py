@@ -212,3 +212,114 @@ class TestTaskEnvelopeInterruptSafety:
         assert gate.held == 0 and gate.waiting == 0
         assert ex.slots.count == 0 and len(ex.slots.queue) == 0
         sim.shutdown()
+
+
+class TestFetchShuffleWaits:
+    """``fetch_shuffle`` parks on one plain event that its chunk futures
+    decide, driven here through a stub client whose futures the test owns."""
+
+    class StubClient:
+        def __init__(self, env, sizes, blocks):
+            self.env, self.sizes, self.blocks = env, sizes, blocks
+            self.futures = []
+
+        def send_rpc(self, payload, nbytes, trace_parent=None):
+            return self.env.event().complete((7, self.sizes, self.blocks))
+
+        def fetch_chunk(self, stream_id, idx, num_blocks=1, trace_parent=None):
+            self.futures.append(self.env.event())
+            return self.futures[-1]
+
+    def _cluster(self, monkeypatch, chunks):
+        """3 executors; executor 0 fetches ``chunks[exec_id]`` from 1 and 2."""
+        sim = SparkSimCluster(INTERNAL_CLUSTER, 3, "nio", cores_per_executor=2)
+        sim.launch()
+        clients = {
+            ex.exec_id: self.StubClient(sim.env, *chunks[ex.exec_id])
+            for ex in sim.executors[1:]
+        }
+
+        def get_client(remote):
+            return clients[remote.exec_id]
+            yield
+
+        monkeypatch.setattr(sim.executors[0], "_get_client", get_client)
+        sources = [(ex, sum(chunks[ex.exec_id][0]), 1) for ex in sim.executors[1:]]
+        fetch = sim.env.process(sim.executors[0].fetch_shuffle(sources, rot=0))
+        return sim, clients, fetch
+
+    def test_future_processed_while_busy_decides_the_next_wait_on_the_spot(
+        self, monkeypatch
+    ):
+        from repro.simnet.events import Condition
+        from repro.spark.deploy import PER_BLOCK_CLIENT_S
+
+        built = []
+        init = Condition.__init__
+        monkeypatch.setattr(
+            Condition, "__init__", lambda self, *a: (built.append(self), init(self, *a))[1]
+        )
+        sim, clients, fetch = self._cluster(
+            monkeypatch, {1: ([10], [3]), 2: ([20], [1])}
+        )
+        env = sim.env
+
+        def completions(env):
+            yield env.timeout(1.0)
+            clients[1].futures[0].succeed()
+            # Lands, and is dispatched, inside the task's per-block charge
+            # for the first chunk — while no wait exists to attach to.
+            yield env.timeout(PER_BLOCK_CLIENT_S)
+            clients[2].futures[0].succeed()
+
+        t0 = env.now
+        env.process(completions(env))
+        env.run(until=fetch)
+        assert env.now - t0 == pytest.approx(1.0 + 2 * PER_BLOCK_CLIENT_S)
+        assert sim.executors[0].bytes_fetched_remote == 30
+        assert built == []  # no AnyOf/AllOf per wait
+        sim.shutdown()
+
+    def test_failed_future_is_attributed_to_its_source(self, monkeypatch):
+        from repro.spark.network import FetchFailedException, TransportError
+
+        sim, clients, fetch = self._cluster(
+            monkeypatch, {1: ([10, 10], [1, 1]), 2: ([20], [1])}
+        )
+        env = sim.env
+
+        def completions(env):
+            yield env.timeout(1.0)
+            clients[1].futures[0].succeed()
+            yield env.timeout(1.0)
+            clients[2].futures[0].fail(TransportError("connection reset"))
+
+        env.process(completions(env))
+        with pytest.raises(FetchFailedException, match="connection reset") as failed:
+            env.run(until=fetch)
+        # Executor 1 heads the plan (the fallback attribution); the failed
+        # future belongs to executor 2.
+        assert failed.value.exec_id == 2
+        assert failed.value.address == sim.executors[2].address
+        sim.shutdown()
+
+    def test_failure_processed_while_busy_still_fails_the_next_wait(self, monkeypatch):
+        from repro.spark.deploy import PER_BLOCK_CLIENT_S
+        from repro.spark.network import FetchFailedException, TransportError
+
+        sim, clients, fetch = self._cluster(
+            monkeypatch, {1: ([10], [3]), 2: ([20], [1])}
+        )
+        env = sim.env
+
+        def completions(env):
+            yield env.timeout(1.0)
+            clients[1].futures[0].succeed()
+            yield env.timeout(PER_BLOCK_CLIENT_S)
+            clients[2].futures[0].fail(TransportError("peer died"))
+
+        env.process(completions(env))
+        with pytest.raises(FetchFailedException, match="peer died") as failed:
+            env.run(until=fetch)
+        assert failed.value.exec_id == 2
+        sim.shutdown()

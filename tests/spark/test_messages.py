@@ -121,3 +121,98 @@ class TestFrameProperties:
     def test_stream_response_property(self, sid, count):
         got = roundtrip(StreamResponse(sid, count, data=None))
         assert got.stream_id == sid and got.byte_count == count
+
+
+# -- the struct codec against a ByteBuf-built reference -----------------------
+
+def reference_header(msg) -> bytes:
+    """The header as the original field-by-field ByteBuf codec built it."""
+    from repro.netty.bytebuf import ByteBuf
+    from repro.netty.frame import encode_frame_header
+
+    buf = ByteBuf()
+    if isinstance(msg, (ChunkFetchRequest, ChunkFetchSuccess, ChunkFetchFailure)):
+        buf.write_long(msg.stream_chunk_id.stream_id)
+        buf.write_int(msg.stream_chunk_id.chunk_index)
+        if isinstance(msg, ChunkFetchFailure):
+            buf.write_string(msg.error)
+        else:
+            buf.write_int(msg.num_blocks)
+    elif isinstance(msg, (RpcRequest, RpcResponse, RpcFailure)):
+        buf.write_long(msg.request_id)
+        if isinstance(msg, RpcFailure):
+            buf.write_string(msg.error)
+    elif isinstance(msg, (StreamRequest, StreamResponse, StreamFailure)):
+        buf.write_string(msg.stream_id)
+        if isinstance(msg, StreamResponse):
+            buf.write_long(msg.byte_count)
+        elif isinstance(msg, StreamFailure):
+            buf.write_string(msg.error)
+    else:
+        assert isinstance(msg, OneWayMessage)
+    return encode_frame_header(msg.type_tag, buf.to_bytes(), msg.body_nbytes)
+
+
+_longs = st.integers(0, 2**62)
+_ints = st.integers(0, 2**31 - 1)
+_sizes = st.integers(0, 2**40)
+_chunk_ids = st.builds(StreamChunkId, _longs, _ints)
+_texts = st.text(max_size=60)
+_bodies = st.sampled_from([None, b"bytes", ("tuple", 1)])
+
+BUILDERS = {
+    ChunkFetchRequest: st.builds(ChunkFetchRequest, _chunk_ids, _ints),
+    ChunkFetchSuccess: st.builds(ChunkFetchSuccess, _chunk_ids, _bodies, _sizes, _ints),
+    ChunkFetchFailure: st.builds(ChunkFetchFailure, _chunk_ids, _texts),
+    RpcRequest: st.builds(RpcRequest, _longs, _bodies, _sizes),
+    RpcResponse: st.builds(RpcResponse, _longs, _bodies, _sizes),
+    RpcFailure: st.builds(RpcFailure, _longs, _texts),
+    StreamRequest: st.builds(StreamRequest, _texts),
+    StreamResponse: st.builds(StreamResponse, _texts, _sizes, _bodies),
+    StreamFailure: st.builds(StreamFailure, _texts, _texts),
+    OneWayMessage: st.builds(OneWayMessage, _bodies, _sizes),
+}
+MESSAGES = st.one_of(*BUILDERS.values())
+
+
+class TestStructCodec:
+    def test_strategy_covers_every_message_type(self):
+        assert set(BUILDERS) == set(MESSAGE_TYPES.values())
+
+    @given(MESSAGES)
+    def test_header_bytes_match_the_bytebuf_reference(self, msg):
+        frame = encode_message(msg)
+        assert frame.header == reference_header(msg)
+        assert frame.body is msg.body and frame.body_nbytes == msg.body_nbytes
+        assert peek_message_type(frame) == (msg.type_tag, msg.body_nbytes)
+
+    @given(MESSAGES)
+    def test_decode_inverts_encode(self, msg):
+        assert roundtrip(msg) == msg
+
+    @given(MESSAGES, st.data())
+    def test_truncated_header_raises_value_error(self, msg, data):
+        header = encode_message(msg).header
+        cut = data.draw(st.integers(0, len(header) - 1))
+        frame = encode_message(msg)
+        frame.header = header[:cut]
+        with pytest.raises(ValueError):
+            decode_message(frame)
+
+    @given(MESSAGES, st.integers(len(MESSAGE_TYPES), 255))
+    def test_unknown_tag_raises_value_error(self, msg, tag):
+        frame = encode_message(msg)
+        frame.header = frame.header[:8] + bytes([tag]) + frame.header[9:]
+        with pytest.raises(ValueError, match="unknown message type tag"):
+            decode_message(frame)
+
+    def test_peek_rejects_short_and_inconsistent_headers(self):
+        frame = encode_message(RpcRequest(1, None, 0))
+        frame.header = frame.header[:5]
+        with pytest.raises(ValueError):
+            peek_message_type(frame)
+        frame.header = (3).to_bytes(8, "big") + b"\x03" + bytes(8)
+        with pytest.raises(ValueError, match="shorter than header"):
+            peek_message_type(frame)
+        with pytest.raises(ValueError, match="shorter than header"):
+            decode_message(frame)
