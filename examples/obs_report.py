@@ -10,7 +10,9 @@ MPI4Spark-Basic and MPI4Spark-Optimized with causal message tracing
 * writes ``results/obs_report_groupby.html`` — the Spark-UI-style page
   with the stage Gantt, the message timeline and the same tables,
 * exits non-zero if the Basic run's critical path shows no poll-tax
-  segment (the CI obs-smoke gate: the busy-poll cost must be visible).
+  segment (the CI obs-smoke gate: the busy-poll cost must be visible),
+  or if rendering the same seeded cells again — from the same recordings
+  and from fresh ones — gives a different page.
 
 Run:  python examples/obs_report.py
 """
@@ -19,7 +21,7 @@ import pathlib
 import sys
 
 from repro.harness.systems import FRONTERA
-from repro.obs import critical_path, write_report
+from repro.obs import critical_path, render_report, write_report
 from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, fmt_time
@@ -62,8 +64,25 @@ def main() -> int:
         print()
 
     OUT.parent.mkdir(exist_ok=True)
-    write_report(OUT, runs, title="GroupByTest 4 GiB — causal run report")
+    title = "GroupByTest 4 GiB — causal run report"
+    write_report(OUT, runs, title=title)
     print(f"HTML report: {OUT}")
+
+    # Every section reads its recording through one shared FlightIndex.
+    # A second render (index reused) and a render of fresh recordings of
+    # the same seeded cells (index rebuilt) must reproduce the page.
+    fresh = [run_one(result.transport) for result, _ in runs]
+    pages = {
+        "written": OUT.read_text(),
+        "re-rendered": render_report(runs, title=title),
+        "fresh recordings": render_report(
+            [(result, critical_path(result)) for result in fresh], title=title
+        ),
+    }
+    if len(set(pages.values())) != 1:
+        print(f"FAIL: renders of the same seeded cells differ: "
+              f"{ {k: len(v) for k, v in pages.items()} }", file=sys.stderr)
+        return 1
 
     # The smoke gate: Basic busy-polls, so its critical path must carry a
     # poll-tax segment; if it doesn't, the causal wiring is broken.

@@ -33,7 +33,7 @@ from repro.obs.critpath import (
     stage_bounds,
 )
 from repro.obs.diff import DiffReport, StageDiff, StructuralNode, diff_runs
-from repro.obs.flightrec import FlightEvent, FlightRecorder
+from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder
 from repro.obs.report_html import (
     diff_section,
     planner_section,
@@ -82,6 +82,7 @@ __all__ = [
     "NULL_CAUSAL",
     "TraceContext",
     "FlightEvent",
+    "FlightIndex",
     "FlightRecorder",
     "CriticalPathReport",
     "StageCriticalPath",

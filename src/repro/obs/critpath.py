@@ -121,25 +121,18 @@ def _stage_of(task_label: str) -> str:
 def stage_bounds(flight: "FlightRecorder") -> dict[str, tuple[float, float, int]]:
     """``stage label -> (start_t, end_t, n_tasks)`` from stage event pairs.
 
-    Walks ``stage.start`` / ``stage.finish`` pairs in record order and
-    keeps first-start stage order — the alignment key the diff engine
-    (:mod:`repro.obs.diff`) matches two recordings on.  ``n_tasks`` is
-    taken from the start event (0 when the recording predates the attr);
-    stages whose finish never arrived (crashed runs) are omitted, exactly
-    as :func:`analyze` omits their unfinished tasks.
+    Reads the index's ``stage.start`` / ``stage.finish`` pairs and keeps
+    first-finish stage order — the alignment key the diff engine
+    (:mod:`repro.obs.diff`) matches two recordings on; a restarted stage
+    keeps its row and takes its latest pair.  ``n_tasks`` is taken from
+    the start event (0 when the recording predates the attr); stages
+    whose finish never arrived (crashed runs) are omitted, exactly as
+    :func:`analyze` omits their unfinished tasks.
     """
-    starts: dict[str, tuple[float, int]] = {}
-    bounds: dict[str, tuple[float, float, int]] = {}
-    for ev in flight.events:
-        if ev.name == "stage.start":
-            label = ev.attrs.get("stage", "?")
-            starts[label] = (ev.t, int(ev.attrs.get("n_tasks", 0)))
-        elif ev.name == "stage.finish":
-            label = ev.attrs.get("stage", "?")
-            if label in starts:
-                t0, n_tasks = starts.pop(label)
-                bounds[label] = (t0, ev.t, n_tasks)
-    return bounds
+    return {
+        label: (start.t, finish.t, int(start.attrs.get("n_tasks", 0)))
+        for label, start, finish in flight.index().stage_pairs
+    }
 
 
 def polls_for_messages(transport: str) -> bool:
@@ -160,47 +153,20 @@ def polls_for_messages(transport: str) -> bool:
 def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
     """Walk the causal DAG of a finished run; one critical path per stage."""
     poll_tax = polls_for_messages(transport)
-    sends: dict[int, tuple[float, int]] = {}  # span -> (t, nbytes)
-    recvs: dict[int, float] = {}
-    waited: dict[int, float] = {}
-    parent_of: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    trace_spans: dict[int, list[int]] = {}
-    # trace -> (start event, finish event) of the task owning that trace
-    task_start: dict[int, object] = {}
-    task_finish: dict[int, object] = {}
-
-    body_legs: set[int] = set()
-    job_submit: dict[str, float] = {}
-    job_start: dict[str, float] = {}
-
-    for ev in flight.events:
-        name = ev.name
-        if name == "msg.send":
-            sends[ev.span] = (ev.t, ev.attrs.get("nbytes", 0))
-            if ev.parent:
-                parent_of[ev.span] = ev.parent
-                children.setdefault(ev.parent, []).append(ev.span)
-            if ev.attrs.get("leg") == "mpi-body":
-                body_legs.add(ev.span)
-            trace_spans.setdefault(ev.trace, []).append(ev.span)
-        elif name == "msg.recv":
-            recvs[ev.span] = ev.t
-        elif name == "mpi.match":
-            waited[ev.span] = waited.get(ev.span, 0.0) + ev.attrs.get("waited_s", 0.0)
-        elif name == "task.start":
-            task_start[ev.trace] = ev
-        elif name == "task.finish":
-            task_finish[ev.trace] = ev
-        elif name == "job.submit":
-            job_submit[ev.attrs.get("app", "")] = ev.t
-        elif name == "job.start":
-            job_start[ev.attrs.get("app", "")] = ev.t
+    index = flight.index()
+    sends = index.send
+    recvs = index.recv_last  # the chain ends at the last delivery
+    waited = index.waited
+    parent_of = index.parent_of
+    children = index.children
+    body_legs = index.body_legs
+    job_submit = index.job_submit
+    job_start = index.job_start
 
     # Group finished tasks by stage, preserving first-seen stage order.
     stages: dict[str, list[tuple[int, object, object]]] = {}
-    for trace, fin in task_finish.items():
-        start = task_start.get(trace)
+    for trace, fin in index.task_finish.items():
+        start = index.task_start.get(trace)
         if start is None:
             continue
         label = fin.attrs.get("task", "")
@@ -236,22 +202,22 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
             # The chain terminus: the last fully-received message of this
             # task's trace.  Prefer responses (spans whose parent is itself
             # a message span — the request→response edge).
-            spans = [s for s in trace_spans.get(trace, ()) if s in recvs]
+            spans = [s for s in index.trace_spans.get(trace, ()) if s in recvs]
             responses = [s for s in spans if parent_of.get(s) in sends]
             last = max(responses or spans, default=None, key=lambda s: recvs[s])
             if last is not None:
                 discovery = 0.0
                 resp_w = dwell(last)
                 discovery += resp_w
-                add("wire", recvs[last] - sends[last][0] - resp_w)
+                add("wire", recvs[last] - sends[last].t - resp_w)
                 req = parent_of.get(last)
-                chain_start = sends[last][0]
+                chain_start = sends[last].t
                 if req in sends and req in recvs:
                     req_w = dwell(req)
                     discovery += req_w
-                    add("wire", recvs[req] - sends[req][0] - req_w)
-                    add("queue", sends[last][0] - recvs[req])
-                    chain_start = sends[req][0]
+                    add("wire", recvs[req] - sends[req].t - req_w)
+                    add("queue", sends[last].t - recvs[req])
+                    chain_start = sends[req].t
                 chain = recvs[last] - chain_start
                 # The classification at the heart of Fig 9: only the Basic
                 # design discovers MPI messages by busy-polling, so only

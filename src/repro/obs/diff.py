@@ -352,11 +352,8 @@ def _coerce_flight(run: Any) -> tuple["FlightRecorder", str | None]:
 
 def _side_of(run: Any, label: str, transport: str | None) -> _Side:
     flight, result_transport = _coerce_flight(run)
-    meta: dict[str, Any] = {}
-    for ev in flight.events:
-        if ev.name == "run.meta":
-            meta = dict(ev.attrs)
-            break
+    # A side is labelled by the header it started with.
+    meta = dict(flight.index().first_meta)
     transport = transport or result_transport or meta.get("transport")
     if not transport:
         raise ValueError(

@@ -16,13 +16,18 @@ spans; an MPI world abort closes all of them — each closure emits a
 ``span.aborted`` record followed by a single terminal event, so a trace
 of a crashed run always ends in an explicit tombstone instead of dangling
 sends (see :mod:`repro.obs.causal` for who calls these).
+
+Analyses never walk the log themselves: :meth:`FlightRecorder.index`
+hands out one :class:`FlightIndex` per recording — every table
+``critpath`` / ``whatif`` / ``diff`` / the HTML report read, filled by a
+single pass (DESIGN.md §11 "Reading a recording").
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal import TraceContext
@@ -31,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # fidelity with headroom; a full-scale run that overflows it keeps the
 # most recent window (the end of the run is where crashes are explained).
 DEFAULT_CAPACITY = 262_144
+
+# The one JSONL encoder: json.dumps(..., sort_keys=..., separators=...)
+# would build a JSONEncoder per event.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class FlightEvent:
@@ -76,6 +85,168 @@ class FlightEvent:
         return f"<FlightEvent {self.name} t={self.t:g} span={self.span}>"
 
 
+class FlightIndex:
+    """Every table the analyses read, filled by one pass over a recording.
+
+    Span tables are keyed by span id, trace tables by trace id; plain
+    dicts and lists in record order (insertion order only — nothing here
+    depends on hash order).  Where the readers' conventions differ the
+    index carries each variant under its own name instead of picking one:
+
+    * ``send``        — span -> its *last* ``msg.send`` event (``t``,
+      ``nbytes``, ``leg``, ``type`` are read off the event);
+      ``send_order`` lists the span of *every* ``msg.send`` in record
+      order, duplicates kept (the timeline draws per send).
+    * ``recv_first`` / ``recv_last`` — time of the first / last
+      ``msg.recv`` of a span.  They differ after a retransmit: the replay
+      model closes the wire leg at the first delivery, the critical path
+      ends its chain at the last.
+    * ``match_first`` — time of the first ``mpi.match``; ``waited`` sums
+      ``waited_s`` over all of a span's matches.
+    * ``close_first`` — time of the first ``msg.recv`` *or* ``mpi.match``
+      in record order (what the message timeline draws to).
+    * ``aborted``     — spans tombstoned by ``span.aborted``.
+    * ``parent_of`` / ``children`` / ``body_legs`` — the send-side causal
+      edges (``children`` in send order; ``body_legs`` are the mpi-opt
+      ``leg == "mpi-body"`` sends).  ``trace_spans`` — trace -> span of
+      every send on it, in send order.
+    * ``task_start`` / ``task_finish`` — trace -> its last ``task.start``
+      / ``task.finish`` event, in first-seen trace order.
+    * ``stage_pairs`` — ``(label, stage.start event, stage.finish
+      event)`` in finish order.  A start re-arms its label (a restarted
+      stage pairs its *latest* start), a finish without an open start is
+      dropped, a stage that never finishes yields no pair.  A missing
+      ``stage`` attr reads as the label ``"?"`` for every reader.
+    * ``job_submit`` / ``job_start`` — app -> time (last event wins,
+      first-seen app order).  Non-empty means a multi-tenant trace.
+    * ``first_meta`` / ``meta`` — attrs of the first / last ``run.meta``
+      (``{}`` when the recording predates the header).  The diff labels
+      a side by the header it started with, the replay model re-times
+      under the geometry in force at the end.
+
+    Tables are read-only by contract: every reader of one recording
+    shares them.  :meth:`memoized` caches tables that are pure functions
+    of the index (the what-if interval unions) for the index's lifetime.
+    """
+
+    __slots__ = (
+        "send", "send_order", "recv_first", "recv_last", "match_first",
+        "close_first", "waited", "aborted", "parent_of", "children",
+        "body_legs", "trace_spans", "task_start", "task_finish",
+        "stage_pairs", "job_submit", "job_start", "first_meta", "meta",
+        "_memo",
+    )
+
+    def __init__(self, events: Iterable[FlightEvent]) -> None:
+        send: dict[int, FlightEvent] = {}
+        send_order: list[int] = []
+        recv_first: dict[int, float] = {}
+        recv_last: dict[int, float] = {}
+        match_first: dict[int, float] = {}
+        close_first: dict[int, float] = {}
+        waited: dict[int, float] = {}
+        aborted: set[int] = set()
+        parent_of: dict[int, int] = {}
+        children: dict[int, list[int]] = {}
+        body_legs: set[int] = set()
+        trace_spans: dict[int, list[int]] = {}
+        task_start: dict[int, FlightEvent] = {}
+        task_finish: dict[int, FlightEvent] = {}
+        stage_pairs: list[tuple[str, FlightEvent, FlightEvent]] = []
+        job_submit: dict[str, float] = {}
+        job_start: dict[str, float] = {}
+        self.send, self.send_order = send, send_order
+        self.recv_first, self.recv_last = recv_first, recv_last
+        self.match_first, self.close_first = match_first, close_first
+        self.waited, self.aborted = waited, aborted
+        self.parent_of, self.children = parent_of, children
+        self.body_legs, self.trace_spans = body_legs, trace_spans
+        self.task_start, self.task_finish = task_start, task_finish
+        self.stage_pairs = stage_pairs
+        self.job_submit, self.job_start = job_submit, job_start
+        self._memo: dict[Any, Any] = {}
+        open_stages: dict[str, FlightEvent] = {}
+        metas: list[dict[str, Any]] = []
+
+        for ev in events:
+            name = ev.name
+            if name == "msg.send":
+                span = ev.span
+                send[span] = ev
+                send_order.append(span)
+                parent = ev.parent
+                if parent:
+                    parent_of[span] = parent
+                    if parent in children:
+                        children[parent].append(span)
+                    else:
+                        children[parent] = [span]
+                if ev.attrs.get("leg") == "mpi-body":
+                    body_legs.add(span)
+                trace = ev.trace
+                if trace in trace_spans:
+                    trace_spans[trace].append(span)
+                else:
+                    trace_spans[trace] = [span]
+            elif name == "msg.recv":
+                span = ev.span
+                recv_last[span] = t = ev.t
+                if span not in recv_first:
+                    recv_first[span] = t
+                    if span not in close_first:
+                        close_first[span] = t
+            elif name == "mpi.match":
+                span = ev.span
+                if span in match_first:
+                    waited[span] += ev.attrs.get("waited_s", 0.0)
+                else:
+                    match_first[span] = t = ev.t
+                    waited[span] = ev.attrs.get("waited_s", 0.0)
+                    if span not in close_first:
+                        close_first[span] = t
+            elif name == "task.start":
+                task_start[ev.trace] = ev
+            elif name == "task.finish":
+                task_finish[ev.trace] = ev
+            elif name == "span.aborted":
+                aborted.add(ev.span)
+            elif name == "stage.start":
+                open_stages[ev.attrs.get("stage", "?")] = ev
+            elif name == "stage.finish":
+                label = ev.attrs.get("stage", "?")
+                start = open_stages.pop(label, None)
+                if start is not None:
+                    stage_pairs.append((label, start, ev))
+            elif name == "job.submit":
+                job_submit[ev.attrs.get("app", "")] = ev.t
+            elif name == "job.start":
+                job_start[ev.attrs.get("app", "")] = ev.t
+            elif name == "run.meta":
+                metas.append(ev.attrs)
+
+        self.first_meta: dict[str, Any] = dict(metas[0]) if metas else {}
+        self.meta: dict[str, Any] = dict(metas[-1]) if metas else {}
+
+    def memoized(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per ``key`` for this index."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def unclosed_spans(self) -> list[int]:
+        """Spans sent with no recv, no match and no ``span.aborted``.
+
+        Empty for any run that ended, cleanly or not: a failure sweep
+        tombstones what delivery never closed.
+        """
+        closed, aborted = self.close_first, self.aborted
+        return sorted(
+            s for s in self.send if s not in closed and s not in aborted
+        )
+
+
 class FlightRecorder:
     """Bounded event log plus the open-span table.
 
@@ -83,6 +254,10 @@ class FlightRecorder:
     simulated time, so a finished recorder is plain data — picklable,
     diffable, and attachable to a :class:`~repro.spark.deploy.RunResult`.
     """
+
+    # (FlightIndex, len(events), dropped) of the last index() call. A class
+    # default, so recorders unpickled without it index lazily.
+    _index: "tuple[FlightIndex, int, int] | None" = None
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = int(capacity)
@@ -148,6 +323,27 @@ class FlightRecorder:
         return len(victims)
 
     # -- queries --------------------------------------------------------------
+    def index(self) -> FlightIndex:
+        """The recording's :class:`FlightIndex`, built on first use.
+
+        Rebuilt when the log grew or evicted its head since the last call
+        (``len(events)`` or ``dropped`` moved); replacing an event in
+        place is not a supported edit.  Every analysis reads the log
+        through this, so a round of them walks ``events`` once.
+        """
+        cached = self._index
+        n, dropped = len(self.events), self.dropped
+        if cached is None or cached[1] != n or cached[2] != dropped:
+            cached = self._index = (FlightIndex(self.events), n, dropped)
+        return cached[0]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The index is derived data: pickles (run-cache entries, parallel-
+        # harness results) carry the log alone and stay the bytes they were.
+        state = self.__dict__.copy()
+        state.pop("_index", None)
+        return state
+
     def named(self, name: str) -> list[FlightEvent]:
         """All events with the given name, in record order."""
         return [ev for ev in self.events if ev.name == name]
@@ -158,10 +354,7 @@ class FlightRecorder:
     # -- export ---------------------------------------------------------------
     def to_jsonl(self) -> str:
         """One compact JSON object per line, in record order."""
-        lines = [
-            json.dumps(ev.as_dict(), sort_keys=True, separators=(",", ":"))
-            for ev in self.events
-        ]
+        lines = [_ENCODE(ev.as_dict()) for ev in self.events]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write(self, path: str) -> str:
@@ -224,23 +417,19 @@ class FlightRecorder:
         field — the round-trip the what-if replay engine relies on when
         consuming traces recorded by another process.
         """
-        events = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            events.append(
-                FlightEvent(
-                    t=d.pop("t"),
-                    name=d.pop("ev"),
-                    trace=d.pop("trace", 0),
-                    span=d.pop("span", 0),
-                    parent=d.pop("parent", 0),
-                    attrs=d or None,
-                )
+        # One parse for the whole log: the non-blank lines as one array.
+        lines = [line for line in map(str.strip, text.splitlines()) if line]
+        return FlightRecorder.from_events([
+            FlightEvent(
+                t=d.pop("t"),
+                name=d.pop("ev"),
+                trace=d.pop("trace", 0),
+                span=d.pop("span", 0),
+                parent=d.pop("parent", 0),
+                attrs=d or None,
             )
-        return FlightRecorder.from_events(events)
+            for d in json.loads("[" + ",".join(lines) + "]")
+        ])
 
     @staticmethod
     def load_jsonl(path: str) -> "FlightRecorder":

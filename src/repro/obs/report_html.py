@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.obs.critpath import SEGMENTS, CriticalPathReport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightEvent, FlightRecorder
+    from repro.obs.flightrec import FlightRecorder
     from repro.obs.whatif import Prediction, ReplayModel
     from repro.spark.deploy import RunResult
 
@@ -69,15 +69,10 @@ def _decimate(items: Sequence, limit: int) -> list:
 
 def _gantt_svg(flight: "FlightRecorder", width: int = 920) -> str:
     """Stage Gantt from stage.start / stage.finish event pairs."""
-    starts: dict[str, float] = {}
-    bars: list[tuple[str, float, float]] = []
-    for ev in flight.events:
-        if ev.name == "stage.start":
-            starts[ev.attrs.get("stage", "?")] = ev.t
-        elif ev.name == "stage.finish":
-            label = ev.attrs.get("stage", "?")
-            if label in starts:
-                bars.append((label, starts.pop(label), ev.t))
+    bars = [
+        (label, start.t, finish.t)
+        for label, start, finish in flight.index().stage_pairs
+    ]
     if not bars:
         return "<p class='note'>no stage events in the flight log</p>"
     t0 = min(b[1] for b in bars)
@@ -115,16 +110,10 @@ def _timeline_svg(
     flight: "FlightRecorder", width: int = 920, max_spans: int = TIMELINE_MAX_SPANS
 ) -> str:
     """Message timeline: one line per traced message, send → recv/match."""
-    sends: dict[int, "FlightEvent"] = {}
-    closes: dict[int, float] = {}
-    order: list[int] = []
-    for ev in flight.events:
-        if ev.name == "msg.send":
-            sends[ev.span] = ev
-            order.append(ev.span)
-        elif ev.name in ("msg.recv", "mpi.match") and ev.span not in closes:
-            closes[ev.span] = ev.t
-    spans = [s for s in order if s in closes]
+    index = flight.index()
+    sends = index.send
+    closes = index.close_first  # a line ends at the first recv or match
+    spans = [s for s in index.send_order if s in closes]
     if not spans:
         return "<p class='note'>no completed message spans in the flight log</p>"
     total = len(spans)

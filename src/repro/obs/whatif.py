@@ -43,14 +43,13 @@ the wave packing — per-executor contention is assumed unchanged.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.obs.critpath import polls_for_messages
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightRecorder
+    from repro.obs.flightrec import FlightIndex, FlightRecorder
     from repro.spark.deploy import RunResult
 
 # Fallback eager→rendezvous switch when a trace predates the run.meta
@@ -211,6 +210,51 @@ def _stage_of(label: str) -> str:
     return label.rsplit("-task", 1)[0] if "-task" in label else label
 
 
+def _global_legs(
+    index: "FlightIndex", rndv: int
+) -> tuple[list[list[float]], list[list[float]]]:
+    """The run's merged wire-busy union and wire-or-dwell union.
+
+    A pure function of the index and the rendezvous threshold, so it is
+    memoized on the index: a second model of the same recording (the
+    HTML report's planner section) does not redo the sort.
+    """
+    recvs = index.recv_first  # the payload is delivered once: first recv
+    matches = index.match_first
+    waited = index.waited
+    wire_legs: list[tuple[float, float]] = []
+    dwell_legs: list[tuple[float, float]] = []
+    for span, send in index.send.items():
+        send_t = send.t
+        m = matches.get(span)
+        close = recvs.get(span, m)
+        if close is None:
+            continue  # aborted / still-open span: no closed leg
+        if m is None:
+            # Socket transfer: payload on the wire until delivery.
+            if close > send_t:
+                wire_legs.append((send_t, close))
+            continue
+        dwell = waited.get(span, 0.0)
+        arrival = m - dwell
+        if send.attrs.get("nbytes", 0) > rndv:
+            # Rendezvous: the envelope is an RTS; the payload moves
+            # after the match (CTS + bulk transfer).
+            if close > m:
+                wire_legs.append((m, close))
+        else:
+            # Eager: the payload rode the envelope to the receiver.
+            if arrival > send_t:
+                wire_legs.append((send_t, arrival))
+        if dwell > 0 and m > arrival:
+            dwell_legs.append((arrival, m))
+    wire = _merged(wire_legs)
+    # Coalescing is a closure, so the union over the already-merged wire
+    # plus the dwell legs is the union over all legs, without sorting the
+    # wire legs a second time.
+    return wire, _merged([*map(tuple, wire), *dwell_legs])
+
+
 class ReplayModel:
     """The re-timeable form of one recorded run.
 
@@ -251,47 +295,14 @@ class ReplayModel:
         applications on shared slot gates, which the wave re-packing
         cannot reproduce — they are rejected.
         """
-        sends: dict[int, float] = {}
-        recvs: dict[int, float] = {}
-        matches: dict[int, float] = {}
-        nbytes: dict[int, int] = {}
-        waited: dict[int, float] = defaultdict(float)
-        trace_spans: dict[int, list[int]] = defaultdict(list)
-        task_start: dict[int, Any] = {}
-        task_finish: dict[int, Any] = {}
-        stage_bounds: list[tuple[str, float, float]] = []
-        open_stages: dict[str, float] = {}
-        meta: dict[str, Any] = {}
-
-        for ev in flight.events:
-            n = ev.name
-            if n == "msg.send":
-                sends[ev.span] = ev.t
-                nbytes[ev.span] = ev.attrs.get("nbytes", 0)
-                trace_spans[ev.trace].append(ev.span)
-            elif n == "msg.recv":
-                recvs.setdefault(ev.span, ev.t)
-            elif n == "mpi.match":
-                matches.setdefault(ev.span, ev.t)
-                waited[ev.span] += ev.attrs.get("waited_s", 0.0)
-            elif n == "task.start":
-                task_start[ev.trace] = ev
-            elif n == "task.finish":
-                task_finish[ev.trace] = ev
-            elif n == "stage.start":
-                open_stages[ev.attrs["stage"]] = ev.t
-            elif n == "stage.finish":
-                label = ev.attrs["stage"]
-                if label in open_stages:
-                    stage_bounds.append((label, open_stages.pop(label), ev.t))
-            elif n == "run.meta":
-                meta = dict(ev.attrs)
-            elif n in ("job.submit", "job.start"):
-                raise ValueError(
-                    "what-if replay does not support multi-tenant job-server "
-                    "traces: applications contend on shared slot gates, which "
-                    "the single-tenant wave re-packing cannot re-time"
-                )
+        tables = flight.index()
+        if tables.job_submit or tables.job_start:
+            raise ValueError(
+                "what-if replay does not support multi-tenant job-server "
+                "traces: applications contend on shared slot gates, which "
+                "the single-tenant wave re-packing cannot re-time"
+            )
+        meta = tables.meta  # the geometry in force at the end of the run
 
         transport = transport or meta.get("transport")
         if transport is None:
@@ -308,41 +319,16 @@ class ReplayModel:
             n_executors = meta.get("n_workers")
         rndv = meta.get("rendezvous_threshold") or DEFAULT_RENDEZVOUS_THRESHOLD
 
-        # Global wire-busy and dwell legs (the whole run's network activity).
-        wire_legs: list[tuple[float, float]] = []
-        dwell_legs: list[tuple[float, float]] = []
-        for span, send_t in sends.items():
-            close = recvs.get(span, matches.get(span))
-            if close is None:
-                continue  # aborted / still-open span: no closed leg
-            m = matches.get(span)
-            if m is None:
-                # Socket transfer: payload on the wire until delivery.
-                if close > send_t:
-                    wire_legs.append((send_t, close))
-                continue
-            dwell = waited.get(span, 0.0)
-            arrival = m - dwell
-            if nbytes.get(span, 0) > rndv:
-                # Rendezvous: the envelope is an RTS; the payload moves
-                # after the match (CTS + bulk transfer).
-                if close > m:
-                    wire_legs.append((m, close))
-            else:
-                # Eager: the payload rode the envelope to the receiver.
-                if arrival > send_t:
-                    wire_legs.append((send_t, arrival))
-            if dwell > 0 and m > arrival:
-                dwell_legs.append((arrival, m))
-        global_wire = _merged(wire_legs)
-        global_all = _merged(wire_legs + dwell_legs)
+        global_wire, global_all = tables.memoized(
+            ("whatif.legs", rndv), lambda: _global_legs(tables, rndv)
+        )
 
         poll_sensitive = polls_for_messages(transport)
         per_stage: dict[str, list[TaskRecord]] = {
-            label: [] for label, _, _ in stage_bounds
+            label: [] for label, _, _ in tables.stage_pairs
         }
-        for trace, fin in task_finish.items():
-            st = task_start.get(trace)
+        for trace, fin in tables.task_finish.items():
+            st = tables.task_start.get(trace)
             if st is None:
                 continue
             label = fin.attrs.get("task", "")
@@ -361,7 +347,7 @@ class ReplayModel:
                     # the first request leaving approximates the ramdisk
                     # read of the task's local blocks.
                     first_send = min(
-                        (sends[s] for s in trace_spans.get(trace, ()) if s in sends),
+                        (tables.send[s].t for s in tables.trace_spans.get(trace, ())),
                         default=None,
                     )
                     local = (
@@ -397,11 +383,11 @@ class ReplayModel:
         stages = [
             StageRecord(
                 label=label,
-                t0=t0,
-                t1=t1,
+                t0=start.t,
+                t1=finish.t,
                 tasks=tuple(sorted(per_stage.get(label, []), key=lambda r: r.index)),
             )
-            for label, t0, t1 in stage_bounds
+            for label, start, finish in tables.stage_pairs
         ]
         if n_executors is None:
             seen = {t.exec_id for s in stages for t in s.tasks}

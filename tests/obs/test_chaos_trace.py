@@ -95,6 +95,7 @@ class TestChannelDeath:
     def test_no_dangling_spans(self, crashed):
         flight, _ = crashed
         assert flight.open_spans() == []
+        assert flight.index().unclosed_spans() == []
         # aborted spans were really open: each had a send, never a recv
         recvd = {ev.span for ev in flight.named("msg.recv")}
         matched = {ev.span for ev in flight.named("mpi.match")}
@@ -119,6 +120,9 @@ class TestMpiAbort:
     def test_abort_sweep_closes_everything(self, aborted):
         flight, _ = aborted
         assert flight.open_spans() == []
+        # the log agrees with the live table: every send delivered or tombstoned
+        assert flight.index().aborted
+        assert flight.index().unclosed_spans() == []
 
     def test_trace_still_has_the_story(self, aborted):
         flight, _ = aborted
@@ -136,6 +140,7 @@ class TestShrinkRecovery:
         assert failure is None
         assert not flight.named("mpi.abort")
         assert flight.open_spans() == []
+        assert flight.index().unclosed_spans() == []
 
     def test_run_scenario_accepts_obs_causal(self):
         report = run_scenario(traced_scenario("nio"))

@@ -1,7 +1,9 @@
 """FlightRecorder unit behaviour: bounded log, open spans, failure sweeps."""
 
+import gzip
 import json
 import pickle
+from pathlib import Path
 
 from repro.obs.causal import TraceContext
 from repro.obs.flightrec import DEFAULT_CAPACITY, FlightEvent, FlightRecorder
@@ -121,6 +123,28 @@ class TestEviction:
         a = rec.write(str(tmp_path / "a.jsonl.gz"))
         b = rec.write(str(tmp_path / "b.jsonl.gz"))
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_committed_baselines_reexport_to_their_own_bytes(self, tmp_path):
+        # One shared encoder, one parse per import: the text and the
+        # archive a committed recording re-exports to are the ones it holds.
+        paths = sorted((Path(__file__).resolve().parents[2] / "baselines").glob("*.jsonl.gz"))
+        assert len(paths) == 3
+        for path in paths:
+            rec = FlightRecorder.load_jsonl(str(path))
+            assert rec.to_jsonl() == gzip.decompress(path.read_bytes()).decode("utf-8")
+            again = rec.write(str(tmp_path / path.name))
+            assert open(again, "rb").read() == path.read_bytes()
+
+    def test_import_skips_blank_lines_and_export_is_compact_sorted(self):
+        text = '\n{"t":0.5,"ev":"msg.send","span":2,"nbytes":8,"ch":"c0"}\n  \n{"t":1,"ev":"x"}\n'
+        rec = FlightRecorder.from_jsonl(text)
+        assert [(ev.t, ev.name, ev.span, ev.attrs) for ev in rec.events] == [
+            (0.5, "msg.send", 2, {"nbytes": 8, "ch": "c0"}), (1, "x", 0, {}),
+        ]
+        assert rec.to_jsonl() == (
+            '{"ch":"c0","ev":"msg.send","nbytes":8,"span":2,"t":0.5}\n{"ev":"x","t":1}\n'
+        )
+        assert FlightRecorder.from_jsonl("").to_jsonl() == ""
 
 
 class TestOpenSpans:
