@@ -73,12 +73,6 @@ def write_bench_json(figure: str, payload: dict) -> pathlib.Path:
     path = RESULTS_DIR / f"BENCH_{figure}.json"
     payload = {"figure": figure, "full_geometry": FULL, **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    # Append the payload's headline timings to the perf ledger
-    # (results/ledger.jsonl, REPRO_LEDGER=0 disables). Observation only:
-    # the BENCH file above is already written and never modified.
-    from repro.harness import ledger
-
-    ledger.record_figure(figure, payload)
     return path
 
 

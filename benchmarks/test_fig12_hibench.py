@@ -25,7 +25,9 @@ def _run_one(name: str, transport: str):
     sim = SparkSimCluster(FRONTERA, 16, transport)
     sim.launch()
     prof = SPECS[name].build_profile(FRONTERA, 16, fidelity=HIBENCH_FIDELITY)
-    return sim.run_profile(prof)
+    res = sim.run_profile(prof)
+    sim.shutdown()
+    return res
 
 
 def test_fig12_matrix(benchmark, cells):

@@ -14,9 +14,7 @@ flight recording, then:
 * checks each transport's fresh recording against its committed
   baseline under ``baselines/`` (must be the zero-identity diff),
 * forces a regression (``blame_report(..., inject=(segment, factor))``)
-  and checks the blame report names the injected segment,
-* appends the headline walls to the perf ledger and prints any EWMA
-  step-change flags.
+  and checks the blame report names the injected segment.
 
 Exit is non-zero unless (a) the basic-vs-opt diff blames poll-tax for
 at least half the wall delta, (b) every baseline self-diff is the zero
@@ -30,7 +28,6 @@ Run:   python examples/run_diff.py
 import pathlib
 import sys
 
-from repro.harness import ledger
 from repro.harness.blame import (
     BLAME_TRANSPORTS,
     baseline_path,
@@ -107,25 +104,6 @@ def main() -> int:
             f"top {idiff.top_contributor()}, "
             f"delta {fmt_time(idiff.wall_delta_s)} -> {html}",
         )
-
-    # -- perf ledger: append headline walls, surface step changes ------------
-    entry = ledger.record_figure(
-        "diff_smoke",
-        {"cells": [
-            {"workload": "GroupByTest", "n_workers": 2, "transport": "mpi-opt",
-             "total_seconds": opt.total_seconds},
-            {"workload": "GroupByTest", "n_workers": 2, "transport": "mpi-basic",
-             "total_seconds": basic.total_seconds},
-        ]},
-    )
-    if entry is not None:
-        book = ledger.PerfLedger()
-        flags = book.flagged("fig:diff_smoke")
-        print(f"ledger: {book.path} now {len(book.entries())} entries; "
-              f"{len(flags)} step-change flag(s)")
-        for point in flags:
-            print(f"  step: {point.cell} {point.value:.4f}s "
-                  f"vs ewma {point.ewma:.4f}s ({point.rel_dev:+.0%})")
 
     return 0 if ok else 1
 

@@ -26,8 +26,9 @@ Run:  python examples/whatif_planner.py [trace.jsonl]
 import pathlib
 import sys
 
+from repro.harness.parallel import run_ohb_cell
 from repro.harness.systems import FRONTERA
-from repro.harness.whatif import run_whatif_truth_cell, truth_spec
+from repro.harness.whatif import truth_spec
 from repro.obs import render_planner_page
 from repro.obs.whatif import IDENTITY, Perturbation, ReplayModel, load_model
 from repro.spark.conf import SparkConf
@@ -118,9 +119,9 @@ def main() -> int:
         print("\nvalidating against ground-truth re-simulations:")
         for p in VALIDATED:
             pred = model.retime(p)
-            sim_wall, _, _ = run_whatif_truth_cell(
+            sim_wall = run_ohb_cell(
                 truth_spec(CELL, p, FIDELITY, FRONTERA.name)
-            )
+            ).total_seconds
             err = pred.wall_s / sim_wall - 1.0
             ok = abs(err) <= TOLERANCE
             failed |= not ok

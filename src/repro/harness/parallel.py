@@ -18,8 +18,10 @@ exactly what it was.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 # Cell specs are plain tuples of primitives; workers re-resolve registry
 # objects (workloads, systems) by name so specs pickle under any start
@@ -54,17 +56,86 @@ def parallel_map(
 
 # -- module-level workers (must be importable by worker processes) ----------
 
-def run_ohb_cell(spec: tuple) -> Any:
-    """Worker: one OHB cell from a primitive spec.
+class OhbSpec(NamedTuple):
+    """One OHB cell: what to run, then the what-if knobs to run it under.
 
-    ``spec`` is ``(workload_name, n_workers, data_bytes, transport,
-    fidelity, system_name[, obs_causal])`` — the argument order of
-    ``experiments._run_ohb`` with the system passed by name.  The
-    optional seventh element turns on causal flight recording
-    (``spark.repro.obs.causal``); six-element specs stay valid.
+    The first six fields are the argument order of ``experiments._run_ohb``
+    with the system passed by name; plain 6- and 7-tuples are the same
+    spec with the remaining fields at their defaults.  The four rates are
+    the :class:`~repro.obs.whatif.Perturbation` knobs the simulator can
+    realise (1.0 = unchanged): ``link_rate`` scales the fabric line rate
+    (every transport derives its ``per_byte_s`` from it), ``poll_tax`` the
+    Basic event loop's poll constants, ``serializer_rate`` /
+    ``local_read_rate`` the ramdisk shuffle write / read bandwidths.
     """
-    workload_name, n_workers, data_bytes, transport, fidelity, system_name = spec[:6]
-    obs_causal = bool(spec[6]) if len(spec) > 6 else False
+
+    workload: str
+    n_workers: int
+    data_bytes: int
+    transport: str
+    fidelity: float
+    system: str
+    obs_causal: bool = False
+    link_rate: float = 1.0
+    poll_tax: float = 1.0
+    serializer_rate: float = 1.0
+    local_read_rate: float = 1.0
+
+
+def perturbed_system(system, link_rate: float):
+    """``system`` with its fabric line rate scaled by ``link_rate``."""
+    if link_rate == 1.0:
+        return system
+    fabric = dataclasses.replace(
+        system.fabric, line_rate_Bps=system.fabric.line_rate_Bps * link_rate
+    )
+    return dataclasses.replace(system, fabric=fabric)
+
+
+@contextlib.contextmanager
+def _knobs_applied(spec: OhbSpec):
+    """Swap the module constants ``spec``'s knobs scale; restore on exit."""
+    import repro.core.mpi_netty as mpi_netty
+    import repro.spark.deploy as deploy
+
+    saved = (
+        mpi_netty.SELECT_NOW_COST_S,
+        mpi_netty.IPROBE_COST_S,
+        mpi_netty.BASIC_POLL_PERIOD_S,
+        deploy.RAMDISK_WRITE_BPS,
+        deploy.RAMDISK_READ_BPS,
+    )
+    try:
+        # Poll-tax scaling: cheaper polls *and* a proportionally shorter
+        # poll period — poll_tax=0.0 is a free, instantly-reactive poll
+        # loop, the simulator's closest realization of "no polling tax".
+        mpi_netty.SELECT_NOW_COST_S = saved[0] * spec.poll_tax
+        mpi_netty.IPROBE_COST_S = saved[1] * spec.poll_tax
+        mpi_netty.BASIC_POLL_PERIOD_S = saved[2] * spec.poll_tax
+        deploy.RAMDISK_WRITE_BPS = saved[3] * spec.serializer_rate
+        deploy.RAMDISK_READ_BPS = saved[4] * spec.local_read_rate
+        yield
+    finally:
+        (
+            mpi_netty.SELECT_NOW_COST_S,
+            mpi_netty.IPROBE_COST_S,
+            mpi_netty.BASIC_POLL_PERIOD_S,
+            deploy.RAMDISK_WRITE_BPS,
+            deploy.RAMDISK_READ_BPS,
+        ) = saved
+
+
+def run_ohb_cell(spec: tuple) -> Any:
+    """Worker: one OHB cell from an :class:`OhbSpec` (or a plain tuple
+    of its leading fields), through the run cache.
+
+    The cache key is the normalised spec, knobs included, so a spec at
+    identity knobs and the plain 6-tuple are one entry and every
+    perturbed cell is its own.  The knobs are applied inside the cached
+    runner, in the process that simulates: parallel cells never see each
+    other's knobs and a cache hit patches nothing.
+    """
+    spec = OhbSpec(*spec)
     from repro.harness.runcache import get_or_run
 
     def _run():
@@ -73,21 +144,18 @@ def run_ohb_cell(spec: tuple) -> Any:
         from repro.workloads.ohb import GROUP_BY, SORT_BY
 
         workloads = {w.name: w for w in (GROUP_BY, SORT_BY)}
-        return _run_ohb(
-            workloads[workload_name],
-            n_workers,
-            data_bytes,
-            transport,
-            fidelity,
-            system=SYSTEMS[system_name],
-            obs_causal=obs_causal,
-        )
+        with _knobs_applied(spec):
+            return _run_ohb(
+                workloads[spec.workload],
+                spec.n_workers,
+                spec.data_bytes,
+                spec.transport,
+                spec.fidelity,
+                system=perturbed_system(SYSTEMS[spec.system], spec.link_rate),
+                obs_causal=spec.obs_causal,
+            )
 
-    canon = (
-        workload_name, n_workers, data_bytes, transport, fidelity,
-        system_name, obs_causal,
-    )
-    return get_or_run("ohb", canon, _run)
+    return get_or_run("ohb", spec, _run)
 
 
 def run_hibench_cell(spec: tuple) -> Any:
@@ -166,13 +234,12 @@ def run_jobserver_cell(spec: tuple) -> Any:
 def run_flight_cell(spec: tuple) -> Any:
     """Worker: one causal OHB cell, returning its flight recording.
 
-    ``spec`` is the 7-tuple :func:`run_ohb_cell` spec with ``obs_causal``
-    forced on; the return value is the run's
+    ``spec`` is a :func:`run_ohb_cell` spec with ``obs_causal`` forced
+    on; the return value is the run's
     :class:`~repro.obs.flightrec.FlightRecorder` (picklable), which is
     what baseline recording and blame reports need.
     """
-    spec = tuple(spec[:6]) + (True,)
-    cell = run_ohb_cell(spec)
+    cell = run_ohb_cell(OhbSpec(*spec)._replace(obs_causal=True))
     return cell.result.flight
 
 

@@ -1,12 +1,12 @@
 """Two-tier full-run result cache: simulate a cell once, replay many.
 
-The sample-trace cache (:mod:`repro.harness.tracecache`) stopped the
-harness re-executing identical laptop-scale sample runs; the *simulation*
-of each figure cell still re-ran from scratch on every benchmark
-invocation even when nothing relevant had changed. Every cell result is a
-pure function of its primitive spec — that is the parallel harness's
-founding invariant — so a cell's :class:`RunResult` can be cached exactly
-like a trace:
+This is the harness's one persistent store, and the policy is by cost: a
+simulated cell (seconds of host time) is worth keeping across processes
+and goes through :func:`get_or_run`; a sample trace (milliseconds) is
+memoised per process by :mod:`repro.harness.tracecache` and nothing
+else; host seconds are never part of a cached or committed result.
+Every cell result is a pure function of its primitive spec — that is the
+parallel harness's founding invariant — so a cell's result is cached in
 
 * an **in-process memo** (dict) — free hits within one process;
 * a **content-addressed disk store** under ``results/.runcache/`` —
@@ -14,16 +14,18 @@ like a trace:
   :mod:`repro.harness.parallel` and across repeated CI runs.
 
 The key is a sha256 over a canonical textual repr of (schema, cell kind,
-the full primitive spec tuple, the live values of every module constant
-the what-if harness patches, a code-version fingerprint of ``src/repro``,
-and the Python minor version). The code fingerprint — a sha256 over the
+the full primitive spec tuple, the live values of the module constants
+harness code patches, a code-version fingerprint of ``src/repro``, and
+the Python minor version). The code fingerprint — a sha256 over the
 sorted (path, content-hash) pairs of every ``repro`` source file — means
 *any* source edit invalidates every entry cleanly: stale entries are
 never read because the address they were stored under no longer matches
-anything the code asks for. The live patchable constants guard the other
-direction: a what-if truth re-simulation that monkeypatches poll costs or
-ramdisk rates inside an unchanged source tree must not poison (or read)
-the unpatched entries.
+anything the code asks for. What-if perturbation knobs are fields of the
+spec (:class:`~repro.harness.parallel.OhbSpec`), applied inside the
+cached runner. The live constants guard the other direction: a caller
+that patches poll costs or ramdisk rates *around* a cell (blame's
+``inject``, the ablations, a monkeypatching test) inside an unchanged
+source tree must not poison (or read) the unpatched entries.
 
 Both tiers store the *pickled* result blob and every hit unpickles it
 afresh, so a cached cell is byte-identical to a recomputed one and no two
@@ -56,7 +58,7 @@ _MEMO: dict[str, bytes] = {}
 
 # Process-lifetime stats. Callers that attribute traffic to one run (the
 # obs snapshot hook in ``spark.deploy``) snapshot a baseline and publish
-# deltas, mirroring the trace-cache pattern.
+# deltas, mirroring the trace-memo pattern.
 _STATS = {
     "hits_mem": 0,
     "hits_disk": 0,
@@ -123,12 +125,12 @@ def _reset_fingerprint_cache() -> None:
 
 
 def live_constants() -> tuple:
-    """Current values of every module constant the what-if harness patches.
+    """Current values of every module constant harness code patches.
 
     The code fingerprint covers the constants' *source* values; these are
-    their *runtime* values. A truth re-simulation that monkeypatches poll
-    costs or ramdisk bandwidth gets distinct cache addresses, so patched
-    and unpatched runs can never serve each other's entries.
+    their *runtime* values. A run with poll costs, ramdisk bandwidth or
+    compute inflation patched around it gets distinct cache addresses, so
+    patched and unpatched runs can never serve each other's entries.
     """
     from repro.core import mpi_netty
     from repro.spark import deploy

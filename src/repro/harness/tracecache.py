@@ -1,208 +1,77 @@
-"""Two-tier sample-trace cache: trace once, replay many.
+"""Sample-trace memo: trace once per process, replay many.
 
 A sample trace (see :class:`~repro.spark.tracing.SampleTrace`) depends
 only on the workload and its sample parameters — never on the transport,
 system, or worker count being simulated. Yet every figure sweeps the same
-workload across 3-4 transports and many cluster sizes, so without a cache
+workload across 3-4 transports and many cluster sizes, so without a memo
 the harness re-executes the identical laptop-scale sample run for every
-cell. This module memoizes traces twice:
+cell.
 
-* an **in-process memo** (dict) — free hits within one process;
-* a **content-addressed disk store** under ``results/.tracecache/`` —
-  shared across the ``ProcessPoolExecutor`` workers of
-  :mod:`repro.harness.parallel` and across repeated CI runs.
-
-The key is a sha256 over a canonical textual repr of (schema, workload
-name, version tag, sample params, and the workload's code-relevant cost
-constants) — never Python's ``hash()``, which is salted per process.
-Bumping a workload's ``TRACE_VERSION`` or editing its cost constants
-invalidates its entries; stale entries are never read because the key
-they were stored under no longer matches anything the code asks for.
-
-Corrupted or stale entries (truncated pickle, garbage bytes, an entry
-whose recorded key disagrees with its filename) are treated as misses:
-the sample re-runs and the entry is rewritten. Disk writes are atomic
-(tmp file + ``os.replace``) so concurrent workers never observe a
-half-written entry.
-
-Set ``REPRO_TRACE_CACHE=0`` to disable both tiers (every call re-executes
-the sample); ``REPRO_TRACE_CACHE_DIR`` overrides the store location.
+The memo is per process and nothing else. A sample run costs
+milliseconds (DESIGN §12 has the measurement), so persisting it across
+processes saves less than reading it back is worth, and a persisted
+trace is the one harness result that could outlive the code that
+produced it: results that cost seconds go through
+:mod:`repro.harness.runcache`, whose key carries the code fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import sys
-import tempfile
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.spark.tracing import SampleTrace
 
-TRACE_SCHEMA = "sample-trace/1"
-
 # In-process memo: key -> SampleTrace. Shared by every workload in this
-# interpreter; cleared explicitly by tests and the cold perf cells.
+# interpreter; cleared explicitly by tests and the benchmark's cold cells.
 _MEMO: dict[str, SampleTrace] = {}
 
 # Process-lifetime stats. Callers that attribute traffic to one run (the
 # obs snapshot hook in ``spark.deploy``) snapshot a baseline and publish
 # deltas, mirroring the estimate_size cache pattern.
-_STATS = {
-    "hits_mem": 0,
-    "hits_disk": 0,
-    "misses": 0,
-    "sample_runs": 0,
-    "bytes_read": 0,
-    "bytes_written": 0,
-    "errors": 0,
-}
+_STATS = {"hits": 0, "sample_runs": 0}
 
 
 def trace_cache_stats() -> dict[str, int]:
-    """Process-lifetime cache stats (copy; safe to mutate)."""
+    """Process-lifetime memo stats (copy; safe to mutate)."""
     return dict(_STATS)
 
 
-def cache_enabled() -> bool:
-    """Both tiers are on unless ``REPRO_TRACE_CACHE=0``."""
-    return os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
-
-
-def cache_dir() -> Path:
-    """On-disk store location (``REPRO_TRACE_CACHE_DIR`` overrides)."""
-    override = os.environ.get("REPRO_TRACE_CACHE_DIR")
-    if override:
-        return Path(override)
-    return Path("results") / ".tracecache"
-
-
 def trace_key(
-    workload: str,
-    version: str,
-    sample_params: dict[str, Any],
-    cost_constants: Any = None,
+    workload: str, sample_params: dict[str, Any], cost_constants: Any = None
 ) -> str:
-    """Content hash addressing one (workload, params, code-version) trace.
-
-    Canonical-repr hashing, not ``hash()``: PYTHONHASHSEED salts the
-    builtin hash per process, and the whole point of the disk tier is
-    that different processes agree on the address.
-    """
+    """Content hash addressing one (workload, params, cost constants) trace."""
     material = repr(
-        (
-            TRACE_SCHEMA,
-            workload,
-            version,
-            tuple(sorted(sample_params.items())),
-            repr(cost_constants),
-            f"py{sys.version_info.major}.{sys.version_info.minor}",
-        )
+        (workload, tuple(sorted(sample_params.items())), repr(cost_constants))
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _entry_path(key: str) -> Path:
-    return cache_dir() / f"{key}.pkl"
-
-
-def _load_disk(key: str) -> SampleTrace | None:
-    """Read one disk entry; any defect (missing, truncated, garbage,
-    wrong recorded key) is a miss, never an error for the caller."""
-    path = _entry_path(key)
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None
-    try:
-        payload = pickle.loads(blob)
-        if payload["schema"] != TRACE_SCHEMA or payload["key"] != key:
-            raise ValueError("stale or mismatched cache entry")
-        trace = payload["trace"]
-        if not isinstance(trace, SampleTrace):
-            raise TypeError("cache entry does not hold a SampleTrace")
-    except Exception:
-        _STATS["errors"] += 1
-        return None
-    _STATS["bytes_read"] += len(blob)
-    return trace
-
-
-def _store_disk(key: str, trace: SampleTrace) -> None:
-    """Atomic write (tmp + rename); failures are silently tolerated —
-    the cache is an accelerator, never a correctness dependency."""
-    payload = {"schema": TRACE_SCHEMA, "key": key, "trace": trace}
-    try:
-        directory = cache_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, _entry_path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        _STATS["bytes_written"] += len(blob)
-    except Exception:
-        _STATS["errors"] += 1
-
-
 def get_or_trace(
     workload: str,
-    version: str,
     sample_params: dict[str, Any],
     runner: Callable[[], SampleTrace],
     cost_constants: Any = None,
 ) -> SampleTrace:
-    """Return the trace for (workload, params), executing ``runner`` at
-    most once per machine while the cache holds.
-
-    Lookup order: in-process memo, disk store, then ``runner()`` (the
-    real sample execution) with the result promoted into both tiers.
-    With the cache disabled every call runs the sample.
-    """
-    if not cache_enabled():
-        _STATS["sample_runs"] += 1
-        return runner()
-    key = trace_key(workload, version, sample_params, cost_constants)
+    """Return the trace for (workload, params), executing ``runner`` (the
+    real sample execution) at most once per process while the memo holds."""
+    key = trace_key(workload, sample_params, cost_constants)
     trace = _MEMO.get(key)
     if trace is not None:
-        _STATS["hits_mem"] += 1
+        _STATS["hits"] += 1
         return trace
-    trace = _load_disk(key)
-    if trace is not None:
-        _STATS["hits_disk"] += 1
-        _MEMO[key] = trace
-        return trace
-    _STATS["misses"] += 1
     _STATS["sample_runs"] += 1
     trace = runner()
     _MEMO[key] = trace
-    _store_disk(key, trace)
     return trace
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process memo (disk entries survive)."""
+    """Drop the in-process memo."""
     _MEMO.clear()
 
 
 def clear_disk_cache() -> int:
-    """Remove every entry from the disk store; returns entries removed."""
-    directory = cache_dir()
-    removed = 0
-    if directory.is_dir():
-        for path in directory.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    """Nothing to remove: traces are not persisted. Kept because
+    ``bench/workloads.py`` calls it before its cold cells."""
+    return 0

@@ -677,7 +677,7 @@ class SparkSimCluster:
         self.apps: dict[int, AppHandle] = {}
         self._task_metric_bundles: dict[str | None, _TaskMetrics] = {}
         # Attribute cache traffic to this cluster: the estimate_size shape
-        # memo and the sample-trace cache keep process-global tallies, so
+        # memo and the sample-trace memo keep process-global tallies, so
         # snapshot hooks publish deltas since cluster construction under
         # one ``cache.*`` namespace (surfaced via RunResult.metrics).
         from repro.harness.runcache import run_cache_stats
@@ -690,11 +690,14 @@ class SparkSimCluster:
         base_hits, base_misses = size_cache_stats()
         trace_counters = {
             "hits": m.counter("cache.trace.hits"),
-            "misses": m.counter("cache.trace.misses"),
             "sample_runs": m.counter("cache.trace.sample_runs"),
-            "bytes_read": m.counter("cache.trace.bytes_read"),
-            "bytes_written": m.counter("cache.trace.bytes_written"),
         }
+        # Names from the deleted trace disk tier, registered at zero so a
+        # cached cell's pickle keeps its size: bench/ compares
+        # harness.runcache.bytes_written exactly, and only a
+        # benchmark-only PR may re-baseline it (ROADMAP item 4(iii)).
+        for name in ("misses", "bytes_read", "bytes_written"):
+            m.counter(f"cache.trace.{name}")
         trace_base = trace_cache_stats()
         # The run cache wraps whole cell simulations, so its traffic
         # happens *around* cluster lifetimes (a warm cell never builds a
@@ -715,11 +718,8 @@ class SparkSimCluster:
             c_size_hits.value = float(hits - base_hits)
             c_size_misses.value = float(misses - base_misses)
             stats = trace_cache_stats()
-            stats["hits"] = stats["hits_mem"] + stats["hits_disk"]
-            base = dict(trace_base)
-            base["hits"] = base["hits_mem"] + base["hits_disk"]
             for name, counter in trace_counters.items():
-                counter.value = float(stats[name] - base[name])
+                counter.value = float(stats[name] - trace_base[name])
             rstats = run_cache_stats()
             rstats["hits"] = rstats["hits_mem"] + rstats["hits_disk"]
             for name, counter in run_counters.items():

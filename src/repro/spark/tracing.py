@@ -63,7 +63,7 @@ class JobTrace:
 class SampleTrace:
     """Frozen, picklable result of one sample-scale execution.
 
-    This is the artifact the trace cache stores: everything
+    This is the artifact the trace memo holds: everything
     ``build_profile`` consumes from a sample run (stage structure, shuffle
     matrices, record/byte counts), decoupled from the live SparkContext
     that produced it. ``sample_params`` records the exact parameters the

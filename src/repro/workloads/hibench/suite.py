@@ -51,10 +51,6 @@ from repro.workloads.calibration import COSTS
 
 MAX_SIMULATED_ROUNDS = 8
 
-# Cache-key version tag for HiBench sample traces (bump when a sample
-# program or the data plane changes what a sample run records).
-TRACE_VERSION = "hibench/1"
-
 # HDFS on the evaluation nodes: effective per-node sequential throughput of
 # the datanode path (disk/page-cache + HDFS protocol). HDFS replication
 # traffic crosses the network over TCP for *every* transport — MPI4Spark
@@ -217,11 +213,10 @@ class HiBenchSpec:
         return SampleTrace.from_recorder(sc.tracer, self.name, merged)
 
     def sample_trace(self, **params) -> SampleTrace:
-        """The frozen sample trace, via the two-tier trace cache."""
+        """The frozen sample trace, via the per-process trace memo."""
         merged = {**SAMPLE_PARAM_DEFAULTS[self.name], **params}
         return get_or_trace(
             self.name,
-            TRACE_VERSION,
             merged,
             lambda: self.trace_sample(**merged),
             cost_constants=COSTS[self.name],

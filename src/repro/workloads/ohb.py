@@ -37,11 +37,6 @@ from repro.spark import SparkConf, SparkContext
 from repro.spark.tracing import SampleTrace
 from repro.workloads.calibration import COSTS, WorkloadCosts
 
-# Cache-key version tag for OHB sample traces: bump on any change to
-# run_sample / build_rdd / the data plane that alters what a sample run
-# records (stale disk entries then simply stop being addressed).
-TRACE_VERSION = "ohb/1"
-
 SAMPLE_DEFAULTS = {"num_pairs": 4000, "num_partitions": 4, "value_bytes": 64}
 
 
@@ -107,17 +102,16 @@ class OhbWorkload:
         return SampleTrace.from_recorder(sc.tracer, self.name, merged)
 
     def sample_trace(self, **params) -> SampleTrace:
-        """The frozen sample trace, via the two-tier trace cache.
+        """The frozen sample trace, via the per-process trace memo.
 
-        The cache key covers the workload name, ``TRACE_VERSION``, the
-        sample parameters and the workload's cost constants — nothing
-        about transport/system/scale, because the trace depends on none
-        of those.
+        The memo key covers the workload name, the sample parameters and
+        the workload's cost constants — nothing about
+        transport/system/scale, because the trace depends on none of
+        those.
         """
         merged = {**SAMPLE_DEFAULTS, **params}
         return get_or_trace(
             self.name,
-            TRACE_VERSION,
             merged,
             lambda: self.trace_sample(**merged),
             cost_constants=self.costs,
