@@ -52,17 +52,18 @@ def _binding_of(channel: Channel) -> CommBinding:
 
 
 def _mpi_isend(channel: Channel, payload: Any, nbytes: int, trace_ctx=None) -> None:
+    """Nonblocking send nobody waits on: no request is built."""
     binding = _binding_of(channel)
     tag = channel.attributes[ATTR_TAG]
     endpoint: "MpiEndpoint" = channel.event_loop.mpi_endpoint
-    endpoint.proc._isend(
+    endpoint.proc._start_send(
         binding.peer_gid,
         binding.comm.rank,
         binding.context_id,
         tag,
         payload,
-        nbytes,
-        trace_ctx=trace_ctx,
+        int(nbytes),
+        trace_ctx,
     )
 
 
@@ -210,9 +211,13 @@ class MpiBasicEventLoop(EventLoop):
         )
         # (channel, binding, tag) rows mirroring mpi_channels; rebuilt
         # lazily when a bind/unbind invalidates it (order must match —
-        # the iprobe drain order is simulation-visible).
+        # the iprobe drain order is simulation-visible). The park's
+        # (source, make) list is derived from one rows list and rebuilt
+        # with it.
         self._poll_cache: list = []
         self._poll_dirty = True
+        self._park_rows: list | None = None
+        self._park_sources: list = []
         self._endpoint = None
 
     def _poll_rows(self) -> list:
@@ -325,20 +330,26 @@ class MpiBasicEventLoop(EventLoop):
         :meth:`Selector.park` keeps one persistent waiter per source (its
         keys and wake-up queue, plus the probe buckets and task queue
         named here), so a park costs the signals since the last one, not
-        the number of channels.
+        the number of channels. The source list itself is rebuilt only
+        when the poll rows are.
         """
-        sources = []
         endpoint = self._endpoint
         if endpoint is None:
             endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
-        if endpoint is not None:
-            probe_event = endpoint.proc.matching.probe_event
-            sources = [
-                (channel, partial(probe_event, b.peer_rank, tag, b.context_id))
-                for channel, b, tag in self._poll_rows()
-                if b is not None and tag is not None
-            ]
-        sources.append((self.tasks, self.tasks.when_nonempty))
+        if endpoint is None:
+            sources = [(self.tasks, self.tasks.when_nonempty)]
+        else:
+            rows = self._poll_rows()
+            if rows is not self._park_rows:
+                probe_event = endpoint.proc.matching.probe_event
+                self._park_sources = [
+                    (channel, partial(probe_event, b.peer_rank, tag, b.context_id))
+                    for channel, b, tag in rows
+                    if b is not None and tag is not None
+                ]
+                self._park_sources.append((self.tasks, self.tasks.when_nonempty))
+                self._park_rows = rows
+            sources = self._park_sources
         yield from self.selector.park(extra=sources)
 
 

@@ -20,7 +20,7 @@ from repro.mpi.dpm import SPAWN_COST_S, SpawnSpec
 from repro.mpi.envelope import RTS_BYTES, Envelope, Protocol
 from repro.mpi.errors import CommError, MPIError, SpawnError, TagError
 from repro.mpi.matching import MatchingEngine
-from repro.mpi.request import Request, wait_all, wait_any
+from repro.mpi.request import Request, wait_all
 from repro.mpi.runtime import MPIProcess, MPIWorld, RankSpec
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 
@@ -38,7 +38,6 @@ __all__ = [
     "MAX_TAG",
     "Request",
     "wait_all",
-    "wait_any",
     "Status",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -61,20 +61,3 @@ def wait_all(
         results.append(value)
     return results
 
-
-def wait_any(
-    env: "SimEngine", requests: list[Request]
-) -> Generator["Event", Any, tuple[int, Any]]:
-    """Generator completing with ``(index, value)`` of the first completion."""
-    if not requests:
-        raise ValueError("wait_any of no requests")
-    for i, req in enumerate(requests):
-        if req.completed:
-            flag, value = req.test()
-            return i, value
-    yield env.any_of([r.event for r in requests])
-    for i, req in enumerate(requests):
-        if req.completed:
-            flag, value = req.test()
-            return i, value
-    raise AssertionError("any_of fired with no completed request")

@@ -28,6 +28,7 @@ from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 from repro.simnet.engine import SimEngine
+from repro.simnet.events import Event
 from repro.simnet.interconnect import WireModel
 from repro.simnet.resources import Store
 from repro.simnet.topology import LinkDown, MessageDropped, SimCluster, SimNode
@@ -36,6 +37,18 @@ from repro.util.units import GiB
 
 # Copying an eager payload out of the unexpected queue (bounce buffer).
 UNEXPECTED_COPY_S_PER_BYTE = 1.0 / (8.0 * GiB)
+
+
+class _SendDone(Event):
+    """A nonblocking rendezvous send's ``send_done``: it names the request
+    its dispatch settles (until then), since whoever triggers it sets its
+    value."""
+
+    __slots__ = ("request",)
+
+    def __init__(self, env: SimEngine, request: Request) -> None:
+        super().__init__(env)
+        self.request = request
 
 
 class MPIProcess:
@@ -93,6 +106,34 @@ class MPIProcess:
         )
 
     # -- send side -----------------------------------------------------------
+    def _send_overhead(self, size: int) -> float:
+        memo = self.world._send_cpu_memo
+        overhead = memo.get(size)
+        if overhead is None:
+            overhead = memo[size] = self.world.model.sender_cpu_time(size)
+        return overhead
+
+    def _route_send(self, send: tuple, send_done: Event | None) -> bool:
+        """The step after the send overhead: re-check the peer (it may have
+        died meanwhile), count, and route the envelope. ``send`` is the
+        message tuple of :meth:`_start_send`; ``send_done`` rides a
+        rendezvous envelope. Returns whether the send went eager."""
+        dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, _ = send
+        self._check_sendable(dst_gid)
+        world = self.world
+        world._c_send_bytes.inc(size)
+        eager = size <= world.model.rendezvous_threshold
+        if eager:
+            world._c_send_eager.inc()
+        else:
+            world._c_send_rendezvous.inc()
+        world._route(Envelope(
+            self.gid, src_rank, dst_gid, context_id, tag, payload, size,
+            Protocol.EAGER if eager else Protocol.RENDEZVOUS,
+            send_done=send_done, trace_ctx=trace_ctx,
+        ))
+        return eager
+
     def _send(
         self,
         dst_gid: int,
@@ -112,31 +153,17 @@ class MPIProcess:
         a timeout.
         """
         self._check_sendable(dst_gid)
-        world = self.world
-        model = world.model
         size = sizeof(payload) if nbytes is None else int(nbytes)
-        overhead = world._send_cpu_memo.get(size)
-        if overhead is None:
-            overhead = world._send_cpu_memo[size] = model.sender_cpu_time(size)
-        yield self.env.timeout(overhead)
-        self._check_sendable(dst_gid)  # peer may have died during overhead
-        self.world._c_send_bytes.inc(size)
-        if size <= model.rendezvous_threshold:
-            self.world._c_send_eager.inc()
-            envl = Envelope(
-                self.gid, src_rank, dst_gid, context_id, tag, payload, size,
-                Protocol.EAGER, trace_ctx=trace_ctx,
-            )
-            self.world._route(envl)
-            return
-        self.world._c_send_rendezvous.inc()
-        done = self.env.event()
-        envl = Envelope(
-            self.gid, src_rank, dst_gid, context_id, tag, payload, size,
-            Protocol.RENDEZVOUS, send_done=done, trace_ctx=trace_ctx,
+        yield self.env.timeout(self._send_overhead(size))
+        done = None
+        if size > self.world.model.rendezvous_threshold:
+            done = self.env.event()
+        self._route_send(
+            (dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, None),
+            done,
         )
-        self.world._route(envl)
-        yield done
+        if done is not None:
+            yield done
 
     def _isend(
         self,
@@ -151,23 +178,93 @@ class MPIProcess:
         req = Request(self.env, "send")
         size = sizeof(payload) if nbytes is None else int(nbytes)
         req.status.nbytes = size
+        self._start_send(
+            dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, req
+        )
+        return req
+
+    def _start_send(
+        self,
+        dst_gid: int,
+        src_rank: int,
+        context_id: int,
+        tag: int,
+        payload: Any,
+        size: int,
+        trace_ctx: Any = None,
+        req: Request | None = None,
+    ) -> None:
+        """Nonblocking send as a callback chain (DESIGN §10 rule 7).
+
+        A start hop scheduled now, the overhead timeout, then
+        :meth:`_route_send`. With a ``req`` a termination hop settles it,
+        scheduled right after routing if eager and from ``send_done``'s
+        dispatch if rendezvous. Without one (the transports never read
+        it) nothing is scheduled past routing and a failure goes unseen.
+        Only :class:`MPIError` fails a request; anything else propagates
+        out of ``run``.
+
+        The message rides the events as their value, the tuple
+        ``(dst_gid, src_rank, context_id, tag, payload, size, trace_ctx,
+        req)``; one bound callback per step serves every message.
+        """
         try:
             self._check_sendable(dst_gid)
         except MPIError as exc:
-            req.event.fail(exc)
-            return req
-
-        def _run() -> Generator:
-            yield from self._send(
-                dst_gid, src_rank, context_id, tag, payload, size,
-                trace_ctx=trace_ctx,
-            )
-
-        proc = self.env.process(_run(), name=f"isend:{self.name}")
-        proc.add_callback(
-            lambda ev: req.event.succeed() if ev.ok else req.event.fail(ev.value)
+            if req is not None:
+                req.event.fail(exc)
+            return
+        start = Event(self.env)
+        start.callbacks.append(self._on_send_start)
+        start.succeed(
+            (dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, req)
         )
-        return req
+
+    def _on_send_start(self, event: Event) -> None:
+        send = event._value
+        try:
+            self._check_sendable(send[0])
+        except MPIError as exc:
+            self._end_send(send[7], exc)
+            return
+        overhead = self.env.timeout(self._send_overhead(send[5]), send)
+        overhead.callbacks.append(self._on_send_overhead)
+
+    def _on_send_overhead(self, event: Event) -> None:
+        send = event._value
+        req = send[7]
+        done = None
+        if req is not None and send[5] > self.world.model.rendezvous_threshold:
+            done = _SendDone(self.env, req)
+            done.callbacks.append(self._on_send_done)
+        try:
+            eager = self._route_send(send, done)
+        except MPIError as exc:
+            self._end_send(req, exc)
+            return
+        if eager and req is not None:
+            self._end_send(req, None)
+
+    def _on_send_done(self, event: "_SendDone") -> None:
+        # Let go of the request: a pipe pump keeps its last envelope, and
+        # with it this event, until its next message.
+        req, event.request = event.request, None
+        self._end_send(req, None if event._ok else event._value)
+
+    def _end_send(self, req: Request | None, exc: MPIError | None) -> None:
+        """Schedule the termination hop that settles ``req``, if any."""
+        if req is not None:
+            end = Event(self.env)
+            end.callbacks.append(self._on_send_end)
+            end.succeed((req, exc))
+
+    @staticmethod
+    def _on_send_end(event: Event) -> None:
+        req, exc = event._value
+        if exc is None:
+            req.event.succeed()
+        else:
+            req.event.fail(exc)
 
     # -- recv side -----------------------------------------------------------
     def _irecv(self, source: int, tag: int, context_id: int) -> Request:
@@ -195,60 +292,81 @@ class MPIProcess:
         return req
 
     def _on_match(self, envl: Envelope, posted: PostedRecv, buffered: bool) -> None:
-        """Matching engine found a (envelope, receive) pair: move the data."""
-        model = self.world.model
+        """Matching engine found a (envelope, receive) pair: move the data.
 
-        def _fail(exc: BaseException) -> None:
-            if envl.send_done is not None and not envl.send_done.triggered:
-                envl.send_done.fail(RankDeadError(str(exc)))
+        A rendezvous match is a process — its CTS and bulk legs are
+        :meth:`SimCluster.wire_path` generators. An eager match is a
+        callback chain: a start hop, the receive delay, then
+        :meth:`_settle_recv`, the ``(envl, posted[, buffered])`` riding the
+        events as their value.
+        """
+        if envl.protocol is Protocol.RENDEZVOUS:
+            self.env.process(
+                self._rendezvous_match(envl, posted), name=f"match:{self.name}"
+            )
+            return
+        start = Event(self.env)
+        start.callbacks.append(self._on_eager_start)
+        start.succeed((envl, posted, buffered))
+
+    def _recv_delay(self, nbytes: int) -> float:
+        memo = self.world._recv_cpu_memo
+        delay = memo.get(nbytes)
+        if delay is None:
+            delay = memo[nbytes] = self.world.model.receiver_cpu_time(nbytes)
+        return delay
+
+    def _on_eager_start(self, event: Event) -> None:
+        envl, posted, buffered = event._value
+        delay = self._recv_delay(envl.nbytes)
+        if buffered:
+            # The payload was parked in a bounce buffer: copy it out.
+            delay += envl.nbytes * UNEXPECTED_COPY_S_PER_BYTE
+        self.env.timeout(delay, (envl, posted)).callbacks.append(
+            self._on_eager_delay
+        )
+
+    def _on_eager_delay(self, event: Event) -> None:
+        envl, posted = event._value
+        self._settle_recv(envl, posted.request)
+
+    def _rendezvous_match(self, envl: Envelope, posted: PostedRecv) -> Generator:
+        cluster = self.world.cluster
+        model = self.world.model
+        src_node = self.world.process(envl.src_gid).node
+        done = envl.send_done
+        try:
+            # CTS back to the sender, then the bulk payload.
+            yield from cluster.wire_path(self.node, src_node, RTS_BYTES, model)
+            yield from cluster.wire_path(src_node, self.node, envl.nbytes, model)
+        except (LinkDown, MessageDropped) as exc:
+            # A lost CTS/payload on the lossless fabric means the path
+            # itself failed: both sides complete in error.
+            if done is not None and not done.triggered:
+                done.fail(RankDeadError(str(exc)))
             if not posted.request.event.triggered:
                 posted.request.event.fail(RankDeadError(str(exc)))
+            return
+        if done is not None and not done.triggered:
+            done.succeed()
+        # A rendezvous RTS carries no data, so nothing was bounce-buffered.
+        yield self.env.timeout(self._recv_delay(envl.nbytes))
+        self._settle_recv(envl, posted.request)
 
-        def _complete() -> Generator:
-            if envl.protocol is Protocol.RENDEZVOUS:
-                src_proc = self.world.process(envl.src_gid)
-                try:
-                    # CTS back to the sender, then the bulk payload.
-                    yield from self.world.cluster.wire_path(
-                        self.node, src_proc.node, RTS_BYTES, model
-                    )
-                    yield from self.world.cluster.wire_path(
-                        src_proc.node, self.node, envl.nbytes, model
-                    )
-                except (LinkDown, MessageDropped) as exc:
-                    # A lost CTS/payload on the lossless fabric means the
-                    # path itself failed: both sides complete in error.
-                    _fail(exc)
-                    return
-                if envl.send_done is not None and not envl.send_done.triggered:
-                    envl.send_done.succeed()
-            world = self.world
-            delay = world._recv_cpu_memo.get(envl.nbytes)
-            if delay is None:
-                delay = world._recv_cpu_memo[envl.nbytes] = (
-                    model.receiver_cpu_time(envl.nbytes)
-                )
-            if buffered and envl.protocol is Protocol.EAGER:
-                # Only eager payloads were actually parked in a bounce
-                # buffer; a rendezvous RTS carries no data to copy.
-                delay += envl.nbytes * UNEXPECTED_COPY_S_PER_BYTE
-            yield self.env.timeout(delay)
-            req = posted.request
-            if req.event.triggered:
-                return  # already failed by an abort/shrink sweep
-            if self.world.aborted or not self.alive:
-                req.event.fail(
-                    WorldAbortedError(f"{self.name}: world aborted during recv")
-                    if self.world.aborted
-                    else RankDeadError(f"{self.name} died during recv")
-                )
-                return
-            req.status.source = envl.src_rank
-            req.status.tag = envl.tag
-            req.status.nbytes = envl.nbytes
-            req.event.succeed(envl.payload)
-
-        self.env.process(_complete(), name=f"match:{self.name}")
+    def _settle_recv(self, envl: Envelope, req: Request) -> None:
+        if req.event.triggered:
+            return  # already failed by an abort/shrink sweep
+        if self.world.aborted or not self.alive:
+            req.event.fail(
+                WorldAbortedError(f"{self.name}: world aborted during recv")
+                if self.world.aborted
+                else RankDeadError(f"{self.name} died during recv")
+            )
+            return
+        req.status.source = envl.src_rank
+        req.status.tag = envl.tag
+        req.status.nbytes = envl.nbytes
+        req.event.succeed(envl.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MPIProcess {self.name} gid={self.gid} on {self.node.name}>"

@@ -1,5 +1,8 @@
 """Point-to-point semantics: send/recv, wildcards, ordering, protocols."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, MPIWorld, RankSpec, Status, TagError
@@ -328,6 +331,24 @@ class TestNonblocking:
         sent, received = run_ranks(world, [sender, receiver])
         assert sent == "all-sent"
         assert received == [0, 1, 2]
+
+    def test_completed_rendezvous_isend_frees_its_request(self):
+        # The pipe pump keeps its last envelope (and its send_done) until
+        # the next message; that must not keep the sender's request.
+        env, cluster, world = make_world()
+        refs = []
+
+        def sender(proc):
+            req = proc.comm_world.isend("big", dest=1, nbytes=8 * MiB)
+            yield from req.wait()
+            refs.append(weakref.ref(req))
+
+        def receiver(proc):
+            yield from proc.comm_world.recv(source=0)
+
+        run_ranks(world, [sender, receiver])
+        gc.collect()
+        assert refs[0]() is None
 
     def test_request_test_polls(self):
         env, cluster, world = make_world()

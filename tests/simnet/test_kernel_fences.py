@@ -22,18 +22,23 @@ from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
 
 # Length and sha256 of the "(sim time, process name)" resume sequence of
-# the Fig-9 GroupByTest cell (2 workers, 28 GiB, fidelity 0.25, Frontera),
-# recorded once at commit 69e1880 — the last tree whose kernel scheduled
-# every event, observed or not. A kernel change that claims to preserve
-# order must reproduce these; a change meant to move simulated schedules
-# re-records them (``resume_digest`` is the recorder) in the same PR that
-# regenerates the goldens.
+# the Fig-9 GroupByTest cell (2 workers, 28 GiB, fidelity 0.25, Frontera).
+# nio and rdma were recorded at commit 69e1880, the last tree whose kernel
+# scheduled every event, observed or not. The three MPI transports were
+# re-recorded when per-message MPI sends and eager matches stopped being
+# processes named ``isend:`` / ``match:`` (DESIGN §10 rule 7): with the
+# resumes of those processes dropped, the sequence is identical before and
+# after that change on all five transports (EXPERIMENTS.md has the
+# filtering script and the filtered values). A kernel change
+# that claims to preserve order must reproduce these; a change meant to
+# move simulated schedules re-records them (``resume_digest`` is the
+# recorder) in the same PR that regenerates the goldens.
 RESUME_DIGESTS = {
     "nio": (24912, "b1681a71d0fe8909beb02c71c6cef839b614c9478d61a88e31358191fef178a4"),
     "rdma": (24912, "341fb303089e1d59eb9d29c65bc5a480c83b6d4ed0124a1661c43893d0fc7a05"),
-    "mpi-basic": (38386, "4265827d4328fe4fbb5cfac698a3394ecf68b2fb89683f399c312d976aca6efd"),
-    "mpi-opt": (37240, "af2fbcef15655c634c7fd6a7aff7588cae183c241ce24d00ec0995a6c3af2713"),
-    "mpi-coll": (617, "6eeadd64a6f8e1104ac8146cfe354a9ef7b74dd292d3a217a5b66a84fd1dca21"),
+    "mpi-basic": (27479, "603139f3716a2691098a4db85d415edfc7b1b6a5c4a13367e6ad944afd089a81"),
+    "mpi-opt": (32593, "7c32ed285e7ffd465b113540a261e2861239e9f11d7ae2b991ac69b210b7dcf3"),
+    "mpi-coll": (491, "4630f9107c61b8e8a65cb7d8e817353c9bbfaffb463e1dd4b043f6772a1517a0"),
 }
 
 
@@ -108,3 +113,24 @@ def test_per_message_waits_build_no_conditions(transport, monkeypatch):
         _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
         counts.append(Counter(built))
     assert counts[0] == counts[1] == {AllOf: 3}
+
+
+@pytest.mark.parametrize("transport", sorted(RESUME_DIGESTS))
+def test_mpi_messages_start_no_processes(transport, monkeypatch):
+    # A per-message MPI step is a callback chain, not a process (DESIGN
+    # §10 rule 7): no send starts one, and a match starts one only for a
+    # rendezvous, whose CTS and bulk legs are wire_path generators.
+    started = Counter()
+    init = Process.__init__
+
+    def counted(self, env, gen, name=None):
+        init(self, env, gen, name)
+        started[self.name.partition(":")[0]] += 1
+
+    monkeypatch.setattr(Process, "__init__", counted)
+    for data_bytes in (2 * GiB, 8 * GiB):
+        started.clear()
+        cell = _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
+        rendezvous = cell.result.metrics.value("mpi.world.sends_rendezvous")
+        assert started["isend"] == 0
+        assert started["match"] == rendezvous
