@@ -205,27 +205,8 @@ class SimEngine:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(
-        self, delay: float, value: Any = None, supersedes: Timeout | None = None
-    ) -> Timeout:
-        """A :class:`Timeout` firing ``delay`` from now with ``value``.
-
-        ``supersedes`` names a timer this one replaces: it is cancelled
-        first, exactly as by :meth:`cancel`. The fluid re-rate replaces one
-        completion timer per affected flow on every network event, which
-        made cancel + timeout the kernel's two most-called functions;
-        together they cost one call.
-        """
-        if (
-            supersedes is not None
-            and supersedes.callbacks is not None
-            and not supersedes._dead
-        ):
-            supersedes._dead = True
-            supersedes._value = None
-            self._n_dead += 1
-            if self._n_dead > 64 and self._n_dead * 2 > len(self._heap):
-                self._compact()
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """A :class:`Timeout` firing ``delay`` from now with ``value``."""
         pool = self._timeout_pool
         if not pool:
             return Timeout(self, delay, value)
@@ -240,6 +221,42 @@ class SimEngine:
         timeout.delay = delay
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, timeout))
+        return timeout
+
+    def reserve(self, n: int) -> int:
+        """Reserve ``n`` consecutive heap sequence numbers; return the first.
+
+        A key ``(when, seq)`` built from a reserved ``seq`` sorts exactly
+        where a :meth:`timeout` made at reservation time would have, so a
+        caller can hold many such keys and push (:meth:`timeout_at`) only
+        the ones that come due, in any order and at any later moment
+        before their time, without changing what the heap pops.
+        """
+        first = self._seq + 1
+        self._seq += n
+        return first
+
+    def timeout_at(self, when: float, seq: int, value: Any = None) -> Timeout:
+        """A :class:`Timeout` at the heap key ``(when, seq)``, where ``seq``
+        came from :meth:`reserve` and has not been pushed before."""
+        if when < self.now or seq > self._seq:
+            raise ValueError(
+                f"key ({when}, {seq}) was not reserved or is in the past "
+                f"(now={self.now})"
+            )
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+        else:
+            # Timeout.__init__ would push at a fresh key.
+            timeout = Timeout.__new__(Timeout)
+            timeout.env = self
+            timeout._ok = True
+            timeout._dead = False
+        timeout.callbacks = []
+        timeout._value = value
+        timeout.delay = when - self.now
+        heappush(self._heap, (when, seq, timeout))
         return timeout
 
     def process(

@@ -142,11 +142,12 @@ class Timeout(Event):
 
     Timeouts are by far the most-allocated event type (every simulated
     cost charge is one), so the engine keeps a free list:
-    ``SimEngine.timeout`` re-initialises a recycled instance itself in
-    place of ``__init__``.  A pending timeout can also be cancelled via
-    ``SimEngine.cancel`` — the ``_dead`` flag tombstones its heap entry,
-    and its callbacks never run.  Neither a tombstone nor a pooled
-    instance keeps its value: read it from the callback, not afterwards.
+    ``SimEngine.timeout`` and ``SimEngine.timeout_at`` re-initialise a
+    recycled instance themselves in place of ``__init__``.  A pending
+    timeout can also be cancelled via ``SimEngine.cancel`` — the
+    ``_dead`` flag tombstones its heap entry, and its callbacks never
+    run.  Neither a tombstone nor a pooled instance keeps its value: read
+    it from the callback, not afterwards.
     """
 
     __slots__ = ("delay", "_dead")

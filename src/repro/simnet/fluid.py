@@ -16,9 +16,18 @@ approximation:
   flow's rate depends *only on its own links' flow counts*;
 * bookkeeping is lazy and local: starting/finishing a flow re-rates only
   the flows sharing its links, each flow's progress is drained on touch,
-  and completions use per-flow timers cancelled on every re-rate. This keeps the
+  and every re-rate gives a flow a new completion key. This keeps the
   cost per network event at O(flows on the affected links), which is what
   makes 32-worker shuffle simulations tractable.
+
+Completion keys live in the network's own heap, not the kernel's. A
+re-arm reserves a kernel sequence number exactly where a ``timeout()``
+would have taken one and files ``(now + remaining / rate, seq, flow)``
+privately; only the earliest live entry is pushed to the kernel, at that
+very key. The kernel pops by ``(time, seq)``, so it dispatches the same
+completions in the same order as if every re-arm had been pushed, while
+the re-arms that a later re-rate replaces, nearly all of them, never
+reach the kernel heap.
 
 Re-rating is the per-event hot path at scale: one shuffle wave re-rates
 every flow sharing a NIC lane on every start/finish. Batches at or above
@@ -27,12 +36,12 @@ gather/divide/reduce over per-link capacity and flow-count arrays instead
 of a per-flow Python loop. Both paths produce bit-identical IEEE-754
 rates: the vector path evaluates exactly ``cap[l] / n[l]`` per link and a
 pairwise float64 min, the same operations the scalar path performs, and
-timers are re-armed in the same ``sorted(fids)`` order either way.
+completion keys are reserved in the same ``sorted(fids)`` order either way.
 """
 
 from __future__ import annotations
 
-import math
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
@@ -57,6 +66,7 @@ class Flow:
         "rate",
         "last",
         "done",
+        "seq",
         "timer",
     )
 
@@ -75,10 +85,14 @@ class Flow:
         self.rate = 0.0
         self.last = 0.0  # sim time of the last progress drain
         self.done = done
-        # Pending completion Timeout (cancelled on re-rate). The timer
-        # carries this flow as its value, so one network-level callback
-        # serves every flow; the engine drops the value when the timer is
-        # cancelled or recycled, so the pair is a cycle only while armed.
+        # Kernel sequence number of the flow's live completion entry in
+        # FluidNetwork._heap (0: none). An entry whose seq differs is stale.
+        self.seq = 0
+        # The kernel Timeout of that entry, once it has been pushed
+        # (cancelled on re-arm or removal). It carries this flow as its
+        # value, so one network-level callback serves every flow; the
+        # engine drops the value when the timer is cancelled or recycled,
+        # so the pair is a cycle only while armed.
         self.timer = None
 
 
@@ -112,6 +126,10 @@ class FluidNetwork:
         self.link_index: dict[Hashable, int] = {}
         self._caps_arr = np.zeros(16, dtype=np.float64)
         self._counts_arr = np.zeros(16, dtype=np.int64)
+        # Completion entries (deadline, kernel seq, flow), live while the
+        # flow still carries that seq; _sync keeps the earliest live one
+        # in the kernel heap.
+        self._heap: list[tuple[float, int, Flow]] = []
         # Time-weighted concurrency of bulk transfers (repro.obs).
         self._g_active = env.metrics.time_gauge("simnet.fluid.active_flows")
         self._c_flow_bytes = env.metrics.counter("simnet.fluid.flow_bytes")
@@ -176,6 +194,7 @@ class FluidNetwork:
                 counts[idx] += 1
         # _affected() after registration already includes the new fid.
         self._rerate(self._affected(keys))
+        self._sync()
         return done
 
     @property
@@ -198,7 +217,7 @@ class FluidNetwork:
         for flow in sorted(victims, key=lambda f: f.fid):
             del self.flows[flow.fid]
             self._unlink(flow)
-            self._cancel_timer(flow)  # a cancelled timer's callback never runs
+            self._disarm(flow)  # a cancelled timer's callback never runs
             flow.done.fail(exc_factory())
         self._g_active.set(len(self.flows))
         if victims:
@@ -206,6 +225,7 @@ class FluidNetwork:
             for flow in victims:
                 affected |= self._affected(flow.links)
             self._rerate(affected)
+            self._sync()
         return len(victims)
 
     def utilization(self, link: Hashable) -> float:
@@ -288,24 +308,23 @@ class FluidNetwork:
         flow.last = now
 
     def _rerate(self, fids) -> None:
-        """Re-rate the given flows and (re-)arm their completion timers.
+        """Re-rate the given flows and file their new completion entries.
 
         Two coalesced passes per step: drain everyone's progress first,
-        then compute the new rates and arm timers — one timer churn per
-        affected flow per re-rate, with the superseded timer cancelled
-        (tombstoned) instead of left to fire as a no-op. Batches of
-        ``_VECTOR_MIN``+ flows compute all rates with one numpy
-        gather/divide/min over the link arrays; the arming loop runs in
-        the same order either way.
+        then compute the new rates and file entries — one new entry per
+        affected flow per re-rate, making its last one stale; the
+        caller then runs :meth:`_sync`. Batches of ``_VECTOR_MIN``+ flows
+        compute all rates with one numpy gather/divide/min over the link
+        arrays; the filing loop runs in the same order either way.
         """
         touched = []
         flows = self.flows
         now = self.env.now
-        # sorted(fids) is load-bearing: _arm() below enqueues completion
-        # timers, and the event heap breaks same-timestamp ties by
-        # insertion sequence. Iterating a raw set would make timer order
-        # (and thus simulated schedules) depend on set-iteration order,
-        # breaking the byte-identical committed figure rows.
+        # sorted(fids) is load-bearing: each entry's kernel sequence number
+        # is reserved in this order, and the event heap breaks
+        # same-timestamp ties by sequence number. Iterating a raw set would
+        # make completion order (and thus simulated schedules) depend on
+        # set-iteration order, breaking the byte-identical figure rows.
         for fid in sorted(fids):
             flow = flows.get(fid)
             if flow is None:
@@ -365,50 +384,77 @@ class FluidNetwork:
                         min(link_caps[key] / len(link_flows[key]) for key in links)
                     )
         link_rate = self.link_rate
-        new_timeout = self.env.timeout
-        on_timer = self._on_timer
+        heap = self._heap
+        cancel = self.env.cancel
+        # One kernel key per re-rated flow, in sorted(fids) order: the
+        # sequence numbers timeout() would have taken here.
+        seq = self.env.reserve(k)
         for flow, rate in zip(touched, rates):
             delta = rate - flow.rate
             if delta:
                 for key in flow.links:
                     link_rate[key] += delta
             flow.rate = rate
+            if flow.timer is not None:
+                cancel(flow.timer)
+                flow.timer = None
             if rate > 0.0:
-                timer = flow.timer = new_timeout(
-                    flow.remaining / rate, flow, flow.timer
-                )
-                timer.callbacks.append(on_timer)
+                flow.seq = seq
+                heappush(heap, (now + flow.remaining / rate, seq, flow))
             else:
-                self._cancel_timer(flow)
+                flow.seq = 0
+            seq += 1
 
-    def _cancel_timer(self, flow: Flow) -> None:
+    def _disarm(self, flow: Flow) -> None:
+        """Make the flow's completion entry stale and cancel its timer."""
+        flow.seq = 0
         if flow.timer is not None:
             self.env.cancel(flow.timer)
             flow.timer = None
 
-    def _arm(self, flow: Flow) -> None:
-        self._cancel_timer(flow)
-        if flow.rate <= 0:
+    def _sync(self) -> None:
+        """Give the earliest live completion entry its kernel timer.
+
+        Runs after every change to the entries. The kernel then always
+        holds the next completion due at exactly its reserved key, so it
+        pops completions where it would have had every re-arm been pushed.
+        A kernel timer stays until its own flow is re-armed or removed.
+        """
+        heap = self._heap
+        if len(heap) > 3 * len(self.flows) + 64:
+            # At most one entry per flow is live: this keeps the stale
+            # ones, and the finished Flows they hold, under 2 x flows + 64.
+            heap[:] = [entry for entry in heap if entry[2].seq == entry[1]]
+            heapify(heap)
+        while heap:
+            deadline, seq, flow = heap[0]
+            if flow.seq != seq:
+                heappop(heap)
+                continue
+            if flow.timer is None:
+                timer = flow.timer = self.env.timeout_at(deadline, seq, flow)
+                timer.callbacks.append(self._on_timer)
             return
-        horizon = flow.remaining / flow.rate
-        timer = self.env.timeout(max(horizon, 0.0), flow)
-        timer.callbacks.append(self._on_timer)
-        flow.timer = timer
 
     def _on_timer(self, ev) -> None:
         flow: Flow = ev._value
         if flow.timer is not ev or flow.fid not in self.flows:
-            return  # superseded by a later rate change, or already finished
+            return  # replaced by a later rate change, or already finished
         flow.timer = None
         self._touch(flow)
         if flow.remaining > max(_FINISH_SLACK_BYTES, flow.rate * 1e-9):
             # Float drift: not quite done; re-arm for the residual.
-            self._arm(flow)
+            horizon = flow.remaining / flow.rate
+            seq = flow.seq = self.env.reserve(1)
+            heappush(self._heap, (self.env.now + max(horizon, 0.0), seq, flow))
+            self._sync()
             return
         del self.flows[flow.fid]
         self._unlink(flow)
+        flow.seq = 0
         self.completed += 1
         self._g_active.set(len(self.flows))
         flow.done.succeed()
         # Freed capacity speeds up the neighbours.
         self._rerate(self._affected(flow.links))
+        self._sync()

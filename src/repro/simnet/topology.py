@@ -16,7 +16,6 @@ from repro.simnet.events import Event, SimError
 from repro.simnet.fluid import FluidNetwork
 from repro.simnet.interconnect import Fabric, WireModel, loopback
 from repro.simnet.resources import Resource
-from repro.util.stats import OnlineStats
 
 # Messages at or below this size bypass NIC-lane serialization and pay only
 # latency + their own (tiny) serialization time. Real fabrics interleave at
@@ -174,33 +173,19 @@ class SimNode:
 
 
 class NetTrace:
-    """Aggregate transfer statistics, grouped by wire-model name."""
+    """Delivered bytes, grouped by wire-model name.
+
+    Per-message elapsed time is the ``simnet.wire.<model>.elapsed_s``
+    histogram's to keep, not this aggregate's.
+    """
 
     def __init__(self) -> None:
-        self.by_model: dict[str, OnlineStats] = {}
         self.bytes_by_model: dict[str, int] = {}
-        self.hooks: list[Callable[[dict[str, Any]], None]] = []
 
-    def record(
-        self, model: WireModel, src: SimNode, dst: SimNode, nbytes: int, elapsed: float
-    ) -> None:
-        stats = self.by_model.get(model.name)
-        if stats is None:
-            stats = self.by_model[model.name] = OnlineStats()
-        stats.add(elapsed)
+    def record(self, model: WireModel, nbytes: int) -> None:
         self.bytes_by_model[model.name] = (
             self.bytes_by_model.get(model.name, 0) + nbytes
         )
-        for hook in self.hooks:
-            hook(
-                {
-                    "model": model.name,
-                    "src": src.name,
-                    "dst": dst.name,
-                    "nbytes": nbytes,
-                    "elapsed": elapsed,
-                }
-            )
 
     def total_bytes(self) -> int:
         return sum(self.bytes_by_model.values())
@@ -315,8 +300,12 @@ class SimCluster:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         env = self.env
         start = env.now
+        # LinkState.generation stays 0 until something fails, degrades or
+        # partitions, so a healthy cluster skips the link-health queries.
+        # It is read afresh at each check: a fault can land during a
+        # fault-filter delay or a flow.
         ls = self.link_state
-        if not ls.path_up(src, dst):
+        if ls.generation and not ls.path_up(src, dst):
             raise LinkDown(f"no path {src.name}->{dst.name}")
         memo = self._wire_delay_memo
         if src is dst:
@@ -331,7 +320,7 @@ class SimCluster:
                 )
             yield env.timeout(delay)
             elapsed = env.now - start
-            self.trace.record(lo, src, dst, nbytes, elapsed)
+            self.trace.record(lo, nbytes)
             return elapsed
 
         if self.fault_filter is not None:
@@ -354,7 +343,7 @@ class SimCluster:
         # started before a degradation keep their old rate (the fluid link
         # key embeds the link-state generation) — a coarse but cheap
         # approximation of mid-flow rate renegotiation.
-        factor = ls.slowdown(src, dst)
+        factor = ls.slowdown(src, dst) if ls.generation else 1.0
         entry = memo.get(id(model))
         if entry is None:
             entry = memo[id(model)] = [model, {}, None, {}]
@@ -394,7 +383,7 @@ class SimCluster:
                     + model.n_chunks(nbytes) * model.per_chunk_s
                 )
             yield env.timeout(post * factor)
-        if not ls.path_up(src, dst):
+        if ls.generation and not ls.path_up(src, dst):
             # The receiver died while the message was in flight.
             raise LinkDown(f"{dst.name} failed before delivery from {src.name}")
 
@@ -408,26 +397,5 @@ class SimCluster:
             hist = env.metrics.histogram(f"simnet.wire.{model.name}.elapsed_s")
             self._wire_histograms[model.name] = hist
         hist.observe(elapsed)
-        self.trace.record(model, src, dst, nbytes, elapsed)
+        self.trace.record(model, nbytes)
         return elapsed
-
-    def transfer_async(
-        self,
-        src: SimNode,
-        dst: SimNode,
-        nbytes: int,
-        model: WireModel,
-        on_delivered: Callable[[], None] | None = None,
-    ):
-        """Fire-and-forget wire transfer; returns the delivery Process event."""
-
-        def _run() -> Generator[Event, Any, float]:
-            try:
-                elapsed = yield from self.wire_path(src, dst, nbytes, model)
-            except (LinkDown, MessageDropped):
-                return -1.0  # fire-and-forget: losses are silent here
-            if on_delivered is not None:
-                on_delivered()
-            return elapsed
-
-        return self.env.process(_run(), name=f"xfer:{src.name}->{dst.name}")

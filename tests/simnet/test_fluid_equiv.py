@@ -12,7 +12,9 @@ solvers over identical op streams and compare every completion time,
 abort outcome, and mid-run utilization probe for exact float equality:
 
 * ``ReferenceFluidNetwork`` — the pre-vectorization implementation,
-  embedded here verbatim (dict-based, per-flow Python loops);
+  embedded here verbatim (dict-based, per-flow Python loops, every re-arm
+  a kernel ``timeout()`` and its predecessor ``cancel()``ed, where the
+  current solver keeps its completion entries in a heap of its own);
 * the current ``FluidNetwork`` pinned to the scalar path
   (``_VECTOR_MIN`` huge);
 * the current ``FluidNetwork`` pinned to the vector path
@@ -20,6 +22,7 @@ abort outcome, and mid-run utilization probe for exact float equality:
 """
 
 import random
+from collections import Counter
 from typing import Hashable
 
 import pytest
@@ -201,15 +204,32 @@ def _random_scenario(rng):
     return keys, ops
 
 
-def _run_scenario(net_factory, keys, ops):
-    """Drive one solver through the op stream; return the observable log."""
+def _run_scenario(net_factory, keys, ops, marks=()):
+    """Drive one solver through the op stream; return the observable log.
+
+    Each instant in ``marks`` also gets unrelated timers that log when
+    they fire and how many flows are still active: one taken before
+    anything starts, and one more taken right after every flow start and
+    every flow outcome before it (so after the re-rate that step caused).
+    """
     env = SimEngine()
     net = net_factory(env)
     log = []
 
+    def mark(name):
+        # The flow count tells whether a completion due now has fired yet.
+        return lambda ev: log.append(("mark", name, env.now, len(net.flows)))
+
+    def arm_marks(tag):
+        now = env.now
+        for i, when in enumerate(marks):
+            if when > now and now + (when - now) == when:
+                env.timeout(when - now).add_callback(mark((tag, i)))
+
     def record(tag):
         def cb(ev):
             log.append(("done" if ev._ok else "failed", tag, env.now))
+            arm_marks(tag)
 
         return cb
 
@@ -218,6 +238,7 @@ def _run_scenario(net_factory, keys, ops):
             if op[0] == "transfer":
                 _, _, tag, links, nbytes = op
                 net.transfer(links, nbytes).add_callback(record(tag))
+                arm_marks(tag)
             elif op[0] == "abort":
                 _, _, tag, key = op
                 n = net.abort_flows(lambda k: k == key, RuntimeError)
@@ -229,6 +250,8 @@ def _run_scenario(net_factory, keys, ops):
 
         return cb
 
+    for i, when in enumerate(marks):
+        env.timeout(when).add_callback(mark(("start", i)))
     for op in ops:
         env.timeout(op[1]).add_callback(fire(op))
     env.run()
@@ -286,3 +309,39 @@ def test_default_threshold_mixes_paths():
     ref = _run_scenario(ReferenceFluidNetwork, keys, ops)
     mixed = _run_scenario(FluidNetwork, keys, ops)
     assert mixed == ref
+
+
+def _tie_scenario(rng):
+    """Waves of identical two-link flows over links of one capacity, each
+    wave started at one instant (dyadic sizes and times, so equal
+    completions compute to equal floats)."""
+    cap = float(2**20)
+    n_nodes = rng.randint(3, 5)
+    keys = sorted((node, lane) for node in range(n_nodes) for lane in ("tx", "rx"))
+    ops = []
+    for wave, start in enumerate((0.0, 0.0625, 0.1875)[: rng.randint(2, 3)]):
+        for i in range(rng.randint(3, 8)):
+            src, dst = rng.sample(range(n_nodes), 2)
+            links = [((src, "tx"), cap), ((dst, "rx"), cap)]
+            ops.append(("transfer", start, f"w{wave}f{i}", links, float(2**16)))
+    return keys, ops
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tie_heavy_streams_match_reference(seed):
+    # A completion entry reserves its kernel key when its flow is re-rated
+    # but reaches the kernel heap only once it is the earliest. Unrelated
+    # timers on exactly the completion instants, taken before the entry's
+    # key and after it but before the entry was pushed, must interleave
+    # with the completions as under the reference, which pushes every
+    # re-arm through timeout() + cancel().
+    keys, ops = _tie_scenario(random.Random(seed))
+    instants = sorted(
+        {e[2] for e in _run_scenario(ReferenceFluidNetwork, keys, ops) if e[0] == "done"}
+    )
+    ref = _run_scenario(ReferenceFluidNetwork, keys, ops, instants)
+    done_at = Counter(e[2] for e in ref if e[0] == "done")
+    assert max(done_at.values()) > 1  # completions tie with each other
+    assert sum(e[0] == "mark" for e in ref) > len(instants)  # and with later timers
+    for net in (_scalar_net, _vector_net, FluidNetwork):
+        assert _run_scenario(net, keys, ops, instants) == ref

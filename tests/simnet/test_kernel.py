@@ -62,6 +62,25 @@ class TestClock:
         with pytest.raises(EmptySchedule):
             env.run(until=env.event())
 
+    def test_reserved_key_pops_where_its_timeout_would_have(self, env):
+        # Reserved before two same-instant timeouts, pushed after them: the
+        # heap orders by (time, seq), not by when an entry was pushed.
+        log = []
+        seq = env.reserve(1)
+        for name in "bc":
+            env.timeout(1.0, name).callbacks.append(lambda ev: log.append(ev.value))
+        env.timeout_at(1.0, seq, "a").callbacks.append(lambda ev: log.append(ev.value))
+        env.run()
+        assert log == ["a", "b", "c"]
+
+    def test_timeout_at_rejects_unreserved_or_past_keys(self, env):
+        with pytest.raises(ValueError):
+            env.timeout_at(1.0, 1)  # nothing reserved yet
+        seq = env.reserve(1)
+        env.run(until=2.0)
+        with pytest.raises(ValueError):
+            env.timeout_at(1.0, seq)
+
 
 class TestProcesses:
     def test_return_value(self, env):
@@ -566,19 +585,6 @@ class TestLifetime:
         env.run()
         # The fired Timeout sits in the engine's free list, empty.
         assert p.value is True and ref() is None
-
-    def test_superseding_timeout_cancels_its_predecessor(self, env):
-        fired = []
-        payload = self.Payload()
-        ref = weakref.ref(payload)
-        old = env.timeout(1, payload)
-        old.callbacks.append(lambda ev: fired.append("old"))
-        del payload
-        new = env.timeout(2, "new", supersedes=old)
-        new.callbacks.append(lambda ev: fired.append(ev.value))
-        assert ref() is None
-        env.run()
-        assert fired == ["new"] and env.now == 2.0
 
     def test_finished_process_is_not_its_own_cycle(self, env):
         def quick(env):

@@ -1,9 +1,10 @@
 """Whole-run fences for the kernel: dispatch order and object lifetime.
 
-All drive the Fig-9 GroupByTest 2-worker cell end to end (the golden's
-configuration), because the properties they pin are about what a real
-run leaves behind and in which order it resumes its processes — not
-about one primitive in isolation (those live in ``test_kernel.py`` and
+All drive the Fig-9 GroupByTest cell end to end (2 workers, the golden's
+configuration, except where a property needs overlapping flows), because
+the properties they pin are about what a real run leaves behind and in
+which order it resumes its processes — not about one primitive in
+isolation (those live in ``test_kernel.py`` and
 ``test_resources.py``).
 """
 
@@ -15,8 +16,9 @@ from collections import Counter
 import pytest
 
 from repro.harness.experiments import _run_ohb
+from repro.simnet.engine import SimEngine
 from repro.simnet.events import AllOf, AnyOf, Condition, Event, Process
-from repro.simnet.fluid import Flow
+from repro.simnet.fluid import Flow, FluidNetwork
 from repro.simnet.sockets import SimSocket
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
@@ -113,6 +115,44 @@ def test_per_message_waits_build_no_conditions(transport, monkeypatch):
         _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
         counts.append(Counter(built))
     assert counts[0] == counts[1] == {AllOf: 3}
+
+
+@pytest.mark.parametrize("transport", sorted(RESUME_DIGESTS))
+def test_fluid_keeps_completions_out_of_the_kernel_heap(transport, monkeypatch):
+    # Every re-rate files a new completion entry per flow it touched, but
+    # only the earliest live entry goes to the kernel (DESIGN §10 rule 5):
+    # at most one kernel timer per re-rate or completion, however many
+    # flows each re-rate re-armed. Four workers, not two: at two no two
+    # flows ever overlap, so every re-rate re-arms one flow.
+    nets, pushed = [], Counter()
+    init = FluidNetwork.__init__
+
+    def tracked(self, env):
+        init(self, env)
+        nets.append(self)
+
+    def counting(name):
+        original = getattr(SimEngine, name)
+
+        def wrapper(self, *args, **kwargs):
+            timer = original(self, *args, **kwargs)
+            pushed[isinstance(timer._value, Flow)] += 1
+            return timer
+
+        return wrapper
+
+    monkeypatch.setattr(FluidNetwork, "__init__", tracked)
+    monkeypatch.setattr(SimEngine, "timeout", counting("timeout"))
+    monkeypatch.setattr(SimEngine, "timeout_at", counting("timeout_at"))
+    _run_ohb(GROUP_BY, 4, 8 * GiB, transport, 0.25)
+    rerates = sum(net._n_rerate_calls for net in nets)
+    rearmed = sum(net._n_rerate_flows for net in nets)
+    completions = sum(net.completed for net in nets)
+    assert completions > 0
+    assert pushed[True] <= rerates + completions
+    # mpi-coll's synchronous rounds never overlap two flows; on the other
+    # transports re-rates re-arm ~4 flows each, and pushes must not follow.
+    assert pushed[True] < rearmed or rearmed == rerates
 
 
 @pytest.mark.parametrize("transport", sorted(RESUME_DIGESTS))

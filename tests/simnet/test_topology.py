@@ -141,24 +141,29 @@ class TestWirePath:
         env.process(sender(env))
         env.run()
         assert cluster.trace.bytes_by_model[model.name] == 1200
-        assert cluster.trace.by_model[model.name].n == 2
         assert cluster.trace.total_bytes() == 1200
+        snap = env.metrics.snapshot()
+        assert snap.value(f"simnet.wire.{model.name}.bytes") == 1200
 
-    def test_trace_hook_invoked(self, env):
+    def test_wire_histogram_observes_each_message(self, env):
         cluster = make_cluster(env)
-        seen = []
-        cluster.trace.hooks.append(seen.append)
+        model = mpi_over(IB_HDR)
+        elapsed = []
 
         def sender(env):
-            yield from cluster.wire_path(
-                cluster.node(0), cluster.node(1), 42, mpi_over(IB_HDR)
-            )
+            for nbytes in (42, 4 * MiB):  # control bypass, then a fluid flow
+                elapsed.append(
+                    (yield from cluster.wire_path(
+                        cluster.node(0), cluster.node(1), nbytes, model
+                    ))
+                )
 
         env.process(sender(env))
         env.run()
-        assert len(seen) == 1
-        assert seen[0]["nbytes"] == 42
-        assert seen[0]["src"] == "node0"
+        hist = env.metrics.snapshot().histograms[f"simnet.wire.{model.name}.elapsed_s"]
+        assert hist.n == 2
+        assert hist.total == sum(elapsed)
+        assert (hist.min, hist.max) == (min(elapsed), max(elapsed))
 
     def test_negative_bytes_rejected(self, env):
         cluster = make_cluster(env)
@@ -171,20 +176,6 @@ class TestWirePath:
         env.process(sender(env))
         with pytest.raises(ValueError):
             env.run()
-
-    def test_transfer_async_returns_process(self, env):
-        cluster = make_cluster(env)
-        delivered = []
-        p = cluster.transfer_async(
-            cluster.node(0),
-            cluster.node(1),
-            1 * MiB,
-            mpi_over(IB_HDR),
-            on_delivered=lambda: delivered.append(env.now),
-        )
-        env.run()
-        assert p.triggered and p.ok
-        assert delivered and delivered[0] == pytest.approx(p.value)
 
 
 class TestDeterminism:
