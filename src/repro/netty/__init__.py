@@ -20,8 +20,6 @@ from repro.netty.frame import (
     FRAME_LENGTH_SIZE,
     TYPE_TAG_SIZE,
     WireFrame,
-    decode_frame_header,
-    encode_frame_header,
 )
 from repro.netty.handler import (
     ChannelDuplexHandler,
@@ -55,8 +53,6 @@ __all__ = [
     "OP_READ",
     "OP_ACCEPT",
     "WireFrame",
-    "encode_frame_header",
-    "decode_frame_header",
     "FRAME_LENGTH_SIZE",
     "TYPE_TAG_SIZE",
     "Bootstrap",

@@ -50,30 +50,3 @@ class WireFrame:
 #   N bytes  body (not materialized in the header bytes)
 FRAME_LENGTH_SIZE = 8
 TYPE_TAG_SIZE = 1
-
-
-def encode_frame_header(type_tag: int, header_fields: bytes, body_nbytes: int) -> bytes:
-    """Build the on-wire header: length-prefix + type + fields."""
-    buf = ByteBuf()
-    frame_len = FRAME_LENGTH_SIZE + TYPE_TAG_SIZE + len(header_fields) + body_nbytes
-    buf.write_long(frame_len)
-    buf.write_byte(type_tag)
-    buf.write_bytes(header_fields)
-    return buf.to_bytes()
-
-
-def decode_frame_header(header: bytes) -> tuple[int, int, ByteBuf]:
-    """Split a header into (type_tag, body_nbytes, fields buffer).
-
-    Zero-copy: the returned fields buffer wraps ``header`` directly
-    (ByteBuf is copy-on-write for immutable inputs) with its reader
-    positioned past the length prefix and type tag — the header bytes
-    are never duplicated on the decode path.
-    """
-    buf = ByteBuf(header)
-    frame_len = buf.read_long()
-    type_tag = buf.read_byte()
-    body_nbytes = frame_len - len(header)
-    if body_nbytes < 0:
-        raise ValueError(f"frame length {frame_len} shorter than header {len(header)}")
-    return type_tag, body_nbytes, buf

@@ -20,6 +20,12 @@ approximation:
   cost per network event at O(flows on the affected links), which is what
   makes 32-worker shuffle simulations tractable.
 
+Each link is one :class:`_Link` holding its capacity, the fids sharing it
+and its equal share ``cap / len(fids)``. The share is recomputed only
+where a flow joins or leaves the link, so a re-rate reads it instead of
+dividing again for every flow it touches; nothing keeps running rate
+sums (``utilization()`` adds live rates on demand).
+
 Completion keys live in the network's own heap, not the kernel's. A
 re-arm reserves a kernel sequence number exactly where a ``timeout()``
 would have taken one and files ``(now + remaining / rate, seq, flow)``
@@ -31,12 +37,11 @@ reach the kernel heap.
 
 Re-rating is the per-event hot path at scale: one shuffle wave re-rates
 every flow sharing a NIC lane on every start/finish. Batches at or above
-``FluidNetwork._VECTOR_MIN`` flows are computed with one numpy
-gather/divide/reduce over per-link capacity and flow-count arrays instead
-of a per-flow Python loop. Both paths produce bit-identical IEEE-754
-rates: the vector path evaluates exactly ``cap[l] / n[l]`` per link and a
-pairwise float64 min, the same operations the scalar path performs, and
-completion keys are reserved in the same ``sorted(fids)`` order either way.
+``FluidNetwork._VECTOR_MIN`` flows are computed with one numpy gather/min
+over a dense array mirroring every link's share instead of a per-flow
+Python loop. Both paths produce bit-identical IEEE-754 rates: they read
+the same cached shares and take the same float64 min, and completion keys
+are reserved in the same ``sorted(fids)`` order either way.
 """
 
 from __future__ import annotations
@@ -53,6 +58,24 @@ if TYPE_CHECKING:  # pragma: no cover
 # A residual below this many bytes counts as finished (guards against
 # float-time horizons that round to zero near large clock values).
 _FINISH_SLACK_BYTES = 1e-3
+
+
+class _Link:
+    """One link: its capacity, the flows sharing it and their equal share.
+
+    ``share`` is ``cap / len(fids)``, refreshed whenever a fid joins or
+    leaves (stale while ``fids`` is empty: no flow reads it then) and
+    mirrored at ``idx`` in ``FluidNetwork._shares_arr``.
+    """
+
+    __slots__ = ("key", "cap", "fids", "share", "idx")
+
+    def __init__(self, key: Hashable, cap: float, idx: int) -> None:
+        self.key = key
+        self.cap = cap
+        self.fids: set[int] = set()
+        self.share = cap
+        self.idx = idx
 
 
 class Flow:
@@ -73,14 +96,14 @@ class Flow:
     def __init__(
         self,
         fid: int,
-        links: tuple[Hashable, ...],
+        links: tuple[_Link, ...],
         lidx: tuple[int, ...],
         nbytes: float,
         done: "Event",
     ) -> None:
         self.fid = fid
         self.links = links
-        self.lidx = lidx  # per-network dense link indices, parallel to links
+        self.lidx = lidx  # the links' _shares_arr slots, for the vector gather
         self.remaining = float(nbytes)
         self.rate = 0.0
         self.last = 0.0  # sim time of the last progress drain
@@ -108,24 +131,15 @@ class FluidNetwork:
     def __init__(self, env: "SimEngine") -> None:
         self.env = env
         self.flows: dict[int, Flow] = {}
-        self.link_flows: dict[Hashable, set[int]] = {}
-        self.link_caps: dict[Hashable, float] = {}
-        # Running sum of active flow rates per link, maintained at every
-        # rate change / flow removal so utilization() is O(1) instead of
-        # scanning link_flows.
-        self.link_rate: dict[Hashable, float] = {}
+        self.links: dict[Hashable, _Link] = {}
         self.completed = 0
         # Flow ids are allocated per network (not process-global) so two
         # clusters built in the same process — parallel harness workers,
         # back-to-back tests — see identical fid sequences and therefore
         # identical sorted(fids) timer orders.
         self._next_fid = 0
-        # Dense link registry backing the vectorized re-rate: link key ->
-        # array index, with capacity / active-flow-count arrays kept in
-        # lockstep with link_flows at every add/remove site.
-        self.link_index: dict[Hashable, int] = {}
-        self._caps_arr = np.zeros(16, dtype=np.float64)
-        self._counts_arr = np.zeros(16, dtype=np.int64)
+        # _Link.share by _Link.idx, for the vectorized re-rate's gather.
+        self._shares_arr = np.zeros(16, dtype=np.float64)
         # Completion entries (deadline, kernel seq, flow), live while the
         # flow still carries that seq; _sync keeps the earliest live one
         # in the kernel heap.
@@ -167,33 +181,33 @@ class FluidNetwork:
         if nbytes == 0:
             done.succeed()
             return done
-        link_index = self.link_index
-        keys = []
+        known = self.links
+        path = []
         lidx = []
         for key, cap in links:
             if cap <= 0:
                 raise ValueError(f"link capacity must be positive, got {cap}")
-            idx = link_index.get(key)
-            if idx is None:
-                idx = self._register_link(key, float(cap))
-            keys.append(key)
-            lidx.append(idx)
+            link = known.get(key)
+            if link is None:
+                link = self._register_link(key, float(cap))
+            path.append(link)
+            lidx.append(link.idx)
         fid = self._next_fid
         self._next_fid = fid + 1
-        flow = Flow(fid, tuple(keys), tuple(lidx), nbytes, done)
+        flow = Flow(fid, tuple(path), tuple(lidx), nbytes, done)
         flow.last = self.env.now
         self.flows[fid] = flow
         self._g_active.set(len(self.flows))
         self._c_flow_bytes.inc(nbytes)
-        link_flows = self.link_flows
-        counts = self._counts_arr
-        for key, idx in zip(keys, lidx):
-            sharing = link_flows[key]
+        shares = self._shares_arr
+        for link in path:
+            sharing = link.fids
             if fid not in sharing:
                 sharing.add(fid)
-                counts[idx] += 1
+                share = link.share = link.cap / len(sharing)
+                shares[link.idx] = share
         # _affected() after registration already includes the new fid.
-        self._rerate(self._affected(keys))
+        self._rerate(self._affected(path))
         self._sync()
         return done
 
@@ -212,7 +226,7 @@ class FluidNetwork:
         victims = [
             flow
             for flow in self.flows.values()
-            if any(link_pred(key) for key in flow.links)
+            if any(link_pred(link.key) for link in flow.links)
         ]
         for flow in sorted(victims, key=lambda f: f.fid):
             del self.flows[flow.fid]
@@ -231,70 +245,54 @@ class FluidNetwork:
     def utilization(self, link: Hashable) -> float:
         """Instantaneous share of a link's capacity in use.
 
-        O(1): reads the running per-link rate sum maintained by _rerate
-        and the removal paths instead of scanning the link's flows. The
-        max(0, ·) clamps float cancellation residue near zero.
+        Sums the live rates of the link's flows on demand, in fid order,
+        so the result never depends on set-iteration order.
         """
-        cap = self.link_caps.get(link)
-        if not cap:
+        found = self.links.get(link)
+        if found is None:
             return 0.0
-        return max(self.link_rate.get(link, 0.0), 0.0) / cap
+        flows = self.flows
+        return sum(flows[fid].rate for fid in sorted(found.fids)) / found.cap
 
     # -- internals ----------------------------------------------------------
-    def _register_link(self, key: Hashable, cap: float) -> int:
-        idx = len(self.link_index)
-        if idx >= len(self._caps_arr):
-            self._caps_arr = np.concatenate([self._caps_arr, np.zeros_like(self._caps_arr)])
-            self._counts_arr = np.concatenate(
-                [self._counts_arr, np.zeros_like(self._counts_arr)]
+    def _register_link(self, key: Hashable, cap: float) -> _Link:
+        idx = len(self.links)
+        if idx >= len(self._shares_arr):
+            self._shares_arr = np.concatenate(
+                [self._shares_arr, np.zeros_like(self._shares_arr)]
             )
-        self.link_index[key] = idx
-        self._caps_arr[idx] = cap
-        self.link_caps[key] = cap
-        self.link_flows[key] = set()
-        self.link_rate[key] = 0.0
-        return idx
+        self.links[key] = link = _Link(key, cap, idx)
+        return link
 
     def _unlink(self, flow: Flow) -> None:
-        """Remove a departing flow from its links' sharing sets/counts."""
-        link_flows = self.link_flows
-        link_rate = self.link_rate
-        counts = self._counts_arr
+        """Remove a departing flow from its links, refreshing their shares."""
+        shares = self._shares_arr
         fid = flow.fid
-        rate = flow.rate
-        for key, idx in zip(flow.links, flow.lidx):
-            sharing = link_flows[key]
+        for link in flow.links:
+            sharing = link.fids
             if fid in sharing:
                 sharing.remove(fid)
-                counts[idx] -= 1
-            link_rate[key] -= rate
+                if sharing:
+                    share = link.share = link.cap / len(sharing)
+                    shares[link.idx] = share
 
-    def _affected(self, keys) -> set[int]:
-        """Fids of every flow sharing a link in ``keys``.
+    @staticmethod
+    def _affected(links) -> set[int]:
+        """Fids of every flow sharing a link in ``links``.
 
-        May return a live internal sharing set on the single-link fast
-        path — callers must treat the result as read-only. The dominant
+        May return a link's live sharing set on the single-link fast path
+        — callers must treat the result as read-only. The dominant
         wire-path shape (exactly two links: one TX, one RX lane) gets a
         single ``a | b`` union with no intermediate garbage.
         """
-        link_flows = self.link_flows
-        if len(keys) == 2:
-            k0, k1 = keys
-            a = link_flows.get(k0)
-            b = link_flows.get(k1)
-            if a is None:
-                return b if b is not None else set()
-            if b is None:
-                return a
-            return a | b
-        if len(keys) == 1:
-            s = link_flows.get(keys[0])
-            return s if s is not None else set()
+        if len(links) == 2:
+            a, b = links
+            return a.fids | b.fids
+        if len(links) == 1:
+            return links[0].fids
         out: set[int] = set()
-        for key in keys:
-            s = link_flows.get(key)
-            if s:
-                out |= s
+        for link in links:
+            out |= link.fids
         return out
 
     def _touch(self, flow: Flow) -> None:
@@ -310,32 +308,19 @@ class FluidNetwork:
     def _rerate(self, fids) -> None:
         """Re-rate the given flows and file their new completion entries.
 
-        Two coalesced passes per step: drain everyone's progress first,
-        then compute the new rates and file entries — one new entry per
-        affected flow per re-rate, making its last one stale; the
-        caller then runs :meth:`_sync`. Batches of ``_VECTOR_MIN``+ flows
-        compute all rates with one numpy gather/divide/min over the link
-        arrays; the filing loop runs in the same order either way.
+        One pass per flow drains its progress, sets its rate from the
+        cached link shares and files its new entry — one per affected flow
+        per re-rate, making its last one stale; the caller then runs
+        :meth:`_sync`. Batches of ``_VECTOR_MIN``+ flows gather all their
+        shares from ``_shares_arr`` and take the min in numpy first; the
+        filing loop runs in the same order either way.
         """
-        touched = []
-        flows = self.flows
-        now = self.env.now
         # sorted(fids) is load-bearing: each entry's kernel sequence number
         # is reserved in this order, and the event heap breaks
         # same-timestamp ties by sequence number. Iterating a raw set would
         # make completion order (and thus simulated schedules) depend on
         # set-iteration order, breaking the byte-identical figure rows.
-        for fid in sorted(fids):
-            flow = flows.get(fid)
-            if flow is None:
-                continue
-            dt = now - flow.last
-            if dt > 0:
-                flow.remaining -= flow.rate * dt
-                if flow.remaining < 0:
-                    flow.remaining = 0.0
-            flow.last = now
-            touched.append(flow)
+        touched = list(map(self.flows.__getitem__, sorted(fids)))
         k = len(touched)
         if k == 0:
             return
@@ -344,8 +329,8 @@ class FluidNetwork:
         if k > self._max_batch:
             self._max_batch = k
         if k >= self._VECTOR_MIN:
-            # Vectorized path: gather each flow's links' cap/count pairs
-            # in one shot. Wire flows always have exactly two links; mixed
+            # Vectorized path: gather each flow's links' shares in one
+            # shot. Wire flows always have exactly two links; mixed
             # batches fall back to a segmented min (reduceat).
             self._n_vector_batches += 1
             flat: list[int] = []
@@ -359,8 +344,7 @@ class FluidNetwork:
                 pos += len(li)
                 if len(li) != 2:
                     uniform2 = False
-            idx = np.array(flat, dtype=np.int64)
-            shares = self._caps_arr[idx] / self._counts_arr[idx]
+            shares = self._shares_arr[np.array(flat, dtype=np.int64)]
             if uniform2:
                 rates = shares.reshape(k, 2).min(axis=1).tolist()
             else:
@@ -368,32 +352,29 @@ class FluidNetwork:
                     shares, np.array(offsets, dtype=np.int64)
                 ).tolist()
         else:
-            link_caps = self.link_caps
-            link_flows = self.link_flows
             rates = []
             for flow in touched:
                 links = flow.links
                 if len(links) == 2:
                     # Fast path: the wire path always shares a TX and an RX lane.
-                    a, b = links
-                    ra = link_caps[a] / len(link_flows[a])
-                    rb = link_caps[b] / len(link_flows[b])
+                    ra = links[0].share
+                    rb = links[1].share
                     rates.append(ra if ra < rb else rb)
                 else:
-                    rates.append(
-                        min(link_caps[key] / len(link_flows[key]) for key in links)
-                    )
-        link_rate = self.link_rate
+                    rates.append(min(link.share for link in links))
+        now = self.env.now
         heap = self._heap
         cancel = self.env.cancel
         # One kernel key per re-rated flow, in sorted(fids) order: the
         # sequence numbers timeout() would have taken here.
         seq = self.env.reserve(k)
         for flow, rate in zip(touched, rates):
-            delta = rate - flow.rate
-            if delta:
-                for key in flow.links:
-                    link_rate[key] += delta
+            dt = now - flow.last
+            if dt > 0:
+                flow.remaining -= flow.rate * dt
+                if flow.remaining < 0:
+                    flow.remaining = 0.0
+            flow.last = now
             flow.rate = rate
             if flow.timer is not None:
                 cancel(flow.timer)

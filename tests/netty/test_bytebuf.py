@@ -5,11 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.netty.bytebuf import ByteBuf, ByteBufError, PooledByteBufAllocator
-from repro.netty.frame import (
-    WireFrame,
-    decode_frame_header,
-    encode_frame_header,
-)
+from repro.netty.frame import WireFrame
 
 
 class TestByteBuf:
@@ -99,22 +95,3 @@ class TestWireFrame:
         buf = frame.header_buf()
         assert buf.read_byte() == 0
         assert buf.read_byte() == 1
-
-
-class TestFrameHeaderCodec:
-    @given(
-        st.integers(0, 255),
-        st.binary(max_size=64),
-        st.integers(0, 10**12),
-    )
-    def test_roundtrip_property(self, tag, fields, body_nbytes):
-        header = encode_frame_header(tag, fields, body_nbytes)
-        got_tag, got_body, buf = decode_frame_header(header)
-        assert got_tag == tag
-        assert got_body == body_nbytes
-        assert buf.to_bytes() == fields
-
-    def test_frame_length_includes_body(self):
-        header = encode_frame_header(5, b"", 1000)
-        buf = ByteBuf(header)
-        assert buf.read_long() == len(header) + 1000

@@ -227,12 +227,15 @@ class TestAffectedExactness:
         net.transfer([("a", 100.0)], 50.0)
         net.transfer([("a", 100.0)], 50.0)
         net.transfer([("b", 100.0)], 50.0)
-        assert net._affected(("a",)) == {0, 1}
-        assert net._affected(("b",)) == {2}
-        assert net._affected(("a", "b")) == {0, 1, 2}
-        assert net._affected(("missing",)) == set()
-        assert net._affected(("a", "missing")) == {0, 1}
-        assert net._affected(("missing", "nope")) == set()
+        a, b = net.links["a"], net.links["b"]
+        assert net._affected((a,)) == {0, 1}
+        assert net._affected((b,)) == {2}
+        assert net._affected((a, b)) == {0, 1, 2}
+        assert net._affected((a, b, a)) == {0, 1, 2}
+        env.run()
+        # Drained links stay registered, with empty sharing sets.
+        assert net._affected((a,)) == set()
+        assert net._affected((a, b)) == set()
 
 
 class TestRerateCounters:
@@ -253,24 +256,20 @@ class TestRerateCounters:
         assert snap.counters["simnet.fluid.rerate.max_batch"] >= 1
 
 
-class TestRunningRateSum:
+class TestOnDemandUtilization:
     def test_utilization_tracks_completions_and_aborts(self, env):
-        # utilization() reads a running per-link rate sum; it must agree
-        # with a recompute from live flows at every topology change.
+        # utilization() sums the live rates of a link's flows in fid
+        # order when asked; a drained or aborted link reads exactly 0.0,
+        # with no float residue left behind by earlier rate changes.
         net = FluidNetwork(env)
 
         def recomputed(link):
-            cap = net.link_caps.get(link)
-            if not cap:
-                return 0.0
-            return sum(
-                net.flows[fid].rate for fid in net.link_flows.get(link, ())
-                if fid in net.flows
-            ) / cap
+            found = net.links[link]
+            return sum(net.flows[fid].rate for fid in sorted(found.fids)) / found.cap
 
         def check():
-            for link in net.link_caps:
-                assert net.utilization(link) == pytest.approx(recomputed(link))
+            for link in net.links:
+                assert net.utilization(link) == recomputed(link)
 
         def driver(env):
             net.transfer([("a", 100.0), ("b", 50.0)], 400.0)
@@ -280,15 +279,15 @@ class TestRunningRateSum:
             yield env.timeout(1.0)
             check()  # mid-flight, after re-rates
             yield env.timeout(30.0)
-            check()  # a/b flows completed; their rates were removed
+            check()  # a/b flows completed
             assert net.utilization("a") == 0.0
             assert net.utilization("b") == 0.0
-            assert net.utilization("c") == pytest.approx(1.0)
+            assert net.utilization("c") == 1.0
             net.abort_flows(lambda k: k == "c", RuntimeError)
             check()
             assert net.utilization("c") == 0.0
 
-        proc = env.process(driver(env))
+        env.process(driver(env))
         try:
             env.run()
         except RuntimeError:

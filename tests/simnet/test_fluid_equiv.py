@@ -2,19 +2,22 @@
 
 ``FluidNetwork._rerate`` computes rate batches with numpy once a batch
 reaches ``_VECTOR_MIN`` flows. The contract is *bit-identical* IEEE-754
-results: the vector path evaluates exactly ``cap[l] / n[l]`` per link and
-a pairwise float64 min — the same operations as the scalar loop — and
-arms completion timers in the same ``sorted(fids)`` order, so simulated
-schedules cannot depend on which path ran.
+results: both paths read each link's cached share ``cap / n`` (the
+division the reference repeats for every flow on every re-rate) and take
+a pairwise float64 min, and arm completion timers in the same
+``sorted(fids)`` order, so simulated schedules cannot depend on which
+path ran.
 
 Randomized flow scenarios (seeded — failures reproduce) drive three
 solvers over identical op streams and compare every completion time,
 abort outcome, and mid-run utilization probe for exact float equality:
 
 * ``ReferenceFluidNetwork`` — the pre-vectorization implementation,
-  embedded here verbatim (dict-based, per-flow Python loops, every re-arm
-  a kernel ``timeout()`` and its predecessor ``cancel()``ed, where the
-  current solver keeps its completion entries in a heap of its own);
+  embedded here (dict-based, per-flow Python loops recomputing every
+  share, every re-arm a kernel ``timeout()`` and its predecessor
+  ``cancel()``ed, where the current solver keeps its completion entries
+  in a heap of its own; its utilization sums live rates in fid order, as
+  the current solver's does);
 * the current ``FluidNetwork`` pinned to the scalar path
   (``_VECTOR_MIN`` huge);
 * the current ``FluidNetwork`` pinned to the vector path
@@ -53,7 +56,6 @@ class ReferenceFluidNetwork:
         self.flows = {}
         self.link_flows = {}
         self.link_caps = {}
-        self.link_rate = {}
         self.completed = 0
         self._next_fid = 0
 
@@ -71,7 +73,6 @@ class ReferenceFluidNetwork:
             if key not in self.link_caps:
                 self.link_caps[key] = float(cap)
                 self.link_flows[key] = set()
-                self.link_rate[key] = 0.0
             keys.append(key)
         flow = _RefFlow(self._next_fid, tuple(keys), nbytes, done)
         self._next_fid += 1
@@ -93,7 +94,6 @@ class ReferenceFluidNetwork:
             del self.flows[flow.fid]
             for key in flow.links:
                 self.link_flows[key].discard(flow.fid)
-                self.link_rate[key] -= flow.rate
             flow.gen += 1
             self._cancel_timer(flow)
             flow.done.fail(exc_factory())
@@ -108,7 +108,8 @@ class ReferenceFluidNetwork:
         cap = self.link_caps.get(link)
         if not cap:
             return 0.0
-        return max(self.link_rate.get(link, 0.0), 0.0) / cap
+        flows = self.link_flows[link]
+        return sum(self.flows[fid].rate for fid in sorted(flows)) / cap
 
     def _affected(self, keys):
         out = set()
@@ -138,10 +139,6 @@ class ReferenceFluidNetwork:
                 self.link_caps[key] / len(self.link_flows[key])
                 for key in flow.links
             )
-            delta = rate - flow.rate
-            if delta:
-                for key in flow.links:
-                    self.link_rate[key] += delta
             flow.rate = rate
             flow.gen += 1
             self._arm(flow)
@@ -173,7 +170,6 @@ class ReferenceFluidNetwork:
         del self.flows[flow.fid]
         for key in flow.links:
             self.link_flows[key].discard(flow.fid)
-            self.link_rate[key] -= flow.rate
         self.completed += 1
         flow.done.succeed()
         self._rerate(self._affected(flow.links))
@@ -204,13 +200,14 @@ def _random_scenario(rng):
     return keys, ops
 
 
-def _run_scenario(net_factory, keys, ops, marks=()):
+def _run_scenario(net_factory, keys, ops, marks=(), fence=None):
     """Drive one solver through the op stream; return the observable log.
 
     Each instant in ``marks`` also gets unrelated timers that log when
     they fire and how many flows are still active: one taken before
     anything starts, and one more taken right after every flow start and
     every flow outcome before it (so after the re-rate that step caused).
+    ``fence(net)``, if given, runs after every op and every flow outcome.
     """
     env = SimEngine()
     net = net_factory(env)
@@ -230,6 +227,8 @@ def _run_scenario(net_factory, keys, ops, marks=()):
         def cb(ev):
             log.append(("done" if ev._ok else "failed", tag, env.now))
             arm_marks(tag)
+            if fence is not None:
+                fence(net)
 
         return cb
 
@@ -247,6 +246,8 @@ def _run_scenario(net_factory, keys, ops, marks=()):
                 _, _, tag = op
                 util = tuple(net.utilization(k) for k in keys)
                 log.append(("probe", tag, env.now, util))
+            if fence is not None:
+                fence(net)
 
         return cb
 
@@ -272,13 +273,23 @@ def _vector_net(env):
     return net
 
 
+def _share_fence(net):
+    """Every occupied link's cached share is the division a re-rate used
+    to repeat, and its numpy mirror holds the same float."""
+    for link in net.links.values():
+        assert link.fids <= net.flows.keys()
+        if link.fids:
+            assert link.share == link.cap / len(link.fids)
+            assert net._shares_arr[link.idx] == link.share
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_streams_bit_identical(seed):
     rng = random.Random(seed)
     keys, ops = _random_scenario(rng)
     ref = _run_scenario(ReferenceFluidNetwork, keys, ops)
-    scalar = _run_scenario(_scalar_net, keys, ops)
-    vector = _run_scenario(_vector_net, keys, ops)
+    scalar = _run_scenario(_scalar_net, keys, ops, fence=_share_fence)
+    vector = _run_scenario(_vector_net, keys, ops, fence=_share_fence)
     # Exact equality end to end: same outcomes, same float completion
     # times, same utilization probes — no approx.
     assert scalar == ref
@@ -306,9 +317,24 @@ def test_default_threshold_mixes_paths():
     # ones vectorize; both must coexist in one run without drift.
     rng = random.Random(99)
     keys, ops = _random_scenario(rng)
+    # The random stream alone never builds a batch of _VECTOR_MIN flows:
+    # a burst of simultaneous starts on one TX/RX pair (then a probe)
+    # mid-stream does, amid the stream's small batches.
+    t = ops[len(ops) // 2][1]
+    pair = [(keys[0], 1e7), (keys[1], 1e7)]
+    ops = ops + [("transfer", t, f"burst{i}", pair, 65536.0) for i in range(12)]
+    ops.append(("probe", t, "after-burst"))
     ref = _run_scenario(ReferenceFluidNetwork, keys, ops)
-    mixed = _run_scenario(FluidNetwork, keys, ops)
+    nets = []
+
+    def tracked(env):
+        nets.append(FluidNetwork(env))
+        return nets[-1]
+
+    mixed = _run_scenario(tracked, keys, ops, fence=_share_fence)
     assert mixed == ref
+    (net,) = nets
+    assert 0 < net._n_vector_batches < net._n_rerate_calls
 
 
 def _tie_scenario(rng):

@@ -128,7 +128,6 @@ class TestFrameProperties:
 def reference_header(msg) -> bytes:
     """The header as the original field-by-field ByteBuf codec built it."""
     from repro.netty.bytebuf import ByteBuf
-    from repro.netty.frame import encode_frame_header
 
     buf = ByteBuf()
     if isinstance(msg, (ChunkFetchRequest, ChunkFetchSuccess, ChunkFetchFailure)):
@@ -150,7 +149,10 @@ def reference_header(msg) -> bytes:
             buf.write_string(msg.error)
     else:
         assert isinstance(msg, OneWayMessage)
-    return encode_frame_header(msg.type_tag, buf.to_bytes(), msg.body_nbytes)
+    fields = buf.to_bytes()
+    # Length prefix (8) + type tag (1) + fields, then the body's size.
+    head = ByteBuf().write_long(9 + len(fields) + msg.body_nbytes).write_byte(msg.type_tag)
+    return head.write_bytes(fields).to_bytes()
 
 
 _longs = st.integers(0, 2**62)
