@@ -14,6 +14,8 @@ destined to them.
 
 from __future__ import annotations
 
+from itertools import chain, count
+from operator import itemgetter
 from typing import Any, Iterator
 
 import numpy as np
@@ -22,6 +24,20 @@ from repro.spark.dag import Job, Stage
 from repro.spark.rdd import ShuffleDependency, TaskContext
 from repro.spark.tracing import StageTrace
 from repro.util.serialization import estimate_batch, sizeof
+
+
+_key = itemgetter(0)
+
+
+def _bucket_by(records: list[Any], rids: list[int], n_reds: int) -> list[list[Any]]:
+    """Split ``records`` into ``n_reds`` lists by reduce id, keeping
+    arrival order within each list (a stable sort of the ids)."""
+    rid_arr = np.asarray(rids, dtype=np.intp)
+    order = np.argsort(rid_arr, kind="stable")
+    ordered = np.fromiter(records, dtype=object, count=len(records))[order]
+    ends = np.cumsum(np.bincount(rid_arr, minlength=n_reds)).tolist()
+    starts = [0, *ends[:-1]]
+    return [ordered[a:b].tolist() for a, b in zip(starts, ends)]
 
 
 class MapOutputRegistry:
@@ -48,12 +64,13 @@ class MapOutputRegistry:
         self._outputs[shuffle_id][map_id][reduce_id] = (records, nbytes)
 
     def fetch(self, shuffle_id: int, reduce_id: int) -> Iterator[Any]:
-        if shuffle_id not in self._outputs:
+        """The records bound for ``reduce_id``: map order, then arrival order."""
+        maps = self._outputs.get(shuffle_id)
+        if maps is None:
             raise KeyError(f"shuffle {shuffle_id} has not been computed")
-        for map_out in self._outputs[shuffle_id]:
-            bucket = map_out.get(reduce_id)
-            if bucket is not None:
-                yield from bucket[0]
+        return chain.from_iterable(
+            m[reduce_id][0] for m in maps if reduce_id in m
+        )
 
     def block_sizes(self, shuffle_id: int) -> np.ndarray:
         """Matrix [map_id, reduce_id] of serialized bucket sizes."""
@@ -128,16 +145,16 @@ class LocalBackend:
         agg = dep.aggregator
         for map_id in range(n_maps):
             task_ctx = LocalTaskContext(self)
-            buckets: list[Any] = [None] * n_reds
             # Batched data plane: materialize the partition (shuffle map
             # stages always consume their input fully), then partition
             # all keys in one vectorized call. Record order within each
-            # bucket is the arrival order, exactly as the per-record
-            # loop produced.
+            # bucket is the arrival order, exactly as a per-record loop
+            # would produce it.
             records = list(stage.rdd.iterator(map_id, task_ctx))
             records_in = len(records)
-            rids = dep.partitioner.partition_many([kv[0] for kv in records])
+            rids = dep.partitioner.partition_many(list(map(_key, records)))
             if dep.map_side_combine and agg is not None:
+                buckets: list[Any] = [None] * n_reds
                 merge_value = agg.merge_value
                 create_combiner = agg.create_combiner
                 for (k, v), rid in zip(records, rids):
@@ -152,12 +169,7 @@ class LocalBackend:
                     list(b.items()) if b else [] for b in buckets
                 ]
             else:
-                for kv, rid in zip(records, rids):
-                    bucket = buckets[rid]
-                    if bucket is None:
-                        bucket = buckets[rid] = []
-                    bucket.append(kv)
-                bucket_lists = [b or [] for b in buckets]
+                bucket_lists = _bucket_by(records, rids, n_reds)
 
             records_out = 0
             bytes_out = 0
@@ -199,17 +211,15 @@ class LocalBackend:
         results = []
         for pid in job.partitions:
             task_ctx = LocalTaskContext(self)
-            records = 0
-
-            def counting(it):
-                nonlocal records
-                for x in it:
-                    records += 1
-                    yield x
-
-            value = job.func(counting(stage.rdd.iterator(pid, task_ctx)))
+            # Count what the job consumes: zip pulls the record before the
+            # counter, so a consumer that stops early (take, first) counts
+            # exactly the records it pulled, with no frame per record.
+            consumed = count()
+            value = job.func(
+                map(_key, zip(stage.rdd.iterator(pid, task_ctx), consumed))
+            )
             results.append(value)
-            trace.records_in.append(records)
+            trace.records_in.append(next(consumed))
             trace.records_out.append(1)
             trace.bytes_out.append(sizeof(value))
         return results, trace

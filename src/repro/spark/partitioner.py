@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -154,15 +155,23 @@ SAMPLE_SIZE_PER_PARTITION = 20
 
 
 def sample_for_range_bounds(records: Iterable[Any], num_partitions: int, seed: int = 17):
-    """Reservoir-sample keys for RangePartitioner construction."""
+    """Reservoir-sample keys for RangePartitioner construction.
+
+    Record ``i`` past the first ``target`` replaces slot
+    ``random.Random(seed).randint(0, i)`` if that is below ``target``; the
+    loop inlines ``randint``'s own draw (CPython's ``_randbelow``: the top
+    ``(i + 1).bit_length()`` bits, redrawn until below ``i + 1``), so the
+    stream and the sample are the same without three frames per record.
+    """
     target = SAMPLE_SIZE_PER_PARTITION * num_partitions
-    rng = random.Random(seed)
-    reservoir: list[Any] = []
-    for i, key in enumerate(records):
-        if len(reservoir) < target:
-            reservoir.append(key)
-        else:
-            j = rng.randint(0, i)
-            if j < target:
-                reservoir[j] = key
+    getrandbits = random.Random(seed).getrandbits
+    it = iter(records)
+    reservoir: list[Any] = list(islice(it, target))
+    for n, key in enumerate(it, target + 1):
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        if j < target:
+            reservoir[j] = key
     return reservoir

@@ -17,6 +17,8 @@ the same lineage with traced sizes.
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.spark.partitioner import (
@@ -267,7 +269,7 @@ class RDD:
         # is why the paper's SortByTest breakdown labels the sort "Job2".
         sample = self.ctx.run_job(
             self,
-            lambda it: sample_for_range_bounds((k for k, _ in it), max(n // self.num_partitions, 1) * 4),
+            lambda it: sample_for_range_bounds(map(_key, it), max(n // self.num_partitions, 1) * 4),
             description="sortByKey sampling",
         )
         keys = [k for part in sample for k in part]
@@ -336,9 +338,7 @@ class RDD:
         return [x for part in parts for x in part]
 
     def count(self) -> int:
-        parts = self.ctx.run_job(
-            self, lambda it: sum(1 for _ in it), description=f"count {self.name}"
-        )
+        parts = self.ctx.run_job(self, _count_iter, description=f"count {self.name}")
         return sum(parts)
 
     def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
@@ -415,6 +415,15 @@ class RDD:
 
 
 _SENTINEL = object()
+_key = itemgetter(0)
+
+
+def _count_iter(it) -> int:
+    # Count by zipping against a counter: zip pulls the record first, so
+    # the counter advances once per record, and no frame runs per record.
+    counter = itertools.count()
+    deque(zip(it, counter), maxlen=0)
+    return next(counter)
 
 
 def _fold_iter(it, zero, fn):
@@ -597,7 +606,7 @@ class ShuffledRDD(RDD):
             records = iter(combined.items())
         if dep.key_ordering:
             records = iter(
-                sorted(records, key=lambda kv: kv[0], reverse=not dep.ascending)
+                sorted(records, key=_key, reverse=not dep.ascending)
             )
         return records
 

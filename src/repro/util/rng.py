@@ -13,6 +13,41 @@ import hashlib
 import random
 from typing import Any
 
+import numpy as np
+
+
+def randint_stream(seed: int, high: int, count: int) -> list[int]:
+    """``[random.Random(seed).randint(0, high) for _ in range(count)]``.
+
+    Same draws, same stream, drawn in C. Both CPython's ``random`` and
+    numpy's legacy ``RandomState`` are MT19937; the latter's stream is
+    frozen (NEP 19) and takes the former's state verbatim. CPython's
+    ``randint(0, high)`` is ``_randbelow(high + 1)``: draw
+    ``getrandbits(k)`` with ``k = (high + 1).bit_length()`` until the draw
+    is below ``high + 1``. For ``k <= 32`` each draw is one 32-bit word's
+    top ``k`` bits, so the rejection loop is a filter over raw words.
+    Wider ranges take several words per draw and fall back to the loop.
+    """
+    n = high + 1
+    k = n.bit_length()
+    rng = random.Random(seed)
+    if k > 32:
+        return [rng.randint(0, high) for _ in range(count)]
+    _version, internal, _gauss = rng.getstate()
+    rs = np.random.RandomState()
+    rs.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    shift = np.uint32(32 - k)
+    draws = np.empty(0, dtype=np.uint32)
+    while len(draws) < count:
+        # A word is kept with probability n / 2**k >= 1/2; drawing ~6 %
+        # over the expected need makes a second batch rare. Words past the
+        # last kept draw are never read.
+        need = ((count - len(draws)) << k) // n
+        words = rs.randint(0, 1 << 32, size=need + (need >> 4) + 64, dtype=np.uint32)
+        top = words >> shift
+        draws = np.concatenate([draws, top[top < n]])
+    return draws[:count].tolist()
+
 
 def derive_seed(seed: int, *keys: Any) -> int:
     """Deterministically derive a child seed from a parent seed and keys.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -91,11 +92,12 @@ def estimate_batch(records: Iterable[Any]) -> int:
 
     The shuffle write path sizes whole buckets at once; for the dominant
     shape — a bucket of uniform-arity tuples, e.g. ``(int, bytes)`` pairs
-    — the sum is computed column-wise with C-level ``map``/``sum`` calls
-    instead of one Python-level sizing call per record. Columns that are
-    not uniformly primitive fall back to per-element :func:`estimate_size`
-    (which still memoizes repeated shapes), so the result is the exact
-    per-record sum by construction for every input.
+    — the sum is computed column-wise (``map(itemgetter(i), records)``)
+    with C-level ``map``/``sum`` calls instead of one Python-level sizing
+    call per record. Columns that are not uniformly primitive fall back to
+    per-element :func:`estimate_size` (which still memoizes repeated
+    shapes), so the result is the exact per-record sum by construction for
+    every input.
     """
     if not isinstance(records, (list, tuple)):
         records = list(records)
@@ -104,7 +106,8 @@ def estimate_batch(records: Iterable[Any]) -> int:
         return 0
     if n > 1 and set(map(type, records)) == {tuple} and len(set(map(len, records))) == 1:
         total = 8 * n  # per-tuple container overhead (see sizeof)
-        for col in zip(*records):
+        for i in range(len(records[0])):
+            col = list(map(itemgetter(i), records))
             col_types = set(map(type, col))
             if len(col_types) == 1:
                 (ct,) = col_types

@@ -16,8 +16,8 @@ are labeled Job2 (exactly as in the paper's Fig. 10b breakdown).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,9 +35,22 @@ from repro.harness.systems import SystemConfig
 from repro.harness.tracecache import get_or_trace
 from repro.spark import SparkConf, SparkContext
 from repro.spark.tracing import SampleTrace
+from repro.util.rng import randint_stream
 from repro.workloads.calibration import COSTS, WorkloadCosts
 
 SAMPLE_DEFAULTS = {"num_pairs": 4000, "num_partitions": 4, "value_bytes": 64}
+
+
+def _pair_gen(seed: int, num_pairs: int, num_partitions: int, value_bytes: int):
+    """OHB datagen: split ``s`` yields ``num_pairs // num_partitions`` pairs
+    ``(random.Random(seed + s).randint(0, num_pairs), bytes(value_bytes))``."""
+    per_part = num_pairs // num_partitions
+
+    def gen(split: int):
+        value = bytes(value_bytes)  # constant payload: build once
+        return zip(randint_stream(seed + split, num_pairs, per_part), repeat(value))
+
+    return gen
 
 
 @dataclass
@@ -55,13 +68,7 @@ class OhbWorkload:
                   value_bytes: int = 64, seed: int = 42):
         """The OHB benchmark body as a real RDD program."""
 
-        def gen(split: int):
-            rng = random.Random(seed + split)
-            per_part = num_pairs // num_partitions
-            value = bytes(value_bytes)  # constant payload: build once
-            for _ in range(per_part):
-                yield (rng.randint(0, num_pairs), value)
-
+        gen = _pair_gen(seed, num_pairs, num_partitions, value_bytes)
         pairs = sc.generated(num_partitions, gen, name=f"{self.name}-datagen")
         if self.name == "GroupByTest":
             return pairs.group_by_key(num_partitions)
@@ -78,14 +85,7 @@ class OhbWorkload:
         generated data, the later job performs the wide operation.
         """
         sc = SparkContext(SparkConf({"spark.default.parallelism": str(num_partitions)}))
-
-        def gen(split: int):
-            rng = random.Random(1234 + split)
-            per_part = num_pairs // num_partitions
-            value = bytes(value_bytes)  # constant payload: build once
-            for _ in range(per_part):
-                yield (rng.randint(0, num_pairs), value)
-
+        gen = _pair_gen(1234, num_pairs, num_partitions, value_bytes)
         pairs = sc.generated(num_partitions, gen, name=f"{self.name}-datagen").cache()
         assert pairs.count() == (num_pairs // num_partitions) * num_partitions  # Job0
         if self.name == "GroupByTest":

@@ -248,3 +248,31 @@ class TestApiSurface:
         assert diff.wall_delta_s == 0.0
         diff.check()
         assert isinstance(StructuralNode("task-count", "s", "d"), StructuralNode)
+
+
+def test_diff_page_renders_a_real_two_worker_diff():
+    # The blame page on two real recordings (2 workers, nio vs mpi-opt):
+    # the standalone document, the waterfall, the attribution table and
+    # the top contributor all reach the HTML.
+    from repro.harness.experiments import _run_ohb
+    from repro.obs.report_html import _esc, render_diff_page
+    from repro.util.units import GiB
+    from repro.workloads.ohb import GROUP_BY
+
+    nio, opt = (
+        _run_ohb(GROUP_BY, 2, 2 * GiB, transport, 0.1, obs_causal=True).result
+        for transport in ("nio", "mpi-opt")
+    )
+    diff = diff_runs(nio, opt, a_label="nio", b_label="mpi-opt")
+    diff.check()
+    page = render_diff_page(diff, nio.flight, opt.flight, title="nio vs mpi-opt")
+    assert page.startswith("<!DOCTYPE html><html>") and page.endswith("</html>")
+    assert "<title>nio vs mpi-opt</title>" in page
+    assert "<h3>stage Gantt (side by side)</h3><svg" in page
+    assert "<h3>delta waterfall</h3><svg" in page
+    assert "<h3>per-stage attribution</h3><table>" in page
+    top = diff.top_contributor()
+    assert top is not None
+    assert f"top contributor: <b>{_esc(top)}</b>" in page
+    for stage in diff.stages:
+        assert f"<td class='l'>{_esc(stage.stage)}</td>" in page

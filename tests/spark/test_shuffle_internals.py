@@ -27,6 +27,17 @@ class TestMapOutputRegistry:
         with pytest.raises(KeyError):
             list(MapOutputRegistry().fetch(9, 0))
 
+    def test_fetch_yields_map_order_then_arrival_order(self):
+        reg = MapOutputRegistry()
+        reg.init_shuffle(0, num_maps=3)
+        reg.put(0, 2, 1, [("e", 5), ("f", 6)], nbytes=2)
+        reg.put(0, 0, 1, [("a", 1), ("b", 2)], nbytes=2)
+        reg.put(0, 0, 0, [("x", 0)], nbytes=1)
+        reg.put(0, 1, 1, [("c", 3), ("d", 4)], nbytes=2)
+        assert [k for k, _ in reg.fetch(0, 1)] == ["a", "b", "c", "d", "e", "f"]
+        assert list(reg.fetch(0, 0)) == [("x", 0)]
+        assert list(reg.fetch(0, 2)) == []
+
     def test_block_sizes_matrix(self):
         reg = MapOutputRegistry()
         reg.init_shuffle(3, num_maps=2)
