@@ -11,9 +11,7 @@ MPI4Spark-Optimized, then:
   layer that writes ``results/BENCH_jobserver.json``),
 * re-runs one contended FIFO cell with causal tracing and prints its
   critical path — queueing shows up as per-application ``sched-wait``
-  pseudo-stages next to compute/wire/poll-tax,
-* demos the Gym-style env: steps the same trace decision-by-decision
-  with a scripted policy and shows the return (−Σ JCT).
+  pseudo-stages next to compute/wire/poll-tax.
 
 Run:  python examples/jobserver_demo.py
 """
@@ -21,8 +19,6 @@ Run:  python examples/jobserver_demo.py
 from repro.harness.systems import FRONTERA
 from repro.jobserver import (
     FifoScheduler,
-    JobServer,
-    JobServerEnv,
     JobServerReport,
     SCHEDULERS,
     poisson_trace,
@@ -78,21 +74,6 @@ def main() -> None:
     print(f"critical path carries {len(waits)} sched-wait pseudo-stages:")
     for s in waits:
         print(f"  {s.stage:<40} {s.seconds('sched-wait'):.2f}s")
-
-    # The Gym-style surface: observe -> plan -> step, one decision at a time.
-    sim = cluster("mpi-opt")
-    policy = FifoScheduler()
-    env = JobServerEnv(JobServer(sim, policy, TRACE))
-    obs = env.reset()
-    done, total_reward, steps = False, 0.0, 0
-    while not done:
-        obs, reward, done, info = env.step(policy.plan(obs))
-        total_reward += reward
-        steps += 1
-    sim.shutdown()
-    print()
-    print(f"gym env: {steps} decision points, return (-sum JCT) = "
-          f"{total_reward:.2f}s over {info['n_finished']} jobs")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Observability quickstart: trace a GroupByTest run, export Chrome JSON.
+"""Observability quickstart: record a GroupByTest run, export Chrome JSON.
 
 Runs one 4 GiB GroupByTest cell on 2 simulated Frontera workers with
-MPI4Spark-Optimized, metrics + tracing enabled via SparkConf, then:
+MPI4Spark-Optimized and causal recording on (``spark.repro.obs.causal``,
+which implies metrics), then:
 
-* prints the Spark-UI-style text timeline (stage + task spans),
+* prints the Spark-UI-style text timeline of the recording's stages and
+  tasks,
 * prints key metric rollups (polling tax, loop busy %, fetch wait),
 * writes ``results/groupby_trace.json`` — open it in ``chrome://tracing``
-  or https://ui.perfetto.dev to browse the run span by span.
+  or https://ui.perfetto.dev to browse the run stage by stage and task by
+  task.
 
 Run:  python examples/obs_trace.py
 """
@@ -15,7 +18,13 @@ Run:  python examples/obs_trace.py
 import pathlib
 
 from repro.harness.systems import FRONTERA
-from repro.obs import iprobe_calls, loop_busy_fraction, polling_tax_seconds
+from repro.obs import (
+    iprobe_calls,
+    loop_busy_fraction,
+    polling_tax_seconds,
+    render_timeline,
+    write_chrome_trace,
+)
 from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, fmt_time
@@ -28,8 +37,7 @@ def main() -> None:
     conf = SparkConf(
         {
             "spark.repro.transport": "mpi-opt",
-            "spark.repro.obs.enabled": "true",
-            "spark.repro.obs.trace": "true",
+            "spark.repro.obs.causal": "true",
         }
     )
     n_workers, data = 2, 4 * GiB
@@ -41,7 +49,7 @@ def main() -> None:
 
     print(f"GroupByTest {data >> 30} GiB / {n_workers} workers / "
           f"{sim.transport.name}: {fmt_time(result.total_seconds)} total\n")
-    print(sim.env.tracer.render_timeline())
+    print(render_timeline(result))
 
     snap = result.metrics
     print(f"\nmetrics: {len(snap)} series from one run")
@@ -52,7 +60,7 @@ def main() -> None:
     print(f"  remote fetched:  {snap.total('spark.scheduler.remote_fetch_bytes') / GiB:.2f} GiB")
 
     OUT.parent.mkdir(exist_ok=True)
-    sim.env.tracer.write(OUT)
+    write_chrome_trace(result, OUT)
     print(f"\nChrome trace: {OUT}")
     print("open chrome://tracing (or https://ui.perfetto.dev) and load it")
 

@@ -3,9 +3,8 @@
 The contention-study layer on top of :mod:`repro.spark.deploy` (DESIGN.md
 §13): seeded arrival traces (:mod:`~repro.jobserver.arrivals`), pluggable
 inter-job schedulers (:mod:`~repro.jobserver.schedulers`), the server
-itself (:mod:`~repro.jobserver.server`), a Gym-style decision-point env
-(:mod:`~repro.jobserver.env`) and the JCT/queueing-delay report layer
-(:mod:`~repro.jobserver.report`).
+itself (:mod:`~repro.jobserver.server`) and the JCT/queueing-delay report
+layer (:mod:`~repro.jobserver.report`).
 """
 
 from repro.jobserver.arrivals import (
@@ -15,7 +14,6 @@ from repro.jobserver.arrivals import (
     poisson_trace,
     trace_from_rows,
 )
-from repro.jobserver.env import JobServerEnv
 from repro.jobserver.report import CellStats, JobServerReport, cell_stats
 from repro.jobserver.schedulers import (
     SCHEDULERS,
@@ -45,7 +43,6 @@ __all__ = [
     "JobRequest",
     "poisson_trace",
     "trace_from_rows",
-    "JobServerEnv",
     "CellStats",
     "JobServerReport",
     "cell_stats",

@@ -4,8 +4,7 @@ A scheduler sees an immutable :class:`ClusterView` (queue + running set +
 slot inventory) and returns a :class:`SchedulePlan` (who to admit, with
 what concurrency grant, optionally re-capping running jobs). The server
 applies the plan; schedulers never touch simulation state directly, which
-is what makes them swappable and scriptable (see ``repro.jobserver.env``
-for the Gym-style wrapper over the same interface).
+is what makes them swappable.
 
 Three built-ins mirror the classic inter-job policies:
 

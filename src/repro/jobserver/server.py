@@ -162,10 +162,6 @@ class JobServer:
         self._n_finished = 0
         self._all_done = cluster.env.event()
         self._started = False
-        # Manual-decision hook for the Gym-style env wrapper: when set, the
-        # server records the view and defers to the driver instead of
-        # calling scheduler.plan synchronously.
-        self._decision_hook: Callable[[ClusterView], None] | None = None
         m = cluster.env.metrics
         self._m_submitted = m.counter("jobserver.submitted")
         self._m_started = m.counter("jobserver.started")
@@ -265,9 +261,6 @@ class JobServer:
         )
 
     def _decide(self) -> None:
-        if self._decision_hook is not None:
-            self._decision_hook(self.view())
-            return
         self.apply_plan(self.scheduler.plan(self.view()))
 
     def apply_plan(self, plan: SchedulePlan) -> None:

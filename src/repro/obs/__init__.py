@@ -2,8 +2,9 @@
 
 The registry measures *where simulated time and bytes go* (event-loop
 busy fractions, MPI polling tax, per-link traffic, scheduler phase
-breakdowns); the tracer records task/stage/transport spans and exports
-Chrome-trace JSON. Together they turn the paper's causal claims (Sec
+breakdowns); the causal flight recorder logs every message, task and
+stage, and :mod:`repro.obs.tracer` exports its stages and tasks as
+Chrome-trace JSON and a text timeline. Together they turn the paper's causal claims (Sec
 VI-D: Basic's ``MPI_Iprobe`` busy-polling starves compute) into measured
 columns in the harness reports instead of model assertions.
 
@@ -14,8 +15,9 @@ tracing are enabled per run via ``SparkConf``:
 * ``spark.repro.obs.enabled`` — attach a :class:`MetricsSnapshot` to
   each :class:`~repro.spark.deploy.RunResult` and unlock the report's
   polling-tax / busy-% columns;
-* ``spark.repro.obs.trace`` — install a real :class:`Tracer` on the
-  engine and record task/stage spans.
+* ``spark.repro.obs.causal`` — install a real :class:`CausalTracer` on
+  the engine and attach its flight recording to the ``RunResult``
+  (implies ``enabled``).
 
 See DESIGN.md §9 for the metric-name catalogue.
 """
@@ -51,7 +53,7 @@ from repro.obs.registry import (
     MetricsSnapshot,
     TimeWeightedGauge,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import chrome_trace, render_timeline, write_chrome_trace
 from repro.obs.whatif import (
     DEFAULT_GRID,
     IDENTITY,
@@ -73,10 +75,9 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "TimeWeightedGauge",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
+    "chrome_trace",
+    "write_chrome_trace",
+    "render_timeline",
     "CausalTracer",
     "NullCausal",
     "NULL_CAUSAL",
@@ -109,7 +110,6 @@ __all__ = [
     "DEFAULT_GRID",
     "load_model",
     "obs_from_conf",
-    "causal_from_conf",
     "polling_tax_seconds",
     "loop_busy_fraction",
     "iprobe_calls",
@@ -117,25 +117,13 @@ __all__ = [
 
 
 def obs_from_conf(conf: "Config") -> tuple[bool, bool]:
-    """Read ``(enabled, trace)`` from a SparkConf-like config.
+    """Read ``(enabled, causal)`` from a SparkConf-like config.
 
-    ``spark.repro.obs.trace`` implies ``enabled`` — a trace without the
-    metric columns that explain it is rarely what anyone wants.
+    ``spark.repro.obs.causal`` implies ``enabled`` — a recording without
+    the metric columns that explain it is rarely what anyone wants.
     """
-    enabled = conf.get_bool("spark.repro.obs.enabled", False)
-    trace = conf.get_bool("spark.repro.obs.trace", False)
     causal = conf.get_bool("spark.repro.obs.causal", False)
-    return (enabled or trace or causal, trace)
-
-
-def causal_from_conf(conf: "Config") -> bool:
-    """Read ``spark.repro.obs.causal``: message-level causal tracing.
-
-    Kept separate from :func:`obs_from_conf` so that function's
-    ``(enabled, trace)`` contract stays stable; causal tracing implies
-    ``enabled`` through ``obs_from_conf`` above.
-    """
-    return conf.get_bool("spark.repro.obs.causal", False)
+    return (conf.get_bool("spark.repro.obs.enabled", False) or causal, causal)
 
 
 # -- derived report metrics ---------------------------------------------------

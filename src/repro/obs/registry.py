@@ -14,8 +14,8 @@ per-executor instrumentation aggregates into cluster-wide counters
 The registry is deliberately cheap: a :class:`Counter` increment is one
 float add, so the always-on instrumentation in the event loop / wire
 path costs nothing measurable against the event-heap machinery. The
-heavier artifacts (snapshots, report columns, Chrome traces) are opt-in
-per run via ``spark.repro.obs.enabled`` / ``spark.repro.obs.trace``.
+heavier artifacts (snapshots, report columns, flight recordings) are
+opt-in per run via ``spark.repro.obs.enabled`` / ``spark.repro.obs.causal``.
 """
 
 from __future__ import annotations

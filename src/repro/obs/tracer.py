@@ -1,238 +1,139 @@
-"""Span-based execution tracing with Chrome-trace and text export.
+"""Chrome-trace and text-timeline exporters over a causal flight recording.
 
-Spans record *simulated* intervals — a task occupying an executor slot,
-a stage between scheduler barriers, a body riding MPI — on named tracks
-(one Chrome "thread" per track). The exporter emits the Trace Event
-Format consumed by ``chrome://tracing`` and https://ui.perfetto.dev, and
-:meth:`Tracer.render_timeline` renders a Spark-UI-style text timeline
-for terminals and test output.
+A causally-traced run (``spark.repro.obs.causal``) already records every
+stage and task interval: the stage loop emits ``stage.start`` /
+``stage.finish`` and the task envelope ``task.start`` / ``task.finish``.
+These functions read those pairs through :meth:`FlightRecorder.index`
+and draw them:
 
-Tracing is opt-in (``spark.repro.obs.trace``): the engine's default
-tracer is :data:`NULL_TRACER`, whose ``span`` hands out one shared no-op
-context manager, so un-traced runs allocate nothing per span.
+* :func:`chrome_trace` — the Trace Event Format consumed by
+  ``chrome://tracing`` and https://ui.perfetto.dev. Stage pairs go on
+  track ``driver``, task pairs on ``exec<N>``; one Chrome "thread" per
+  track, numbered in first-seen start order; timestamps are microseconds
+  of *simulated* time.
+* :func:`render_timeline` — the same intervals as Spark-UI-style text
+  bars for terminals and test output.
+
+Any recording exports: a live ``RunResult.flight``, a run-cache hit, or a
+committed ``baselines/*.jsonl.gz`` read with
+:meth:`FlightRecorder.load_jsonl`. A task that started but never finished
+ends at the recording's last event and is flagged ``unfinished``; a stage
+that never finished has no pair and is not drawn.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simnet.engine import SimEngine
+    from repro.obs.flightrec import FlightRecorder
+    from repro.spark.deploy import RunResult
 
 
-class Span:
-    """One closed (or still-open) interval on a track."""
+class _Bar(NamedTuple):
+    """One interval on one track."""
 
-    __slots__ = ("name", "cat", "track", "start_s", "end_s", "args")
-
-    def __init__(
-        self,
-        name: str,
-        cat: str,
-        track: str,
-        start_s: float,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        self.name = name
-        self.cat = cat
-        self.track = track
-        self.start_s = start_s
-        self.end_s: float | None = None
-        self.args = args or {}
-
-    @property
-    def duration_s(self) -> float:
-        return (self.end_s if self.end_s is not None else self.start_s) - self.start_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Span {self.name} [{self.start_s:g}, {self.end_s}]>"
+    name: str
+    cat: str
+    track: str
+    start: float
+    end: float
+    args: dict[str, Any]
 
 
-class _SpanContext:
-    """Context manager closing a span at scope exit (sim time)."""
+def _bars(flight: "FlightRecorder | RunResult") -> list[_Bar]:
+    """Stage and task intervals of ``flight``, in start order.
 
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def annotate(self, **args: Any) -> None:
-        self._span.args.update(args)
-
-    def __enter__(self) -> "_SpanContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._close(self._span, failed=exc is not None)
-
-
-class _NullSpanContext:
-    """Shared do-nothing span for the disabled tracer."""
-
-    __slots__ = ()
-
-    def annotate(self, **args: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpanContext()
-
-
-class NullTracer:
-    """Disabled tracer: every operation is a no-op."""
-
-    enabled = False
-    __slots__ = ()
-
-    def span(self, name: str, cat: str = "", track: str = "main", **args: Any):
-        return _NULL_SPAN
-
-    def instant(self, name: str, track: str = "main", **args: Any) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
-class Tracer:
-    """Records spans against one engine's simulated clock."""
-
-    enabled = True
-
-    def __init__(self, env: "SimEngine", process_name: str = "repro-sim") -> None:
-        self.env = env
-        self.process_name = process_name
-        self.spans: list[Span] = []
-        self.instants: list[tuple[str, str, float, dict]] = []
-
-    # -- recording ----------------------------------------------------------
-    def span(self, name: str, cat: str = "", track: str = "main", **args: Any):
-        """Open a span; close it by exiting the returned context manager.
-
-        Works inside simulation generators: simulated time advances while
-        the body yields, and the span closes at the generator's ``with``
-        exit. A span left open by a killed process is closed at export
-        time with the export timestamp.
-        """
-        span = Span(name, cat, track, self.env.now, args or None)
-        self.spans.append(span)
-        return _SpanContext(self, span)
-
-    def instant(self, name: str, track: str = "main", **args: Any) -> None:
-        """Record a zero-duration marker (fault injected, retry, abort)."""
-        self.instants.append((name, track, self.env.now, args))
-
-    def _close(self, span: Span, failed: bool = False) -> None:
-        if span.end_s is None:
-            span.end_s = self.env.now
-            if failed:
-                span.args["failed"] = True
-
-    # -- export --------------------------------------------------------------
-    def _tracks(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.track)
-        for _, track, _, _ in self.instants:
-            seen.setdefault(track)
-        return list(seen)
-
-    def to_chrome_trace(self) -> dict:
-        """Trace Event Format dict (load in chrome://tracing / Perfetto).
-
-        Timestamps are microseconds of *simulated* time. Still-open spans
-        are exported as ending now.
-        """
-        tids = {track: i + 1 for i, track in enumerate(self._tracks())}
-        events: list[dict] = [
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": self.process_name},
-            }
-        ]
-        for track, tid in tids.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": track},
-                }
-            )
-        now = self.env.now
-        for span in self.spans:
-            end = span.end_s if span.end_s is not None else now
-            args = span.args if span.end_s is not None else {**span.args, "unfinished": True}
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tids[span.track],
-                    "name": span.name,
-                    "cat": span.cat or "span",
-                    "ts": span.start_s * 1e6,
-                    "dur": (end - span.start_s) * 1e6,
-                    "args": args,
-                }
-            )
-        for name, track, t_s, args in self.instants:
-            events.append(
-                {
-                    "ph": "i",
-                    "pid": 1,
-                    "tid": tids[track],
-                    "name": name,
-                    "s": "t",
-                    "ts": t_s * 1e6,
-                    "args": args,
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_chrome_trace(), indent=1, sort_keys=True)
-
-    def write(self, path: str) -> str:
-        """Write the Chrome trace JSON to ``path``; returns the path."""
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-        return path
-
-    def render_timeline(self, width: int = 64) -> str:
-        """Spark-UI-style text timeline: one bar row per span, per track."""
-        if not self.spans:
-            return "(no spans recorded)"
-        now = self.env.now
-        t_min = min(s.start_s for s in self.spans)
-        t_max = max((s.end_s if s.end_s is not None else now) for s in self.spans)
-        horizon = max(t_max - t_min, 1e-12)
-        label_w = min(
-            max(len(f"{s.track}:{s.name}") for s in self.spans) + 1, 48
+    ``flight`` is a recorder or anything carrying one as ``.flight`` (a
+    :class:`~repro.spark.deploy.RunResult`). Stages sort ahead of tasks
+    that start at the same instant, as the stage loop records them.
+    """
+    recording = getattr(flight, "flight", flight)
+    if recording is None:
+        raise ValueError(
+            "RunResult carries no flight recording: run with "
+            "spark.repro.obs.causal (obs_causal=True)"
         )
-        lines = [
-            f"timeline [{t_min:.6f}s .. {t_max:.6f}s] "
-            f"({len(self.spans)} spans, {len(self._tracks())} tracks)"
-        ]
-        for track in self._tracks():
-            for span in (s for s in self.spans if s.track == track):
-                end = span.end_s if span.end_s is not None else now
-                lo = int((span.start_s - t_min) / horizon * width)
-                hi = max(int((end - t_min) / horizon * width), lo + 1)
-                bar = " " * lo + "#" * (hi - lo)
-                label = f"{track}:{span.name}"[: label_w - 1]
-                lines.append(
-                    f"{label:<{label_w}}|{bar:<{width}}| {end - span.start_s:.6f}s"
-                )
-        return "\n".join(lines)
+    index = recording.index()
+    events = recording.events
+    last_t = events[-1].t if events else 0.0
+    bars = [
+        _Bar(label, "stage", "driver", start.t, finish.t,
+             {**start.attrs, **finish.attrs})
+        for label, start, finish in index.stage_pairs
+    ]
+    finished = index.task_finish
+    for trace, start in index.task_start.items():
+        attrs = start.attrs
+        finish = finished.get(trace)
+        if finish is None:
+            end, args = last_t, {**attrs, "unfinished": True}
+        else:
+            end, args = finish.t, dict(finish.attrs)
+        bars.append(_Bar(attrs.get("task", "?"), "task",
+                         f"exec{attrs.get('exec', '?')}", start.t, end, args))
+    bars.sort(key=lambda bar: bar.start)
+    return bars
+
+
+def _by_track(bars: list[_Bar]) -> dict[str, list[_Bar]]:
+    tracks: dict[str, list[_Bar]] = {}
+    for bar in bars:
+        tracks.setdefault(bar.track, []).append(bar)
+    return tracks
+
+
+def chrome_trace(flight: "FlightRecorder | RunResult") -> dict:
+    """Trace Event Format dict of the recording's stages and tasks."""
+    bars = _bars(flight)
+    tids = {track: i + 1 for i, track in enumerate(_by_track(bars))}
+    events: list[dict] = [
+        {"ph": "M", "pid": 1, "tid": 0, "name": "process_name",
+         "args": {"name": "repro-sim"}}
+    ]
+    events += [
+        {"ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
+         "args": {"name": track}}
+        for track, tid in tids.items()
+    ]
+    events += [
+        {"ph": "X", "pid": 1, "tid": tids[bar.track], "name": bar.name,
+         "cat": bar.cat, "ts": bar.start * 1e6,
+         "dur": (bar.end - bar.start) * 1e6, "args": bar.args}
+        for bar in bars
+    ]
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def write_chrome_trace(flight: "FlightRecorder | RunResult", path):
+    """Write :func:`chrome_trace` as JSON to ``path``; returns the path."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(chrome_trace(flight), indent=1, sort_keys=True))
+    return path
+
+
+def render_timeline(flight: "FlightRecorder | RunResult", width: int = 64) -> str:
+    """Spark-UI-style text timeline: one bar row per interval, per track."""
+    bars = _bars(flight)
+    if not bars:
+        return "(no spans recorded)"
+    tracks = _by_track(bars)
+    t_min = min(bar.start for bar in bars)
+    t_max = max(bar.end for bar in bars)
+    horizon = max(t_max - t_min, 1e-12)
+    label_w = min(max(len(f"{bar.track}:{bar.name}") for bar in bars) + 1, 48)
+    lines = [
+        f"timeline [{t_min:.6f}s .. {t_max:.6f}s] "
+        f"({len(bars)} spans, {len(tracks)} tracks)"
+    ]
+    for track, row in tracks.items():
+        for bar in row:
+            lo = int((bar.start - t_min) / horizon * width)
+            hi = max(int((bar.end - t_min) / horizon * width), lo + 1)
+            label = f"{track}:{bar.name}"[: label_w - 1]
+            lines.append(
+                f"{label:<{label_w}}|{' ' * lo + '#' * (hi - lo):<{width}}| "
+                f"{bar.end - bar.start:.6f}s"
+            )
+    return "\n".join(lines)

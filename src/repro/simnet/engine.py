@@ -57,16 +57,15 @@ class SimEngine:
         self.seed = int(seed)
         self.rng = SeededRng(self.seed)
         # Observability (repro.obs): the registry is always live — its
-        # counters are cheap enough to leave on — while span tracing and
-        # causal message tracing stay shared no-ops until a run opts in
-        # (spark.repro.obs.trace / spark.repro.obs.causal), which swaps in
-        # a real Tracer / CausalTracer.
+        # counters are cheap enough to leave on — while causal tracing
+        # stays a shared no-op until a run opts in (spark.repro.obs.causal),
+        # which swaps in a real CausalTracer. Its flight recording is the
+        # one event model: the Chrome trace and the text timeline are
+        # exporters over it (repro.obs.tracer).
         from repro.obs.causal import NULL_CAUSAL
         from repro.obs.registry import MetricsRegistry
-        from repro.obs.tracer import NULL_TRACER
 
         self.metrics = MetricsRegistry(self)
-        self.tracer = NULL_TRACER
         self.causal = NULL_CAUSAL
 
     # -- scheduling ----------------------------------------------------------

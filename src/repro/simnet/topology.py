@@ -15,7 +15,6 @@ from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event, SimError
 from repro.simnet.fluid import FluidNetwork
 from repro.simnet.interconnect import Fabric, WireModel, loopback
-from repro.simnet.resources import Resource
 
 # Messages at or below this size bypass NIC-lane serialization and pay only
 # latency + their own (tiny) serialization time. Real fabrics interleave at
@@ -129,27 +128,18 @@ class NicStats:
 
 
 class SimNode:
-    """A compute node: CPU cores plus a full-duplex NIC.
+    """A compute node: a core count plus a full-duplex NIC.
 
-    ``nic_lanes`` models NIC parallelism: modern HCAs drive the wire from
-    several engines, but the aggregate rate is the wire rate, so the default
-    is a single serialization lane per direction.
+    The NIC's two directions are fluid links of the wire path (the
+    ``(index, "tx" | "rx", ...)`` keys in :meth:`SimCluster.wire_path`);
+    the node itself only keeps their traffic counters.
     """
 
-    def __init__(
-        self,
-        env: SimEngine,
-        index: int,
-        name: str,
-        cores: int,
-        nic_lanes: int = 1,
-    ) -> None:
+    def __init__(self, env: SimEngine, index: int, name: str, cores: int) -> None:
         self.env = env
         self.index = index
         self.name = name
-        self.cores = Resource(env, capacity=cores)
-        self.tx = Resource(env, capacity=nic_lanes)
-        self.rx = Resource(env, capacity=nic_lanes)
+        self.cores = cores
         self.nic_stats = NicStats()
         # Registry mirror of nic_stats: per-link (node direction) traffic.
         # Published lazily at snapshot time so the wire path only pays the
@@ -169,7 +159,7 @@ class SimNode:
         self._c_rx_messages.value = float(ns.rx_messages)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimNode {self.name} cores={self.cores.capacity}>"
+        return f"<SimNode {self.name} cores={self.cores}>"
 
 
 class NetTrace:
@@ -209,7 +199,6 @@ class SimCluster:
         fabric: Fabric,
         n_nodes: int,
         cores_per_node: int,
-        nic_lanes: int = 1,
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
@@ -218,7 +207,7 @@ class SimCluster:
         self.env = env
         self.fabric = fabric
         self.nodes = [
-            SimNode(env, i, f"node{i}", cores=cores_per_node, nic_lanes=nic_lanes)
+            SimNode(env, i, f"node{i}", cores=cores_per_node)
             for i in range(n_nodes)
         ]
         self._by_name = {node.name: node for node in self.nodes}
@@ -290,9 +279,11 @@ class SimCluster:
         """Generator charging the wire time for one message.
 
         Same-node messages use the shared-memory loopback model and bypass
-        NIC resources. Cross-node messages hold the sender's TX lane and the
-        receiver's RX lane for the serialization time (this is what produces
-        incast queueing at a hot receiver), then pay the protocol latency.
+        the NIC. Cross-node control-sized messages pay serialization and
+        latency alone. Bulk messages are one fluid flow over the sender's
+        TX link and the receiver's RX link, fair-shared with every other
+        flow on either (this is what produces incast sharing at a hot
+        receiver), then pay protocol latency and per-chunk cost.
 
         Returns the elapsed simulated time.
         """

@@ -29,11 +29,10 @@ _DEFAULTS: dict[str, Any] = {
     "spark.blacklist.enabled": "true",
     # MPI reaction to rank death: abort (MPI_ERRORS_ARE_FATAL) | shrink (ULFM)
     "spark.repro.mpi.faultMode": "abort",
-    # Observability (repro.obs): metrics snapshots / Chrome-trace spans /
-    # causal message tracing are opt-in; trace and causal imply enabled.
-    # The registry itself is always on.
+    # Observability (repro.obs): metrics snapshots and causal tracing
+    # (the flight recording the Chrome trace exports) are opt-in; causal
+    # implies enabled. The registry itself is always on.
     "spark.repro.obs.enabled": "false",
-    "spark.repro.obs.trace": "false",
     "spark.repro.obs.causal": "false",
     # Multi-tenant job server (repro.jobserver): inter-job scheduler
     # (fifo | fair | pack), arrival-trace shape, per-job profile fidelity.

@@ -541,8 +541,8 @@ class SimExecutor:
 
         The envelope owns everything around the body that the fault-free
         and multi-tenant drivers publish: the application's concurrency
-        grant, the task metrics, the causal ``task.start``/``task.finish``
-        root and the tracer span. Both claims are made inside the ``try``
+        grant, the task metrics and the causal ``task.start``/``task.finish``
+        root. Both claims are made inside the ``try``
         so an interrupt delivered while the task still queues for either
         one withdraws it instead of leaking a grant to a dead process.
         """
@@ -560,18 +560,10 @@ class SimExecutor:
             if env.causal.enabled:
                 ctx = env.causal.mint()
                 env.causal.event("task.start", ctx, task=label, exec=self.exec_id)
-            with env.tracer.span(
-                label, cat="task", track=f"exec{self.exec_id}"
-            ) as span:
-                phases = yield from self.task_body(
-                    stage, t, peers, col, exchange, tm=tm, ctx=ctx, app=app, rot=rot
-                )
-                tm.tasks.inc()
-                if isinstance(stage, ShuffleReadStage):
-                    span.annotate(
-                        fetch_wait_s=phases["fetch_wait_s"],
-                        combine_s=phases["combine_s"],
-                    )
+            phases = yield from self.task_body(
+                stage, t, peers, col, exchange, tm=tm, ctx=ctx, app=app, rot=rot
+            )
+            tm.tasks.inc()
             if ctx is not None:
                 env.causal.event(
                     "task.finish", ctx, task=label, exec=self.exec_id, **phases
@@ -639,14 +631,11 @@ class SparkSimCluster:
         self.io_threads = io_threads
         self.seed = int(seed)
         self.mpi_fault_mode = mpi_fault_mode
+        # ``obs_trace`` is kept for bench/'s span cell only: it turns the
+        # metric columns on and records nothing.
         self.obs_enabled = obs_enabled or obs_trace or obs_causal
-        self.obs_trace = obs_trace
         self.obs_causal = obs_causal
         self.env = SimEngine(seed=seed)
-        if obs_trace:
-            from repro.obs.tracer import Tracer
-
-            self.env.tracer = Tracer(self.env)
         if obs_causal:
             from repro.obs.causal import CausalTracer
 
@@ -734,19 +723,18 @@ class SparkSimCluster:
         """Build a cluster from a :class:`~repro.spark.conf.SparkConf`.
 
         Reads the transport, seed, MPI fault mode and the observability
-        switches (``spark.repro.obs.enabled`` / ``.trace`` / ``.causal``);
-        keyword overrides win over conf values.
+        switches (``spark.repro.obs.enabled`` / ``.causal``); keyword
+        overrides win over conf values.
         """
-        from repro.obs import causal_from_conf, obs_from_conf
+        from repro.obs import obs_from_conf
 
-        obs_enabled, obs_trace = obs_from_conf(conf)
+        obs_enabled, obs_causal = obs_from_conf(conf)
         kwargs: dict[str, Any] = dict(
             transport_name=str(conf.get("spark.repro.transport", "nio")),
             seed=conf.get_int("spark.repro.seed", 0),
             mpi_fault_mode=str(conf.get("spark.repro.mpi.faultMode", "abort")),
             obs_enabled=obs_enabled,
-            obs_trace=obs_trace,
-            obs_causal=causal_from_conf(conf),
+            obs_causal=obs_causal,
         )
         kwargs.update(overrides)
         return cls(system, n_workers, **kwargs)
@@ -993,13 +981,10 @@ class SparkSimCluster:
             label = prefix + stage.label
             t0 = env.now
             env.causal.event("stage.start", None, stage=label, n_tasks=stage.n_tasks)
-            with env.tracer.span(
-                label, cat="stage", track="driver", n_tasks=stage.n_tasks
-            ):
-                if run_stage is None:
-                    yield from self._run_stage(stage, app)
-                else:
-                    yield from run_stage(stage)
+            if run_stage is None:
+                yield from self._run_stage(stage, app)
+            else:
+                yield from run_stage(stage)
             stage_seconds[stage.label] = env.now - t0
             env.causal.event(
                 "stage.finish", None,

@@ -1,13 +1,10 @@
 """JobServer integration: ordering, determinism, isolation, shutdown."""
 
-import pytest
-
 from repro.harness.systems import SYSTEMS
 from repro.jobserver import (
     FairShareScheduler,
     FifoScheduler,
     JobServer,
-    JobServerEnv,
     JobServerReport,
     PackingScheduler,
     poisson_trace,
@@ -153,50 +150,3 @@ class TestShutdownWithInFlightApps:
         assert len(result.finished) == 2
         assert not sim.env.causal.flight.open_spans()
 
-
-class TestJobServerEnv:
-    """The Gym-style wrapper replays the synchronous path exactly."""
-
-    def test_policy_stepping_matches_synchronous_run(self):
-        trace = small_trace()
-        sync = run_trace(small_cluster(), FifoScheduler(), trace)
-
-        sim = small_cluster()
-        policy = FifoScheduler()
-        env = JobServerEnv(JobServer(sim, policy, trace))
-        obs = env.reset()
-        done, total_reward, info = False, 0.0, {}
-        while not done:
-            obs, reward, done, info = env.step(policy.plan(obs))
-            total_reward += reward
-        sim.shutdown()
-        gym = info["result"]
-        assert [r.finish_s for r in gym.records] == [
-            r.finish_s for r in sync.records
-        ]
-        # Return = -sum(JCT): the reward signal totals the mean-JCT objective.
-        assert total_reward == pytest.approx(-sum(sync.jcts()))
-
-    def test_observation_exposes_queue_and_running_state(self):
-        trace = small_trace(n_jobs=3)
-        sim = small_cluster()
-        env = JobServerEnv(JobServer(sim, FifoScheduler(), trace))
-        obs = env.reset()
-        assert obs.pending and obs.pending[0].app_id == 0
-        assert obs.total_slots == sum(s for _, s in obs.executor_slots)
-        sim.shutdown()
-
-    def test_step_after_done_raises(self):
-        from repro.jobserver import SchedulePlan
-
-        trace = small_trace(n_jobs=2)
-        sim = small_cluster()
-        policy = FifoScheduler()
-        env = JobServerEnv(JobServer(sim, policy, trace))
-        obs = env.reset()
-        done = False
-        while not done:
-            obs, _, done, _ = env.step(policy.plan(obs))
-        with pytest.raises(RuntimeError):
-            env.step(SchedulePlan())
-        sim.shutdown()

@@ -15,7 +15,7 @@ import pytest
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.mpi.envelope import Envelope, Protocol
-from repro.obs import NULL_CAUSAL, causal_from_conf, obs_from_conf
+from repro.obs import NULL_CAUSAL, obs_from_conf
 from repro.obs.causal import CausalTracer, NullCausal, TraceContext
 from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
@@ -84,15 +84,18 @@ class TestContexts:
 
 
 class TestConfWiring:
-    def test_causal_from_conf(self):
-        assert causal_from_conf(SparkConf()) is False
-        assert causal_from_conf(
+    def test_obs_from_conf_reads_causal(self):
+        # obs_from_conf reads (enabled, causal)
+        assert obs_from_conf(SparkConf()) == (False, False)
+        assert obs_from_conf(
             SparkConf({"spark.repro.obs.causal": "true"})
-        ) is True
+        ) == (True, True)
 
     def test_causal_implies_enabled_without_trace(self):
-        conf = SparkConf({"spark.repro.obs.causal": "true"})
-        assert obs_from_conf(conf) == (True, False)
+        conf = SparkConf(
+            {"spark.repro.obs.causal": "true", "spark.repro.obs.enabled": "false"}
+        )
+        assert obs_from_conf(conf) == (True, True)
 
     def test_cluster_from_conf_installs_tracer(self):
         conf = SparkConf(

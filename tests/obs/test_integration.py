@@ -7,10 +7,12 @@ import pytest
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.obs import (
+    chrome_trace,
     iprobe_calls,
     loop_busy_fraction,
     obs_from_conf,
     polling_tax_seconds,
+    write_chrome_trace,
 )
 from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
@@ -35,24 +37,28 @@ class TestObsFromConf:
         assert obs_from_conf(conf) == (True, False)
 
     def test_trace_implies_enabled(self):
-        conf = SparkConf({"spark.repro.obs.trace": "true"})
-        assert obs_from_conf(conf) == (True, True)
+        # The obs_trace keyword turns the metric columns on and records
+        # nothing: the flight recording is opt-in through obs_causal alone.
+        sim = SparkSimCluster(INTERNAL_CLUSTER, 2, "nio", obs_trace=True)
+        assert sim.obs_enabled
+        assert not sim.env.causal.enabled
 
     def test_cluster_from_conf(self):
         conf = SparkConf(
-            {"spark.repro.transport": "mpi-opt", "spark.repro.obs.trace": "true"}
+            {"spark.repro.transport": "mpi-opt", "spark.repro.obs.causal": "true"}
         )
         sim = SparkSimCluster.from_conf(INTERNAL_CLUSTER, 2, conf)
         assert sim.transport.name == "mpi-opt"
-        assert sim.obs_enabled and sim.obs_trace
-        assert sim.env.tracer.enabled
+        assert sim.obs_enabled and sim.obs_causal
+        assert sim.env.causal.enabled
 
 
 class TestDisabledPath:
     def test_no_snapshot_no_tracer_by_default(self):
         sim, result = _run("nio")
         assert result.metrics is None
-        assert not sim.env.tracer.enabled
+        assert result.flight is None
+        assert not sim.env.causal.enabled
 
     def test_registry_still_counts_for_backcompat(self):
         # EventLoop.iterations/messages_read are registry-backed properties
@@ -126,26 +132,31 @@ class TestPollingTax:
 
 
 class TestTracedRun:
-    def test_stage_and_task_spans_export_valid_json(self, tmp_path):
-        sim, result = _run("mpi-opt", obs_trace=True)
-        assert result.metrics is not None  # trace implies enabled
-        tracer = sim.env.tracer
-        tracks = {s.track for s in tracer.spans}
-        assert "driver" in tracks
-        assert any(t.startswith("exec") for t in tracks)
-        cats = {s.cat for s in tracer.spans}
-        assert {"stage", "task"} <= cats
-        # every span closed by the run
-        assert all(s.end_s is not None for s in tracer.spans)
-        trace = json.loads(tracer.dumps())
-        assert trace["traceEvents"]
-        path = tracer.write(str(tmp_path / "t.json"))
-        assert json.load(open(path))["traceEvents"]
+    @pytest.fixture(scope="class")
+    def traced(self):
+        _, result = _run("mpi-opt", obs_causal=True)
+        return result
 
-    def test_read_task_spans_annotated_with_fetch_wait(self):
-        sim, _ = _run("mpi-opt", obs_trace=True)
+    def test_stage_and_task_spans_export_valid_json(self, traced, tmp_path):
+        assert traced.metrics is not None  # causal implies enabled
+        trace = chrome_trace(traced)
+        threads = {
+            ev["args"]["name"]
+            for ev in trace["traceEvents"] if ev["name"] == "thread_name"
+        }
+        assert "driver" in threads
+        assert any(t.startswith("exec") for t in threads)
+        spans = [ev for ev in trace["traceEvents"] if ev["ph"] == "X"]
+        assert {ev["cat"] for ev in spans} == {"stage", "task"}
+        # every task finished within the run
+        assert not any(ev["args"].get("unfinished") for ev in spans)
+        path = write_chrome_trace(traced, tmp_path / "t.json")
+        assert json.loads(path.read_text()) == json.loads(json.dumps(trace))
+
+    def test_read_task_spans_annotated_with_fetch_wait(self, traced):
         read_spans = [
-            s for s in sim.env.tracer.spans if s.cat == "task" and "read" in s.name
+            ev for ev in chrome_trace(traced)["traceEvents"]
+            if ev["ph"] == "X" and ev["cat"] == "task" and "read" in ev["name"]
         ]
         assert read_spans
-        assert all("fetch_wait_s" in s.args for s in read_spans)
+        assert all("fetch_wait_s" in ev["args"] for ev in read_spans)

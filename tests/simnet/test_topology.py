@@ -22,7 +22,7 @@ class TestClusterConstruction:
         assert cluster.node(2).name == "node2"
         assert cluster.node("node1").index == 1
         assert cluster.node(cluster.nodes[0]) is cluster.nodes[0]
-        assert cluster.node(0).cores.capacity == 56
+        assert cluster.node(0).cores == 56
 
     def test_invalid_sizes(self, env):
         with pytest.raises(ValueError):
