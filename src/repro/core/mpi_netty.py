@@ -198,7 +198,6 @@ class MpiBasicEventLoop(EventLoop):
     def __init__(self, env, name: str = "mpi-basic-loop") -> None:
         super().__init__(env, name)
         self.mpi_channels: list[Channel] = []
-        self.iprobe_hits = 0
         # Cumulative CPU seconds spent in selectNow + MPI_Iprobe rounds —
         # the measured "polling tax" reported next to Fig 9. Accumulated
         # as plain floats (this loop busy-polls, so it is the hottest
@@ -286,7 +285,6 @@ class MpiBasicEventLoop(EventLoop):
                     while matching.iprobe(
                         binding.peer_rank, tag, binding.context_id
                     ):
-                        self.iprobe_hits += 1
                         progressed = True
                         req = endpoint.proc._irecv(
                             binding.peer_rank, tag, binding.context_id

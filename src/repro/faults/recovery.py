@@ -32,7 +32,7 @@ from repro.harness.profile import (
     ShuffleWriteStage,
 )
 from repro.mpi.errors import WorldAbortedError
-from repro.simnet.events import Interrupt, SimError
+from repro.simnet.events import Interrupt
 from repro.spark.deploy import JobFailedError, RunResult, SimExecutor
 from repro.spark.network import FetchFailedException
 
@@ -394,7 +394,4 @@ class ResilientScheduler:
                 stage, t, self.sim.executors, ex.exec_id, self._current_exchange
             )
         finally:
-            try:
-                ex.slots.release(req)
-            except SimError:  # pragma: no cover - defensive
-                pass
+            ex.slots.cancel(req)

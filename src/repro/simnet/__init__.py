@@ -31,7 +31,7 @@ from repro.simnet.interconnect import (
     rdma_over,
     tcp_over,
 )
-from repro.simnet.resources import Resource, Store, StoreCancelled
+from repro.simnet.resources import Store
 from repro.simnet.sockets import (
     ListeningSocket,
     Segment,
@@ -60,9 +60,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimError",
-    "Resource",
     "Store",
-    "StoreCancelled",
     "Fabric",
     "WireModel",
     "IB_HDR",

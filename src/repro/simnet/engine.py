@@ -48,7 +48,6 @@ class SimEngine:
         self.now: float = start_time
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         self._n_dead = 0  # tombstoned (cancelled) entries still in the heap
         self.events_processed = 0  # lifetime dispatch count (read by bench/)
@@ -72,11 +71,6 @@ class SimEngine:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, event))
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed (None between steps)."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""

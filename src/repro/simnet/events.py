@@ -223,9 +223,9 @@ class Process(Event):
         target = self._target
         if target is not None and not target.triggered:
             # Detach from the waited-on event and wake immediately. The
-            # callback must go too: if the old target triggers later (e.g. a
-            # queued resource request cancelled by the dying process's own
-            # finally-release), it would re-resume a finished process.
+            # callback must go too: if the old target triggers later (an
+            # item or a signal another process delivers after the
+            # interrupt), it would resume this process a second time.
             if target.callbacks is not None and self._resume_cb in target.callbacks:
                 target.callbacks.remove(self._resume_cb)
             wakeup = Event(self.env)
@@ -239,8 +239,6 @@ class Process(Event):
         """Advance the generator with ``event``'s outcome."""
         if self._value is not _PENDING:
             return  # stale callback from an event this process detached from
-        env = self.env
-        env._active_process = self
         gen = self.gen
         while True:
             try:
@@ -279,12 +277,11 @@ class Process(Event):
                 event = next_event
                 continue
             cbs.append(self._resume_cb)
-            env._active_process = None
             return
 
         # Terminated: let go of what only a live process needs, then
         # schedule ourselves so joiners wake.
-        env._active_process = None
+        env = self.env
         self._resume_cb = self._target = None
         env._seq += 1
         heappush(env._heap, (env.now, env._seq, self))

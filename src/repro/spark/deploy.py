@@ -42,7 +42,7 @@ from repro.mpi.errors import MPIError, WorldAbortedError
 from repro.mpi.runtime import RankSpec
 from repro.netty.eventloop import EventLoopGroup
 from repro.simnet.engine import SimEngine
-from repro.simnet.resources import Resource
+from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import SocketAddress, SocketError
 from repro.simnet.topology import LinkDown, MessageDropped, SimCluster
 from repro.spark.network import (
@@ -226,7 +226,7 @@ class SimExecutor:
         # selector threads (polling_tax_cores = total per executor).
         tax = min(transport.polling_tax_cores, n_io)
         effective = max(1, self.cores - tax)
-        self.slots = Resource(sim.env, capacity=effective)
+        self.slots = SlotGate(sim.env, capacity=effective)
         self.bytes_fetched_remote = 0
         self.bytes_read_local = 0
         # Default fetch-request rotation: advances once per fetch_shuffle call.
@@ -570,7 +570,7 @@ class SimExecutor:
                 )
         finally:
             if slot is not None:
-                self.slots.release(slot)
+                self.slots.cancel(slot)
             if grant is not None:
                 gate.cancel(grant)
 

@@ -9,6 +9,7 @@ from repro.simnet import (
     AllOf,
     AnyOf,
     EmptySchedule,
+    Event,
     Interrupt,
     SimEngine,
     SimError,
@@ -231,39 +232,31 @@ class TestInterrupt:
 
     def test_interrupt_detaches_callback_from_old_target(self, env):
         # Regression: an interrupted process must be fully detached from the
-        # event it was waiting on. If the old target triggers later (here the
-        # dying process's own finally cancels its queued resource request),
-        # the finished process must not be resumed a second time.
-        from repro.simnet.resources import Resource
-
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            req = res.request()
-            yield req
-            try:
-                yield env.timeout(100)
-            finally:
-                res.release(req)
+        # event it was waiting on. Here another process succeeds that event
+        # after the interrupt, while the victim already waits on something
+        # else: a leftover callback would resume it early with the wrong
+        # value.
+        signal = Event(env)
 
         def victim_body(env):
-            req = res.request()
             try:
-                yield req  # queued behind the holder
+                yield signal
             except Interrupt:
-                return "interrupted"
-            finally:
-                res.release(req)  # cancels the queued request -> it fails
+                pass
+            got = yield env.timeout(5, value="timeout")
+            return (env.now, got)
 
         def interrupter(env, victim):
             yield env.timeout(1)
             victim.interrupt("abandon")
+            yield env.timeout(1)
+            signal.succeed("late")
 
-        env.process(holder(env))
         victim = env.process(victim_body(env))
         env.process(interrupter(env, victim))
         env.run(until=env.timeout(10))
-        assert victim.value == "interrupted"
+        assert signal.processed
+        assert victim.value == (6.0, "timeout")
 
     def test_stale_timeout_does_not_re_resume_finished_process(self, env):
         def sleeper(env):
