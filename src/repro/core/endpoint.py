@@ -36,10 +36,12 @@ class CommBinding:
     kind: int
     peer_gid: int
     peer_rank: int  # rank to address/match the peer by, within `comm`
+    # The point-to-point context of `comm`; a communicator's descriptor
+    # never changes, so it is read once here.
+    context_id: int = field(init=False)
 
-    @property
-    def context_id(self) -> int:
-        return self.comm.desc.ctx_pt2pt
+    def __post_init__(self) -> None:
+        self.context_id = self.comm.desc.ctx_pt2pt
 
 
 class MpiEndpoint:

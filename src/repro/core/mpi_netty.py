@@ -208,11 +208,11 @@ class MpiBasicEventLoop(EventLoop):
         self._c_poll_rounds = env.metrics.counter(
             f"netty.loop.{name}.poll_rounds"
         )
-        # (channel, binding, tag) rows mirroring mpi_channels; rebuilt
-        # lazily when a bind/unbind invalidates it (order must match —
-        # the iprobe drain order is simulation-visible). The park's
-        # (source, make) list is derived from one rows list and rebuilt
-        # with it.
+        # (channel, peer_rank, tag, context_id) rows of the bound channels
+        # in mpi_channels order (the iprobe drain order is
+        # simulation-visible); rebuilt lazily when a bind or unbind marks
+        # them dirty. The park's (source, make) list is derived from one
+        # rows list and rebuilt with it.
         self._poll_cache: list = []
         self._poll_dirty = True
         self._park_rows: list | None = None
@@ -220,23 +220,17 @@ class MpiBasicEventLoop(EventLoop):
         self._endpoint = None
 
     def _poll_rows(self) -> list:
-        """The (channel, binding, tag) drain list, cached across rounds.
-
-        ``channel_inactive`` removes channels from ``mpi_channels``
-        directly, so a length mismatch also invalidates the cache.
-        """
-        rows = self._poll_cache
-        if self._poll_dirty or len(rows) != len(self.mpi_channels):
-            rows = self._poll_cache = [
-                (
-                    channel,
-                    channel.attributes.get(ATTR_BINDING),
-                    channel.attributes.get(ATTR_TAG),
-                )
-                for channel in self.mpi_channels
-            ]
+        """The drain list, cached across rounds, its MPI route resolved to
+        plain ints once per rebuild."""
+        if self._poll_dirty:
+            rows = self._poll_cache = []
+            for channel in self.mpi_channels:
+                binding = channel.attributes.get(ATTR_BINDING)
+                tag = channel.attributes.get(ATTR_TAG)
+                if binding is not None and tag is not None:
+                    rows.append((channel, binding.peer_rank, tag, binding.context_id))
             self._poll_dirty = False
-        return rows
+        return self._poll_cache
 
     def _publish_metrics(self) -> None:
         super()._publish_metrics()
@@ -250,6 +244,11 @@ class MpiBasicEventLoop(EventLoop):
         self._poll_dirty = True
         # A parked loop must start iprobing the new channel.
         self.selector.wakeup()
+
+    def on_mpi_channel_unbound(self, channel: Channel) -> None:
+        if channel in self.mpi_channels:
+            self.mpi_channels.remove(channel)
+            self._poll_dirty = True
 
     def _run(self) -> Generator:
         env = self.env
@@ -274,23 +273,18 @@ class MpiBasicEventLoop(EventLoop):
             if endpoint is None:
                 endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
             if endpoint is not None:
-                matching = endpoint.proc.matching
-                for channel, binding, tag in self._poll_rows():
+                iprobe = endpoint.proc.matching.iprobe
+                irecv = endpoint.proc._irecv
+                for channel, peer_rank, tag, context_id in self._poll_rows():
                     if not channel.active:
-                        self.mpi_channels.remove(channel)
-                        self._poll_dirty = True
+                        # Closed earlier in this round: its channel_inactive
+                        # already unbound it, and the rows rebuild next round.
                         continue
-                    if binding is None or tag is None:
-                        continue
-                    while matching.iprobe(
-                        binding.peer_rank, tag, binding.context_id
-                    ):
+                    while iprobe(peer_rank, tag, context_id):
                         progressed = True
-                        req = endpoint.proc._irecv(
-                            binding.peer_rank, tag, binding.context_id
-                        )
+                        req = irecv(peer_rank, tag, context_id)
                         try:
-                            frame = yield from req.wait()
+                            frame = yield req.event
                         except MPIError as exc:
                             channel.pipeline.fire_exception_caught(exc)
                             break
@@ -300,14 +294,17 @@ class MpiBasicEventLoop(EventLoop):
                             channel.pipeline.fire_channel_read(frame)
                         except Exception as exc:
                             channel.pipeline.fire_exception_caught(exc)
-                        yield from self._drain_blocking()
+                        if self._blocking:
+                            yield from self._drain_blocking()
 
-            yield from self._drain_blocking()
+            if self._blocking:
+                yield from self._drain_blocking()
             while self.tasks.items:
                 fn = self.tasks.get_nowait()
                 yield env.timeout(SELECT_NOW_COST_S)
                 fn()
-                yield from self._drain_blocking()
+                if self._blocking:
+                    yield from self._drain_blocking()
                 progressed = True
 
             self._busy_s += env.now - t_busy
@@ -319,36 +316,31 @@ class MpiBasicEventLoop(EventLoop):
                 # without distorting the design's latency behaviour. Neither
                 # the park nor the discovery delay counts as busy_s — the
                 # modeled spin burn is already the polling-core tax.
-                yield from self._wait_for_signal()
+                yield from self.selector.park(extra=self._idle_park_sources())
                 yield env.timeout(BASIC_POLL_PERIOD_S / 2)
 
-    def _wait_for_signal(self) -> Generator:
-        """Park until any signal source fires (message, task, wakeup).
+    def _idle_park_sources(self) -> list:
+        """The ``(source, make)`` pairs the idle park waits on besides the
+        selector's keys and wake-up queue: each row's probe bucket and the
+        task queue.
 
-        :meth:`Selector.park` keeps one persistent waiter per source (its
-        keys and wake-up queue, plus the probe buckets and task queue
-        named here), so a park costs the signals since the last one, not
-        the number of channels. The source list itself is rebuilt only
-        when the poll rows are.
+        :meth:`Selector.park` keeps one persistent waiter per source, so a
+        park costs the signals since the last one, not the number of
+        channels. The list is rebuilt only when the poll rows are.
         """
-        endpoint = self._endpoint
+        endpoint = self._endpoint  # looked up by this round's _run
         if endpoint is None:
-            endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
-        if endpoint is None:
-            sources = [(self.tasks, self.tasks.when_nonempty)]
-        else:
-            rows = self._poll_rows()
-            if rows is not self._park_rows:
-                probe_event = endpoint.proc.matching.probe_event
-                self._park_sources = [
-                    (channel, partial(probe_event, b.peer_rank, tag, b.context_id))
-                    for channel, b, tag in rows
-                    if b is not None and tag is not None
-                ]
-                self._park_sources.append((self.tasks, self.tasks.when_nonempty))
-                self._park_rows = rows
-            sources = self._park_sources
-        yield from self.selector.park(extra=sources)
+            return [(self.tasks, self.tasks.when_nonempty)]
+        rows = self._poll_rows()
+        if rows is not self._park_rows:
+            probe_event = endpoint.proc.matching.probe_event
+            self._park_sources = [
+                (channel, partial(probe_event, peer_rank, tag, context_id))
+                for channel, peer_rank, tag, context_id in rows
+            ]
+            self._park_sources.append((self.tasks, self.tasks.when_nonempty))
+            self._park_rows = rows
+        return self._park_sources
 
 
 class NotifyingHandshakeHandler(MpiHandshakeHandler):
@@ -365,8 +357,9 @@ class NotifyingHandshakeHandler(MpiHandshakeHandler):
                 hook(ctx.channel)
 
     def channel_inactive(self, ctx):
-        loop = ctx.channel.event_loop
-        mpi_channels = getattr(loop, "mpi_channels", None)
-        if mpi_channels is not None and ctx.channel in mpi_channels:
-            mpi_channels.remove(ctx.channel)
+        # The loop's one unbind path: its poll round only skips a row whose
+        # channel closed mid-round.
+        hook = getattr(ctx.channel.event_loop, "on_mpi_channel_unbound", None)
+        if hook is not None:
+            hook(ctx.channel)
         super().channel_inactive(ctx)

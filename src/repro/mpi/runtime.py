@@ -275,7 +275,7 @@ class MPIProcess:
         if not self.alive:
             req.event.fail(RankDeadError(f"{self.name} is dead"))
             return req
-        if source != ANY_SOURCE:
+        if self.world.dead and source != ANY_SOURCE:
             # A receive naming an already-dead peer can never complete; fail
             # it now unless matching data is already queued.
             peer_gid = self._peer_gid(source, context_id)

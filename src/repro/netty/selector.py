@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
-from repro.simnet.events import Event
+from repro.simnet.events import _PENDING, Event
 from repro.simnet.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,7 +116,22 @@ class Selector:
 
     # -- selection -----------------------------------------------------------
     def _ready(self) -> list[SelectionKey]:
-        return [k for k in self.keys if k.is_readable() or k.is_acceptable()]
+        """The keys that are readable or acceptable, in registration order.
+
+        A key whose park waiter is still pending is skipped unchecked: the
+        waiter came from its store's ``when_nonempty`` while the store was
+        empty, and the only thing that queues an item (``put_nowait``)
+        triggers every such waiter on the spot. Pending waiter => empty
+        source => neither readable nor acceptable.
+        """
+        ready = []
+        for key in self.keys:
+            waiter = key.waiter
+            if waiter is not None and waiter._value is _PENDING:
+                continue
+            if key.is_readable() or key.is_acceptable():
+                ready.append(key)
+        return ready
 
     def select_now(self) -> list[SelectionKey]:
         """Non-blocking poll of ready keys (NIO selectNow)."""
@@ -157,13 +172,17 @@ class Selector:
         arm = self._arm_park_waiter
         for key in self.keys:
             waiter = key.waiter
-            if waiter is None or waiter.triggered:
+            if waiter is None or waiter._value is not _PENDING:
                 key.waiter = arm(waiter, key.when_ready)
         waiters = self._park_waiters
-        for source, make in (*extra, (self._wakeups, self._wakeups.when_nonempty)):
+        for source, make in extra:
             waiter = waiters.get(source)
-            if waiter is None or waiter.triggered:
+            if waiter is None or waiter._value is not _PENDING:
                 waiters[source] = arm(waiter, make)
+        wakeups = self._wakeups
+        waiter = waiters.get(wakeups)
+        if waiter is None or waiter._value is not _PENDING:
+            waiters[wakeups] = arm(waiter, wakeups.when_nonempty)
         park = self._park = Event(self.env)
         if timeout is not None:
             park = self.env.any_of((park, self.env.timeout(timeout)))

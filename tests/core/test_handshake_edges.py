@@ -8,7 +8,7 @@ from repro.core.handshake import ATTR_BINDING, ATTR_DONE, HandshakeError
 from repro.mpi.runtime import RankSpec
 from repro.simnet import IB_EDR, SimCluster, SimEngine
 from repro.simnet.sockets import SocketAddress
-from repro.spark.network import OneForOneStreamManager, TransportContext
+from repro.spark.network import OneForOneStreamManager, RpcHandler, TransportContext
 from repro.transports import make_transport
 
 PORT = 7337
@@ -137,3 +137,49 @@ class TestTeardownReleasesMapping:
 
         outcome = drive(env, main())
         assert "closed before rank handshake" in outcome
+
+
+class _EchoRpc(RpcHandler):
+    def receive(self, client_channel, payload, reply):
+        reply(payload, 16)
+
+
+class TestChannelClosedMidRound:
+    def test_row_closed_by_an_earlier_rows_read_is_skipped(self):
+        # Regression: the Basic loop walks a snapshot of its poll rows. A
+        # read on row A that closes row B's channel unbinds B at once
+        # (channel_inactive), so reaching B's stale row must skip it, not
+        # remove it from mpi_channels a second time (ValueError).
+        env, transport, context, _, client_ep, _, client_loop = make_rig(
+            "mpi-basic"
+        )
+        context.rpc_handler = _EchoRpc()
+
+        def main():
+            a = yield from context.create_client(
+                client_loop, 1, SocketAddress("node0", PORT)
+            )
+            yield from transport.establish(a.channel, client_ep)
+            b = yield from context.create_client(
+                client_loop, 1, SocketAddress("node0", PORT)
+            )
+            yield from transport.establish(b.channel, client_ep)
+            assert client_loop.mpi_channels == [a.channel, b.channel]
+            yield env.timeout(0.01)  # both rows in the loop's snapshot
+
+            fire_read = a.channel.pipeline.fire_channel_read
+
+            def read_then_close_b(msg):
+                b.channel.close()
+                fire_read(msg)
+
+            a.channel.pipeline.fire_channel_read = read_then_close_b
+            first = yield a.send_rpc("ping", 16)
+            del a.channel.pipeline.fire_channel_read
+            second = yield a.send_rpc("again", 16)
+            return first, second, list(client_loop.mpi_channels), a.channel, b.channel
+
+        first, second, bound, a_channel, b_channel = drive(env, main())
+        assert (first, second) == ("ping", "again")
+        assert bound == [a_channel]
+        assert not b_channel.active

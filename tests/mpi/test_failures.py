@@ -3,10 +3,11 @@
 Each test pins *when* and *with what* one send or receive completes when
 the world changes under it: a peer dying during the send overhead, a
 world abort before the envelope is routed, a rendezvous send that must
-wait for CTS plus bulk, an abort during an eager receive's delay, and a
-receive whose request somebody else already failed. Times are compared
-with ``==``: they come from the same model arithmetic the runtime does,
-or from a reference run of the same cell without the fault.
+wait for CTS plus bulk, an abort during an eager receive's delay, a
+receive whose request somebody else already failed, and a receive posted
+after its peer died. Times are compared with ``==``: they come from the
+same model arithmetic the runtime does, or from a reference run of the
+same cell without the fault.
 """
 
 from repro.mpi import MPIWorld, RankSpec
@@ -194,3 +195,47 @@ def test_receive_already_failed_by_a_sweep_is_left_alone():
     assert req.event.value is swept
     assert req.status.source == -1 and req.status.nbytes == 0
 
+
+def receive_after_peer_death(queued, dies=True):
+    """Rank 0 (optionally after an EAGER send to rank 1) dies at t=0.5;
+    rank 1 posts ``irecv(source=0)`` at t=1.0 in shrink mode. Returns the
+    receive's (sim time, outcome); ``dies=False`` is the live-peer
+    reference run."""
+    _, _, world = make_world("shrink")
+    out = {}
+
+    def sender(proc):
+        if queued:
+            yield from proc.comm_world.send("x", dest=1, nbytes=EAGER)
+        yield proc.env.timeout(0.5 - proc.env.now)
+        if dies:
+            proc.world.kill_process(proc.gid, reason="test")
+
+    def receiver(proc):
+        yield proc.env.timeout(1.0)
+        assert world.dead == ({0} if dies else set())
+        req = proc.comm_world.irecv(source=0)
+        try:
+            value = yield from req.wait()
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            value = exc
+        out["outcome"] = (proc.env.now, value)
+
+    launch(world, [sender, receiver, idle])
+    assert "outcome" in out, "the receive never completed"
+    return out["outcome"]
+
+
+def test_receive_from_a_dead_peer_fails_at_once_when_nothing_is_queued():
+    t, exc = receive_after_peer_death(queued=False)
+    assert t == 1.0
+    assert type(exc) is RankDeadError
+    assert "recv from dead gid=0" in str(exc)
+
+
+def test_receive_from_a_dead_peer_completes_from_already_queued_data():
+    # The data was matched out of the unexpected queue, exactly as if the
+    # peer were still alive.
+    t, value = receive_after_peer_death(queued=True)
+    assert (t, value) == receive_after_peer_death(queued=True, dies=False)
+    assert value == "x" and t > 1.0

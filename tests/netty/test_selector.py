@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.harness.experiments import _run_ohb
 from repro.netty import Channel, EventLoop
 from repro.netty.selector import OP_ACCEPT, OP_READ, Selector
 from repro.simnet import IB_EDR, SimCluster, SimEngine, tcp_over
 from repro.simnet.sockets import SocketAddress, SocketStack
+from repro.util.units import GiB
+from repro.workloads.ohb import GROUP_BY
 
 
 @pytest.fixture
@@ -313,3 +316,94 @@ class TestParkWaiters:
         assert woke == [(1.0, 1), (3.0, 1)]
         # One persistent waiter per source, replaced only when spent.
         assert set(selector._park_waiters) == {tasks, selector._wakeups}
+
+
+class TestPendingWaiterWitness:
+    """``_ready`` skips a key whose park waiter is still pending: the waiter
+    was made while the key's store was empty, and the only thing that
+    queues an item triggers it on the spot."""
+
+    def _parked(self, env, stack, port=9300):
+        loop = EventLoop(env)
+        channel, server_sock = connect_pair(env, stack, loop, port)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        env.process(selector.select())
+        env.run()  # parked: the key holds a pending waiter
+        assert key.waiter is not None and not key.waiter.triggered
+        return selector, key, channel, server_sock
+
+    def test_pending_waiter_means_an_empty_source(self, rig, monkeypatch):
+        env, cluster, stack = rig
+        selector, key, channel, _ = self._parked(env, stack)
+        assert not channel.socket.readable
+        checked = []
+        is_readable = type(key).is_readable
+
+        def counted(k):
+            checked.append(k)
+            return is_readable(k)
+
+        monkeypatch.setattr(type(key), "is_readable", counted)
+        assert selector.select_now() == []
+        assert checked == []  # skipped on the witness, not probed
+
+    def test_a_put_triggers_the_waiter_synchronously(self, rig):
+        env, cluster, stack = rig
+        selector, key, channel, _ = self._parked(env, stack)
+        now = env.now
+        channel.socket.abort()  # queues an EOF on the local inbound store
+        assert key.waiter.triggered and not key.waiter.processed
+        assert env.now == now
+        assert selector.select_now() == [key]
+
+    def test_a_key_without_a_pending_waiter_gets_the_full_check(self, rig):
+        env, cluster, stack = rig
+        loop = EventLoop(env)
+        channel, server_sock = connect_pair(env, stack, loop, 9310)
+        selector = Selector(env)
+        key = selector.register_channel(channel)
+        server_sock.send("data", 10)
+        env.run()
+        assert key.waiter is None
+        assert selector.select_now() == [key]
+        # A triggered waiter whose data was taken: checked, found empty.
+        parked, parked_key, parked_channel, peer = self._parked(env, stack, 9320)
+        peer.send("data", 10)
+        env.run()
+        assert parked_key.waiter.triggered
+        assert parked.select_now() == [parked_key]
+        parked_channel.socket.recv_nowait()
+        assert parked_key.waiter.triggered and parked.select_now() == []
+
+    def test_a_deregistered_key_is_not_reported(self, rig):
+        env, cluster, stack = rig
+        selector, key, channel, server_sock = self._parked(env, stack)
+        selector.deregister(channel)
+        server_sock.send("data", 10)
+        env.run()
+        assert channel.socket.readable
+        assert selector.select_now() == []
+
+
+@pytest.mark.parametrize("transport", ["nio", "mpi-basic"])
+def test_ready_equals_the_full_scan_for_a_whole_run(transport, monkeypatch):
+    """Every ``_ready()`` of the Fig-9 GroupBy cell (2 workers) returns
+    exactly the readable-or-acceptable scan, and the witness does skip."""
+    ready = Selector._ready
+    calls, skipped = [0], [0]
+
+    def checked(selector):
+        got = ready(selector)
+        keys = selector.keys
+        full = [k for k in keys if k.is_readable() or k.is_acceptable()]
+        calls[0] += 1
+        skipped[0] += sum(k.waiter is not None and not k.waiter.triggered for k in keys)
+        # Raised from the loop's own process, so it ends the run at once
+        # (a loop that misses a ready key would otherwise spin forever).
+        assert got == full, f"t={selector.env.now}: {got} != {full}"
+        return got
+
+    monkeypatch.setattr(Selector, "_ready", checked)
+    _run_ohb(GROUP_BY, 2, 28 * GiB, transport, 0.25)
+    assert calls[0] > 1000 and skipped[0] > 0
