@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -23,9 +22,6 @@ class Protocol(Enum):
     RENDEZVOUS = "rndv"  # envelope is an RTS; payload moves after match
 
 
-_seq = itertools.count(1)
-
-
 @dataclass
 class Envelope:
     """One in-flight point-to-point message.
@@ -44,7 +40,6 @@ class Envelope:
     nbytes: int
     protocol: Protocol
     send_done: "Event | None" = None  # rendezvous: triggered when transfer completes
-    seq: int = field(default_factory=lambda: next(_seq))
     # Causal trace context (repro.obs.causal): in-memory only, not part of
     # the wire size or matching identity.
     trace_ctx: Any = field(default=None, compare=False, repr=False)

@@ -168,14 +168,16 @@ class EventLoop:
                     yield from self._read_all(key.channel)
 
             # Handlers may have parked blocking continuations.
-            yield from self._drain_blocking()
+            if self._blocking:
+                yield from self._drain_blocking()
 
             # Run queued tasks.
             while self.tasks.items:
                 fn = self.tasks.get_nowait()
                 yield env.timeout(TASK_COST_S)
                 fn()
-                yield from self._drain_blocking()
+                if self._blocking:
+                    yield from self._drain_blocking()
             self._busy_s += env.now - t_busy
 
     def _accept_all(self, key) -> Generator:
@@ -209,11 +211,11 @@ class EventLoop:
                 channel.pipeline.fire_channel_read(seg.payload)
             except Exception as exc:  # handler errors go back down the pipeline
                 channel.pipeline.fire_exception_caught(exc)
-            yield from self._drain_blocking()
+            if self._blocking:
+                yield from self._drain_blocking()
 
     def _drain_blocking(self) -> Generator:
-        if not self._blocking:
-            return
+        """Run the parked continuations; callers skip it when none are."""
         t0 = self.env.now
         while self._blocking:
             gen = self._blocking.pop(0)

@@ -22,7 +22,7 @@ class SparkContext:
     def __init__(self, conf: SparkConf | None = None, backend=None) -> None:
         self.conf = conf or SparkConf()
         self.backend = backend or LocalBackend()
-        self.dag_scheduler = DAGScheduler(self)
+        self.dag_scheduler = DAGScheduler()
         self.tracer = TraceRecorder()
         self._stopped = False
 

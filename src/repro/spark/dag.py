@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.spark.rdd import RDD, NarrowDependency, ShuffleDependency
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.spark.context import SparkContext
 
 
 class Stage:
@@ -66,8 +63,7 @@ class Job:
 class DAGScheduler:
     """Builds jobs from actions. Execution is delegated to a backend."""
 
-    def __init__(self, ctx: "SparkContext") -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self._shuffle_stages: dict[int, Stage] = {}
         self._job_ids = itertools.count(0)
 

@@ -29,15 +29,20 @@ from repro.util.serialization import estimate_batch, sizeof
 _key = itemgetter(0)
 
 
-def _bucket_by(records: list[Any], rids: list[int], n_reds: int) -> list[list[Any]]:
-    """Split ``records`` into ``n_reds`` lists by reduce id, keeping
-    arrival order within each list (a stable sort of the ids)."""
-    rid_arr = np.asarray(rids, dtype=np.intp)
-    order = np.argsort(rid_arr, kind="stable")
+def _bucket_by(
+    records: list[Any], rids: np.ndarray, n_reds: int
+) -> list[tuple[Any, ...]]:
+    """Split ``records`` into ``n_reds`` tuples by reduce id, keeping
+    arrival order within each tuple (a stable sort of the ids).
+
+    Tuples, not lists: a tuple of atomic records is untracked by the
+    cyclic collector after its first look, so full collections stop
+    re-walking every bucketed record (DESIGN §10, §12)."""
+    order = np.argsort(rids, kind="stable")
     ordered = np.fromiter(records, dtype=object, count=len(records))[order]
-    ends = np.cumsum(np.bincount(rid_arr, minlength=n_reds)).tolist()
+    ends = np.cumsum(np.bincount(rids, minlength=n_reds)).tolist()
     starts = [0, *ends[:-1]]
-    return [ordered[a:b].tolist() for a, b in zip(starts, ends)]
+    return [tuple(ordered[a:b].tolist()) for a, b in zip(starts, ends)]
 
 
 class MapOutputRegistry:
@@ -45,7 +50,7 @@ class MapOutputRegistry:
 
     def __init__(self) -> None:
         # shuffle_id -> list over map partitions -> {reduce_id: (records, nbytes)}
-        self._outputs: dict[int, list[dict[int, tuple[list[Any], int]]]] = {}
+        self._outputs: dict[int, list[dict[int, tuple[tuple[Any, ...], int]]]] = {}
 
     def is_computed(self, shuffle_id: int) -> bool:
         return shuffle_id in self._outputs
@@ -58,7 +63,7 @@ class MapOutputRegistry:
         shuffle_id: int,
         map_id: int,
         reduce_id: int,
-        records: list[Any],
+        records: tuple[Any, ...],
         nbytes: int,
     ) -> None:
         self._outputs[shuffle_id][map_id][reduce_id] = (records, nbytes)
@@ -95,10 +100,10 @@ class LocalTaskContext(TaskContext):
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> Iterator[Any]:
         return self.backend.map_outputs.fetch(dep.shuffle_id, reduce_id)
 
-    def get_cached(self, rdd_id: int, split: int):
+    def get_cached(self, rdd_id: int, split: int) -> tuple[Any, ...] | None:
         return self.backend.cache.get((rdd_id, split))
 
-    def put_cached(self, rdd_id: int, split: int, data: list[Any]) -> None:
+    def put_cached(self, rdd_id: int, split: int, data: tuple[Any, ...]) -> None:
         self.backend.cache[(rdd_id, split)] = data
 
 
@@ -107,7 +112,7 @@ class LocalBackend:
 
     def __init__(self) -> None:
         self.map_outputs = MapOutputRegistry()
-        self.cache: dict[tuple[int, int], list[Any]] = {}
+        self.cache: dict[tuple[int, int], tuple[Any, ...]] = {}
 
     # -- job execution ---------------------------------------------------------
     def run_job(self, job: Job, recorder=None) -> list[Any]:
@@ -157,7 +162,7 @@ class LocalBackend:
                 buckets: list[Any] = [None] * n_reds
                 merge_value = agg.merge_value
                 create_combiner = agg.create_combiner
-                for (k, v), rid in zip(records, rids):
+                for (k, v), rid in zip(records, rids.tolist()):
                     bucket = buckets[rid]
                     if bucket is None:
                         bucket = buckets[rid] = {}
@@ -165,15 +170,13 @@ class LocalBackend:
                         bucket[k] = merge_value(bucket[k], v)
                     else:
                         bucket[k] = create_combiner(v)
-                bucket_lists = [
-                    list(b.items()) if b else [] for b in buckets
-                ]
+                bucket_tuples = [tuple(b.items()) if b else () for b in buckets]
             else:
-                bucket_lists = _bucket_by(records, rids, n_reds)
+                bucket_tuples = _bucket_by(records, rids, n_reds)
 
             records_out = 0
             bytes_out = 0
-            for rid, bucket in enumerate(bucket_lists):
+            for rid, bucket in enumerate(bucket_tuples):
                 if not bucket:
                     continue
                 nbytes = estimate_batch(bucket)

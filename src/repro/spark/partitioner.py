@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import random
 from itertools import islice
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +19,10 @@ import numpy as np
 # modulo the Mersenne prime 2**61 - 1), which is what lets the batched
 # hash path below replace per-key hash() calls with one vectorized mod.
 _HASH_IDENTITY_MAX = (1 << 61) - 1
+
+
+def _per_key(part: Callable[[Any], int], keys: Sequence[Any]) -> np.ndarray:
+    return np.fromiter(map(part, keys), dtype=np.intp, count=len(keys))
 
 
 class Partitioner:
@@ -32,15 +36,15 @@ class Partitioner:
     def partition(self, key: Any) -> int:
         raise NotImplementedError
 
-    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+    def partition_many(self, keys: Sequence[Any]) -> np.ndarray:
         """Batched :meth:`partition`; subclasses add vectorized paths.
 
-        Must return exactly ``[self.partition(k) for k in keys]`` — the
-        shuffle data plane relies on that identity for byte-identical
-        traffic matrices.
+        Returns an ``intp`` array whose ``tolist()`` is exactly
+        ``[self.partition(k) for k in keys]`` — the shuffle data plane
+        relies on that identity for byte-identical traffic matrices, and
+        buckets by the array without a round trip through a list.
         """
-        part = self.partition
-        return [part(k) for k in keys]
+        return _per_key(self.partition, keys)
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.num_partitions == other.num_partitions
@@ -55,7 +59,7 @@ class HashPartitioner(Partitioner):
     def partition(self, key: Any) -> int:
         return hash(key) % self.num_partitions
 
-    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+    def partition_many(self, keys: Sequence[Any]) -> np.ndarray:
         # Vectorized path for all-int key batches (the common shuffle
         # case) where hash(k) == k; anything else — bools, negatives,
         # huge ints, mixed or non-int keys — falls back per key.
@@ -65,9 +69,8 @@ class HashPartitioner(Partitioner):
             except OverflowError:
                 arr = None
             if arr is not None and int(arr.min()) >= 0 and int(arr.max()) < _HASH_IDENTITY_MAX:
-                return (arr % self.num_partitions).tolist()
-        part = self.partition
-        return [part(k) for k in keys]
+                return (arr % self.num_partitions).astype(np.intp, copy=False)
+        return _per_key(self.partition, keys)
 
 
 class RangePartitioner(Partitioner):
@@ -91,7 +94,7 @@ class RangePartitioner(Partitioner):
             idx = self.num_partitions - 1 - idx
         return idx
 
-    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+    def partition_many(self, keys: Sequence[Any]) -> np.ndarray:
         # Vectorized searchsorted for all-int keys against all-int
         # bounds: np.searchsorted(side="left") on exact int64 values is
         # bisect_left. Floats are excluded (NaN ordering differs) and
@@ -113,9 +116,8 @@ class RangePartitioner(Partitioner):
                 idx = np.searchsorted(barr, karr, side="left")
                 if not self.ascending:
                     idx = self.num_partitions - 1 - idx
-                return idx.tolist()
-        part = self.partition
-        return [part(k) for k in keys]
+                return idx
+        return _per_key(self.partition, keys)
 
     def __eq__(self, other: object) -> bool:
         return (

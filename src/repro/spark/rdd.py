@@ -129,12 +129,19 @@ class RDD:
         raise NotImplementedError
 
     def iterator(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
-        """Compute (or fetch from cache) one partition."""
+        """Compute (or fetch from cache) one partition.
+
+        A cached partition is a tuple: once the collector has seen that
+        its records are atomic it untracks it, and full collections stop
+        re-walking the cache (DESIGN §10). It is built through a list:
+        building it straight from the generator measured twice the
+        young-generation collector time.
+        """
         if self.is_cached:
             cached = task_ctx.get_cached(self.id, split)
             if cached is not None:
                 return iter(cached)
-            data = list(self.compute(split, task_ctx))
+            data = tuple(list(self.compute(split, task_ctx)))
             task_ctx.put_cached(self.id, split, data)
             return iter(data)
         return self.compute(split, task_ctx)
@@ -644,8 +651,8 @@ class TaskContext:
         """Iterate the shuffle records destined for ``reduce_id``."""
         raise NotImplementedError
 
-    def get_cached(self, rdd_id: int, split: int):
+    def get_cached(self, rdd_id: int, split: int) -> tuple[Any, ...] | None:
         return None
 
-    def put_cached(self, rdd_id: int, split: int, data: list[Any]) -> None:
+    def put_cached(self, rdd_id: int, split: int, data: tuple[Any, ...]) -> None:
         pass

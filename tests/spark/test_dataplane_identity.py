@@ -10,7 +10,9 @@ the per-record form of each batched step:
 * map-side bucketing: one ``append`` per record (the batched form is a
   stable argsort of the reduce ids);
 * bucket sizing: ``zip(*records)`` columns;
-* the ``sortByKey`` reservoir sample: ``randint(0, i)`` per record.
+* the ``sortByKey`` reservoir sample: ``randint(0, i)`` per record;
+* the reduce side of ``groupByKey``: the generic ``create_combiner`` /
+  ``merge_value`` loop (the batched form groups into lists directly).
 
 Each workload runs twice in one process — batched, then with the
 reference swapped in — with the id counters reset before each run, and
@@ -180,6 +182,26 @@ def ref_run_result_stage(self, job, stage):
     return results, trace
 
 
+def ref_shuffled_compute(self, split, task_ctx):
+    dep = self.deps[0]
+    records = task_ctx.shuffle_fetch(dep, split)
+    agg = dep.aggregator
+    if agg is not None:
+        if dep.map_side_combine:
+            create, merge = (lambda c: c), agg.merge_combiners
+        else:
+            create, merge = agg.create_combiner, agg.merge_value
+        combined = {}
+        for k, v in records:
+            combined[k] = merge(combined[k], v) if k in combined else create(v)
+        records = iter(combined.items())
+    if dep.key_ordering:
+        records = iter(
+            sorted(records, key=operator.itemgetter(0), reverse=not dep.ascending)
+        )
+    return records
+
+
 def _use_reference(mp):
     mp.setattr(ohb, "randint_stream", ref_randint_stream)
     mp.setattr(rdd, "sample_for_range_bounds", ref_sample_for_range_bounds)
@@ -187,6 +209,7 @@ def _use_reference(mp):
     mp.setattr(MapOutputRegistry, "fetch", ref_fetch)
     mp.setattr(LocalBackend, "_run_shuffle_map_stage", ref_run_shuffle_map_stage)
     mp.setattr(LocalBackend, "_run_result_stage", ref_run_result_stage)
+    mp.setattr(rdd.ShuffledRDD, "compute", ref_shuffled_compute)
 
 
 # -- comparison ---------------------------------------------------------------
@@ -257,6 +280,18 @@ def test_ohb_build_rdd_results_identical():
     assert_same_stages(got_st, want_st)
 
 
+@pytest.mark.parametrize("pairs,parts", OHB_GEOMETRIES[:2])
+def test_group_by_key_output_identical(pairs, parts):
+    # Key order and per-key value order of the grouping fast path.
+    def run():
+        sc = SparkContext(SparkConf({"spark.default.parallelism": str(parts)}))
+        return GROUP_BY.build_rdd(sc, pairs, parts).collect()
+
+    got, want = batched_and_reference(run)
+    assert got == want
+    assert sum(map(len, (vs for _k, vs in got))) == pairs
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLE_PROGRAMS))
 def test_hibench_sample_traces_identical(name):
     got, want = batched_and_reference(SPECS[name].trace_sample)
@@ -270,6 +305,14 @@ def _reduce_by_key_job():
     return out, sc.tracer.all_stages()
 
 
+def _group_by_key_job():
+    # Distinct values, so per-key value order is visible (OHB's are not).
+    sc = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
+    data = [((i * 7919) % 31, i) for i in range(3000)]
+    out = sc.parallelize(data, 5).group_by_key(3).collect()
+    return out, sc.tracer.all_stages()
+
+
 def _repartition_job():
     sc = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
     rows = sc.parallelize([(i, "x" * (i % 9)) for i in range(2500)], 3)
@@ -277,8 +320,8 @@ def _repartition_job():
     return out, sc.tracer.all_stages()
 
 
-@pytest.mark.parametrize("job", [_reduce_by_key_job, _repartition_job],
-                         ids=["reduce_by_key", "repartition"])
+@pytest.mark.parametrize("job", [_reduce_by_key_job, _group_by_key_job, _repartition_job],
+                         ids=["reduce_by_key", "group_by_key", "repartition"])
 def test_combine_and_repartition_traces_identical(job):
     (got, got_st), (want, want_st) = batched_and_reference(job)
     assert got == want

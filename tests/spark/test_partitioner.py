@@ -1,12 +1,13 @@
 """Partitioner batched-path equivalence.
 
-``partition_many`` must return exactly ``[partition(k) for k in keys]``
-for every key population — the shuffle data plane's traffic matrices are
+``partition_many`` must return an ``intp`` array whose ``tolist()`` is
+exactly ``[partition(k) for k in keys]`` for every key population — the shuffle data plane's traffic matrices are
 byte-identical to the per-record loop only if this identity is exact,
 including on the populations that must *miss* the vectorized paths
 (bools, negatives, huge ints, floats, mixed types).
 """
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,20 +34,27 @@ _any_key = st.one_of(
 )
 
 
+def many(p, keys):
+    """``p.partition_many(keys)`` as a list, after checking its type."""
+    got = p.partition_many(keys)
+    assert isinstance(got, np.ndarray) and got.dtype == np.intp
+    return got.tolist()
+
+
 class TestHashPartitionMany:
     @given(st.lists(_any_int, max_size=60), st.integers(1, 9))
     def test_matches_per_key_on_ints(self, keys, n):
         p = HashPartitioner(n)
-        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+        assert many(p, keys) == [p.partition(k) for k in keys]
 
     @given(st.lists(_any_key, max_size=40), st.integers(1, 9))
     def test_matches_per_key_on_anything(self, keys, n):
         p = HashPartitioner(n)
-        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+        assert many(p, keys) == [p.partition(k) for k in keys]
 
     def test_all_results_in_range(self):
         p = HashPartitioner(4)
-        for rid in p.partition_many(list(range(-50, 50))):
+        for rid in many(p, list(range(-50, 50))):
             assert 0 <= rid < 4
 
 
@@ -58,7 +66,7 @@ class TestRangePartitionMany:
     )
     def test_matches_per_key_on_ints(self, keys, bounds, ascending):
         p = RangePartitioner(sorted(bounds), ascending=ascending)
-        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+        assert many(p, keys) == [p.partition(k) for k in keys]
 
     @given(
         st.lists(st.floats(allow_nan=False), max_size=40),
@@ -69,21 +77,21 @@ class TestRangePartitionMany:
         # Floats never vectorize (the guard is type-exact); the identity
         # must still hold through the fallback.
         p = RangePartitioner(sorted(bounds), ascending=ascending)
-        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+        assert many(p, keys) == [p.partition(k) for k in keys]
 
     @given(st.lists(st.text(max_size=6), max_size=30))
     def test_matches_per_key_on_strings(self, keys):
         p = RangePartitioner(["g", "q"])
-        assert p.partition_many(keys) == [p.partition(k) for k in keys]
+        assert many(p, keys) == [p.partition(k) for k in keys]
 
     def test_boundary_keys_side_left(self):
         # A key equal to a bound lands left of it, same as bisect_left.
         p = RangePartitioner([10, 20])
-        assert p.partition_many([9, 10, 11, 20, 21]) == [0, 0, 1, 1, 2]
+        assert many(p, [9, 10, 11, 20, 21]) == [0, 0, 1, 1, 2]
 
     def test_descending_flips(self):
         p = RangePartitioner([10, 20], ascending=False)
-        assert p.partition_many([9, 10, 11, 20, 21]) == [2, 2, 1, 1, 0]
+        assert many(p, [9, 10, 11, 20, 21]) == [2, 2, 1, 1, 0]
 
 
 class TestBasePartitionMany:
@@ -93,4 +101,4 @@ class TestBasePartitionMany:
                 return key % self.num_partitions
 
         p = Mod3(3)
-        assert p.partition_many([0, 1, 2, 3, 4]) == [0, 1, 2, 0, 1]
+        assert many(p, [0, 1, 2, 3, 4]) == [0, 1, 2, 0, 1]
