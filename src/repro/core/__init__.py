@@ -24,8 +24,6 @@ from repro.core.handshake import (
     initiate_handshake,
 )
 from repro.core.mpi_netty import (
-    BASIC_POLL_PERIOD_S,
-    IPROBE_COST_S,
     MpiBasicEventLoop,
     MpiBodyReceiveHandler,
     NotifyingHandshakeHandler,
@@ -49,6 +47,4 @@ __all__ = [
     "MpiBasicEventLoop",
     "optimized_transport_write",
     "basic_transport_write",
-    "BASIC_POLL_PERIOD_S",
-    "IPROBE_COST_S",
 ]

@@ -25,21 +25,12 @@ from repro.netty.channel import Channel
 from repro.netty.eventloop import READ_EVENT_COST_S, EventLoop
 from repro.netty.frame import WireFrame
 from repro.netty.handler import ChannelHandler
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.spark.messages import MPI_OPTIMIZED_BODY_TYPES, peek_message_type
-from repro.util.units import US
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.endpoint import MpiEndpoint
     from repro.simnet.events import Event
-
-# Basic-design polling costs (Sec. VI-D): one selectNow + one MPI_Iprobe
-# per registered channel, every iteration, forever.
-SELECT_NOW_COST_S = 0.5 * US
-IPROBE_COST_S = 0.3 * US
-# Average message-discovery delay of the busy-poll (half a poll period is
-# charged when the simulated loop wakes from idle; the full-core burn is
-# modeled separately by the executor's polling-core tax).
-BASIC_POLL_PERIOD_S = 5.0 * US
 
 
 def _binding_of(channel: Channel) -> CommBinding:
@@ -190,13 +181,17 @@ class MpiBasicEventLoop(EventLoop):
 
     The blocking ``select`` is replaced by ``selectNow`` so the loop never
     parks while MPI messages might be pending; each iteration additionally
-    ``MPI_Iprobe``-s every bound channel. The per-iteration costs are
-    charged on the loop thread — with many idle iterations, this is the
-    compute-starving behaviour the paper measured.
+    ``MPI_Iprobe``-s every bound channel. The per-iteration costs, from
+    the :class:`CostModel` the loop is built with, are charged on the loop
+    thread — with many idle iterations, this is the compute-starving
+    behaviour the paper measured.
     """
 
-    def __init__(self, env, name: str = "mpi-basic-loop") -> None:
+    def __init__(
+        self, env, name: str = "mpi-basic-loop", cost: CostModel = DEFAULT_COST
+    ) -> None:
         super().__init__(env, name)
+        self.cost = cost
         self.mpi_channels: list[Channel] = []
         # Cumulative CPU seconds spent in selectNow + MPI_Iprobe rounds —
         # the measured "polling tax" reported next to Fig 9. Accumulated
@@ -252,10 +247,13 @@ class MpiBasicEventLoop(EventLoop):
 
     def _run(self) -> Generator:
         env = self.env
+        select_now_s = self.cost.select_now_cost_s
+        iprobe_s = self.cost.iprobe_cost_s
+        discovery_s = self.cost.basic_poll_period_s / 2
         while self.running:
             # Poll round: selectNow + one MPI_Iprobe per bound channel.
             t_busy = env.now
-            poll_cost = SELECT_NOW_COST_S + len(self.mpi_channels) * IPROBE_COST_S
+            poll_cost = select_now_s + len(self.mpi_channels) * iprobe_s
             yield env.timeout(poll_cost)
             self._poll_tax_s += poll_cost
             self._n_poll_rounds += 1
@@ -301,7 +299,7 @@ class MpiBasicEventLoop(EventLoop):
                 yield from self._drain_blocking()
             while self.tasks.items:
                 fn = self.tasks.get_nowait()
-                yield env.timeout(SELECT_NOW_COST_S)
+                yield env.timeout(select_now_s)
                 fn()
                 if self._blocking:
                     yield from self._drain_blocking()
@@ -317,7 +315,7 @@ class MpiBasicEventLoop(EventLoop):
                 # the park nor the discovery delay counts as busy_s — the
                 # modeled spin burn is already the polling-core tax.
                 yield from self.selector.park(extra=self._idle_park_sources())
-                yield env.timeout(BASIC_POLL_PERIOD_S / 2)
+                yield env.timeout(discovery_s)
 
     def _idle_park_sources(self) -> list:
         """The ``(source, make)`` pairs the idle park waits on besides the

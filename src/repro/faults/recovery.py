@@ -26,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.harness.profile import (
-    TASK_SCHED_DELAY_S,
-    ShuffleReadStage,
-    ShuffleWriteStage,
-)
+from repro.harness.profile import ShuffleReadStage, ShuffleWriteStage
 from repro.mpi.errors import WorldAbortedError
 from repro.simnet.events import Interrupt
 from repro.spark.deploy import JobFailedError, RunResult, SimExecutor
@@ -375,14 +371,15 @@ class ResilientScheduler:
         history exists, fall back on the task's nominal duration."""
         if not self.policy.speculation:
             return None
+        delay = self.sim.cost.task_sched_delay_s
         need = max(1, int(self.policy.speculation_quantile * stage.n_tasks))
         if len(durations) >= need:
             median = sorted(durations)[len(durations) // 2]
-            return max(self.policy.speculation_multiplier * median, TASK_SCHED_DELAY_S)
+            return max(self.policy.speculation_multiplier * median, delay)
         costs = ex.nominal_costs(stage, t)
         if costs is None or (nominal := sum(costs)) <= 0:
             return None
-        return self.policy.speculation_multiplier * nominal + TASK_SCHED_DELAY_S
+        return self.policy.speculation_multiplier * nominal + delay
 
     def _task_body(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
         """One unaccounted attempt: the shared task body under a slot claim

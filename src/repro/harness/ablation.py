@@ -10,16 +10,17 @@ its contribution on a fixed GroupByTest scenario:
 * ``ablate_poll_period``          — the Basic design's busy-poll granularity.
 
 These run on a small fixed geometry (2 workers) so they complete quickly;
-the *relative* effects are the point.
+the *relative* effects are the point. The last three vary one field of
+the :class:`~repro.simnet.interconnect.CostModel` each cluster is built
+with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import repro.core.mpi_netty as mpi_netty
-import repro.spark.deploy as deploy
 from repro.harness.systems import FRONTERA
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, KiB, MiB
 from repro.workloads.ohb import GROUP_BY
@@ -34,8 +35,9 @@ class AblationPoint:
 
 
 def _run(transport: str, n_workers: int = 2, data=14 * GiB, io_threads: int = 8,
-         fidelity: float = 0.25) -> tuple[float, float]:
-    sim = SparkSimCluster(FRONTERA, n_workers, transport, io_threads=io_threads)
+         fidelity: float = 0.25, cost: CostModel = DEFAULT_COST) -> tuple[float, float]:
+    sim = SparkSimCluster(FRONTERA, n_workers, transport, io_threads=io_threads,
+                          cost=cost)
     sim.launch()
     profile = GROUP_BY.build_profile(FRONTERA, n_workers, data, fidelity=fidelity)
     result = sim.run_profile(profile)
@@ -59,59 +61,28 @@ def ablate_io_threads(values=(1, 2, 4, 8)) -> list[AblationPoint]:
     return points
 
 
+def _cost_sweep(parameter: str, field: str, transport: str, values) -> list[AblationPoint]:
+    """One point per value of the cost-model ``field``, on ``transport``."""
+    points = []
+    for value in values:
+        read, total = _run(transport, cost=replace(DEFAULT_COST, **{field: value}))
+        points.append(AblationPoint(parameter, value, read, total))
+    return points
+
+
 def ablate_rendezvous_threshold(values=(4 * KiB, 16 * KiB, 256 * KiB, 4 * MiB)) -> list[AblationPoint]:
     """Eager/rendezvous switch: eager copies buffer large payloads; late
     rendezvous handshakes delay large transfers behind recv posting."""
-    from repro.simnet import interconnect
-
-    original = interconnect.mpi_over
-    points = []
-    try:
-        for threshold in values:
-            def patched(fabric, _t=threshold):
-                return original(fabric).scaled(rendezvous_threshold=_t)
-
-            interconnect.mpi_over = patched
-            # transports/mpi_opt imported the symbol; patch there too.
-            import repro.transports.mpi_opt as mo
-
-            saved = mo.mpi_over
-            mo.mpi_over = patched
-            try:
-                read, total = _run("mpi-opt")
-            finally:
-                mo.mpi_over = saved
-            points.append(AblationPoint("rendezvous_threshold", threshold, read, total))
-    finally:
-        interconnect.mpi_over = original
-    return points
+    return _cost_sweep("rendezvous_threshold", "rendezvous_threshold", "mpi-opt", values)
 
 
 def ablate_in_flight_window(values=(4 * MiB, 16 * MiB, 48 * MiB, 192 * MiB)) -> list[AblationPoint]:
     """Spark's maxBytesInFlight: too small starves the NIC, too large
     mostly saturates (diminishing returns)."""
-    original = deploy.MAX_BYTES_IN_FLIGHT
-    points = []
-    try:
-        for window in values:
-            deploy.MAX_BYTES_IN_FLIGHT = window
-            read, total = _run("nio")
-            points.append(AblationPoint("max_bytes_in_flight", window, read, total))
-    finally:
-        deploy.MAX_BYTES_IN_FLIGHT = original
-    return points
+    return _cost_sweep("max_bytes_in_flight", "max_bytes_in_flight", "nio", values)
 
 
 def ablate_poll_period(values=(1e-6, 5e-6, 50e-6, 500e-6)) -> list[AblationPoint]:
     """The Basic design's poll period: coarser polling adds discovery
     latency to every MPI message (the cost the paper abandoned it over)."""
-    original = mpi_netty.BASIC_POLL_PERIOD_S
-    points = []
-    try:
-        for period in values:
-            mpi_netty.BASIC_POLL_PERIOD_S = period
-            read, total = _run("mpi-basic")
-            points.append(AblationPoint("poll_period_s", period, read, total))
-    finally:
-        mpi_netty.BASIC_POLL_PERIOD_S = original
-    return points
+    return _cost_sweep("poll_period_s", "basic_poll_period_s", "mpi-basic", values)

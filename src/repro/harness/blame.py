@@ -13,13 +13,17 @@ This is a *simulated*-time instrument. A host-side slowdown (slower
 machine, interpreter regression) does not move simulated time, so its
 diff is the zero identity; host time is measured by ``bench/run.py`` and
 nowhere else. A behavior change (code edit, knob, injected slowdown)
-shows up as named segment deltas.
+shows up as named segment deltas. An injected slowdown is a changed
+:class:`~repro.simnet.interconnect.CostModel` the proxy cell is built
+with; nothing is patched.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
+from repro.simnet.interconnect import DEFAULT_COST
 from repro.util.units import GiB
 
 # Where the committed baseline recordings live. Deliberately *not* under
@@ -49,39 +53,33 @@ def baseline_path(transport: str, directory: Path | None = None) -> Path:
 def record_cell_flight(transport: str, inject: tuple[str, float] | None = None):
     """Record the proxy cell's flight log on the live tree.
 
-    ``inject`` = ``(segment, factor)`` slows one modeled cost down by
-    ``factor`` while simulating, so a blame report must name that
-    segment: ``serialize`` (ramdisk shuffle-write bandwidth) or
-    ``poll-tax`` (Basic's busy-poll interference tax), anything else is a
-    ``ValueError``; ``None`` injects nothing. Constants are restored in
-    ``finally``; the patched constants enter the run-cache key via
-    ``runcache.live_constants``, so injected and clean runs can never
-    serve each other's cached results. Returns the RunResult.
+    ``inject`` = ``(segment, factor)`` runs the cell under a cost model
+    with one modeled cost slowed down by ``factor``, so a blame report
+    must name that segment: ``serialize`` (ramdisk shuffle-write
+    bandwidth) or ``poll-tax`` (Basic's busy-poll interference tax),
+    anything else is a ``ValueError``; ``None`` injects nothing. The model
+    enters the run-cache key, so injected and clean runs can never serve
+    each other's cached results. Returns the RunResult.
     """
-    import repro.spark.deploy as deploy
     from repro.harness.parallel import run_ohb_cell
-    from repro.transports.mpi_basic import MpiBasicTransport
 
-    saved = (deploy.RAMDISK_WRITE_BPS, MpiBasicTransport.compute_inflation)
-    try:
-        if inject is not None:
-            segment, factor = inject
-            if segment == "serialize":
-                deploy.RAMDISK_WRITE_BPS = saved[0] / factor
-            elif segment == "poll-tax":
-                # Scale the compute-inflation excess over 1.0. The diff
-                # engine re-splits inflated compute into pure compute +
-                # poll-tax from each side's recorded inflation, so this
-                # lands squarely in the poll-tax bucket.
-                MpiBasicTransport.compute_inflation = 1.0 + (saved[1] - 1.0) * factor
-            else:
-                raise ValueError(
-                    f"inject segment {segment!r}: must be 'serialize' or 'poll-tax'"
-                )
-        cell = run_ohb_cell(blame_spec(transport))
-    finally:
-        deploy.RAMDISK_WRITE_BPS, MpiBasicTransport.compute_inflation = saved
-    return cell.result
+    cost = DEFAULT_COST
+    if inject is not None:
+        segment, factor = inject
+        if segment == "serialize":
+            cost = replace(cost, ramdisk_write_Bps=cost.ramdisk_write_Bps / factor)
+        elif segment == "poll-tax":
+            # Scale the compute-inflation excess over 1.0. The diff engine
+            # re-splits inflated compute into pure compute + poll-tax from
+            # each side's recorded inflation, so this lands squarely in
+            # the poll-tax bucket.
+            inflation = 1.0 + (cost.basic_compute_inflation - 1.0) * factor
+            cost = replace(cost, basic_compute_inflation=inflation)
+        else:
+            raise ValueError(
+                f"inject segment {segment!r}: must be 'serialize' or 'poll-tax'"
+            )
+    return run_ohb_cell(blame_spec(transport), cost=cost).result
 
 
 def record_blame_baselines(

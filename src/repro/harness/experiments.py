@@ -15,6 +15,7 @@ from typing import Sequence
 from repro.harness.parallel import run_hibench_cells, run_ohb_cells
 from repro.harness.pingpong import PingPongResult, run_pingpong
 from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER, STAMPEDE2, SYSTEMS
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.spark.deploy import RunResult, SparkSimCluster
 from repro.util.units import GiB, KiB, MiB
 from repro.workloads.hibench import SPECS
@@ -52,13 +53,15 @@ def _run_ohb(
     fidelity: float,
     system=FRONTERA,
     obs_causal: bool = False,
+    cost: CostModel = DEFAULT_COST,
 ) -> OhbCell:
     # Observability on: cells carry a MetricsSnapshot so reports can show
     # measured polling tax / event-loop busy fractions (Sec. VI-D).
     # ``obs_causal`` additionally attaches a flight recording
     # (spark.repro.obs.causal) for critical-path analysis / the run report.
     sim = SparkSimCluster(
-        system, n_workers, transport, obs_enabled=True, obs_causal=obs_causal
+        system, n_workers, transport, obs_enabled=True, obs_causal=obs_causal,
+        cost=cost,
     )
     sim.launch()
     profile = workload.build_profile(system, n_workers, data_bytes, fidelity=fidelity)

@@ -18,10 +18,11 @@ exactly what it was.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
+
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 
 # Cell specs are plain tuples of primitives; workers re-resolve registry
 # objects (workloads, systems) by name so specs pickle under any start
@@ -65,8 +66,8 @@ class OhbSpec(NamedTuple):
     the :class:`~repro.obs.whatif.Perturbation` knobs the simulator can
     realise (1.0 = unchanged): ``link_rate`` scales the fabric line rate
     (every transport derives its ``per_byte_s`` from it), ``poll_tax`` the
-    Basic event loop's poll constants, ``serializer_rate`` /
-    ``local_read_rate`` the ramdisk shuffle write / read bandwidths.
+    cost model's Basic poll costs, ``serializer_rate`` /
+    ``local_read_rate`` its ramdisk shuffle write / read bandwidths.
     """
 
     workload: str
@@ -92,51 +93,29 @@ def perturbed_system(system, link_rate: float):
     return dataclasses.replace(system, fabric=fabric)
 
 
-@contextlib.contextmanager
-def _knobs_applied(spec: OhbSpec):
-    """Swap the module constants ``spec``'s knobs scale; restore on exit."""
-    import repro.core.mpi_netty as mpi_netty
-    import repro.spark.deploy as deploy
-
-    saved = (
-        mpi_netty.SELECT_NOW_COST_S,
-        mpi_netty.IPROBE_COST_S,
-        mpi_netty.BASIC_POLL_PERIOD_S,
-        deploy.RAMDISK_WRITE_BPS,
-        deploy.RAMDISK_READ_BPS,
-    )
-    try:
-        # Poll-tax scaling: cheaper polls *and* a proportionally shorter
-        # poll period — poll_tax=0.0 is a free, instantly-reactive poll
-        # loop, the simulator's closest realization of "no polling tax".
-        mpi_netty.SELECT_NOW_COST_S = saved[0] * spec.poll_tax
-        mpi_netty.IPROBE_COST_S = saved[1] * spec.poll_tax
-        mpi_netty.BASIC_POLL_PERIOD_S = saved[2] * spec.poll_tax
-        deploy.RAMDISK_WRITE_BPS = saved[3] * spec.serializer_rate
-        deploy.RAMDISK_READ_BPS = saved[4] * spec.local_read_rate
-        yield
-    finally:
-        (
-            mpi_netty.SELECT_NOW_COST_S,
-            mpi_netty.IPROBE_COST_S,
-            mpi_netty.BASIC_POLL_PERIOD_S,
-            deploy.RAMDISK_WRITE_BPS,
-            deploy.RAMDISK_READ_BPS,
-        ) = saved
-
-
-def run_ohb_cell(spec: tuple) -> Any:
+def run_ohb_cell(spec: tuple, cost: CostModel = DEFAULT_COST) -> Any:
     """Worker: one OHB cell from an :class:`OhbSpec` (or a plain tuple
     of its leading fields), through the run cache.
 
-    The cache key is the normalised spec, knobs included, so a spec at
-    identity knobs and the plain 6-tuple are one entry and every
-    perturbed cell is its own.  The knobs are applied inside the cached
-    runner, in the process that simulates: parallel cells never see each
-    other's knobs and a cache hit patches nothing.
+    The cell runs under ``cost`` with the spec's poll-tax and ramdisk
+    knobs multiplied in. The cache key is the normalised spec plus that
+    model, so a spec at identity knobs and the plain 6-tuple are one
+    entry, and every perturbed cell or model is its own.
     """
     spec = OhbSpec(*spec)
     from repro.harness.runcache import get_or_run
+
+    # Poll-tax scaling: cheaper polls *and* a proportionally shorter poll
+    # period — poll_tax=0.0 is a free, instantly-reactive poll loop, the
+    # simulator's closest realization of "no polling tax".
+    cost = dataclasses.replace(
+        cost,
+        select_now_cost_s=cost.select_now_cost_s * spec.poll_tax,
+        iprobe_cost_s=cost.iprobe_cost_s * spec.poll_tax,
+        basic_poll_period_s=cost.basic_poll_period_s * spec.poll_tax,
+        ramdisk_write_Bps=cost.ramdisk_write_Bps * spec.serializer_rate,
+        ramdisk_read_Bps=cost.ramdisk_read_Bps * spec.local_read_rate,
+    )
 
     def _run():
         from repro.harness.experiments import _run_ohb
@@ -144,18 +123,18 @@ def run_ohb_cell(spec: tuple) -> Any:
         from repro.workloads.ohb import GROUP_BY, SORT_BY
 
         workloads = {w.name: w for w in (GROUP_BY, SORT_BY)}
-        with _knobs_applied(spec):
-            return _run_ohb(
-                workloads[spec.workload],
-                spec.n_workers,
-                spec.data_bytes,
-                spec.transport,
-                spec.fidelity,
-                system=perturbed_system(SYSTEMS[spec.system], spec.link_rate),
-                obs_causal=spec.obs_causal,
-            )
+        return _run_ohb(
+            workloads[spec.workload],
+            spec.n_workers,
+            spec.data_bytes,
+            spec.transport,
+            spec.fidelity,
+            system=perturbed_system(SYSTEMS[spec.system], spec.link_rate),
+            obs_causal=spec.obs_causal,
+            cost=cost,
+        )
 
-    return get_or_run("ohb", spec, _run)
+    return get_or_run("ohb", spec, _run, cost=cost)
 
 
 def run_hibench_cell(spec: tuple) -> Any:

@@ -1,10 +1,9 @@
 """Workload profiles: the scaled, executor-level view of a traced job.
 
 A :class:`WorkloadProfile` is what the simulated cluster executes. It is
-built from a *measured* local-backend trace (sample scale) plus the
-calibration constants, scaled to the paper's nominal data size and the
-target cluster geometry (executors × cores). Three stage shapes cover the
-paper's workloads:
+built from a *measured* local-backend trace (sample scale), scaled to the
+paper's nominal data size and the target cluster geometry (executors ×
+cores). Three stage shapes cover the paper's workloads:
 
 * :class:`ComputeStage` — data generation / pure computation,
 * :class:`ShuffleWriteStage` — map tasks computing then writing partitioned
@@ -20,14 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.spark.tracing import StageTrace
-
-# Node-local "RAM disk" bandwidth for shuffle spill/read (paper Sec. VII-C:
-# map output goes to local storage — RAM disk — for the shuffle read stage).
-RAMDISK_WRITE_BPS = 4.0e9
-RAMDISK_READ_BPS = 6.0e9
-
-# Fixed per-task scheduling/dispatch latency on the executor.
-TASK_SCHED_DELAY_S = 2e-3
 
 
 @dataclass

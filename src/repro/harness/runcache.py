@@ -14,18 +14,16 @@ parallel harness's founding invariant — so a cell's result is cached in
   :mod:`repro.harness.parallel` and across repeated CI runs.
 
 The key is a sha256 over a canonical textual repr of (schema, cell kind,
-the full primitive spec tuple, the live values of the module constants
-harness code patches, a code-version fingerprint of ``src/repro``, and
+the full primitive spec tuple, the :class:`~repro.simnet.interconnect.CostModel`
+the cell ran under, a code-version fingerprint of ``src/repro``, and
 the Python minor version). The code fingerprint — a sha256 over the
 sorted (path, content-hash) pairs of every ``repro`` source file — means
 *any* source edit invalidates every entry cleanly: stale entries are
 never read because the address they were stored under no longer matches
-anything the code asks for. What-if perturbation knobs are fields of the
-spec (:class:`~repro.harness.parallel.OhbSpec`), applied inside the
-cached runner. The live constants guard the other direction: a caller
-that patches poll costs or ramdisk rates *around* a cell (blame's
-``inject``, the ablations, a monkeypatching test) inside an unchanged
-source tree must not poison (or read) the unpatched entries.
+anything the code asks for. The cost model covers the other direction: a
+cell run under a changed model (a what-if knob, blame's ``inject``) in an
+unchanged source tree gets its own address, so it can neither poison nor
+read the default model's entries.
 
 Both tiers store the *pickled* result blob and every hit unpickles it
 afresh, so a cached cell is byte-identical to a recomputed one and no two
@@ -50,6 +48,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
+
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 
 RUN_SCHEMA = "run-result/1"
 
@@ -124,33 +124,9 @@ def _reset_fingerprint_cache() -> None:
     _FINGERPRINT = None
 
 
-def live_constants() -> tuple:
-    """Current values of every module constant harness code patches.
-
-    The code fingerprint covers the constants' *source* values; these are
-    their *runtime* values. A run with poll costs, ramdisk bandwidth or
-    compute inflation patched around it gets distinct cache addresses, so
-    patched and unpatched runs can never serve each other's entries.
-    """
-    from repro.core import mpi_netty
-    from repro.spark import deploy
-    from repro.transports.mpi_basic import MpiBasicTransport
-
-    return (
-        ("mpi_netty.SELECT_NOW_COST_S", mpi_netty.SELECT_NOW_COST_S),
-        ("mpi_netty.IPROBE_COST_S", mpi_netty.IPROBE_COST_S),
-        ("mpi_netty.BASIC_POLL_PERIOD_S", mpi_netty.BASIC_POLL_PERIOD_S),
-        ("deploy.RAMDISK_WRITE_BPS", deploy.RAMDISK_WRITE_BPS),
-        ("deploy.RAMDISK_READ_BPS", deploy.RAMDISK_READ_BPS),
-        (
-            "mpi_basic.MpiBasicTransport.compute_inflation",
-            MpiBasicTransport.compute_inflation,
-        ),
-    )
-
-
-def run_key(kind: str, spec: tuple) -> str:
-    """Content hash addressing one (kind, spec, code-version) cell result.
+def run_key(kind: str, spec: tuple, cost: CostModel = DEFAULT_COST) -> str:
+    """Content hash addressing one (kind, spec, cost model, code-version)
+    cell result.
 
     Canonical-repr hashing, not ``hash()``: PYTHONHASHSEED salts the
     builtin hash per process, and the whole point of the disk tier is
@@ -161,7 +137,7 @@ def run_key(kind: str, spec: tuple) -> str:
             RUN_SCHEMA,
             kind,
             spec,
-            live_constants(),
+            cost,
             code_fingerprint(),
             f"py{sys.version_info.major}.{sys.version_info.minor}",
         )
@@ -219,9 +195,11 @@ def _store_disk(key: str, result_blob: bytes) -> None:
         _STATS["errors"] += 1
 
 
-def get_or_run(kind: str, spec: tuple, runner: Callable[[], Any]) -> Any:
-    """Return the result for (kind, spec), simulating at most once per
-    machine while the cache holds.
+def get_or_run(
+    kind: str, spec: tuple, runner: Callable[[], Any], cost: CostModel = DEFAULT_COST
+) -> Any:
+    """Return the result for (kind, spec) under ``cost``, simulating at
+    most once per machine while the cache holds.
 
     Lookup order: in-process memo, disk store, then ``runner()`` (the
     real cell simulation) with the pickled result promoted into both
@@ -232,7 +210,7 @@ def get_or_run(kind: str, spec: tuple, runner: Callable[[], Any]) -> Any:
     if not cache_enabled():
         _STATS["cell_runs"] += 1
         return runner()
-    key = run_key(kind, spec)
+    key = run_key(kind, spec, cost)
     blob = _MEMO.get(key)
     if blob is not None:
         _STATS["hits_mem"] += 1

@@ -158,8 +158,6 @@ class Histogram:
         """
         if n <= 0:
             return
-        from repro.util.stats import OnlineStats
-
         bulk = OnlineStats()
         bulk.n = n
         bulk._mean = x

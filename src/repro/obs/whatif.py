@@ -47,14 +47,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.obs.critpath import polls_for_messages
+from repro.simnet.interconnect import DEFAULT_COST
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightIndex, FlightRecorder
     from repro.spark.deploy import RunResult
-
-# Fallback eager→rendezvous switch when a trace predates the run.meta
-# header (matches repro.simnet.interconnect.mpi_over / mpi_loaded_over).
-DEFAULT_RENDEZVOUS_THRESHOLD = 16 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +314,9 @@ class ReplayModel:
             )
         if n_executors is None:
             n_executors = meta.get("n_workers")
-        rndv = meta.get("rendezvous_threshold") or DEFAULT_RENDEZVOUS_THRESHOLD
+        # A trace that predates the run.meta header falls back on the
+        # default cost model's eager→rendezvous switch.
+        rndv = meta.get("rendezvous_threshold") or DEFAULT_COST.rendezvous_threshold
 
         global_wire, global_all = tables.memoized(
             ("whatif.legs", rndv), lambda: _global_legs(tables, rndv)

@@ -19,11 +19,13 @@ from repro.simnet.events import (
     Timeout,
 )
 from repro.simnet.interconnect import (
+    DEFAULT_COST,
     FABRICS,
     IB_EDR,
     IB_HDR,
     OPA,
     PROTOCOLS,
+    CostModel,
     Fabric,
     WireModel,
     loopback,
@@ -63,6 +65,8 @@ __all__ = [
     "Store",
     "Fabric",
     "WireModel",
+    "CostModel",
+    "DEFAULT_COST",
     "IB_HDR",
     "IB_EDR",
     "OPA",

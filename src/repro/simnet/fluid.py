@@ -47,6 +47,8 @@ are reserved in the same ``sorted(fids)`` order either way.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
@@ -333,24 +335,14 @@ class FluidNetwork:
             # shot. Wire flows always have exactly two links; mixed
             # batches fall back to a segmented min (reduceat).
             self._n_vector_batches += 1
-            flat: list[int] = []
-            uniform2 = True
-            offsets: list[int] = []
-            pos = 0
-            for flow in touched:
-                li = flow.lidx
-                offsets.append(pos)
-                flat.extend(li)
-                pos += len(li)
-                if len(li) != 2:
-                    uniform2 = False
-            shares = self._shares_arr[np.array(flat, dtype=np.int64)]
-            if uniform2:
-                rates = shares.reshape(k, 2).min(axis=1).tolist()
+            lidx = list(map(attrgetter("lidx"), touched))
+            shares = self._shares_arr.take(list(chain.from_iterable(lidx)))
+            lens = list(map(len, lidx))
+            if lens.count(2) == k:
+                rates = np.minimum(shares[0::2], shares[1::2]).tolist()
             else:
-                rates = np.minimum.reduceat(
-                    shares, np.array(offsets, dtype=np.int64)
-                ).tolist()
+                offsets = list(accumulate(lens[:-1], initial=0))
+                rates = np.minimum.reduceat(shares, offsets).tolist()
         else:
             rates = []
             for flow in touched:

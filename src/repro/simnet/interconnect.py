@@ -15,6 +15,10 @@ behaviour on top of a fabric:
   through the host (the IPoIB TCP path copies twice; RDMA and large-message
   MPI are zero-copy).
 
+A :class:`CostModel` holds the calibrated costs a simulated cluster
+charges off the wire: the Basic design's polling, the RAM disk, task
+dispatch, Spark's fetch window and MPI's rendezvous switch.
+
 Calibration: the constants below are set so that the Fig-8 ping-pong curve
 on the internal cluster reproduces the paper's ~9x Netty+MPI advantage at
 4 MiB, and documented against publicly reported numbers (IPoIB on 100 G IB
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.util.units import GiB, US, gbps
+from repro.util.units import GiB, MiB, US, gbps
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,41 @@ class WireModel:
         return replace(self, **overrides)
 
 
+@dataclass(frozen=True)
+class CostModel:
+    """The calibrated costs a simulated cluster charges off the wire.
+
+    One frozen value a ``SparkSimCluster`` is built with (``cost=``) and
+    hands to its executors, the Basic event loop, the MPI transports and
+    the resilient scheduler; each reads the model it was built with. A
+    knob is a ``dataclasses.replace`` of :data:`DEFAULT_COST`, and the run
+    cache keys a cell on the model it ran under.
+    """
+
+    # Basic-design polling (Sec. VI-D): one selectNow + one MPI_Iprobe per
+    # bound channel, every iteration. An idle loop that wakes is charged
+    # half a poll period of message-discovery delay; the full-core spin is
+    # the executor's polling-core tax.
+    select_now_cost_s: float = 0.5 * US
+    iprobe_cost_s: float = 0.3 * US
+    basic_poll_period_s: float = 5.0 * US
+    # Basic's residual interference (cache pollution, scheduler churn from
+    # hot spinning threads) on task compute; calibrated against Fig 9.
+    basic_compute_inflation: float = 1.3
+    # Node-local RAM disk for shuffle spill/read (Sec. VII-C).
+    ramdisk_write_Bps: float = 4.0e9
+    ramdisk_read_Bps: float = 6.0e9
+    # Fixed per-task scheduling/dispatch latency on the executor.
+    task_sched_delay_s: float = 2e-3
+    # Spark's maxBytesInFlight: a reduce task's outstanding fetch window.
+    max_bytes_in_flight: int = 48 * MiB
+    # MPI's eager→rendezvous switch point.
+    rendezvous_threshold: int = 16 << 10
+
+
+DEFAULT_COST = CostModel()
+
+
 # ---------------------------------------------------------------------------
 # Protocol constructors. Fractions of line rate and per-message overheads are
 # the calibration surface for the whole reproduction; everything downstream
@@ -171,11 +210,12 @@ def rdma_over(fabric: Fabric) -> WireModel:
     )
 
 
-def mpi_over(fabric: Fabric) -> WireModel:
+def mpi_over(fabric: Fabric, cost: CostModel = DEFAULT_COST) -> WireModel:
     """Native MPI (MVAPICH2-X) point-to-point over the fabric.
 
     ~1 us small-message latency, >85% of line rate for large messages, an
-    eager/rendezvous switch at 16 KiB, and a ~1 us JNI/Java-binding crossing
+    eager/rendezvous switch at ``cost.rendezvous_threshold`` (16 KiB by
+    default), and a ~1 us JNI/Java-binding crossing
     charged to each endpoint (the paper's bindings keep the Java layer slim
     precisely to keep this small).
     """
@@ -186,7 +226,7 @@ def mpi_over(fabric: Fabric) -> WireModel:
         send_overhead_s=1.4 * US,  # MPI_Send + JNI crossing
         recv_overhead_s=1.4 * US,
         per_byte_s=1.0 / (0.88 * fabric.line_rate_Bps),
-        rendezvous_threshold=16 << 10,
+        rendezvous_threshold=cost.rendezvous_threshold,
         rendezvous_extra_s=3.0 * US,  # RTS/CTS handshake
         per_byte_cpu_s=0.0,  # zero-copy for rendezvous payloads
     )

@@ -28,9 +28,6 @@ import numpy as np
 from repro.core.endpoint import MpiEndpoint
 from repro.core.handshake import HandshakeError
 from repro.harness.profile import (
-    RAMDISK_READ_BPS,
-    RAMDISK_WRITE_BPS,
-    TASK_SCHED_DELAY_S,
     ComputeStage,
     ShuffleReadStage,
     ShuffleWriteStage,
@@ -42,6 +39,7 @@ from repro.mpi.errors import MPIError, WorldAbortedError
 from repro.mpi.runtime import RankSpec
 from repro.netty.eventloop import EventLoopGroup
 from repro.simnet.engine import SimEngine
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import SocketAddress, SocketError
 from repro.simnet.topology import LinkDown, MessageDropped, SimCluster
@@ -65,7 +63,6 @@ SHUFFLE_PORT_BASE = 7400
 # One OpenBlocks RPC creates fetch requests of at most this size
 # (Spark: maxSizeInFlight / 5 = 48 MiB / 5).
 TARGET_REQUEST_BYTES = int(48 * MiB / 5)
-MAX_BYTES_IN_FLIGHT = 48 * MiB
 
 # Residual per-block client-side bookkeeping not covered by the wire model
 # (block manager lookups, iterator advancement).
@@ -203,6 +200,7 @@ class SimExecutor:
         self.node = sim.cluster.node(node_index)
         self.endpoint = endpoint
         self.cores = sim.cores_per_executor
+        self.cost = sim.cost
         transport = sim.transport
         # Spark's transport pools run several IO threads; channels spread
         # over them so one blocked handler (the Optimized design's MPI_Recv)
@@ -273,7 +271,8 @@ class SimExecutor:
 
         Implements ShuffleBlockFetcherIterator's in-flight byte window:
         chunk requests are issued while the outstanding total stays under
-        ``MAX_BYTES_IN_FLIGHT``; completions release window space.
+        the cost model's ``max_bytes_in_flight``; completions release
+        window space.
 
         ``rot`` pins the fetch-request rotation explicitly (multi-tenant
         runs derive it from the application's RNG namespace so one job's
@@ -333,6 +332,7 @@ class SimExecutor:
 
         # future -> (size, blocks, source executor)
         pending: dict[Any, tuple[int, int, "SimExecutor"]] = {}
+        window = self.cost.max_bytes_in_flight
         in_flight = 0
         next_req = 0
         park = None  # the event this task waits on, until a chunk decides it
@@ -350,7 +350,7 @@ class SimExecutor:
 
         while next_req < len(plan) or pending:
             while next_req < len(plan) and (
-                not pending or in_flight + plan[next_req][3] <= MAX_BYTES_IN_FLIGHT
+                not pending or in_flight + plan[next_req][3] <= window
             ):
                 client, stream_id, idx, size, blk, src = plan[next_req]
                 try:
@@ -444,7 +444,7 @@ class SimExecutor:
         compute = float(stage.seconds_per_task[t]) * self.sim.transport.compute_inflation
         if isinstance(stage, ComputeStage):
             return compute, 0.0
-        return compute, float(stage.write_bytes_per_task[t]) / RAMDISK_WRITE_BPS
+        return compute, float(stage.write_bytes_per_task[t]) / self.cost.ramdisk_write_Bps
 
     def task_body(
         self,
@@ -475,10 +475,11 @@ class SimExecutor:
         the stage's one alltoallv completes.
         """
         env = self.sim.env
+        delay = self.cost.task_sched_delay_s
         costs = self.nominal_costs(stage, t)
         if costs is not None:
             compute, write = costs
-            yield env.timeout(TASK_SCHED_DELAY_S + compute + write)
+            yield env.timeout(delay + compute + write)
             phases = {"compute_s": compute}
             if tm is not None:
                 tm.compute.inc(compute)
@@ -487,7 +488,7 @@ class SimExecutor:
                 if tm is not None:
                     tm.write.inc(write)
             return phases
-        yield env.timeout(TASK_SCHED_DELAY_S)
+        yield env.timeout(delay)
         # Fetch wait mirrors Spark's shuffle-read "fetch wait time":
         # everything between scheduling and the first combine byte.
         t_fetch = env.now
@@ -499,7 +500,7 @@ class SimExecutor:
             self.bytes_read_local += int(local)
             if tm is not None:
                 tm.local_bytes.inc(local)
-            local_read = local / RAMDISK_READ_BPS
+            local_read = local / self.cost.ramdisk_read_Bps
             yield env.timeout(local_read)
         # Remote blocks: through the transport under test.
         if exchange is not None:
@@ -623,10 +624,13 @@ class SparkSimCluster:
         obs_enabled: bool = False,
         obs_trace: bool = False,
         obs_causal: bool = False,
+        cost: CostModel = DEFAULT_COST,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.system = system
+        # The calibrated off-wire costs every part of the cluster reads.
+        self.cost = cost
         self.n_workers = n_workers
         self.io_threads = io_threads
         self.seed = int(seed)
@@ -649,7 +653,7 @@ class SparkSimCluster:
         )
         self.transport = make_transport(
             transport_name, self.env, self.cluster, loaded=True,
-            fault_mode=mpi_fault_mode,
+            fault_mode=mpi_fault_mode, cost=cost,
         )
         self.cores_per_executor = cores_per_executor or system.threads_per_node
         self.executors: list[SimExecutor] = []

@@ -1,5 +1,6 @@
 """Pluggable communication transports (the paper's evaluation matrix)."""
 
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.transports.base import Transport
 from repro.transports.mpi_basic import MpiBasicTransport
 from repro.transports.mpi_coll import MpiCollectiveTransport
@@ -34,9 +35,9 @@ def transport_class(name: str) -> type[Transport]:
     """The transport class for a name or paper-legend alias.
 
     The class carries the design's declared traits (``uses_mpi``,
-    ``polling_tax_cores``, ``compute_inflation``, ``collective_shuffle``,
-    ``polls_for_messages``), so analyses of a recorded run can look them
-    up from the recorded transport name without building a cluster.
+    ``polling_tax_cores``, ``collective_shuffle``, ``polls_for_messages``),
+    so analyses of a recorded run can look them up from the recorded
+    transport name without building a cluster.
     """
     key = ALIASES.get(name.lower(), name.lower())
     cls = TRANSPORTS.get(key)
@@ -49,16 +50,24 @@ def transport_class(name: str) -> type[Transport]:
 
 
 def make_transport(
-    name: str, env, cluster, loaded: bool = False, fault_mode: str = "abort"
+    name: str,
+    env,
+    cluster,
+    loaded: bool = False,
+    fault_mode: str = "abort",
+    cost: CostModel = DEFAULT_COST,
 ) -> Transport:
     """Instantiate a transport by name (accepts paper-legend aliases).
 
     ``loaded=True`` selects the full-CPU-load wire models for CPU-bound
     stacks — use it for end-to-end cluster runs, not microbenchmarks.
     ``fault_mode`` ("abort" | "shrink") selects the MPI world's reaction
-    to rank death; socket transports ignore it.
+    to rank death; socket transports ignore it. ``cost`` is the
+    cluster's :class:`~repro.simnet.interconnect.CostModel`.
     """
-    return transport_class(name)(env, cluster, loaded=loaded, fault_mode=fault_mode)
+    return transport_class(name)(
+        env, cluster, loaded=loaded, fault_mode=fault_mode, cost=cost
+    )
 
 
 __all__ = [

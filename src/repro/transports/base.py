@@ -15,7 +15,9 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.netty.channel import Channel
 from repro.netty.eventloop import EventLoop
-from repro.simnet.interconnect import Fabric, tcp_loaded_over, tcp_over
+from repro.simnet.interconnect import (
+    DEFAULT_COST, CostModel, Fabric, tcp_loaded_over, tcp_over,
+)
 from repro.simnet.sockets import SocketStack
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,7 +35,8 @@ class Transport:
     # Cores permanently burned per executor by communication threads.
     polling_tax_cores = 0
     # Multiplier on task compute time from communication interference
-    # (cache pollution / scheduler churn from busy-polling threads).
+    # (cache pollution / scheduler churn from busy-polling threads); the
+    # Basic design sets its own from the cost model.
     compute_inflation = 1.0
     # The shuffle-read fetch phase is one collective exchange per stage
     # boundary instead of per-block ChunkFetch requests.
@@ -48,6 +51,7 @@ class Transport:
         cluster: "SimCluster",
         loaded: bool = False,
         fault_mode: str = "abort",
+        cost: CostModel = DEFAULT_COST,
     ) -> None:
         """``loaded=True`` selects the under-full-CPU-load wire models for
         CPU-dependent stacks (TCP/IPoIB, UCR) — the regime of the end-to-end
@@ -56,11 +60,15 @@ class Transport:
         ``fault_mode`` only matters for the MPI transports: how the MPI
         world reacts to rank death ("abort" = MPI_ERRORS_ARE_FATAL,
         "shrink" = ULFM-style survival). Socket transports ignore it —
-        TCP connections fail independently by nature."""
+        TCP connections fail independently by nature.
+
+        ``cost`` is the cluster's :class:`CostModel`; the MPI transports
+        read their rendezvous threshold and Basic's polling costs from it."""
         self.env = env
         self.cluster = cluster
         self.loaded = loaded
         self.fault_mode = fault_mode
+        self.cost = cost
         self.fabric: Fabric = cluster.fabric
         tcp_model = tcp_loaded_over(self.fabric) if loaded else tcp_over(self.fabric)
         self.control_stack = SocketStack(env, cluster, tcp_over(self.fabric))

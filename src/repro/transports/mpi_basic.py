@@ -8,10 +8,11 @@ quantifies and which this class models through two taxes:
 
 * ``polling_tax_cores = 4`` — the spinning selector threads (shuffle
   client + server pools) permanently occupy cores on the executor;
-* ``compute_inflation = 1.3`` — residual interference (cache pollution and
+* ``compute_inflation`` — residual interference (cache pollution and
   scheduler churn from a hot spinning thread sharing the socket) on task
-  compute time. The value is calibrated so Fig-9's Basic-vs-Optimized gap
-  lands near the paper's; see workloads/calibration.py.
+  compute time: the cost model's ``basic_compute_inflation`` (1.3 by
+  default), calibrated so Fig-9's Basic-vs-Optimized gap lands near the
+  paper's.
 """
 
 from __future__ import annotations
@@ -36,19 +37,17 @@ class MpiBasicTransport(Transport):
     name = "mpi-basic"
     uses_mpi = True
     polling_tax_cores = 4
-    compute_inflation = 1.3
     polls_for_messages = True
 
-    def __init__(
-        self, env, cluster, loaded: bool = False, fault_mode: str = "abort"
-    ) -> None:
-        super().__init__(env, cluster, loaded, fault_mode=fault_mode)
+    def __init__(self, env, cluster, **kwargs) -> None:
+        super().__init__(env, cluster, **kwargs)
+        self.compute_inflation = self.cost.basic_compute_inflation
         self.mpi_world = MPIWorld(
-            env, cluster, mpi_over(self.fabric), fault_mode=fault_mode
+            env, cluster, mpi_over(self.fabric, self.cost), fault_mode=self.fault_mode
         )
 
     def make_loop(self, name: str, endpoint=None) -> MpiBasicEventLoop:
-        loop = MpiBasicEventLoop(self.env, name)
+        loop = MpiBasicEventLoop(self.env, name, self.cost)
         loop.mpi_endpoint = endpoint
         return loop
 

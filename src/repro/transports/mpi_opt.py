@@ -25,13 +25,11 @@ class MpiOptimizedTransport(Transport):
     name = "mpi-opt"
     uses_mpi = True
 
-    def __init__(
-        self, env, cluster, loaded: bool = False, fault_mode: str = "abort"
-    ) -> None:
-        super().__init__(env, cluster, loaded, fault_mode=fault_mode)
+    def __init__(self, env, cluster, **kwargs) -> None:
+        super().__init__(env, cluster, **kwargs)
         # MPI is kernel-bypass + zero-copy: no loaded-CPU degradation.
         self.mpi_world = MPIWorld(
-            env, cluster, mpi_over(self.fabric), fault_mode=fault_mode
+            env, cluster, mpi_over(self.fabric, self.cost), fault_mode=self.fault_mode
         )
 
     def pipeline_hook(self, channel: Channel, is_server: bool) -> None:

@@ -25,9 +25,7 @@ class RdmaTransport(Transport):
 
     name = "rdma"
 
-    def __init__(
-        self, env, cluster, loaded: bool = False, fault_mode: str = "abort"
-    ) -> None:
-        super().__init__(env, cluster, loaded, fault_mode=fault_mode)
-        model = rdma_loaded_over(self.fabric) if loaded else rdma_over(self.fabric)
+    def __init__(self, env, cluster, **kwargs) -> None:
+        super().__init__(env, cluster, **kwargs)
+        model = rdma_loaded_over(self.fabric) if self.loaded else rdma_over(self.fabric)
         self.data_stack = SocketStack(env, cluster, model)

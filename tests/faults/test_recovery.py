@@ -1,5 +1,7 @@
 """Spark-side recovery semantics: retries, resubmission, blacklist, spec-ex."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import (
@@ -15,6 +17,7 @@ from repro.faults import (
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.profile import ShuffleReadStage
 from repro.harness.systems import INTERNAL_CLUSTER
+from repro.simnet.interconnect import DEFAULT_COST
 from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import MiB
@@ -179,29 +182,26 @@ class TestSharedTaskBody:
     """The scheduler is a policy over deploy's task body, not a copy of it."""
 
     @staticmethod
-    def _stage_seconds(resilient):
-        sim = make_sim()
+    def _stage_seconds(resilient, cost=DEFAULT_COST):
+        sim = make_sim(cost=cost)
         sim.launch()
         driver = ResilientScheduler(sim) if resilient else sim
         result = driver.run_profile(make_chaos_profile(4, 4, 64 * MiB))
         sim.shutdown()
         return result.stage_seconds
 
-    def test_resilient_run_honours_patched_ramdisk_rates(self):
-        # The what-if truth harness, the perf-gate blame injector and the
-        # run-cache key all patch / read ``deploy.RAMDISK_*``. A resilient
-        # run used to time tasks from its own import-time copies of the
-        # constants, so those patches never reached it.
-        from repro.spark import deploy
-
+    def test_resilient_run_honours_cost_model_ramdisk_rates(self):
+        # Resilient and default steps time tasks from the one model the
+        # cluster was built with. A resilient run used to time tasks from
+        # its own import-time copies of the ramdisk constants, so a changed
+        # rate never reached it.
         before = {r: self._stage_seconds(r) for r in (False, True)}
-        saved = (deploy.RAMDISK_WRITE_BPS, deploy.RAMDISK_READ_BPS)
-        try:
-            deploy.RAMDISK_WRITE_BPS = saved[0] / 8
-            deploy.RAMDISK_READ_BPS = saved[1] / 8
-            after = {r: self._stage_seconds(r) for r in (False, True)}
-        finally:
-            deploy.RAMDISK_WRITE_BPS, deploy.RAMDISK_READ_BPS = saved
+        slow = replace(
+            DEFAULT_COST,
+            ramdisk_write_Bps=DEFAULT_COST.ramdisk_write_Bps / 8,
+            ramdisk_read_Bps=DEFAULT_COST.ramdisk_read_Bps / 8,
+        )
+        after = {r: self._stage_seconds(r, slow) for r in (False, True)}
         for stage in ("write", "read"):
             assert after[True][stage] == after[False][stage]
             for resilient in (False, True):

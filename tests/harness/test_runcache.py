@@ -8,12 +8,13 @@ keyed by a stale code fingerprint, or shared across worker processes.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.harness import runcache
-from repro.harness.parallel import run_ohb_cells
+from repro.harness.parallel import run_ohb_cell, run_ohb_cells
 from repro.harness.runcache import (
     RUN_SCHEMA,
     cache_dir,
@@ -22,6 +23,7 @@ from repro.harness.runcache import (
     get_or_run,
     run_key,
 )
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.util.units import GiB
 
 SPEC = ("GroupByTest", 2, 1 * GiB, "nio", 0.05, "Frontera")
@@ -70,15 +72,38 @@ class TestKeying:
         assert k1 != run_key("hibench", SPEC)
         assert k1 != run_key("ohb", SPEC[:-1] + ("Stampede2",))
 
-    def test_key_covers_live_patchable_constants(self, monkeypatch):
-        # A what-if truth resim patches poll costs in place; patched and
-        # unpatched runs must never share an address.
-        from repro.core import mpi_netty
+    def test_key_covers_every_cost_model_field(self):
+        # Cells run under models that differ in any one field must never
+        # share an address.
+        keys = {run_key("ohb", SPEC)}
+        assert run_key("ohb", SPEC, DEFAULT_COST) in keys
+        for f in dataclasses.fields(CostModel):
+            cost = dataclasses.replace(
+                DEFAULT_COST, **{f.name: getattr(DEFAULT_COST, f.name) * 2}
+            )
+            keys.add(run_key("ohb", SPEC, cost))
+        assert len(keys) == 1 + len(dataclasses.fields(CostModel))
 
-        k1 = run_key("ohb", SPEC)
-        monkeypatch.setattr(mpi_netty, "SELECT_NOW_COST_S",
-                            mpi_netty.SELECT_NOW_COST_S * 2)
-        assert run_key("ohb", SPEC) != k1
+    @pytest.mark.parametrize(
+        ("transport", "field", "value"),
+        [("nio", "max_bytes_in_flight", 4 << 20),
+         ("mpi-opt", "rendezvous_threshold", 4 << 20)],
+    )
+    def test_cell_under_changed_model_is_simulated_not_served(
+        self, transport, field, value
+    ):
+        # The fetch window and the rendezvous threshold once stayed out of
+        # the key: a cell run under a changed one was served the default
+        # model's entry.
+        spec = SPEC[:3] + (transport,) + SPEC[4:]
+        cost = dataclasses.replace(DEFAULT_COST, **{field: value})
+        assert run_key("ohb", spec, cost) != run_key("ohb", spec)
+        run_ohb_cell(spec)
+        before = runcache.run_cache_stats()["cell_runs"]
+        run_ohb_cell(spec, cost=cost)
+        assert runcache.run_cache_stats()["cell_runs"] == before + 1
+        run_ohb_cell(spec, cost=cost)
+        assert runcache.run_cache_stats()["cell_runs"] == before + 1
 
     def test_key_covers_code_fingerprint(self, monkeypatch):
         k1 = run_key("ohb", SPEC)

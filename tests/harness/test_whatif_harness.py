@@ -1,7 +1,7 @@
 """What-if truth cells are ordinary cached OHB cells.
 
-The knobs are fields of the cell spec: they enter the run-cache key, are
-applied inside the cached runner and leave no patched constant behind.
+The knobs are fields of the cell spec: they enter the run-cache key and
+are resolved into the cost model the cell's cluster is built with.
 One small cell (2 workers, 1 GiB, fidelity 0.05) carries every check.
 """
 
@@ -11,9 +11,6 @@ import json
 
 import pytest
 
-import repro.core.mpi_netty as mpi_netty
-import repro.spark.deploy as deploy
-from repro.harness import experiments
 from repro.harness.parallel import OhbSpec, run_ohb_cell
 from repro.harness.runcache import run_cache_stats, run_key
 from repro.harness.whatif import truth_spec, validate_matrix
@@ -34,16 +31,6 @@ KNOBS = {
     "serializer_rate": 2.0,
     "local_read_rate": 2.0,
 }
-
-
-def _patched_constants():
-    return (
-        mpi_netty.SELECT_NOW_COST_S,
-        mpi_netty.IPROBE_COST_S,
-        mpi_netty.BASIC_POLL_PERIOD_S,
-        deploy.RAMDISK_WRITE_BPS,
-        deploy.RAMDISK_READ_BPS,
-    )
 
 
 def _cell_runs() -> int:
@@ -75,25 +62,6 @@ def test_each_knob_has_its_own_entry():
     before = _cell_runs()
     assert run_ohb_cell(PLAIN).total_seconds == plain.total_seconds
     assert _cell_runs() == before
-
-
-def test_constants_restored_after_run_and_after_raise(monkeypatch):
-    before = _patched_constants()
-    spec = OhbSpec(*PLAIN, **KNOBS)
-    run_ohb_cell(spec)
-    assert _patched_constants() == before
-
-    seen = []
-
-    def boom(*args, **kwargs):
-        seen.append(_patched_constants())
-        raise RuntimeError("simulation failed")
-
-    monkeypatch.setattr(experiments, "_run_ohb", boom)
-    with pytest.raises(RuntimeError, match="simulation failed"):
-        run_ohb_cell(spec._replace(fidelity=0.04))
-    assert seen and seen[0] != before  # the knobs were live inside the runner
-    assert _patched_constants() == before
 
 
 def test_validate_matrix_twice_simulates_once_and_has_no_host_time():
