@@ -4,18 +4,25 @@ The synthetic contracts live in ``tests/obs/test_diff.py``; here the
 engine meets real fig9-geometry runs: self-diff identity on every
 transport, the attribution sum identity on a genuine cross-transport
 delta, poll-tax ranked top for basic-vs-opt (consistent with the >=10x
-critical-path share gap ``test_fig9_basic_vs_opt`` asserts), and
-structural nodes when the cluster geometry changes under the workload.
+critical-path share gap ``test_fig9_basic_vs_opt`` asserts), structural
+nodes when the cluster geometry changes under the workload, and the
+blame reports of ``repro.harness.blame`` against the recordings
+committed under ``baselines/``.
 """
 
 import math
+import pathlib
 
 import pytest
 
 from benchmarks.conftest import OHB_FIDELITY, write_bench_json
+from repro.harness.blame import BLAME_TRANSPORTS, baseline_path, blame_report
 from repro.obs import analyze, diff_runs
 from repro.obs.critpath import SEGMENTS
+from repro.obs.flightrec import FlightRecorder
 from repro.util.units import GiB
+
+BASELINES = pathlib.Path(__file__).resolve().parent.parent / "baselines"
 
 TRANSPORTS = ("nio", "rdma", "mpi-basic", "mpi-opt")
 
@@ -126,3 +133,37 @@ class TestGeometryChange:
     def test_doubling_workers_speeds_up_the_run(self, runs):
         diff = diff_runs(runs["mpi-opt"], runs["mpi-opt-4w"])
         assert diff.wall_delta_s < 0
+
+
+class TestBlameBaselines:
+    """The proxy cell re-recorded on this tree against ``baselines/``."""
+
+    @pytest.mark.parametrize("transport", BLAME_TRANSPORTS)
+    def test_committed_baseline_self_diffs_to_zero(self, transport, tmp_path):
+        diff, _ = blame_report(transport, out_dir=tmp_path, baseline_dir=BASELINES)
+        assert diff.is_identity(), diff.render()
+
+    def test_poll_tax_carries_the_committed_basic_vs_opt_gap(self):
+        # The proxy cell's Sec VI-D story, read off the committed
+        # recordings (which the self-diffs above pin to this tree).
+        opt, basic = (
+            FlightRecorder.load_jsonl(str(baseline_path(t, BASELINES)))
+            for t in ("mpi-opt", "mpi-basic")
+        )
+        diff = diff_runs(opt, basic, a_label="mpi-opt", b_label="mpi-basic")
+        assert diff.wall_delta_s > 0
+        assert diff.segment_delta("poll-tax") >= 0.5 * diff.wall_delta_s, diff.render()
+
+    @pytest.mark.parametrize(
+        ("transport", "segment", "factor"),
+        [("mpi-opt", "serialize", 4.0), ("mpi-basic", "poll-tax", 2.0)],
+    )
+    def test_injected_regression_is_blamed_on_its_segment(
+        self, transport, segment, factor, tmp_path
+    ):
+        diff, _ = blame_report(
+            transport, out_dir=tmp_path, baseline_dir=BASELINES,
+            inject=(segment, factor),
+        )
+        assert diff.top_contributor() == segment, diff.render()
+        assert diff.wall_delta_s > 0

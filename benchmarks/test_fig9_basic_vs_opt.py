@@ -81,6 +81,16 @@ class TestFig9Shape:
             < vanilla.result.shuffle_read_seconds()
         )
 
+    def test_every_cell_instruments_every_layer(self, cells):
+        from repro.transports import transport_class
+
+        for c in cells:
+            layers = ["netty.loop.*", "simnet.link.*", "spark.scheduler.*", "transport.*"]
+            if transport_class(c.transport).uses_mpi:
+                layers.append("mpi.rank.*")
+            missing = [p for p in layers if not c.result.metrics.names(p)]
+            assert missing == [], c.transport
+
     @pytest.mark.parametrize("workload", ["GroupByTest", "SortByTest"])
     def test_measured_polling_tax_basic_vs_opt(self, cells, workload):
         # Sec VI-D made measurable: Basic's selectNow+MPI_Iprobe spin burns

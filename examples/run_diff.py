@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Differential run analysis quickstart — and the CI ``diff-smoke`` gate.
+"""Differential run analysis quickstart.
 
 Records the blame proxy cell (GroupByTest, 4 GiB, 2 simulated Frontera
 workers) under MPI4Spark-Basic and MPI4Spark-Optimized with causal
@@ -11,15 +11,14 @@ flight recording, then:
   wall delta),
 * writes ``results/diff_basic_vs_opt.html`` — the side-by-side stage
   Gantt plus the per-segment delta waterfall,
-* checks each transport's fresh recording against its committed
-  baseline under ``baselines/`` (must be the zero-identity diff),
+* diffs each transport's fresh recording against its committed
+  baseline under ``baselines/`` and writes its blame page,
 * forces a regression (``blame_report(..., inject=(segment, factor))``)
-  and checks the blame report names the injected segment.
+  and prints the segment the blame report names.
 
-Exit is non-zero unless (a) the basic-vs-opt diff blames poll-tax for
-at least half the wall delta, (b) every baseline self-diff is the zero
-identity, and (c) the injected regression is blamed on the injected
-segment.
+``benchmarks/test_diff.py`` checks what this prints: poll-tax carries
+the basic-vs-opt gap, every baseline self-diffs to the zero identity,
+and an injected regression is blamed on the injected segment.
 
 Run:   python examples/run_diff.py
        python examples/run_diff.py --record-baselines   # refresh baselines/
@@ -30,7 +29,6 @@ import sys
 
 from repro.harness.blame import (
     BLAME_TRANSPORTS,
-    baseline_path,
     blame_report,
     record_blame_baselines,
     record_cell_flight,
@@ -41,23 +39,12 @@ from repro.util.units import fmt_time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "results" / "diff_basic_vs_opt.html"
 
-# The diff must attribute at least this share of the basic-vs-opt wall
-# delta to poll-tax (measured share is ~1.0; see EXPERIMENTS.md).
-MIN_POLL_TAX_SHARE = 0.5
 
-
-def check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-    return ok
-
-
-def main() -> int:
+def main() -> None:
     if "--record-baselines" in sys.argv:
         for path in record_blame_baselines():
             print(f"recorded {path}")
-        return 0
-
-    ok = True
+        return
 
     # -- A/B diff: mpi-basic vs mpi-opt --------------------------------------
     basic = record_cell_flight("mpi-basic")
@@ -74,39 +61,20 @@ def main() -> int:
     share = poll_tax / wall if wall else 0.0
     print(f"\nbasic is slower by {fmt_time(wall)}; "
           f"poll-tax contributes {fmt_time(poll_tax)} (share {share:.2f})")
-    print("checks:")
-    ok &= check("basic slower than opt", wall > 0, f"delta {fmt_time(wall)}")
-    ok &= check(
-        f"poll-tax share >= {MIN_POLL_TAX_SHARE}",
-        share >= MIN_POLL_TAX_SHARE,
-        f"{share:.2f}",
-    )
 
     # -- baseline identity: fresh tree vs committed recordings ---------------
     for transport in BLAME_TRANSPORTS:
-        if not baseline_path(transport).exists():
-            ok &= check(f"baseline {transport}", False, "missing recording")
-            continue
         bdiff, html = blame_report(transport)
-        ok &= check(
-            f"baseline identity {transport}",
-            bdiff.is_identity(),
-            f"wall delta {bdiff.wall_delta_s!r} -> {html}",
-        )
+        print(f"baseline {transport}: wall delta {bdiff.wall_delta_s!r} -> {html}")
 
-    # -- forced regression: the blame report must name the injected segment --
+    # -- forced regression: the blame report names the injected segment ------
     for segment, factor in (("serialize", 4.0), ("poll-tax", 2.0)):
         transport = "mpi-opt" if segment == "serialize" else "mpi-basic"
         idiff, html = blame_report(transport, inject=(segment, factor))
-        ok &= check(
-            f"injected {segment} x{factor:g} blamed",
-            idiff.top_contributor() == segment and idiff.wall_delta_s > 0,
-            f"top {idiff.top_contributor()}, "
-            f"delta {fmt_time(idiff.wall_delta_s)} -> {html}",
-        )
-
-    return 0 if ok else 1
+        print(f"injected {segment} x{factor:g} on {transport}: "
+              f"top {idiff.top_contributor()}, "
+              f"delta {fmt_time(idiff.wall_delta_s)} -> {html}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

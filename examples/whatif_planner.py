@@ -5,12 +5,10 @@ Two modes:
 
 * **Record mode** (no arguments): run one causally-traced fig9 GroupBy
   cell (28 GiB on 2 simulated Frontera workers, MPI4Spark-Basic), build
-  its replay model, and — because the cell spec is known — *validate*
-  the headline predictions ("2x NIC", "zero poll-tax") against real
-  re-simulations with the knob changed in the simulator.  Exits non-zero
-  if the unperturbed replay does not reproduce the recorded wall exactly
-  or any validated prediction misses the ±10% gate (the CI
-  ``whatif-smoke`` gate).
+  its replay model, and — because the cell spec is known — compare
+  the headline predictions ("2x NIC", "zero poll-tax") with real
+  re-simulations with the knob changed in the simulator.  The ±10%
+  agreement is checked by ``benchmarks/test_whatif.py``.
 
 * **Trace mode** (``python examples/whatif_planner.py trace.jsonl``):
   load an exported flight-recorder log (``FlightRecorder.write``) and
@@ -18,7 +16,9 @@ Two modes:
   The trace's ``run.meta`` header supplies transport and geometry.
 
 Both modes print the sensitivity ranking (top knobs by predicted
-speedup) and write ``results/whatif_planner.html``.
+speedup) and write ``results/whatif_planner.html``.  Both exit non-zero
+if the unperturbed replay does not reproduce the recorded wall exactly:
+then the model did not reconstruct the schedule and no prediction holds.
 
 Run:  python examples/whatif_planner.py [trace.jsonl]
 """
@@ -51,7 +51,6 @@ CELL = {
     "transport": "mpi-basic",
 }
 FIDELITY = 0.25
-TOLERANCE = 0.10
 
 VALIDATED = (
     Perturbation(name="2x NIC", link_rate=2.0),
@@ -78,7 +77,6 @@ def record_cell():
 
 def main() -> int:
     validation_rows = []
-    failed = False
 
     if len(sys.argv) > 1:
         trace = sys.argv[1]
@@ -123,8 +121,6 @@ def main() -> int:
                 truth_spec(CELL, p, FIDELITY, FRONTERA.name)
             ).total_seconds
             err = pred.wall_s / sim_wall - 1.0
-            ok = abs(err) <= TOLERANCE
-            failed |= not ok
             validation_rows.append(
                 {
                     "label": f"{CELL['transport']} {p.name}",
@@ -134,8 +130,7 @@ def main() -> int:
             )
             print(
                 f"  {p.name:<18} predicted {pred.wall_s:8.4f}s  "
-                f"simulated {sim_wall:8.4f}s  error {err:+.2%}  "
-                f"{'ok' if ok else 'OUT OF BAND'}"
+                f"simulated {sim_wall:8.4f}s  error {err:+.2%}"
             )
 
     OUT.parent.mkdir(exist_ok=True)
@@ -147,10 +142,6 @@ def main() -> int:
         )
     )
     print(f"\nplanner report: {OUT}")
-
-    if failed:
-        print("FAIL: a validated prediction missed the ±10% gate", file=sys.stderr)
-        return 1
     return 0
 
 

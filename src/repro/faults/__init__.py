@@ -28,7 +28,7 @@ from repro.faults.recovery import (
     ResilientScheduler,
 )
 from repro.faults.report import AvailabilityReport, FaultEvent, render_matrix
-from repro.faults.rng import SeededRng, chaos_stream, derive_seed, plan_stream
+from repro.util.rng import SeededRng, derive_seed
 
 __all__ = [
     "AvailabilityReport",
@@ -48,10 +48,8 @@ __all__ = [
     "RecoveryPolicy",
     "ResilientScheduler",
     "SeededRng",
-    "chaos_stream",
     "derive_seed",
     "make_chaos_profile",
-    "plan_stream",
     "render_matrix",
     "run_scenario",
 ]

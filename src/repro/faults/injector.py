@@ -23,7 +23,7 @@ from repro.faults.plan import (
     Partition,
     RankKill,
 )
-from repro.faults.rng import chaos_stream
+from repro.util.rng import SeededRng, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.report import AvailabilityReport
@@ -49,13 +49,13 @@ class FaultInjector:
         self.report = report
         self.plan: FaultPlan | None = None
         self.fired: list[FaultSpec] = []
-        self._chaos_rng = chaos_stream(0)
+        self._chaos_rng = SeededRng(derive_seed(0, "faults", "chaos"))
         self._active_chaos: list[MessageChaos] = []
         self._armed = False
 
     def install(self, plan: FaultPlan) -> "FaultInjector":
         self.plan = plan
-        self._chaos_rng = chaos_stream(plan.seed)
+        self._chaos_rng = SeededRng(derive_seed(plan.seed, "faults", "chaos"))
         return self
 
     def arm(self) -> None:

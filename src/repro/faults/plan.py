@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.rng import plan_stream
+from repro.util.rng import SeededRng, derive_seed
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class FaultPlan:
         Same seed → same plan, always. Crashes are capped at one so the
         plan never partitions the job into an unwinnable state by itself.
         """
-        rng = plan_stream(seed)
+        rng = SeededRng(derive_seed(seed, "faults", "plan"))
         plan = cls(seed=seed, name=name)
         crashed = False
         for _ in range(n_faults):

@@ -6,8 +6,8 @@ obs_report.py GroupBy shape, cheap enough to re-record in any CI job —
 has a committed baseline recording under ``baselines/``;
 :func:`blame_report` re-records it on the current tree, diffs the two
 flight logs with ``repro.obs.diff`` and writes the HTML blame page.
-``examples/run_diff.py`` (the ``diff-smoke`` CI job) writes all three on
-every run.
+``examples/run_diff.py`` writes all three; ``benchmarks/test_diff.py``
+checks that each self-diffs to the zero identity.
 
 This is a *simulated*-time instrument. A host-side slowdown (slower
 machine, interpreter regression) does not move simulated time, so its
@@ -88,8 +88,8 @@ def record_blame_baselines(
     """(Re)record the committed baseline recordings, one per transport.
 
     Run via ``examples/run_diff.py --record-baselines`` after a change
-    that intentionally moves simulated time; the diff-smoke CI job fails
-    if a stale baseline no longer self-diffs to zero.
+    that intentionally moves simulated time; ``benchmarks/test_diff.py``
+    fails if a stale baseline no longer self-diffs to zero.
     """
     from repro.harness.parallel import run_flight_cells
 
@@ -112,8 +112,8 @@ def blame_report(
 ):
     """Diff the live tree's proxy cell against its committed baseline.
 
-    Returns ``(DiffReport, html_path)``; the page is the artifact the
-    ``diff-smoke`` CI job uploads. ``inject`` is passed through to
+    Returns ``(DiffReport, html_path)``; CI uploads the page with the
+    rest of ``results/``. ``inject`` is passed through to
     :func:`record_cell_flight`.
     """
     from repro.obs.diff import diff_runs

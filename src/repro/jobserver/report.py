@@ -5,8 +5,8 @@ per transport × scheduler) into the paper-style comparison the contention
 study needs: per-cell p50/p99 job completion time and queueing delay,
 plus makespan. ``payload()`` is the canonical JSON written to
 ``results/BENCH_jobserver.json`` (sorted keys, fixed float repr through
-``json``), and ``digest()`` is the SHA-256 over that canonical form — the
-CI smoke job asserts the digest is reproducible run-over-run.
+``json``), and ``digest()`` is the SHA-256 over that canonical form —
+``benchmarks/test_jobserver.py`` asserts it is reproducible run-over-run.
 """
 
 from __future__ import annotations

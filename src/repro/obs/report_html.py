@@ -60,6 +60,21 @@ def _esc(s: object) -> str:
     return html.escape(str(s))
 
 
+def _page(title: str, body: str) -> str:
+    """One self-contained page: the shared head and CSS, ``title``, ``body``."""
+    return (
+        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
+        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
+        f"<body><h1>{_esc(title)}</h1>{body}</body></html>"
+    )
+
+
+def _write(path: str, page: str) -> str:
+    with open(path, "w") as fh:
+        fh.write(page)
+    return path
+
+
 def _decimate(items: Sequence, limit: int) -> list:
     if len(items) <= limit:
         return list(items)
@@ -335,12 +350,7 @@ def render_planner_page(
     )
     bits.append(f"recorded wall <b>{model.wall_s:.4f}s</b>")
     header = "<p>" + " · ".join(bits) + "</p>"
-    return (
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
-        f"<body><h1>{_esc(title)}</h1>{header}"
-        f"{planner_section(model, validation_rows, top_k=top_k)}</body></html>"
-    )
+    return _page(title, header + planner_section(model, validation_rows, top_k=top_k))
 
 
 def _gantt_pair_svg(
@@ -557,16 +567,11 @@ def render_diff_page(
 ) -> str:
     """A standalone blame-report page for one run diff.
 
-    This is the artifact the ``diff-smoke`` CI job uploads: the
-    side-by-side stage Gantt, the per-segment delta waterfall and the
-    attribution table, self-contained in one HTML file.
+    This is the page ``examples/run_diff.py`` writes: the side-by-side
+    stage Gantt, the per-segment delta waterfall and the attribution
+    table, self-contained in one HTML file.
     """
-    return (
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
-        f"<body><h1>{_esc(title)}</h1>"
-        f"{diff_section(diff, flight_a, flight_b)}</body></html>"
-    )
+    return _page(title, diff_section(diff, flight_a, flight_b))
 
 
 def write_diff_report(
@@ -577,9 +582,7 @@ def write_diff_report(
     title: str = "differential run analysis",
 ) -> str:
     """Render and write the blame page; returns ``path`` for chaining."""
-    with open(path, "w") as fh:
-        fh.write(render_diff_page(diff, flight_a, flight_b, title=title))
-    return path
+    return _write(path, render_diff_page(diff, flight_a, flight_b, title=title))
 
 
 def render_report(
@@ -626,11 +629,7 @@ def render_report(
             else:
                 body.append(planner_section(model))
         sections.append("".join(body))
-    return (
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"
-        f"<body><h1>{_esc(title)}</h1>{''.join(sections)}</body></html>"
-    )
+    return _page(title, "".join(sections))
 
 
 def write_report(
@@ -639,6 +638,4 @@ def write_report(
     title: str = "repro run report",
 ) -> str:
     """Render and write the page; returns ``path`` for chaining."""
-    with open(path, "w") as fh:
-        fh.write(render_report(runs, title=title))
-    return path
+    return _write(path, render_report(runs, title=title))

@@ -5,9 +5,13 @@ from repro.faults import (
     FaultPlan,
     MessageChaos,
     NicDegradation,
+    SeededRng,
     derive_seed,
 )
-from repro.faults.rng import chaos_stream, plan_stream
+
+
+def plan_rng(seed):
+    return SeededRng(derive_seed(seed, "faults", "plan"))
 
 
 class TestSeededStreams:
@@ -19,16 +23,16 @@ class TestSeededStreams:
         assert derive_seed(7, "faults", "plan") != derive_seed(8, "faults", "plan")
 
     def test_same_seed_same_sequence(self):
-        a = [plan_stream(42).random() for _ in range(5)]
-        b = [plan_stream(42).random() for _ in range(5)]
+        a = [plan_rng(42).random() for _ in range(5)]
+        b = [plan_rng(42).random() for _ in range(5)]
         assert a == b
 
     def test_plan_and_chaos_streams_are_independent(self):
         # Drawing from one stream must not perturb the other.
-        p1 = plan_stream(3)
-        c1 = chaos_stream(3)
+        p1 = plan_rng(3)
+        c1 = SeededRng(derive_seed(3, "faults", "chaos"))
         _ = [c1.random() for _ in range(100)]
-        p2 = plan_stream(3)
+        p2 = plan_rng(3)
         assert [p1.random() for _ in range(5)] == [p2.random() for _ in range(5)]
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import time
 
 import pytest
 
 from repro.harness import runcache
-from repro.harness.parallel import run_ohb_cell, run_ohb_cells
+from repro.harness.parallel import OhbSpec, run_ohb_cell, run_ohb_cells
 from repro.harness.runcache import (
     RUN_SCHEMA,
     cache_dir,
@@ -192,6 +193,33 @@ class TestCellRows:
         runcache.clear_memory_cache()
         run_ohb_cells([SPEC], jobs=1)
         assert runcache.run_cache_stats()["cell_runs"] == base
+
+    def test_knob_twin_is_its_own_entry_and_warm_tiers_are_fast(self):
+        # A fig9 cell and its 2x-NIC what-if twin: the knob is part of the
+        # key, so the pair costs exactly two simulations across the cold,
+        # memo and disk tiers, and a warm hit (one unpickle) replays the
+        # cold rows at least 5x faster than simulating them.
+        plain = OhbSpec("GroupByTest", 2, 28 * GiB, "mpi-basic", 0.25, "Frontera")
+        specs = (plain, plain._replace(link_rate=2.0))
+        base = runcache.run_cache_stats()["cell_runs"]
+
+        def tier():
+            cells, walls = [], []
+            for spec in specs:
+                t0 = time.perf_counter()
+                cells.append(run_ohb_cell(spec))
+                walls.append(time.perf_counter() - t0)
+            return cells, walls
+
+        cold, cold_s = tier()
+        memo, memo_s = tier()
+        runcache.clear_memory_cache()
+        disk, disk_s = tier()
+        assert runcache.run_cache_stats()["cell_runs"] == base + 2
+        assert cold[0].total_seconds != cold[1].total_seconds
+        for warm, warm_s in ((memo, memo_s), (disk, disk_s)):
+            assert [_canon(c) for c in warm] == [_canon(c) for c in cold]
+            assert all(c >= 5 * w for c, w in zip(cold_s, warm_s)), (cold_s, warm_s)
 
     def test_pool_workers_share_parent_seeded_store(self):
         specs = [SPEC, ("SortByTest", 2, 1 * GiB, "mpi-opt", 0.05, "Frontera")]

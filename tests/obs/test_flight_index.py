@@ -357,15 +357,20 @@ class _CountedLog(deque):
         return super().__iter__()
 
 
-def test_full_analysis_round_walks_each_recording_once():
-    runs = [
+def _recorded_basic_and_opt():
+    return [
         _run_ohb(GROUP_BY, 2, 2 * GiB, transport, 0.1, obs_causal=True).result
         for transport in ("mpi-basic", "mpi-opt")
     ]
+
+
+def test_full_analysis_round_walks_each_recording_once():
+    runs = _recorded_basic_and_opt()
     for run in runs:
         run.flight.events = _CountedLog(run.flight.events, run.flight.capacity)
     basic, opt = runs
     cps = critical_path(basic), critical_path(opt)
+    assert cps[0].segment_seconds("poll-tax") > 0  # Basic busy-polls
     models = ReplayModel.from_result(basic), ReplayModel.from_result(opt)
     for model in models:
         model.sensitivity()
@@ -373,6 +378,11 @@ def test_full_analysis_round_walks_each_recording_once():
     page = render_report([(basic, cps[0]), (opt, cps[1])])
     assert page.count("capacity planner") == 2
     assert [run.flight.events.passes for run in runs] == [1, 1]
+    # The same seeded cells give the same page, whether the index is
+    # reused (a second render) or rebuilt (fresh recordings).
+    assert render_report([(basic, cps[0]), (opt, cps[1])]) == page
+    fresh = _recorded_basic_and_opt()
+    assert render_report([(run, critical_path(run)) for run in fresh]) == page
 
 
 # -- unclosed spans: every causal span closed or tombstoned ----------------------

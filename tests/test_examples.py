@@ -47,7 +47,9 @@ def test_obs_trace_example_writes_valid_chrome_trace(capsys):
     out = capsys.readouterr().out
     assert "timeline" in out and "Chrome trace" in out
     trace_path = EXAMPLES.parent / "results" / "groupby_trace.json"
-    trace = json.loads(trace_path.read_text())
-    assert trace["traceEvents"]
-    kinds = {ev["ph"] for ev in trace["traceEvents"]}
-    assert "X" in kinds and "M" in kinds
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    assert {"X", "M"} <= {ev["ph"] for ev in events}
+    threads = {ev["args"]["name"] for ev in events if ev["name"] == "thread_name"}
+    assert "driver" in threads
+    assert any(t.startswith("exec") for t in threads), threads
+    assert any(ev["ph"] == "X" and ev["cat"] == "task" for ev in events)
