@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
-from repro.mpi.status import ANY_SOURCE, ANY_TAG
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.events import Event
 
@@ -43,16 +41,6 @@ class Envelope:
     # Causal trace context (repro.obs.causal): in-memory only, not part of
     # the wire size or matching identity.
     trace_ctx: Any = field(default=None, compare=False, repr=False)
-
-    def matches(self, source: int, tag: int, context_id: int) -> bool:
-        """Does this envelope satisfy a recv/probe spec?"""
-        if context_id != self.context_id:
-            return False
-        if source != ANY_SOURCE and source != self.src_rank:
-            return False
-        if tag != ANY_TAG and tag != self.tag:
-            return False
-        return True
 
     def wire_bytes(self) -> int:
         """Bytes the envelope itself occupies on the wire."""

@@ -20,11 +20,14 @@ scanning bucket *heads* within the context, which is bounded by the number
 of distinct (source, tag) pairs, not by queue depth.  FIFO order within a
 bucket plus a global arrival sequence across buckets reproduces exactly the
 earliest-arrived semantics of the previous single-list implementation.
+Buckets are plain lists with the head at index 0: they are created and
+freed per message burst and hold at most tens of entries, so an empty
+deque's 760 B block would cost more than ``pop(0)`` does (DESIGN §10
+rule 8).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -58,10 +61,11 @@ class MatchingEngine:
 
     Internally both queues are bucketed:
 
-    * unexpected: ``{context_id: {(src, tag): deque[(arr_seq, arrived_at,
-      envelope)]}}`` — FIFO per bucket, ``arr_seq`` totally orders arrivals
-      across buckets so wildcard receives still claim the earliest arrival.
-    * posted: exact specs in ``{(ctx, src, tag): deque[PostedRecv]}``,
+    * unexpected: ``{context_id: {(src, tag): list[(arr_seq, arrived_at,
+      envelope)]}}`` — FIFO per bucket, head at index 0; ``arr_seq``
+      totally orders arrivals across buckets so wildcard receives still
+      claim the earliest arrival.
+    * posted: exact specs in ``{(ctx, src, tag): list[PostedRecv]}``,
       wildcard specs in a post-ordered overflow list.  ``PostedRecv.seq``
       arbitrates between an exact-bucket head and the first matching
       wildcard so posted order is respected exactly as before.
@@ -75,17 +79,17 @@ class MatchingEngine:
     ) -> None:
         self.env = env
         self.on_match = on_match
-        self._ux: dict[int, dict[tuple[int, int], deque]] = {}
+        self._ux: dict[int, dict[tuple[int, int], list]] = {}
         self._ux_count = 0
         self._arr_seq = 0
-        self._posted_exact: dict[tuple[int, int, int], deque] = {}
+        self._posted_exact: dict[tuple[int, int, int], list] = {}
         self._posted_wild: list[PostedRecv] = []
         self._post_seq = 0
         # Probe waiters bucketed by exact spec (wildcards are the -1
         # sentinels, so a delivery wakes at most the four candidate
         # buckets); the per-waiter sequence number restores the global
         # insertion order across buckets when several match at once.
-        self._probe_waiters: dict[tuple[int, int, int], deque] = {}
+        self._probe_waiters: dict[tuple[int, int, int], list] = {}
         self._probe_seq = 0
         # counters, useful in tests and the polling-tax analysis
         self.n_unexpected_matches = 0
@@ -168,7 +172,7 @@ class MatchingEngine:
             self._posted_wild.remove(wild)
             cand = wild
         elif cand is not None:
-            dq.popleft()
+            dq.pop(0)
             if not dq:
                 del self._posted_exact[(env_msg.context_id, env_msg.src_rank, env_msg.tag)]
         if cand is not None:
@@ -185,7 +189,7 @@ class MatchingEngine:
         key = (env_msg.src_rank, env_msg.tag)
         bucket = buckets.get(key)
         if bucket is None:
-            bucket = buckets[key] = deque()
+            bucket = buckets[key] = []
         self._arr_seq += 1
         bucket.append((self._arr_seq, self.env.now, env_msg))
         self._ux_count += 1
@@ -196,8 +200,8 @@ class MatchingEngine:
     def _find_unexpected(self, source: int, tag: int, context_id: int):
         """Earliest-arrived matching bucket, or None.
 
-        Returns ``(buckets, key, deque, scan_len)`` where ``deque[0]`` is the
-        earliest matching arrival, without consuming it.
+        Returns ``(buckets, key, bucket, scan_len)`` where ``bucket[0]`` is
+        the earliest matching arrival, without consuming it.
         """
         buckets = self._ux.get(context_id)
         if buckets is None:
@@ -226,7 +230,7 @@ class MatchingEngine:
         return buckets, best_key, best_dq, scan
 
     def _pop_unexpected(self, context_id, buckets, key, dq):
-        arr_seq, arrived, envl = dq.popleft()
+        arr_seq, arrived, envl = dq.pop(0)
         if not dq:
             del buckets[key]
             if not buckets:
@@ -268,7 +272,7 @@ class MatchingEngine:
         else:
             pdq = self._posted_exact.get((context_id, source, tag))
             if pdq is None:
-                pdq = self._posted_exact[(context_id, source, tag)] = deque()
+                pdq = self._posted_exact[(context_id, source, tag)] = []
             pdq.append(posted)
 
     # -- probes ------------------------------------------------------------
@@ -314,7 +318,7 @@ class MatchingEngine:
         key = (context_id, source, tag)
         waiters = self._probe_waiters.get(key)
         if waiters is None:
-            waiters = self._probe_waiters[key] = deque()
+            waiters = self._probe_waiters[key] = []
         waiters.append((self._probe_seq, ev))
         return ev
 
@@ -367,7 +371,7 @@ class MatchingEngine:
         victims: list[PostedRecv] = []
         for key in list(self._posted_exact):
             dq = self._posted_exact[key]
-            keep = deque(p for p in dq if not pred(p))
+            keep = [p for p in dq if not pred(p)]
             if len(keep) != len(dq):
                 victims.extend(p for p in dq if pred(p))
                 if keep:

@@ -524,10 +524,11 @@ class MPIWorld:
             proc.matching.wake_probes_empty()
             self._drop_unexpected(proc, exc_factory)
         for pipe in self._pipes.values():
-            while pipe.store.items:
-                envl = pipe.store.items.popleft()
+            # ``fail`` only schedules, so the queue can be swept, then cleared.
+            for envl in pipe.store.items:
                 if envl.send_done is not None and not envl.send_done.triggered:
                     envl.send_done.fail(exc_factory())
+            pipe.store.items.clear()
 
     def _shrink_after_death(self, dead: MPIProcess) -> None:
         """ULFM-style isolation: only ops naming the dead rank fail."""
@@ -546,10 +547,10 @@ class MPIWorld:
         for (src_gid, dst_gid), pipe in self._pipes.items():
             if dead.gid not in (src_gid, dst_gid):
                 continue
-            while pipe.store.items:
-                envl = pipe.store.items.popleft()
+            for envl in pipe.store.items:
                 if envl.send_done is not None and not envl.send_done.triggered:
                     envl.send_done.fail(exc_factory())
+            pipe.store.items.clear()
 
     def _on_envelope_lost(self, envl: Envelope, exc: MessageDropped) -> None:
         """A wire-level drop hit the MPI path (no retransmit layer here)."""

@@ -23,8 +23,14 @@ class Store:
     :meth:`get` returns an event that triggers with the oldest item — at
     once if one is queued. :meth:`put_nowait` / :meth:`get_nowait` are for
     callers that never wait on the outcome: they build and schedule no
-    event. ``items`` is the queue itself, and a caller may drain it in
-    place.
+    event. ``items`` is the queue itself, a list with the oldest item
+    first, and a caller may drain it in place.
+
+    The queues are lists, not deques: a cluster holds one store per
+    socket end and per MPI pipe, an empty deque costs 760 B against 56 B
+    for an empty list, and no store gets deep enough (at most 70 items in
+    any benchmark workload) for ``pop(0)`` to cost more than the bytes it
+    saves (DESIGN §10 rule 8).
 
     Getters and ``when_nonempty`` waiters wait only while ``items`` is
     empty. So a put hands its item to the longest-waiting getter, or else
@@ -32,10 +38,12 @@ class Store:
     to wake.
     """
 
+    __slots__ = ("env", "items", "_getters", "_nonempty_waiters")
+
     def __init__(self, env: SimEngine) -> None:
         self.env = env
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self.items: list[Any] = []
+        self._getters: list[Event] = []
         self._nonempty_waiters: list[Event] = []
 
     def __len__(self) -> int:
@@ -44,7 +52,7 @@ class Store:
     def put_nowait(self, item: Any) -> None:
         """Queue ``item``, or hand it to the longest-waiting getter."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
             return
         self.items.append(item)
         waiters = self._nonempty_waiters
@@ -70,7 +78,7 @@ class Store:
         """Take the oldest item; the event waits for a put if there is none."""
         ev = Event(self.env)
         if self.items:
-            ev.succeed(self.items.popleft())
+            ev.succeed(self.items.pop(0))
         else:
             self._getters.append(ev)
         return ev
@@ -78,7 +86,7 @@ class Store:
     def get_nowait(self) -> Any | None:
         """Take and return the oldest item, or None if there is none."""
         items = self.items
-        return items.popleft() if items else None
+        return items.pop(0) if items else None
 
 
 class SlotGate:
@@ -101,6 +109,9 @@ class SlotGate:
         self.env = env
         self.capacity = capacity
         self.held = 0
+        # A deque, unlike Store's lists: there is one gate per executor
+        # (and per job-server app), not one per pair, and a gate can queue
+        # a whole stage's tasks (DESIGN §10 rule 8).
         self.queue: Deque[Event] = deque()
 
     def __len__(self) -> int:

@@ -129,7 +129,9 @@ class ShuffleOpenBlocksHandler(RpcHandler):
         def provider(chunk_index: int, num_blocks: int) -> tuple[Any, int]:
             return None, wire_sizes[chunk_index]
 
-        stream_id = self.streams.register_stream(provider, owner=owner)
+        stream_id = self.streams.register_stream(
+            provider, owner=owner, n_chunks=len(wire_sizes)
+        )
         reply((stream_id, wire_sizes, blocks), 64)
 
 

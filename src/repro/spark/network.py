@@ -136,7 +136,8 @@ class OneForOneStreamManager:
     """Registers streams of chunks for fetching (Spark's stream manager)."""
 
     def __init__(self) -> None:
-        self._streams: dict[int, Callable[[int, int], tuple[Any, int]]] = {}
+        # stream_id -> (chunk provider, chunk count or None)
+        self._streams: dict[int, tuple[Callable, int | None]] = {}
         self._owners: dict[int, Any] = {}  # stream_id -> owning application
         self._ids = itertools.count(1000)
         self.chunks_served = 0
@@ -146,27 +147,35 @@ class OneForOneStreamManager:
         self,
         chunk_provider: Callable[[int, int], tuple[Any, int]],
         owner: Any = None,
+        n_chunks: int | None = None,
     ) -> int:
         """``chunk_provider(chunk_index, num_blocks) -> (payload, nbytes)``.
 
         ``owner`` namespaces the stream to one application (multi-tenant
         job server); :meth:`release_owner` sweeps all of an app's streams
-        when it finishes or is aborted.
+        when it finishes or is aborted. A stream with ``n_chunks`` is
+        released once its last chunk is served, as Spark's
+        ``OneForOneStreamManager.getChunk`` does; one without stays until
+        released.
         """
         stream_id = next(self._ids)
-        self._streams[stream_id] = chunk_provider
+        self._streams[stream_id] = (chunk_provider, n_chunks)
         if owner is not None:
             self._owners[stream_id] = owner
         return stream_id
 
     def get_chunk(self, stream_id: int, chunk_index: int, num_blocks: int) -> tuple[Any, int]:
-        provider = self._streams.get(stream_id)
-        if provider is None:
+        stream = self._streams.get(stream_id)
+        if stream is None:
             reason = self._invalid_reason
             detail = f" ({reason})" if reason else ""
             raise TransportError(f"unknown stream {stream_id}{detail}")
+        provider, n_chunks = stream
         self.chunks_served += 1
-        return provider(chunk_index, num_blocks)
+        chunk = provider(chunk_index, num_blocks)
+        if n_chunks is not None and chunk_index == n_chunks - 1:
+            self.release(stream_id)
+        return chunk
 
     def release(self, stream_id: int) -> None:
         self._streams.pop(stream_id, None)

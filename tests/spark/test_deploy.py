@@ -1,5 +1,9 @@
 """Integration tests for the simulated Spark cluster deployment."""
 
+import gc
+import types
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -10,8 +14,11 @@ from repro.harness.profile import (
     WorkloadProfile,
 )
 from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER
+from repro.simnet.resources import SlotGate
 from repro.spark.deploy import SparkSimCluster
+from repro.transports import TRANSPORTS
 from repro.util.units import GiB, MiB
+from repro.workloads.ohb import GROUP_BY
 
 
 def tiny_profile(n_exec, cores=4, shuffle_bytes=64 * MiB):
@@ -322,4 +329,35 @@ class TestFetchShuffleWaits:
         with pytest.raises(FetchFailedException, match="peer died") as failed:
             env.run(until=fetch)
         assert failed.value.exec_id == 2
+        sim.shutdown()
+
+
+class TestPerPairQueues:
+    """The per-pair FIFOs (socket buffers, MPI pipes, matching buckets)
+    are lists: an empty deque is a 760 B block, and a cluster has
+    thousands of pairs. The only deques left are the executors' slot
+    gates, one per executor."""
+
+    SKIP = (types.ModuleType, type, types.FunctionType)
+
+    def _reachable(self, root):
+        seen = {id(root)}
+        stack = [root]
+        while stack:
+            obj = stack.pop()
+            yield obj
+            for ref in gc.get_referents(obj):
+                if not isinstance(ref, self.SKIP) and id(ref) not in seen:
+                    seen.add(id(ref))
+                    stack.append(ref)
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_only_slot_gates_hold_deques(self, transport):
+        sim = SparkSimCluster(FRONTERA, 16, transport)
+        sim.launch()
+        sim.run_profile(GROUP_BY.build_profile(FRONTERA, 16, 4 * GiB, fidelity=0.05))
+        objs = list(self._reachable(sim))
+        gates = sum(isinstance(o, SlotGate) for o in objs)
+        assert gates >= 16
+        assert sum(isinstance(o, deque) for o in objs) == gates
         sim.shutdown()

@@ -2,15 +2,24 @@
 
 import pytest
 
+from repro.harness.systems import FRONTERA
 from repro.netty import EventLoop
 from repro.simnet import IB_EDR, SimCluster, SimEngine, tcp_over
 from repro.simnet.sockets import SocketAddress, SocketStack
+from repro.spark.deploy import SparkSimCluster
 from repro.spark.network import (
     OneForOneStreamManager,
     RpcHandler,
     TransportClientFactory,
     TransportContext,
     TransportError,
+)
+from repro.transports import TRANSPORTS
+from repro.util.units import GiB
+from repro.workloads.ohb import GROUP_BY
+
+PER_BLOCK_TRANSPORTS = sorted(
+    name for name, cls in TRANSPORTS.items() if not cls.collective_shuffle
 )
 
 
@@ -137,6 +146,20 @@ class TestChunkFetch:
         assert run_client(rig, body) == list(range(8))
         assert streams.chunks_served == 8
 
+    def test_stream_is_released_after_its_last_chunk(self, rig):
+        env, context, streams, rpc, client_loop, server_loop = rig
+        sid = streams.register_stream(lambda idx, n: (idx, 100), n_chunks=2)
+
+        def body(client):
+            yield client.fetch_chunk(sid, 0)
+            yield client.fetch_chunk(sid, 1)
+            try:
+                yield client.fetch_chunk(sid, 1)
+            except TransportError as exc:
+                return str(exc)
+
+        assert run_client(rig, body) == f"unknown stream {sid}"
+
     def test_fetch_time_scales_with_chunk_size(self, rig):
         env, context, streams, rpc, client_loop, server_loop = rig
         small = streams.register_stream(lambda idx, n: (None, 1000))
@@ -242,3 +265,17 @@ class TestFailureSurfacing:
                 return str(exc)
 
         assert "boom" in run_client(rig, body)
+
+
+class TestServedShuffleStreams:
+    """A shuffle's OpenBlocks streams are freed as their last chunk is
+    served, so a finished job leaves no stream registered."""
+
+    @pytest.mark.parametrize("transport", PER_BLOCK_TRANSPORTS)
+    def test_groupby_cell_leaves_every_stream_table_empty(self, transport):
+        sim = SparkSimCluster(FRONTERA, 4, transport)
+        sim.launch()
+        sim.run_profile(GROUP_BY.build_profile(FRONTERA, 4, 1 * GiB, fidelity=0.05))
+        assert sum(ex.streams.chunks_served for ex in sim.executors) > 0
+        assert [ex.streams._streams for ex in sim.executors] == [{}] * 4
+        sim.shutdown()
