@@ -1,9 +1,9 @@
 """Shared benchmark configuration.
 
 Benchmarks default to a reduced matrix (fewer workers / folded tasks) so
-``pytest benchmarks/ --benchmark-only`` completes in minutes while
-exercising the identical code paths and physics. Set ``REPRO_FULL=1`` to
-run the paper-scale geometry (8/16/32 workers, 448 GiB; expect a long
+``pytest benchmarks/`` completes in minutes while exercising the
+identical code paths and physics. ``REPRO_FULL=1 pytest benchmarks/``
+runs the paper-scale geometry (8/16/32 workers, 448 GiB; expect a long
 run). EXPERIMENTS.md records paper-scale results.
 """
 
@@ -44,23 +44,6 @@ def jobs(request):
 OHB_WORKERS = (8, 16, 32) if FULL else (2, 4, 8)
 OHB_FIDELITY = 0.125 if FULL else 0.25
 HIBENCH_FIDELITY = 0.25 if FULL else 0.125
-HIBENCH_WORKERS = 16 if FULL else 8
-
-
-@pytest.fixture(scope="session")
-def mode():
-    return {
-        "full": FULL,
-        "ohb_workers": OHB_WORKERS,
-        "ohb_fidelity": OHB_FIDELITY,
-        "hibench_fidelity": HIBENCH_FIDELITY,
-        "hibench_workers": HIBENCH_WORKERS,
-    }
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an expensive simulation exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def write_bench_json(figure: str, payload: dict) -> pathlib.Path:

@@ -1,8 +1,5 @@
 """Ablation benches over the design choices DESIGN.md calls out."""
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.harness.ablation import (
     ablate_in_flight_window,
     ablate_io_threads,
@@ -25,8 +22,8 @@ def _render(points, value_fmt=str):
     return render_table(rows, f"Ablation: {points[0].parameter}")
 
 
-def test_ablate_io_threads(benchmark):
-    points = run_once(benchmark, ablate_io_threads, values=(1, 4, 8))
+def test_ablate_io_threads():
+    points = ablate_io_threads(values=(1, 4, 8))
     print()
     print(_render(points))
     by = {p.value: p.shuffle_read_s for p in points}
@@ -37,8 +34,8 @@ def test_ablate_io_threads(benchmark):
     assert max(by.values()) < min(by.values()) * 2.0
 
 
-def test_ablate_in_flight_window(benchmark):
-    points = run_once(benchmark, ablate_in_flight_window, values=(4 << 20, 48 << 20))
+def test_ablate_in_flight_window():
+    points = ablate_in_flight_window(values=(4 << 20, 48 << 20))
     print()
     print(_render(points, fmt_bytes))
     by = {p.value: p.shuffle_read_s for p in points}
@@ -46,8 +43,8 @@ def test_ablate_in_flight_window(benchmark):
     assert by[4 << 20] >= by[48 << 20] * 0.95
 
 
-def test_ablate_poll_period(benchmark):
-    points = run_once(benchmark, ablate_poll_period, values=(5e-6, 500e-6))
+def test_ablate_poll_period():
+    points = ablate_poll_period(values=(5e-6, 500e-6))
     print()
     print(_render(points, lambda v: fmt_time(v)))
     by = {p.value: p.shuffle_read_s for p in points}

@@ -28,21 +28,22 @@ TRANSPORTS = ("nio", "rdma", "mpi-basic", "mpi-opt")
 
 
 def causal_spec(transport, n_workers=2, data=28 * GiB):
+    from repro.harness.parallel import OhbSpec
     from repro.harness.systems import FRONTERA
 
-    return ("GroupByTest", n_workers, data, transport, OHB_FIDELITY,
-            FRONTERA.name, True)
+    return OhbSpec("GroupByTest", n_workers, data, transport, OHB_FIDELITY,
+                   FRONTERA.name, True)
 
 
 @pytest.fixture(scope="module")
 def runs(jobs):
     """Causal fig9-cell RunResults, one per transport, plus a 4w cell."""
-    from repro.harness.parallel import run_ohb_cells
+    from repro.harness.parallel import run_cells
 
     specs = [causal_spec(t) for t in TRANSPORTS]
     specs.append(causal_spec("mpi-opt", n_workers=4))
-    cells = run_ohb_cells(specs, jobs)
-    by_key = {spec[3]: cell.result for spec, cell in zip(specs[:-1], cells)}
+    cells = run_cells(specs, jobs)
+    by_key = {spec.transport: cell.result for spec, cell in zip(specs[:-1], cells)}
     by_key["mpi-opt-4w"] = cells[-1].result
     return by_key
 

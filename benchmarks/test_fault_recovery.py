@@ -12,7 +12,7 @@ byte-identical availability reports.
 
 import pytest
 
-from benchmarks.conftest import FULL, run_once
+from benchmarks.conftest import FULL
 from repro.faults import (
     ChaosScenario,
     ExecutorCrash,
@@ -72,8 +72,8 @@ def run_matrix():
     return [run_scenario(make_cell(t, m)) for t, m in CELLS]
 
 
-def test_fault_recovery_matrix(benchmark):
-    reports = run_once(benchmark, run_matrix)
+def test_fault_recovery_matrix():
+    reports = run_matrix()
     print()
     print(render_matrix(reports))
     by = {(r.transport, r.fault_mode): r for r in reports}
@@ -104,11 +104,7 @@ def test_fault_recovery_matrix(benchmark):
         assert shrink.stage_resubmissions >= 1
 
 
-def test_reports_are_deterministic(benchmark):
-    def twice():
-        a = run_scenario(make_cell("nio", "abort"))
-        b = run_scenario(make_cell("nio", "abort"))
-        return a, b
-
-    a, b = run_once(benchmark, twice)
+def test_reports_are_deterministic():
+    a = run_scenario(make_cell("nio", "abort"))
+    b = run_scenario(make_cell("nio", "abort"))
     assert a.render() == b.render()

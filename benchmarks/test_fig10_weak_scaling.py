@@ -19,11 +19,10 @@ from benchmarks.conftest import (
     OHB_FIDELITY,
     OHB_WORKERS,
     ohb_payload,
-    run_once,
     write_bench_json,
 )
-from repro.harness.experiments import _run_ohb, fig10_weak_scaling
-from repro.harness.parallel import run_ohb_cell
+from repro.harness.experiments import fig10_weak_scaling
+from repro.harness.parallel import OhbSpec, run_cell
 from repro.harness.report import ohb_speedups, render_ohb
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
@@ -34,11 +33,11 @@ def cells(jobs):
     return fig10_weak_scaling(workers=OHB_WORKERS, fidelity=OHB_FIDELITY, jobs=jobs)
 
 
-def test_fig10_sweep(benchmark, cells):
-    # The timed unit is one full cell; the fixture holds the whole sweep.
-    cell = run_once(
-        benchmark, _run_ohb, GROUP_BY, OHB_WORKERS[0],
-        OHB_WORKERS[0] * 14 * GiB, "mpi-opt", OHB_FIDELITY,
+def test_fig10_sweep(cells):
+    cell = next(
+        c for c in cells
+        if (c.workload, c.n_workers, c.transport)
+        == ("GroupByTest", OHB_WORKERS[0], "mpi-opt")
     )
     print()
     print(render_ohb(cells, "Fig 10 — OHB weak scaling (Frontera, 14 GiB/worker)"))
@@ -113,9 +112,7 @@ def test_groupby_64w_mpi_basic_completes():
     # The widest mpi-basic world anything in the tree runs (~25 s of host
     # time, poll/channel-dominated): reduced data and fidelity, un-timed.
     # It only has to finish and to have moved its shuffle over the wire.
-    cell = run_ohb_cell(
-        (GROUP_BY.name, 64, 64 * 2 * GiB, "mpi-basic", 0.1, "Frontera")
-    )
+    cell = run_cell(OhbSpec(GROUP_BY.name, 64, 64 * 2 * GiB, "mpi-basic", 0.1, "Frontera"))
     assert cell.total_seconds > 0
     assert cell.result.metrics.value("spark.scheduler.remote_fetch_bytes") > 0
 

@@ -13,13 +13,11 @@ from benchmarks.conftest import (
     OHB_FIDELITY,
     OHB_WORKERS,
     ohb_payload,
-    run_once,
     write_bench_json,
 )
-from repro.harness.experiments import _run_ohb, fig11_strong_scaling
+from repro.harness.experiments import fig11_strong_scaling
 from repro.harness.report import ohb_speedups, render_ohb
 from repro.util.units import GiB
-from repro.workloads.ohb import SORT_BY
 
 DATA = 224 * GiB if FULL else 56 * GiB
 
@@ -31,9 +29,11 @@ def cells(jobs):
     )
 
 
-def test_fig11_sweep(benchmark, cells):
-    cell = run_once(
-        benchmark, _run_ohb, SORT_BY, OHB_WORKERS[0], DATA, "mpi-opt", OHB_FIDELITY
+def test_fig11_sweep(cells):
+    cell = next(
+        c for c in cells
+        if (c.workload, c.n_workers, c.transport)
+        == ("SortByTest", OHB_WORKERS[0], "mpi-opt")
     )
     print()
     print(render_ohb(cells, f"Fig 11 — OHB strong scaling (Frontera, fixed {DATA >> 30} GiB)"))

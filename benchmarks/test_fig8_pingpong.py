@@ -7,7 +7,7 @@ message sizes) and checks the headline ratio.
 
 import pytest
 
-from benchmarks.conftest import run_once, write_bench_json
+from benchmarks.conftest import write_bench_json
 from repro.harness.experiments import FIG8_LARGE_SIZES, FIG8_SMALL_SIZES, fig8_pingpong
 from repro.harness.report import render_fig8
 from repro.util.units import MiB
@@ -18,8 +18,8 @@ def results():
     return fig8_pingpong(iterations=4)
 
 
-def test_fig8_curves(benchmark, results):
-    out = run_once(benchmark, fig8_pingpong, iterations=2)
+def test_fig8_curves(results):
+    out = fig8_pingpong(iterations=2)
     print()
     print(render_fig8(results))
     assert set(out) == {"netty-nio", "netty-mpi"}

@@ -8,8 +8,7 @@ hence starving the actual compute tasks." GroupByTest and SortByTest at
 
 import pytest
 
-from benchmarks.conftest import OHB_FIDELITY, ohb_payload, run_once, write_bench_json
-from repro.harness.experiments import _run_ohb
+from benchmarks.conftest import OHB_FIDELITY, ohb_payload, write_bench_json
 from repro.harness.report import render_ohb
 from repro.obs import polling_tax_seconds
 from repro.util.units import GiB
@@ -18,21 +17,21 @@ from repro.workloads.ohb import GROUP_BY, SORT_BY
 
 @pytest.fixture(scope="module")
 def cells(jobs):
-    from repro.harness.parallel import run_ohb_cells
+    from repro.harness.parallel import OhbSpec, run_cells
     from repro.harness.systems import FRONTERA
 
     specs = [
-        (workload.name, n_workers, data, transport, OHB_FIDELITY, FRONTERA.name)
+        OhbSpec(workload.name, n_workers, data, transport, OHB_FIDELITY, FRONTERA.name)
         for workload in (GROUP_BY, SORT_BY)
         for n_workers, data in ((2, 28 * GiB),)
         for transport in ("nio", "mpi-basic", "mpi-opt")
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
-def test_fig9_runs(benchmark, cells):
-    cell = run_once(
-        benchmark, _run_ohb, GROUP_BY, 2, 28 * GiB, "mpi-basic", OHB_FIDELITY
+def test_fig9_runs(cells):
+    cell = next(
+        c for c in cells if c.workload == "GroupByTest" and c.transport == "mpi-basic"
     )
     print()
     print(render_ohb(cells, "Fig 9 — Basic vs Optimized vs Vanilla (Frontera)"))
@@ -104,14 +103,14 @@ class TestFig9Shape:
 @pytest.fixture(scope="module")
 def causal_cells(jobs):
     """The 2-worker GroupBy cells re-run with causal flight recording."""
-    from repro.harness.parallel import run_ohb_cells
+    from repro.harness.parallel import OhbSpec, run_cells
     from repro.harness.systems import FRONTERA
 
     specs = [
-        (GROUP_BY.name, 2, 28 * GiB, transport, OHB_FIDELITY, FRONTERA.name, True)
+        OhbSpec(GROUP_BY.name, 2, 28 * GiB, transport, OHB_FIDELITY, FRONTERA.name, True)
         for transport in ("nio", "mpi-basic", "mpi-opt")
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 class TestFig9CriticalPath:

@@ -31,14 +31,14 @@ TRANSPORTS = ("mpi-opt", "mpi-coll")
 @pytest.fixture(scope="module")
 def cells(jobs):
     """Causally-traced fig9 GroupBy cells, one per transport."""
-    from repro.harness.parallel import run_ohb_cells
+    from repro.harness.parallel import OhbSpec, run_cells
     from repro.harness.systems import FRONTERA
 
     specs = [
-        (GROUP_BY.name, 2, 28 * GiB, transport, OHB_FIDELITY, FRONTERA.name, True)
+        OhbSpec(GROUP_BY.name, 2, 28 * GiB, transport, OHB_FIDELITY, FRONTERA.name, True)
         for transport in TRANSPORTS
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 def _by(cells, transport):

@@ -25,8 +25,8 @@ import pathlib
 
 import pytest
 
-from benchmarks.conftest import run_once, write_bench_json
-from repro.harness.parallel import run_jobserver_cell, run_jobserver_cells
+from benchmarks.conftest import write_bench_json
+from repro.harness.parallel import JobServerSpec, run_cell, run_cells
 from repro.jobserver import JobServerReport, cell_stats
 from repro.util.units import MiB
 
@@ -49,14 +49,14 @@ GOLDEN_PATH = (
 
 
 def _spec(transport, scheduler):
-    return (transport, scheduler, "Frontera", N_WORKERS, CORES, CLUSTER_SEED,
-            TRACE_SPEC)
+    return JobServerSpec(transport, scheduler, "Frontera", N_WORKERS, CORES,
+                         CLUSTER_SEED, TRACE_SPEC)
 
 
 @pytest.fixture(scope="module")
 def results(jobs):
     specs = [_spec(t, s) for t in TRANSPORTS for s in SCHEDULERS]
-    return run_jobserver_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,10 @@ def report(results):
     return JobServerReport.from_results(results)
 
 
-def test_jobserver_runs(benchmark, report):
-    cell = run_once(benchmark, run_jobserver_cell, _spec("mpi-opt", "fifo"))
+def test_jobserver_runs(results, report):
+    cell = next(
+        r for r in results if (r.transport, r.scheduler) == ("mpi-opt", "fifo")
+    )
     print()
     print(report.render())
     assert len(cell.finished) == TRACE_SPEC[1]
@@ -106,13 +108,13 @@ class TestContentionShape:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, report):
-        again = run_jobserver_cell(_spec("nio", "fifo"))
+        again = run_cell(_spec("nio", "fifo"))
         assert cell_stats(again) == report.cell("nio", "fifo")
 
     def test_rows_identical_across_worker_counts(self, results):
         """Fan-out invariance: serial rerun of two cells matches the
         module fixture (which may have run under --jobs N)."""
-        serial = run_jobserver_cells(
+        serial = run_cells(
             [_spec("mpi-basic", "fair"), _spec("mpi-opt", "pack")], jobs=1
         )
         by_key = {(r.transport, r.scheduler): r for r in results}

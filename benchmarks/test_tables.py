@@ -1,23 +1,20 @@
 """Tables I, III and IV — the paper's static matrices, regenerated from
 the live registries (so they stay true to what the code implements)."""
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.harness.experiments import table1_features, table3_systems, table4_workloads
 from repro.harness.report import render_table
 
 
-def test_table1_features(benchmark):
-    rows = run_once(benchmark, table1_features)
+def test_table1_features():
+    rows = table1_features()
     print()
     print(render_table(rows, "Table I — comparison with earlier work"))
     assert len(rows) == 4
     assert all(r["MPI4Spark"] in ("yes", "MPI-Based Netty") for r in rows)
 
 
-def test_table3_systems(benchmark):
-    rows = run_once(benchmark, table3_systems)
+def test_table3_systems():
+    rows = table3_systems()
     print()
     print(render_table(rows, "Table III — hardware specification"))
     names = {r["System"] for r in rows}
@@ -28,8 +25,8 @@ def test_table3_systems(benchmark):
     assert by_name["Internal Cluster"]["Nodes"] == "2"
 
 
-def test_table4_workloads(benchmark):
-    rows = run_once(benchmark, table4_workloads)
+def test_table4_workloads():
+    rows = table4_workloads()
     print()
     print(render_table(rows, "Table IV — benchmark suite inventory"))
     workloads = {r["Workload"] for r in rows}

@@ -26,7 +26,7 @@ Run:  python examples/whatif_planner.py [trace.jsonl]
 import pathlib
 import sys
 
-from repro.harness.parallel import run_ohb_cell
+from repro.harness.parallel import run_cell
 from repro.harness.systems import FRONTERA
 from repro.harness.whatif import truth_spec
 from repro.obs import render_planner_page
@@ -117,7 +117,7 @@ def main() -> int:
         print("\nvalidating against ground-truth re-simulations:")
         for p in VALIDATED:
             pred = model.retime(p)
-            sim_wall = run_ohb_cell(
+            sim_wall = run_cell(
                 truth_spec(CELL, p, FIDELITY, FRONTERA.name)
             ).total_seconds
             err = pred.wall_s / sim_wall - 1.0

@@ -10,20 +10,25 @@ its contribution on a fixed GroupByTest scenario:
 * ``ablate_poll_period``          — the Basic design's busy-poll granularity.
 
 These run on a small fixed geometry (2 workers) so they complete quickly;
-the *relative* effects are the point. The last three vary one field of
-the :class:`~repro.simnet.interconnect.CostModel` each cluster is built
-with.
+the *relative* effects are the point. Each ablation is a list of
+:class:`~repro.harness.parallel.OhbSpec` cells run through the cached
+:func:`~repro.harness.parallel.run_cells`: the first sweeps the spec's
+``io_threads``, the last three one field of the
+:class:`~repro.simnet.interconnect.CostModel` the cell is built with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.harness.parallel import OhbSpec, run_cells
 from repro.harness.systems import FRONTERA
-from repro.simnet.interconnect import DEFAULT_COST, CostModel
-from repro.spark.deploy import SparkSimCluster
+from repro.simnet.interconnect import DEFAULT_COST
 from repro.util.units import GiB, KiB, MiB
 from repro.workloads.ohb import GROUP_BY
+
+# The fixed GroupByTest scenario every ablation perturbs.
+BASE = OhbSpec(GROUP_BY.name, 2, 14 * GiB, "nio", 0.25, FRONTERA.name)
 
 
 @dataclass
@@ -34,15 +39,13 @@ class AblationPoint:
     total_s: float
 
 
-def _run(transport: str, n_workers: int = 2, data=14 * GiB, io_threads: int = 8,
-         fidelity: float = 0.25, cost: CostModel = DEFAULT_COST) -> tuple[float, float]:
-    sim = SparkSimCluster(FRONTERA, n_workers, transport, io_threads=io_threads,
-                          cost=cost)
-    sim.launch()
-    profile = GROUP_BY.build_profile(FRONTERA, n_workers, data, fidelity=fidelity)
-    result = sim.run_profile(profile)
-    sim.shutdown()
-    return result.shuffle_read_seconds(), result.total_seconds
+def _points(parameter: str, values, specs) -> list[AblationPoint]:
+    """One point per (value, spec), the specs run through the run cache."""
+    return [
+        AblationPoint(parameter, value, cell.result.shuffle_read_seconds(),
+                      cell.total_seconds)
+        for value, cell in zip(values, run_cells(specs))
+    ]
 
 
 def ablate_io_threads(values=(1, 2, 4, 8)) -> list[AblationPoint]:
@@ -52,22 +55,19 @@ def ablate_io_threads(values=(1, 2, 4, 8)) -> list[AblationPoint]:
     head-of-line blocking the paper's real deployment avoids via Spark's
     multi-threaded transport pools.
     """
-    points = []
-    for n in values:
-        # Needs several remote sources per executor for head-of-line
-        # blocking to exist: use 6 workers (5 source channels each).
-        read, total = _run("mpi-opt", n_workers=6, data=6 * 14 * GiB, io_threads=n)
-        points.append(AblationPoint("io_threads", n, read, total))
-    return points
+    # Needs several remote sources per executor for head-of-line
+    # blocking to exist: use 6 workers (5 source channels each).
+    spec = BASE._replace(n_workers=6, data_bytes=6 * 14 * GiB, transport="mpi-opt")
+    return _points("io_threads", values, [spec._replace(io_threads=n) for n in values])
 
 
 def _cost_sweep(parameter: str, field: str, transport: str, values) -> list[AblationPoint]:
     """One point per value of the cost-model ``field``, on ``transport``."""
-    points = []
-    for value in values:
-        read, total = _run(transport, cost=replace(DEFAULT_COST, **{field: value}))
-        points.append(AblationPoint(parameter, value, read, total))
-    return points
+    specs = [
+        BASE._replace(transport=transport, cost=replace(DEFAULT_COST, **{field: value}))
+        for value in values
+    ]
+    return _points(parameter, values, specs)
 
 
 def ablate_rendezvous_threshold(values=(4 * KiB, 16 * KiB, 256 * KiB, 4 * MiB)) -> list[AblationPoint]:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from repro.simnet.interconnect import DEFAULT_COST
+from repro.harness.parallel import OhbSpec, run_cell, run_cells
+from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.util.units import GiB
 
 # Where the committed baseline recordings live. Deliberately *not* under
@@ -32,16 +33,16 @@ from repro.util.units import GiB
 BLAME_BASELINE_DIR = Path("baselines")
 
 # The blame proxy cell per transport: the examples/obs_report.py GroupBy
-# shape (2 workers, 4 GiB, fidelity 0.1) as a parallel-harness spec with
-# causal recording on. Simulated time is seeded and deterministic, so the
+# shape (2 workers, 4 GiB, fidelity 0.1) as an OhbSpec with causal
+# recording on. Simulated time is seeded and deterministic, so the
 # recording is byte-identical across machines — what makes a *committed*
 # baseline meaningful.
 BLAME_TRANSPORTS = ("nio", "mpi-basic", "mpi-opt")
 
 
-def blame_spec(transport: str) -> tuple:
-    """Primitive 7-tuple spec of the blame proxy cell for ``transport``."""
-    return ("GroupByTest", 2, 4 * GiB, transport, 0.1, "Frontera", True)
+def blame_spec(transport: str, cost: CostModel = DEFAULT_COST) -> OhbSpec:
+    """The blame proxy cell for ``transport``, run under ``cost``."""
+    return OhbSpec("GroupByTest", 2, 4 * GiB, transport, 0.1, "Frontera", True, cost=cost)
 
 
 def baseline_path(transport: str, directory: Path | None = None) -> Path:
@@ -58,11 +59,9 @@ def record_cell_flight(transport: str, inject: tuple[str, float] | None = None):
     must name that segment: ``serialize`` (ramdisk shuffle-write
     bandwidth) or ``poll-tax`` (Basic's busy-poll interference tax),
     anything else is a ``ValueError``; ``None`` injects nothing. The model
-    enters the run-cache key, so injected and clean runs can never serve
-    each other's cached results. Returns the RunResult.
+    is part of the spec, so injected and clean runs can never serve each
+    other's cached results. Returns the RunResult.
     """
-    from repro.harness.parallel import run_ohb_cell
-
     cost = DEFAULT_COST
     if inject is not None:
         segment, factor = inject
@@ -79,7 +78,7 @@ def record_cell_flight(transport: str, inject: tuple[str, float] | None = None):
             raise ValueError(
                 f"inject segment {segment!r}: must be 'serialize' or 'poll-tax'"
             )
-    return run_ohb_cell(blame_spec(transport), cost=cost).result
+    return run_cell(blame_spec(transport, cost)).result
 
 
 def record_blame_baselines(
@@ -91,17 +90,13 @@ def record_blame_baselines(
     that intentionally moves simulated time; ``benchmarks/test_diff.py``
     fails if a stale baseline no longer self-diffs to zero.
     """
-    from repro.harness.parallel import run_flight_cells
-
     directory = BLAME_BASELINE_DIR if directory is None else Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    flights = run_flight_cells(
-        [blame_spec(t) for t in BLAME_TRANSPORTS], jobs=jobs
-    )
-    paths = []
-    for transport, flight in zip(BLAME_TRANSPORTS, flights):
-        paths.append(Path(flight.write(str(baseline_path(transport, directory)))))
-    return paths
+    cells = run_cells([blame_spec(t) for t in BLAME_TRANSPORTS], jobs)
+    return [
+        Path(cell.result.flight.write(str(baseline_path(transport, directory))))
+        for transport, cell in zip(BLAME_TRANSPORTS, cells)
+    ]
 
 
 def blame_report(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.harness.parallel import run_hibench_cells, run_ohb_cells
+from repro.harness.parallel import HiBenchSpec, OhbSpec, run_cells
 from repro.harness.pingpong import PingPongResult, run_pingpong
 from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER, STAMPEDE2, SYSTEMS
 from repro.simnet.interconnect import DEFAULT_COST, CostModel
@@ -53,6 +53,7 @@ def _run_ohb(
     fidelity: float,
     system=FRONTERA,
     obs_causal: bool = False,
+    io_threads: int = 8,
     cost: CostModel = DEFAULT_COST,
 ) -> OhbCell:
     # Observability on: cells carry a MetricsSnapshot so reports can show
@@ -60,8 +61,8 @@ def _run_ohb(
     # ``obs_causal`` additionally attaches a flight recording
     # (spark.repro.obs.causal) for critical-path analysis / the run report.
     sim = SparkSimCluster(
-        system, n_workers, transport, obs_enabled=True, obs_causal=obs_causal,
-        cost=cost,
+        system, n_workers, transport, io_threads=io_threads, obs_enabled=True,
+        obs_causal=obs_causal, cost=cost,
     )
     sim.launch()
     profile = workload.build_profile(system, n_workers, data_bytes, fidelity=fidelity)
@@ -112,12 +113,12 @@ def fig9_basic_vs_optimized(
     processes (row order and values are identical for any ``jobs``).
     """
     specs = [
-        (workload.name, n_workers, data, transport, fidelity, FRONTERA.name)
+        OhbSpec(workload.name, n_workers, data, transport, fidelity, FRONTERA.name)
         for workload in (GROUP_BY, SORT_BY)
         for n_workers, data in ((2, 28 * GiB), (4, 56 * GiB))
         for transport in ("nio", "mpi-basic", "mpi-opt")
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 def fig9_critical_path(
@@ -140,10 +141,10 @@ def fig9_critical_path(
     from repro.obs import analyze, write_report
 
     specs = [
-        (GROUP_BY.name, 2, 28 * GiB, transport, fidelity, FRONTERA.name, True)
+        OhbSpec(GROUP_BY.name, 2, 28 * GiB, transport, fidelity, FRONTERA.name, True)
         for transport in ("nio", "mpi-basic", "mpi-opt")
     ]
-    cells = run_ohb_cells(specs, jobs)
+    cells = run_cells(specs, jobs)
     pairs = [(cell, analyze(cell.result.flight, cell.transport)) for cell in cells]
     if report_path is not None:
         write_report(
@@ -164,13 +165,13 @@ def fig10_weak_scaling(
     jobs: int | None = None,
 ) -> list[OhbCell]:
     specs = [
-        (workload.name, n_workers, n_workers * 14 * GiB, transport, fidelity,
-         FRONTERA.name)
+        OhbSpec(workload.name, n_workers, n_workers * 14 * GiB, transport, fidelity,
+                FRONTERA.name)
         for workload in (GROUP_BY, SORT_BY)
         for n_workers in workers
         for transport in OHB_TRANSPORTS
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +185,12 @@ def fig11_strong_scaling(
     jobs: int | None = None,
 ) -> list[OhbCell]:
     specs = [
-        (workload.name, n_workers, data_bytes, transport, fidelity, FRONTERA.name)
+        OhbSpec(workload.name, n_workers, data_bytes, transport, fidelity, FRONTERA.name)
         for workload in (GROUP_BY, SORT_BY)
         for n_workers in workers
         for transport in OHB_TRANSPORTS
     ]
-    return run_ohb_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +222,17 @@ def fig12_hibench(
     """
     rdma_unsupported = {"GMM", "Repartition"}  # HiBench 7.0 gap (paper)
     specs = [
-        (name, FRONTERA.name, 16, transport, None, fidelity)
+        HiBenchSpec(name, FRONTERA.name, 16, transport, None, fidelity)
         for name in dict.fromkeys(FIG12A_WORKLOADS + FIG12B_WORKLOADS)
         for transport in OHB_TRANSPORTS
         if not (transport == "rdma" and name in rdma_unsupported)
     ]
     specs += [
-        (name, STAMPEDE2.name, 8, transport, 96, fidelity)
+        HiBenchSpec(name, STAMPEDE2.name, 8, transport, 96, fidelity)
         for name in dict.fromkeys(FIG12C_WORKLOADS)
         for transport in ("nio", "mpi-opt")  # no RDMA on Omni-Path
     ]
-    return run_hibench_cells(specs, jobs)
+    return run_cells(specs, jobs)
 
 
 # ---------------------------------------------------------------------------

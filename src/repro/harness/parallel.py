@@ -1,12 +1,19 @@
-"""Parallel experiment harness: fan independent cells over processes.
+"""Parallel experiment harness: one cell runner, fanned over processes.
 
-Every experiment cell (one ``(system, workload, transport, scale)``
-combination) owns its own :class:`~repro.simnet.engine.SimEngine` and
-seed, so a cell's rows are a pure function of its spec — identical
+A harness cell is a ``NamedTuple`` spec (:class:`OhbSpec`,
+:class:`HiBenchSpec`, :class:`JobServerSpec`) holding names its ``run()``
+resolves to registry objects; an :class:`OhbSpec` also holds the
+:class:`~repro.simnet.interconnect.CostModel` its cluster is built with
+(the other kinds run under the default model). :func:`run_cell` runs one
+through the run cache, keyed on the spec value alone; :func:`run_cells`
+fans a list of any mix of kinds and models.
+
+Every cell owns its own :class:`~repro.simnet.engine.SimEngine` and
+seed, so a cell's result is a pure function of its spec — identical
 whether it runs in this process, a worker process, or any worker count.
 That makes parallelism free of determinism risk: the only requirements
-are (1) cell specs built from primitives so they pickle under both fork
-and spawn start methods, and (2) an order-preserving merge, which
+are (1) specs that pickle under both fork and spawn start methods (never
+a half-built simulation), and (2) an order-preserving merge, which
 ``ProcessPoolExecutor.map`` gives us directly (results come back in
 submission order regardless of completion order).
 
@@ -23,10 +30,6 @@ import os
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.simnet.interconnect import DEFAULT_COST, CostModel
-
-# Cell specs are plain tuples of primitives; workers re-resolve registry
-# objects (workloads, systems) by name so specs pickle under any start
-# method and never drag a half-built simulation across the fork.
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -55,19 +58,16 @@ def parallel_map(
         return list(pool.map(fn, items, chunksize=1))
 
 
-# -- module-level workers (must be importable by worker processes) ----------
+# -- cell specs ---------------------------------------------------------------
 
 class OhbSpec(NamedTuple):
-    """One OHB cell: what to run, then the what-if knobs to run it under.
+    """One OHB cell; ``run()`` returns an :class:`~repro.harness.experiments.OhbCell`.
 
     The first six fields are the argument order of ``experiments._run_ohb``
     with the system passed by name; plain 6- and 7-tuples are the same
-    spec with the remaining fields at their defaults.  The four rates are
-    the :class:`~repro.obs.whatif.Perturbation` knobs the simulator can
-    realise (1.0 = unchanged): ``link_rate`` scales the fabric line rate
-    (every transport derives its ``per_byte_s`` from it), ``poll_tax`` the
-    cost model's Basic poll costs, ``serializer_rate`` /
-    ``local_read_rate`` its ramdisk shuffle write / read bandwidths.
+    spec with the remaining fields at their defaults. ``link_rate``
+    scales the fabric line rate (every transport derives its
+    ``per_byte_s`` from it); every other knob is a field of ``cost``.
     """
 
     workload: str
@@ -78,165 +78,121 @@ class OhbSpec(NamedTuple):
     system: str
     obs_causal: bool = False
     link_rate: float = 1.0
-    poll_tax: float = 1.0
-    serializer_rate: float = 1.0
-    local_read_rate: float = 1.0
+    io_threads: int = 8
+    cost: CostModel = DEFAULT_COST
 
-
-def perturbed_system(system, link_rate: float):
-    """``system`` with its fabric line rate scaled by ``link_rate``."""
-    if link_rate == 1.0:
-        return system
-    fabric = dataclasses.replace(
-        system.fabric, line_rate_Bps=system.fabric.line_rate_Bps * link_rate
-    )
-    return dataclasses.replace(system, fabric=fabric)
-
-
-def run_ohb_cell(spec: tuple, cost: CostModel = DEFAULT_COST) -> Any:
-    """Worker: one OHB cell from an :class:`OhbSpec` (or a plain tuple
-    of its leading fields), through the run cache.
-
-    The cell runs under ``cost`` with the spec's poll-tax and ramdisk
-    knobs multiplied in. The cache key is the normalised spec plus that
-    model, so a spec at identity knobs and the plain 6-tuple are one
-    entry, and every perturbed cell or model is its own.
-    """
-    spec = OhbSpec(*spec)
-    from repro.harness.runcache import get_or_run
-
-    # Poll-tax scaling: cheaper polls *and* a proportionally shorter poll
-    # period — poll_tax=0.0 is a free, instantly-reactive poll loop, the
-    # simulator's closest realization of "no polling tax".
-    cost = dataclasses.replace(
-        cost,
-        select_now_cost_s=cost.select_now_cost_s * spec.poll_tax,
-        iprobe_cost_s=cost.iprobe_cost_s * spec.poll_tax,
-        basic_poll_period_s=cost.basic_poll_period_s * spec.poll_tax,
-        ramdisk_write_Bps=cost.ramdisk_write_Bps * spec.serializer_rate,
-        ramdisk_read_Bps=cost.ramdisk_read_Bps * spec.local_read_rate,
-    )
-
-    def _run():
+    def run(self) -> Any:
         from repro.harness.experiments import _run_ohb
         from repro.harness.systems import SYSTEMS
         from repro.workloads.ohb import GROUP_BY, SORT_BY
 
+        system = SYSTEMS[self.system]
+        if self.link_rate != 1.0:
+            fabric = dataclasses.replace(
+                system.fabric, line_rate_Bps=system.fabric.line_rate_Bps * self.link_rate
+            )
+            system = dataclasses.replace(system, fabric=fabric)
         workloads = {w.name: w for w in (GROUP_BY, SORT_BY)}
         return _run_ohb(
-            workloads[spec.workload],
-            spec.n_workers,
-            spec.data_bytes,
-            spec.transport,
-            spec.fidelity,
-            system=perturbed_system(SYSTEMS[spec.system], spec.link_rate),
-            obs_causal=spec.obs_causal,
-            cost=cost,
+            workloads[self.workload], self.n_workers, self.data_bytes, self.transport,
+            self.fidelity, system=system, obs_causal=self.obs_causal,
+            io_threads=self.io_threads, cost=self.cost,
         )
 
-    return get_or_run("ohb", spec, _run, cost=cost)
 
+class HiBenchSpec(NamedTuple):
+    """One HiBench cell; ``run()`` returns a :class:`~repro.harness.experiments.HiBenchCell`.
 
-def run_hibench_cell(spec: tuple) -> Any:
-    """Worker: one HiBench cell from a primitive spec.
-
-    ``spec`` is ``(workload_name, system_name, n_workers, transport,
-    cores_per_executor, fidelity)``; ``cores_per_executor`` may be None.
+    ``cores_per_executor`` may be None (the system's cores per node).
     """
-    workload_name, system_name, n_workers, transport, cores, fidelity = spec
-    from repro.harness.runcache import get_or_run
 
-    def _run():
+    workload: str
+    system: str
+    n_workers: int
+    transport: str
+    cores_per_executor: int | None
+    fidelity: float
+
+    def run(self) -> Any:
         from repro.harness.experiments import HiBenchCell
         from repro.harness.systems import SYSTEMS
         from repro.spark.deploy import SparkSimCluster
         from repro.workloads.hibench import SPECS
 
-        system = SYSTEMS[system_name]
-        sim = SparkSimCluster(system, n_workers, transport, cores_per_executor=cores)
+        system = SYSTEMS[self.system]
+        cores = self.cores_per_executor
+        sim = SparkSimCluster(system, self.n_workers, self.transport, cores_per_executor=cores)
         sim.launch()
-        prof = SPECS[workload_name].build_profile(
-            system, n_workers, cores_per_executor=cores, fidelity=fidelity
+        prof = SPECS[self.workload].build_profile(
+            system, self.n_workers, cores_per_executor=cores, fidelity=self.fidelity
         )
         res = sim.run_profile(prof)
         sim.shutdown()
-        return HiBenchCell(workload_name, system.name, transport, res.total_seconds)
-
-    canon = (workload_name, system_name, n_workers, transport, cores, fidelity)
-    return get_or_run("hibench", canon, _run)
+        return HiBenchCell(self.workload, system.name, self.transport, res.total_seconds)
 
 
-def run_jobserver_cell(spec: tuple) -> Any:
-    """Worker: one job-server contention cell from a primitive spec.
-
-    ``spec`` is ``(transport, scheduler_name, system_name, n_workers,
-    cores_per_executor, cluster_seed, trace_spec)`` with ``trace_spec`` =
-    ``(seed, n_jobs, mean_interarrival_s, min_bytes, max_bytes,
-    parallelism_choices, fidelity)`` — primitives only, so cells pickle
-    under any start method. Returns a
+class JobServerSpec(NamedTuple):
+    """One job-server contention cell; ``run()`` returns a
     :class:`~repro.jobserver.server.JobServerResult`.
-    """
-    transport, sched_name, system_name, n_workers, cores, cluster_seed, ts = spec
-    seed, n_jobs, mean_ia, min_bytes, max_bytes, par_choices, fidelity = ts
-    from repro.harness.runcache import get_or_run
 
-    def _run():
+    ``trace`` is ``(seed, n_jobs, mean_interarrival_s, min_bytes,
+    max_bytes, parallelism_choices, fidelity)`` with a tuple of choices.
+    """
+
+    transport: str
+    scheduler: str
+    system: str
+    n_workers: int
+    cores_per_executor: int
+    cluster_seed: int
+    trace: tuple
+
+    def run(self) -> Any:
         from repro.harness.systems import SYSTEMS
         from repro.jobserver import SCHEDULERS, poisson_trace, run_trace
         from repro.spark.deploy import SparkSimCluster
 
+        seed, n_jobs, mean_ia, min_bytes, max_bytes, choices, fidelity = self.trace
         trace = poisson_trace(
-            seed=seed,
-            n_jobs=n_jobs,
-            mean_interarrival_s=mean_ia,
-            min_bytes=min_bytes,
-            max_bytes=max_bytes,
-            parallelism_choices=tuple(par_choices),
-            fidelity=fidelity,
+            seed, n_jobs, mean_interarrival_s=mean_ia, min_bytes=min_bytes,
+            max_bytes=max_bytes, parallelism_choices=choices, fidelity=fidelity,
         )
         sim = SparkSimCluster(
-            SYSTEMS[system_name],
-            n_workers,
-            transport,
-            cores_per_executor=cores,
-            seed=cluster_seed,
+            SYSTEMS[self.system], self.n_workers, self.transport,
+            cores_per_executor=self.cores_per_executor, seed=self.cluster_seed,
         )
-        return run_trace(sim, SCHEDULERS.create(sched_name), trace)
-
-    canon = (
-        transport, sched_name, system_name, n_workers, cores, cluster_seed,
-        (seed, n_jobs, mean_ia, min_bytes, max_bytes, tuple(par_choices), fidelity),
-    )
-    return get_or_run("jobserver", canon, _run)
+        return run_trace(sim, SCHEDULERS.create(self.scheduler), trace)
 
 
-def run_flight_cell(spec: tuple) -> Any:
-    """Worker: one causal OHB cell, returning its flight recording.
+# -- the runner (module-level: worker processes import it) --------------------
 
-    ``spec`` is a :func:`run_ohb_cell` spec with ``obs_causal`` forced
-    on; the return value is the run's
-    :class:`~repro.obs.flightrec.FlightRecorder` (picklable), which is
-    what baseline recording and blame reports need.
-    """
-    cell = run_ohb_cell(OhbSpec(*spec)._replace(obs_causal=True))
-    return cell.result.flight
+def run_cell(spec: OhbSpec | HiBenchSpec | JobServerSpec) -> Any:
+    """Run one cell spec through the run cache, keyed on the spec alone."""
+    from repro.harness.runcache import get_or_run
+
+    return get_or_run(spec, spec.run)
+
+
+def run_cells(specs: Iterable[tuple], jobs: int | None = None) -> list[Any]:
+    """Run cell specs of any kinds, preserving spec order in the result list."""
+    return parallel_map(run_cell, list(specs), jobs)
+
+
+# Plain-tuple adapters for callers that build specs as tuples.
+
+def run_ohb_cell(spec: tuple) -> Any:
+    return run_cell(OhbSpec(*spec))
 
 
 def run_ohb_cells(specs: Iterable[tuple], jobs: int | None = None) -> list[Any]:
-    """Run OHB cell specs, preserving spec order in the result list."""
-    return parallel_map(run_ohb_cell, list(specs), jobs)
+    return run_cells([OhbSpec(*spec) for spec in specs], jobs)
 
 
-def run_flight_cells(specs: Iterable[tuple], jobs: int | None = None) -> list[Any]:
-    """Run causal cell specs, returning flight recordings in spec order."""
-    return parallel_map(run_flight_cell, list(specs), jobs)
+def run_hibench_cell(spec: tuple) -> Any:
+    return run_cell(HiBenchSpec(*spec))
 
 
-def run_hibench_cells(specs: Iterable[tuple], jobs: int | None = None) -> list[Any]:
-    """Run HiBench cell specs, preserving spec order in the result list."""
-    return parallel_map(run_hibench_cell, list(specs), jobs)
-
-
-def run_jobserver_cells(specs: Iterable[tuple], jobs: int | None = None) -> list[Any]:
-    """Run job-server cell specs, preserving spec order in the result list."""
-    return parallel_map(run_jobserver_cell, list(specs), jobs)
+def run_jobserver_cell(spec: tuple) -> Any:
+    *cell, (seed, n_jobs, mean_ia, lo, hi, choices, fidelity) = spec
+    trace = (seed, n_jobs, mean_ia, lo, hi, tuple(choices), fidelity)
+    return run_cell(JobServerSpec(*cell, trace))

@@ -2,28 +2,31 @@
 
 This is the harness's one persistent store, and the policy is by cost: a
 simulated cell (seconds of host time) is worth keeping across processes
-and goes through :func:`get_or_run`; a sample trace (milliseconds) is
-memoised per process by :mod:`repro.harness.tracecache` and nothing
-else; host seconds are never part of a cached or committed result.
-Every cell result is a pure function of its primitive spec — that is the
-parallel harness's founding invariant — so a cell's result is cached in
+and goes through :func:`get_or_run` (from ``parallel.run_cell``); a
+sample trace (milliseconds) is memoised per process by
+:mod:`repro.harness.tracecache` and nothing else; host seconds are never
+part of a cached or committed result.
+Every cell result is a pure function of its spec — that is the parallel
+harness's founding invariant — so a cell's result is cached in
 
 * an **in-process memo** (dict) — free hits within one process;
 * a **content-addressed disk store** under ``results/.runcache/`` —
   shared across the ``ProcessPoolExecutor`` workers of
   :mod:`repro.harness.parallel` and across repeated CI runs.
 
-The key is a sha256 over a canonical textual repr of (schema, cell kind,
-the full primitive spec tuple, the :class:`~repro.simnet.interconnect.CostModel`
-the cell ran under, a code-version fingerprint of ``src/repro``, and
-the Python minor version). The code fingerprint — a sha256 over the
-sorted (path, content-hash) pairs of every ``repro`` source file — means
-*any* source edit invalidates every entry cleanly: stale entries are
-never read because the address they were stored under no longer matches
-anything the code asks for. The cost model covers the other direction: a
-cell run under a changed model (a what-if knob, blame's ``inject``) in an
-unchanged source tree gets its own address, so it can neither poison nor
-read the default model's entries.
+The key is a sha256 over a canonical textual repr of (schema, the cell
+spec, a code-version fingerprint of ``src/repro``, and the Python minor
+version). A spec is a ``NamedTuple`` of :mod:`repro.harness.parallel`,
+so its repr holds its type name and every field, the
+:class:`~repro.simnet.interconnect.CostModel` the cell runs under
+included. The code fingerprint — a sha256 over the sorted (path,
+content-hash) pairs of every ``repro`` source file — means *any* source
+edit invalidates every entry cleanly: stale entries are never read
+because the address they were stored under no longer matches anything
+the code asks for. The cost model covers the other direction: a cell run
+under a changed model (a what-if knob, blame's ``inject``, an ablation)
+in an unchanged source tree gets its own address, so it can neither
+poison nor read the default model's entries.
 
 Both tiers store the *pickled* result blob and every hit unpickles it
 afresh, so a cached cell is byte-identical to a recomputed one and no two
@@ -48,8 +51,6 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
-
-from repro.simnet.interconnect import DEFAULT_COST, CostModel
 
 RUN_SCHEMA = "run-result/1"
 
@@ -124,9 +125,8 @@ def _reset_fingerprint_cache() -> None:
     _FINGERPRINT = None
 
 
-def run_key(kind: str, spec: tuple, cost: CostModel = DEFAULT_COST) -> str:
-    """Content hash addressing one (kind, spec, cost model, code-version)
-    cell result.
+def run_key(spec: tuple) -> str:
+    """Content hash addressing one (spec, code-version) cell result.
 
     Canonical-repr hashing, not ``hash()``: PYTHONHASHSEED salts the
     builtin hash per process, and the whole point of the disk tier is
@@ -135,9 +135,7 @@ def run_key(kind: str, spec: tuple, cost: CostModel = DEFAULT_COST) -> str:
     material = repr(
         (
             RUN_SCHEMA,
-            kind,
             spec,
-            cost,
             code_fingerprint(),
             f"py{sys.version_info.major}.{sys.version_info.minor}",
         )
@@ -195,11 +193,9 @@ def _store_disk(key: str, result_blob: bytes) -> None:
         _STATS["errors"] += 1
 
 
-def get_or_run(
-    kind: str, spec: tuple, runner: Callable[[], Any], cost: CostModel = DEFAULT_COST
-) -> Any:
-    """Return the result for (kind, spec) under ``cost``, simulating at
-    most once per machine while the cache holds.
+def get_or_run(spec: tuple, runner: Callable[[], Any]) -> Any:
+    """Return the result for ``spec``, simulating at most once per machine
+    while the cache holds.
 
     Lookup order: in-process memo, disk store, then ``runner()`` (the
     real cell simulation) with the pickled result promoted into both
@@ -210,7 +206,7 @@ def get_or_run(
     if not cache_enabled():
         _STATS["cell_runs"] += 1
         return runner()
-    key = run_key(kind, spec, cost)
+    key = run_key(spec)
     blob = _MEMO.get(key)
     if blob is not None:
         _STATS["hits_mem"] += 1

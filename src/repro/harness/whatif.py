@@ -5,19 +5,22 @@ questions analytically from a recorded trace.  This module keeps it
 honest: for every fig9/fig10 cell it records a causally-traced baseline,
 re-times it under each validation perturbation, then *re-simulates* the
 same cell with the knob actually changed in the simulator and compares
-the two walls.  A ground-truth cell is an ordinary cached OHB cell whose
-:class:`~repro.harness.parallel.OhbSpec` carries the knobs
-(:func:`truth_spec`); :func:`~repro.harness.parallel.run_ohb_cell`
-applies them and the run cache stores the result, so a matrix that has
-been validated once on this tree is re-validated without simulating.
+the two walls.  A ground-truth cell is an ordinary cached
+:class:`~repro.harness.parallel.OhbSpec` (:func:`truth_spec`): the link
+rate is its ``link_rate`` field and every other knob is a field of the
+:class:`~repro.simnet.interconnect.CostModel` it carries, so the run cache
+stores it like any cell and a matrix that has been validated once on this
+tree is re-validated without simulating.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
-from repro.harness.parallel import OhbSpec, run_ohb_cells
+from repro.harness.parallel import OhbSpec, run_cells
 from repro.obs.whatif import IDENTITY, Perturbation, ReplayModel
+from repro.simnet.interconnect import DEFAULT_COST
 from repro.util.units import GiB
 
 # The three perturbation kinds the acceptance gate requires (link rate,
@@ -35,12 +38,27 @@ WHATIF_TOLERANCE = 0.10
 def truth_spec(
     cell: dict[str, Any], p: Perturbation, fidelity: float, system_name: str
 ) -> OhbSpec:
-    """The OHB cell that re-simulates ``cell`` with ``p``'s knobs applied."""
+    """The OHB cell that re-simulates ``cell`` with ``p``'s knobs applied:
+    the fabric line rate scaled by ``link_rate``, and a cost model whose
+    Basic poll costs and ramdisk bandwidths are the defaults times the
+    knob (at identity knobs, the default model)."""
     if p.compute != 1.0 or p.executors is not None:
         raise ValueError(
             f"no simulator ground truth for perturbation {p.name!r}: compute "
             "and executor re-width knobs are analytic-only"
         )
+    c = DEFAULT_COST
+    # Poll-tax scaling: cheaper polls *and* a proportionally shorter poll
+    # period — poll_tax=0.0 is a free, instantly-reactive poll loop, the
+    # simulator's closest realization of "no polling tax".
+    cost = replace(
+        c,
+        select_now_cost_s=c.select_now_cost_s * p.poll_tax,
+        iprobe_cost_s=c.iprobe_cost_s * p.poll_tax,
+        basic_poll_period_s=c.basic_poll_period_s * p.poll_tax,
+        ramdisk_write_Bps=c.ramdisk_write_Bps * p.serializer_rate,
+        ramdisk_read_Bps=c.ramdisk_read_Bps * p.local_read_rate,
+    )
     return OhbSpec(
         cell["workload"],
         cell["n_workers"],
@@ -49,9 +67,7 @@ def truth_spec(
         fidelity,
         system_name,
         link_rate=p.link_rate,
-        poll_tax=p.poll_tax,
-        serializer_rate=p.serializer_rate,
-        local_read_rate=p.local_read_rate,
+        cost=cost,
     )
 
 
@@ -123,7 +139,7 @@ def validate_matrix(
     truth_specs = [
         truth_spec(c, p, fidelity, system_name) for c in cells for p in perturbations
     ]
-    results = run_ohb_cells(base_specs + truth_specs, jobs)
+    results = run_cells(base_specs + truth_specs, jobs)
     recorded, truths = results[: len(cells)], results[len(cells):]
 
     out_cells: list[dict[str, Any]] = []

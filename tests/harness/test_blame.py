@@ -4,6 +4,8 @@ Fast structural tests only — nothing here simulates. The blame reports
 run real cells in ``benchmarks/test_diff.py`` and ``examples/run_diff.py``.
 """
 
+import pickle
+
 import pytest
 
 from repro.harness.blame import (
@@ -23,11 +25,10 @@ class TestBlameKnobs:
     def test_blame_specs_are_primitive_causal_cells(self):
         for transport in BLAME_TRANSPORTS:
             spec = blame_spec(transport)
-            assert spec[3] == transport
-            assert spec[6] is True  # causal recording on
-            assert all(
-                isinstance(x, (str, int, float, bool)) for x in spec
-            )  # pickles under any start method
+            assert spec.transport == transport
+            assert spec.obs_causal is True  # causal recording on
+            # pickles under any start method, its cost model included
+            assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_baseline_paths_are_committed_recordings(self):
         for transport in BLAME_TRANSPORTS:

@@ -1,15 +1,12 @@
 """Parallel experiment harness: determinism and jobs plumbing."""
 
-import os
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.parallel import (
-    parallel_map,
-    resolve_jobs,
-    run_ohb_cells,
-)
+from repro.harness.parallel import OhbSpec, parallel_map, resolve_jobs, run_cells
 from repro.harness.systems import FRONTERA
+from repro.simnet.interconnect import DEFAULT_COST
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY, SORT_BY
 
@@ -63,23 +60,28 @@ class TestJobsDeterminism:
     @pytest.fixture(scope="class")
     def specs(self):
         # Cheap cells: tiny data, low fidelity — this is about plumbing,
-        # not simulation scale.
-        return [
-            (workload.name, 2, 1 * GiB, transport, 0.05, FRONTERA.name)
+        # not simulation scale. The last two are a cost sweep: one cell
+        # under two models.
+        specs = [
+            OhbSpec(workload.name, 2, 1 * GiB, transport, 0.05, FRONTERA.name)
             for workload in (GROUP_BY, SORT_BY)
             for transport in ("nio", "mpi-opt")
+        ]
+        return specs + [
+            specs[0]._replace(cost=replace(DEFAULT_COST, max_bytes_in_flight=window))
+            for window in (4 << 20, 16 << 20)
         ]
 
     def test_rows_identical_across_jobs_counts(self, specs, monkeypatch):
         # Run-cache off: the point is that *executions* agree across
         # worker counts, not that the second sweep replays the first.
         monkeypatch.setenv("REPRO_RUN_CACHE", "0")
-        serial = run_ohb_cells(specs, jobs=1)
-        fanned = run_ohb_cells(specs, jobs=4)
+        serial = run_cells(specs, jobs=1)
+        fanned = run_cells(specs, jobs=4)
         assert [_row(c) for c in serial] == [_row(c) for c in fanned]
 
     def test_row_order_follows_spec_order(self, specs):
-        cells = run_ohb_cells(specs, jobs=4)
+        cells = run_cells(specs, jobs=4)
         assert [(c.workload, c.transport) for c in cells] == [
-            (name, transport) for (name, _, _, transport, _, _) in specs
+            (s.workload, s.transport) for s in specs
         ]

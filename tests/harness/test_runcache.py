@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.harness import runcache
-from repro.harness.parallel import OhbSpec, run_ohb_cell, run_ohb_cells
+from repro.harness.parallel import OhbSpec, run_cell, run_cells
 from repro.harness.runcache import (
     RUN_SCHEMA,
     cache_dir,
@@ -27,7 +27,7 @@ from repro.harness.runcache import (
 from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.util.units import GiB
 
-SPEC = ("GroupByTest", 2, 1 * GiB, "nio", 0.05, "Frontera")
+SPEC = OhbSpec("GroupByTest", 2, 1 * GiB, "nio", 0.05, "Frontera")
 
 
 @pytest.fixture(autouse=True)
@@ -59,30 +59,30 @@ class TestEnableSwitch:
         monkeypatch.setenv("REPRO_RUN_CACHE", "0")
         assert not cache_enabled()
         calls = []
-        out = get_or_run("fake", ("spec",), lambda: calls.append(1) or "x")
+        out = get_or_run(("fake",), lambda: calls.append(1) or "x")
         assert out == "x" and calls == [1]
-        get_or_run("fake", ("spec",), lambda: calls.append(1) or "x")
+        get_or_run(("fake",), lambda: calls.append(1) or "x")
         assert calls == [1, 1]  # every call re-runs
         assert not _entry_paths()
 
 
 class TestKeying:
     def test_key_is_deterministic_and_spec_sensitive(self):
-        k1 = run_key("ohb", SPEC)
-        assert k1 == run_key("ohb", SPEC)
-        assert k1 != run_key("hibench", SPEC)
-        assert k1 != run_key("ohb", SPEC[:-1] + ("Stampede2",))
+        k1 = run_key(SPEC)
+        assert k1 == run_key(OhbSpec(*SPEC))
+        assert k1 != run_key(tuple(SPEC))  # the spec's type is in the key
+        assert k1 != run_key(SPEC._replace(system="Stampede2"))
 
     def test_key_covers_every_cost_model_field(self):
         # Cells run under models that differ in any one field must never
         # share an address.
-        keys = {run_key("ohb", SPEC)}
-        assert run_key("ohb", SPEC, DEFAULT_COST) in keys
+        keys = {run_key(SPEC)}
+        assert run_key(SPEC._replace(cost=CostModel())) in keys
         for f in dataclasses.fields(CostModel):
             cost = dataclasses.replace(
                 DEFAULT_COST, **{f.name: getattr(DEFAULT_COST, f.name) * 2}
             )
-            keys.add(run_key("ohb", SPEC, cost))
+            keys.add(run_key(SPEC._replace(cost=cost)))
         assert len(keys) == 1 + len(dataclasses.fields(CostModel))
 
     @pytest.mark.parametrize(
@@ -96,20 +96,20 @@ class TestKeying:
         # The fetch window and the rendezvous threshold once stayed out of
         # the key: a cell run under a changed one was served the default
         # model's entry.
-        spec = SPEC[:3] + (transport,) + SPEC[4:]
-        cost = dataclasses.replace(DEFAULT_COST, **{field: value})
-        assert run_key("ohb", spec, cost) != run_key("ohb", spec)
-        run_ohb_cell(spec)
+        spec = SPEC._replace(transport=transport)
+        changed = spec._replace(cost=dataclasses.replace(DEFAULT_COST, **{field: value}))
+        assert run_key(changed) != run_key(spec)
+        run_cell(spec)
         before = runcache.run_cache_stats()["cell_runs"]
-        run_ohb_cell(spec, cost=cost)
+        run_cell(changed)
         assert runcache.run_cache_stats()["cell_runs"] == before + 1
-        run_ohb_cell(spec, cost=cost)
+        run_cell(changed)
         assert runcache.run_cache_stats()["cell_runs"] == before + 1
 
     def test_key_covers_code_fingerprint(self, monkeypatch):
-        k1 = run_key("ohb", SPEC)
+        k1 = run_key(SPEC)
         monkeypatch.setattr(runcache, "_FINGERPRINT", "0" * 64)
-        assert run_key("ohb", SPEC) != k1
+        assert run_key(SPEC) != k1
 
     def test_fingerprint_tracks_source_edits(self, tmp_path, monkeypatch):
         (tmp_path / "a.py").write_text("x = 1\n")
@@ -133,23 +133,23 @@ class TestTiers:
             calls.append(1)
             return {"rows": [1, 2, 3]}
 
-        r1 = get_or_run("fake", ("tiers",), runner)
+        r1 = get_or_run(("tiers",), runner)
         assert calls == [1]
         # Memo hit: no new execution, equal value, never the same object.
-        r2 = get_or_run("fake", ("tiers",), runner)
+        r2 = get_or_run(("tiers",), runner)
         assert calls == [1] and r2 == r1 and r2 is not r1
         # Disk hit after a memo wipe (a fresh worker process).
         runcache.clear_memory_cache()
-        r3 = get_or_run("fake", ("tiers",), runner)
+        r3 = get_or_run(("tiers",), runner)
         assert calls == [1] and r3 == r1
         assert len(_entry_paths()) == 1
 
     def test_stats_account_hits_and_misses(self):
         base = runcache.run_cache_stats()
-        get_or_run("fake", ("stats",), lambda: "v")
-        get_or_run("fake", ("stats",), lambda: "v")
+        get_or_run(("stats",), lambda: "v")
+        get_or_run(("stats",), lambda: "v")
         runcache.clear_memory_cache()
-        get_or_run("fake", ("stats",), lambda: "v")
+        get_or_run(("stats",), lambda: "v")
         stats = runcache.run_cache_stats()
         assert stats["misses"] == base["misses"] + 1
         assert stats["cell_runs"] == base["cell_runs"] + 1
@@ -164,34 +164,34 @@ class TestTiers:
             return lambda: None  # locals don't pickle
 
         base_errors = runcache.run_cache_stats()["errors"]
-        out = get_or_run("fake", ("unpicklable",), runner)
+        out = get_or_run(("unpicklable",), runner)
         assert callable(out) and calls == [1]
         assert runcache.run_cache_stats()["errors"] == base_errors + 1
         assert not _entry_paths()
         # Next call runs again — nothing was cached.
-        get_or_run("fake", ("unpicklable",), runner)
+        get_or_run(("unpicklable",), runner)
         assert calls == [1, 1]
 
 
 class TestCellRows:
     def test_cold_warm_disabled_rows_identical(self, monkeypatch):
-        cold = [_canon(c) for c in run_ohb_cells([SPEC], jobs=1)]
+        cold = [_canon(c) for c in run_cells([SPEC], jobs=1)]
         assert len(_entry_paths()) == 1
         # Warm memo.
-        memo = [_canon(c) for c in run_ohb_cells([SPEC], jobs=1)]
+        memo = [_canon(c) for c in run_cells([SPEC], jobs=1)]
         # Warm disk (fresh-process shape: cold memo, surviving store).
         runcache.clear_memory_cache()
-        disk = [_canon(c) for c in run_ohb_cells([SPEC], jobs=1)]
+        disk = [_canon(c) for c in run_cells([SPEC], jobs=1)]
         # Disabled: a genuine re-simulation.
         monkeypatch.setenv("REPRO_RUN_CACHE", "0")
-        off = [_canon(c) for c in run_ohb_cells([SPEC], jobs=1)]
+        off = [_canon(c) for c in run_cells([SPEC], jobs=1)]
         assert cold == memo == disk == off
 
     def test_warm_hit_skips_simulation(self):
-        run_ohb_cells([SPEC], jobs=1)
+        run_cells([SPEC], jobs=1)
         base = runcache.run_cache_stats()["cell_runs"]
         runcache.clear_memory_cache()
-        run_ohb_cells([SPEC], jobs=1)
+        run_cells([SPEC], jobs=1)
         assert runcache.run_cache_stats()["cell_runs"] == base
 
     def test_knob_twin_is_its_own_entry_and_warm_tiers_are_fast(self):
@@ -207,7 +207,7 @@ class TestCellRows:
             cells, walls = [], []
             for spec in specs:
                 t0 = time.perf_counter()
-                cells.append(run_ohb_cell(spec))
+                cells.append(run_cell(spec))
                 walls.append(time.perf_counter() - t0)
             return cells, walls
 
@@ -222,10 +222,10 @@ class TestCellRows:
             assert all(c >= 5 * w for c, w in zip(cold_s, warm_s)), (cold_s, warm_s)
 
     def test_pool_workers_share_parent_seeded_store(self):
-        specs = [SPEC, ("SortByTest", 2, 1 * GiB, "mpi-opt", 0.05, "Frontera")]
-        serial = [_canon(c) for c in run_ohb_cells(specs, jobs=1)]
+        specs = [SPEC, OhbSpec("SortByTest", 2, 1 * GiB, "mpi-opt", 0.05, "Frontera")]
+        serial = [_canon(c) for c in run_cells(specs, jobs=1)]
         assert len(_entry_paths()) == 2
-        fanned = [_canon(c) for c in run_ohb_cells(specs, jobs=4)]
+        fanned = [_canon(c) for c in run_cells(specs, jobs=4)]
         assert serial == fanned
 
 
@@ -237,7 +237,7 @@ class TestCorruption:
             calls.append(1)
             return {"payload": 42}
 
-        get_or_run("fake", ("corrupt",), runner)
+        get_or_run(("corrupt",), runner)
         runcache.clear_memory_cache()
         return calls, runner
 
@@ -246,19 +246,19 @@ class TestCorruption:
         (path,) = _entry_paths()
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 3])
         base_err = runcache.run_cache_stats()["errors"]
-        out = get_or_run("fake", ("corrupt",), runner)
+        out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
         assert runcache.run_cache_stats()["errors"] == base_err + 1
         # The entry was rewritten: a fresh cold process now hits disk.
         runcache.clear_memory_cache()
-        get_or_run("fake", ("corrupt",), runner)
+        get_or_run(("corrupt",), runner)
         assert calls == [1, 1]
 
     def test_garbage_bytes_recompute(self):
         calls, runner = self._prime()
         (path,) = _entry_paths()
         path.write_bytes(b"not a pickle at all")
-        out = get_or_run("fake", ("corrupt",), runner)
+        out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
 
     def test_miskeyed_entry_recomputes(self):
@@ -272,7 +272,7 @@ class TestCorruption:
             "result": pickle.dumps({"payload": 42}),
         }
         path.write_bytes(pickle.dumps(payload))
-        out = get_or_run("fake", ("corrupt",), runner)
+        out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
 
     def test_wrong_schema_recomputes(self):
@@ -282,7 +282,7 @@ class TestCorruption:
         payload = pickle.loads(blob)
         payload["schema"] = "run-result/0"
         path.write_bytes(pickle.dumps(payload))
-        out = get_or_run("fake", ("corrupt",), runner)
+        out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
 
     def test_stale_code_fingerprint_entry_is_unreachable(self, monkeypatch):
@@ -292,7 +292,7 @@ class TestCorruption:
         calls, runner = self._prime()
         assert len(_entry_paths()) == 1
         monkeypatch.setattr(runcache, "_FINGERPRINT", "f" * 64)
-        out = get_or_run("fake", ("corrupt",), runner)
+        out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
         assert len(_entry_paths()) == 2  # old entry intact, new one added
 

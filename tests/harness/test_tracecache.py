@@ -15,7 +15,7 @@ import pytest
 
 from repro.harness import tracecache
 from repro.harness.experiments import _run_ohb
-from repro.harness.parallel import run_ohb_cells
+from repro.harness.parallel import OhbSpec, run_cells
 from repro.harness.systems import FRONTERA
 from repro.harness.tracecache import get_or_trace, trace_key
 from repro.spark.tracing import SampleTrace
@@ -164,11 +164,10 @@ class TestParallelWorkers:
         # entirely and prove nothing about the traces).
         monkeypatch.setenv("REPRO_RUN_CACHE", "0")
         specs = [
-            ("GroupByTest", 2, 1 * GiB, "nio", 0.05, "Frontera"),
-            ("GroupByTest", 2, 1 * GiB, "mpi-opt", 0.05, "Frontera"),
-            ("SortByTest", 2, 1 * GiB, "nio", 0.05, "Frontera"),
-            ("SortByTest", 2, 1 * GiB, "mpi-opt", 0.05, "Frontera"),
+            OhbSpec(workload, 2, 1 * GiB, transport, 0.05, "Frontera")
+            for workload in ("GroupByTest", "SortByTest")
+            for transport in ("nio", "mpi-opt")
         ]
-        serial = [_canon_cell(c) for c in run_ohb_cells(specs, jobs=1)]
-        parallel = [_canon_cell(c) for c in run_ohb_cells(specs, jobs=4)]
+        serial = [_canon_cell(c) for c in run_cells(specs, jobs=1)]
+        parallel = [_canon_cell(c) for c in run_cells(specs, jobs=4)]
         assert serial == parallel

@@ -1,7 +1,7 @@
 """What-if truth cells are ordinary cached OHB cells.
 
-The knobs are fields of the cell spec: they enter the run-cache key and
-are resolved into the cost model the cell's cluster is built with.
+``truth_spec`` turns the knobs into the spec's link rate and cost model,
+so they enter the run-cache key like any other field.
 One small cell (2 workers, 1 GiB, fidelity 0.05) carries every check.
 """
 
@@ -11,18 +11,18 @@ import json
 
 import pytest
 
-from repro.harness.parallel import OhbSpec, run_ohb_cell
+from repro.harness.parallel import OhbSpec, run_cell
 from repro.harness.runcache import run_cache_stats, run_key
 from repro.harness.whatif import truth_spec, validate_matrix
 from repro.obs.whatif import IDENTITY, Perturbation
 from repro.util.units import GiB
 
-PLAIN = ("GroupByTest", 2, 1 * GiB, "mpi-basic", 0.05, "Frontera")
+PLAIN = OhbSpec("GroupByTest", 2, 1 * GiB, "mpi-basic", 0.05, "Frontera")
 CELL = {
-    "workload": PLAIN[0],
-    "n_workers": PLAIN[1],
-    "data_bytes": PLAIN[2],
-    "transport": PLAIN[3],
+    "workload": PLAIN.workload,
+    "n_workers": PLAIN.n_workers,
+    "data_bytes": PLAIN.data_bytes,
+    "transport": PLAIN.transport,
     "figures": ["test"],
 }
 KNOBS = {
@@ -38,29 +38,30 @@ def _cell_runs() -> int:
 
 
 def test_identity_spec_is_the_plain_tuple():
-    identity = truth_spec(CELL, IDENTITY, PLAIN[4], PLAIN[5])
-    assert identity == OhbSpec(*PLAIN)
+    identity = truth_spec(CELL, IDENTITY, PLAIN.fidelity, PLAIN.system)
+    assert identity == PLAIN
     before = _cell_runs()
-    plain = run_ohb_cell(PLAIN)
-    again = run_ohb_cell(identity)
+    plain = run_cell(PLAIN)
+    again = run_cell(identity)
     assert _cell_runs() == before + 1
     assert again.total_seconds == plain.total_seconds
 
 
 def test_each_knob_has_its_own_entry():
-    keys = {run_key("ohb", OhbSpec(*PLAIN))}
-    plain = run_ohb_cell(PLAIN)
+    keys = {run_key(PLAIN)}
+    plain = run_cell(PLAIN)
     for knob, value in KNOBS.items():
-        spec = OhbSpec(*PLAIN)._replace(**{knob: value})
-        keys.add(run_key("ohb", spec))
+        p = Perturbation(name=knob, **{knob: value})
+        spec = truth_spec(CELL, p, PLAIN.fidelity, PLAIN.system)
+        keys.add(run_key(spec))
         before = _cell_runs()
-        perturbed = run_ohb_cell(spec)
+        perturbed = run_cell(spec)
         assert _cell_runs() == before + 1, f"{knob} served from another entry"
         assert perturbed.total_seconds != plain.total_seconds, knob
     assert len(keys) == 1 + len(KNOBS)
     # ...and the perturbed runs did not overwrite the unperturbed entry.
     before = _cell_runs()
-    assert run_ohb_cell(PLAIN).total_seconds == plain.total_seconds
+    assert run_cell(PLAIN).total_seconds == plain.total_seconds
     assert _cell_runs() == before
 
 
@@ -70,9 +71,9 @@ def test_validate_matrix_twice_simulates_once_and_has_no_host_time():
         Perturbation(name="zero poll-tax", poll_tax=0.0),
     )
     before = _cell_runs()
-    first = validate_matrix([CELL], perturbations, fidelity=PLAIN[4])
+    first = validate_matrix([CELL], perturbations, fidelity=PLAIN.fidelity)
     assert _cell_runs() == before + 1 + len(perturbations)
-    second = validate_matrix([CELL], perturbations, fidelity=PLAIN[4])
+    second = validate_matrix([CELL], perturbations, fidelity=PLAIN.fidelity)
     assert _cell_runs() == before + 1 + len(perturbations)
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert first["summary"]["identity_all_exact"]
@@ -85,4 +86,4 @@ def test_validate_matrix_twice_simulates_once_and_has_no_host_time():
 )
 def test_truth_spec_rejects_analytic_only_knobs(perturbation):
     with pytest.raises(ValueError, match="analytic-only"):
-        truth_spec(CELL, perturbation, PLAIN[4], PLAIN[5])
+        truth_spec(CELL, perturbation, PLAIN.fidelity, PLAIN.system)
