@@ -3,7 +3,7 @@
 
 Runs one small GroupByTest cell on 2 simulated Frontera workers under
 MPI4Spark-Basic and MPI4Spark-Optimized with causal message tracing
-(``spark.repro.obs.causal``), then:
+(``obs_causal=True``), then:
 
 * prints each run's critical-path breakdown (compute / serialize /
   queue / wire / poll-tax / fetch-wait),
@@ -22,7 +22,6 @@ import pathlib
 
 from repro.harness.systems import FRONTERA
 from repro.obs import critical_path, write_report
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, fmt_time
 from repro.workloads.ohb import GROUP_BY
@@ -35,13 +34,7 @@ OUT = (
 
 
 def run_one(transport: str, n_workers: int = 2, data: int = 4 * GiB):
-    conf = SparkConf(
-        {
-            "spark.repro.transport": transport,
-            "spark.repro.obs.causal": "true",
-        }
-    )
-    sim = SparkSimCluster.from_conf(FRONTERA, n_workers, conf)
+    sim = SparkSimCluster(FRONTERA, n_workers, transport, obs_causal=True)
     sim.launch()
     profile = GROUP_BY.build_profile(FRONTERA, n_workers, data, fidelity=0.1)
     result = sim.run_profile(profile)

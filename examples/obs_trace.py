@@ -2,8 +2,8 @@
 """Observability quickstart: record a GroupByTest run, export Chrome JSON.
 
 Runs one 4 GiB GroupByTest cell on 2 simulated Frontera workers with
-MPI4Spark-Optimized and causal recording on (``spark.repro.obs.causal``,
-which implies metrics), then:
+MPI4Spark-Optimized and causal recording on (``obs_causal=True``, which
+implies metrics), then:
 
 * prints the Spark-UI-style text timeline of the recording's stages and
   tasks,
@@ -25,7 +25,6 @@ from repro.obs import (
     render_timeline,
     write_chrome_trace,
 )
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, fmt_time
 from repro.workloads.ohb import GROUP_BY
@@ -34,14 +33,8 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "results" / "groupby_trac
 
 
 def main() -> None:
-    conf = SparkConf(
-        {
-            "spark.repro.transport": "mpi-opt",
-            "spark.repro.obs.causal": "true",
-        }
-    )
     n_workers, data = 2, 4 * GiB
-    sim = SparkSimCluster.from_conf(FRONTERA, n_workers, conf)
+    sim = SparkSimCluster(FRONTERA, n_workers, "mpi-opt", obs_causal=True)
     sim.launch()
     profile = GROUP_BY.build_profile(FRONTERA, n_workers, data, fidelity=0.1)
     result = sim.run_profile(profile)

@@ -31,7 +31,6 @@ from repro.harness.systems import FRONTERA
 from repro.harness.whatif import truth_spec
 from repro.obs import render_planner_page
 from repro.obs.whatif import IDENTITY, Perturbation, ReplayModel, load_model
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import GiB, fmt_time
 from repro.workloads.ohb import GROUP_BY
@@ -59,13 +58,9 @@ VALIDATED = (
 
 
 def record_cell():
-    conf = SparkConf(
-        {
-            "spark.repro.transport": CELL["transport"],
-            "spark.repro.obs.causal": "true",
-        }
+    sim = SparkSimCluster(
+        FRONTERA, CELL["n_workers"], CELL["transport"], obs_causal=True
     )
-    sim = SparkSimCluster.from_conf(FRONTERA, CELL["n_workers"], conf)
     sim.launch()
     profile = GROUP_BY.build_profile(
         FRONTERA, CELL["n_workers"], CELL["data_bytes"], fidelity=FIDELITY

@@ -21,19 +21,13 @@ from repro.faults.plan import (
     Partition,
     RankKill,
 )
-from repro.faults.recovery import (
-    ExecutorBlacklist,
-    JobFailedError,
-    RecoveryPolicy,
-    ResilientScheduler,
-)
+from repro.faults.recovery import JobFailedError, ResilientScheduler
 from repro.faults.report import AvailabilityReport, FaultEvent, render_matrix
 from repro.util.rng import SeededRng, derive_seed
 
 __all__ = [
     "AvailabilityReport",
     "ChaosScenario",
-    "ExecutorBlacklist",
     "ExecutorCrash",
     "FaultEvent",
     "FaultInjector",
@@ -45,7 +39,6 @@ __all__ = [
     "NodeCrash",
     "Partition",
     "RankKill",
-    "RecoveryPolicy",
     "ResilientScheduler",
     "SeededRng",
     "derive_seed",

@@ -11,14 +11,14 @@ byte-identical across same-seed runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import JobFailedError, RecoveryPolicy, ResilientScheduler
+from repro.faults.recovery import JobFailedError, ResilientScheduler
 from repro.faults.report import AvailabilityReport
 from repro.harness.profile import (
     ComputeStage,
@@ -75,7 +75,6 @@ class ChaosScenario:
     cores_per_executor: int = 4
     shuffle_bytes: int = 256 * MiB
     deadline_s: float = 120.0
-    policy: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     # Causal tracing of the faulted run (flight log of span aborts).
     obs_causal: bool = False
 
@@ -112,7 +111,7 @@ def run_scenario(scenario: ChaosScenario) -> AvailabilityReport:
     # -- baseline: same cluster/seed, no injector ---------------------------
     sim = scenario.build_cluster()
     sim.launch()
-    sched = ResilientScheduler(sim, scenario.policy)
+    sched = ResilientScheduler(sim)
     result = sched.run_profile(scenario.build_profile(), scenario.deadline_s)
     report.baseline_seconds = result.total_seconds
     baseline_snap = sim.env.metrics.snapshot()
@@ -128,7 +127,7 @@ def run_scenario(scenario: ChaosScenario) -> AvailabilityReport:
         report=report,
     )
     injector.install(scenario.plan)
-    sched = ResilientScheduler(sim, scenario.policy, report=report)
+    sched = ResilientScheduler(sim, report)
 
     def arm_at_read(stage) -> None:
         if isinstance(stage, ShuffleReadStage) and not injector._armed:

@@ -23,7 +23,6 @@ under identical fault plans is the experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.harness.profile import ShuffleReadStage, ShuffleWriteStage
@@ -37,50 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.profile import Stage, WorkloadProfile
     from repro.simnet.events import Process
     from repro.simnet.topology import SimNode
-    from repro.spark.conf import SparkConf
     from repro.spark.deploy import SparkSimCluster
 
 
-@dataclass
-class RecoveryPolicy:
-    """Knobs mirroring Spark's fault-tolerance configuration."""
-
-    max_task_failures: int = 4  # spark.task.maxFailures
-    max_stage_attempts: int = 4  # spark.stage.maxConsecutiveAttempts
-    retry_backoff_s: float = 0.05
-    blacklist_enabled: bool = True  # spark.blacklist.enabled
-    speculation: bool = False  # spark.speculation
-    speculation_multiplier: float = 1.5
-    speculation_quantile: float = 0.75
-
-    @classmethod
-    def from_conf(cls, conf: "SparkConf") -> "RecoveryPolicy":
-        return cls(
-            max_task_failures=conf.get_int("spark.task.maxFailures", 4),
-            max_stage_attempts=conf.get_int("spark.stage.maxConsecutiveAttempts", 4),
-            blacklist_enabled=conf.get_bool("spark.blacklist.enabled", True),
-            speculation=conf.get_bool("spark.speculation", False),
-            speculation_multiplier=conf.get_float("spark.speculation.multiplier", 1.5),
-            speculation_quantile=conf.get_float("spark.speculation.quantile", 0.75),
-        )
-
-
-class ExecutorBlacklist:
-    """Executors the scheduler will no longer place tasks on."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._banned: set[int] = set()
-
-    def add(self, exec_id: int) -> None:
-        if self.enabled:
-            self._banned.add(exec_id)
-
-    def is_blacklisted(self, exec_id: int) -> bool:
-        return exec_id in self._banned
-
-    def __len__(self) -> int:
-        return len(self._banned)
+# Spark's fault-tolerance defaults, named after their configuration keys.
+MAX_TASK_FAILURES = 4  # spark.task.maxFailures
+MAX_STAGE_ATTEMPTS = 4  # spark.stage.maxConsecutiveAttempts
+RETRY_BACKOFF_S = 0.05
+SPECULATION_MULTIPLIER = 1.5  # spark.speculation.multiplier
+SPECULATION_QUANTILE = 0.75  # spark.speculation.quantile
 
 
 class ResilientScheduler:
@@ -89,13 +53,14 @@ class ResilientScheduler:
     def __init__(
         self,
         sim: "SparkSimCluster",
-        policy: RecoveryPolicy | None = None,
         report: "AvailabilityReport | None" = None,
+        speculation: bool = False,  # spark.speculation
     ) -> None:
         self.sim = sim
-        self.policy = policy or RecoveryPolicy()
         self.report = report
-        self.blacklist = ExecutorBlacklist(self.policy.blacklist_enabled)
+        self.speculation = speculation
+        # Executors the scheduler will no longer place tasks on.
+        self.blacklist: set[int] = set()
         # Running task process -> the executor it occupies, so executor
         # death can interrupt exactly its own tasks.
         self._running: dict["Process", SimExecutor] = {}
@@ -168,10 +133,10 @@ class ResilientScheduler:
         attempt = 0
         while len(finished) < stage.n_tasks:
             attempt += 1
-            if attempt > self.policy.max_stage_attempts:
+            if attempt > MAX_STAGE_ATTEMPTS:
                 raise JobFailedError(
                     f"stage {stage.label} exhausted "
-                    f"{self.policy.max_stage_attempts} attempts"
+                    f"{MAX_STAGE_ATTEMPTS} attempts"
                 )
             self._fetch_failed_execs = set()
             pending = [t for t in range(stage.n_tasks) if t not in finished]
@@ -227,7 +192,7 @@ class ResilientScheduler:
         if not lost:
             # Transient fetch failure (chaos window, degraded NIC): nothing
             # to recompute — back off briefly and retry as-is.
-            yield env.timeout(self.policy.retry_backoff_s)
+            yield env.timeout(RETRY_BACKOFF_S)
             return
         # Re-run the parent write stage's tasks that lived on the lost
         # executors (their RAM-disk output died with the node).
@@ -265,7 +230,7 @@ class ResilientScheduler:
 
     # -- task supervision ---------------------------------------------------
     def _is_usable(self, ex: SimExecutor) -> bool:
-        return ex.alive and not self.blacklist.is_blacklisted(ex.exec_id)
+        return ex.alive and ex.exec_id not in self.blacklist
 
     def _pick_executor(
         self, t: int, exclude: SimExecutor | None = None
@@ -306,12 +271,12 @@ class ResilientScheduler:
             failures += 1
             if self.report is not None:
                 self.report.task_retries += 1
-            if failures > self.policy.max_task_failures:
+            if failures > MAX_TASK_FAILURES:
                 raise JobFailedError(
                     f"task {t} of {stage.label} failed "
                     f"{failures} times (> spark.task.maxFailures)"
                 )
-            yield env.timeout(self.policy.retry_backoff_s * failures)
+            yield env.timeout(RETRY_BACKOFF_S * failures)
 
     def _await_task(
         self,
@@ -369,17 +334,17 @@ class ResilientScheduler:
         """Spark's rule: once a quantile of tasks finished, a task running
         longer than multiplier × median is a straggler. Before enough
         history exists, fall back on the task's nominal duration."""
-        if not self.policy.speculation:
+        if not self.speculation:
             return None
         delay = self.sim.cost.task_sched_delay_s
-        need = max(1, int(self.policy.speculation_quantile * stage.n_tasks))
+        need = max(1, int(SPECULATION_QUANTILE * stage.n_tasks))
         if len(durations) >= need:
             median = sorted(durations)[len(durations) // 2]
-            return max(self.policy.speculation_multiplier * median, delay)
+            return max(SPECULATION_MULTIPLIER * median, delay)
         costs = ex.nominal_costs(stage, t)
         if costs is None or (nominal := sum(costs)) <= 0:
             return None
-        return self.policy.speculation_multiplier * nominal + delay
+        return SPECULATION_MULTIPLIER * nominal + delay
 
     def _task_body(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
         """One unaccounted attempt: the shared task body under a slot claim

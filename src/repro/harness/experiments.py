@@ -58,8 +58,8 @@ def _run_ohb(
 ) -> OhbCell:
     # Observability on: cells carry a MetricsSnapshot so reports can show
     # measured polling tax / event-loop busy fractions (Sec. VI-D).
-    # ``obs_causal`` additionally attaches a flight recording
-    # (spark.repro.obs.causal) for critical-path analysis / the run report.
+    # ``obs_causal`` additionally attaches a flight recording for
+    # critical-path analysis / the run report.
     sim = SparkSimCluster(
         system, n_workers, transport, io_threads=io_threads, obs_enabled=True,
         obs_causal=obs_causal, cost=cost,
@@ -129,7 +129,7 @@ def fig9_critical_path(
     """Causal critical-path decomposition of the Fig-9 GroupBy contrast.
 
     Runs the 2-worker / 28 GB GroupBy cell under every Fig-9 transport
-    with ``spark.repro.obs.causal`` on, and decomposes each run's
+    with ``obs_causal=True``, and decomposes each run's
     critical path into compute / serialize / queue / wire / poll-tax /
     fetch-wait segments.  The Basic design's poll-tax share is the
     measured form of the paper's Sec VI-D starvation claim.

@@ -27,7 +27,6 @@ from repro.jobserver.schedulers import (
     RunningJob,
     SchedulePlan,
     maxmin_allocation,
-    scheduler_from_conf,
 )
 from repro.jobserver.server import (
     JobRecord,
@@ -57,7 +56,6 @@ __all__ = [
     "RunningJob",
     "SchedulePlan",
     "maxmin_allocation",
-    "scheduler_from_conf",
     "JobRecord",
     "JobServer",
     "JobServerResult",

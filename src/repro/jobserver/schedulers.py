@@ -290,8 +290,3 @@ class SchedulerRegistry:
 
 
 SCHEDULERS = SchedulerRegistry()
-
-
-def scheduler_from_conf(conf) -> InterJobScheduler:
-    """Build the scheduler named by ``spark.repro.jobserver.scheduler``."""
-    return SCHEDULERS.create(str(conf.get("spark.repro.jobserver.scheduler", "fifo")))

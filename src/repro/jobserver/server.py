@@ -62,12 +62,6 @@ class JobRecord:
         """Job completion time: submission to finish (queueing included)."""
         return None if self.finish_s is None else self.finish_s - self.submit_s
 
-    @property
-    def run_s(self) -> float | None:
-        if self.finish_s is None or self.start_s is None:
-            return None
-        return self.finish_s - self.start_s
-
 
 @dataclass
 class JobServerResult:

@@ -89,10 +89,6 @@ class CommDescriptor:
             ctx=(self.ctx_pt2pt, self.ctx_coll),
         )
 
-    @property
-    def is_inter(self) -> bool:
-        return self.remote_group is not None
-
 
 class Comm:
     """Per-process communicator handle. Base for intra/inter variants."""
@@ -116,12 +112,6 @@ class Comm:
     @property
     def size(self) -> int:
         return self.desc.local_group.size
-
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     def _dest_group(self) -> Group:
         """Group that ``dest``/``source`` ranks refer to."""
@@ -317,9 +307,6 @@ class Intercomm(Comm):
     def remote_size(self) -> int:
         assert self.desc.remote_group is not None
         return self.desc.remote_group.size
-
-    def Get_remote_size(self) -> int:
-        return self.remote_size
 
     def barrier(self) -> Generator:
         yield from _coll.inter_barrier(self)

@@ -21,11 +21,6 @@ class Datatype:
         if self.extent <= 0:
             raise ValueError(f"datatype extent must be positive, got {self.extent}")
 
-    def size_of(self, count: int) -> int:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return self.extent * count
-
 
 BYTE = Datatype("MPI_BYTE", 1)
 CHAR = Datatype("MPI_CHAR", 1)

@@ -24,12 +24,6 @@ class Status:
     def Get_tag(self) -> int:
         return self.tag
 
-    def Get_count(self, extent: int = 1) -> int:
-        """Element count for a datatype of the given extent."""
-        if extent <= 0:
-            raise ValueError(f"extent must be positive, got {extent}")
-        return self.nbytes // extent
-
     def fill_from(self, other: "Status") -> None:
         self.source = other.source
         self.tag = other.tag

@@ -9,7 +9,6 @@ goes to the socket (NIO); the MPI transports in :mod:`repro.core` override
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.netty.bytebuf import PooledByteBufAllocator
@@ -24,12 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ChannelId:
-    """Globally unique channel identity (Netty's ChannelId abstraction)."""
+    """Channel identity, unique within one simulation (Netty's ChannelId).
 
-    _alloc = itertools.count(1)
+    Numbered per :class:`~repro.simnet.engine.SimEngine`, so a run's
+    channel names and handshake tags do not depend on what ran before it
+    in the process.
+    """
 
-    def __init__(self) -> None:
-        self._value = next(ChannelId._alloc)
+    def __init__(self, value: int) -> None:
+        self._value = value
 
     def as_long_text(self) -> str:
         return f"channel-{self._value:08x}"
@@ -50,7 +52,7 @@ class Channel:
     def __init__(self, event_loop: "EventLoop", socket: "SimSocket") -> None:
         self.event_loop = event_loop
         self.socket = socket
-        self.id = ChannelId()
+        self.id = ChannelId(next(event_loop.env.channel_ids))
         self.pipeline = ChannelPipeline(self)
         self.alloc = PooledByteBufAllocator()
         self.attributes: dict[str, Any] = {}

@@ -10,21 +10,20 @@ columns in the harness reports instead of model assertions.
 
 Every :class:`~repro.simnet.engine.SimEngine` owns an always-on
 :class:`MetricsRegistry` (cheap counters); snapshots, report columns and
-tracing are enabled per run via ``SparkConf``:
+tracing are enabled per run by two
+:class:`~repro.spark.deploy.SparkSimCluster` keywords:
 
-* ``spark.repro.obs.enabled`` — attach a :class:`MetricsSnapshot` to
+* ``obs_enabled=True`` — attach a :class:`MetricsSnapshot` to
   each :class:`~repro.spark.deploy.RunResult` and unlock the report's
   polling-tax / busy-% columns;
-* ``spark.repro.obs.causal`` — install a real :class:`CausalTracer` on
+* ``obs_causal=True`` — install a real :class:`CausalTracer` on
   the engine and attach its flight recording to the ``RunResult``
-  (implies ``enabled``).
+  (implies ``obs_enabled``).
 
 See DESIGN.md §9 for the metric-name catalogue.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.obs.causal import NULL_CAUSAL, CausalTracer, NullCausal, TraceContext
 from repro.obs.critpath import (
@@ -64,9 +63,6 @@ from repro.obs.whatif import (
     TaskRecord,
     load_model,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.util.config import Config
 
 __all__ = [
     "Counter",
@@ -109,21 +105,10 @@ __all__ = [
     "IDENTITY",
     "DEFAULT_GRID",
     "load_model",
-    "obs_from_conf",
     "polling_tax_seconds",
     "loop_busy_fraction",
     "iprobe_calls",
 ]
-
-
-def obs_from_conf(conf: "Config") -> tuple[bool, bool]:
-    """Read ``(enabled, causal)`` from a SparkConf-like config.
-
-    ``spark.repro.obs.causal`` implies ``enabled`` — a recording without
-    the metric columns that explain it is rarely what anyone wants.
-    """
-    causal = conf.get_bool("spark.repro.obs.causal", False)
-    return (conf.get_bool("spark.repro.obs.enabled", False) or causal, causal)
 
 
 # -- derived report metrics ---------------------------------------------------

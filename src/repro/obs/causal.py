@@ -23,7 +23,7 @@ The causal edges (DESIGN.md §11):
 * **request → response** — a response message's context is a child of
   the request's, so a fetch chain is one connected trace.
 
-Runs opt in via ``spark.repro.obs.causal``; the engine default is
+Runs opt in via ``obs_causal=True``; the engine default is
 :data:`NULL_CAUSAL`, whose every operation is a no-op and whose
 ``mint``/``child`` return ``None`` — the hot paths guard on
 ``env.causal.enabled`` or ``trace_ctx is not None`` and pay nothing.

@@ -255,9 +255,9 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
 
 def critical_path(result) -> CriticalPathReport:
     """Convenience: analyze a :class:`~repro.spark.deploy.RunResult` that
-    ran with ``spark.repro.obs.causal`` enabled."""
+    ran with ``obs_causal=True``."""
     if result.flight is None:
         raise ValueError(
-            "RunResult has no flight log — run with spark.repro.obs.causal=true"
+            "RunResult has no flight log — run with obs_causal=True"
         )
     return analyze(result.flight, result.transport)

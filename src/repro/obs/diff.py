@@ -346,7 +346,7 @@ def _coerce_flight(run: Any) -> tuple["FlightRecorder", str | None]:
         return run, None
     raise ValueError(
         f"cannot diff {type(run).__name__}: pass a FlightRecorder or a "
-        "RunResult recorded with spark.repro.obs.causal=true"
+        "RunResult recorded with obs_causal=True"
     )
 
 
@@ -407,7 +407,7 @@ def diff_runs(
     """Align run ``a`` against run ``b``; attribute ``b − a`` wall delta.
 
     Both arguments accept a :class:`~repro.spark.deploy.RunResult`
-    recorded with ``spark.repro.obs.causal`` or a bare
+    recorded with ``obs_causal=True`` or a bare
     :class:`~repro.obs.flightrec.FlightRecorder` (e.g. loaded from a
     committed baseline JSONL).  The returned report satisfies the sum
     identity (:meth:`DiffReport.check`): per-segment deltas + residuals

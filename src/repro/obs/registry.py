@@ -15,7 +15,7 @@ The registry is deliberately cheap: a :class:`Counter` increment is one
 float add, so the always-on instrumentation in the event loop / wire
 path costs nothing measurable against the event-heap machinery. The
 heavier artifacts (snapshots, report columns, flight recordings) are
-opt-in per run via ``spark.repro.obs.enabled`` / ``spark.repro.obs.causal``.
+opt-in per run via the ``obs_enabled`` / ``obs_causal`` cluster keywords.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ to CI as an artifact, or mailed around as a single file.
 Entry points: :func:`render_report` returns the HTML for a list of
 ``(RunResult, CriticalPathReport)`` pairs; :func:`write_report` writes it
 next to the ``BENCH_*.json`` results.  ``examples/obs_report.py`` builds
-one for a small GroupBy run; the harness writes one per figure run when
-``spark.repro.obs.causal`` is on.
+one for a small GroupBy run; the harness writes one per figure run built
+with ``obs_causal=True``.
 """
 
 from __future__ import annotations

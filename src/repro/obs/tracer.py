@@ -1,6 +1,6 @@
 """Chrome-trace and text-timeline exporters over a causal flight recording.
 
-A causally-traced run (``spark.repro.obs.causal``) already records every
+A causally-traced run (``obs_causal=True``) already records every
 stage and task interval: the stage loop emits ``stage.start`` /
 ``stage.finish`` and the task envelope ``task.start`` / ``task.finish``.
 These functions read those pairs through :meth:`FlightRecorder.index`
@@ -52,8 +52,7 @@ def _bars(flight: "FlightRecorder | RunResult") -> list[_Bar]:
     recording = getattr(flight, "flight", flight)
     if recording is None:
         raise ValueError(
-            "RunResult carries no flight recording: run with "
-            "spark.repro.obs.causal (obs_causal=True)"
+            "RunResult carries no flight recording: run with obs_causal=True"
         )
     index = recording.index()
     events = recording.events

@@ -404,8 +404,7 @@ class ReplayModel:
         """Build from a traced :class:`RunResult` (``obs_causal=True``)."""
         if result.flight is None:
             raise ValueError(
-                "RunResult carries no flight recording: run with "
-                "spark.repro.obs.causal (obs_causal=True)"
+                "RunResult carries no flight recording: run with obs_causal=True"
             )
         return cls.from_flight(result.flight, transport=result.transport)
 

@@ -8,6 +8,7 @@ share one engine per simulated cluster.
 from __future__ import annotations
 
 import heapq
+import itertools
 from heapq import heappush
 from typing import Any, Generator, Iterable
 
@@ -55,9 +56,11 @@ class SimEngine:
         # substream off this so one seed reproduces the whole simulation.
         self.seed = int(seed)
         self.rng = SeededRng(self.seed)
+        # Numbers this simulation's Netty channels (ChannelId).
+        self.channel_ids = itertools.count(1)
         # Observability (repro.obs): the registry is always live — its
         # counters are cheap enough to leave on — while causal tracing
-        # stays a shared no-op until a run opts in (spark.repro.obs.causal),
+        # stays a shared no-op until a run opts in (obs_causal=True),
         # which swaps in a real CausalTracer. Its flight recording is the
         # one event model: the Chrome trace and the text timeline are
         # exporters over it (repro.obs.tracer).

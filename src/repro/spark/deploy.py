@@ -590,9 +590,9 @@ class RunResult:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     launch_seconds: float = 0.0
     # End-of-run metrics snapshot; populated when the cluster ran with
-    # observability enabled (``spark.repro.obs.enabled``).
+    # observability enabled (``obs_enabled=True``).
     metrics: "MetricsSnapshot | None" = None
-    # Causal flight recording; populated under ``spark.repro.obs.causal``.
+    # Causal flight recording; populated under ``obs_causal=True``.
     # The recorder is env-free, so results (and their flight logs) survive
     # the pickling round-trip through the parallel harness workers.
     flight: "FlightRecorder | None" = None
@@ -637,6 +637,8 @@ class SparkSimCluster:
         self.io_threads = io_threads
         self.seed = int(seed)
         self.mpi_fault_mode = mpi_fault_mode
+        # ``obs_causal`` implies the metric columns: a recording without
+        # the columns that explain it is rarely what anyone wants.
         # ``obs_trace`` is kept for bench/'s span cell only: it turns the
         # metric columns on and records nothing.
         self.obs_enabled = obs_enabled or obs_trace or obs_causal
@@ -722,29 +724,6 @@ class SparkSimCluster:
 
         m.on_snapshot(_publish_cache_stats)
 
-    @classmethod
-    def from_conf(
-        cls, system: SystemConfig, n_workers: int, conf, **overrides
-    ) -> "SparkSimCluster":
-        """Build a cluster from a :class:`~repro.spark.conf.SparkConf`.
-
-        Reads the transport, seed, MPI fault mode and the observability
-        switches (``spark.repro.obs.enabled`` / ``.causal``); keyword
-        overrides win over conf values.
-        """
-        from repro.obs import obs_from_conf
-
-        obs_enabled, obs_causal = obs_from_conf(conf)
-        kwargs: dict[str, Any] = dict(
-            transport_name=str(conf.get("spark.repro.transport", "nio")),
-            seed=conf.get_int("spark.repro.seed", 0),
-            mpi_fault_mode=str(conf.get("spark.repro.mpi.faultMode", "abort")),
-            obs_enabled=obs_enabled,
-            obs_causal=obs_causal,
-        )
-        kwargs.update(overrides)
-        return cls(system, n_workers, **kwargs)
-
     # -- cluster bring-up ---------------------------------------------------------
     def launch(self) -> None:
         """Bring the cluster up (Fig-3 flow for the MPI transports)."""
@@ -822,13 +801,6 @@ class SparkSimCluster:
             bundle = _TaskMetrics(self.env.metrics, prefix)
             self._task_metric_bundles[namespace] = bundle
         return bundle
-
-    @property
-    def total_task_slots(self) -> int:
-        """Sum of effective (post-polling-tax) task slots across executors."""
-        if not self._launched:
-            self.launch()
-        return sum(ex.slots.capacity for ex in self.executors)
 
     def register_app(
         self,

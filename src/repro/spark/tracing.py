@@ -52,12 +52,6 @@ class JobTrace:
     description: str
     stages: list[StageTrace] = field(default_factory=list)
 
-    def stage_by_label(self, label: str) -> StageTrace:
-        for st in self.stages:
-            if st.label == label:
-                return st
-        raise KeyError(f"no stage labeled {label!r} in job {self.job_id}")
-
 
 @dataclass(frozen=True)
 class SampleTrace:

@@ -1,27 +1,22 @@
 """A ``SparkConf``-style string-keyed configuration map.
 
 Spark configures everything through dotted string keys
-(``spark.executor.memory`` etc.); the reproduction keeps that idiom so the
-examples read like real Spark programs, while adding typed accessors.
+(``spark.default.parallelism`` etc.); the local data plane keeps that idiom
+so the examples read like real Spark programs. The simulator is configured
+by typed constructor values instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
-
-from repro.util.units import parse_bytes
+from typing import Any, Mapping
 
 
 class ConfigError(KeyError):
     """Raised when a required configuration key is missing or malformed."""
 
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
 class Config:
-    """An immutable-by-convention key/value configuration.
+    """An immutable key/value configuration.
 
     >>> conf = Config({"spark.executor.cores": "4"})
     >>> conf.get_int("spark.executor.cores")
@@ -31,34 +26,8 @@ class Config:
     def __init__(self, values: Mapping[str, Any] | None = None) -> None:
         self._values: dict[str, Any] = dict(values or {})
 
-    # -- mutation (builder style, returns self for chaining) ---------------
-    def set(self, key: str, value: Any) -> "Config":
-        self._values[key] = value
-        return self
-
-    def set_all(self, values: Mapping[str, Any]) -> "Config":
-        self._values.update(values)
-        return self
-
-    def set_if_missing(self, key: str, value: Any) -> "Config":
-        self._values.setdefault(key, value)
-        return self
-
-    # -- access -------------------------------------------------------------
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def __iter__(self) -> Iterator[tuple[str, Any]]:
-        return iter(sorted(self._values.items()))
-
     def get(self, key: str, default: Any = None) -> Any:
         return self._values.get(key, default)
-
-    def require(self, key: str) -> Any:
-        try:
-            return self._values[key]
-        except KeyError:
-            raise ConfigError(f"missing required config key {key!r}") from None
 
     def get_int(self, key: str, default: int | None = None) -> int:
         value = self._values.get(key, default)
@@ -68,43 +37,6 @@ class Config:
             return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r}={value!r} is not an int") from None
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        value = self._values.get(key, default)
-        if value is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r}={value!r} is not a float") from None
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool:
-        value = self._values.get(key, default)
-        if value is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
-        if text in _TRUE:
-            return True
-        if text in _FALSE:
-            return False
-        raise ConfigError(f"config key {key!r}={value!r} is not a bool")
-
-    def get_bytes(self, key: str, default: str | int | None = None) -> int:
-        value = self._values.get(key, default)
-        if value is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        try:
-            return parse_bytes(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-
-    def copy(self) -> "Config":
-        return Config(self._values)
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))

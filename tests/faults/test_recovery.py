@@ -11,14 +11,13 @@ from repro.faults import (
     FaultPlan,
     JobFailedError,
     NicDegradation,
-    RecoveryPolicy,
     ResilientScheduler,
 )
+from repro.faults import recovery
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.profile import ShuffleReadStage
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.simnet.interconnect import DEFAULT_COST
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import MiB
 
@@ -30,7 +29,7 @@ def make_sim(n_workers=4, transport="nio", seed=0, **kw):
     )
 
 
-def run_with_plan(plan, transport="nio", n_workers=4, policy=None):
+def run_with_plan(plan, transport="nio", n_workers=4):
     """Run the chaos profile under `plan`, armed at the read stage."""
     sim = make_sim(n_workers, transport, seed=plan.seed)
     sim.launch()
@@ -42,7 +41,7 @@ def run_with_plan(plan, transport="nio", n_workers=4, policy=None):
         executors=sim.executors, report=report,
     )
     injector.install(plan)
-    sched = ResilientScheduler(sim, policy, report=report)
+    sched = ResilientScheduler(sim, report)
 
     def arm_at_read(stage):
         if isinstance(stage, ShuffleReadStage) and not injector._armed:
@@ -57,39 +56,14 @@ def run_with_plan(plan, transport="nio", n_workers=4, policy=None):
     return result, report
 
 
-class TestRecoveryPolicy:
+class TestSparkDefaults:
     def test_defaults_mirror_spark(self):
-        p = RecoveryPolicy()
-        assert p.max_task_failures == 4
-        assert p.blacklist_enabled is True
-        assert p.speculation is False
-
-    def test_from_conf(self):
-        conf = SparkConf({
-            "spark.task.maxFailures": "7",
-            "spark.stage.maxConsecutiveAttempts": "2",
-            "spark.blacklist.enabled": "false",
-            "spark.speculation": "true",
-            "spark.speculation.multiplier": "2.5",
-            "spark.speculation.quantile": "0.9",
-        })
-        p = RecoveryPolicy.from_conf(conf)
-        assert p.max_task_failures == 7
-        assert p.max_stage_attempts == 2
-        assert p.blacklist_enabled is False
-        assert p.speculation is True
-        assert p.speculation_multiplier == 2.5
-        assert p.speculation_quantile == 0.9
-
-    def test_blacklist_toggle(self):
-        from repro.faults import ExecutorBlacklist
-
-        on = ExecutorBlacklist(enabled=True)
-        on.add(3)
-        assert on.is_blacklisted(3) and len(on) == 1
-        off = ExecutorBlacklist(enabled=False)
-        off.add(3)
-        assert not off.is_blacklisted(3) and len(off) == 0
+        # Blacklisting (always on) is checked by TestCrashRecovery, and
+        # speculation being off by test_speculation_off_by_default.
+        assert recovery.MAX_TASK_FAILURES == 4
+        assert recovery.MAX_STAGE_ATTEMPTS == 4
+        assert recovery.SPECULATION_MULTIPLIER == 1.5
+        assert recovery.SPECULATION_QUANTILE == 0.75
 
 
 class TestCleanRun:
@@ -152,13 +126,12 @@ class TestSpeculation:
         # Oversubscribe the executors (8 tasks per 4-core executor): the
         # second wave of compute tasks queues behind the first, exceeds the
         # multiplier-times-nominal threshold, and gets speculative copies.
-        policy = RecoveryPolicy(speculation=True)
         sim = make_sim()
         sim.launch()
         report = AvailabilityReport(
             scenario="spec", transport="nio", fault_mode="n/a", seed=0
         )
-        sched = ResilientScheduler(sim, policy, report=report)
+        sched = ResilientScheduler(sim, report, speculation=True)
         profile = make_chaos_profile(4, cores_per_executor=8, shuffle_bytes=32 * MiB)
         result = sched.run_profile(profile, deadline_s=60.0)
         sim.shutdown()

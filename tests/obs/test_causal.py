@@ -1,7 +1,7 @@
 """Causal tracing: context minting, transport propagation, zero-cost-off.
 
 The propagation tests run the same small shuffle job under every
-transport with ``spark.repro.obs.causal`` on and inspect the flight log;
+transport with ``obs_causal=True`` and inspect the flight log;
 the zero-cost tests assert the tracing side channel leaves frames,
 envelopes and simulated timings untouched when (and even when not)
 disabled — the property the figure-suite goldens depend on.
@@ -15,9 +15,8 @@ import pytest
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.mpi.envelope import Envelope, Protocol
-from repro.obs import NULL_CAUSAL, obs_from_conf
+from repro.obs import NULL_CAUSAL
 from repro.obs.causal import CausalTracer, NullCausal, TraceContext
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.spark.messages import (
     ChunkFetchRequest,
@@ -84,24 +83,10 @@ class TestContexts:
 
 
 class TestConfWiring:
-    def test_obs_from_conf_reads_causal(self):
-        # obs_from_conf reads (enabled, causal)
-        assert obs_from_conf(SparkConf()) == (False, False)
-        assert obs_from_conf(
-            SparkConf({"spark.repro.obs.causal": "true"})
-        ) == (True, True)
-
     def test_causal_implies_enabled_without_trace(self):
-        conf = SparkConf(
-            {"spark.repro.obs.causal": "true", "spark.repro.obs.enabled": "false"}
+        sim = SparkSimCluster(
+            INTERNAL_CLUSTER, 2, "mpi-opt", obs_enabled=False, obs_causal=True
         )
-        assert obs_from_conf(conf) == (True, True)
-
-    def test_cluster_from_conf_installs_tracer(self):
-        conf = SparkConf(
-            {"spark.repro.transport": "mpi-opt", "spark.repro.obs.causal": "true"}
-        )
-        sim = SparkSimCluster.from_conf(INTERNAL_CLUSTER, 2, conf)
         assert sim.obs_causal and sim.obs_enabled
         assert sim.env.causal.enabled
 
@@ -207,3 +192,13 @@ class TestZeroCostWhenDisabled:
         assert dict(on.stage_seconds) == dict(off.stage_seconds)
         assert sim_on.env.events_processed == sim_off.env.events_processed
         assert off.flight is None and on.flight is not None
+
+
+class TestProcessHistory:
+    def test_same_cell_records_identically_twice_in_one_process(self):
+        # Channel names and handshake tag bases are numbered per engine,
+        # so a recording cannot depend on the runs before it.
+        _, first = _run("mpi-opt", obs_causal=True)
+        _, second = _run("mpi-opt", obs_causal=True)
+        assert dict(second.stage_seconds) == dict(first.stage_seconds)
+        assert second.flight.to_jsonl() == first.flight.to_jsonl()

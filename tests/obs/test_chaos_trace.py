@@ -58,7 +58,7 @@ def run_faulted(scenario):
         executors=sim.executors,
     )
     injector.install(scenario.plan)
-    sched = ResilientScheduler(sim, scenario.policy)
+    sched = ResilientScheduler(sim)
 
     def arm_at_read(stage):
         if isinstance(stage, ShuffleReadStage) and not injector._armed:

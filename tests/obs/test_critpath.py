@@ -182,7 +182,7 @@ class TestRollupAccessors:
 class TestCriticalPathEntryPoint:
     def test_raises_without_flight(self):
         result = SimpleNamespace(flight=None, transport="nio")
-        with pytest.raises(ValueError, match="spark.repro.obs.causal"):
+        with pytest.raises(ValueError, match="obs_causal=True"):
             critical_path(result)
 
     def test_real_run_decomposes(self):

@@ -10,11 +10,9 @@ from repro.obs import (
     chrome_trace,
     iprobe_calls,
     loop_busy_fraction,
-    obs_from_conf,
     polling_tax_seconds,
     write_chrome_trace,
 )
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 
 
@@ -28,29 +26,13 @@ def _run(transport, **kwargs):
     return sim, result
 
 
-class TestObsFromConf:
-    def test_defaults_off(self):
-        assert obs_from_conf(SparkConf()) == (False, False)
-
-    def test_enabled(self):
-        conf = SparkConf({"spark.repro.obs.enabled": "true"})
-        assert obs_from_conf(conf) == (True, False)
-
+class TestObsKeywords:
     def test_trace_implies_enabled(self):
         # The obs_trace keyword turns the metric columns on and records
         # nothing: the flight recording is opt-in through obs_causal alone.
         sim = SparkSimCluster(INTERNAL_CLUSTER, 2, "nio", obs_trace=True)
         assert sim.obs_enabled
         assert not sim.env.causal.enabled
-
-    def test_cluster_from_conf(self):
-        conf = SparkConf(
-            {"spark.repro.transport": "mpi-opt", "spark.repro.obs.causal": "true"}
-        )
-        sim = SparkSimCluster.from_conf(INTERNAL_CLUSTER, 2, conf)
-        assert sim.transport.name == "mpi-opt"
-        assert sim.obs_enabled and sim.obs_causal
-        assert sim.env.causal.enabled
 
 
 class TestDisabledPath:

@@ -115,7 +115,7 @@ class TestChromeExport:
 
     def test_run_without_recording_names_the_switch(self):
         result = RunResult("GroupByTest", "nio", "Frontera", 2, 16)
-        with pytest.raises(ValueError, match=r"spark\.repro\.obs\.causal"):
+        with pytest.raises(ValueError, match="obs_causal=True"):
             chrome_trace(result)
 
     @pytest.mark.parametrize("transport", BLAME_TRANSPORTS)

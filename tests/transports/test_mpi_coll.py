@@ -18,7 +18,6 @@ from repro.faults import (
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.simnet import IB_HDR, SimCluster, SimEngine
-from repro.spark.conf import SparkConf
 from repro.spark.deploy import SparkSimCluster
 from repro.transports import TRANSPORTS, make_transport
 from repro.transports.mpi_coll import MpiCollectiveTransport
@@ -62,9 +61,8 @@ class TestRegistration:
             t = make_transport(name, env, cluster)
             assert not t.collective_shuffle
 
-    def test_sparkconf_selection(self):
-        conf = SparkConf({"spark.repro.transport": "mpi-coll"})
-        sim = SparkSimCluster.from_conf(INTERNAL_CLUSTER, 2, conf)
+    def test_keyword_selection(self):
+        sim = SparkSimCluster(INTERNAL_CLUSTER, 2, "mpi-coll")
         assert sim.transport.name == "mpi-coll"
         assert sim.transport.collective_shuffle
 

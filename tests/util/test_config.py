@@ -3,36 +3,11 @@
 import pytest
 
 from repro.util.config import Config, ConfigError
-from repro.util.units import GiB, MiB
 
 
 class TestConfigBasics:
-    def test_set_and_get(self):
-        conf = Config().set("spark.app.name", "test")
-        assert conf.get("spark.app.name") == "test"
-
     def test_get_default(self):
         assert Config().get("missing", 42) == 42
-
-    def test_require_raises(self):
-        with pytest.raises(ConfigError, match="missing required"):
-            Config().require("spark.master")
-
-    def test_set_if_missing(self):
-        conf = Config({"a": 1}).set_if_missing("a", 2).set_if_missing("b", 3)
-        assert conf.get("a") == 1
-        assert conf.get("b") == 3
-
-    def test_contains_and_iter(self):
-        conf = Config({"b": 2, "a": 1})
-        assert "a" in conf and "c" not in conf
-        assert list(conf) == [("a", 1), ("b", 2)]
-
-    def test_copy_is_independent(self):
-        conf = Config({"a": 1})
-        clone = conf.copy().set("a", 2)
-        assert conf.get("a") == 1
-        assert clone.get("a") == 2
 
 
 class TestTypedAccessors:
@@ -42,25 +17,6 @@ class TestTypedAccessors:
     def test_get_int_bad_value(self):
         with pytest.raises(ConfigError, match="not an int"):
             Config({"cores": "lots"}).get_int("cores")
-
-    def test_get_float(self):
-        assert Config({"f": "2.5"}).get_float("f") == 2.5
-
-    @pytest.mark.parametrize("raw,expected", [("true", True), ("0", False), (True, True), ("off", False)])
-    def test_get_bool(self, raw, expected):
-        assert Config({"flag": raw}).get_bool("flag") is expected
-
-    def test_get_bool_bad(self):
-        with pytest.raises(ConfigError):
-            Config({"flag": "maybe"}).get_bool("flag")
-
-    def test_get_bytes_spark_sizes(self):
-        conf = Config({"spark.executor.memory": "120g", "buf": "48m"})
-        assert conf.get_bytes("spark.executor.memory") == 120 * GiB
-        assert conf.get_bytes("buf") == 48 * MiB
-
-    def test_get_bytes_default(self):
-        assert Config().get_bytes("x", "1m") == 1 * MiB
 
     def test_missing_typed_raises(self):
         with pytest.raises(ConfigError):
