@@ -3,8 +3,9 @@
 Benchmarks default to a reduced matrix (fewer workers / folded tasks) so
 ``pytest benchmarks/`` completes in minutes while exercising the
 identical code paths and physics. ``REPRO_FULL=1 pytest benchmarks/``
-runs the paper-scale geometry (8/16/32 workers, 448 GiB; expect a long
-run). EXPERIMENTS.md records paper-scale results.
+runs the paper's worker counts (8/16/32 workers, 448 GiB; expect a long
+run), still folded (``OHB_FIDELITY``, ``HIBENCH_FIDELITY`` below).
+Each EXPERIMENTS.md table names the fidelity it ran at.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ COMM_KIND_INTER = 2  # parent <-> child intercommunicator
 KIND_NAMES = {COMM_KIND_WORLD: "WORLD", COMM_KIND_DPM: "DPM", COMM_KIND_INTER: "INTER"}
 
 
-@dataclass
+@dataclass(slots=True)
 class CommBinding:
     """A channel's resolved MPI route."""
 

@@ -131,6 +131,10 @@ class MpiHandshakeHandler(ChannelHandler):
         ctx.fire_channel_inactive()
 
 
+# Stateless: every channel's pipeline shares the one instance.
+MpiHandshakeHandler.INSTANCE = MpiHandshakeHandler()
+
+
 def initiate_handshake(channel: Channel, endpoint: "MpiEndpoint") -> None:
     """Client side: announce our identity. The channel's tag base is its own
     unique ChannelId value, so concurrent channels between the same pair of

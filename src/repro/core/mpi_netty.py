@@ -152,6 +152,10 @@ class MpiBodyReceiveHandler(ChannelHandler):
         ctx.fire_channel_read(frame)
 
 
+# Stateless: every channel's pipeline shares the one instance.
+MpiBodyReceiveHandler.INSTANCE = MpiBodyReceiveHandler()
+
+
 # ---------------------------------------------------------------------------
 # MPI4Spark-Basic
 # ---------------------------------------------------------------------------
@@ -313,7 +317,9 @@ class MpiBasicEventLoop(EventLoop):
                 # delay of a poll period. This keeps wall time bounded
                 # without distorting the design's latency behaviour. Neither
                 # the park nor the discovery delay counts as busy_s — the
-                # modeled spin burn is already the polling-core tax.
+                # modeled spin burn is already the polling-core tax. Park
+                # holding nothing: not the last message read, nor its request.
+                req = frame = None
                 yield from self.selector.park(extra=self._idle_park_sources())
                 yield env.timeout(discovery_s)
 
@@ -361,3 +367,6 @@ class NotifyingHandshakeHandler(MpiHandshakeHandler):
         if hook is not None:
             hook(ctx.channel)
         super().channel_inactive(ctx)
+
+
+NotifyingHandshakeHandler.INSTANCE = NotifyingHandshakeHandler()

@@ -41,8 +41,7 @@ UNEXPECTED_COPY_S_PER_BYTE = 1.0 / (8.0 * GiB)
 
 class _SendDone(Event):
     """A nonblocking rendezvous send's ``send_done``: it names the request
-    its dispatch settles (until then), since whoever triggers it sets its
-    value."""
+    its dispatch settles, since whoever triggers it sets its value."""
 
     __slots__ = ("request",)
 
@@ -246,10 +245,7 @@ class MPIProcess:
             self._end_send(req, None)
 
     def _on_send_done(self, event: "_SendDone") -> None:
-        # Let go of the request: a pipe pump keeps its last envelope, and
-        # with it this event, until its next message.
-        req, event.request = event.request, None
-        self._end_send(req, None if event._ok else event._value)
+        self._end_send(event.request, None if event._ok else event._value)
 
     def _end_send(self, req: Request | None, exc: MPIError | None) -> None:
         """Schedule the termination hop that settles ``req``, if any."""
@@ -384,7 +380,10 @@ class _Pipe:
 
     def _pump(self) -> Generator:
         while True:
-            envl: Envelope = yield self.store.get()
+            # Park holding nothing: a kept envelope would pin its payload
+            # (and a rendezvous send's request) until the next message.
+            envl = None
+            envl = yield self.store.get()
             try:
                 yield from self.world.cluster.wire_path(
                     self.src.node, self.dst.node, envl.wire_bytes(), self.world.model

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.netty.bytebuf import PooledByteBufAllocator
 from repro.netty.frame import WireFrame
 from repro.netty.pipeline import ChannelPipeline
 from repro.util.serialization import sizeof
@@ -29,6 +28,8 @@ class ChannelId:
     channel names and handshake tags do not depend on what ran before it
     in the process.
     """
+
+    __slots__ = ("_value",)
 
     def __init__(self, value: int) -> None:
         self._value = value
@@ -54,7 +55,7 @@ class Channel:
         self.socket = socket
         self.id = ChannelId(next(event_loop.env.channel_ids))
         self.pipeline = ChannelPipeline(self)
-        self.alloc = PooledByteBufAllocator()
+        self.alloc = event_loop.alloc
         self.attributes: dict[str, Any] = {}
         self.active = True
         m = event_loop.env.metrics

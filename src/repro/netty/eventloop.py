@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
+from repro.netty.bytebuf import PooledByteBufAllocator
 from repro.netty.channel import Channel
 from repro.netty.selector import Selector
 from repro.simnet.resources import Store
@@ -68,6 +69,9 @@ class EventLoop:
         self.running = False
         self._proc: "Process | None" = None
         self._blocking: list[Generator] = []
+        # One allocator serves every channel on the loop, as Netty's
+        # channels share PooledByteBufAllocator.DEFAULT.
+        self.alloc = PooledByteBufAllocator()
         # Set by the MPI transports: this loop's JVM-level MPI identity.
         self.mpi_endpoint = None
         # Loop metrics, published into the registry as

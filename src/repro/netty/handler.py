@@ -56,6 +56,10 @@ class HandlerContext:
     overriding ``write``; the pipeline relinks them on every change.
     """
 
+    __slots__ = (
+        "pipeline", "name", "handler", "prev", "next", "next_reader", "prev_writer"
+    )
+
     def __init__(self, pipeline: "ChannelPipeline", name: str, handler: ChannelHandler) -> None:
         self.pipeline = pipeline
         self.name = name

@@ -26,6 +26,12 @@ class _TailHandler(ChannelHandler):
         ctx.pipeline.on_unhandled_exception(exc)
 
 
+# The sentinels keep no state of their own, so every pipeline shares one of
+# each (Netty's @Sharable handlers).
+_HeadHandler.INSTANCE = _HeadHandler()
+_TailHandler.INSTANCE = _TailHandler()
+
+
 class PipelineError(RuntimeError):
     """Duplicate or missing handler names."""
 
@@ -37,8 +43,8 @@ class ChannelPipeline:
         self.channel = channel
         self.unhandled_reads: list[Any] = []
         self.unhandled_exceptions: list[BaseException] = []
-        self._head = HandlerContext(self, "HEAD", _HeadHandler())
-        self._tail = HandlerContext(self, "TAIL", _TailHandler())
+        self._head = HandlerContext(self, "HEAD", _HeadHandler.INSTANCE)
+        self._tail = HandlerContext(self, "TAIL", _TailHandler.INSTANCE)
         self._head.next = self._tail
         self._tail.prev = self._head
         self._by_name: dict[str, HandlerContext] = {}

@@ -25,7 +25,7 @@ OP_READ = 1
 OP_ACCEPT = 16
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SelectionKey:
     """A registered interest: either a connected channel or a listener."""
 

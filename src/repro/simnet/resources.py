@@ -35,7 +35,8 @@ class Store:
     Getters and ``when_nonempty`` waiters wait only while ``items`` is
     empty. So a put hands its item to the longest-waiting getter, or else
     queues it and wakes the waiters, and taking an item never has anyone
-    to wake.
+    to wake. Their lists are made on first use (None until then): most
+    stores only ever see one kind of waiter.
     """
 
     __slots__ = ("env", "items", "_getters", "_nonempty_waiters")
@@ -43,8 +44,8 @@ class Store:
     def __init__(self, env: SimEngine) -> None:
         self.env = env
         self.items: list[Any] = []
-        self._getters: list[Event] = []
-        self._nonempty_waiters: list[Event] = []
+        self._getters: list[Event] | None = None
+        self._nonempty_waiters: list[Event] | None = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -57,7 +58,7 @@ class Store:
         self.items.append(item)
         waiters = self._nonempty_waiters
         if waiters:
-            self._nonempty_waiters = []
+            self._nonempty_waiters = None
             for ev in waiters:
                 ev.succeed()
 
@@ -70,6 +71,8 @@ class Store:
         ev = Event(self.env)
         if self.items:
             ev.succeed()
+        elif self._nonempty_waiters is None:
+            self._nonempty_waiters = [ev]
         else:
             self._nonempty_waiters.append(ev)
         return ev
@@ -79,6 +82,8 @@ class Store:
         ev = Event(self.env)
         if self.items:
             ev.succeed(self.items.pop(0))
+        elif self._getters is None:
+            self._getters = [ev]
         else:
             self._getters.append(ev)
         return ev

@@ -42,7 +42,7 @@ class SocketAddress:
         return f"{self.host}:{self.port}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One application message carried on the stream.
 
@@ -57,6 +57,12 @@ class Segment:
 
 class SimSocket:
     """One endpoint of an established connection."""
+
+    __slots__ = (
+        "stack", "env", "node", "peer_node", "local", "remote", "model",
+        "socket_id", "peer", "_outbound", "_inbound", "closed", "bytes_sent",
+        "bytes_received", "_pump",
+    )
 
     _ids = itertools.count(1)
 
@@ -137,6 +143,9 @@ class SimSocket:
     def _pump_loop(self) -> Generator[Event, Any, None]:
         env = self.env
         while True:
+            # Park holding nothing: a kept segment would pin its payload
+            # until the next send, forever on a handshake-only socket.
+            seg = None
             seg = yield self._outbound.get()
             if seg.eof:
                 peer = self.peer

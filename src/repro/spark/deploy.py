@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -125,14 +126,31 @@ class ShuffleOpenBlocksHandler(RpcHandler):
         wire_sizes = [
             s + max(b - 1, 0) * PER_BLOCK_WIRE_BYTES for s, b in zip(sizes, blocks)
         ]
-
-        def provider(chunk_index: int, num_blocks: int) -> tuple[Any, int]:
-            return None, wire_sizes[chunk_index]
-
         stream_id = self.streams.register_stream(
-            provider, owner=owner, n_chunks=len(wire_sizes)
+            partial(_chunk_of, wire_sizes), owner=owner, n_chunks=len(wire_sizes)
         )
         reply((stream_id, wire_sizes, blocks), 64)
+
+
+def _chunk_of(
+    wire_sizes: list[int], chunk_index: int, num_blocks: int
+) -> tuple[Any, int]:
+    """An OpenBlocks stream's chunk provider: size-only chunks."""
+    return None, wire_sizes[chunk_index]
+
+
+def _round_robin(opened: list, first: int) -> Iterator[tuple]:
+    """Chunk requests ``(client, stream_id, idx, size, blk, src)`` of the
+    ``(client, stream_id, sizes, blocks, src)`` streams in ``opened``,
+    drawn lazily: chunk 0 of every stream starting at ``opened[first]``,
+    then chunk 1 of those that have one, and so on (``zip_longest`` over
+    the rotated per-stream chunk lists)."""
+    rotated = opened[first:] + opened[:first]
+    depth = max((len(entry[2]) for entry in rotated), default=0)
+    for idx in range(depth):
+        for client, stream_id, sizes, blocks, src in rotated:
+            if idx < len(sizes):
+                yield client, stream_id, idx, sizes[idx], blocks[idx], src
 
 
 def _split_blocks(n_blocks: int, n_chunks: int) -> list[int]:
@@ -264,7 +282,7 @@ class SimExecutor:
 
     def fetch_shuffle(
         self,
-        sources: list[tuple["SimExecutor", int, int]],
+        sources: Iterable[tuple["SimExecutor", int, int]],
         trace_parent=None,
         app: AppHandle | None = None,
         rot: int | None = None,
@@ -289,7 +307,7 @@ class SimExecutor:
             # no retry can help — fail the job, not the fetch.
             raise WorldAbortedError("MPI world aborted; executor cannot shuffle")
         # Open streams (one RPC per source executor).
-        per_source: list[list[tuple[Any, int, int, int, int, "SimExecutor"]]] = []
+        opened: list[tuple[Any, int, list[int], list[int], "SimExecutor"]] = []
         for src, nbytes, n_blocks in sources:
             if nbytes <= 0:
                 continue
@@ -312,31 +330,22 @@ class SimExecutor:
                     src.address, str(exc), exec_id=src.exec_id
                 ) from exc
             stream_id, sizes, blocks = reply
-            per_source.append(
-                [
-                    (client, stream_id, idx, size, blk, src)
-                    for idx, (size, blk) in enumerate(zip(sizes, blocks))
-                ]
-            )
+            opened.append((client, stream_id, sizes, blocks, src))
         # Interleave requests across sources, rotated per call — Spark
         # randomizes fetch-request order (ShuffleBlockFetcherIterator) so
         # synchronized reducers don't all hammer the same server at once.
+        # The order is drawn one request ahead of issue, never built whole.
         if rot is None:
             self._fetch_seq += 1
             rot = self._fetch_seq + self.exec_id
-        per_source = per_source[rot % len(per_source):] + per_source[: rot % len(per_source)] if per_source else []
-        plan = [
-            chunk
-            for layer in itertools.zip_longest(*per_source)
-            for chunk in layer
-            if chunk is not None
-        ]
+        first = rot % len(opened) if opened else 0
+        order = _round_robin(opened, first)
+        nxt = next(order, None)
 
         # future -> (size, blocks, source executor)
         pending: dict[Any, tuple[int, int, "SimExecutor"]] = {}
         window = self.cost.max_bytes_in_flight
         in_flight = 0
-        next_req = 0
         park = None  # the event this task waits on, until a chunk decides it
 
         def on_chunk_done(future) -> None:
@@ -350,11 +359,9 @@ class SimExecutor:
                 else:
                     waiting.fail(future.value)
 
-        while next_req < len(plan) or pending:
-            while next_req < len(plan) and (
-                not pending or in_flight + plan[next_req][3] <= window
-            ):
-                client, stream_id, idx, size, blk, src = plan[next_req]
+        while nxt is not None or pending:
+            while nxt is not None and (not pending or in_flight + nxt[3] <= window):
+                client, stream_id, idx, size, blk, src = nxt
                 try:
                     future = client.fetch_chunk(
                         stream_id, idx, num_blocks=blk, trace_parent=trace_parent
@@ -368,7 +375,7 @@ class SimExecutor:
                 future.add_callback(on_chunk_done)
                 pending[future] = (size, blk, src)
                 in_flight += size
-                next_req += 1
+                nxt = next(order, None)
             if not pending:
                 break
             wait = park = env.event()
@@ -385,7 +392,7 @@ class SimExecutor:
                 # Attribute the failure to the source whose future failed.
                 src = next(
                     (s for f, (_, _, s) in pending.items() if f.triggered and not f.ok),
-                    plan[0][5],
+                    opened[first][4],
                 )
                 raise FetchFailedException(
                     src.address, str(exc), exec_id=src.exec_id
@@ -511,11 +518,11 @@ class SimExecutor:
         else:
             # Dead sources are NOT filtered here: fetching from them is
             # what raises FetchFailedException, triggering recovery.
-            sources = [
+            sources = (
                 (src, int(fetch_bytes[i]), int(blocks[i]))
                 for i, src in enumerate(peers)
                 if i != col and fetch_bytes[i] > 0
-            ]
+            )
             yield from self.fetch_shuffle(sources, trace_parent=ctx, app=app, rot=rot)
         fetch_wait = env.now - t_fetch
         if tm is not None:

@@ -112,6 +112,13 @@ class MessageDecoder(ChannelHandler):
         ctx.fire_channel_read(msg)
 
 
+# The codecs keep no per-channel state, so every pipeline shares one of
+# each, as Spark's TransportContext shares MessageEncoder.INSTANCE and
+# MessageDecoder.INSTANCE (Netty's @Sharable).
+MessageEncoder.INSTANCE = MessageEncoder()
+MessageDecoder.INSTANCE = MessageDecoder()
+
+
 # ---------------------------------------------------------------------------
 # server side
 # ---------------------------------------------------------------------------
@@ -452,8 +459,8 @@ class TransportContext:
     # -- pipelines ----------------------------------------------------------
     def init_server_channel(self, channel: Channel) -> None:
         p = channel.pipeline
-        p.add_last("encoder", MessageEncoder())
-        p.add_last("decoder", MessageDecoder())
+        p.add_last("encoder", MessageEncoder.INSTANCE)
+        p.add_last("decoder", MessageDecoder.INSTANCE)
         if self.pipeline_hook is not None:
             self.pipeline_hook(channel, True)
         p.add_last(
@@ -463,8 +470,8 @@ class TransportContext:
 
     def init_client_channel(self, channel: Channel) -> TransportResponseHandler:
         p = channel.pipeline
-        p.add_last("encoder", MessageEncoder())
-        p.add_last("decoder", MessageDecoder())
+        p.add_last("encoder", MessageEncoder.INSTANCE)
+        p.add_last("decoder", MessageDecoder.INSTANCE)
         if self.pipeline_hook is not None:
             self.pipeline_hook(channel, False)
         handler = TransportResponseHandler(self.env)

@@ -17,6 +17,7 @@ quantifies and which this class models through two taxes:
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Generator
 
 from repro.core.handshake import ensure_handshake
@@ -52,10 +53,8 @@ class MpiBasicTransport(Transport):
         return loop
 
     def pipeline_hook(self, channel: Channel, is_server: bool) -> None:
-        channel.pipeline.add_first("mpiHandshake", NotifyingHandshakeHandler())
-        channel._transport_write = lambda msg, promise: basic_transport_write(
-            channel, msg, promise
-        )
+        channel.pipeline.add_first("mpiHandshake", NotifyingHandshakeHandler.INSTANCE)
+        channel._transport_write = MethodType(basic_transport_write, channel)
 
     def establish(self, channel: Channel, endpoint) -> Generator:
         if endpoint is None:

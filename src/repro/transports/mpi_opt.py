@@ -8,6 +8,7 @@ selector loop is untouched, so no CPU tax.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Generator
 
 from repro.core.handshake import MpiHandshakeHandler, ensure_handshake
@@ -35,11 +36,9 @@ class MpiOptimizedTransport(Transport):
     def pipeline_hook(self, channel: Channel, is_server: bool) -> None:
         # Order matters (paper Fig. 7): handshake interception first, then
         # body reception on header parse, then the normal codec.
-        channel.pipeline.add_first("mpiBodyRecv", MpiBodyReceiveHandler())
-        channel.pipeline.add_first("mpiHandshake", MpiHandshakeHandler())
-        channel._transport_write = lambda msg, promise: optimized_transport_write(
-            channel, msg, promise
-        )
+        channel.pipeline.add_first("mpiBodyRecv", MpiBodyReceiveHandler.INSTANCE)
+        channel.pipeline.add_first("mpiHandshake", MpiHandshakeHandler.INSTANCE)
+        channel._transport_write = MethodType(optimized_transport_write, channel)
 
     def establish(self, channel: Channel, endpoint) -> Generator:
         if endpoint is None:

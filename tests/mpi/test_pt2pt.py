@@ -333,8 +333,8 @@ class TestNonblocking:
         assert received == [0, 1, 2]
 
     def test_completed_rendezvous_isend_frees_its_request(self):
-        # The pipe pump keeps its last envelope (and its send_done) until
-        # the next message; that must not keep the sender's request.
+        # The pipe pump parks holding no envelope, so nothing keeps the
+        # sender's request (through the envelope's send_done) once it is done.
         env, cluster, world = make_world()
         refs = []
 

@@ -1,12 +1,19 @@
 """Integration tests for the simulated Spark cluster deployment."""
 
 import gc
+import itertools
+import random
 import types
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.endpoint import CommBinding
+from repro.core.handshake import MpiHandshakeHandler
+from repro.core.mpi_netty import MpiBodyReceiveHandler, NotifyingHandshakeHandler
 from repro.harness.profile import (
     ComputeStage,
     ShuffleReadStage,
@@ -14,8 +21,15 @@ from repro.harness.profile import (
     WorkloadProfile,
 )
 from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER
+from repro.mpi.envelope import Envelope
+from repro.netty.channel import ChannelId
+from repro.netty.handler import HandlerContext
+from repro.netty.pipeline import ChannelPipeline, _HeadHandler, _TailHandler
+from repro.netty.selector import SelectionKey
 from repro.simnet.resources import SlotGate
+from repro.simnet.sockets import Segment, SimSocket
 from repro.spark.deploy import SparkSimCluster
+from repro.spark.network import MessageDecoder, MessageEncoder
 from repro.transports import TRANSPORTS
 from repro.util.units import GiB, MiB
 from repro.workloads.ohb import GROUP_BY
@@ -332,32 +346,201 @@ class TestFetchShuffleWaits:
         sim.shutdown()
 
 
+class TestLazyFetchOrder:
+    """``fetch_shuffle`` draws its rotated round-robin request order one
+    request ahead instead of building it whole. Driven by hand here: it
+    must issue exactly the ``zip_longest`` plan it used to build, fill the
+    window greedily and never past it, and blame a failure no future
+    claims on the first source in rotated order."""
+
+    class Source:
+        def __init__(self, exec_id):
+            self.exec_id, self.address = exec_id, f"exec{exec_id}"
+
+    class StubClient:
+        def __init__(self, env, src, sizes, issued):
+            self.env, self.src, self.sizes, self.issued = env, src, sizes, issued
+
+        def send_rpc(self, payload, nbytes, trace_parent=None):
+            return ("reply", (7, self.sizes, [1] * len(self.sizes)))
+
+        def fetch_chunk(self, stream_id, idx, num_blocks=1, trace_parent=None):
+            future = self.env.event()
+            self.issued.append((self.src.exec_id, idx, self.sizes[idx], future))
+            return future
+
+    @staticmethod
+    def _plan(chunks, rot):
+        """The fetch plan as the eager implementation built it."""
+        per_source = [
+            [(s, idx, size) for idx, size in enumerate(sizes)]
+            for s, sizes in enumerate(chunks)
+            if sizes
+        ]
+        r = rot % len(per_source) if per_source else 0
+        per_source = per_source[r:] + per_source[:r]
+        return [c for layer in itertools.zip_longest(*per_source) for c in layer if c]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunks=st.lists(st.lists(st.integers(1, 100), max_size=5), min_size=1, max_size=6),
+        rot=st.integers(0, 50),
+        window=st.integers(1, 300),
+        rnd=st.randoms(use_true_random=False),
+        fail_at_first_park=st.booleans(),
+    )
+    @example(
+        chunks=[[60, 60, 60], [], [100], [10, 10]],
+        rot=3,
+        window=120,
+        rnd=random.Random(0),
+        fail_at_first_park=False,
+    )
+    def test_issues_the_eager_plan(self, chunks, rot, window, rnd, fail_at_first_park):
+        from repro.simnet.engine import SimEngine
+        from repro.spark.deploy import SimExecutor
+        from repro.spark.network import FetchFailedException, TransportError
+
+        env = SimEngine()
+        issued: list = []
+        sources = [self.Source(s) for s in range(len(chunks))]
+        clients = {
+            src.exec_id: self.StubClient(env, src, sizes, issued)
+            for src, sizes in zip(sources, chunks)
+        }
+
+        def get_client(src):
+            return clients[src.exec_id]
+            yield
+
+        counter = types.SimpleNamespace(inc=lambda n: None)
+        executor = types.SimpleNamespace(
+            sim=types.SimpleNamespace(env=env),
+            endpoint=None,
+            cost=types.SimpleNamespace(max_bytes_in_flight=window),
+            _metrics_for=lambda app: types.SimpleNamespace(remote_bytes=counter),
+            _get_client=get_client,
+            bytes_fetched_remote=0,
+        )
+        plan = self._plan(chunks, rot)
+        fetch = SimExecutor.fetch_shuffle(
+            executor,
+            ((src, sum(sizes), len(sizes)) for src, sizes in zip(sources, chunks)),
+            rot=rot,
+        )
+        outstanding: dict = {}  # future -> size, as the window counts it
+        value, parks = None, 0
+        while True:
+            n_before = len(issued)
+            try:
+                yielded = fetch.send(value)
+            except StopIteration:
+                break
+            value = None
+            if isinstance(yielded, tuple):  # the OpenBlocks reply
+                value = yielded[1]
+                continue
+            for src, idx, size, future in issued[n_before:]:
+                assert not outstanding or sum(outstanding.values()) + size <= window
+                outstanding[future] = size
+            # Parked: the next request in the plan must not fit.
+            assert outstanding
+            if len(issued) < len(plan):
+                assert sum(outstanding.values()) + plan[len(issued)][2] > window
+            parks += 1
+            if fail_at_first_park and parks == 1:
+                with pytest.raises(FetchFailedException) as failed:
+                    fetch.throw(TransportError("lost"))
+                assert failed.value.exec_id == plan[0][0]
+                return
+            done = rnd.sample(list(outstanding), rnd.randint(1, len(outstanding)))
+            for future in done:
+                future.succeed()
+                del outstanding[future]
+        assert [(src, idx, size) for src, idx, size, _ in issued] == plan
+        assert not outstanding
+        assert executor.bytes_fetched_remote == sum(map(sum, chunks))
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, modules, classes and functions
+    aside."""
+    skip = (types.ModuleType, type, types.FunctionType)
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for ref in gc.get_referents(obj):
+            if not isinstance(ref, skip) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+
+
+def _finished_groupby_16w(transport):
+    sim = SparkSimCluster(FRONTERA, 16, transport)
+    sim.launch()
+    sim.run_profile(GROUP_BY.build_profile(FRONTERA, 16, 4 * GiB, fidelity=0.05))
+    return sim
+
+
 class TestPerPairQueues:
     """The per-pair FIFOs (socket buffers, MPI pipes, matching buckets)
     are lists: an empty deque is a 760 B block, and a cluster has
     thousands of pairs. The only deques left are the executors' slot
     gates, one per executor."""
 
-    SKIP = (types.ModuleType, type, types.FunctionType)
-
-    def _reachable(self, root):
-        seen = {id(root)}
-        stack = [root]
-        while stack:
-            obj = stack.pop()
-            yield obj
-            for ref in gc.get_referents(obj):
-                if not isinstance(ref, self.SKIP) and id(ref) not in seen:
-                    seen.add(id(ref))
-                    stack.append(ref)
-
     @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
     def test_only_slot_gates_hold_deques(self, transport):
-        sim = SparkSimCluster(FRONTERA, 16, transport)
-        sim.launch()
-        sim.run_profile(GROUP_BY.build_profile(FRONTERA, 16, 4 * GiB, fidelity=0.05))
-        objs = list(self._reachable(sim))
+        sim = _finished_groupby_16w(transport)
+        objs = list(_reachable(sim))
         gates = sum(isinstance(o, SlotGate) for o in objs)
         assert gates >= 16
         assert sum(isinstance(o, deque) for o in objs) == gates
         sim.shutdown()
+
+
+class TestPerConnectionFootprint:
+    """A connection costs what it carries (DESIGN §10 rule 8): socket
+    connections exist for every executor pair, so the per-connection
+    objects carry no ``__dict__``, stateless handlers are shared across
+    pipelines, and an idle pump parks holding no message."""
+
+    SLOTTED = (HandlerContext, SelectionKey, SimSocket, ChannelId, Segment, CommBinding)
+    SHARED = (
+        _HeadHandler, _TailHandler, MessageEncoder, MessageDecoder,
+        MpiHandshakeHandler, NotifyingHandshakeHandler, MpiBodyReceiveHandler,
+    )
+
+    @pytest.fixture(scope="class", params=sorted(TRANSPORTS))
+    def objs(self, request):
+        sim = _finished_groupby_16w(request.param)
+        yield request.param, list(_reachable(sim))
+        sim.shutdown()
+
+    def test_slotted_classes_carry_no_dict(self, objs):
+        transport, objs = objs
+        found = {type(o) for o in objs if isinstance(o, self.SLOTTED)}
+        assert SelectionKey in found  # every executor's acceptor
+        if transport != "mpi-coll":  # the collective shuffle opens no channel
+            assert {HandlerContext, SimSocket, ChannelId} <= found
+        if transport in ("mpi-basic", "mpi-opt"):
+            assert CommBinding in found
+        assert not [o for o in objs if isinstance(o, self.SLOTTED) and hasattr(o, "__dict__")]
+
+    def test_stateless_handlers_are_shared(self, objs):
+        transport, objs = objs
+        handlers: dict[type, set[int]] = {}
+        for pipeline in (o for o in objs if isinstance(o, ChannelPipeline)):
+            ctx = pipeline._head
+            while ctx is not None:
+                if type(ctx.handler) in self.SHARED:
+                    handlers.setdefault(type(ctx.handler), set()).add(id(ctx.handler))
+                ctx = ctx.next
+        if transport != "mpi-coll":
+            assert {_HeadHandler, _TailHandler, MessageEncoder, MessageDecoder} <= set(handlers)
+        assert {cls: len(ids) for cls, ids in handlers.items()} == dict.fromkeys(handlers, 1)
+
+    def test_no_message_outlives_its_delivery(self, objs):
+        _, objs = objs
+        assert not [o for o in objs if isinstance(o, (Segment, Envelope))]
