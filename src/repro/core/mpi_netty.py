@@ -98,10 +98,10 @@ def optimized_transport_write(channel: Channel, msg: Any, promise: "Event") -> N
                     c_body_msgs,
                     c_body_bytes,
                 )
-            c_hdr_msgs.inc()
-            c_hdr_bytes.inc(len(msg.header))
-            c_body_msgs.inc()
-            c_body_bytes.inc(body_nbytes)
+            c_hdr_msgs.value += 1.0
+            c_hdr_bytes.value += len(msg.header)
+            c_body_msgs.value += 1.0
+            c_body_bytes.value += body_nbytes
             if not promise.triggered:
                 promise.complete()
             return
@@ -171,8 +171,8 @@ def basic_transport_write(channel: Channel, msg: Any, promise: "Event") -> None:
             c_msgs = m.counter("transport.mpi-basic.messages")
             c_bytes = m.counter("transport.mpi-basic.bytes")
             channel._mpi_basic_counters = (c_msgs, c_bytes)
-        c_msgs.inc()
-        c_bytes.inc(msg.nbytes)
+        c_msgs.value += 1.0
+        c_bytes.value += msg.nbytes
         if not promise.triggered:
             promise.complete()
         return
@@ -198,11 +198,7 @@ class MpiBasicEventLoop(EventLoop):
         self.cost = cost
         self.mpi_channels: list[Channel] = []
         # Cumulative CPU seconds spent in selectNow + MPI_Iprobe rounds —
-        # the measured "polling tax" reported next to Fig 9. Accumulated
-        # as plain floats (this loop busy-polls, so it is the hottest
-        # path in the simulation) and published at snapshot time.
-        self._poll_tax_s = 0.0
-        self._n_poll_rounds = 0
+        # the measured "polling tax" reported next to Fig 9.
         self._c_poll_tax = env.metrics.counter(f"netty.loop.{name}.poll_tax_s")
         self._c_poll_rounds = env.metrics.counter(
             f"netty.loop.{name}.poll_rounds"
@@ -231,11 +227,6 @@ class MpiBasicEventLoop(EventLoop):
             self._poll_dirty = False
         return self._poll_cache
 
-    def _publish_metrics(self) -> None:
-        super()._publish_metrics()
-        self._c_poll_tax.value = self._poll_tax_s
-        self._c_poll_rounds.value = float(self._n_poll_rounds)
-
     def on_mpi_channel_bound(self, channel: Channel) -> None:
         if channel in self.mpi_channels:
             return  # idempotent: re-handshakes must not double-poll
@@ -254,14 +245,16 @@ class MpiBasicEventLoop(EventLoop):
         select_now_s = self.cost.select_now_cost_s
         iprobe_s = self.cost.iprobe_cost_s
         discovery_s = self.cost.basic_poll_period_s / 2
+        c_poll_tax, c_poll_rounds = self._c_poll_tax, self._c_poll_rounds
+        c_iterations, c_busy = self._c_iterations, self._c_busy
         while self.running:
             # Poll round: selectNow + one MPI_Iprobe per bound channel.
             t_busy = env.now
             poll_cost = select_now_s + len(self.mpi_channels) * iprobe_s
             yield env.timeout(poll_cost)
-            self._poll_tax_s += poll_cost
-            self._n_poll_rounds += 1
-            self._n_iterations += 1
+            c_poll_tax.value += poll_cost
+            c_poll_rounds.value += 1.0
+            c_iterations.value += 1.0
             keys = self.selector.select_now()
             for key in keys:
                 if key.is_acceptable():
@@ -290,7 +283,7 @@ class MpiBasicEventLoop(EventLoop):
                         except MPIError as exc:
                             channel.pipeline.fire_exception_caught(exc)
                             break
-                        self._n_messages_read += 1
+                        self._c_messages_read.value += 1.0
                         yield env.timeout(READ_EVENT_COST_S)
                         try:
                             channel.pipeline.fire_channel_read(frame)
@@ -309,7 +302,7 @@ class MpiBasicEventLoop(EventLoop):
                     yield from self._drain_blocking()
                 progressed = True
 
-            self._busy_s += env.now - t_busy
+            c_busy.value += env.now - t_busy
             if not progressed:
                 # Idle: the real thread keeps spinning (its CPU burn is the
                 # executor's polling-core tax); the *simulation* parks until

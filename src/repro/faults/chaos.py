@@ -29,6 +29,7 @@ from repro.harness.profile import (
 from repro.mpi.errors import MPIError
 from repro.simnet.events import SimError
 from repro.spark.deploy import SparkSimCluster
+from repro.transports import transport_class
 from repro.util.units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,14 +98,11 @@ class ChaosScenario:
 
 def run_scenario(scenario: ChaosScenario) -> AvailabilityReport:
     """Baseline run, then the faulted run; both from the same seed."""
+    transport = transport_class(scenario.transport)
     report = AvailabilityReport(
         scenario=scenario.name,
-        transport=scenario.transport,
-        fault_mode=(
-            scenario.mpi_fault_mode
-            if scenario.transport.startswith("mpi")
-            else "n/a"
-        ),
+        transport=transport.name,
+        fault_mode=scenario.mpi_fault_mode if transport.uses_mpi else "n/a",
         seed=scenario.plan.seed,
     )
 

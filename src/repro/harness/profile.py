@@ -139,14 +139,13 @@ def measured_cv(trace: StageTrace) -> float:
 
 def scaled_read_matrices(
     total_bytes: float,
-    total_records: float,
     n_tasks: int,
     n_executors: int,
     n_map_tasks: int,
     cv: float,
     seed: int = 23,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (fetch_bytes, blocks, records) for a scaled shuffle read.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build (fetch_bytes, blocks) for a scaled shuffle read.
 
     Traffic is spread uniformly across source executors (hash partitioning
     over random keys — the OHB case), with per-task jitter of ``cv``.
@@ -157,5 +156,4 @@ def scaled_read_matrices(
     fetch = np.outer(per_task, np.full(n_executors, 1.0 / n_executors))
     maps_per_exec = max(1, n_map_tasks // n_executors)
     blocks = np.full((n_tasks, n_executors), maps_per_exec, dtype=np.int64)
-    records = _spread(total_records, n_tasks, cv, seed + 1)
-    return fetch, blocks, records
+    return fetch, blocks

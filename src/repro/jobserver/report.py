@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.jobserver.server import JobServerResult
 from repro.util.stats import percentile
+from repro.util.units import fmt_columns
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,10 @@ class JobServerReport:
             )
             for c in self.cells
         ]
-        widths = [
-            max(len(cols[i]), *(len(r[i]) for r in rows)) if rows else len(cols[i])
-            for i in range(len(cols))
-        ]
         lines = [
             f"jobserver contention study [{self.system}, {self.n_workers} workers, "
             f"{self.n_jobs} jobs, seed {self.seed}]",
-            "  ".join(c.ljust(w) for c, w in zip(cols, widths)),
-            "  ".join("-" * w for w in widths),
+            *fmt_columns(cols, rows),
+            f"digest: {self.digest()}",
         ]
-        for r in rows:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-        lines.append(f"digest: {self.digest()}")
         return "\n".join(lines)

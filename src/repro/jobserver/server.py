@@ -203,7 +203,7 @@ class JobServer:
                 yield env.timeout(job.submit_s - env.now)
             self.records[job.app_id] = JobRecord(request=job, submit_s=env.now)
             self._pending.append(job)
-            self._m_submitted.inc()
+            self._m_submitted.value += 1.0
             env.causal.event(
                 "job.submit", None,
                 app=job.name, workload=job.workload, parallelism=job.parallelism,
@@ -218,9 +218,9 @@ class JobServer:
             record.stage_seconds = stage_seconds
         except Exception as exc:  # noqa: BLE001 - a tenant failure is data
             record.failed = f"{type(exc).__name__}: {exc}"
-            self._m_failed.inc()
+            self._m_failed.value += 1.0
         record.finish_s = env.now
-        self._m_finished.inc()
+        self._m_finished.value += 1.0
         self._h_jct.observe(record.jct_s)
         env.causal.event(
             "job.finish", None,
@@ -306,7 +306,7 @@ class JobServer:
             granted=slots,
             executor_ids=executor_ids,
         )
-        self._m_started.inc()
+        self._m_started.value += 1.0
         self._h_queue.observe(record.queue_delay_s)
         env.causal.event(
             "job.start", None,

@@ -91,18 +91,15 @@ class MatchingEngine:
         # insertion order across buckets when several match at once.
         self._probe_waiters: dict[tuple[int, int, int], list] = {}
         self._probe_seq = 0
-        # counters, useful in tests and the polling-tax analysis
-        self.n_unexpected_matches = 0
-        self.n_posted_matches = 0
-        self.n_iprobe_calls = 0
         # scan-length bookkeeping: fixed-size bucket array incremented on
         # the hot path (index = min(scan, 17)), bulk-published into the
         # registry histogram lazily at snapshot time.
         self._scan_hist = [0] * 18
         self._scan_published = [0] * 18
-        self._iprobe_scanned = 0
         # Registry metrics (repro.obs), rank-scoped when the owner gave us
         # a name (MPIProcess does; anonymous engines in unit tests don't).
+        # Same-named engines share these counters, so their counts add
+        # up; production names ("name#gid") are unique per world.
         m = env.metrics
         prefix = f"mpi.rank.{name}" if name else "mpi.rank.anon"
         self._c_iprobe = m.counter(f"{prefix}.iprobe_calls")
@@ -113,15 +110,9 @@ class MatchingEngine:
         self._h_recv_wait = m.histogram(f"{prefix}.recv_match_wait_s")
         self._h_unexpected_wait = m.histogram(f"{prefix}.unexpected_wait_s")
         self._h_match_scan = m.histogram(f"{prefix}.match_scan_len")
-        # The match counters are published from the plain ints above at
-        # snapshot time: iprobe is on the Basic design's busy-poll path.
-        m.on_snapshot(self._publish_metrics)
+        m.on_snapshot(self._publish_scan_hist)
 
-    def _publish_metrics(self) -> None:
-        self._c_iprobe.value = float(self.n_iprobe_calls)
-        self._c_posted_matches.value = float(self.n_posted_matches)
-        self._c_unexpected_matches.value = float(self.n_unexpected_matches)
-        self._c_iprobe_scanned.value = float(self._iprobe_scanned)
+    def _publish_scan_hist(self) -> None:
         for scan_len, count in enumerate(self._scan_hist):
             delta = count - self._scan_published[scan_len]
             if delta:
@@ -177,7 +168,7 @@ class MatchingEngine:
                 del self._posted_exact[(env_msg.context_id, env_msg.src_rank, env_msg.tag)]
         if cand is not None:
             # matched a pre-posted receive: fast path, no extra copy
-            self.n_posted_matches += 1
+            self._c_posted_matches.value += 1.0
             self._h_recv_wait.observe(self.env.now - cand.posted_at)
             if env_msg.trace_ctx is not None:
                 self.env.causal.match(env_msg.trace_ctx, 0.0, False)
@@ -248,7 +239,7 @@ class MatchingEngine:
         self._scan_hist[scan if scan < 17 else 17] += 1
         if dq is not None:
             arrived, env_msg = self._pop_unexpected(context_id, buckets, key, dq)
-            self.n_unexpected_matches += 1
+            self._c_unexpected_matches.value += 1.0
             self._g_unexpected_depth.set(self._ux_count)
             self._h_unexpected_wait.observe(now - arrived)
             self._h_recv_wait.observe(0.0)
@@ -280,13 +271,13 @@ class MatchingEngine:
         self, source: int, tag: int, context_id: int, status: Status | None = None
     ) -> bool:
         """Non-blocking probe of the unexpected queue (MPI_Iprobe)."""
-        self.n_iprobe_calls += 1
+        self._c_iprobe.value += 1.0
         buckets = self._ux.get(context_id)
         if buckets is None:
             # Idle queue: the case the Basic design's poll loop hammers.
             return False
         if source != ANY_SOURCE and tag != ANY_TAG:
-            self._iprobe_scanned += 1
+            self._c_iprobe_scanned.value += 1.0
             dq = buckets.get((source, tag))
             if not dq:
                 return False
@@ -294,7 +285,7 @@ class MatchingEngine:
                 _fill_status(status, dq[0][2])
             return True
         _, _, dq, scan = self._find_unexpected(source, tag, context_id)
-        self._iprobe_scanned += scan
+        self._c_iprobe_scanned.value += scan
         if dq is None:
             return False
         if status is not None:

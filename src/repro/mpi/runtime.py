@@ -120,12 +120,12 @@ class MPIProcess:
         dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, _ = send
         self._check_sendable(dst_gid)
         world = self.world
-        world._c_send_bytes.inc(size)
+        world._c_send_bytes.value += size
         eager = size <= world.model.rendezvous_threshold
         if eager:
-            world._c_send_eager.inc()
+            world._c_send_eager.value += 1.0
         else:
-            world._c_send_rendezvous.inc()
+            world._c_send_rendezvous.value += 1.0
         world._route(Envelope(
             self.gid, src_rank, dst_gid, context_id, tag, payload, size,
             Protocol.EAGER if eager else Protocol.RENDEZVOUS,
@@ -449,7 +449,6 @@ class MPIWorld:
         self.fault_mode = fault_mode
         self.aborted = False
         self.dead: set[int] = set()
-        self.lost_envelopes = 0
         self._gids = itertools.count(0)
         self._procs: dict[int, MPIProcess] = {}
         self._pipes: dict[tuple[int, int], _Pipe] = {}
@@ -553,7 +552,6 @@ class MPIWorld:
 
     def _on_envelope_lost(self, envl: Envelope, exc: MessageDropped) -> None:
         """A wire-level drop hit the MPI path (no retransmit layer here)."""
-        self.lost_envelopes += 1
         if envl.send_done is not None and not envl.send_done.triggered:
             envl.send_done.fail(RankDeadError(f"envelope lost: {exc}"))
         if self.fault_mode == "abort":

@@ -86,8 +86,8 @@ class Channel:
         """Default NIO transport: everything goes over the Java socket."""
         nbytes = self._wire_size(msg)
         self.socket.send(msg, nbytes)
-        self._c_socket_messages.inc()
-        self._c_socket_bytes.inc(nbytes)
+        self._c_socket_messages.value += 1.0
+        self._c_socket_bytes.value += nbytes
         if not promise.triggered:
             promise.complete()
 

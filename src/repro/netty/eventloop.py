@@ -74,41 +74,16 @@ class EventLoop:
         self.alloc = PooledByteBufAllocator()
         # Set by the MPI transports: this loop's JVM-level MPI identity.
         self.mpi_endpoint = None
-        # Loop metrics, published into the registry as
-        # ``netty.loop.<name>.*`` lazily at snapshot time (repro.obs) —
-        # the loop body itself only pays plain int/float adds. Keep loop
-        # names unique per cluster (the executors' "exec{N}-io{M}" scheme
-        # does), or colliding loops will overwrite each other's values.
-        self._n_iterations = 0
-        self._n_messages_read = 0
-        self._n_select_wakeups = 0
-        self._busy_s = 0.0
-        self._blocked_s = 0.0
+        # Loop metrics (``netty.loop.<name>.*``, repro.obs): the loop body
+        # adds to the registry counters it holds. Same-named loops share
+        # these counters, so their counts add up; keep loop names unique
+        # per cluster (the executors' "exec{N}-io{M}" scheme does).
         m = env.metrics
         self._c_iterations = m.counter(f"netty.loop.{name}.iterations")
         self._c_messages_read = m.counter(f"netty.loop.{name}.messages_read")
         self._c_select_wakeups = m.counter(f"netty.loop.{name}.select_wakeups")
         self._c_busy = m.counter(f"netty.loop.{name}.busy_s")
         self._c_blocked = m.counter(f"netty.loop.{name}.blocked_s")
-        m.on_snapshot(self._publish_metrics)
-
-    def _publish_metrics(self) -> None:
-        self._c_iterations.value = float(self._n_iterations)
-        self._c_messages_read.value = float(self._n_messages_read)
-        self._c_select_wakeups.value = float(self._n_select_wakeups)
-        self._c_busy.value = self._busy_s
-        self._c_blocked.value = self._blocked_s
-
-    # -- back-compat counter views (pre-obs attributes) ---------------------
-    @property
-    def iterations(self) -> int:
-        """Loop iterations so far (snapshots as ``netty.loop.<name>.iterations``)."""
-        return self._n_iterations
-
-    @property
-    def messages_read(self) -> int:
-        """Messages read so far (snapshots as ``netty.loop.<name>.messages_read``)."""
-        return self._n_messages_read
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "Process":
@@ -160,9 +135,9 @@ class EventLoop:
             keys = yield from self.selector.select()
             if not self.running:
                 return
-            self._n_select_wakeups += 1
+            self._c_select_wakeups.value += 1.0
             t_busy = env.now
-            self._n_iterations += 1
+            self._c_iterations.value += 1.0
             yield env.timeout(WAKEUP_COST_S)
 
             for key in keys:
@@ -182,7 +157,7 @@ class EventLoop:
                 fn()
                 if self._blocking:
                     yield from self._drain_blocking()
-            self._busy_s += env.now - t_busy
+            self._c_busy.value += env.now - t_busy
 
     def _accept_all(self, key) -> Generator:
         listener = key.listener
@@ -209,7 +184,7 @@ class EventLoop:
                 self.deregister(channel)
                 channel.pipeline.fire_channel_inactive()
                 return
-            self._n_messages_read += 1
+            self._c_messages_read.value += 1.0
             yield env.timeout(READ_EVENT_COST_S)
             try:
                 channel.pipeline.fire_channel_read(seg.payload)
@@ -226,4 +201,4 @@ class EventLoop:
             yield from gen
         # Time the loop thread spent inside blocking continuations (the
         # Optimized design's MPI_Recv-in-handler stalls land here).
-        self._blocked_s += self.env.now - t0
+        self._c_blocked.value += self.env.now - t0

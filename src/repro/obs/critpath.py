@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.util.units import fmt_columns
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
 
@@ -100,16 +102,7 @@ class CriticalPathReport:
             ["TOTAL", "", *(f"{self.segment_seconds(seg):.4f}" for seg in SEGMENTS),
              f"{self.total_seconds:.4f}"]
         )
-        widths = [
-            max(len(cols[i]), *(len(r[i]) for r in rows)) for i in range(len(cols))
-        ]
-        lines = [
-            f"critical path [{self.transport}]",
-            "  ".join(c.ljust(w) for c, w in zip(cols, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for r in rows:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+        lines = [f"critical path [{self.transport}]", *fmt_columns(cols, rows)]
         return "\n".join(lines)
 
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.critpath import SEGMENTS, analyze, stage_bounds
+from repro.util.units import fmt_columns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
@@ -247,15 +248,7 @@ class DiffReport:
                 f"{s.residual_s:+.4f}",
             ])
         if rows:
-            widths = [
-                max(len(cols[i]), *(len(r[i]) for r in rows))
-                for i in range(len(cols))
-            ]
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-            lines.append("  ".join("-" * w for w in widths))
-            lines.extend(
-                "  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows
-            )
+            lines.extend(fmt_columns(cols, rows))
         all_nodes = list(self.structural) + [
             n for s in self.stages for n in s.nodes
         ]

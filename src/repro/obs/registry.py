@@ -11,11 +11,14 @@ asking twice for the same name returns the same object, which is how
 per-executor instrumentation aggregates into cluster-wide counters
 (``spark.scheduler.fetch_wait_s``) without a central wiring step.
 
-The registry is deliberately cheap: a :class:`Counter` increment is one
-float add, so the always-on instrumentation in the event loop / wire
-path costs nothing measurable against the event-heap machinery. The
-heavier artifacts (snapshots, report columns, flight recordings) are
-opt-in per run via the ``obs_enabled`` / ``obs_causal`` cluster keywords.
+A count lives in one place: its owner asks for the :class:`Counter` once
+and adds to it in place (``counter.value += n``), and :meth:`snapshot`
+only reads the values. That add is one slotted attribute store, about as
+cheap as a plain int add on the owner, so the always-on instrumentation
+in the event loop / wire path keeps no private mirror and needs no
+publish step. The heavier artifacts (snapshots, report columns, flight
+recordings) are opt-in per run via the ``obs_enabled`` / ``obs_causal``
+cluster keywords.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ HISTOGRAM_SAMPLE_CAP = 4096
 
 
 class Counter:
-    """Monotonically increasing value (events, bytes, CPU seconds)."""
+    """Monotonically increasing value (events, bytes, CPU seconds).
+
+    Owners add to ``value`` directly; it stays a float.
+    """
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value:g})"
@@ -304,10 +307,10 @@ class MetricsRegistry:
     def on_snapshot(self, hook: "Callable[[], None]") -> None:
         """Register ``hook()`` to run just before every :meth:`snapshot`.
 
-        Hot paths (the wire path, event-loop iterations) keep plain
-        attribute counters and publish them into the registry lazily via
-        these hooks, so the always-on cost of a metric is one int add
-        rather than a registry lookup or method call per event.
+        For values that are not counts added in place: a histogram fed in
+        bulk from hot-path buckets (the MPI match-scan lengths), or stats
+        kept outside this registry (the process-global caches). Counts
+        need no hook; their owners add to the counter itself.
         """
         self._sync_hooks.append(hook)
 

@@ -342,17 +342,9 @@ class ReplayModel:
                 fetch_start = fetch_end - fetch
                 local = a.get("local_s")
                 if local is None:
-                    # Pre-local_s trace: the gap between fetch start and
-                    # the first request leaving approximates the ramdisk
-                    # read of the task's local blocks.
-                    first_send = min(
-                        (tables.send[s].t for s in tables.trace_spans.get(trace, ())),
-                        default=None,
-                    )
-                    local = (
-                        max(min(first_send, fetch_end) - fetch_start, 0.0)
-                        if first_send is not None
-                        else 0.0
+                    raise ValueError(
+                        f"local read time unknown: task {label!r} records "
+                        "fetch_wait_s but no local_s attribute"
                     )
                 lo = fetch_start + local
                 wire = _clipped_len(global_wire, lo, fetch_end)

@@ -46,7 +46,6 @@ from repro.simnet.topology import (
     LinkDown,
     LinkState,
     MessageDropped,
-    NetTrace,
     SimCluster,
     SimNode,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "loopback",
     "SimCluster",
     "SimNode",
-    "NetTrace",
     "LinkState",
     "LinkDown",
     "MessageDropped",

@@ -149,25 +149,11 @@ class FluidNetwork:
         # Time-weighted concurrency of bulk transfers (repro.obs).
         self._g_active = env.metrics.time_gauge("simnet.fluid.active_flows")
         self._c_flow_bytes = env.metrics.counter("simnet.fluid.flow_bytes")
-        # Re-rate batch telemetry: plain ints on the hot path, published
-        # lazily at snapshot time (same idiom as netty.loop.* counters).
-        self._n_rerate_calls = 0
-        self._n_rerate_flows = 0
-        self._n_vector_batches = 0
-        self._max_batch = 0
         m = env.metrics
-        c_calls = m.counter("simnet.fluid.rerate.calls")
-        c_flows = m.counter("simnet.fluid.rerate.flows")
-        c_vec = m.counter("simnet.fluid.rerate.vector_batches")
-        c_max = m.counter("simnet.fluid.rerate.max_batch")
-
-        def _publish_rerate_stats() -> None:
-            c_calls.value = float(self._n_rerate_calls)
-            c_flows.value = float(self._n_rerate_flows)
-            c_vec.value = float(self._n_vector_batches)
-            c_max.value = float(self._max_batch)
-
-        m.on_snapshot(_publish_rerate_stats)
+        self._c_rerate_calls = m.counter("simnet.fluid.rerate.calls")
+        self._c_rerate_flows = m.counter("simnet.fluid.rerate.flows")
+        self._c_vector_batches = m.counter("simnet.fluid.rerate.vector_batches")
+        self._c_max_batch = m.counter("simnet.fluid.rerate.max_batch")
 
     # -- public API ----------------------------------------------------------
     def transfer(self, links: list[tuple[Hashable, float]], nbytes: float) -> "Event":
@@ -200,7 +186,7 @@ class FluidNetwork:
         flow.last = self.env.now
         self.flows[fid] = flow
         self._g_active.set(len(self.flows))
-        self._c_flow_bytes.inc(nbytes)
+        self._c_flow_bytes.value += nbytes
         shares = self._shares_arr
         for link in path:
             sharing = link.fids
@@ -326,15 +312,15 @@ class FluidNetwork:
         k = len(touched)
         if k == 0:
             return
-        self._n_rerate_calls += 1
-        self._n_rerate_flows += k
-        if k > self._max_batch:
-            self._max_batch = k
+        self._c_rerate_calls.value += 1.0
+        self._c_rerate_flows.value += k
+        if k > self._c_max_batch.value:
+            self._c_max_batch.value = float(k)
         if k >= self._VECTOR_MIN:
             # Vectorized path: gather each flow's links' shares in one
             # shot. Wire flows always have exactly two links; mixed
             # batches fall back to a segmented min (reduceat).
-            self._n_vector_batches += 1
+            self._c_vector_batches.value += 1.0
             lidx = list(map(attrgetter("lidx"), touched))
             shares = self._shares_arr.take(list(chain.from_iterable(lidx)))
             lens = list(map(len, lidx))

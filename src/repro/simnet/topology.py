@@ -8,7 +8,6 @@ switch, are the contended resource.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable
 
 from repro.simnet.engine import SimEngine
@@ -117,22 +116,13 @@ class LinkState:
         )
 
 
-@dataclass
-class NicStats:
-    """Per-node NIC accounting (useful for incast analysis in tests)."""
-
-    tx_bytes: int = 0
-    rx_bytes: int = 0
-    tx_messages: int = 0
-    rx_messages: int = 0
-
-
 class SimNode:
     """A compute node: a core count plus a full-duplex NIC.
 
     The NIC's two directions are fluid links of the wire path (the
     ``(index, "tx" | "rx", ...)`` keys in :meth:`SimCluster.wire_path`);
-    the node itself only keeps their traffic counters.
+    the node itself only keeps their traffic counters, the registry's
+    ``simnet.link.<name>.*``, which the wire path adds to per message.
     """
 
     def __init__(self, env: SimEngine, index: int, name: str, cores: int) -> None:
@@ -140,45 +130,14 @@ class SimNode:
         self.index = index
         self.name = name
         self.cores = cores
-        self.nic_stats = NicStats()
-        # Registry mirror of nic_stats: per-link (node direction) traffic.
-        # Published lazily at snapshot time so the wire path only pays the
-        # plain-int NicStats adds per message.
         m = env.metrics
-        self._c_tx_bytes = m.counter(f"simnet.link.{name}.tx_bytes")
-        self._c_rx_bytes = m.counter(f"simnet.link.{name}.rx_bytes")
-        self._c_tx_messages = m.counter(f"simnet.link.{name}.tx_messages")
-        self._c_rx_messages = m.counter(f"simnet.link.{name}.rx_messages")
-        m.on_snapshot(self._publish_metrics)
-
-    def _publish_metrics(self) -> None:
-        ns = self.nic_stats
-        self._c_tx_bytes.value = float(ns.tx_bytes)
-        self._c_rx_bytes.value = float(ns.rx_bytes)
-        self._c_tx_messages.value = float(ns.tx_messages)
-        self._c_rx_messages.value = float(ns.rx_messages)
+        self.tx_bytes = m.counter(f"simnet.link.{name}.tx_bytes")
+        self.rx_bytes = m.counter(f"simnet.link.{name}.rx_bytes")
+        self.tx_messages = m.counter(f"simnet.link.{name}.tx_messages")
+        self.rx_messages = m.counter(f"simnet.link.{name}.rx_messages")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimNode {self.name} cores={self.cores}>"
-
-
-class NetTrace:
-    """Delivered bytes, grouped by wire-model name.
-
-    Per-message elapsed time is the ``simnet.wire.<model>.elapsed_s``
-    histogram's to keep, not this aggregate's.
-    """
-
-    def __init__(self) -> None:
-        self.bytes_by_model: dict[str, int] = {}
-
-    def record(self, model: WireModel, nbytes: int) -> None:
-        self.bytes_by_model[model.name] = (
-            self.bytes_by_model.get(model.name, 0) + nbytes
-        )
-
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_model.values())
 
 
 class SimCluster:
@@ -211,7 +170,6 @@ class SimCluster:
             for i in range(n_nodes)
         ]
         self._by_name = {node.name: node for node in self.nodes}
-        self.trace = NetTrace()
         self._loopback = loopback(fabric)
         self.fluid = FluidNetwork(env)
         self.link_state = LinkState(env)
@@ -223,12 +181,11 @@ class SimCluster:
             Callable[[SimNode, SimNode, int, WireModel], tuple[str, float] | None]
             | None
         ) = None
-        self.fault_stats = {"dropped": 0, "corrupted": 0, "delayed": 0}
-        # Per-wire-model elapsed-time histograms, cached so the per-message
-        # hot path avoids registry name lookups. Byte totals are published
-        # from the NetTrace aggregates at snapshot time instead of being
-        # counted per message.
+        # Per-wire-model elapsed-time histograms and delivered-byte
+        # counters, cached so the per-message hot path avoids registry
+        # name lookups.
         self._wire_histograms: dict[str, Any] = {}
+        self._wire_bytes: dict[str, Any] = {}
         # Per-model memo of the pure delay terms (WireModel is frozen, so
         # every entry is a function of (model, nbytes) only). Keyed by
         # id(model) with the model pinned in the entry so a recycled id
@@ -236,12 +193,15 @@ class SimCluster:
         # [model, {nbytes: serialization+latency}, bulk cap (B/s) or None,
         #  {nbytes: post-transfer protocol+chunk delay}].
         self._wire_delay_memo: dict[int, list] = {}
-        env.metrics.on_snapshot(self._publish_metrics)
 
-    def _publish_metrics(self) -> None:
-        m = self.env.metrics
-        for name, nbytes in self.trace.bytes_by_model.items():
-            m.counter(f"simnet.wire.{name}.bytes").value = float(nbytes)
+    def _count_wire_bytes(self, model: WireModel, nbytes: int) -> None:
+        """Add a delivered message to ``simnet.wire.<model>.bytes``."""
+        counter = self._wire_bytes.get(model.name)
+        if counter is None:
+            counter = self._wire_bytes[model.name] = self.env.metrics.counter(
+                f"simnet.wire.{model.name}.bytes"
+            )
+        counter.value += nbytes
 
     def _on_link_event(self, kind: str, payload: Any) -> None:
         if kind != "node-failed":
@@ -311,7 +271,7 @@ class SimCluster:
                 )
             yield env.timeout(delay)
             elapsed = env.now - start
-            self.trace.record(lo, nbytes)
+            self._count_wire_bytes(lo, nbytes)
             return elapsed
 
         if self.fault_filter is not None:
@@ -319,15 +279,12 @@ class SimCluster:
             if verdict is not None:
                 action, amount = verdict
                 if action == "drop":
-                    self.fault_stats["dropped"] += 1
                     raise MessageDropped(f"dropped {src.name}->{dst.name}")
                 if action == "corrupt":
-                    self.fault_stats["corrupted"] += 1
                     raise MessageDropped(
                         f"corrupted {src.name}->{dst.name}", corrupted=True
                     )
                 if action == "delay":
-                    self.fault_stats["delayed"] += 1
                     yield env.timeout(amount)
 
         # NIC degradation stretches both serialization and flow rate; flows
@@ -378,15 +335,15 @@ class SimCluster:
             # The receiver died while the message was in flight.
             raise LinkDown(f"{dst.name} failed before delivery from {src.name}")
 
-        src.nic_stats.tx_bytes += nbytes
-        src.nic_stats.tx_messages += 1
-        dst.nic_stats.rx_bytes += nbytes
-        dst.nic_stats.rx_messages += 1
+        src.tx_bytes.value += nbytes
+        src.tx_messages.value += 1.0
+        dst.rx_bytes.value += nbytes
+        dst.rx_messages.value += 1.0
         elapsed = env.now - start
         hist = self._wire_histograms.get(model.name)
         if hist is None:
             hist = env.metrics.histogram(f"simnet.wire.{model.name}.elapsed_s")
             self._wire_histograms[model.name] = hist
         hist.observe(elapsed)
-        self.trace.record(model, nbytes)
+        self._count_wire_bytes(model, nbytes)
         return elapsed

@@ -401,7 +401,7 @@ class SimExecutor:
                 size, blk, src = pending.pop(future)
                 in_flight -= size
                 self.bytes_fetched_remote += size
-                tm.remote_bytes.inc(size)
+                tm.remote_bytes.value += size
                 if blk > 1:
                     yield env.timeout((blk - 1) * PER_BLOCK_CLIENT_S)
 
@@ -439,7 +439,7 @@ class SimExecutor:
             ) from exc
         if remote_bytes > 0:
             self.bytes_fetched_remote += int(remote_bytes)
-            tm.remote_bytes.inc(remote_bytes)
+            tm.remote_bytes.value += remote_bytes
 
     # -- the task body and its accounting envelope --------------------------
     def nominal_costs(self, stage, t: int) -> tuple[float, float] | None:
@@ -491,11 +491,11 @@ class SimExecutor:
             yield env.timeout(delay + compute + write)
             phases = {"compute_s": compute}
             if tm is not None:
-                tm.compute.inc(compute)
+                tm.compute.value += compute
             if isinstance(stage, ShuffleWriteStage):
                 phases["write_s"] = write
                 if tm is not None:
-                    tm.write.inc(write)
+                    tm.write.value += write
             return phases
         yield env.timeout(delay)
         # Fetch wait mirrors Spark's shuffle-read "fetch wait time":
@@ -508,7 +508,7 @@ class SimExecutor:
         if local > 0:
             self.bytes_read_local += int(local)
             if tm is not None:
-                tm.local_bytes.inc(local)
+                tm.local_bytes.value += local
             local_read = local / self.cost.ramdisk_read_Bps
             yield env.timeout(local_read)
         # Remote blocks: through the transport under test.
@@ -526,14 +526,14 @@ class SimExecutor:
             yield from self.fetch_shuffle(sources, trace_parent=ctx, app=app, rot=rot)
         fetch_wait = env.now - t_fetch
         if tm is not None:
-            tm.fetch_wait.inc(fetch_wait)
+            tm.fetch_wait.value += fetch_wait
             tm.h_fetch_wait.observe(fetch_wait)
         combine = (
             float(stage.combine_seconds_per_task[t]) * self.sim.transport.compute_inflation
         )
         yield env.timeout(combine)
         if tm is not None:
-            tm.combine.inc(combine)
+            tm.combine.value += combine
         return {"fetch_wait_s": fetch_wait, "combine_s": combine, "local_s": local_read}
 
     def run_task(
@@ -573,7 +573,7 @@ class SimExecutor:
             phases = yield from self.task_body(
                 stage, t, peers, col, exchange, tm=tm, ctx=ctx, app=app, rot=rot
             )
-            tm.tasks.inc()
+            tm.tasks.value += 1.0
             if ctx is not None:
                 env.causal.event(
                     "task.finish", ctx, task=label, exec=self.exec_id, **phases

@@ -13,6 +13,7 @@ Conventions used throughout the reproduction:
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 # --- byte units -----------------------------------------------------------
 KB = 10**3
@@ -116,3 +117,18 @@ def fmt_time(seconds: float) -> str:
     else:
         text = f"{s * 1e9:.1f}ns"
     return ("-" if neg else "") + text
+
+
+def fmt_columns(cols: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """Header, rule and one line per row of a left-aligned text table.
+
+    Columns are two spaces apart and as wide as their widest cell; every
+    cell is padded, the last one included.
+    """
+    widths = [max([len(c)] + [len(r[i]) for r in rows]) for i, c in enumerate(cols)]
+    lines = [
+        "  ".join(c.ljust(w) for c, w in zip(cols, widths)),
+        "  ".join("-" * w for w in widths),
+    ]
+    lines.extend("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows)
+    return lines

@@ -126,8 +126,8 @@ class HiBenchSpec:
                     ),
                 )
             )
-            fetch, blocks, _records = scaled_read_matrices(
-                float(self.nominal_bytes), total_records, n_tasks, n_workers, n_tasks, 0.05
+            fetch, blocks = scaled_read_matrices(
+                float(self.nominal_bytes), n_tasks, n_workers, n_tasks, 0.05
             )
             stages.append(
                 ShuffleReadStage(
@@ -163,9 +163,8 @@ class HiBenchSpec:
                         write_bytes_per_task=_spread(round_bytes, n_tasks, 0.05, 53 + r),
                     )
                 )
-                fetch, blocks, _records = scaled_read_matrices(
-                    round_bytes, round_records, n_tasks, n_workers, n_tasks, 0.05,
-                    seed=61 + r,
+                fetch, blocks = scaled_read_matrices(
+                    round_bytes, n_tasks, n_workers, n_tasks, 0.05, seed=61 + r
                 )
                 stages.append(
                     ShuffleReadStage(

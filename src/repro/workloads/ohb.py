@@ -157,9 +157,8 @@ class OhbWorkload:
         )
         write_bytes = _spread(float(nominal_bytes), n_tasks, cv / 2, seed=13)
 
-        fetch, blocks, _records = scaled_read_matrices(
+        fetch, blocks = scaled_read_matrices(
             total_bytes=float(nominal_bytes),
-            total_records=total_records,
             n_tasks=n_tasks,
             n_executors=n_workers,
             n_map_tasks=n_tasks,

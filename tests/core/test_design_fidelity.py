@@ -70,10 +70,9 @@ def run_fetch(transport_name, nbytes=4 * MiB, do_rpc=False):
 
     env.process(main(env))
     env.run()
-    mpi_bytes = cluster.trace.bytes_by_model.get(f"mpi/{cluster.fabric.name}", 0)
-    tcp_bytes = sum(
-        v for k, v in cluster.trace.bytes_by_model.items() if k.startswith("tcp")
-    )
+    snap = env.metrics.snapshot()
+    mpi_bytes = snap.value(f"simnet.wire.mpi/{cluster.fabric.name}.bytes")
+    tcp_bytes = snap.total("simnet.wire.tcp*.bytes")
     return stats, mpi_bytes, tcp_bytes
 
 

@@ -94,6 +94,12 @@ class TestTransportAsymmetry:
         r = run_scenario(scenario("nio", mode="abort"))
         assert r.fault_mode == "n/a"
 
+    def test_aliased_mpi_transport_reports_its_fault_mode(self):
+        # "coll" names mpi-coll: its report carries the canonical name
+        # and the MPI world's fault mode, whatever the name's prefix.
+        r = run_scenario(scenario("coll", mode="shrink"))
+        assert (r.transport, r.fault_mode) == ("mpi-coll", "shrink")
+
 
 class TestReportRendering:
     def test_matrix_has_one_row_per_cell(self):

@@ -64,17 +64,15 @@ class TestProfileHelpers:
             assert np.allclose(parts, 10.0)
 
     def test_scaled_read_matrices_shapes(self):
-        fetch, blocks, records = scaled_read_matrices(
-            total_bytes=1e9, total_records=1e6, n_tasks=16, n_executors=4,
-            n_map_tasks=16, cv=0.1,
+        fetch, blocks = scaled_read_matrices(
+            total_bytes=1e9, n_tasks=16, n_executors=4, n_map_tasks=16, cv=0.1,
         )
         assert fetch.shape == (16, 4)
         assert blocks.shape == (16, 4)
         assert fetch.sum() == pytest.approx(1e9, rel=1e-6)
-        assert records.sum() == pytest.approx(1e6, rel=1e-6)
 
     def test_read_stage_remote_bytes(self):
-        fetch, blocks, _ = scaled_read_matrices(1e9, 1e6, 8, 4, 8, 0.0)
+        fetch, blocks = scaled_read_matrices(1e9, 8, 4, 8, 0.0)
         stage = ShuffleReadStage("r", fetch, blocks, np.zeros(8))
         # Uniform spread: 3/4 of the traffic is remote.
         assert stage.total_remote_bytes == pytest.approx(0.75e9, rel=0.01)

@@ -176,7 +176,7 @@ class TestMatchingSemantics:
             yield proc.env.timeout(1.0)  # let the message sit unexpected
             assert comm.iprobe(source=0, tag=9)
             value = yield from comm.recv(source=0, tag=9)
-            return (value, proc.matching.n_unexpected_matches)
+            return (value, proc.matching._c_unexpected_matches.value)
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == ("early", 1)
@@ -191,7 +191,7 @@ class TestMatchingSemantics:
         def receiver(proc):
             comm = proc.comm_world
             value = yield from comm.recv(source=0, tag=9)
-            return (value, proc.matching.n_posted_matches)
+            return (value, proc.matching._c_posted_matches.value)
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == ("late", 1)

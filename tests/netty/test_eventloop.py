@@ -191,8 +191,8 @@ class TestTasksAndBlocking:
 
     def test_loop_counts_iterations_and_reads(self, rig):
         env, cluster, stack = rig
-        server_loop = EventLoop(env)
-        client_loop = EventLoop(env)
+        server_loop = EventLoop(env, "server-loop")
+        client_loop = EventLoop(env, "client-loop")
         server_loop.start()
         client_loop.start()
         (ServerBootstrap(stack)
@@ -212,8 +212,9 @@ class TestTasksAndBlocking:
 
         env.process(client(env))
         env.run()
-        assert server_loop.messages_read == 3
-        assert server_loop.iterations >= 1
+        m = env.metrics
+        assert m.counter("netty.loop.server-loop.messages_read").value == 3
+        assert m.counter("netty.loop.server-loop.iterations").value >= 1
 
     def test_double_start_rejected(self, rig):
         env, cluster, stack = rig

@@ -43,12 +43,33 @@ class TestDisabledPath:
         assert not sim.env.causal.enabled
 
     def test_registry_still_counts_for_backcompat(self):
-        # EventLoop.iterations/messages_read are registry-backed properties
-        # and must keep counting even with obs off.
+        # The loops' registry counters keep counting even with obs off.
         sim, _ = _run("nio")
+        m = sim.env.metrics
         loops = [loop for ex in sim.executors for loop in ex.loops.loops]
-        assert sum(loop.iterations for loop in loops) > 0
-        assert sum(loop.messages_read for loop in loops) > 0
+        for kind in ("iterations", "messages_read"):
+            names = [f"netty.loop.{loop.name}.{kind}" for loop in loops]
+            assert sum(m.counter(name).value for name in names) > 0
+
+    def test_counters_read_live_between_snapshots(self):
+        # A count lives in its registry counter, so reading it needs no
+        # snapshot; only the process-global cache stats sync at one.
+        sim, result = _run("mpi-basic")
+        assert result.metrics is None
+        m = sim.env.metrics
+        live = {}
+        for name in m.names():
+            try:
+                live[name] = m.counter(name).value
+            except TypeError:  # a gauge or histogram
+                pass
+        snap = m.snapshot()
+
+        def counts(values):
+            return {n: v for n, v in values.items() if not n.startswith("cache.")}
+
+        assert counts(live) == counts(snap.counters)
+        assert snap.total("mpi.rank.*.iprobe_calls") > 0
 
 
 class TestEnabledRun:

@@ -36,8 +36,8 @@ class TestRegistryBasics:
 
     def test_counter_increments(self, env):
         c = env.metrics.counter("n")
-        c.inc()
-        c.inc(2.5)
+        c.value += 1.0
+        c.value += 2.5
         assert c.value == 3.5
 
     def test_gauge_set_inc_dec(self, env):
@@ -48,8 +48,8 @@ class TestRegistryBasics:
         assert g.value == 3
 
     def test_on_snapshot_hook_publishes_lazily(self, env):
-        # The hot-path pattern: a plain attribute counter synced into the
-        # registry only when a snapshot is taken.
+        # A value kept outside the registry (the process-global cache
+        # stats) is synced into it only when a snapshot is taken.
         c = env.metrics.counter("lazy.total")
         state = {"n": 0}
         env.metrics.on_snapshot(lambda: c.__setattr__("value", float(state["n"])))
@@ -169,9 +169,9 @@ class TestHistogram:
 class TestSnapshot:
     def _populated(self, env):
         m = env.metrics
-        m.counter("netty.loop.a.busy_s").inc(1.5)
-        m.counter("netty.loop.b.busy_s").inc(0.5)
-        m.counter("mpi.rank.r0.iprobe_calls").inc(10)
+        m.counter("netty.loop.a.busy_s").value += 1.5
+        m.counter("netty.loop.b.busy_s").value += 0.5
+        m.counter("mpi.rank.r0.iprobe_calls").value += 10
         m.gauge("window").set(3)
         m.time_gauge("flows").set(2)
         m.histogram("wait").observe(0.25)
@@ -207,8 +207,8 @@ class TestSnapshot:
         snap_a = self._populated(env)
         env2 = SimEngine()
         m2 = env2.metrics
-        m2.counter("netty.loop.a.busy_s").inc(4.5)
-        m2.counter("spark.scheduler.tasks_finished").inc(7)
+        m2.counter("netty.loop.a.busy_s").value += 4.5
+        m2.counter("spark.scheduler.tasks_finished").value += 7
         snap_b = m2.snapshot()
         d = snap_b.delta(snap_a)
         assert d["netty.loop.a.busy_s"] == 3.0

@@ -103,11 +103,9 @@ class TestModelConstruction:
                 t.fixed + t.compute + t.write + t.local + t.wire + t.dwell + t.rest
             ) == pytest.approx(t.duration)
 
-    def test_local_read_falls_back_to_first_send_gap(self):
-        # Pre-local_s traces: the fetch-start → first-send gap stands in.
-        model = ReplayModel.from_flight(synthetic_flight(local_s=None))
-        a = model.stages[1].tasks[0]
-        assert a.local == pytest.approx(0.05)  # 1.15 - 1.10
+    def test_missing_local_read_is_rejected(self):
+        with pytest.raises(ValueError, match="no local_s attribute"):
+            ReplayModel.from_flight(synthetic_flight(local_s=None))
 
     def test_dwell_bucket_only_under_basic(self):
         model = ReplayModel.from_flight(synthetic_flight(transport="mpi-opt"))

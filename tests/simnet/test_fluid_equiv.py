@@ -308,8 +308,8 @@ def test_vector_path_actually_ran():
                 lambda ev, o=op: net.transfer(o[3], o[4]).add_callback(lambda e: None)
             )
     env.run()
-    assert net._n_vector_batches > 0
-    assert net._n_rerate_calls == net._n_vector_batches
+    assert net._c_vector_batches.value > 0
+    assert net._c_rerate_calls.value == net._c_vector_batches.value
 
 
 def test_default_threshold_mixes_paths():
@@ -334,7 +334,7 @@ def test_default_threshold_mixes_paths():
     mixed = _run_scenario(tracked, keys, ops, fence=_share_fence)
     assert mixed == ref
     (net,) = nets
-    assert 0 < net._n_vector_batches < net._n_rerate_calls
+    assert 0 < net._c_vector_batches.value < net._c_rerate_calls.value
 
 
 def _tie_scenario(rng):

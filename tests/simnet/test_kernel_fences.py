@@ -145,8 +145,8 @@ def test_fluid_keeps_completions_out_of_the_kernel_heap(transport, monkeypatch):
     monkeypatch.setattr(SimEngine, "timeout", counting("timeout"))
     monkeypatch.setattr(SimEngine, "timeout_at", counting("timeout_at"))
     _run_ohb(GROUP_BY, 4, 8 * GiB, transport, 0.25)
-    rerates = sum(net._n_rerate_calls for net in nets)
-    rearmed = sum(net._n_rerate_flows for net in nets)
+    rerates = sum(net._c_rerate_calls.value for net in nets)
+    rearmed = sum(net._c_rerate_flows.value for net in nets)
     completions = sum(net.completed for net in nets)
     assert completions > 0
     assert pushed[True] <= rerates + completions

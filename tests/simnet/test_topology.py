@@ -62,7 +62,7 @@ class TestWirePath:
         env.run()
         # Loopback should be far faster than the TCP path.
         assert p.value < model.serialization_time(1 * MiB)
-        assert cluster.node(0).nic_stats.tx_bytes == 0  # NIC not involved
+        assert cluster.node(0).tx_bytes.value == 0  # NIC not involved
 
     def test_tx_contention_shares_bandwidth(self, env):
         # Two concurrent transfers out of one node share its TX capacity
@@ -126,9 +126,9 @@ class TestWirePath:
 
         env.process(sender(env))
         env.run()
-        assert cluster.node(0).nic_stats.tx_bytes == 1000
-        assert cluster.node(0).nic_stats.tx_messages == 1
-        assert cluster.node(1).nic_stats.rx_bytes == 1000
+        assert cluster.node(0).tx_bytes.value == 1000
+        assert cluster.node(0).tx_messages.value == 1
+        assert cluster.node(1).rx_bytes.value == 1000
 
     def test_trace_records_by_model(self, env):
         cluster = make_cluster(env)
@@ -140,9 +140,9 @@ class TestWirePath:
 
         env.process(sender(env))
         env.run()
-        assert cluster.trace.bytes_by_model[model.name] == 1200
-        assert cluster.trace.total_bytes() == 1200
+        assert env.metrics.counter(f"simnet.wire.{model.name}.bytes").value == 1200
         snap = env.metrics.snapshot()
+        assert snap.total("simnet.wire.*.bytes") == 1200
         assert snap.value(f"simnet.wire.{model.name}.bytes") == 1200
 
     def test_wire_histogram_observes_each_message(self, env):

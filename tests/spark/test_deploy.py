@@ -413,7 +413,7 @@ class TestLazyFetchOrder:
             return clients[src.exec_id]
             yield
 
-        counter = types.SimpleNamespace(inc=lambda n: None)
+        counter = types.SimpleNamespace(value=0.0)
         executor = types.SimpleNamespace(
             sim=types.SimpleNamespace(env=env),
             endpoint=None,
