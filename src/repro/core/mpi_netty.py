@@ -15,7 +15,6 @@ documented weakness.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.endpoint import CommBinding
@@ -192,7 +191,7 @@ class MpiBasicEventLoop(EventLoop):
     """
 
     def __init__(
-        self, env, name: str = "mpi-basic-loop", cost: CostModel = DEFAULT_COST
+        self, env, name: str | None = None, cost: CostModel = DEFAULT_COST
     ) -> None:
         super().__init__(env, name)
         self.cost = cost
@@ -206,12 +205,11 @@ class MpiBasicEventLoop(EventLoop):
         # (channel, peer_rank, tag, context_id) rows of the bound channels
         # in mpi_channels order (the iprobe drain order is
         # simulation-visible); rebuilt lazily when a bind or unbind marks
-        # them dirty. The park's (source, make) list is derived from one
-        # rows list and rebuilt with it.
+        # them dirty. The idle park waits on these rows, each on its probe
+        # bucket, and on the task queue.
         self._poll_cache: list = []
         self._poll_dirty = True
-        self._park_rows: list | None = None
-        self._park_sources: list = []
+        self._park_tasks = ((self.tasks, self.tasks.when_nonempty),)
         self._endpoint = None
 
     def _poll_rows(self) -> list:
@@ -313,31 +311,19 @@ class MpiBasicEventLoop(EventLoop):
                 # modeled spin burn is already the polling-core tax. Park
                 # holding nothing: not the last message read, nor its request.
                 req = frame = None
-                yield from self.selector.park(extra=self._idle_park_sources())
+                if endpoint is None:
+                    yield from self.selector.park(extra=self._park_tasks)
+                else:
+                    # One persistent waiter per source, so a park costs the
+                    # signals since the last one, not the channel count. The
+                    # poll rows are the park's rows as they are: the loop
+                    # keeps no per-row park object.
+                    yield from self.selector.park(
+                        extra=self._park_tasks,
+                        rows=self._poll_rows(),
+                        make_row=endpoint.proc.matching.probe_event,
+                    )
                 yield env.timeout(discovery_s)
-
-    def _idle_park_sources(self) -> list:
-        """The ``(source, make)`` pairs the idle park waits on besides the
-        selector's keys and wake-up queue: each row's probe bucket and the
-        task queue.
-
-        :meth:`Selector.park` keeps one persistent waiter per source, so a
-        park costs the signals since the last one, not the number of
-        channels. The list is rebuilt only when the poll rows are.
-        """
-        endpoint = self._endpoint  # looked up by this round's _run
-        if endpoint is None:
-            return [(self.tasks, self.tasks.when_nonempty)]
-        rows = self._poll_rows()
-        if rows is not self._park_rows:
-            probe_event = endpoint.proc.matching.probe_event
-            self._park_sources = [
-                (channel, partial(probe_event, peer_rank, tag, context_id))
-                for channel, peer_rank, tag, context_id in rows
-            ]
-            self._park_sources.append((self.tasks, self.tasks.when_nonempty))
-            self._park_rows = rows
-        return self._park_sources
 
 
 class NotifyingHandshakeHandler(MpiHandshakeHandler):

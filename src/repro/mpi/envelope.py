@@ -20,7 +20,7 @@ class Protocol(Enum):
     RENDEZVOUS = "rndv"  # envelope is an RTS; payload moves after match
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One in-flight point-to-point message.
 

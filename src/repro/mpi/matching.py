@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """A receive waiting for a matching envelope."""
 

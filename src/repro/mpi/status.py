@@ -8,7 +8,7 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Receive/probe result metadata (mutable, filled in by the runtime)."""
 

@@ -61,7 +61,9 @@ class EventLoopGroup:
 class EventLoop:
     """A single-threaded I/O loop owning a selector, channels and tasks."""
 
-    def __init__(self, env: "SimEngine", name: str = "event-loop") -> None:
+    def __init__(self, env: "SimEngine", name: str | None = None) -> None:
+        if name is None:
+            name = f"event-loop-{next(env.loop_ids)}"
         self.env = env
         self.name = name
         self.selector = Selector(env)
@@ -77,7 +79,8 @@ class EventLoop:
         # Loop metrics (``netty.loop.<name>.*``, repro.obs): the loop body
         # adds to the registry counters it holds. Same-named loops share
         # these counters, so their counts add up; keep loop names unique
-        # per cluster (the executors' "exec{N}-io{M}" scheme does).
+        # per cluster (the executors' "exec{N}-io{M}" scheme does, and an
+        # unnamed loop is numbered per engine).
         m = env.metrics
         self._c_iterations = m.counter(f"netty.loop.{name}.iterations")
         self._c_messages_read = m.counter(f"netty.loop.{name}.messages_read")

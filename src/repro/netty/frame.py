@@ -15,7 +15,7 @@ from typing import Any
 from repro.netty.bytebuf import ByteBuf
 
 
-@dataclass
+@dataclass(slots=True)
 class WireFrame:
     """One framed message: encoded header bytes plus an optional body."""
 

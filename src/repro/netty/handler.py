@@ -17,7 +17,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ChannelHandler:
-    """Base marker; concrete handlers override inbound/outbound callbacks."""
+    """Base marker; concrete handlers override inbound/outbound callbacks.
+
+    It holds no state, so a subclass that declares ``__slots__`` really
+    drops its ``__dict__``, which matters for handlers made once per
+    connection.
+    """
+
+    __slots__ = ()
 
     def handler_added(self, ctx: "HandlerContext") -> None:
         """Called when the handler joins a pipeline."""

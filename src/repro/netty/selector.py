@@ -73,6 +73,8 @@ class Selector:
         # the pending waiters of its non-key sources (source -> event).
         self._park: Event | None = None
         self._park_waiters: dict[Any, Event] = {}
+        # Every pending waiter's one callback, bound once per selector.
+        self._park_signal = self._on_park_signal
         self.select_calls = 0
         self.select_now_calls = 0
 
@@ -159,15 +161,25 @@ class Selector:
             self._wakeups.get_nowait()
 
     # -- parking -------------------------------------------------------------
-    def park(self, timeout: float | None = None, extra: Iterable = ()) -> Generator:
-        """Block until a key, the wake-up queue or an ``extra`` source signals.
+    def park(
+        self,
+        timeout: float | None = None,
+        extra: Iterable = (),
+        rows: Iterable[tuple] = (),
+        make_row: Callable[..., Event] | None = None,
+    ) -> Generator:
+        """Block until a key, the wake-up queue or another source signals.
 
         ``extra`` yields ``(source, make)`` pairs, ``make()`` building the
-        non-consuming event of one more long-lived source. Every source
-        keeps one pending waiter while it stays quiet, so a park re-arms
-        only what fired since the last one and waits on one plain event.
-        A waiter made for an already-ready source triggers at creation and
-        wakes the park through the heap like any other.
+        non-consuming event of one more long-lived source. ``rows`` are
+        more such sources that share one factory: each row is ``(source,
+        *args)`` and ``make_row(*args)`` builds its event, so a caller
+        keeps no per-source factory object. Sources are armed keys first,
+        then ``rows``, then ``extra``, then the wake-up queue. Every
+        source keeps one pending waiter while it stays quiet, so a park
+        re-arms only what fired since the last one and waits on one plain
+        event. A waiter made for an already-ready source triggers at
+        creation and wakes the park through the heap like any other.
         """
         arm = self._arm_park_waiter
         for key in self.keys:
@@ -175,6 +187,13 @@ class Selector:
             if waiter is None or waiter._value is not _PENDING:
                 key.waiter = arm(waiter, key.when_ready)
         waiters = self._park_waiters
+        for row in rows:
+            source = row[0]
+            waiter = waiters.get(source)
+            if waiter is None or waiter._value is not _PENDING:
+                self._detach(waiter)
+                waiter = waiters[source] = make_row(*row[1:])
+                waiter.add_callback(self._park_signal)
         for source, make in extra:
             waiter = waiters.get(source)
             if waiter is None or waiter._value is not _PENDING:
@@ -194,7 +213,7 @@ class Selector:
         """Replace a source's spent waiter with a fresh one wired to the park."""
         self._detach(spent)
         waiter = make()
-        waiter.add_callback(self._on_park_signal)
+        waiter.add_callback(self._park_signal)
         return waiter
 
     @staticmethod

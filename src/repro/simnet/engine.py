@@ -56,8 +56,10 @@ class SimEngine:
         # substream off this so one seed reproduces the whole simulation.
         self.seed = int(seed)
         self.rng = SeededRng(self.seed)
-        # Numbers this simulation's Netty channels (ChannelId).
+        # Numbers this simulation's Netty channels (ChannelId) and its
+        # unnamed event loops.
         self.channel_ids = itertools.count(1)
+        self.loop_ids = itertools.count(1)
         # Observability (repro.obs): the registry is always live — its
         # counters are cheap enough to leave on — while causal tracing
         # stays a shared no-op until a run opts in (obs_causal=True),

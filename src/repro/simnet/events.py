@@ -202,7 +202,7 @@ class Process(Event):
         self._ok = True
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._interrupts: list[Interrupt] = []
+        self._interrupts: list[Interrupt] | None = None  # made on first use
         # The one callback this process ever registers, bound once instead
         # of once per yield. It makes the live process a reference cycle of
         # its own, so termination drops it.
@@ -219,6 +219,8 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._value is not _PENDING:
             raise SimError(f"cannot interrupt finished process {self.name}")
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         target = self._target
         if target is not None and not target.triggered:

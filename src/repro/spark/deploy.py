@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,9 +98,9 @@ class ShuffleOpenBlocksHandler(RpcHandler):
     Request: ``("open_blocks", nbytes, n_blocks)`` — multi-tenant clients
     append their application namespace as a fourth element, which scopes
     the registered stream to that app (swept on app completion). Registers
-    a stream whose chunks split the requested bytes into
-    ≤ TARGET_REQUEST_BYTES pieces; replies ``(stream_id, [chunk sizes],
-    [chunk block counts])``.
+    an :class:`_OpenStream` whose chunks split the requested bytes into
+    ≤ TARGET_REQUEST_BYTES pieces; replies ``(stream_id, chunk wire sizes,
+    chunk block counts)``, both sequences read off that one descriptor.
     """
 
     def __init__(self, streams: OneForOneStreamManager) -> None:
@@ -114,29 +113,71 @@ class ShuffleOpenBlocksHandler(RpcHandler):
         if kind != "open_blocks":
             raise ValueError(f"unexpected rpc {kind!r}")
         self.opens_served += 1
-        sizes: list[int] = []
-        remaining = int(nbytes)
-        while remaining > 0:
-            take = min(remaining, TARGET_REQUEST_BYTES)
-            sizes.append(take)
-            remaining -= take
-        if not sizes:
-            sizes = [0]
-        blocks = _split_blocks(int(n_blocks), len(sizes))
-        wire_sizes = [
-            s + max(b - 1, 0) * PER_BLOCK_WIRE_BYTES for s, b in zip(sizes, blocks)
-        ]
-        stream_id = self.streams.register_stream(
-            partial(_chunk_of, wire_sizes), owner=owner, n_chunks=len(wire_sizes)
-        )
-        reply((stream_id, wire_sizes, blocks), 64)
+        stream = _OpenStream(max(int(nbytes), 0), int(n_blocks))
+        stream_id = self.streams.register_stream(stream, owner=owner)
+        reply((stream_id, stream, _BlockCounts(stream)), 64)
 
 
-def _chunk_of(
-    wire_sizes: list[int], chunk_index: int, num_blocks: int
-) -> tuple[Any, int]:
-    """An OpenBlocks stream's chunk provider: size-only chunks."""
-    return None, wire_sizes[chunk_index]
+class _OpenStream:
+    """One open OpenBlocks stream: ``nbytes`` in ``n_blocks`` blocks, cut
+    into ``n_chunks`` chunks of at most TARGET_REQUEST_BYTES (one empty
+    chunk for zero bytes), the blocks spread evenly with the first chunks
+    taking the remainder.
+
+    Each chunk's size and block count is integer arithmetic on these three
+    ints, so an open stream holds no per-chunk list, as Spark's OpenBlocks
+    reply is ``StreamHandle(streamId, numChunks)``. The descriptor is the
+    stream manager's chunk provider (size-only chunks, released after
+    chunk ``n_chunks - 1``), and as a sequence it is its chunks' wire
+    sizes: bytes plus a header per block past the chunk's first.
+    """
+
+    __slots__ = ("nbytes", "n_blocks", "n_chunks")
+
+    def __init__(self, nbytes: int, n_blocks: int) -> None:
+        self.nbytes = nbytes
+        self.n_blocks = n_blocks
+        self.n_chunks = -(-nbytes // TARGET_REQUEST_BYTES) or 1
+
+    def __len__(self) -> int:
+        return self.n_chunks
+
+    def __getitem__(self, index: int) -> int:
+        # Plain operators, not min/max/divmod: this runs twice per chunk.
+        n = self.n_chunks
+        if index < 0 or index >= n:
+            raise IndexError(index)
+        n_blocks = self.n_blocks
+        extra_blocks = n_blocks // n - (index >= n_blocks % n)
+        size = self.nbytes - index * TARGET_REQUEST_BYTES
+        if size > TARGET_REQUEST_BYTES:
+            size = TARGET_REQUEST_BYTES
+        if extra_blocks > 0:
+            size += extra_blocks * PER_BLOCK_WIRE_BYTES
+        return size
+
+    def __call__(self, chunk_index: int, num_blocks: int) -> tuple[Any, int]:
+        return None, self[chunk_index]
+
+
+class _BlockCounts:
+    """An :class:`_OpenStream`'s per-chunk block counts, as a sequence."""
+
+    __slots__ = ("stream",)
+
+    def __init__(self, stream: _OpenStream) -> None:
+        self.stream = stream
+
+    def __len__(self) -> int:
+        return self.stream.n_chunks
+
+    def __getitem__(self, index: int) -> int:
+        stream = self.stream
+        n = stream.n_chunks
+        if index < 0 or index >= n:
+            raise IndexError(index)
+        n_blocks = stream.n_blocks
+        return n_blocks // n + (index < n_blocks % n)
 
 
 def _round_robin(opened: list, first: int) -> Iterator[tuple]:
@@ -144,19 +185,13 @@ def _round_robin(opened: list, first: int) -> Iterator[tuple]:
     ``(client, stream_id, sizes, blocks, src)`` streams in ``opened``,
     drawn lazily: chunk 0 of every stream starting at ``opened[first]``,
     then chunk 1 of those that have one, and so on (``zip_longest`` over
-    the rotated per-stream chunk lists)."""
+    the rotated per-stream chunk sequences)."""
     rotated = opened[first:] + opened[:first]
-    depth = max((len(entry[2]) for entry in rotated), default=0)
-    for idx in range(depth):
-        for client, stream_id, sizes, blocks, src in rotated:
-            if idx < len(sizes):
+    lengths = [len(entry[2]) for entry in rotated]
+    for idx in range(max(lengths, default=0)):
+        for (client, stream_id, sizes, blocks, src), n in zip(rotated, lengths):
+            if idx < n:
                 yield client, stream_id, idx, sizes[idx], blocks[idx], src
-
-
-def _split_blocks(n_blocks: int, n_chunks: int) -> list[int]:
-    base = n_blocks // n_chunks
-    rem = n_blocks % n_chunks
-    return [base + (1 if i < rem else 0) for i in range(n_chunks)]
 
 
 class _TaskMetrics:
@@ -307,7 +342,8 @@ class SimExecutor:
             # no retry can help — fail the job, not the fetch.
             raise WorldAbortedError("MPI world aborted; executor cannot shuffle")
         # Open streams (one RPC per source executor).
-        opened: list[tuple[Any, int, list[int], list[int], "SimExecutor"]] = []
+        # (client, stream_id, chunk wire sizes, chunk block counts, source)
+        opened: list[tuple[Any, int, Sequence[int], Sequence[int], "SimExecutor"]] = []
         for src, nbytes, n_blocks in sources:
             if nbytes <= 0:
                 continue

@@ -139,12 +139,26 @@ class RpcHandler:
         """Handle a OneWayMessage (no reply)."""
 
 
+class _CountedProvider:
+    """A plain chunk provider registered with its chunk count."""
+
+    __slots__ = ("provider", "n_chunks")
+
+    def __init__(self, provider: Callable[[int, int], tuple[Any, int]], n_chunks: int) -> None:
+        self.provider = provider
+        self.n_chunks = n_chunks
+
+    def __call__(self, chunk_index: int, num_blocks: int) -> tuple[Any, int]:
+        return self.provider(chunk_index, num_blocks)
+
+
 class OneForOneStreamManager:
     """Registers streams of chunks for fetching (Spark's stream manager)."""
 
     def __init__(self) -> None:
-        # stream_id -> (chunk provider, chunk count or None)
-        self._streams: dict[int, tuple[Callable, int | None]] = {}
+        # stream_id -> chunk provider; one with an ``n_chunks`` attribute
+        # is released once its last chunk is served
+        self._streams: dict[int, Callable[[int, int], tuple[Any, int]]] = {}
         self._owners: dict[int, Any] = {}  # stream_id -> owning application
         self._ids = itertools.count(1000)
         self.chunks_served = 0
@@ -160,26 +174,30 @@ class OneForOneStreamManager:
 
         ``owner`` namespaces the stream to one application (multi-tenant
         job server); :meth:`release_owner` sweeps all of an app's streams
-        when it finishes or is aborted. A stream with ``n_chunks`` is
-        released once its last chunk is served, as Spark's
+        when it finishes or is aborted. A stream whose chunk count is known
+        is released once its last chunk is served, as Spark's
         ``OneForOneStreamManager.getChunk`` does; one without stays until
-        released.
+        released. The count is ``n_chunks``, or else the provider's own
+        ``n_chunks`` attribute (an OpenBlocks stream descriptor carries
+        one and is stored as it is).
         """
+        if n_chunks is not None:
+            chunk_provider = _CountedProvider(chunk_provider, n_chunks)
         stream_id = next(self._ids)
-        self._streams[stream_id] = (chunk_provider, n_chunks)
+        self._streams[stream_id] = chunk_provider
         if owner is not None:
             self._owners[stream_id] = owner
         return stream_id
 
     def get_chunk(self, stream_id: int, chunk_index: int, num_blocks: int) -> tuple[Any, int]:
-        stream = self._streams.get(stream_id)
-        if stream is None:
+        provider = self._streams.get(stream_id)
+        if provider is None:
             reason = self._invalid_reason
             detail = f" ({reason})" if reason else ""
             raise TransportError(f"unknown stream {stream_id}{detail}")
-        provider, n_chunks = stream
         self.chunks_served += 1
         chunk = provider(chunk_index, num_blocks)
+        n_chunks = getattr(provider, "n_chunks", None)
         if n_chunks is not None and chunk_index == n_chunks - 1:
             self.release(stream_id)
         return chunk
@@ -214,6 +232,8 @@ class OneForOneStreamManager:
 
 class TransportRequestHandler(ChannelHandler):
     """Server-side dispatch of request messages."""
+
+    __slots__ = ("rpc_handler", "stream_manager")
 
     def __init__(self, rpc_handler: RpcHandler, stream_manager: OneForOneStreamManager) -> None:
         self.rpc_handler = rpc_handler
@@ -302,6 +322,8 @@ class TransportRequestHandler(ChannelHandler):
 class TransportResponseHandler(ChannelHandler):
     """Matches response messages to the futures awaiting them."""
 
+    __slots__ = ("env", "outstanding_fetches", "outstanding_rpcs", "outstanding_streams")
+
     def __init__(self, env: "SimEngine") -> None:
         self.env = env
         self.outstanding_fetches: dict[StreamChunkId, "Event"] = {}
@@ -375,6 +397,8 @@ class TransportResponseHandler(ChannelHandler):
 
 class TransportClient:
     """Client face of one channel: chunk fetches, RPCs, streams."""
+
+    __slots__ = ("channel", "handler", "env")
 
     _rpc_ids = itertools.count(1)
 

@@ -216,6 +216,29 @@ class TestTasksAndBlocking:
         assert m.counter("netty.loop.server-loop.messages_read").value == 3
         assert m.counter("netty.loop.server-loop.iterations").value >= 1
 
+    def test_unnamed_loops_count_apart(self, rig):
+        # Counters are keyed by loop name: two unnamed loops on one engine
+        # must not add into one shared set.
+        env, cluster, stack = rig
+        busy, idle = EventLoop(env), EventLoop(env)
+        busy.start()
+        idle.start()
+
+        def driver(env):
+            yield env.timeout(0.1)
+            busy.submit(lambda: None)
+            yield env.timeout(0.1)
+            busy.submit(lambda: None)
+            yield env.timeout(0.1)
+            busy.stop()
+            idle.stop()
+
+        env.process(driver(env))
+        env.run()
+        m = env.metrics
+        assert m.counter(f"netty.loop.{busy.name}.iterations").value == 2
+        assert m.counter(f"netty.loop.{idle.name}.iterations").value == 0
+
     def test_double_start_rejected(self, rig):
         env, cluster, stack = rig
         loop = EventLoop(env)

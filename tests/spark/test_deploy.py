@@ -5,6 +5,7 @@ import itertools
 import random
 import types
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.endpoint import CommBinding
 from repro.core.handshake import MpiHandshakeHandler
-from repro.core.mpi_netty import MpiBodyReceiveHandler, NotifyingHandshakeHandler
+from repro.core.mpi_netty import (
+    MpiBasicEventLoop,
+    MpiBodyReceiveHandler,
+    NotifyingHandshakeHandler,
+)
 from repro.harness.profile import (
     ComputeStage,
     ShuffleReadStage,
@@ -25,11 +30,23 @@ from repro.mpi.envelope import Envelope
 from repro.netty.channel import ChannelId
 from repro.netty.handler import HandlerContext
 from repro.netty.pipeline import ChannelPipeline, _HeadHandler, _TailHandler
-from repro.netty.selector import SelectionKey
+from repro.netty.selector import SelectionKey, Selector
 from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import Segment, SimSocket
-from repro.spark.deploy import SparkSimCluster
-from repro.spark.network import MessageDecoder, MessageEncoder
+from repro.spark.deploy import (
+    PER_BLOCK_WIRE_BYTES,
+    TARGET_REQUEST_BYTES,
+    ShuffleOpenBlocksHandler,
+    SparkSimCluster,
+)
+from repro.spark.network import (
+    MessageDecoder,
+    MessageEncoder,
+    OneForOneStreamManager,
+    TransportClient,
+    TransportRequestHandler,
+    TransportResponseHandler,
+)
 from repro.transports import TRANSPORTS
 from repro.util.units import GiB, MiB
 from repro.workloads.ohb import GROUP_BY
@@ -462,6 +479,51 @@ class TestLazyFetchOrder:
         assert executor.bytes_fetched_remote == sum(map(sum, chunks))
 
 
+class TestOpenStreamDescriptor:
+    """An OpenBlocks stream is one descriptor of three ints: its chunk wire
+    sizes and block counts are arithmetic, and must equal the lists the
+    server used to build per stream."""
+
+    @staticmethod
+    def _lists(nbytes, n_blocks):
+        """The per-chunk (wire sizes, block counts) lists, built eagerly."""
+        sizes = []
+        remaining = nbytes
+        while remaining > 0:
+            take = min(remaining, TARGET_REQUEST_BYTES)
+            sizes.append(take)
+            remaining -= take
+        if not sizes:
+            sizes = [0]
+        base, rem = divmod(n_blocks, len(sizes))
+        blocks = [base + (1 if i < rem else 0) for i in range(len(sizes))]
+        wire = [s + max(b - 1, 0) * PER_BLOCK_WIRE_BYTES for s, b in zip(sizes, blocks)]
+        return wire, blocks
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nbytes=st.integers(0, 5 * TARGET_REQUEST_BYTES),
+        n_blocks=st.integers(0, 2000),
+    )
+    @example(nbytes=0, n_blocks=3)
+    def test_chunks_match_the_eager_lists(self, nbytes, n_blocks):
+        streams = OneForOneStreamManager()
+        replies = []
+        ShuffleOpenBlocksHandler(streams).receive(
+            None, ("open_blocks", nbytes, n_blocks), lambda r, n=0: replies.append(r)
+        )
+        [(stream_id, sizes, blocks)] = replies
+        wire, counts = self._lists(nbytes, n_blocks)
+        assert len(sizes) == len(blocks) == len(wire)
+        assert [sizes[i] for i in range(len(sizes))] == wire
+        assert [blocks[i] for i in range(len(blocks))] == counts
+        assert list(sizes) == wire and list(blocks) == counts
+        for i, (size, blk) in enumerate(zip(wire, counts)):
+            assert stream_id in streams._streams  # open until its last chunk
+            assert streams.get_chunk(stream_id, i, blk) == (None, size)
+        assert stream_id not in streams._streams
+
+
 def _reachable(root):
     """Every object reachable from ``root``, modules, classes and functions
     aside."""
@@ -512,11 +574,33 @@ class TestPerConnectionFootprint:
         MpiHandshakeHandler, NotifyingHandshakeHandler, MpiBodyReceiveHandler,
     )
 
+    TRANSPORT_HANDLERS = (TransportClient, TransportResponseHandler, TransportRequestHandler)
+
     @pytest.fixture(scope="class", params=sorted(TRANSPORTS))
-    def objs(self, request):
-        sim = _finished_groupby_16w(request.param)
-        yield request.param, list(_reachable(sim))
+    def cell(self, request):
+        """The finished cell, and its first OpenBlocks streams as served:
+        (registered stream, reply payload)."""
+        opens = []
+        receive = ShuffleOpenBlocksHandler.receive
+
+        def recording(handler, client_channel, payload, reply):
+            def kept(answer, nbytes=0):
+                if len(opens) < 64:
+                    opens.append((handler.streams._streams[answer[0]], answer))
+                reply(answer, nbytes)
+
+            receive(handler, client_channel, payload, kept)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ShuffleOpenBlocksHandler, "receive", recording)
+            sim = _finished_groupby_16w(request.param)
+        yield request.param, sim, opens
         sim.shutdown()
+
+    @pytest.fixture(scope="class")
+    def objs(self, cell):
+        transport, sim, _ = cell
+        return transport, list(_reachable(sim))
 
     def test_slotted_classes_carry_no_dict(self, objs):
         transport, objs = objs
@@ -544,3 +628,45 @@ class TestPerConnectionFootprint:
     def test_no_message_outlives_its_delivery(self, objs):
         _, objs = objs
         assert not [o for o in objs if isinstance(o, (Segment, Envelope))]
+
+    def test_transport_handlers_carry_no_dict(self, objs):
+        transport, objs = objs
+        found = {type(o) for o in objs if isinstance(o, self.TRANSPORT_HANDLERS)}
+        if transport != "mpi-coll":
+            assert found == set(self.TRANSPORT_HANDLERS)
+        assert not [
+            o for o in objs if isinstance(o, self.TRANSPORT_HANDLERS) and hasattr(o, "__dict__")
+        ]
+
+    def test_park_waiters_share_one_bound_signal(self, objs):
+        _, objs = objs
+        selectors = [o for o in objs if isinstance(o, Selector)]
+        most = 0
+        for selector in selectors:
+            waiters = [key.waiter for key in selector.keys if key.waiter is not None]
+            waiters += selector._park_waiters.values()
+            signals = {
+                id(cb)
+                for waiter in waiters
+                if waiter.callbacks
+                for cb in waiter.callbacks
+                if getattr(cb, "__self__", None) is selector
+            }
+            assert len(signals) <= 1
+            most = max(most, sum(bool(w.callbacks) for w in waiters))
+        assert most >= 2  # some selector has several pending waiters
+
+    def test_open_streams_hold_no_list(self, cell):
+        transport, _, opens = cell
+        if transport != "mpi-coll":  # the collective shuffle opens no stream
+            assert len(opens) == 64
+        for stream, reply in opens:
+            assert not [o for o in _reachable((stream, reply)) if isinstance(o, list)]
+
+    def test_basic_loop_keeps_no_per_row_partial(self, objs):
+        transport, objs = objs
+        if transport == "mpi-basic":
+            assert any(
+                o._poll_cache for o in objs if isinstance(o, MpiBasicEventLoop)
+            )
+        assert not [o for o in objs if isinstance(o, partial)]
