@@ -108,7 +108,6 @@ class MatchingEngine:
         self._c_iprobe_scanned = m.counter(f"{prefix}.iprobe_scan_len_total")
         self._g_unexpected_depth = m.time_gauge(f"{prefix}.unexpected_depth")
         self._h_recv_wait = m.histogram(f"{prefix}.recv_match_wait_s")
-        self._h_unexpected_wait = m.histogram(f"{prefix}.unexpected_wait_s")
         self._h_match_scan = m.histogram(f"{prefix}.match_scan_len")
         m.on_snapshot(self._publish_scan_hist)
 
@@ -241,7 +240,6 @@ class MatchingEngine:
             arrived, env_msg = self._pop_unexpected(context_id, buckets, key, dq)
             self._c_unexpected_matches.value += 1.0
             self._g_unexpected_depth.set(self._ux_count)
-            self._h_unexpected_wait.observe(now - arrived)
             self._h_recv_wait.observe(0.0)
             if env_msg.trace_ctx is not None:
                 # The dwell in the unexpected queue is the poll-discovery

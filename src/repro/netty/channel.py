@@ -26,16 +26,22 @@ class ChannelId:
 
     Numbered per :class:`~repro.simnet.engine.SimEngine`, so a run's
     channel names and handshake tags do not depend on what ran before it
-    in the process.
+    in the process.  The text is formatted once, on first use, so every
+    flight event of one channel shares one string and an untraced run
+    never formats it.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_text")
 
     def __init__(self, value: int) -> None:
         self._value = value
 
     def as_long_text(self) -> str:
-        return f"channel-{self._value:08x}"
+        try:
+            return self._text
+        except AttributeError:
+            text = self._text = f"channel-{self._value:08x}"
+            return text
 
     def __hash__(self) -> int:
         return hash(self._value)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal import TraceContext
@@ -37,9 +38,33 @@ if TYPE_CHECKING:  # pragma: no cover
 # most recent window (the end of the run is where crashes are explained).
 DEFAULT_CAPACITY = 262_144
 
-# The one JSONL encoder: json.dumps(..., sort_keys=..., separators=...)
-# would build a JSONEncoder per event.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# JSONL lines joined per export string and parsed per ``json.loads`` call
+# on reload: neither direction ever holds a list of every line.
+CHUNK_LINES = 2048
+
+
+def _make_encode() -> Callable[[Any], str]:
+    """The one JSONL encoder: compact separators, sorted keys.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call, once per
+    event; this builds it once.  Without the C accelerator it falls back
+    to ``encode`` itself.  Records hold only primitives, so the circular-
+    reference markers are off (a stale marker left by a failed encode
+    could otherwise poison the shared encoder).
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    c_encode = make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, True, False, True,
+    )
+    join = "".join
+    return lambda obj: join(c_encode(obj, 0))
+
+
+_ENCODE = _make_encode()
 
 
 class FlightEvent:
@@ -352,10 +377,25 @@ class FlightRecorder:
         return [ev for ev in self.events if ev.trace == trace_id]
 
     # -- export ---------------------------------------------------------------
+    def _jsonl_chunks(self) -> Iterator[str]:
+        """The export, ``CHUNK_LINES`` newline-terminated lines per string."""
+        encode, events = _ENCODE, iter(self.events)
+        while True:
+            lines = [encode(ev.as_dict()) for ev in islice(events, CHUNK_LINES)]
+            if not lines:
+                return
+            lines.append("")
+            yield "\n".join(lines)
+
     def to_jsonl(self) -> str:
         """One compact JSON object per line, in record order."""
-        lines = [_ENCODE(ev.as_dict()) for ev in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        # Appending to the only reference grows the string in place
+        # (CPython resizes it), so the export peaks at its own size plus
+        # one chunk; "".join would hold every chunk beside the result.
+        text = ""
+        for chunk in self._jsonl_chunks():
+            text += chunk
+        return text
 
     def write(self, path: str) -> str:
         """Write the JSONL export; a ``.gz`` suffix gzip-compresses it.
@@ -363,7 +403,10 @@ class FlightRecorder:
         Compression is what makes committed baseline recordings (the diff
         engine's blame references under ``baselines/``) cheap to keep in
         the tree; ``mtime=0`` keeps the archive byte-deterministic so two
-        recordings of the same seeded cell produce identical files.
+        recordings of the same seeded cell produce identical files.  The
+        export is written a chunk at a time; deflate's output does not
+        depend on how its input is split, so the archive is the bytes a
+        single write would give.
         """
         if str(path).endswith(".gz"):
             import gzip
@@ -375,10 +418,11 @@ class FlightRecorder:
                 with gzip.GzipFile(
                     filename="", fileobj=raw, mode="wb", mtime=0
                 ) as fh:
-                    fh.write(self.to_jsonl().encode("utf-8"))
+                    for chunk in self._jsonl_chunks():
+                        fh.write(chunk.encode("utf-8"))
         else:
             with open(path, "w") as fh:
-                fh.write(self.to_jsonl())
+                fh.writelines(self._jsonl_chunks())
         return path
 
     @staticmethod
@@ -415,32 +459,68 @@ class FlightRecorder:
         becomes an attr.  ``to_jsonl(from_jsonl(s)) == s`` for any
         exported trace, and the rebuilt events compare equal field-for-
         field — the round-trip the what-if replay engine relies on when
-        consuming traces recorded by another process.
+        consuming traces recorded by another process.  Lines end in
+        ``"\\n"`` (a ``"\\r\\n"`` ending and surrounding blanks are
+        stripped); blank lines are skipped.
         """
-        # One parse for the whole log: the non-blank lines as one array.
-        lines = [line for line in map(str.strip, text.splitlines()) if line]
-        return FlightRecorder.from_events([
-            FlightEvent(
-                t=d.pop("t"),
-                name=d.pop("ev"),
-                trace=d.pop("trace", 0),
-                span=d.pop("span", 0),
-                parent=d.pop("parent", 0),
-                attrs=d or None,
-            )
-            for d in json.loads("[" + ",".join(lines) + "]")
-        ])
+        return FlightRecorder._parse(_lines(text))
 
     @staticmethod
     def load_jsonl(path: str) -> "FlightRecorder":
         """Read a :meth:`write` / :meth:`to_jsonl` export back from disk.
 
         Transparently decompresses ``.gz`` exports (committed baselines).
+        The file is parsed as it is read, never held as one string.
         """
         if str(path).endswith(".gz"):
             import gzip
 
             with gzip.open(path, "rt", encoding="utf-8") as fh:
-                return FlightRecorder.from_jsonl(fh.read())
+                return FlightRecorder._parse(fh)
         with open(path) as fh:
-            return FlightRecorder.from_jsonl(fh.read())
+            return FlightRecorder._parse(fh)
+
+    @staticmethod
+    def _parse(lines: Iterable[str]) -> "FlightRecorder":
+        """Events from JSONL lines, ``CHUNK_LINES`` lines per JSON parse.
+
+        One ``json.loads`` per chunk (the non-blank lines as one array) and
+        each chunk's events built before the next is read, so a reload
+        holds one chunk of text beside the events.  Every distinct event
+        name and ``ch`` value is one shared string per reload.
+        """
+        events: list[FlightEvent] = []
+        append, loads, strip = events.append, json.loads, str.strip
+        share = {}.setdefault  # one object per distinct name / channel
+        lines = iter(lines)
+        while True:
+            batch = list(islice(lines, CHUNK_LINES))
+            if not batch:
+                break
+            rows = [row for row in map(strip, batch) if row]
+            if not rows:
+                continue
+            for d in loads("[" + ",".join(rows) + "]"):
+                pop = d.pop
+                name = pop("ev")
+                t = pop("t")
+                trace = pop("trace", 0)
+                span = pop("span", 0)
+                parent = pop("parent", 0)
+                ch = d.get("ch")
+                if type(ch) is str:
+                    d["ch"] = share(ch, ch)
+                append(FlightEvent(t, share(name, name), trace, span, parent, d or None))
+        return FlightRecorder.from_events(events)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text`` split at ``"\\n"``, one line at a time."""
+    find, start = text.find, 0
+    while True:
+        end = find("\n", start)
+        if end < 0:
+            yield text[start:]
+            return
+        yield text[start:end]
+        start = end + 1

@@ -1,12 +1,29 @@
 """FlightRecorder unit behaviour: bounded log, open spans, failure sweeps."""
 
 import gzip
+import io
 import json
+import os
 import pickle
+import tempfile
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.faults.chaos import make_chaos_profile
+from repro.harness.systems import INTERNAL_CLUSTER
+from repro.netty.channel import ChannelId
 from repro.obs.causal import TraceContext
-from repro.obs.flightrec import DEFAULT_CAPACITY, FlightEvent, FlightRecorder
+from repro.obs.flightrec import (
+    CHUNK_LINES,
+    DEFAULT_CAPACITY,
+    FlightEvent,
+    FlightRecorder,
+)
+from repro.spark.deploy import SparkSimCluster
+from repro.transports import TRANSPORTS
 
 
 def ctx(trace=1, span=1, parent=0):
@@ -300,3 +317,150 @@ class TestPickling:
         back = pickle.loads(pickle.dumps(rec))
         assert len(back) == 1 and back.events[0].name == "msg.send"
         assert back.open_spans() == [2]
+
+
+# -- the JSONL round trip under generated recordings ---------------------------
+
+# Lengths at the edges of the export/reload chunking: empty, one line, and
+# either side of one and of two chunks.
+_EDGE_LENGTHS = sorted({0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1,
+                        2 * CHUNK_LINES - 1, 2 * CHUNK_LINES, 2 * CHUNK_LINES + 1})
+_LIFTED = {"t", "ev", "trace", "span", "parent"}
+_text = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\u2028\u0085 '), st.characters()), max_size=12)
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2 ** 63), 2 ** 63),
+    st.floats(allow_nan=False, allow_infinity=False), _text,
+)
+_events = st.builds(
+    FlightEvent,
+    t=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(0, 2 ** 53)),
+    name=_text,
+    trace=st.integers(0, 2 ** 40),
+    span=st.integers(0, 2 ** 40),
+    parent=st.integers(0, 2 ** 40),
+    attrs=st.dictionaries(_text.filter(lambda k: k not in _LIFTED), _scalar,
+                          max_size=4),
+)
+# How an input line is dressed before the reload reads it.
+_DRESS = {
+    "plain": lambda line: line + "\n",
+    "crlf": lambda line: line + "\r\n",
+    "padded": lambda line: " \t" + line + "  \n",
+    "blank-before": lambda line: "\n \r\n" + line + "\n",
+}
+
+
+def _typed(value):
+    """A value with its type, so ``True`` and ``1`` (or ``1.0``) differ."""
+    return type(value), value
+
+
+def _fields(ev):
+    return (_typed(ev.t), ev.name, _typed(ev.trace), _typed(ev.span),
+            _typed(ev.parent),
+            {k: _typed(v) for k, v in ev.attrs.items()})
+
+
+class TestJsonlRoundTripProperty:
+    """Any recording round-trips through the chunked export and reload."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(pool=st.lists(_events, min_size=1, max_size=6),
+           n=st.sampled_from(_EDGE_LENGTHS),
+           dress=st.lists(st.sampled_from(sorted(_DRESS)), min_size=1, max_size=5))
+    @example(
+        pool=[FlightEvent(0.1, "msg.send", 1, 2, 0,
+                          {"ch": "channel-0000002a", "nbytes": 64, "q": 'a"b\\c',
+                           "u": "\u00e9\u2028\U0001f600", "ok": True, "none": None,
+                           "f": -0.0}),
+              FlightEvent(3, "stage.finish", attrs={"stage": "s", "x": 1.5e-300}),
+              FlightEvent(2.5, "\u00e9v\n")],
+        n=CHUNK_LINES + 1,
+        dress=["crlf", "blank-before", "padded", "plain"],
+    )
+    def test_round_trip(self, pool, n, dress):
+        rec = FlightRecorder.from_events(pool[i % len(pool)] for i in range(n))
+        text = rec.to_jsonl()
+        assert text.count("\n") == n
+        back = FlightRecorder.from_jsonl(text)
+        assert back.to_jsonl() == text
+        assert [_fields(ev) for ev in back.events] == [_fields(ev) for ev in rec.events]
+        # Dressed input (CRLF endings, padding, blank lines) reads the same.
+        lines = text.splitlines()
+        dressed = "".join(_DRESS[dress[i % len(dress)]](line)
+                          for i, line in enumerate(lines))
+        assert FlightRecorder.from_jsonl(dressed).to_jsonl() == text
+        # A file, plain or gzip-compressed, loads the events it holds; the
+        # chunked archive is the bytes one write of the whole text gives.
+        one_write = io.BytesIO()
+        with gzip.GzipFile(filename="", fileobj=one_write, mode="wb", mtime=0) as fh:
+            fh.write(text.encode("utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            plain = rec.write(os.path.join(tmp, "flight.jsonl"))
+            packed = rec.write(os.path.join(tmp, "flight.jsonl.gz"))
+            assert Path(packed).read_bytes() == one_write.getvalue()
+            assert Path(plain).read_text() == text
+            from_plain = FlightRecorder.load_jsonl(plain)
+            from_packed = FlightRecorder.load_jsonl(packed)
+        assert ([_fields(ev) for ev in from_plain.events]
+                == [_fields(ev) for ev in from_packed.events]
+                == [_fields(ev) for ev in rec.events])
+
+
+# -- what a recording holds per channel ----------------------------------------
+
+def _causal_cell(transport, causal):
+    sim = SparkSimCluster(INTERNAL_CLUSTER, 2, transport, cores_per_executor=2,
+                          obs_causal=causal)
+    sim.launch()
+    result = sim.run_profile(make_chaos_profile(2, 2, shuffle_bytes=8 << 20))
+    sim.shutdown()
+    return result
+
+
+def _channels(flight):
+    return [ev.attrs["ch"] for ev in flight.events if ev.attrs.get("ch") is not None]
+
+
+@pytest.fixture(scope="module", params=sorted(TRANSPORTS))
+def traced(request):
+    return request.param, _causal_cell(request.param, True).flight
+
+
+class TestChannelFootprint:
+    """A channel's name is one string, recorded and reloaded.
+
+    mpi-coll moves its shuffle off channels, so its cell records no
+    ``ch``; every other transport's does.
+    """
+
+    def test_events_of_one_channel_share_one_string(self, traced):
+        transport, flight = traced
+        seen = {}
+        for ch in _channels(flight):
+            assert seen.setdefault(ch, ch) is ch
+        assert seen or transport == "mpi-coll"
+
+    def test_reload_keeps_one_string_per_channel_and_name(self, traced):
+        _, flight = traced
+        back = FlightRecorder.from_jsonl(flight.to_jsonl())
+        chs = _channels(back)
+        assert len({id(ch) for ch in chs}) == len(set(chs))
+        names = [ev.name for ev in back.events]
+        assert len({id(name) for name in names}) == len(set(names))
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_untraced_cell_formats_no_channel_text(self, transport, monkeypatch):
+        formatted = []
+        as_long_text = ChannelId.as_long_text
+
+        def spy(self):
+            formatted.append(self)
+            return as_long_text(self)
+
+        monkeypatch.setattr(ChannelId, "as_long_text", spy)
+        result = _causal_cell(transport, False)
+        assert result.flight is None or len(result.flight) == 0
+        assert formatted == []
