@@ -19,16 +19,14 @@ from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from repro.harness.parallel import OhbSpec, run_cells
-from repro.obs.whatif import IDENTITY, Perturbation, ReplayModel
+from repro.obs.whatif import DEFAULT_GRID, IDENTITY, Perturbation, ReplayModel
 from repro.simnet.interconnect import DEFAULT_COST
 from repro.util.units import GiB
 
 # The three perturbation kinds the acceptance gate requires (link rate,
-# poll tax, serializer cost), one decisive step each.
-WHATIF_PERTURBATIONS: tuple[Perturbation, ...] = (
-    Perturbation(name="2x NIC", link_rate=2.0),
-    Perturbation(name="zero poll-tax", poll_tax=0.0),
-    Perturbation(name="2x serializer", serializer_rate=2.0),
+# poll tax, serializer cost), one decisive step each: the planner grid's.
+WHATIF_PERTURBATIONS: tuple[Perturbation, ...] = tuple(
+    p for p in DEFAULT_GRID if p.name in ("2x NIC", "zero poll-tax", "2x serializer")
 )
 
 # Prediction-vs-simulation agreement gate (relative error).

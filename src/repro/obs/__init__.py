@@ -2,11 +2,14 @@
 
 The registry measures *where simulated time and bytes go* (event-loop
 busy fractions, MPI polling tax, per-link traffic, scheduler phase
-breakdowns); the causal flight recorder logs every message, task and
-stage, and :mod:`repro.obs.tracer` exports its stages and tasks as
-Chrome-trace JSON and a text timeline. Together they turn the paper's causal claims (Sec
-VI-D: Basic's ``MPI_Iprobe`` busy-polling starves compute) into measured
-columns in the harness reports instead of model assertions.
+breakdowns) in counters, time-weighted gauges and histograms of exact
+moments; the causal flight recorder logs every message, task and stage.
+Critical path, what-if replay, the run diff, the HTML report and the
+Chrome-trace export (:mod:`repro.obs.tracer`) all read a recording
+through its one :class:`FlightIndex`. Together they turn the paper's
+causal claims (Sec VI-D: Basic's ``MPI_Iprobe`` busy-polling starves
+compute) into measured columns in the harness reports instead of model
+assertions.
 
 Every :class:`~repro.simnet.engine.SimEngine` owns an always-on
 :class:`MetricsRegistry` (cheap counters); snapshots, report columns and
@@ -36,7 +39,6 @@ from repro.obs.critpath import (
 from repro.obs.diff import DiffReport, StageDiff, StructuralNode, diff_runs
 from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder
 from repro.obs.report_html import (
-    diff_section,
     planner_section,
     render_diff_page,
     render_planner_page,
@@ -46,7 +48,6 @@ from repro.obs.report_html import (
 )
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
@@ -66,7 +67,6 @@ from repro.obs.whatif import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -90,7 +90,6 @@ __all__ = [
     "StageDiff",
     "StructuralNode",
     "diff_runs",
-    "diff_section",
     "planner_section",
     "render_diff_page",
     "render_planner_page",

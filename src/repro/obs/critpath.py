@@ -33,12 +33,9 @@ fig9 benchmark compares across Basic and Optimized (≥10× is asserted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.obs.flightrec import FlightRecorder, flight_of
 from repro.util.units import fmt_columns
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightRecorder
 
 SEGMENTS = (
     "compute", "serialize", "queue", "wire", "poll-tax", "fetch-wait",
@@ -106,12 +103,7 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _stage_of(task_label: str) -> str:
-    """``Job0-ResultStage-task7`` → ``Job0-ResultStage``."""
-    return task_label.rsplit("-task", 1)[0] if "-task" in task_label else task_label
-
-
-def stage_bounds(flight: "FlightRecorder") -> dict[str, tuple[float, float, int]]:
+def stage_bounds(flight: FlightRecorder) -> dict[str, tuple[float, float, int]]:
     """``stage label -> (start_t, end_t, n_tasks)`` from stage event pairs.
 
     Reads the index's ``stage.start`` / ``stage.finish`` pairs and keeps
@@ -143,7 +135,7 @@ def polls_for_messages(transport: str) -> bool:
         return False
 
 
-def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
+def analyze(flight: FlightRecorder, transport: str) -> CriticalPathReport:
     """Walk the causal DAG of a finished run; one critical path per stage."""
     poll_tax = polls_for_messages(transport)
     index = flight.index()
@@ -155,15 +147,6 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
     body_legs = index.body_legs
     job_submit = index.job_submit
     job_start = index.job_start
-
-    # Group finished tasks by stage, preserving first-seen stage order.
-    stages: dict[str, list[tuple[int, object, object]]] = {}
-    for trace, fin in index.task_finish.items():
-        start = index.task_start.get(trace)
-        if start is None:
-            continue
-        label = fin.attrs.get("task", "")
-        stages.setdefault(_stage_of(label), []).append((trace, start, fin))
 
     def dwell(span: int) -> float:
         """Matching dwell of a span plus its child mpi-opt body legs.
@@ -179,7 +162,7 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
         return w
 
     report = CriticalPathReport(transport=transport)
-    for stage_name, entries in stages.items():
+    for stage_name, entries in index.stage_tasks().items():
         trace, start, fin = max(entries, key=lambda e: (e[2].t, e[0]))
         segments: dict[str, float] = {}
 
@@ -249,8 +232,4 @@ def analyze(flight: "FlightRecorder", transport: str) -> CriticalPathReport:
 def critical_path(result) -> CriticalPathReport:
     """Convenience: analyze a :class:`~repro.spark.deploy.RunResult` that
     ran with ``obs_causal=True``."""
-    if result.flight is None:
-        raise ValueError(
-            "RunResult has no flight log — run with obs_causal=True"
-        )
-    return analyze(result.flight, result.transport)
+    return analyze(flight_of(result), result.transport)

@@ -48,13 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.obs.critpath import SEGMENTS, analyze, stage_bounds
+from repro.obs.flightrec import flight_of
 from repro.util.units import fmt_columns
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightRecorder
 
 # Structural diff-node kinds, in severity order.
 STRUCTURAL_KINDS = ("stage-added", "stage-removed", "task-count", "wave-repack")
@@ -314,9 +312,7 @@ class DiffReport:
 class _Side:
     """One run, normalized for alignment."""
 
-    label: str
     transport: str
-    flight: "FlightRecorder"
     meta: dict[str, Any]
     # stage -> (wall_s, n_tasks, segments) in first-start order
     stages: dict[str, tuple[float, int, dict[str, float]]]
@@ -330,24 +326,11 @@ class _Side:
         return -(-n_tasks // (int(workers) * int(slots)))
 
 
-def _coerce_flight(run: Any) -> tuple["FlightRecorder", str | None]:
-    """Accept a FlightRecorder or a RunResult carrying one."""
-    flight = getattr(run, "flight", None)
-    if flight is not None:  # RunResult recorded with obs.causal
-        return flight, getattr(run, "transport", None)
-    if hasattr(run, "events"):
-        return run, None
-    raise ValueError(
-        f"cannot diff {type(run).__name__}: pass a FlightRecorder or a "
-        "RunResult recorded with obs_causal=True"
-    )
-
-
 def _side_of(run: Any, label: str, transport: str | None) -> _Side:
-    flight, result_transport = _coerce_flight(run)
+    flight = flight_of(run)
     # A side is labelled by the header it started with.
     meta = dict(flight.index().first_meta)
-    transport = transport or result_transport or meta.get("transport")
+    transport = transport or getattr(run, "transport", None) or meta.get("transport")
     if not transport:
         raise ValueError(
             f"side {label!r}: transport unknown — pass transport_a/"
@@ -380,10 +363,7 @@ def _side_of(run: Any, label: str, transport: str | None) -> _Side:
     for s in report.stages:
         if s.stage not in stages:
             stages[s.stage] = (s.end_s - s.start_s, 0, dict(s.segments))
-    return _Side(
-        label=label, transport=transport, flight=flight, meta=meta,
-        stages=stages,
-    )
+    return _Side(transport=transport, meta=meta, stages=stages)
 
 
 # -- the engine ---------------------------------------------------------------

@@ -20,7 +20,8 @@ sends (see :mod:`repro.obs.causal` for who calls these).
 Analyses never walk the log themselves: :meth:`FlightRecorder.index`
 hands out one :class:`FlightIndex` per recording — every table
 ``critpath`` / ``whatif`` / ``diff`` / the HTML report read, filled by a
-single pass (DESIGN.md §11 "Reading a recording").
+single pass (DESIGN.md §11 "Reading a recording").  :func:`flight_of`
+is the one way an analysis takes its recording from a run.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ class FlightEvent:
         return f"<FlightEvent {self.name} t={self.t:g} span={self.span}>"
 
 
+def stage_of(task_label: str) -> str:
+    """``Job0-ResultStage-task7`` -> ``Job0-ResultStage``."""
+    return task_label.rsplit("-task", 1)[0] if "-task" in task_label else task_label
+
+
 class FlightIndex:
     """Every table the analyses read, filled by one pass over a recording.
 
@@ -151,7 +157,8 @@ class FlightIndex:
 
     Tables are read-only by contract: every reader of one recording
     shares them.  :meth:`memoized` caches tables that are pure functions
-    of the index (the what-if interval unions) for the index's lifetime.
+    of the index for the index's lifetime: :meth:`stage_tasks` (the
+    per-stage task table) and the what-if interval unions.
     """
 
     __slots__ = (
@@ -259,6 +266,26 @@ class FlightIndex:
         except KeyError:
             value = self._memo[key] = build()
             return value
+
+    def stage_tasks(self) -> dict[str, list[tuple[int, FlightEvent, FlightEvent]]]:
+        """Stage label -> ``(trace, task.start, task.finish)`` per finished task.
+
+        Every trace with both task events (the last of each), grouped by
+        :func:`stage_of` its ``task`` attr; stages and their tasks in
+        first-finish order.  The one task table critical path and the
+        replay model read.
+        """
+        return self.memoized("stage_tasks", self._stage_tasks)
+
+    def _stage_tasks(self) -> dict[str, list[tuple[int, FlightEvent, FlightEvent]]]:
+        starts = self.task_start
+        stages: dict[str, list[tuple[int, FlightEvent, FlightEvent]]] = {}
+        for trace, finish in self.task_finish.items():
+            start = starts.get(trace)
+            if start is not None:
+                label = stage_of(finish.attrs.get("task", ""))
+                stages.setdefault(label, []).append((trace, start, finish))
+        return stages
 
     def unclosed_spans(self) -> list[int]:
         """Spans sent with no recv, no match and no ``span.aborted``.
@@ -368,13 +395,6 @@ class FlightRecorder:
         state = self.__dict__.copy()
         state.pop("_index", None)
         return state
-
-    def named(self, name: str) -> list[FlightEvent]:
-        """All events with the given name, in record order."""
-        return [ev for ev in self.events if ev.name == name]
-
-    def by_trace(self, trace_id: int) -> list[FlightEvent]:
-        return [ev for ev in self.events if ev.trace == trace_id]
 
     # -- export ---------------------------------------------------------------
     def _jsonl_chunks(self) -> Iterator[str]:
@@ -512,6 +532,20 @@ class FlightRecorder:
                     d["ch"] = share(ch, ch)
                 append(FlightEvent(t, share(name, name), trace, span, parent, d or None))
         return FlightRecorder.from_events(events)
+
+
+def flight_of(run: Any) -> FlightRecorder:
+    """The recording of ``run``: a :class:`FlightRecorder` itself, or the
+    ``flight`` of a :class:`~repro.spark.deploy.RunResult`."""
+    if isinstance(run, FlightRecorder):
+        return run
+    flight = getattr(run, "flight", None)
+    if flight is None:
+        raise ValueError(
+            f"{type(run).__name__} carries no flight recording: pass a "
+            "FlightRecorder or a RunResult run with obs_causal=True"
+        )
+    return flight
 
 
 def _lines(text: str) -> Iterator[str]:

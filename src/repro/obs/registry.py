@@ -1,4 +1,4 @@
-"""Simulation-clock-native metrics: counters, gauges, histograms.
+"""Simulation-clock-native metrics: counters, time-weighted gauges, histograms.
 
 Every metric is owned by one :class:`MetricsRegistry`, which is owned by
 one :class:`~repro.simnet.engine.SimEngine` — timestamps and time
@@ -25,18 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
-from repro.util.stats import OnlineStats, Summary, percentile
+from repro.util.stats import OnlineStats, Summary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
-
-# Histograms keep at most this many raw samples for percentile queries
-# (the running moments in OnlineStats are exact regardless). When full,
-# retention decimates deterministically — no RNG, so snapshots of
-# same-seed runs stay byte-identical.
-HISTOGRAM_SAMPLE_CAP = 4096
 
 
 class Counter:
@@ -53,31 +47,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value:g})"
-
-
-class Gauge:
-    """Last-write-wins instantaneous value (queue depth, window size)."""
-
-    __slots__ = ("name", "value", "last_set_at", "_env")
-
-    def __init__(self, name: str, env: "SimEngine") -> None:
-        self.name = name
-        self.value = 0.0
-        self.last_set_at = env.now
-        self._env = env
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.last_set_at = self._env.now
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value:g})"
 
 
 class TimeWeightedGauge:
@@ -105,12 +74,6 @@ class TimeWeightedGauge:
         self._last = now
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
     def time_average(self) -> float:
         now = self._env.now
         span = now - self._start
@@ -123,41 +86,27 @@ class TimeWeightedGauge:
 
 
 class Histogram:
-    """Sample distribution: exact moments plus retained raw samples.
+    """Sample distribution as exact running moments.
 
-    Moments (n/mean/stdev/min/max/total) come from :class:`OnlineStats`
-    and are exact for every observation; percentiles are computed over a
-    deterministically decimated sample window of at most
-    ``HISTOGRAM_SAMPLE_CAP`` values.
+    n/mean/stdev/min/max/total come from :class:`OnlineStats`; no sample
+    is kept.
     """
 
-    __slots__ = ("name", "stats", "_samples", "_stride", "_i")
+    __slots__ = ("name", "stats")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.stats = OnlineStats()
-        self._samples: list[float] = []
-        self._stride = 1
-        self._i = 0
 
     def observe(self, x: float) -> None:
         self.stats.add(x)
-        if self._i % self._stride == 0:
-            if len(self._samples) >= HISTOGRAM_SAMPLE_CAP:
-                # Halve retention: keep every other sample, double stride.
-                self._samples = self._samples[::2]
-                self._stride *= 2
-            if self._i % self._stride == 0:
-                self._samples.append(x)
-        self._i += 1
 
     def observe_many(self, x: float, n: int) -> None:
         """Absorb ``n`` identical observations in O(1).
 
         Bulk-publish path for hot-path code that counts occurrences in
         plain ints and flushes at snapshot time: the moments are merged
-        analytically (n identical values have zero variance) and one
-        representative sample feeds the percentile window.
+        analytically (n identical values have zero variance).
         """
         if n <= 0:
             return
@@ -168,15 +117,13 @@ class Histogram:
         bulk.max = x
         bulk.total = x * n
         self.stats.merge(bulk)
-        if len(self._samples) < HISTOGRAM_SAMPLE_CAP:
-            self._samples.append(x)
 
     @property
     def n(self) -> int:
         return self.stats.n
 
     def summary(self) -> Summary | None:
-        """Exact moments + percentile estimates (None when empty)."""
+        """The exact moments (None when empty)."""
         if self.stats.n == 0:
             return None
         return Summary(
@@ -184,9 +131,6 @@ class Histogram:
             mean=self.stats.mean,
             stdev=self.stats.stdev,
             min=self.stats.min,
-            p50=percentile(self._samples, 50),
-            p95=percentile(self._samples, 95),
-            p99=percentile(self._samples, 99),
             max=self.stats.max,
             total=self.stats.total,
         )
@@ -199,7 +143,7 @@ class Histogram:
 class MetricsSnapshot:
     """Immutable point-in-time export of a registry.
 
-    ``counters``/``gauges`` map names to values; ``time_gauges`` to
+    ``counters`` maps names to values; ``time_gauges`` to
     ``(last value, time average)``; ``histograms`` to
     :class:`~repro.util.stats.Summary`. ``total``/``names`` accept
     ``fnmatch`` globs over the hierarchical names, which is how reports
@@ -210,7 +154,6 @@ class MetricsSnapshot:
     taken_at: float
     started_at: float
     counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     time_gauges: dict[str, tuple[float, float]] = field(default_factory=dict)
     histograms: dict[str, Summary] = field(default_factory=dict)
 
@@ -219,18 +162,13 @@ class MetricsSnapshot:
         return self.taken_at - self.started_at
 
     def __len__(self) -> int:
-        return (
-            len(self.counters)
-            + len(self.gauges)
-            + len(self.time_gauges)
-            + len(self.histograms)
-        )
+        return len(self.counters) + len(self.time_gauges) + len(self.histograms)
 
     def names(self, pattern: str = "*") -> list[str]:
         """All metric names matching the glob, sorted."""
         out = [
             name
-            for group in (self.counters, self.gauges, self.time_gauges, self.histograms)
+            for group in (self.counters, self.time_gauges, self.histograms)
             for name in group
             if fnmatchcase(name, pattern)
         ]
@@ -239,8 +177,6 @@ class MetricsSnapshot:
     def value(self, name: str, default: float = 0.0) -> float:
         if name in self.counters:
             return self.counters[name]
-        if name in self.gauges:
-            return self.gauges[name]
         if name in self.time_gauges:
             return self.time_gauges[name][0]
         return default
@@ -266,33 +202,6 @@ class MetricsSnapshot:
             if d != 0.0:
                 out[name] = d
         return out
-
-    def as_dict(self) -> dict:
-        """JSON-serializable representation (for BENCH_*.json artifacts)."""
-        return {
-            "taken_at": self.taken_at,
-            "started_at": self.started_at,
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "time_gauges": {
-                k: {"value": v, "time_average": avg}
-                for k, (v, avg) in sorted(self.time_gauges.items())
-            },
-            "histograms": {
-                k: {
-                    "n": s.n,
-                    "mean": s.mean,
-                    "stdev": s.stdev,
-                    "min": s.min,
-                    "p50": s.p50,
-                    "p95": s.p95,
-                    "p99": s.p99,
-                    "max": s.max,
-                    "total": s.total,
-                }
-                for k, s in sorted(self.histograms.items())
-            },
-        }
 
 
 class MetricsRegistry:
@@ -330,9 +239,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, self.env)
-
     def time_gauge(self, name: str) -> TimeWeightedGauge:
         return self._get(name, TimeWeightedGauge, self.env)
 
@@ -350,7 +256,6 @@ class MetricsRegistry:
         for hook in self._sync_hooks:
             hook()
         counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
         time_gauges: dict[str, tuple[float, float]] = {}
         histograms: dict[str, Summary] = {}
         for name, metric in self._metrics.items():
@@ -358,8 +263,6 @@ class MetricsRegistry:
                 counters[name] = metric.value
             elif isinstance(metric, TimeWeightedGauge):
                 time_gauges[name] = (metric.value, metric.time_average())
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
             elif isinstance(metric, Histogram):
                 summary = metric.summary()
                 if summary is not None:
@@ -368,7 +271,6 @@ class MetricsRegistry:
             taken_at=self.env.now,
             started_at=self.started_at,
             counters=counters,
-            gauges=gauges,
             time_gauges=time_gauges,
             histograms=histograms,
         )

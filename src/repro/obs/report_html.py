@@ -509,12 +509,18 @@ def _diff_table(diff) -> str:
     return f"<table>{head}{''.join(rows)}</table>"
 
 
-def diff_section(
+def render_diff_page(
     diff,
     flight_a: "FlightRecorder | None" = None,
     flight_b: "FlightRecorder | None" = None,
+    title: str = "differential run analysis",
 ) -> str:
-    """The blame-report fragment for one :class:`~repro.obs.diff.DiffReport`."""
+    """A standalone blame-report page for one run diff.
+
+    This is the page ``examples/run_diff.py`` writes: the side-by-side
+    stage Gantt, the per-segment delta waterfall and the attribution
+    table, self-contained in one HTML file.
+    """
     body = [
         f"<p><b>{_esc(diff.a_label)}</b> [{_esc(diff.transport_a)}] "
         f"{diff.a_wall_s:.4f}s → <b>{_esc(diff.b_label)}</b> "
@@ -556,22 +562,7 @@ def diff_section(
             "sum to the measured wall delta (DESIGN.md §16 for the "
             "residual contract).</p>"
         )
-    return "".join(body)
-
-
-def render_diff_page(
-    diff,
-    flight_a: "FlightRecorder | None" = None,
-    flight_b: "FlightRecorder | None" = None,
-    title: str = "differential run analysis",
-) -> str:
-    """A standalone blame-report page for one run diff.
-
-    This is the page ``examples/run_diff.py`` writes: the side-by-side
-    stage Gantt, the per-segment delta waterfall and the attribution
-    table, self-contained in one HTML file.
-    """
-    return _page(title, diff_section(diff, flight_a, flight_b))
+    return _page(title, "".join(body))
 
 
 def write_diff_report(

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, NamedTuple
 
+from repro.obs.flightrec import FlightRecorder, flight_of
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightRecorder
     from repro.spark.deploy import RunResult
 
 
@@ -49,11 +50,7 @@ def _bars(flight: "FlightRecorder | RunResult") -> list[_Bar]:
     :class:`~repro.spark.deploy.RunResult`). Stages sort ahead of tasks
     that start at the same instant, as the stage loop records them.
     """
-    recording = getattr(flight, "flight", flight)
-    if recording is None:
-        raise ValueError(
-            "RunResult carries no flight recording: run with obs_causal=True"
-        )
+    recording = flight_of(flight)
     index = recording.index()
     events = recording.events
     last_t = events[-1].t if events else 0.0

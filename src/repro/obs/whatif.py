@@ -47,10 +47,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.obs.critpath import polls_for_messages
+from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder, flight_of
 from repro.simnet.interconnect import DEFAULT_COST
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flightrec import FlightIndex, FlightRecorder
     from repro.spark.deploy import RunResult
 
 
@@ -79,16 +79,6 @@ class Perturbation:
     local_read_rate: float = 1.0
     compute: float = 1.0
     executors: int | None = None
-
-    def is_identity(self) -> bool:
-        return (
-            self.link_rate == 1.0
-            and self.poll_tax == 1.0
-            and self.serializer_rate == 1.0
-            and self.local_read_rate == 1.0
-            and self.compute == 1.0
-            and self.executors is None
-        )
 
     def describe(self) -> str:
         """Human-readable knob summary, e.g. ``link_rate x2``."""
@@ -203,12 +193,8 @@ def _clipped_len(merged: Sequence[Sequence[float]], lo: float, hi: float) -> flo
     return total
 
 
-def _stage_of(label: str) -> str:
-    return label.rsplit("-task", 1)[0] if "-task" in label else label
-
-
 def _global_legs(
-    index: "FlightIndex", rndv: int
+    index: FlightIndex, rndv: int
 ) -> tuple[list[list[float]], list[list[float]]]:
     """The run's merged wire-busy union and wire-or-dwell union.
 
@@ -279,7 +265,7 @@ class ReplayModel:
     @classmethod
     def from_flight(
         cls,
-        flight: "FlightRecorder",
+        flight: FlightRecorder,
         transport: str | None = None,
         slots_per_executor: int | None = None,
         n_executors: int | None = None,
@@ -315,21 +301,17 @@ class ReplayModel:
         if n_executors is None:
             n_executors = meta.get("n_workers")
         # A trace that predates the run.meta header falls back on the
-        # default cost model's eager→rendezvous switch.
-        rndv = meta.get("rendezvous_threshold") or DEFAULT_COST.rendezvous_threshold
+        # default cost model's eager→rendezvous switch; a recorded 0 is
+        # a threshold (every matched payload moves after its match).
+        rndv = meta.get("rendezvous_threshold", DEFAULT_COST.rendezvous_threshold)
 
         global_wire, global_all = tables.memoized(
             ("whatif.legs", rndv), lambda: _global_legs(tables, rndv)
         )
 
         poll_sensitive = polls_for_messages(transport)
-        per_stage: dict[str, list[TaskRecord]] = {
-            label: [] for label, _, _ in tables.stage_pairs
-        }
-        for trace, fin in tables.task_finish.items():
-            st = tables.task_start.get(trace)
-            if st is None:
-                continue
+
+        def record(st: FlightEvent, fin: FlightEvent) -> TaskRecord:
             label = fin.attrs.get("task", "")
             a = fin.attrs
             duration = fin.t - st.t
@@ -355,28 +337,29 @@ class ReplayModel:
             fixed = max(duration - compute - write - fetch, 0.0)
             tail = label.rsplit("task", 1)
             index = int(tail[1]) if len(tail) == 2 and tail[1].isdigit() else 0
-            per_stage.setdefault(_stage_of(label), []).append(
-                TaskRecord(
-                    index=index,
-                    exec_id=a.get("exec", 0),
-                    start=st.t,
-                    end=fin.t,
-                    fixed=fixed,
-                    compute=compute,
-                    write=write,
-                    local=local,
-                    wire=wire,
-                    dwell=dwell,
-                    rest=rest,
-                )
+            return TaskRecord(
+                index=index,
+                exec_id=a.get("exec", 0),
+                start=st.t,
+                end=fin.t,
+                fixed=fixed,
+                compute=compute,
+                write=write,
+                local=local,
+                wire=wire,
+                dwell=dwell,
+                rest=rest,
             )
 
+        per_stage = {
+            label: tuple(sorted(
+                (record(st, fin) for _, st, fin in tasks), key=lambda r: r.index
+            ))
+            for label, tasks in tables.stage_tasks().items()
+        }
         stages = [
             StageRecord(
-                label=label,
-                t0=start.t,
-                t1=finish.t,
-                tasks=tuple(sorted(per_stage.get(label, []), key=lambda r: r.index)),
+                label=label, t0=start.t, t1=finish.t, tasks=per_stage.get(label, ())
             )
             for label, start, finish in tables.stage_pairs
         ]
@@ -394,11 +377,7 @@ class ReplayModel:
     @classmethod
     def from_result(cls, result: "RunResult") -> "ReplayModel":
         """Build from a traced :class:`RunResult` (``obs_causal=True``)."""
-        if result.flight is None:
-            raise ValueError(
-                "RunResult carries no flight recording: run with obs_causal=True"
-            )
-        return cls.from_flight(result.flight, transport=result.transport)
+        return cls.from_flight(flight_of(result), transport=result.transport)
 
     # -- re-timing ----------------------------------------------------------
     @property
@@ -513,6 +492,4 @@ class ReplayModel:
 
 def load_model(path: str, **overrides: Any) -> ReplayModel:
     """Load an exported JSONL trace and build its replay model."""
-    from repro.obs.flightrec import FlightRecorder
-
     return ReplayModel.from_flight(FlightRecorder.load_jsonl(path), **overrides)

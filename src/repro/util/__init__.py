@@ -18,11 +18,10 @@ from repro.util.units import (
     SEC,
     fmt_bytes,
     fmt_time,
-    parse_bytes,
     gbps,
 )
 from repro.util.config import Config, ConfigError
-from repro.util.stats import OnlineStats, percentile, summarize
+from repro.util.stats import OnlineStats, percentile
 from repro.util.serialization import estimate_size, size_cache_stats, sizeof, SizedPayload
 
 __all__ = [
@@ -39,13 +38,11 @@ __all__ = [
     "SEC",
     "fmt_bytes",
     "fmt_time",
-    "parse_bytes",
     "gbps",
     "Config",
     "ConfigError",
     "OnlineStats",
     "percentile",
-    "summarize",
     "estimate_size",
     "size_cache_stats",
     "sizeof",

@@ -1,4 +1,10 @@
-"""Small statistics helpers used by the harness and benchmarks."""
+"""Small statistics helpers: running moments and a sorted-sample percentile.
+
+:class:`OnlineStats` keeps exact moments without storing samples; it backs
+the metrics registry's histograms, whose :class:`Summary` is moments only.
+:func:`percentile` serves callers that hold their whole sample (the job
+server's JCT tables, the benchmark's per-workload medians).
+"""
 
 from __future__ import annotations
 
@@ -10,8 +16,8 @@ from typing import Iterable, Sequence
 class OnlineStats:
     """Welford-style running mean/variance with min/max tracking.
 
-    Used by the simulator's trace module and the benchmark harness to
-    summarize large event populations without storing them.
+    Backs the metrics registry's histograms: large event populations are
+    summarized without being stored.
     """
 
     __slots__ = ("n", "_mean", "_m2", "min", "max", "total")
@@ -99,31 +105,11 @@ def percentile(xs: Sequence[float], q: float) -> float:
 
 @dataclass(frozen=True)
 class Summary:
-    """Five-number-ish summary of a sample."""
+    """Exact moments of a sample."""
 
     n: int
     mean: float
     stdev: float
     min: float
-    p50: float
-    p95: float
-    p99: float
     max: float
     total: float
-
-
-def summarize(xs: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary` of ``xs`` (must be non-empty)."""
-    stats = OnlineStats()
-    stats.extend(xs)
-    return Summary(
-        n=stats.n,
-        mean=stats.mean,
-        stdev=stats.stdev,
-        min=stats.min,
-        p50=percentile(xs, 50),
-        p95=percentile(xs, 95),
-        p99=percentile(xs, 99),
-        max=stats.max,
-        total=stats.total,
-    )

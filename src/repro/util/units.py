@@ -12,7 +12,6 @@ Conventions used throughout the reproduction:
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 # --- byte units -----------------------------------------------------------
@@ -39,57 +38,6 @@ def gbps(rate: float) -> float:
     True
     """
     return rate * 1e9 / 8.0
-
-
-_SUFFIXES = [
-    ("TiB", TiB),
-    ("GiB", GiB),
-    ("MiB", MiB),
-    ("KiB", KiB),
-    ("TB", TB),
-    ("GB", GB),
-    ("MB", MB),
-    ("KB", KB),
-    ("B", 1),
-]
-
-_PARSE_RE = re.compile(
-    r"^\s*(?P<num>\d+(?:\.\d+)?)\s*(?P<suffix>[KMGT]?i?B?)\s*$", re.IGNORECASE
-)
-
-_PARSE_SUFFIXES = {
-    "": 1,
-    "b": 1,
-    "k": KiB,
-    "kb": KiB,
-    "kib": KiB,
-    "m": MiB,
-    "mb": MiB,
-    "mib": MiB,
-    "g": GiB,
-    "gb": GiB,
-    "gib": GiB,
-    "t": TiB,
-    "tb": TiB,
-    "tib": TiB,
-}
-
-
-def parse_bytes(text: str | int | float) -> int:
-    """Parse a Spark-style size string (``"48m"``, ``"120GB"``) into bytes.
-
-    Spark interprets bare ``k``/``m``/``g`` suffixes as binary units, so we
-    do too. Plain numbers pass through unchanged.
-    """
-    if isinstance(text, (int, float)):
-        return int(text)
-    m = _PARSE_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse size: {text!r}")
-    mult = _PARSE_SUFFIXES.get(m.group("suffix").lower())
-    if mult is None:
-        raise ValueError(f"unknown size suffix in {text!r}")
-    return int(float(m.group("num")) * mult)
 
 
 def fmt_bytes(n: float) -> str:

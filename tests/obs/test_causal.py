@@ -27,6 +27,11 @@ from repro.spark.messages import (
 )
 
 
+def _named(flight, name):
+    """The events of ``flight`` called ``name``, in record order."""
+    return [ev for ev in flight.events if ev.name == name]
+
+
 class _Env:
     now = 0.25
 
@@ -103,18 +108,18 @@ class TestPropagation:
 
     def test_every_send_is_received_and_closed(self, traced):
         _, flight, _ = traced
-        sends = flight.named("msg.send")
+        sends = _named(flight, "msg.send")
         assert sends
-        closed = {ev.span for ev in flight.named("msg.recv")}
-        closed |= {ev.span for ev in flight.named("mpi.match")}
+        closed = {ev.span for ev in _named(flight, "msg.recv")}
+        closed |= {ev.span for ev in _named(flight, "mpi.match")}
         assert {ev.span for ev in sends} <= closed
         assert flight.open_spans() == []
         assert flight.dropped == 0
 
     def test_responses_are_children_of_requests(self, traced):
         _, flight, _ = traced
-        send_spans = {ev.span: ev for ev in flight.named("msg.send")}
-        task_spans = {ev.span for ev in flight.named("task.start")}
+        send_spans = {ev.span: ev for ev in _named(flight, "msg.send")}
+        task_spans = {ev.span for ev in _named(flight, "task.start")}
         with_parent = [ev for ev in send_spans.values() if ev.parent]
         assert with_parent
         # requests hang off the task span that issued them...
@@ -131,7 +136,7 @@ class TestPropagation:
         _, flight, result = traced
         n_tasks = sum(1 for ev in flight.events if ev.name == "task.finish")
         assert n_tasks == 12  # 3 stages * 4 tasks
-        stages = [ev.attrs["stage"] for ev in flight.named("stage.finish")]
+        stages = [ev.attrs["stage"] for ev in _named(flight, "stage.finish")]
         assert stages == list(result.stage_seconds)
 
     def test_result_carries_picklable_flight(self, traced):
@@ -142,24 +147,24 @@ class TestPropagation:
 
     def test_transport_specific_edges(self, traced):
         transport, flight, _ = traced
-        matches = flight.named("mpi.match")
-        joins = flight.named("msg.join")
+        matches = _named(flight, "mpi.match")
+        joins = _named(flight, "msg.join")
         if transport in ("nio", "rdma"):
             assert not matches and not joins
         elif transport == "mpi-basic":
             # every message rides MPI; discovery dwell is the polling tax
-            assert len(matches) == len(flight.named("msg.send"))
+            assert len(matches) == len(_named(flight, "msg.send"))
             assert not joins
             assert any(ev.attrs["waited_s"] > 0 for ev in matches)
         else:  # mpi-opt: only bulk bodies ride MPI, as child body legs
             assert joins
             assert len(matches) == len(joins)
             body_legs = [
-                ev for ev in flight.named("msg.send")
+                ev for ev in _named(flight, "msg.send")
                 if ev.attrs.get("leg") == "mpi-body"
             ]
             assert len(body_legs) == len(joins)
-            frame_spans = {ev.span for ev in flight.named("msg.send")}
+            frame_spans = {ev.span for ev in _named(flight, "msg.send")}
             assert all(ev.parent in frame_spans for ev in body_legs)
 
 

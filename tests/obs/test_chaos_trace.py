@@ -25,6 +25,11 @@ from repro.simnet.events import SimError
 from repro.util.units import MiB
 
 
+def _named(flight, name):
+    """The events of ``flight`` called ``name``, in record order."""
+    return [ev for ev in flight.events if ev.name == name]
+
+
 def crash_plan(seed=7):
     return (
         FaultPlan(seed=seed, name="crash+degrade")
@@ -83,12 +88,12 @@ class TestChannelDeath:
     def test_faults_are_recorded(self, crashed):
         flight, failure = crashed
         assert failure is None  # sockets recover via resubmission
-        kinds = [ev.attrs["kind"] for ev in flight.named("fault.inject")]
+        kinds = [ev.attrs["kind"] for ev in _named(flight, "fault.inject")]
         assert "ExecutorCrash" in kinds and "NicDegradation" in kinds
 
     def test_dead_channels_leave_terminals(self, crashed):
         flight, _ = crashed
-        terminals = flight.named("channel.dead")
+        terminals = _named(flight, "channel.dead")
         assert terminals
         assert all(ev.attrs["ch"] and ev.attrs["reason"] for ev in terminals)
 
@@ -97,10 +102,10 @@ class TestChannelDeath:
         assert flight.open_spans() == []
         assert flight.index().unclosed_spans() == []
         # aborted spans were really open: each had a send, never a recv
-        recvd = {ev.span for ev in flight.named("msg.recv")}
-        matched = {ev.span for ev in flight.named("mpi.match")}
-        sent = {ev.span for ev in flight.named("msg.send")}
-        for ev in flight.named("span.aborted"):
+        recvd = {ev.span for ev in _named(flight, "msg.recv")}
+        matched = {ev.span for ev in _named(flight, "mpi.match")}
+        sent = {ev.span for ev in _named(flight, "msg.send")}
+        for ev in _named(flight, "span.aborted"):
             assert ev.span in sent
             assert ev.span not in recvd | matched
 
@@ -113,7 +118,7 @@ class TestMpiAbort:
     def test_job_dies_with_tombstone(self, aborted):
         flight, failure = aborted
         assert failure is not None
-        tombs = flight.named("mpi.abort")
+        tombs = _named(flight, "mpi.abort")
         assert len(tombs) == 1
         assert tombs[0].attrs["reason"]
 
@@ -126,11 +131,11 @@ class TestMpiAbort:
 
     def test_trace_still_has_the_story(self, aborted):
         flight, _ = aborted
-        assert flight.named("fault.inject")
-        assert flight.named("msg.send")  # traffic before the abort
+        assert _named(flight, "fault.inject")
+        assert _named(flight, "msg.send")  # traffic before the abort
         # the tombstone is the last word on the trace's own timeline
         assert flight.events[-1].t >= max(
-            ev.t for ev in flight.named("msg.send")
+            ev.t for ev in _named(flight, "msg.send")
         )
 
 
@@ -138,7 +143,7 @@ class TestShrinkRecovery:
     def test_shrink_mode_keeps_spans_closed_without_abort(self):
         flight, failure = run_faulted(traced_scenario("mpi-opt", mode="shrink"))
         assert failure is None
-        assert not flight.named("mpi.abort")
+        assert not _named(flight, "mpi.abort")
         assert flight.open_spans() == []
         assert flight.index().unclosed_spans() == []
 

@@ -180,11 +180,6 @@ class TestRollupAccessors:
 
 
 class TestCriticalPathEntryPoint:
-    def test_raises_without_flight(self):
-        result = SimpleNamespace(flight=None, transport="nio")
-        with pytest.raises(ValueError, match="obs_causal=True"):
-            critical_path(result)
-
     def test_real_run_decomposes(self):
         sim = SparkSimCluster(
             INTERNAL_CLUSTER, 2, "mpi-basic", cores_per_executor=2,

@@ -219,10 +219,6 @@ class TestSchedWaitPseudoStages:
 
 
 class TestApiSurface:
-    def test_rejects_undiffable_objects(self):
-        with pytest.raises(ValueError, match="cannot diff int"):
-            diff_runs(42, build_flight(), **BASIC)
-
     def test_requires_a_transport_from_somewhere(self):
         with pytest.raises(ValueError, match="transport unknown"):
             diff_runs(build_flight(), build_flight())

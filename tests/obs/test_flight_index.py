@@ -21,9 +21,11 @@ from repro.harness.blame import BLAME_TRANSPORTS, baseline_path
 from repro.harness.experiments import _run_ohb
 from repro.obs import analyze, critical_path, diff_runs, render_report, stage_bounds
 from repro.obs.causal import TraceContext
-from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder
+from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder, flight_of
 from repro.obs.report_html import _timeline_svg
+from repro.obs.tracer import chrome_trace
 from repro.obs.whatif import ReplayModel
+from repro.spark.deploy import RunResult
 from repro.transports import TRANSPORTS
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
@@ -36,6 +38,7 @@ REPO = Path(__file__).resolve().parents[2]
 _LABELS = st.sampled_from(["A", "B"])
 _APPS = st.sampled_from(["app-a", "app-b"])
 _SECONDS = st.sampled_from([0.0, 0.25, 0.5, 1.5])
+_TASKS = st.sampled_from(["A-task0", "A-task1", "B-task0", "B", "B-task-task2"])
 
 
 def _attrs(name):
@@ -51,6 +54,8 @@ def _attrs(name):
         return st.fixed_dictionaries({}, optional={"stage": _LABELS})
     if name in ("job.submit", "job.start"):
         return st.fixed_dictionaries({}, optional={"app": _APPS})
+    if name in ("task.start", "task.finish"):
+        return st.fixed_dictionaries({}, optional={"task": _TASKS})
     if name == "run.meta":
         return st.fixed_dictionaries({"transport": st.sampled_from(["nio", "mpi-opt"])})
     return st.just({})
@@ -189,6 +194,33 @@ def test_every_table_equals_the_naive_reading(events):
     )
 
 
+def _naive_stage_tasks(events):
+    """Per stage label, every trace with a start and a finish, paired as
+    (trace, its last start, its last finish), in first-finish order."""
+    def last(name, trace):
+        return [e for e in events if e.name == name and e.trace == trace][-1]
+
+    def stage(label):
+        return label[: label.rfind("-task")] if "-task" in label else label
+
+    out = {}
+    for trace in _first((e.trace, None) for e in events if e.name == "task.finish"):
+        if any(e.name == "task.start" and e.trace == trace for e in events):
+            finish = last("task.finish", trace)
+            out.setdefault(stage(finish.attrs.get("task", "")), []).append(
+                (trace, last("task.start", trace), finish)
+            )
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_events())
+def test_stage_tasks_equals_a_naive_grouping(events):
+    index = FlightIndex(events)
+    assert _ordered(index.stage_tasks()) == _ordered(_naive_stage_tasks(events))
+    assert index.stage_tasks() is index.stage_tasks()
+
+
 def test_naive_reading_covers_every_table():
     tables = set(FlightIndex.__slots__) - {"_memo"}
     assert tables == set(_naive_tables([]))
@@ -260,6 +292,46 @@ class TestReaderConventions:
         assert report.transport_a == report.transport_b == "nio"
         assert report.meta_a["slots_per_executor"] == 1
         assert list(stage_bounds(flight)) == ["?"]
+
+
+def test_whatif_reads_a_recorded_rendezvous_threshold_of_zero():
+    """Threshold 0 makes every matched payload a rendezvous transfer: its
+    wire leg is [match, recv], not the eager [send, arrival]."""
+    rec = FlightRecorder()
+    task, msg = TraceContext(1, 1), TraceContext(1, 10, 1)
+    rec.record(0.0, "run.meta", None, transport="mpi-opt", n_workers=1,
+               slots_per_executor=1, rendezvous_threshold=0)
+    rec.record(0.0, "stage.start", None, stage="S", n_tasks=1)
+    rec.record(0.0, "task.start", task, task="S-task0", exec=0)
+    rec.record(0.10, "msg.send", msg, type=1, nbytes=64)
+    rec.record(0.20, "mpi.match", msg, waited_s=0.0)
+    rec.record(0.35, "msg.recv", msg, type=1, nbytes=64)
+    rec.record(0.50, "task.finish", task, task="S-task0", exec=0,
+               fetch_wait_s=0.45, local_s=0.0)
+    rec.record(0.50, "stage.finish", None, stage="S")
+    (task_record,) = ReplayModel.from_flight(rec).stages[0].tasks
+    assert task_record.wire == pytest.approx(0.35 - 0.20)
+
+
+@pytest.mark.parametrize("reader", [
+    critical_path,
+    ReplayModel.from_result,
+    chrome_trace,
+    lambda run: diff_runs(run, run),
+], ids=["critical_path", "ReplayModel.from_result", "chrome_trace", "diff_runs"])
+def test_readers_take_runs_through_flight_of(reader):
+    rec = _disagreeing_flight()
+    assert flight_of(rec) is rec
+    assert flight_of(SimpleNamespace(flight=rec)) is rec
+    with pytest.raises(ValueError, match="^int carries no flight recording"):
+        flight_of(42)
+    untraced = RunResult("GroupByTest", "nio", "Frontera", 2, 16)
+    with pytest.raises(ValueError) as expected:
+        flight_of(untraced)
+    assert "obs_causal=True" in str(expected.value)
+    with pytest.raises(ValueError) as raised:
+        reader(untraced)
+    assert str(raised.value) == str(expected.value)
 
 
 # -- (ii) invalidation ---------------------------------------------------------

@@ -26,6 +26,11 @@ from repro.spark.deploy import SparkSimCluster
 from repro.transports import TRANSPORTS
 
 
+def _named(flight, name):
+    """The events of ``flight`` called ``name``, in record order."""
+    return [ev for ev in flight.events if ev.name == name]
+
+
 def ctx(trace=1, span=1, parent=0):
     return TraceContext(trace, span, parent)
 
@@ -101,7 +106,7 @@ class TestEviction:
         assert len(back) == 3
         # the child still names span 1 as parent even though span 1's
         # own events are gone
-        survivors = back.by_trace(1)
+        survivors = [ev for ev in back.events if ev.trace == 1]
         assert {ev.parent for ev in survivors} == {1}
         assert back.open_spans() == []
 
@@ -186,11 +191,11 @@ class TestOpenSpans:
         closed = rec.close_channel(4.0, "dead", "connection reset")
         assert closed == 2
         assert rec.open_spans() == [3]
-        aborted = rec.named("span.aborted")
+        aborted = _named(rec, "span.aborted")
         assert [ev.span for ev in aborted] == [1, 2]
         assert all(ev.t == 4.0 and ev.attrs["reason"] == "connection reset"
                    for ev in aborted)
-        terminal = rec.named("channel.dead")
+        terminal = _named(rec, "channel.dead")
         assert len(terminal) == 1
         assert terminal[0].attrs == {
             "ch": "dead", "reason": "connection reset", "closed": 2,
@@ -203,8 +208,8 @@ class TestOpenSpans:
         closed = rec.close_all(9.0, "world aborted", terminal="mpi.abort")
         assert closed == 2
         assert rec.open_spans() == []
-        assert len(rec.named("span.aborted")) == 2
-        (tomb,) = rec.named("mpi.abort")
+        assert len(_named(rec, "span.aborted")) == 2
+        (tomb,) = _named(rec, "mpi.abort")
         assert tomb.t == 9.0 and tomb.attrs["closed"] == 2
 
 
@@ -215,11 +220,6 @@ class TestQueriesAndExport:
         rec.record(0.1, "msg.recv", ctx(1, 1), nbytes=8)
         rec.record(0.2, "msg.send", ctx(2, 2), nbytes=16)
         return rec
-
-    def test_named_and_by_trace(self):
-        rec = self._sample()
-        assert [ev.t for ev in rec.named("msg.send")] == [0.0, 0.2]
-        assert [ev.name for ev in rec.by_trace(1)] == ["msg.send", "msg.recv"]
 
     def test_to_jsonl_round_trips(self):
         rec = self._sample()
@@ -283,9 +283,9 @@ class TestJsonlImport:
 
     def test_tombstones_survive_the_round_trip(self):
         back = FlightRecorder.from_jsonl(self._rich_recorder().to_jsonl())
-        assert [ev.span for ev in back.named("span.aborted")] == [3, 4]
-        assert len(back.named("channel.dead")) == 1
-        (tomb,) = back.named("mpi.abort")
+        assert [ev.span for ev in _named(back, "span.aborted")] == [3, 4]
+        assert len(_named(back, "channel.dead")) == 1
+        (tomb,) = _named(back, "mpi.abort")
         assert tomb.attrs == {"reason": "world aborted", "closed": 1}
 
     def test_load_jsonl_reads_write_output(self, tmp_path):

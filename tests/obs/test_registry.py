@@ -1,15 +1,8 @@
 """Unit tests for the sim-clock-native metrics registry."""
 
-import json
-
 import pytest
 
-from repro.obs.registry import (
-    HISTOGRAM_SAMPLE_CAP,
-    Counter,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.simnet.engine import SimEngine
 
 
@@ -32,20 +25,13 @@ class TestRegistryBasics:
     def test_kind_mismatch_raises(self, env):
         env.metrics.counter("x")
         with pytest.raises(TypeError, match="already registered"):
-            env.metrics.gauge("x")
+            env.metrics.histogram("x")
 
     def test_counter_increments(self, env):
         c = env.metrics.counter("n")
         c.value += 1.0
         c.value += 2.5
         assert c.value == 3.5
-
-    def test_gauge_set_inc_dec(self, env):
-        g = env.metrics.gauge("depth")
-        g.set(4)
-        g.inc()
-        g.dec(2)
-        assert g.value == 3
 
     def test_on_snapshot_hook_publishes_lazily(self, env):
         # A value kept outside the registry (the process-global cache
@@ -90,10 +76,9 @@ class TestHistogram:
         s = h.summary()
         assert s.n == 4
         assert s.mean == 2.5
+        assert s.stdev == pytest.approx((5.0 / 3.0) ** 0.5)
         assert s.min == 1.0 and s.max == 4.0
         assert s.total == 10.0
-        assert s.p50 == 2.5
-        assert s.p95 <= s.p99 <= s.max
 
     def test_empty_summary_is_none_and_dropped_from_snapshot(self, env):
         env.metrics.histogram("never_observed")
@@ -101,69 +86,44 @@ class TestHistogram:
         snap = env.metrics.snapshot()
         assert "never_observed" not in snap.histograms
 
-    def test_decimation_caps_samples_keeps_exact_moments(self, env):
+    def test_moments_stay_exact_over_many_observations(self, env):
         h = env.metrics.histogram("big")
-        n = 3 * HISTOGRAM_SAMPLE_CAP
+        n = 12_288
         for i in range(n):
             h.observe(float(i))
-        assert len(h._samples) <= HISTOGRAM_SAMPLE_CAP
         s = h.summary()
-        assert s.n == n  # moments never decimated
+        assert s.n == n
         assert s.mean == pytest.approx((n - 1) / 2.0)
         assert s.min == 0.0 and s.max == float(n - 1)
-        # decimated percentiles stay in the right ballpark
-        assert s.p50 == pytest.approx(n / 2, rel=0.05)
+        assert s.total == float(n * (n - 1) // 2)
+        # moments only: no per-sample storage however long the run
+        assert Histogram.__slots__ == ("name", "stats")
 
-    def test_decimation_is_deterministic(self, env):
-        h1 = env.metrics.histogram("h1")
-        h2 = env.metrics.histogram("h2")
-        for i in range(2 * HISTOGRAM_SAMPLE_CAP):
-            h1.observe(float(i))
-            h2.observe(float(i))
-        assert h1._samples == h2._samples
-
-    def test_decimation_boundary_exactly_at_cap(self, env):
-        # Exactly CAP observations: the window is full but untouched —
-        # decimation must not fire one observation early.
-        h = env.metrics.histogram("edge")
-        for i in range(HISTOGRAM_SAMPLE_CAP):
-            h.observe(float(i))
-        assert len(h._samples) == HISTOGRAM_SAMPLE_CAP
-        assert h._samples == [float(i) for i in range(HISTOGRAM_SAMPLE_CAP)]
-        assert h._stride == 1
-        # Observation CAP+1 halves retention (keep every other sample,
-        # double the stride) and, landing on the new stride, is kept.
-        h.observe(float(HISTOGRAM_SAMPLE_CAP))
-        assert h._stride == 2
-        assert len(h._samples) == HISTOGRAM_SAMPLE_CAP // 2 + 1
-        assert h._samples[:3] == [0.0, 2.0, 4.0]
-        assert h._samples[-1] == float(HISTOGRAM_SAMPLE_CAP)
-        # moments never decimate
-        assert h.summary().n == HISTOGRAM_SAMPLE_CAP + 1
-        assert h.summary().max == float(HISTOGRAM_SAMPLE_CAP)
-
-    def test_decimation_boundary_is_deterministic_across_registries(self):
-        # Two registries on two engines, same feed, stopped exactly at
-        # the halving point: byte-identical windows (no RNG anywhere).
-        snaps = []
+    def test_summary_is_deterministic_across_registries(self):
+        summaries = []
         for _ in range(2):
-            e = SimEngine()
-            h = e.metrics.histogram("lat")
-            for i in range(HISTOGRAM_SAMPLE_CAP + 1):
-                h.observe(float(i))
-            snaps.append((list(h._samples), h._stride, h.summary()))
-        assert snaps[0] == snaps[1]
+            h = SimEngine().metrics.histogram("lat")
+            for i in range(4097):
+                h.observe(float(i) * 0.1)
+            summaries.append(h.summary())
+        assert summaries[0] == summaries[1]
 
-    def test_observe_many_respects_the_cap(self, env):
-        h = env.metrics.histogram("bulk")
-        for i in range(HISTOGRAM_SAMPLE_CAP):
-            h.observe(float(i))
-        h.observe_many(-5.0, 1000)  # window full: moments only
-        assert len(h._samples) == HISTOGRAM_SAMPLE_CAP
-        assert -5.0 not in h._samples
-        s = h.summary()
-        assert s.n == HISTOGRAM_SAMPLE_CAP + 1000
-        assert s.min == -5.0
+    def test_observe_many_merges_moments(self, env):
+        bulk = env.metrics.histogram("bulk")
+        one_by_one = env.metrics.histogram("one_by_one")
+        for h in (bulk, one_by_one):
+            for x in (1.0, 9.0):
+                h.observe(x)
+        bulk.observe_many(-5.0, 1000)
+        bulk.observe_many(3.0, 0)  # no observations: a no-op
+        for _ in range(1000):
+            one_by_one.observe(-5.0)
+        got, want = bulk.summary(), one_by_one.summary()
+        assert (got.n, got.min, got.max, got.total) == (
+            want.n, want.min, want.max, want.total
+        )
+        assert got.mean == pytest.approx(want.mean)
+        assert got.stdev == pytest.approx(want.stdev)
 
 
 class TestSnapshot:
@@ -172,14 +132,13 @@ class TestSnapshot:
         m.counter("netty.loop.a.busy_s").value += 1.5
         m.counter("netty.loop.b.busy_s").value += 0.5
         m.counter("mpi.rank.r0.iprobe_calls").value += 10
-        m.gauge("window").set(3)
         m.time_gauge("flows").set(2)
         m.histogram("wait").observe(0.25)
         return m.snapshot()
 
     def test_len_and_names_glob(self, env):
         snap = self._populated(env)
-        assert len(snap) == 6
+        assert len(snap) == 5
         assert snap.names("netty.loop.*.busy_s") == [
             "netty.loop.a.busy_s",
             "netty.loop.b.busy_s",
@@ -190,12 +149,13 @@ class TestSnapshot:
         assert snap.total("netty.loop.*.busy_s") == 2.0
         assert snap.total("no.such.*") == 0.0
         # gauges/histograms are not counters: excluded from total()
-        assert snap.total("window") == 0.0
+        assert snap.total("flows") == 0.0
+        assert snap.total("wait") == 0.0
 
     def test_value_lookup(self, env):
         snap = self._populated(env)
         assert snap.value("mpi.rank.r0.iprobe_calls") == 10
-        assert snap.value("window") == 3
+        assert snap.value("flows") == 2
         assert snap.value("missing", default=-1.0) == -1.0
 
     def test_snapshot_is_frozen(self, env):
@@ -248,13 +208,6 @@ class TestSnapshot:
         assert snap_a.delta(snap_b) == {"netty.loop.a.polls": 100.0}
         # glob filtering still applies across the disjoint sets
         assert snap_b.delta(snap_a, "netty.*") == {}
-
-    def test_as_dict_is_json_roundtrippable(self, env):
-        snap = self._populated(env)
-        blob = json.dumps(snap.as_dict(), sort_keys=True)
-        back = json.loads(blob)
-        assert back["counters"]["mpi.rank.r0.iprobe_calls"] == 10
-        assert back["histograms"]["wait"]["n"] == 1
 
     def test_elapsed_uses_sim_clock(self, env):
         def proc(env):

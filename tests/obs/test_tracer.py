@@ -8,7 +8,6 @@ from repro.harness.blame import BLAME_TRANSPORTS, baseline_path
 from repro.obs.causal import TraceContext
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracer import chrome_trace, render_timeline, write_chrome_trace
-from repro.spark.deploy import RunResult
 
 from pathlib import Path
 
@@ -112,11 +111,6 @@ class TestChromeExport:
     def test_write_creates_loadable_file(self, tmp_path):
         path = write_chrome_trace(_flight(), tmp_path / "trace.json")
         assert json.loads(path.read_text()) == chrome_trace(_flight())
-
-    def test_run_without_recording_names_the_switch(self):
-        result = RunResult("GroupByTest", "nio", "Frontera", 2, 16)
-        with pytest.raises(ValueError, match="obs_causal=True"):
-            chrome_trace(result)
 
     @pytest.mark.parametrize("transport", BLAME_TRANSPORTS)
     def test_committed_baseline_exports_every_stage_and_task(self, transport):

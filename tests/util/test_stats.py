@@ -1,12 +1,10 @@
 """Unit + property tests for repro.util.stats."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import OnlineStats, percentile, summarize
+from repro.util.stats import OnlineStats, percentile
 
 
 class TestOnlineStats:
@@ -135,22 +133,3 @@ class TestPercentile:
         vals = [percentile(xs, q) for q in qs]
         assert vals == sorted(vals)
 
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == 2.5
-        assert s.p50 == 2.5
-        assert s.min == 1.0 and s.max == 4.0
-        assert s.total == 10.0
-        assert not math.isnan(s.stdev)
-
-    def test_p99_ordered_between_p95_and_max(self):
-        s = summarize([float(x) for x in range(1, 101)])
-        assert s.p95 <= s.p99 <= s.max
-        assert s.p99 == pytest.approx(percentile(list(range(1, 101)), 99))
-
-    def test_p99_single_value(self):
-        s = summarize([3.0])
-        assert s.p50 == s.p95 == s.p99 == 3.0

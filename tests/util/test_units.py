@@ -1,7 +1,5 @@
 """Unit tests for repro.util.units."""
 
-import pytest
-
 from repro.util.units import (
     GB,
     GiB,
@@ -12,7 +10,6 @@ from repro.util.units import (
     fmt_bytes,
     fmt_time,
     gbps,
-    parse_bytes,
 )
 
 
@@ -22,34 +19,6 @@ class TestGbps:
 
     def test_zero(self):
         assert gbps(0) == 0.0
-
-
-class TestParseBytes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("48m", 48 * MiB),
-            ("120GB", 120 * GiB),
-            ("1k", 1 * KiB),
-            ("512", 512),
-            ("2.5m", int(2.5 * MiB)),
-            ("64KiB", 64 * KiB),
-            ("1tb", 1 << 40),
-        ],
-    )
-    def test_spark_style_strings(self, text, expected):
-        assert parse_bytes(text) == expected
-
-    def test_int_passthrough(self):
-        assert parse_bytes(1234) == 1234
-
-    def test_float_truncates(self):
-        assert parse_bytes(12.9) == 12
-
-    @pytest.mark.parametrize("bad", ["", "abc", "12q", "m12"])
-    def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            parse_bytes(bad)
 
 
 class TestFormatting:
