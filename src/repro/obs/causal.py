@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.flightrec import DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flightrec import DEFAULT_CAPACITY, FlightRecorder, attrs_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
@@ -90,7 +90,7 @@ class NullCausal:
     def channel_closed(self, channel, reason) -> None:
         pass
 
-    def abort(self, reason) -> None:
+    def abort(self, reason, terminal="mpi.abort") -> None:
         pass
 
 
@@ -103,6 +103,12 @@ class CausalTracer:
     Ids are deterministic per-engine counters, so same-seed runs produce
     identical traces.  All methods stamp ``env.now`` and return without
     scheduling anything — tracing cannot perturb the simulation.
+
+    Every event's attrs are the one shared dict of their set (DESIGN.md
+    §11 "Footprint"): each recording method passes its attrs through
+    ``_share``, the recording's :func:`~repro.obs.flightrec.attrs_table`.
+    The table lives on the tracer for the run alone: the recorder (and
+    so a ``RunResult``) never holds it.
     """
 
     enabled = True
@@ -112,6 +118,7 @@ class CausalTracer:
         self.flight = FlightRecorder(capacity)
         self._next_trace = 0
         self._next_span = 0
+        self._share = attrs_table()
 
     # -- context minting ------------------------------------------------------
     def mint(self) -> TraceContext:
@@ -137,9 +144,9 @@ class CausalTracer:
         **attrs: Any,
     ) -> None:
         """A message left its sender; the span stays open until recv/match."""
-        self.flight.record(
-            self.env.now, "msg.send", ctx, type=type_tag, nbytes=nbytes,
-            ch=channel, **attrs,
+        self.flight.append(
+            self.env.now, "msg.send", ctx,
+            self._share({"type": type_tag, "nbytes": nbytes, "ch": channel, **attrs}),
         )
         self.flight.span_open(ctx, channel)
 
@@ -152,9 +159,9 @@ class CausalTracer:
         **attrs: Any,
     ) -> None:
         """The message reached its destination handler: span closes."""
-        self.flight.record(
-            self.env.now, "msg.recv", ctx, type=type_tag, nbytes=nbytes,
-            ch=channel, **attrs,
+        self.flight.append(
+            self.env.now, "msg.recv", ctx,
+            self._share({"type": type_tag, "nbytes": nbytes, "ch": channel, **attrs}),
         )
         self.flight.span_close(ctx.span_id)
 
@@ -164,26 +171,31 @@ class CausalTracer:
         ``waited_s`` is the envelope's unexpected-queue dwell — under the
         Basic design's busy-poll this *is* the per-message polling tax.
         """
-        self.flight.record(
-            self.env.now, "mpi.match", ctx, waited_s=waited_s, buffered=buffered
+        self.flight.append(
+            self.env.now, "mpi.match", ctx,
+            self._share({"waited_s": waited_s, "buffered": buffered}),
         )
         self.flight.span_close(ctx.span_id)
 
     def join(self, ctx: TraceContext, nbytes: int, channel: Any = None) -> None:
         """mpi-opt header→body join: the MPI body rejoined frame ``ctx``."""
-        self.flight.record(
-            self.env.now, "msg.join", ctx, nbytes=nbytes, ch=channel
+        self.flight.append(
+            self.env.now, "msg.join", ctx, self._share({"nbytes": nbytes, "ch": channel})
         )
 
     # -- lifecycle / scheduler events ----------------------------------------
     def event(self, name: str, ctx: TraceContext | None = None, **attrs: Any) -> None:
         """Generic record: task/stage state changes, fault injections."""
-        self.flight.record(self.env.now, name, ctx, **attrs)
+        self.flight.append(self.env.now, name, ctx, self._share(attrs))
 
     def channel_closed(self, channel: Any, reason: str) -> None:
         """A transport channel died: close its in-flight spans."""
-        self.flight.close_channel(self.env.now, channel, reason)
+        self.flight.close_channel(self.env.now, channel, reason, self._share)
 
-    def abort(self, reason: str) -> None:
-        """The MPI world aborted: close every open span, leave a tombstone."""
-        self.flight.close_all(self.env.now, reason, terminal="mpi.abort")
+    def abort(self, reason: str, terminal: str = "mpi.abort") -> None:
+        """Close every open span and leave a ``terminal`` tombstone.
+
+        The MPI world's abort leaves ``mpi.abort``; the cluster's final
+        shutdown sweep leaves ``run.end``.
+        """
+        self.flight.close_all(self.env.now, reason, terminal, self._share)

@@ -67,9 +67,153 @@ def _make_encode() -> Callable[[Any], str]:
 
 _ENCODE = _make_encode()
 
+# The fields ``FlightEvent.as_dict`` lifts off an event, in sorted order.
+_LIFTED = ("ev", "parent", "span", "t", "trace")
+
+
+def _line_encoder() -> Callable[["FlightEvent"], str]:
+    """``line(ev)``, equal to ``_ENCODE(ev.as_dict())``, from templates.
+
+    A line is its attrs' encoded fields with the event's own (``ev``,
+    ``t`` and the nonzero ids) spliced in at their sorted places.  Attrs
+    are shared, one dict per distinct set, so each dict and set of
+    nonzero ids becomes one ``%`` template per export, and an event
+    costs the text of its own fields instead of a dict, a key sort and
+    an encode.  Attrs with a non-``str`` key, or with a key ``as_dict``
+    lets override an event field, take ``_ENCODE(ev.as_dict())``.
+    """
+    encode, float_text, int_text = _ENCODE, float.__repr__, int.__repr__
+    templates: dict[int, str | None] = {}  # by attrs id and zero ids
+    names: dict[str, str] = {}
+
+    def template(ev: "FlightEvent") -> str | None:
+        attrs = ev.attrs
+        if any(type(k) is not str or k in _LIFTED for k in attrs):
+            return None
+        fields = {k: encode(v).replace("%", "%%") for k, v in attrs.items()}
+        fields["ev"] = fields["t"] = "%s"
+        for k in ("trace", "span", "parent"):
+            if getattr(ev, k):
+                fields[k] = "%s"
+        return "{" + ",".join(
+            encode(k).replace("%", "%%") + ":" + fields[k] for k in sorted(fields)
+        ) + "}"
+
+    def line(ev: "FlightEvent") -> str:
+        trace, span, parent = ev.trace, ev.span, ev.parent
+        key = id(ev.attrs) << 3 | (not trace) | (not span) << 1 | (not parent) << 2
+        try:
+            tpl = templates[key]
+        except KeyError:
+            tpl = templates[key] = template(ev)
+        if tpl is None:
+            return encode(ev.as_dict())
+        name = ev.name
+        text = names.get(name) if type(name) is str else None
+        if text is None:
+            text = encode(name)
+            if type(name) is str:
+                names[name] = text
+        args = [text]
+        if parent:
+            args.append(int_text(parent) if type(parent) is int else encode(parent))
+        if span:
+            args.append(int_text(span) if type(span) is int else encode(span))
+        t = ev.t
+        # Finite floats and ints encode as their repr; NaN, infinities
+        # and anything else as the encoder says.
+        if type(t) is float and t - t == 0.0:
+            args.append(float_text(t))
+        else:
+            args.append(int_text(t) if type(t) is int else encode(t))
+        if trace:
+            args.append(int_text(trace) if type(trace) is int else encode(trace))
+        return tpl % tuple(args)
+
+    return line
+
+
+# What a typed key maps to when its set holds a value that a typed key
+# cannot key exactly: look the set up by repr instead.
+_BY_REPR = object()
+
+# Value types whose equality, within one type, is equality of their JSON
+# text, but for float zeros and NaN.  A tuple is not one: ``(True,) ==
+# (1,)``.
+_TYPED = frozenset((str, int, float, bool, type(None)))
+
+
+def _inexact(value: Any) -> bool:
+    """Whether a typed key would merge ``value`` with one that exports apart."""
+    return type(value) not in _TYPED or (
+        type(value) is float and (value != value or not value)
+    )
+
+
+def attrs_table() -> Callable[[dict[str, Any]], dict[str, Any]]:
+    """A fresh ``share(attrs)``: one shared dict per distinct attrs set.
+
+    ``share`` returns the dict already held for a set that exports the
+    same JSON text (keys in the same order), or keeps a compact copy of
+    ``attrs`` as that set's dict and returns it.  Equality alone would
+    merge sets that export apart (``0.0`` and ``-0.0``; ``True``, ``1``
+    and ``1.0``), so the key is typed: the keys, the values, then each
+    value's type.  That is exact only for JSON scalars other than float
+    zeros (``0.0 == -0.0``) and NaNs (never equal); a set holding one of
+    those, or any other value (a tuple, a list, a dict), is keyed by
+    each value's ``repr``, which is exact for every JSON value.  Every
+    set holding one ``ch`` string holds the same object.  The tables
+    live as long as ``share`` does.
+    """
+    typed: dict[tuple, Any] = {}
+    by_repr: dict[tuple, dict[str, Any]] = {}
+    get = typed.get
+    strings: dict[str, str] = {}
+
+    def new(attrs: dict[str, Any]) -> dict[str, Any]:
+        shared = dict(attrs.items())
+        ch = shared.get("ch")
+        if type(ch) is str:
+            shared["ch"] = strings.setdefault(ch, ch)
+        return shared
+
+    def keep(attrs: dict[str, Any]) -> dict[str, Any]:
+        key = (*attrs, *map(repr, attrs.values()))
+        shared = by_repr.get(key)
+        if shared is None:
+            shared = by_repr[key] = new(attrs)
+        return shared
+
+    def share(attrs: dict[str, Any]) -> dict[str, Any]:
+        values = (*attrs.values(),)
+        key = (*attrs, *values, *map(type, values))
+        try:
+            shared = get(key)
+        except TypeError:  # a list or dict value
+            return keep(attrs)
+        if shared is None:
+            # A key equal to this one would find the marker too, so the
+            # check runs only when a key is new.
+            if any(map(_inexact, values)):
+                typed[key] = _BY_REPR
+                return keep(attrs)
+            shared = typed[key] = new(attrs)
+        elif shared is _BY_REPR:
+            return keep(attrs)
+        return shared
+
+    return share
+
 
 class FlightEvent:
-    """One structured record: what happened, when, on which trace."""
+    """One structured record: what happened, when, on which trace.
+
+    ``attrs`` is read-only: events whose attrs export the same JSON text
+    share one dict (one per distinct set in a recording, recorded or
+    reloaded, see :func:`attrs_table`), so writing to one event's attrs
+    would rewrite every event that shares them.  A reader that needs a
+    changed set copies it first.
+    """
 
     __slots__ = ("t", "name", "trace", "span", "parent", "attrs")
 
@@ -87,7 +231,7 @@ class FlightEvent:
         self.trace = trace
         self.span = span
         self.parent = parent
-        self.attrs = attrs or {}
+        self.attrs = {} if attrs is None else attrs
 
     def as_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"t": self.t, "ev": self.name}
@@ -323,21 +467,32 @@ class FlightRecorder:
         return len(self.events)
 
     # -- recording ----------------------------------------------------------
+    def append(
+        self,
+        t: float,
+        name: str,
+        ctx: "TraceContext | None",
+        attrs: dict[str, Any],
+    ) -> FlightEvent:
+        """Log one event holding ``attrs`` itself (not a copy).
+
+        The causal tracer passes the one shared dict of each distinct
+        attrs set (:func:`attrs_table`); the dict is read-only from here.
+        """
+        if len(self.events) == self.capacity:
+            self.dropped += 1
+        if ctx is None:
+            ev = FlightEvent(t, name, 0, 0, 0, attrs)
+        else:
+            ev = FlightEvent(t, name, ctx.trace_id, ctx.span_id, ctx.parent_id, attrs)
+        self.events.append(ev)
+        return ev
+
     def record(
         self, t: float, name: str, ctx: "TraceContext | None" = None, **attrs: Any
     ) -> FlightEvent:
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        ev = FlightEvent(
-            t,
-            name,
-            trace=ctx.trace_id if ctx is not None else 0,
-            span=ctx.span_id if ctx is not None else 0,
-            parent=ctx.parent_id if ctx is not None else 0,
-            attrs=attrs or None,
-        )
-        self.events.append(ev)
-        return ev
+        """Log one event with its own attrs dict (shared with no other)."""
+        return self.append(t, name, ctx, attrs)
 
     # -- open-span tracking ---------------------------------------------------
     def span_open(self, ctx: "TraceContext", channel: Any = None) -> None:
@@ -354,25 +509,40 @@ class FlightRecorder:
         """Whether any open span was sent on ``channel``."""
         return any(ch == channel for _, ch in self._open.values())
 
-    def close_channel(self, t: float, channel: Any, reason: str) -> int:
-        """A channel died: close its open spans, emit the terminal event."""
+    def close_channel(
+        self, t: float, channel: Any, reason: str, share: Callable
+    ) -> int:
+        """A channel died: close its open spans, emit the terminal event.
+
+        ``share`` maps each attrs set the sweep builds to the dict it
+        records: the recording's :func:`attrs_table`.
+        """
         victims = sorted(
             sid for sid, (_, ch) in self._open.items() if ch == channel
         )
-        for sid in victims:
-            ctx, _ = self._open.pop(sid)
-            self.record(t, "span.aborted", ctx, reason=reason)
-        self.record(t, "channel.dead", ch=channel, reason=reason, closed=len(victims))
+        self._tombstone(t, victims, reason, share)
+        self.append(t, "channel.dead", None,
+                    share({"ch": channel, "reason": reason, "closed": len(victims)}))
         return len(victims)
 
-    def close_all(self, t: float, reason: str, terminal: str = "run.aborted") -> int:
-        """Failure sweep (MPI world abort): close every open span."""
+    def close_all(
+        self, t: float, reason: str, terminal: str, share: Callable
+    ) -> int:
+        """Failure sweep: close every open span, then record ``terminal``.
+
+        ``share`` is as for :meth:`close_channel`.
+        """
         victims = sorted(self._open)
-        for sid in victims:
-            ctx, _ = self._open.pop(sid)
-            self.record(t, "span.aborted", ctx, reason=reason)
-        self.record(t, terminal, reason=reason, closed=len(victims))
+        self._tombstone(t, victims, reason, share)
+        self.append(t, terminal, None, share({"reason": reason, "closed": len(victims)}))
         return len(victims)
+
+    def _tombstone(self, t: float, victims: list[int], reason: str, share: Callable) -> None:
+        if victims:
+            attrs = share({"reason": reason})
+            for sid in victims:
+                ctx, _ = self._open.pop(sid)
+                self.append(t, "span.aborted", ctx, attrs)
 
     # -- queries --------------------------------------------------------------
     def index(self) -> FlightIndex:
@@ -399,9 +569,9 @@ class FlightRecorder:
     # -- export ---------------------------------------------------------------
     def _jsonl_chunks(self) -> Iterator[str]:
         """The export, ``CHUNK_LINES`` newline-terminated lines per string."""
-        encode, events = _ENCODE, iter(self.events)
+        line, events = _line_encoder(), iter(self.events)
         while True:
-            lines = [encode(ev.as_dict()) for ev in islice(events, CHUNK_LINES)]
+            lines = list(map(line, islice(events, CHUNK_LINES)))
             if not lines:
                 return
             lines.append("")
@@ -507,30 +677,38 @@ class FlightRecorder:
         One ``json.loads`` per chunk (the non-blank lines as one array) and
         each chunk's events built before the next is read, so a reload
         holds one chunk of text beside the events.  Every distinct event
-        name and ``ch`` value is one shared string per reload.
+        name, ``ch`` value and integer span, trace or parent id is one
+        shared object per reload, and every distinct attrs set one shared
+        dict (:func:`attrs_table`).
         """
         events: list[FlightEvent] = []
         append, loads, strip = events.append, json.loads, str.strip
-        share = {}.setdefault  # one object per distinct name / channel
+        # One object per distinct event name and id; only an exact int
+        # goes in the id table, as 1.0 and True would find the int 1.
+        share, share_id = {}.setdefault, {}.setdefault
+        share_attrs = attrs_table()
         lines = iter(lines)
         while True:
             batch = list(islice(lines, CHUNK_LINES))
             if not batch:
                 break
-            rows = [row for row in map(strip, batch) if row]
+            rows = ",".join(filter(None, map(strip, batch)))
             if not rows:
                 continue
-            for d in loads("[" + ",".join(rows) + "]"):
+            for d in loads("[" + rows + "]"):
                 pop = d.pop
                 name = pop("ev")
                 t = pop("t")
                 trace = pop("trace", 0)
                 span = pop("span", 0)
                 parent = pop("parent", 0)
-                ch = d.get("ch")
-                if type(ch) is str:
-                    d["ch"] = share(ch, ch)
-                append(FlightEvent(t, share(name, name), trace, span, parent, d or None))
+                if type(trace) is int:
+                    trace = share_id(trace, trace)
+                if type(span) is int:
+                    span = share_id(span, span)
+                if type(parent) is int:
+                    parent = share_id(parent, parent)
+                append(FlightEvent(t, share(name, name), trace, span, parent, share_attrs(d)))
         return FlightRecorder.from_events(events)
 
 

@@ -1111,6 +1111,4 @@ class SparkSimCluster:
         # dangling send.  Clean runs have nothing open and record nothing.
         causal = self.env.causal
         if causal.enabled and causal.flight.open_spans():
-            causal.flight.close_all(
-                self.env.now, "cluster shutdown", terminal="run.end"
-            )
+            causal.abort("cluster shutdown", terminal="run.end")

@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 from repro.faults.chaos import make_chaos_profile
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.netty.channel import ChannelId
-from repro.obs.causal import TraceContext
+from repro.obs.causal import CausalTracer, TraceContext
+from repro.obs.critpath import critical_path
+from repro.obs.diff import diff_runs
 from repro.obs.flightrec import (
     CHUNK_LINES,
     DEFAULT_CAPACITY,
     FlightEvent,
     FlightRecorder,
+    attrs_table,
 )
+from repro.obs.report_html import render_report
+from repro.obs.tracer import chrome_trace, render_timeline
+from repro.obs.whatif import ReplayModel
 from repro.spark.deploy import SparkSimCluster
 from repro.transports import TRANSPORTS
 
@@ -83,7 +89,7 @@ class TestEviction:
         rec = FlightRecorder(capacity=4)
         rec.span_open(ctx(1, 1), channel="c0")
         rec.record(0.1, "msg.send", ctx(1, 1), nbytes=8)
-        rec.close_channel(0.2, "c0", "connection reset")  # abort + dead
+        rec.close_channel(0.2, "c0", "connection reset", attrs_table())  # abort + dead
         for i in range(2):
             rec.record(1.0 + i, "ev", None, i=i)  # push the send out
         assert rec.dropped == 1
@@ -188,7 +194,7 @@ class TestOpenSpans:
         rec.span_open(ctx(1, 1), channel="dead")
         rec.span_open(ctx(1, 2, 1), channel="dead")
         rec.span_open(ctx(2, 3), channel="alive")
-        closed = rec.close_channel(4.0, "dead", "connection reset")
+        closed = rec.close_channel(4.0, "dead", "connection reset", attrs_table())
         assert closed == 2
         assert rec.open_spans() == [3]
         aborted = _named(rec, "span.aborted")
@@ -205,7 +211,7 @@ class TestOpenSpans:
         rec = FlightRecorder()
         rec.span_open(ctx(1, 1), channel="x")
         rec.span_open(ctx(2, 2), channel="y")
-        closed = rec.close_all(9.0, "world aborted", terminal="mpi.abort")
+        closed = rec.close_all(9.0, "world aborted", "mpi.abort", attrs_table())
         assert closed == 2
         assert rec.open_spans() == []
         assert len(_named(rec, "span.aborted")) == 2
@@ -260,9 +266,10 @@ class TestJsonlImport:
         # A dangling span closed by a channel death, then the world abort:
         # the tombstone tail every crashed trace ends with.
         rec.span_open(ctx(2, 3), channel="c1")
-        rec.close_channel(0.5, "c1", "connection reset")
+        share = attrs_table()
+        rec.close_channel(0.5, "c1", "connection reset", share)
         rec.span_open(ctx(2, 4), channel="c2")
-        rec.close_all(0.6, "world aborted", terminal="mpi.abort")
+        rec.close_all(0.6, "world aborted", "mpi.abort", share)
         return rec
 
     def test_jsonl_round_trip_is_identity(self):
@@ -332,6 +339,12 @@ _scalar = st.one_of(
     st.none(), st.booleans(), st.integers(-(2 ** 63), 2 ** 63),
     st.floats(allow_nan=False, allow_infinity=False), _text,
 )
+# Values that compare equal in pairs but export differently: attrs drawn
+# from these few keys and values collide, so the reload's sharing of one
+# dict per attrs set is exercised, not just its round trip.
+_LOOKALIKES = (0.0, -0.0, 0, False, True, 1, 1.0, "1", "", None)
+_pooled = st.dictionaries(st.sampled_from(("ch", "nbytes", "v")),
+                          st.sampled_from(_LOOKALIKES), max_size=3)
 _events = st.builds(
     FlightEvent,
     t=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -340,8 +353,11 @@ _events = st.builds(
     trace=st.integers(0, 2 ** 40),
     span=st.integers(0, 2 ** 40),
     parent=st.integers(0, 2 ** 40),
-    attrs=st.dictionaries(_text.filter(lambda k: k not in _LIFTED), _scalar,
-                          max_size=4),
+    attrs=st.one_of(
+        st.dictionaries(_text.filter(lambda k: k not in _LIFTED), _scalar,
+                        max_size=4),
+        _pooled,
+    ),
 )
 # How an input line is dressed before the reload reads it.
 _DRESS = {
@@ -353,8 +369,9 @@ _DRESS = {
 
 
 def _typed(value):
-    """A value with its type, so ``True`` and ``1`` (or ``1.0``) differ."""
-    return type(value), value
+    """A value with its type and repr, so ``True`` and ``1`` (or ``1.0``)
+    differ, and so do ``0.0`` and ``-0.0``."""
+    return type(value), repr(value)
 
 
 def _fields(ev):
@@ -380,6 +397,12 @@ class TestJsonlRoundTripProperty:
         n=CHUNK_LINES + 1,
         dress=["crlf", "blank-before", "padded", "plain"],
     )
+    @example(
+        pool=[FlightEvent(float(i), "x", attrs={"v": v})
+              for i, v in enumerate(_LOOKALIKES)],
+        n=len(_LOOKALIKES) * 3,
+        dress=["plain"],
+    )
     def test_round_trip(self, pool, n, dress):
         rec = FlightRecorder.from_events(pool[i % len(pool)] for i in range(n))
         text = rec.to_jsonl()
@@ -387,6 +410,7 @@ class TestJsonlRoundTripProperty:
         back = FlightRecorder.from_jsonl(text)
         assert back.to_jsonl() == text
         assert [_fields(ev) for ev in back.events] == [_fields(ev) for ev in rec.events]
+        assert _attrs_objects(back) == _attrs_contents(back)
         # Dressed input (CRLF endings, padding, blank lines) reads the same.
         lines = text.splitlines()
         dressed = "".join(_DRESS[dress[i % len(dress)]](line)
@@ -409,6 +433,98 @@ class TestJsonlRoundTripProperty:
                 == [_fields(ev) for ev in rec.events])
 
 
+def _attrs_objects(flight):
+    """How many attrs dicts ``flight``'s events hold."""
+    return len({id(ev.attrs) for ev in flight.events})
+
+
+def _attrs_contents(flight):
+    """How many distinct attrs sets they hold: JSON text, in key order."""
+    return len({json.dumps(ev.attrs) for ev in flight.events})
+
+
+class _Clock:
+    """The one engine attribute a causal tracer reads."""
+
+    now = 0.0
+
+
+class TestAttrsExactness:
+    """Events share an attrs dict only if they export the same JSON text.
+
+    Every value below compares equal to another one (``0.0 == -0.0 == 0
+    == False``, ``True == 1 == 1.0``) or to nothing (NaN), yet each
+    exports its own text; a key that went by equality would hand a later
+    event an earlier event's value.
+    """
+
+    VALUES = (0.0, -0.0, 0, False, True, 1, 1.0, "1", 1, "", None,
+              float("nan"), 0.0, -0.0)
+
+    @staticmethod
+    def _same(a, b):
+        return type(a) is type(b) and repr(a) == repr(b)
+
+    def test_reload_round_trips_byte_identical(self):
+        rec = FlightRecorder()
+        for i, v in enumerate(self.VALUES * 2):
+            rec.record(float(i), "x", ctx(1, i + 1), v=v)
+        text = rec.to_jsonl()
+        back = FlightRecorder.from_jsonl(text)
+        assert back.to_jsonl() == text
+        for orig, ev in zip(rec.events, back.events):
+            assert self._same(ev.attrs["v"], orig.attrs["v"])
+        # NaN, 1 and the zeros repeat; each distinct text is one dict.
+        assert _attrs_objects(back) == _attrs_contents(back) == 11
+
+    def test_tuple_values_key_apart(self):
+        # (True,) == (1,) == (1.0,) and (0.0,) == (-0.0,), with one type
+        # each: a typed key alone would merge them.
+        tracer = CausalTracer(_Clock())
+        values = [(True,), (1,), (1.0,), (0.0,), (-0.0,), (1,), (True,)]
+        for i, v in enumerate(values):
+            tracer.event("x", ctx(1, i + 1), v=v)
+        flight = tracer.flight
+        assert ([json.dumps(ev.attrs["v"]) for ev in flight.events]
+                == [json.dumps(v) for v in values])
+        assert _attrs_objects(flight) == _attrs_contents(flight) == 5
+        text = flight.to_jsonl()
+        assert FlightRecorder.from_jsonl(text).to_jsonl() == text
+
+    def test_tracer_keys_apart_what_exports_apart(self):
+        tracer = CausalTracer(_Clock())
+        nan = float("nan")
+        calls = [
+            ("match", (0.0, False)), ("match", (-0.0, False)), ("match", (0, False)),
+            ("match", (0.0, 0)), ("match", (nan, True)), ("match", (0.5, True)),
+            ("match", (0.5, 1)), ("match", (0.0, False)),
+            ("send", (1, 1, "c")), ("send", (True, 1, "c")), ("send", (1, 1.0, "c")),
+            ("send", (1, 1, "1")), ("send", (1, 1, 1)), ("send", (1, 0, "c")),
+            ("send", (1, -0.0, "c")), ("recv", (1, 1, "c")),
+            ("join", (0, "c")), ("join", (False, "c")), ("join", (0.0, "c")),
+            ("join", (-0.0, "c")), ("join", (0, None)),
+        ]
+        expected = []
+        for i, (method, args) in enumerate(calls):
+            getattr(tracer, method)(ctx(1, i + 1), *args)
+            if method == "match":
+                expected.append({"waited_s": args[0], "buffered": args[1]})
+            elif method == "join":
+                expected.append({"nbytes": args[0], "ch": args[1]})
+            else:
+                expected.append({"type": args[0], "nbytes": args[1], "ch": args[2]})
+        tracer.send(ctx(1, 99), 1, 1, "c", leg="mpi-body")
+        expected.append({"type": 1, "nbytes": 1, "ch": "c", "leg": "mpi-body"})
+        for v in (0.0, -0.0, 0.0, True, 1):
+            tracer.event("fault.inject", None, v=v)
+            expected.append({"v": v})
+        events = tracer.flight.events
+        assert [json.dumps(ev.attrs) for ev in events] == [json.dumps(d) for d in expected]
+        assert _attrs_objects(tracer.flight) == _attrs_contents(tracer.flight)
+        # send and recv of one message share one dict.
+        assert events[8].attrs is events[15].attrs
+
+
 # -- what a recording holds per channel ----------------------------------------
 
 def _causal_cell(transport, causal):
@@ -425,8 +541,14 @@ def _channels(flight):
 
 
 @pytest.fixture(scope="module", params=sorted(TRANSPORTS))
-def traced(request):
-    return request.param, _causal_cell(request.param, True).flight
+def traced_run(request):
+    return request.param, _causal_cell(request.param, True)
+
+
+@pytest.fixture(scope="module")
+def traced(traced_run):
+    transport, result = traced_run
+    return transport, result.flight
 
 
 class TestChannelFootprint:
@@ -464,3 +586,53 @@ class TestChannelFootprint:
         result = _causal_cell(transport, False)
         assert result.flight is None or len(result.flight) == 0
         assert formatted == []
+
+
+# -- what a recording holds per attrs set ----------------------------------------
+
+class TestAttrsFootprint:
+    """One attrs dict per distinct attrs set, recorded, reloaded and pickled.
+
+    The pickle round trip is the run-cache disk tier's and the parallel
+    harness's: pickle keeps one object per shared dict.  It would also
+    fail outright if the tracer's attrs table (a closure) were reachable
+    from the ``RunResult``.
+    """
+
+    def test_record_holds_one_dict_per_set(self, traced):
+        _, flight = traced
+        assert len(flight) > 0
+        assert _attrs_objects(flight) == _attrs_contents(flight)
+        # The sharing is real: far fewer sets than events.
+        assert _attrs_objects(flight) < len(flight)
+
+    def test_reload_holds_one_dict_per_set(self, traced):
+        _, flight = traced
+        back = FlightRecorder.from_jsonl(flight.to_jsonl())
+        assert _attrs_objects(back) == _attrs_contents(back) == _attrs_contents(flight)
+
+    def test_pickle_round_trip_holds_one_dict_per_set(self, traced_run):
+        _, result = traced_run
+        back = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        assert _attrs_objects(back.flight) == _attrs_contents(back.flight)
+        assert back.flight.to_jsonl() == result.flight.to_jsonl()
+
+
+class TestAttrsReadOnly:
+    """No reader writes to the attrs it shares with other events."""
+
+    def test_every_reader_leaves_attrs_as_recorded(self, traced_run):
+        transport, result = traced_run
+        flight = result.flight
+        held = [ev.attrs for ev in flight.events]
+        before = [json.dumps(attrs) for attrs in held]
+        flight.index()
+        cp = critical_path(result)
+        ReplayModel.from_result(result).sensitivity()
+        diff_runs(result, result, a_label="a", b_label="b")
+        render_report([(result, cp)])
+        chrome_trace(result)
+        render_timeline(result)
+        assert [ev.attrs for ev in flight.events] == held
+        assert all(ev.attrs is attrs for ev, attrs in zip(flight.events, held))
+        assert [json.dumps(attrs) for attrs in held] == before
