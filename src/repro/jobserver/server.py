@@ -10,9 +10,9 @@ concurrent tenants contend for executor slots under their grants.
 
 Observable surface:
 
-* metrics — ``jobserver.submitted`` / ``.started`` / ``.finished``
-  counters plus ``jobserver.jct_s`` and ``jobserver.queue_delay_s``
-  histograms in the cluster's registry;
+* metrics — ``jobserver.submitted`` / ``.started`` / ``.finished`` /
+  ``.failed`` counters in the cluster's registry (the JCT and queueing
+  delay distributions are read off the :class:`JobRecord`\\ s);
 * causal — ``job.submit`` / ``job.start`` / ``job.finish`` events, which
   the critical-path analyzer turns into per-application ``sched-wait``
   segments (queueing delay as a first-class critical-path citizen);
@@ -161,8 +161,6 @@ class JobServer:
         self._m_started = m.counter("jobserver.started")
         self._m_finished = m.counter("jobserver.finished")
         self._m_failed = m.counter("jobserver.failed")
-        self._h_jct = m.histogram("jobserver.jct_s")
-        self._h_queue = m.histogram("jobserver.queue_delay_s")
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -221,7 +219,6 @@ class JobServer:
             self._m_failed.value += 1.0
         record.finish_s = env.now
         self._m_finished.value += 1.0
-        self._h_jct.observe(record.jct_s)
         env.causal.event(
             "job.finish", None,
             app=job.name, jct_s=record.jct_s, failed=record.failed is not None,
@@ -307,7 +304,6 @@ class JobServer:
             executor_ids=executor_ids,
         )
         self._m_started.value += 1.0
-        self._h_queue.observe(record.queue_delay_s)
         env.causal.event(
             "job.start", None,
             app=job.name, granted=slots, n_executors=n_exec,

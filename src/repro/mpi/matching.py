@@ -47,7 +47,6 @@ class PostedRecv:
     tag: int
     context_id: int
     request: Request
-    posted_at: float = 0.0
     seq: int = 0  # post order, used to arbitrate exact vs wildcard buckets
 
 
@@ -80,7 +79,6 @@ class MatchingEngine:
         self.env = env
         self.on_match = on_match
         self._ux: dict[int, dict[tuple[int, int], list]] = {}
-        self._ux_count = 0
         self._arr_seq = 0
         self._posted_exact: dict[tuple[int, int, int], list] = {}
         self._posted_wild: list[PostedRecv] = []
@@ -91,11 +89,6 @@ class MatchingEngine:
         # insertion order across buckets when several match at once.
         self._probe_waiters: dict[tuple[int, int, int], list] = {}
         self._probe_seq = 0
-        # scan-length bookkeeping: fixed-size bucket array incremented on
-        # the hot path (index = min(scan, 17)), bulk-published into the
-        # registry histogram lazily at snapshot time.
-        self._scan_hist = [0] * 18
-        self._scan_published = [0] * 18
         # Registry metrics (repro.obs), rank-scoped when the owner gave us
         # a name (MPIProcess does; anonymous engines in unit tests don't).
         # Same-named engines share these counters, so their counts add
@@ -106,17 +99,6 @@ class MatchingEngine:
         self._c_posted_matches = m.counter(f"{prefix}.posted_matches")
         self._c_unexpected_matches = m.counter(f"{prefix}.unexpected_matches")
         self._c_iprobe_scanned = m.counter(f"{prefix}.iprobe_scan_len_total")
-        self._g_unexpected_depth = m.time_gauge(f"{prefix}.unexpected_depth")
-        self._h_recv_wait = m.histogram(f"{prefix}.recv_match_wait_s")
-        self._h_match_scan = m.histogram(f"{prefix}.match_scan_len")
-        m.on_snapshot(self._publish_scan_hist)
-
-    def _publish_scan_hist(self) -> None:
-        for scan_len, count in enumerate(self._scan_hist):
-            delta = count - self._scan_published[scan_len]
-            if delta:
-                self._h_match_scan.observe_many(float(scan_len), delta)
-                self._scan_published[scan_len] = count
 
     # -- compatibility views -----------------------------------------------
     @property
@@ -141,7 +123,6 @@ class MatchingEngine:
     # -- arrivals ----------------------------------------------------------
     def deliver(self, env_msg: Envelope) -> None:
         """An envelope arrived from the network."""
-        scan = 0
         cand = None
         dq = None
         if self._posted_exact:
@@ -149,15 +130,12 @@ class MatchingEngine:
                 (env_msg.context_id, env_msg.src_rank, env_msg.tag)
             )
             if dq:
-                scan += 1
                 cand = dq[0]
         wild = None
         for p in self._posted_wild:  # post order → first match has lowest seq
-            scan += 1
             if _spec_matches(p.source, p.tag, p.context_id, env_msg):
                 wild = p
                 break
-        self._scan_hist[scan if scan < 17 else 17] += 1
         if wild is not None and (cand is None or wild.seq < cand.seq):
             self._posted_wild.remove(wild)
             cand = wild
@@ -168,7 +146,6 @@ class MatchingEngine:
         if cand is not None:
             # matched a pre-posted receive: fast path, no extra copy
             self._c_posted_matches.value += 1.0
-            self._h_recv_wait.observe(self.env.now - cand.posted_at)
             if env_msg.trace_ctx is not None:
                 self.env.causal.match(env_msg.trace_ctx, 0.0, False)
             self.on_match(env_msg, cand, False)
@@ -182,8 +159,6 @@ class MatchingEngine:
             bucket = buckets[key] = []
         self._arr_seq += 1
         bucket.append((self._arr_seq, self.env.now, env_msg))
-        self._ux_count += 1
-        self._g_unexpected_depth.set(self._ux_count)
         self._wake_probes(env_msg)
 
     # -- unexpected-queue lookup -------------------------------------------
@@ -227,35 +202,28 @@ class MatchingEngine:
                 # Drop the empty per-context dict: the idle-queue probe
                 # fast path is then a single int-keyed dict miss.
                 del self._ux[context_id]
-        self._ux_count -= 1
         return arrived, envl
 
     # -- receives ----------------------------------------------------------
     def post_recv(self, source: int, tag: int, context_id: int, request: Request) -> None:
         """Post a receive; matches the oldest queued envelope if any."""
-        now = self.env.now
-        buckets, key, dq, scan = self._find_unexpected(source, tag, context_id)
-        self._scan_hist[scan if scan < 17 else 17] += 1
+        buckets, key, dq, _ = self._find_unexpected(source, tag, context_id)
         if dq is not None:
             arrived, env_msg = self._pop_unexpected(context_id, buckets, key, dq)
             self._c_unexpected_matches.value += 1.0
-            self._g_unexpected_depth.set(self._ux_count)
-            self._h_recv_wait.observe(0.0)
             if env_msg.trace_ctx is not None:
                 # The dwell in the unexpected queue is the poll-discovery
                 # delay the critical-path analyzer classifies (poll-tax for
                 # the Basic design, queueing for Optimized).
-                self.env.causal.match(env_msg.trace_ctx, now - arrived, True)
+                self.env.causal.match(env_msg.trace_ctx, self.env.now - arrived, True)
             self.on_match(
                 env_msg,
-                PostedRecv(source, tag, context_id, request, posted_at=now),
+                PostedRecv(source, tag, context_id, request),
                 True,  # came off the unexpected queue → buffered copy
             )
             return
         self._post_seq += 1
-        posted = PostedRecv(
-            source, tag, context_id, request, posted_at=now, seq=self._post_seq
-        )
+        posted = PostedRecv(source, tag, context_id, request, seq=self._post_seq)
         if source == ANY_SOURCE or tag == ANY_TAG:
             self._posted_wild.append(posted)
         else:
@@ -342,8 +310,6 @@ class MatchingEngine:
     def drop_unexpected(self) -> None:
         """Discard every queued envelope (rank death / world abort)."""
         self._ux.clear()
-        self._ux_count = 0
-        self._g_unexpected_depth.set(0)
 
     # -- failure propagation ------------------------------------------------
     def fail_posted(

@@ -2,8 +2,8 @@
 
 The registry measures *where simulated time and bytes go* (event-loop
 busy fractions, MPI polling tax, per-link traffic, scheduler phase
-breakdowns) in counters, time-weighted gauges and histograms of exact
-moments; the causal flight recorder logs every message, task and stage.
+breakdowns) in counters only; the causal flight recorder logs every
+message, task and stage, so a per-task distribution is read off it.
 Critical path, what-if replay, the run diff, the HTML report and the
 Chrome-trace export (:mod:`repro.obs.tracer`) all read a recording
 through its one :class:`FlightIndex`. Together they turn the paper's
@@ -46,13 +46,7 @@ from repro.obs.report_html import (
     write_diff_report,
     write_report,
 )
-from repro.obs.registry import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    TimeWeightedGauge,
-)
+from repro.obs.registry import Counter, MetricsRegistry, MetricsSnapshot
 from repro.obs.tracer import chrome_trace, render_timeline, write_chrome_trace
 from repro.obs.whatif import (
     DEFAULT_GRID,
@@ -67,10 +61,8 @@ from repro.obs.whatif import (
 
 __all__ = [
     "Counter",
-    "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "TimeWeightedGauge",
     "chrome_trace",
     "write_chrome_trace",
     "render_timeline",
@@ -134,7 +126,7 @@ def loop_busy_fraction(snap: MetricsSnapshot) -> float:
     park — pipeline traversal, blocking continuations, queued tasks, and
     (for Basic) the poll rounds themselves.
     """
-    names = [n for n in snap.names("netty.loop.*.busy_s") if n in snap.counters]
+    names = snap.names("netty.loop.*.busy_s")
     if not names or snap.elapsed_s <= 0:
         return 0.0
     busy = sum(snap.counters[n] for n in names)

@@ -146,10 +146,8 @@ class FluidNetwork:
         # flow still carries that seq; _sync keeps the earliest live one
         # in the kernel heap.
         self._heap: list[tuple[float, int, Flow]] = []
-        # Time-weighted concurrency of bulk transfers (repro.obs).
-        self._g_active = env.metrics.time_gauge("simnet.fluid.active_flows")
-        self._c_flow_bytes = env.metrics.counter("simnet.fluid.flow_bytes")
         m = env.metrics
+        self._c_flow_bytes = m.counter("simnet.fluid.flow_bytes")
         self._c_rerate_calls = m.counter("simnet.fluid.rerate.calls")
         self._c_rerate_flows = m.counter("simnet.fluid.rerate.flows")
         self._c_vector_batches = m.counter("simnet.fluid.rerate.vector_batches")
@@ -185,7 +183,6 @@ class FluidNetwork:
         flow = Flow(fid, tuple(path), tuple(lidx), nbytes, done)
         flow.last = self.env.now
         self.flows[fid] = flow
-        self._g_active.set(len(self.flows))
         self._c_flow_bytes.value += nbytes
         shares = self._shares_arr
         for link in path:
@@ -221,7 +218,6 @@ class FluidNetwork:
             self._unlink(flow)
             self._disarm(flow)  # a cancelled timer's callback never runs
             flow.done.fail(exc_factory())
-        self._g_active.set(len(self.flows))
         if victims:
             affected: set[int] = set()
             for flow in victims:
@@ -412,7 +408,6 @@ class FluidNetwork:
         self._unlink(flow)
         flow.seq = 0
         self.completed += 1
-        self._g_active.set(len(self.flows))
         flow.done.succeed()
         # Freed capacity speeds up the neighbours.
         self._rerate(self._affected(flow.links))

@@ -181,10 +181,8 @@ class SimCluster:
             Callable[[SimNode, SimNode, int, WireModel], tuple[str, float] | None]
             | None
         ) = None
-        # Per-wire-model elapsed-time histograms and delivered-byte
-        # counters, cached so the per-message hot path avoids registry
-        # name lookups.
-        self._wire_histograms: dict[str, Any] = {}
+        # Per-wire-model delivered-byte counters, cached so the
+        # per-message hot path avoids registry name lookups.
         self._wire_bytes: dict[str, Any] = {}
         # Per-model memo of the pure delay terms (WireModel is frozen, so
         # every entry is a function of (model, nbytes) only). Keyed by
@@ -339,11 +337,5 @@ class SimCluster:
         src.tx_messages.value += 1.0
         dst.rx_bytes.value += nbytes
         dst.rx_messages.value += 1.0
-        elapsed = env.now - start
-        hist = self._wire_histograms.get(model.name)
-        if hist is None:
-            hist = env.metrics.histogram(f"simnet.wire.{model.name}.elapsed_s")
-            self._wire_histograms[model.name] = hist
-        hist.observe(elapsed)
         self._count_wire_bytes(model, nbytes)
-        return elapsed
+        return env.now - start

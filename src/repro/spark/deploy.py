@@ -205,7 +205,7 @@ class _TaskMetrics:
 
     __slots__ = (
         "tasks", "compute", "write", "fetch_wait", "combine",
-        "remote_bytes", "local_bytes", "h_fetch_wait",
+        "remote_bytes", "local_bytes",
     )
 
     def __init__(self, m, prefix: str) -> None:
@@ -216,7 +216,6 @@ class _TaskMetrics:
         self.combine = m.counter(f"{prefix}.combine_s")
         self.remote_bytes = m.counter(f"{prefix}.remote_fetch_bytes")
         self.local_bytes = m.counter(f"{prefix}.local_read_bytes")
-        self.h_fetch_wait = m.histogram(f"{prefix}.task_fetch_wait_s")
 
 
 @dataclass
@@ -563,7 +562,6 @@ class SimExecutor:
         fetch_wait = env.now - t_fetch
         if tm is not None:
             tm.fetch_wait.value += fetch_wait
-            tm.h_fetch_wait.observe(fetch_wait)
         combine = (
             float(stage.combine_seconds_per_task[t]) * self.sim.transport.compute_inflation
         )

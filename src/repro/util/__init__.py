@@ -21,7 +21,7 @@ from repro.util.units import (
     gbps,
 )
 from repro.util.config import Config, ConfigError
-from repro.util.stats import OnlineStats, percentile
+from repro.util.stats import percentile
 from repro.util.serialization import estimate_size, size_cache_stats, sizeof, SizedPayload
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "gbps",
     "Config",
     "ConfigError",
-    "OnlineStats",
     "percentile",
     "estimate_size",
     "size_cache_stats",

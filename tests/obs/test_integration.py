@@ -57,12 +57,7 @@ class TestDisabledPath:
         sim, result = _run("mpi-basic")
         assert result.metrics is None
         m = sim.env.metrics
-        live = {}
-        for name in m.names():
-            try:
-                live[name] = m.counter(name).value
-            except TypeError:  # a gauge or histogram
-                pass
+        live = {name: m.counter(name).value for name in m.names()}
         snap = m.snapshot()
 
         def counts(values):
@@ -102,7 +97,6 @@ class TestEnabledRun:
         assert snap.value("spark.scheduler.compute_s") > 0
         assert snap.value("spark.scheduler.write_s") > 0
         assert snap.value("spark.scheduler.fetch_wait_s") > 0
-        assert "spark.scheduler.task_fetch_wait_s" in snap.histograms
 
     def test_optimized_split_visible(self, run):
         # The Optimized design's header-on-socket / body-over-MPI split.
@@ -163,3 +157,17 @@ class TestTracedRun:
         ]
         assert read_spans
         assert all("fetch_wait_s" in ev["args"] for ev in read_spans)
+
+    def test_flight_fetch_waits_sum_to_scheduler_counter(self, traced):
+        # The per-task distribution lives on the flight: each finished
+        # read task's fetch_wait_s attr, which the scheduler counter sums.
+        assert traced.flight.dropped == 0
+        waits = [
+            ev.attrs["fetch_wait_s"]
+            for ev in traced.flight.index().task_finish.values()
+            if "fetch_wait_s" in ev.attrs
+        ]
+        assert len(waits) == 4  # one read stage of 4 tasks
+        assert sum(waits) == pytest.approx(
+            traced.metrics.value("spark.scheduler.fetch_wait_s"), rel=1e-12
+        )

@@ -2,9 +2,10 @@
 
 A snapshot only reads counter values, so no owner keeps a private
 mirror that a snapshot hook copies in. ``on_snapshot`` is left for the
-two values that are not counts added in place: the MPI match-scan
-histogram fed in bulk, and the process-global cache stats. This guard
-walks every ``src/repro`` module and fails on any other caller.
+one value that is not a count added in place: the process-global cache
+stats that ``spark/deploy.py`` copies into ``cache.*``. This guard walks
+every ``src/repro`` module and fails on any other caller. Counters are
+the registry's only metric kind.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.obs.registry import Counter
+from repro.obs.registry import Counter, MetricsRegistry
 
 SRC_DIR = Path(repro.__file__).parent
-HOOK_CALLERS = {"mpi/matching.py", "spark/deploy.py"}
+HOOK_CALLERS = {"spark/deploy.py"}
 
 
 def hook_sites(source: str) -> list[int]:
@@ -32,7 +33,7 @@ def hook_sites(source: str) -> list[int]:
     ]
 
 
-def test_on_snapshot_has_exactly_two_callers():
+def test_on_snapshot_has_exactly_one_caller():
     callers = {
         path.relative_to(SRC_DIR).as_posix()
         for path in SRC_DIR.rglob("*.py")
@@ -56,3 +57,8 @@ def test_counter_has_one_way_to_add():
     assert not hasattr(Counter, "inc")
     with pytest.raises(AttributeError):
         Counter("x").inc = None
+
+
+def test_registry_keeps_counters_only():
+    for kind in ("histogram", "time_gauge"):
+        assert not hasattr(MetricsRegistry, kind)

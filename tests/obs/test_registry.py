@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.simnet.engine import SimEngine
 
 
@@ -21,11 +21,6 @@ class TestRegistryBasics:
         b = env.metrics.counter("a.b.c")
         assert a is b
         assert len(env.metrics) == 1
-
-    def test_kind_mismatch_raises(self, env):
-        env.metrics.counter("x")
-        with pytest.raises(TypeError, match="already registered"):
-            env.metrics.histogram("x")
 
     def test_counter_increments(self, env):
         c = env.metrics.counter("n")
@@ -46,99 +41,17 @@ class TestRegistryBasics:
         assert env.metrics.snapshot().value("lazy.total") == 42.0  # idempotent re-sync
 
 
-class TestTimeWeightedGauge:
-    def test_time_average_weights_by_duration(self, env):
-        g = env.metrics.time_gauge("active")
-
-        def proc(env):
-            g.set(2.0)  # at t=0
-            yield env.timeout(1.0)
-            g.set(4.0)  # held 2.0 for [0,1)
-            yield env.timeout(3.0)
-            g.set(0.0)  # held 4.0 for [1,4)
-
-        env.process(proc(env))
-        env.run()
-        # integral = 2*1 + 4*3 = 14 over 4s
-        assert g.time_average() == pytest.approx(14.0 / 4.0)
-
-    def test_time_average_before_any_time_passes(self, env):
-        g = env.metrics.time_gauge("idle")
-        g.set(7.0)
-        assert g.time_average() == 7.0
-
-
-class TestHistogram:
-    def test_summary_has_exact_moments(self, env):
-        h = env.metrics.histogram("lat")
-        for x in (1.0, 2.0, 3.0, 4.0):
-            h.observe(x)
-        s = h.summary()
-        assert s.n == 4
-        assert s.mean == 2.5
-        assert s.stdev == pytest.approx((5.0 / 3.0) ** 0.5)
-        assert s.min == 1.0 and s.max == 4.0
-        assert s.total == 10.0
-
-    def test_empty_summary_is_none_and_dropped_from_snapshot(self, env):
-        env.metrics.histogram("never_observed")
-        assert env.metrics.histogram("never_observed").summary() is None
-        snap = env.metrics.snapshot()
-        assert "never_observed" not in snap.histograms
-
-    def test_moments_stay_exact_over_many_observations(self, env):
-        h = env.metrics.histogram("big")
-        n = 12_288
-        for i in range(n):
-            h.observe(float(i))
-        s = h.summary()
-        assert s.n == n
-        assert s.mean == pytest.approx((n - 1) / 2.0)
-        assert s.min == 0.0 and s.max == float(n - 1)
-        assert s.total == float(n * (n - 1) // 2)
-        # moments only: no per-sample storage however long the run
-        assert Histogram.__slots__ == ("name", "stats")
-
-    def test_summary_is_deterministic_across_registries(self):
-        summaries = []
-        for _ in range(2):
-            h = SimEngine().metrics.histogram("lat")
-            for i in range(4097):
-                h.observe(float(i) * 0.1)
-            summaries.append(h.summary())
-        assert summaries[0] == summaries[1]
-
-    def test_observe_many_merges_moments(self, env):
-        bulk = env.metrics.histogram("bulk")
-        one_by_one = env.metrics.histogram("one_by_one")
-        for h in (bulk, one_by_one):
-            for x in (1.0, 9.0):
-                h.observe(x)
-        bulk.observe_many(-5.0, 1000)
-        bulk.observe_many(3.0, 0)  # no observations: a no-op
-        for _ in range(1000):
-            one_by_one.observe(-5.0)
-        got, want = bulk.summary(), one_by_one.summary()
-        assert (got.n, got.min, got.max, got.total) == (
-            want.n, want.min, want.max, want.total
-        )
-        assert got.mean == pytest.approx(want.mean)
-        assert got.stdev == pytest.approx(want.stdev)
-
-
 class TestSnapshot:
     def _populated(self, env):
         m = env.metrics
         m.counter("netty.loop.a.busy_s").value += 1.5
         m.counter("netty.loop.b.busy_s").value += 0.5
         m.counter("mpi.rank.r0.iprobe_calls").value += 10
-        m.time_gauge("flows").set(2)
-        m.histogram("wait").observe(0.25)
         return m.snapshot()
 
     def test_len_and_names_glob(self, env):
         snap = self._populated(env)
-        assert len(snap) == 5
+        assert len(snap) == 3
         assert snap.names("netty.loop.*.busy_s") == [
             "netty.loop.a.busy_s",
             "netty.loop.b.busy_s",
@@ -148,14 +61,10 @@ class TestSnapshot:
         snap = self._populated(env)
         assert snap.total("netty.loop.*.busy_s") == 2.0
         assert snap.total("no.such.*") == 0.0
-        # gauges/histograms are not counters: excluded from total()
-        assert snap.total("flows") == 0.0
-        assert snap.total("wait") == 0.0
 
     def test_value_lookup(self, env):
         snap = self._populated(env)
         assert snap.value("mpi.rank.r0.iprobe_calls") == 10
-        assert snap.value("flows") == 2
         assert snap.value("missing", default=-1.0) == -1.0
 
     def test_snapshot_is_frozen(self, env):

@@ -145,26 +145,6 @@ class TestWirePath:
         assert snap.total("simnet.wire.*.bytes") == 1200
         assert snap.value(f"simnet.wire.{model.name}.bytes") == 1200
 
-    def test_wire_histogram_observes_each_message(self, env):
-        cluster = make_cluster(env)
-        model = mpi_over(IB_HDR)
-        elapsed = []
-
-        def sender(env):
-            for nbytes in (42, 4 * MiB):  # control bypass, then a fluid flow
-                elapsed.append(
-                    (yield from cluster.wire_path(
-                        cluster.node(0), cluster.node(1), nbytes, model
-                    ))
-                )
-
-        env.process(sender(env))
-        env.run()
-        hist = env.metrics.snapshot().histograms[f"simnet.wire.{model.name}.elapsed_s"]
-        assert hist.n == 2
-        assert hist.total == sum(elapsed)
-        assert (hist.min, hist.max) == (min(elapsed), max(elapsed))
-
     def test_negative_bytes_rejected(self, env):
         cluster = make_cluster(env)
 
