@@ -5,13 +5,14 @@ High-Performance Communication Framework for Spark using MPI" and every
 substrate it depends on:
 
 * :mod:`repro.simnet`  — discrete-event cluster/network simulator,
-* :mod:`repro.mpi`     — an MPI runtime (pt2pt, collectives, DPM),
+* :mod:`repro.mpi`     — an MPI runtime (pt2pt, iprobe, bcast / allgather /
+  alltoallv, DPM),
 * :mod:`repro.netty`   — an event-driven network framework (Netty),
 * :mod:`repro.spark`   — a working mini-Spark (RDDs, DAG, shuffle,
   network layer, cluster deployment),
 * :mod:`repro.core`    — the paper's contribution: the MPI-based Netty
   transport (Basic and Optimized designs), channel-rank mapping, DPM launch,
-* :mod:`repro.transports` — the evaluation matrix (NIO/RDMA/MPI-Basic/MPI-Opt),
+* :mod:`repro.transports` — the evaluation matrix (NIO/RDMA/MPI-Basic/MPI-Opt/MPI-Coll),
 * :mod:`repro.workloads`  — OHB and Intel HiBench workloads,
 * :mod:`repro.harness`    — per-figure experiment drivers.
 

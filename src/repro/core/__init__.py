@@ -20,7 +20,6 @@ from repro.core.handshake import (
     HANDSHAKE_WIRE_BYTES,
     MpiHandshakeHandler,
     RankAnnouncement,
-    handshake_complete,
     initiate_handshake,
 )
 from repro.core.mpi_netty import (
@@ -41,7 +40,6 @@ __all__ = [
     "MpiHandshakeHandler",
     "NotifyingHandshakeHandler",
     "initiate_handshake",
-    "handshake_complete",
     "HANDSHAKE_WIRE_BYTES",
     "MpiBodyReceiveHandler",
     "MpiBasicEventLoop",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.mpi.communicator import Comm, Intercomm
+from repro.mpi.communicator import Comm
 from repro.mpi.errors import CommError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,11 +59,6 @@ class MpiEndpoint:
         pc = self.proc.parent_comm
         if pc is not None:
             out.append((pc, COMM_KIND_INTER))
-        extra = getattr(self.proc, "extra_comms", None)
-        if extra:
-            for comm in extra:
-                kind = COMM_KIND_INTER if isinstance(comm, Intercomm) else COMM_KIND_DPM
-                out.append((comm, kind))
         return out
 
     def resolve(self, peer_gid: int) -> CommBinding:
@@ -78,11 +73,3 @@ class MpiEndpoint:
         raise CommError(
             f"{self.proc.name} shares no communicator with gid {peer_gid}"
         )
-
-    def register_intercomm(self, comm: Intercomm) -> None:
-        """Attach an extra intercommunicator (e.g. the parent side of DPM)."""
-        extra = getattr(self.proc, "extra_comms", None)
-        if extra is None:
-            extra = []
-            self.proc.extra_comms = extra  # type: ignore[attr-defined]
-        extra.append(comm)

@@ -148,11 +148,6 @@ def initiate_handshake(channel: Channel, endpoint: "MpiEndpoint") -> None:
     channel.socket.send(_HandshakeEnvelope(ann.encode(channel)), HANDSHAKE_WIRE_BYTES)
 
 
-def handshake_complete(channel: Channel):
-    """Event that fires (with the binding) once the reply arrives."""
-    return channel.attributes[ATTR_DONE]
-
-
 def ensure_handshake(channel: Channel, endpoint: "MpiEndpoint") -> Generator:
     """Idempotent establishment: initiate once, then wait for completion.
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.rng import SeededRng, derive_seed
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -127,54 +125,3 @@ class FaultPlan:
 
     def sorted_specs(self) -> list[FaultSpec]:
         return sorted(self.specs, key=lambda s: s.at_s)
-
-    def describe(self) -> str:
-        lines = [f"fault plan {self.name!r} (seed {self.seed}):"]
-        lines.extend(f"  {s.describe()}" for s in self.sorted_specs())
-        return "\n".join(lines)
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        n_workers: int,
-        window_s: float,
-        n_faults: int = 3,
-        allow_crashes: bool = True,
-        name: str = "random",
-    ) -> "FaultPlan":
-        """Draw a stochastic plan: ``n_faults`` faults spread over a window.
-
-        Same seed → same plan, always. Crashes are capped at one so the
-        plan never partitions the job into an unwinnable state by itself.
-        """
-        rng = SeededRng(derive_seed(seed, "faults", "plan"))
-        plan = cls(seed=seed, name=name)
-        crashed = False
-        for _ in range(n_faults):
-            at = rng.uniform(0.0, window_s)
-            kind = rng.choice(["crash", "degrade", "chaos"])
-            if kind == "crash" and allow_crashes and not crashed:
-                crashed = True
-                plan.add(ExecutorCrash(at_s=at, exec_id=rng.randrange(n_workers)))
-            elif kind == "degrade":
-                plan.add(
-                    NicDegradation(
-                        at_s=at,
-                        # Executor i lives on node i+1 (node 0 is the driver).
-                        node_index=1 + rng.randrange(n_workers),
-                        factor=rng.uniform(2.0, 8.0),
-                        duration_s=rng.uniform(0.1, window_s),
-                    )
-                )
-            else:
-                plan.add(
-                    MessageChaos(
-                        at_s=at,
-                        drop_p=rng.uniform(0.0, 0.02),
-                        delay_p=rng.uniform(0.0, 0.1),
-                        delay_s=rng.uniform(1e-4, 5e-3),
-                        duration_s=rng.uniform(0.1, window_s),
-                    )
-                )
-        return plan

@@ -5,7 +5,6 @@ its contribution on a fixed GroupByTest scenario:
 
 * ``ablate_io_threads``     — Netty event-loop pool size (the Optimized
   design blocks a loop thread per in-flight body; §5.1(3) of DESIGN.md),
-* ``ablate_rendezvous_threshold`` — MPI's eager→rendezvous switch point,
 * ``ablate_in_flight_window``     — Spark's ``maxBytesInFlight`` fetch window,
 * ``ablate_poll_period``          — the Basic design's busy-poll granularity.
 
@@ -13,7 +12,7 @@ These run on a small fixed geometry (2 workers) so they complete quickly;
 the *relative* effects are the point. Each ablation is a list of
 :class:`~repro.harness.parallel.OhbSpec` cells run through the cached
 :func:`~repro.harness.parallel.run_cells`: the first sweeps the spec's
-``io_threads``, the last three one field of the
+``io_threads``, the last two one field of the
 :class:`~repro.simnet.interconnect.CostModel` the cell is built with.
 """
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass, replace
 from repro.harness.parallel import OhbSpec, run_cells
 from repro.harness.systems import FRONTERA
 from repro.simnet.interconnect import DEFAULT_COST
-from repro.util.units import GiB, KiB, MiB
+from repro.util.units import GiB, MiB
 from repro.workloads.ohb import GROUP_BY
 
 # The fixed GroupByTest scenario every ablation perturbs.
@@ -68,12 +67,6 @@ def _cost_sweep(parameter: str, field: str, transport: str, values) -> list[Abla
         for value in values
     ]
     return _points(parameter, values, specs)
-
-
-def ablate_rendezvous_threshold(values=(4 * KiB, 16 * KiB, 256 * KiB, 4 * MiB)) -> list[AblationPoint]:
-    """Eager/rendezvous switch: eager copies buffer large payloads; late
-    rendezvous handshakes delay large transfers behind recv posting."""
-    return _cost_sweep("rendezvous_threshold", "rendezvous_threshold", "mpi-opt", values)
 
 
 def ablate_in_flight_window(values=(4 * MiB, 16 * MiB, 48 * MiB, 192 * MiB)) -> list[AblationPoint]:

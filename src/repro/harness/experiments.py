@@ -100,62 +100,6 @@ def fig8_pingpong(
 
 
 # ---------------------------------------------------------------------------
-# Fig 9 — MPI4Spark-Basic vs MPI4Spark-Optimized vs Vanilla
-# ---------------------------------------------------------------------------
-
-def fig9_basic_vs_optimized(
-    fidelity: float = 0.25, jobs: int | None = None
-) -> list[OhbCell]:
-    """GroupByTest and SortByTest at 28 GB / 112 cores and 56 GB / 224
-    cores on Frontera (2 and 4 workers).
-
-    Cells are independent simulations; ``jobs`` fans them over worker
-    processes (row order and values are identical for any ``jobs``).
-    """
-    specs = [
-        OhbSpec(workload.name, n_workers, data, transport, fidelity, FRONTERA.name)
-        for workload in (GROUP_BY, SORT_BY)
-        for n_workers, data in ((2, 28 * GiB), (4, 56 * GiB))
-        for transport in ("nio", "mpi-basic", "mpi-opt")
-    ]
-    return run_cells(specs, jobs)
-
-
-def fig9_critical_path(
-    fidelity: float = 0.25,
-    jobs: int | None = None,
-    report_path: str | None = None,
-) -> list[tuple[OhbCell, "CriticalPathReport"]]:
-    """Causal critical-path decomposition of the Fig-9 GroupBy contrast.
-
-    Runs the 2-worker / 28 GB GroupBy cell under every Fig-9 transport
-    with ``obs_causal=True``, and decomposes each run's
-    critical path into compute / serialize / queue / wire / poll-tax /
-    fetch-wait segments.  The Basic design's poll-tax share is the
-    measured form of the paper's Sec VI-D starvation claim.
-
-    ``report_path`` additionally writes the Spark-UI-style HTML run
-    report (stage Gantt, message timelines, the same tables) next to the
-    ``BENCH_*.json`` files — e.g. ``results/fig9_critical_path.html``.
-    """
-    from repro.obs import analyze, write_report
-
-    specs = [
-        OhbSpec(GROUP_BY.name, 2, 28 * GiB, transport, fidelity, FRONTERA.name, True)
-        for transport in ("nio", "mpi-basic", "mpi-opt")
-    ]
-    cells = run_cells(specs, jobs)
-    pairs = [(cell, analyze(cell.result.flight, cell.transport)) for cell in cells]
-    if report_path is not None:
-        write_report(
-            report_path,
-            [(cell.result, cp) for cell, cp in pairs],
-            title="Fig 9 GroupByTest — causal critical paths",
-        )
-    return pairs
-
-
-# ---------------------------------------------------------------------------
 # Fig 10 — weak scaling (14 GB/worker: 8 -> 112GB, 16 -> 224GB, 32 -> 448GB)
 # ---------------------------------------------------------------------------
 

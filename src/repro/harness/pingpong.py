@@ -35,13 +35,6 @@ class PingPongResult:
     fabric: str
     latency_s: dict[int, float]  # message size -> seconds
 
-    def speedup_over(self, other: "PingPongResult") -> dict[int, float]:
-        return {
-            size: other.latency_s[size] / self.latency_s[size]
-            for size in self.latency_s
-            if size in other.latency_s
-        }
-
 
 def _idle_main(proc):
     """MPI ranks for the ping-pong only serve the matching engine."""

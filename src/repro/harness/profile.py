@@ -65,14 +65,6 @@ class ShuffleReadStage:
     def n_tasks(self) -> int:
         return self.fetch_bytes.shape[0]
 
-    @property
-    def total_remote_bytes(self) -> int:
-        n_exec = self.fetch_bytes.shape[1]
-        owner = np.arange(self.n_tasks) % n_exec
-        mask = np.ones_like(self.fetch_bytes, dtype=bool)
-        mask[np.arange(self.n_tasks), owner] = False
-        return int(self.fetch_bytes[mask].sum())
-
 
 Stage = ComputeStage | ShuffleWriteStage | ShuffleReadStage
 
@@ -86,10 +78,6 @@ class WorkloadProfile:
     n_executors: int
     cores_per_executor: int
     stages: list[Stage] = field(default_factory=list)
-
-    @property
-    def total_cores(self) -> int:
-        return self.n_executors * self.cores_per_executor
 
 
 def _spread(total: float, n: int, cv: float, seed: int) -> np.ndarray:

@@ -232,17 +232,3 @@ def get_or_run(spec: tuple, runner: Callable[[], Any]) -> Any:
 def clear_memory_cache() -> None:
     """Drop the in-process memo (disk entries survive)."""
     _MEMO.clear()
-
-
-def clear_disk_cache() -> int:
-    """Remove every entry from the disk store; returns entries removed."""
-    directory = cache_dir()
-    removed = 0
-    if directory.is_dir():
-        for path in directory.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed

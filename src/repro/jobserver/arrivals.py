@@ -18,7 +18,7 @@ an existing job's parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.util.rng import SeededRng, derive_seed
 from repro.util.units import GiB, MiB
@@ -67,23 +67,6 @@ class ArrivalTrace:
     def makespan_floor_s(self) -> float:
         """Last arrival time — a lower bound on the trace's busy period."""
         return self.jobs[-1].submit_s if self.jobs else 0.0
-
-    def head(self, n: int) -> "ArrivalTrace":
-        """The first ``n`` arrivals (same seed, same per-job draws)."""
-        return replace(self, jobs=self.jobs[:n])
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {
-                "app_id": j.app_id,
-                "workload": j.workload,
-                "submit_s": j.submit_s,
-                "nominal_bytes": j.nominal_bytes,
-                "parallelism": j.parallelism,
-                "fidelity": j.fidelity,
-            }
-            for j in self.jobs
-        ]
 
 
 def _pick_weighted(rng: SeededRng, mix: tuple[tuple[str, float], ...]) -> str:

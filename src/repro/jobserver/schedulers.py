@@ -101,9 +101,6 @@ class InterJobScheduler:
     def plan(self, view: ClusterView) -> SchedulePlan:
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__}>"
-
 
 class FifoScheduler(InterJobScheduler):
     """Strict arrival-order admission with head-of-line blocking.

@@ -2,9 +2,11 @@
 
 This package substitutes for MVAPICH2-X plus the paper's custom Java
 bindings: communicators (intra + inter), tag matching with unexpected
-queues, blocking/nonblocking point-to-point with an eager/rendezvous
-protocol switch, probe/iprobe, tree/ring collectives, and Dynamic Process
-Management (``spawn_multiple``) — exactly the MPI surface MPI4Spark uses.
+queues and iprobe, blocking/nonblocking point-to-point with an
+eager/rendezvous protocol switch, binomial-tree ``bcast`` and ring
+``allgather`` (DPM spawn, the launch path), and Dynamic Process Management
+(``spawn_multiple``) — exactly the MPI surface MPI4Spark uses — plus the
+``alltoallv`` of the collective shuffle transport (``mpi-coll``).
 """
 
 from repro.mpi.communicator import (
@@ -20,7 +22,7 @@ from repro.mpi.dpm import SPAWN_COST_S, SpawnSpec
 from repro.mpi.envelope import RTS_BYTES, Envelope, Protocol
 from repro.mpi.errors import CommError, MPIError, SpawnError, TagError
 from repro.mpi.matching import MatchingEngine
-from repro.mpi.request import Request, wait_all
+from repro.mpi.request import Request
 from repro.mpi.runtime import MPIProcess, MPIWorld, RankSpec
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 
@@ -37,7 +39,6 @@ __all__ = [
     "Group",
     "MAX_TAG",
     "Request",
-    "wait_all",
     "Status",
     "ANY_SOURCE",
     "ANY_TAG",

@@ -1,4 +1,4 @@
-"""Collective algorithms implemented over point-to-point messages.
+"""The three collectives the reproduction uses, over point-to-point messages.
 
 Implementing collectives on top of the same timed pt2pt layer (instead of
 closed-form cost functions) means collective timing automatically reflects
@@ -7,45 +7,20 @@ message sizes, tree depth and NIC contention — the paper's launch path uses
 
 Algorithms (standard choices, cf. MPICH/MVAPICH):
 
-* barrier    — dissemination (⌈log2 n⌉ rounds)
-* bcast      — binomial tree
-* gather     — linear fan-in to root (root incast is physical and real)
-* scatter    — linear fan-out from root
-* allgather  — ring (n-1 steps, large-message friendly)
-* reduce     — binomial tree fan-in with operator application
-* allreduce  — reduce + bcast
-* alltoall   — shifted pairwise exchange (n-1 rounds)
+* bcast      — binomial tree (DPM spawn agrees child gids and context ids)
+* allgather  — ring, n-1 steps (the launch path's executor exchange)
 * alltoallv  — shifted pairwise exchange with per-peer payload sizes
+  (the ``mpi-coll`` shuffle transport)
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from repro.mpi.errors import CommError, MPIError, WorldAbortedError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.communicator import Comm, Intercomm, Intracomm
-
-
-def _default_op(a: Any, b: Any) -> Any:
-    return a + b
-
-
-def barrier(comm: "Intracomm") -> Generator:
-    """Dissemination barrier: round k exchanges with rank ± 2^k."""
-    tag = comm._next_coll_tag()
-    rank, size = comm.rank, comm.size
-    if size == 1:
-        return
-    k = 1
-    while k < size:
-        dst = (rank + k) % size
-        src = (rank - k) % size
-        sreq = comm._coll_isend(None, dst, tag)
-        yield from comm._coll_recv(src, tag)
-        yield from sreq.wait()
-        k <<= 1
+    from repro.mpi.communicator import Intracomm
 
 
 def bcast(comm: "Intracomm", obj: Any, root: int) -> Generator:
@@ -84,44 +59,6 @@ def bcast(comm: "Intracomm", obj: Any, root: int) -> Generator:
     return value
 
 
-def gather(comm: "Intracomm", obj: Any, root: int) -> Generator:
-    """Linear gather; root returns the rank-ordered list, others None."""
-    tag = comm._next_coll_tag()
-    rank, size = comm.rank, comm.size
-    if not 0 <= root < size:
-        raise CommError(f"gather root {root} out of range")
-    if rank != root:
-        yield from comm._coll_send(obj, root, tag)
-        return None
-    out: list[Any] = [None] * size
-    out[rank] = obj
-    for src in range(size):
-        if src != root:
-            out[src] = yield from comm._coll_recv(src, tag)
-    return out
-
-
-def scatter(comm: "Intracomm", objs: Sequence[Any] | None, root: int) -> Generator:
-    """Linear scatter; every rank returns its element of the root's list."""
-    tag = comm._next_coll_tag()
-    rank, size = comm.rank, comm.size
-    if rank == root:
-        if objs is None or len(objs) != size:
-            raise CommError(
-                f"scatter at root needs exactly {size} items, got "
-                f"{None if objs is None else len(objs)}"
-            )
-        reqs = []
-        for dst in range(size):
-            if dst != root:
-                reqs.append(comm._coll_isend(objs[dst], dst, tag))
-        for req in reqs:
-            yield from req.wait()
-        return objs[rank]
-    value = yield from comm._coll_recv(root, tag)
-    return value
-
-
 def allgather(comm: "Intracomm", obj: Any) -> Generator:
     """Ring allgather; every rank returns the rank-ordered list."""
     tag = comm._next_coll_tag()
@@ -138,58 +75,6 @@ def allgather(comm: "Intracomm", obj: Any) -> Generator:
         sreq = comm._coll_isend((send_idx, out[send_idx]), right, tag)
         src_idx, value = yield from comm._coll_recv(left, tag)
         out[src_idx] = value
-        yield from sreq.wait()
-    return out
-
-
-def reduce(
-    comm: "Intracomm", obj: Any, op: Callable[[Any, Any], Any] | None, root: int
-) -> Generator:
-    """Binomial-tree reduction; root returns the combined value."""
-    op = op or _default_op
-    tag = comm._next_coll_tag()
-    rank, size = comm.rank, comm.size
-    if not 0 <= root < size:
-        raise CommError(f"reduce root {root} out of range")
-    vrank = (rank - root) % size
-    value = obj
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = ((vrank & ~mask) + root) % size
-            yield from comm._coll_send(value, parent, tag)
-            return None
-        child_v = vrank | mask
-        if child_v < size:
-            child = (child_v + root) % size
-            other = yield from comm._coll_recv(child, tag)
-            value = op(value, other)
-        mask <<= 1
-    return value
-
-
-def allreduce(
-    comm: "Intracomm", obj: Any, op: Callable[[Any, Any], Any] | None
-) -> Generator:
-    """Reduce to rank 0, then broadcast the result."""
-    value = yield from reduce(comm, obj, op, 0)
-    value = yield from bcast(comm, value, 0)
-    return value
-
-
-def alltoall(comm: "Intracomm", objs: Sequence[Any]) -> Generator:
-    """Shifted pairwise exchange; rank i returns [obj_from_0, ..., obj_from_n-1]."""
-    rank, size = comm.rank, comm.size
-    if len(objs) != size:
-        raise CommError(f"alltoall needs exactly {size} items, got {len(objs)}")
-    tag = comm._next_coll_tag()
-    out: list[Any] = [None] * size
-    out[rank] = objs[rank]
-    for s in range(1, size):
-        dst = (rank + s) % size
-        src = (rank - s) % size
-        sreq = comm._coll_isend(objs[dst], dst, tag)
-        out[src] = yield from comm._coll_recv(src, tag)
         yield from sreq.wait()
     return out
 
@@ -306,70 +191,3 @@ def alltoallv(
     if first_error is not None:
         raise first_error
     return out
-
-
-# -- intercommunicator collectives ------------------------------------------
-
-def inter_barrier(comm: "Intercomm") -> Generator:
-    """Barrier across both groups: leaders exchange, then local fan-out.
-
-    The local fan-out reuses the pt2pt layer directly (the intercomm has no
-    intracomm handle for its local group), with the collective context so
-    user traffic can't interfere.
-    """
-    tag = comm._next_coll_tag()
-    rank = comm.rank
-    local_group = comm.desc.local_group
-    size = local_group.size
-
-    # Fan-in to the local leader (rank 0 of each group).
-    if rank != 0:
-        yield from _local_send(comm, None, 0, tag)
-        yield from _local_recv(comm, 0, tag)
-        return
-    for src in range(1, size):
-        yield from _local_recv(comm, src, tag)
-    # Leaders exchange across the bridge (collective context, remote rank 0).
-    sreq = comm._coll_isend(None, 0, tag)
-    yield from comm._coll_recv(0, tag)
-    yield from sreq.wait()
-    # Fan-out.
-    for dst in range(1, size):
-        yield from _local_send(comm, None, dst, tag)
-
-
-def inter_bcast(
-    comm: "Intercomm", obj: Any, root_rank: int, is_root_group: bool
-) -> Generator:
-    """Broadcast from ``root_rank`` of the root group to all remote ranks.
-
-    Root-group ranks other than the root return None (they do not
-    participate beyond the call); remote ranks return the object.
-    """
-    tag = comm._next_coll_tag()
-    if is_root_group:
-        if comm.rank != root_rank:
-            return None
-        # Send to the remote leader, who distributes locally.
-        yield from comm._coll_send(obj, 0, tag)
-        return obj
-    # Remote group: leader receives then fans out over local pt2pt.
-    local_size = comm.desc.local_group.size
-    if comm.rank == 0:
-        value = yield from comm._coll_recv(root_rank, tag)
-        for dst in range(1, local_size):
-            yield from _local_send(comm, value, dst, tag)
-        return value
-    value = yield from _local_recv(comm, 0, tag)
-    return value
-
-
-def _local_send(comm: "Intercomm", obj: Any, dest: int, tag: int) -> Generator:
-    dst_gid = comm.desc.local_group.gid_of(dest)
-    yield from comm.proc._send(dst_gid, comm.rank, comm.desc.ctx_coll, tag, obj, None)
-
-
-def _local_recv(comm: "Intercomm", source: int, tag: int) -> Generator:
-    req = comm.proc._irecv(source, tag, comm.desc.ctx_coll)
-    value = yield from req.wait()
-    return value

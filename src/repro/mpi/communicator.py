@@ -161,63 +161,10 @@ class Comm:
             self._check_tag(tag)
         return self.proc._irecv(source, tag, self.desc.ctx_pt2pt)
 
-    def iprobe(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> bool:
-        """Non-blocking probe (MPI_Iprobe) — the Basic design's busy call."""
-        return self.proc.matching.iprobe(source, tag, self.desc.ctx_pt2pt, status)
-
-    def probe(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> Generator:
-        """Blocking probe (generator); fills ``status`` without consuming."""
-        env_msg = yield self.proc.matching.probe_event(
-            source, tag, self.desc.ctx_pt2pt
-        )
-        if env_msg is None:
-            # Woken by a failure sweep, not a message (see wake_probes_empty).
-            from repro.mpi.errors import RankDeadError
-
-            raise RankDeadError(f"probe on {self.name} interrupted by rank failure")
-        if status is not None:
-            status.source = env_msg.src_rank
-            status.tag = env_msg.tag
-            status.nbytes = env_msg.nbytes
-        return True
-
-    def sendrecv(
-        self,
-        obj: Any,
-        dest: int,
-        recv_source: int = ANY_SOURCE,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> Generator:
-        """Combined send+recv without deadlock (MPI_Sendrecv)."""
-        rreq = self.irecv(recv_source, recv_tag)
-        yield from self.send(obj, dest, send_tag)
-        payload = yield from rreq.wait(status)
-        return payload
-
-    # -- collective internals (shared by intra/inter) -----------------------
+    # -- collective internals ---------------------------------------------
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
         return self._coll_seq % MAX_TAG
-
-    def _coll_send(
-        self, obj: Any, dest: int, tag: int, nbytes: int | None = None
-    ) -> Generator:
-        dst_gid = self._dest_group().gid_of(dest)
-        yield from self.proc._send(
-            dst_gid, self.rank, self.desc.ctx_coll, tag, obj, nbytes
-        )
 
     def _coll_isend(self, obj: Any, dest: int, tag: int) -> Request:
         dst_gid = self._dest_group().gid_of(dest)
@@ -233,50 +180,12 @@ class Intracomm(Comm):
     """Communicator over a single group (e.g. MPI_COMM_WORLD, DPM_COMM)."""
 
     # -- collectives (all generators) ---------------------------------------
-    def barrier(self) -> Generator:
-        yield from _coll.barrier(self)
-
     def bcast(self, obj: Any, root: int = 0) -> Generator:
         result = yield from _coll.bcast(self, obj, root)
         return result
 
-    def gather(self, obj: Any, root: int = 0) -> Generator:
-        result = yield from _coll.gather(self, obj, root)
-        return result
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Generator:
-        result = yield from _coll.scatter(self, objs, root)
-        return result
-
     def allgather(self, obj: Any) -> Generator:
         result = yield from _coll.allgather(self, obj)
-        return result
-
-    def reduce(self, obj: Any, op=None, root: int = 0) -> Generator:
-        result = yield from _coll.reduce(self, obj, op, root)
-        return result
-
-    def allreduce(self, obj: Any, op=None) -> Generator:
-        result = yield from _coll.allreduce(self, obj, op)
-        return result
-
-    def alltoall(self, objs: Sequence[Any]) -> Generator:
-        result = yield from _coll.alltoall(self, objs)
-        return result
-
-    def alltoallv(
-        self,
-        objs: Sequence[Any],
-        nbytes: Sequence[int] | None = None,
-        tag: int | None = None,
-        trace_parent: Any = None,
-        ranks: Sequence[int] | None = None,
-    ) -> Generator:
-        """Variable-sized alltoall; see :func:`repro.mpi.collectives.alltoallv`."""
-        result = yield from _coll.alltoallv(
-            self, objs, nbytes=nbytes, tag=tag, trace_parent=trace_parent,
-            ranks=ranks,
-        )
         return result
 
     def spawn_multiple(self, specs, root: int = 0) -> Generator:
@@ -288,11 +197,6 @@ class Intracomm(Comm):
         from repro.mpi import dpm
 
         intercomm = yield from dpm.spawn_multiple(self, specs, root)
-        return intercomm
-
-    def spawn(self, spec, root: int = 0) -> Generator:
-        """Single-spec convenience wrapper over :meth:`spawn_multiple`."""
-        intercomm = yield from self.spawn_multiple([spec], root)
         return intercomm
 
 
@@ -307,11 +211,3 @@ class Intercomm(Comm):
     def remote_size(self) -> int:
         assert self.desc.remote_group is not None
         return self.desc.remote_group.size
-
-    def barrier(self) -> Generator:
-        yield from _coll.inter_barrier(self)
-
-    def bcast_local_root(self, obj: Any, root_rank: int, is_root_group: bool) -> Generator:
-        """Broadcast from one rank of the root group to every remote rank."""
-        result = yield from _coll.inter_bcast(self, obj, root_rank, is_root_group)
-        return result

@@ -364,9 +364,6 @@ class MPIProcess:
         req.status.nbytes = envl.nbytes
         req.event.succeed(envl.payload)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MPIProcess {self.name} gid={self.gid} on {self.node.name}>"
-
 
 class _Pipe:
     """In-order delivery channel for one (src, dst) process pair."""
@@ -598,7 +595,3 @@ class MPIWorld:
         for proc in procs:
             proc.start()
         return procs
-
-    def run(self, until: float | None = None) -> None:
-        """Convenience wrapper over the engine's run()."""
-        self.env.run(until=until)

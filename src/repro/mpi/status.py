@@ -18,12 +18,6 @@ class Status:
     cancelled: bool = False
     error: int = 0
 
-    def Get_source(self) -> int:
-        return self.source
-
-    def Get_tag(self) -> int:
-        return self.tag
-
     def fill_from(self, other: "Status") -> None:
         self.source = other.source
         self.tag = other.tag

@@ -59,13 +59,6 @@ class NettyServer:
         self.listener = listener
         self.loop = loop
 
-    @property
-    def address(self) -> "SocketAddress":
-        return self.listener.addr
-
-    def close(self) -> None:
-        self.listener.close()
-
 
 class Bootstrap:
     """Client-side connector."""

@@ -1,10 +1,8 @@
 """ByteBuf: Netty's byte container with independent reader/writer indices.
 
-Headers in this reproduction are encoded into *real bytes* through ByteBufs
-(so the MessageWithHeader format of Fig 6 round-trips exactly), while bulk
-bodies stay as payload references with explicit sizes — the moral
-equivalent of Netty's zero-copy ``FileRegion`` path that Spark uses for
-shuffle blocks.
+The connection handshake (paper Sec. VI-B) exchanges MPI ranks as real
+bytes in a ``PooledDirectByteBuf``; this is that buffer. Spark message
+headers are encoded by :mod:`repro.spark.messages` directly.
 """
 
 from __future__ import annotations
@@ -19,17 +17,15 @@ class ByteBufError(RuntimeError):
 
 
 class ByteBuf:
-    """A growable byte buffer with ``reader_index``/``writer_index``.
+    """A growable byte buffer with a ``reader_index``.
 
-    Only the operations Spark's message codecs need are implemented:
-    byte / int (4B big-endian) / long (8B big-endian) / raw bytes / UTF-8
-    strings (length-prefixed, as Spark's ``Encoders.Strings`` does).
+    Only the operations the handshake needs are implemented: byte and
+    long (8B big-endian).
 
-    Decode-side buffers are copy-on-write: wrapping immutable ``bytes``
-    (or a ``memoryview``) stores the object as-is — the frame decoder
-    reads headers without ever duplicating them — and the first write
-    converts to a private ``bytearray``. A ``bytearray`` input is copied
-    up front, preserving isolation from the caller's buffer.
+    Buffers are copy-on-write: wrapping immutable ``bytes`` (or a
+    ``memoryview``) stores the object as-is, and the first write converts
+    to a private ``bytearray``. A ``bytearray`` input is copied up front,
+    preserving isolation from the caller's buffer.
     """
 
     __slots__ = ("_data", "reader_index")
@@ -44,21 +40,6 @@ class ByteBuf:
             data = self._data = bytearray(data)
         return data
 
-    # -- introspection -------------------------------------------------------
-    @property
-    def writer_index(self) -> int:
-        return len(self._data)
-
-    def readable_bytes(self) -> int:
-        return len(self._data) - self.reader_index
-
-    def to_bytes(self) -> bytes:
-        """The unread portion as immutable bytes."""
-        return bytes(self._data[self.reader_index :])
-
-    def __len__(self) -> int:
-        return self.readable_bytes()
-
     # -- writes --------------------------------------------------------------
     def write_byte(self, value: int) -> "ByteBuf":
         if not 0 <= value < 256:
@@ -66,22 +47,8 @@ class ByteBuf:
         self._writable().append(value)
         return self
 
-    def write_int(self, value: int) -> "ByteBuf":
-        self._writable().extend(struct.pack(">i", value))
-        return self
-
     def write_long(self, value: int) -> "ByteBuf":
         self._writable().extend(struct.pack(">q", value))
-        return self
-
-    def write_bytes(self, data: bytes) -> "ByteBuf":
-        self._writable().extend(data)
-        return self
-
-    def write_string(self, text: str) -> "ByteBuf":
-        encoded = text.encode("utf-8")
-        self.write_int(len(encoded))
-        self.write_bytes(encoded)
         return self
 
     # -- reads ---------------------------------------------------------------
@@ -99,15 +66,6 @@ class ByteBuf:
     def read_byte(self) -> int:
         return self._take(1)[0]
 
-    def read_int(self) -> int:
-        ri = self.reader_index
-        if len(self._data) - ri < 4:
-            raise ByteBufError(
-                f"read of 4 bytes but only {len(self._data) - ri} readable"
-            )
-        self.reader_index = ri + 4
-        return _unpack_from(">i", self._data, ri)[0]
-
     def read_long(self) -> int:
         ri = self.reader_index
         if len(self._data) - ri < 8:
@@ -116,48 +74,6 @@ class ByteBuf:
             )
         self.reader_index = ri + 8
         return _unpack_from(">q", self._data, ri)[0]
-
-    def read_bytes(self, n: int) -> bytes:
-        return self._take(n)
-
-    def read_slice(self, n: int) -> memoryview:
-        """Zero-copy read: a ``memoryview`` over the next ``n`` bytes.
-
-        The view aliases the buffer's storage, so it stays valid only
-        until the buffer is written to again (writing to a ``bytearray``
-        with live exports raises ``BufferError`` — by design, the decode
-        path never writes).
-        """
-        ri = self.reader_index
-        data = self._data
-        if len(data) - ri < n:
-            raise ByteBufError(
-                f"read of {n} bytes but only {len(data) - ri} readable"
-            )
-        self.reader_index = ri + n
-        return memoryview(data)[ri : ri + n]
-
-    def read_string(self) -> str:
-        n = self.read_int()
-        if n < 0:
-            raise ByteBufError(f"negative string length {n}")
-        return str(self.read_slice(n), "utf-8")
-
-    # -- peeking (frame decoding needs lookahead) ------------------------------
-    def peek_byte(self, offset: int = 0) -> int:
-        idx = self.reader_index + offset
-        if idx >= len(self._data):
-            raise ByteBufError("peek past end of buffer")
-        return self._data[idx]
-
-    def peek_long(self, offset: int = 0) -> int:
-        idx = self.reader_index + offset
-        if idx + 8 > len(self._data):
-            raise ByteBufError("peek past end of buffer")
-        return _unpack_from(">q", self._data, idx)[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ByteBuf readable={self.readable_bytes()}>"
 
 
 class PooledByteBufAllocator:

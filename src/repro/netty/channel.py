@@ -70,10 +70,6 @@ class Channel:
 
     # -- addressing ---------------------------------------------------------
     @property
-    def local_address(self) -> "SocketAddress":
-        return self.socket.local
-
-    @property
     def remote_address(self) -> "SocketAddress":
         return self.socket.remote
 
@@ -115,6 +111,3 @@ class Channel:
             causal = self.env.causal
             if causal.enabled and causal.flight.open_on(self.id.as_long_text()):
                 causal.channel_closed(self.id.as_long_text(), "channel closed")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Channel {self.id} {self.local_address}->{self.remote_address}>"

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.netty.bytebuf import ByteBuf
-
 
 @dataclass(slots=True)
 class WireFrame:
@@ -37,10 +35,6 @@ class WireFrame:
     def nbytes(self) -> int:
         """Total frame size on the wire."""
         return len(self.header) + self.body_nbytes
-
-    def header_buf(self) -> ByteBuf:
-        """The header wrapped for decoding (zero-copy: ByteBuf is COW)."""
-        return ByteBuf(self.header)
 
 
 # Frame layout constants (mirroring Spark's MessageEncoder):

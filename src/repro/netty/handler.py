@@ -109,6 +109,3 @@ class HandlerContext:
         else:
             # No writer left towards the head: hand to the transport.
             self.pipeline.channel._transport_write(msg, promise)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<HandlerContext {self.name}>"

@@ -81,22 +81,12 @@ class ChannelPipeline:
         handler.handler_added(ctx)
         return self
 
-    def remove(self, name: str) -> ChannelHandler:
-        ctx = self._by_name.pop(name, None)
-        if ctx is None:
-            raise PipelineError(f"no handler named {name!r}")
-        assert ctx.prev is not None and ctx.next is not None
-        ctx.prev.next = ctx.next
-        ctx.next.prev = ctx.prev
-        self._relink()
-        return ctx.handler
-
     def _relink(self) -> None:
         """Recompute every context's skip links (see HandlerContext).
 
         The tail overrides ``channel_read``, so a read always lands
         somewhere; with no ``write`` override left, writes go straight to
-        the transport. A removed context keeps the links it had.
+        the transport.
         """
         base_read, base_write = ChannelHandler.channel_read, ChannelHandler.write
         ctx, reader = self._tail, None
@@ -111,12 +101,6 @@ class ChannelPipeline:
             if type(ctx.handler).write is not base_write:
                 writer = ctx
             ctx = ctx.next
-
-    def get(self, name: str) -> ChannelHandler:
-        ctx = self._by_name.get(name)
-        if ctx is None:
-            raise PipelineError(f"no handler named {name!r}")
-        return ctx.handler
 
     def names(self) -> list[str]:
         out = []

@@ -55,9 +55,6 @@ class TraceContext:
     def __setstate__(self, state):
         self.trace_id, self.span_id, self.parent_id = state
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TraceContext t{self.trace_id} s{self.span_id} p{self.parent_id}>"
-
 
 class NullCausal:
     """Disabled causal tracer: mint/child return None, recording is free."""

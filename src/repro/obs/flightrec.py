@@ -251,9 +251,6 @@ class FlightEvent:
     def __setstate__(self, state):
         self.t, self.name, self.trace, self.span, self.parent, self.attrs = state
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FlightEvent {self.name} t={self.t:g} span={self.span}>"
-
 
 def stage_of(task_label: str) -> str:
     """``Job0-ResultStage-task7`` -> ``Job0-ResultStage``."""

@@ -50,9 +50,6 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value:g})"
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -132,9 +129,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def names(self, pattern: str = "*") -> list[str]:
-        return sorted(n for n in self._metrics if fnmatchcase(n, pattern))
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze current values (zeros included)."""

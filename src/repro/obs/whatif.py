@@ -136,10 +136,6 @@ class TaskRecord:
     dwell: float
     rest: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class StageRecord:
@@ -481,13 +477,6 @@ class ReplayModel:
                 totals["dwell"] += t.dwell
                 totals["rest"] += t.rest
         return totals
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ReplayModel {self.transport} stages={len(self.stages)} "
-            f"tasks={sum(len(s.tasks) for s in self.stages)} "
-            f"wall={self.wall_s:.3f}s>"
-        )
 
 
 def load_model(path: str, **overrides: Any) -> ReplayModel:

@@ -77,10 +77,6 @@ class SimEngine:
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none)."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def cancel(self, timeout: Timeout) -> None:
         """Cancel a pending :class:`Timeout`: its callbacks never run.
 

@@ -130,12 +130,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending"
-        if self.triggered:
-            state = f"ok={self._ok} value={self._value!r}"
-        return f"<{type(self).__name__} {state}>"
-
 
 class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds in the future.
@@ -287,9 +281,6 @@ class Process(Event):
         self._resume_cb = self._target = None
         env._seq += 1
         heappush(env._heap, (env.now, env._seq, self))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Process {self.name} {'done' if self.triggered else 'alive'}>"
 
 
 class Condition(Event):

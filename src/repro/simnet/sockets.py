@@ -183,9 +183,6 @@ class SimSocket:
             peer.bytes_received += seg.nbytes
             peer._inbound.put_nowait(seg)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimSocket {self.local}->{self.remote}>"
-
 
 class ListeningSocket:
     """A bound server socket; ``accept()`` yields established connections."""
@@ -210,10 +207,6 @@ class ListeningSocket:
     def when_acceptable(self) -> Event:
         """Non-consuming event: a connection is waiting (NIO OP_ACCEPT)."""
         return self._backlog.when_nonempty()
-
-    def close(self) -> None:
-        self.closed = True
-        self.stack._unbind(self.addr)
 
 
 class SocketStack:

@@ -97,9 +97,6 @@ class LinkState:
             self._notify("healed", None)
 
     # -- queries (the wire path's surface) ---------------------------------
-    def is_failed(self, node: "SimNode") -> bool:
-        return node.index in self.failed
-
     def path_up(self, src: "SimNode", dst: "SimNode") -> bool:
         if src.index in self.failed or dst.index in self.failed:
             return False
@@ -135,9 +132,6 @@ class SimNode:
         self.rx_bytes = m.counter(f"simnet.link.{name}.rx_bytes")
         self.tx_messages = m.counter(f"simnet.link.{name}.tx_messages")
         self.rx_messages = m.counter(f"simnet.link.{name}.rx_messages")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimNode {self.name} cores={self.cores}>"
 
 
 class SimCluster:

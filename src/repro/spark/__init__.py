@@ -24,7 +24,6 @@ from repro.spark.rdd import (
     ShuffleDependency,
     ShuffledRDD,
     TaskContext,
-    UnionRDD,
 )
 from repro.spark.standalone import StandaloneMaster, StandaloneWorker
 from repro.spark.tracing import JobTrace, StageTrace, TraceRecorder
@@ -42,7 +41,6 @@ __all__ = [
     "MapPartitionsRDD",
     "ShuffledRDD",
     "CoGroupedRDD",
-    "UnionRDD",
     "TaskContext",
     "Partitioner",
     "HashPartitioner",

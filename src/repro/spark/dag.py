@@ -39,9 +39,6 @@ class Stage:
     def kind(self) -> str:
         return "ShuffleMapStage" if self.is_shuffle_map else "ResultStage"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Stage {self.id} {self.kind()} rdd={self.rdd.name}>"
-
 
 @dataclass
 class Job:

@@ -451,9 +451,6 @@ class TransportClient:
         )
         return future
 
-    def close(self) -> None:
-        self.channel.close()
-
 
 # ---------------------------------------------------------------------------
 # context & factory

@@ -42,20 +42,6 @@ class Dependency:
 class NarrowDependency(Dependency):
     """One-to-one (or few-to-one) partition dependency; no shuffle."""
 
-    def parent_partitions(self, pid: int) -> list[int]:
-        return [pid]
-
-
-class UnionDependency(NarrowDependency):
-    """Maps a union output partition back to one parent partition."""
-
-    def __init__(self, parent: "RDD", offset: int) -> None:
-        super().__init__(parent)
-        self.offset = offset
-
-    def parent_partitions(self, pid: int) -> list[int]:
-        return [pid - self.offset]
-
 
 class Aggregator:
     """Combiner functions for shuffle-side aggregation."""
@@ -162,11 +148,6 @@ class RDD:
             lambda it: (y for x in it for y in fn(x)), name="flatMap"
         )
 
-    def filter(self, pred: Callable[[Any], bool]) -> "RDD":
-        return self.map_partitions(
-            lambda it: (x for x in it if pred(x)), name="filter"
-        )
-
     def map_values(self, fn: Callable[[Any], Any]) -> "RDD":
         out = self.map_partitions(
             lambda it: ((k, fn(v)) for k, v in it), name="mapValues"
@@ -174,50 +155,15 @@ class RDD:
         out.partitioner = self.partitioner  # keys unchanged
         return out
 
-    def flat_map_values(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        out = self.map_partitions(
-            lambda it: ((k, w) for k, v in it for w in fn(v)), name="flatMapValues"
-        )
-        out.partitioner = self.partitioner
-        return out
-
-    def key_by(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.map_partitions(
-            lambda it: ((fn(x), x) for x in it), name="keyBy"
-        )
-
-    def glom(self) -> "RDD":
-        return self.map_partitions(lambda it: iter([list(it)]), name="glom")
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self.ctx, [self, other])
-
     def cache(self) -> "RDD":
         self.is_cached = True
         return self
-
-    def sample(self, fraction: float, seed: int = 7) -> "RDD":
-        import random
-
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-
-        def _sample(split_it):
-            rng = random.Random(seed)
-            return (x for x in split_it if rng.random() < fraction)
-
-        return self.map_partitions(_sample, name="sample")
 
     # ------------------------------------------------------------------
     # wide (shuffling) transformations
     # ------------------------------------------------------------------
     def _default_partitions(self, num_partitions: int | None) -> int:
         return num_partitions or self.ctx.default_parallelism
-
-    def partition_by(self, partitioner: Partitioner) -> "RDD":
-        if self.partitioner == partitioner:
-            return self
-        return ShuffledRDD(self, partitioner)
 
     def combine_by_key(
         self,
@@ -251,23 +197,6 @@ class RDD:
     ) -> "RDD":
         return self.combine_by_key(lambda v: v, fn, fn, num_partitions)
 
-    def aggregate_by_key(
-        self,
-        zero: Any,
-        seq_fn: Callable[[Any, Any], Any],
-        comb_fn: Callable[[Any, Any], Any],
-        num_partitions: int | None = None,
-    ) -> "RDD":
-        def create(v):
-            return seq_fn(zero, v)
-
-        return self.combine_by_key(create, seq_fn, comb_fn, num_partitions)
-
-    def count_by_key_rdd(self, num_partitions: int | None = None) -> "RDD":
-        return self.map_values(lambda _v: 1).reduce_by_key(
-            lambda a, b: a + b, num_partitions
-        )
-
     def sort_by_key(
         self, ascending: bool = True, num_partitions: int | None = None
     ) -> "RDD":
@@ -286,23 +215,6 @@ class RDD:
             self, part, key_ordering=True, ascending=ascending, name="sortByKey"
         )
 
-    def sort_by(
-        self,
-        key_fn: Callable[[Any], Any],
-        ascending: bool = True,
-        num_partitions: int | None = None,
-    ) -> "RDD":
-        keyed = self.key_by(key_fn)
-        sorted_rdd = keyed.sort_by_key(ascending, num_partitions)
-        return sorted_rdd.map(lambda kv: kv[1])
-
-    def distinct(self, num_partitions: int | None = None) -> "RDD":
-        return (
-            self.map(lambda x: (x, None))
-            .reduce_by_key(lambda a, _b: a, num_partitions)
-            .map(lambda kv: kv[0])
-        )
-
     def repartition(self, num_partitions: int) -> "RDD":
         # Spark rounds-robins records to destinations, then drops the key.
         counter = itertools.count()
@@ -314,10 +226,6 @@ class RDD:
         shuffled = ShuffledRDD(keyed, HashPartitioner(num_partitions), name="repartition")
         return shuffled.map(lambda kv: kv[1])
 
-    def coalesce(self, num_partitions: int) -> "RDD":
-        # Shuffle-free coalesce: merge adjacent partitions.
-        return CoalescedRDD(self, num_partitions)
-
     def cogroup(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
         part = HashPartitioner(self._default_partitions(num_partitions))
         return CoGroupedRDD(self.ctx, [self, other], part)
@@ -326,14 +234,6 @@ class RDD:
         def emit(kv):
             k, (left, right) = kv
             return [(k, (l, r)) for l in left for r in right]
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
-
-    def left_outer_join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        def emit(kv):
-            k, (left, right) = kv
-            rights = right or [None]
-            return [(k, (l, r)) for l in left for r in rights]
 
         return self.cogroup(other, num_partitions).flat_map(emit)
 
@@ -348,80 +248,7 @@ class RDD:
         parts = self.ctx.run_job(self, _count_iter, description=f"count {self.name}")
         return sum(parts)
 
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        def reduce_part(it):
-            acc = _SENTINEL
-            for x in it:
-                acc = x if acc is _SENTINEL else fn(acc, x)
-            return acc
 
-        parts = [
-            p
-            for p in self.ctx.run_job(self, reduce_part, description="reduce")
-            if p is not _SENTINEL
-        ]
-        if not parts:
-            raise ValueError("reduce of empty RDD")
-        acc = parts[0]
-        for x in parts[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def fold(self, zero: Any, fn: Callable[[Any, Any], Any]) -> Any:
-        parts = self.ctx.run_job(
-            self,
-            lambda it: _fold_iter(it, zero, fn),
-            description="fold",
-        )
-        acc = zero
-        for p in parts:
-            acc = fn(acc, p)
-        return acc
-
-    def sum(self) -> Any:
-        return self.fold(0, lambda a, b: a + b)
-
-    def max(self) -> Any:
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self) -> Any:
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def first(self) -> Any:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("first() of empty RDD")
-        return taken[0]
-
-    def take(self, n: int) -> list[Any]:
-        out: list[Any] = []
-        for pid in range(self.num_partitions):
-            if len(out) >= n:
-                break
-            (part,) = self.ctx.run_job(
-                self,
-                lambda it: list(itertools.islice(it, n - len(out))),
-                partitions=[pid],
-                description="take",
-            )
-            out.extend(part)
-        return out[:n]
-
-    def count_by_key(self) -> dict[Any, int]:
-        return dict(self.count_by_key_rdd().collect())
-
-    def foreach(self, fn: Callable[[Any], None]) -> None:
-        self.ctx.run_job(
-            self,
-            lambda it: [fn(x) for x in it] and None,
-            description="foreach",
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RDD {self.id} {self.name} partitions={self.num_partitions}>"
-
-
-_SENTINEL = object()
 _key = itemgetter(0)
 
 
@@ -431,13 +258,6 @@ def _count_iter(it) -> int:
     counter = itertools.count()
     deque(zip(it, counter), maxlen=0)
     return next(counter)
-
-
-def _fold_iter(it, zero, fn):
-    acc = zero
-    for x in it:
-        acc = fn(acc, x)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -493,58 +313,6 @@ class MapPartitionsRDD(RDD):
     def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
         parent = self.deps[0].parent
         return iter(self._fn(parent.iterator(split, task_ctx)))
-
-
-class UnionRDD(RDD):
-    """Concatenation of parents' partitions."""
-
-    def __init__(self, ctx: "SparkContext", parents: Sequence[RDD]) -> None:
-        deps: list[Dependency] = []
-        offset = 0
-        self._ranges: list[tuple[int, RDD]] = []
-        for parent in parents:
-            deps.append(UnionDependency(parent, offset))
-            self._ranges.append((offset, parent))
-            offset += parent.num_partitions
-        super().__init__(ctx, offset, deps=deps, name="union")
-
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
-        for offset, parent in reversed(self._ranges):
-            if split >= offset:
-                return parent.iterator(split - offset, task_ctx)
-        raise IndexError(split)
-
-
-class CoalescedRDD(RDD):
-    """Merges adjacent parent partitions without shuffling."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        if num_partitions < 1:
-            raise ValueError("coalesce needs >= 1 partition")
-        num_partitions = min(num_partitions, parent.num_partitions)
-        super().__init__(
-            parent.ctx, num_partitions, deps=[_CoalesceDependency(parent, num_partitions)],
-            name="coalesce",
-        )
-
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
-        dep = self.deps[0]
-        parent = dep.parent
-        return itertools.chain.from_iterable(
-            parent.iterator(pid, task_ctx) for pid in dep.parent_partitions(split)
-        )
-
-
-class _CoalesceDependency(NarrowDependency):
-    def __init__(self, parent: RDD, num_out: int) -> None:
-        super().__init__(parent)
-        self._num_out = num_out
-
-    def parent_partitions(self, pid: int) -> list[int]:
-        n = self.parent.num_partitions
-        start = (n * pid) // self._num_out
-        end = (n * (pid + 1)) // self._num_out
-        return list(range(start, end))
 
 
 class ShuffledRDD(RDD):

@@ -88,6 +88,3 @@ class Transport:
         """Post-connect setup on a client data channel (no-op for NIO)."""
         return
         yield  # pragma: no cover - makes this a generator
-
-    def describe(self) -> str:
-        return f"{self.name} over {self.fabric.name}"

@@ -26,9 +26,6 @@ class Config:
     def __init__(self, values: Mapping[str, Any] | None = None) -> None:
         self._values: dict[str, Any] = dict(values or {})
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._values.get(key, default)
-
     def get_int(self, key: str, default: int | None = None) -> int:
         value = self._values.get(key, default)
         if value is None:
@@ -37,7 +34,3 @@ class Config:
             return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r}={value!r} is not an int") from None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
-        return f"Config({body})"

@@ -64,19 +64,13 @@ def derive_seed(seed: int, *keys: Any) -> int:
 
 
 class SeededRng(random.Random):
-    """A :class:`random.Random` that remembers its seed and can fork.
+    """A :class:`random.Random` that remembers its seed.
 
-    ``substream(*keys)`` returns an independent stream whose state depends
-    only on ``(self.seed, *keys)`` — not on how much of the parent stream has
-    been consumed — so adding one draw in a subsystem never perturbs another.
+    A substream is ``SeededRng(derive_seed(seed, *keys))``: its state depends
+    only on ``(seed, *keys)`` — not on how much of any other stream has been
+    consumed — so adding one draw in a subsystem never perturbs another.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed_value = int(seed)
         super().__init__(self.seed_value)
-
-    def substream(self, *keys: Any) -> "SeededRng":
-        return SeededRng(derive_seed(self.seed_value, *keys))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SeededRng seed={self.seed_value}>"

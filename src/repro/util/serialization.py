@@ -179,9 +179,3 @@ class SizedPayload:
     def __post_init__(self) -> None:
         if self.nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {self.nbytes}")
-
-    def scaled(self, factor: float) -> "SizedPayload":
-        """Return a copy whose nominal size is multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError(f"scale factor must be >= 0, got {factor}")
-        return SizedPayload(self.data, int(self.nbytes * factor))

@@ -124,18 +124,12 @@ class TestEndpointResolution:
 
         def parent_main(proc):
             comm = proc.comm_world
-            intercomm = yield from comm.spawn(
-                SpawnSpec(main=child_main, node=1, count=2), root=0
+            yield from comm.spawn_multiple(
+                [SpawnSpec(main=child_main, node=1, count=2)], root=0
             )
-            ep = MpiEndpoint(proc)
-            ep.register_intercomm(intercomm)
-            child_gid = intercomm.desc.remote_group.gid_of(1)
-            bindings["parent_to_child"] = ep.resolve(child_gid)
 
         world.launch([RankSpec(main=parent_main, node=0)])
         env.run()
-        assert bindings["parent_to_child"].kind == COMM_KIND_INTER
-        assert bindings["parent_to_child"].peer_rank == 1
         assert bindings["child_to_parent"].kind == COMM_KIND_INTER
         assert bindings["child_to_parent"].peer_rank == 0
 
@@ -151,8 +145,8 @@ class TestEndpointResolution:
                 result["binding"] = ep.resolve(other_gid)
 
         def parent_main(proc):
-            yield from proc.comm_world.spawn(
-                SpawnSpec(main=child_main, node=1, count=2), root=0
+            yield from proc.comm_world.spawn_multiple(
+                [SpawnSpec(main=child_main, node=1, count=2)], root=0
             )
 
         world.launch([RankSpec(main=parent_main, node=0)])
@@ -204,9 +198,3 @@ class TestPingPongIntegration:
         rdma = run_pingpong("rdma", [size], iterations=2)
         mpi = run_pingpong("mpi-basic", [size], iterations=2)
         assert mpi.latency_s[size] < rdma.latency_s[size] < nio.latency_s[size]
-
-    def test_speedup_over_helper(self):
-        nio = run_pingpong("nio", [64], iterations=2)
-        mpi = run_pingpong("mpi-basic", [64], iterations=2)
-        sp = mpi.speedup_over(nio)
-        assert sp[64] > 1.0

@@ -49,7 +49,7 @@ class TestNodeAndExecutorFaults:
         plan = FaultPlan(seed=1).add(NodeCrash(at_s=0.5, node_index=1))
         FaultInjector(cluster, report=report).install(plan).arm()
         env.run()
-        assert cluster.link_state.is_failed(cluster.node(1))
+        assert cluster.node(1).index in cluster.link_state.failed
         assert len(report.timeline) == 1
         assert report.timeline[0].t_s == pytest.approx(0.5)
         assert report.timeline[0].kind == "NodeCrash"
@@ -62,7 +62,7 @@ class TestNodeAndExecutorFaults:
         inj.arm()
         env.run()
         assert ex.alive is False
-        assert cluster.link_state.is_failed(cluster.node(2))
+        assert cluster.node(2).index in cluster.link_state.failed
         assert inj.fired == plan.specs
 
 

@@ -11,7 +11,6 @@ from repro.harness.experiments import (
 )
 from repro.harness.pingpong import run_pingpong
 from repro.harness.profile import (
-    ShuffleReadStage,
     _spread,
     scaled_read_matrices,
     spread_cpu,
@@ -70,12 +69,6 @@ class TestProfileHelpers:
         assert fetch.shape == (16, 4)
         assert blocks.shape == (16, 4)
         assert fetch.sum() == pytest.approx(1e9, rel=1e-6)
-
-    def test_read_stage_remote_bytes(self):
-        fetch, blocks = scaled_read_matrices(1e9, 8, 4, 8, 0.0)
-        stage = ShuffleReadStage("r", fetch, blocks, np.zeros(8))
-        # Uniform spread: 3/4 of the traffic is remote.
-        assert stage.total_remote_bytes == pytest.approx(0.75e9, rel=0.01)
 
 
 class TestReport:

@@ -295,8 +295,3 @@ class TestCorruption:
         out = get_or_run(("corrupt",), runner)
         assert out == {"payload": 42} and calls == [1, 1]
         assert len(_entry_paths()) == 2  # old entry intact, new one added
-
-    def test_clear_disk_cache_removes_entries(self):
-        self._prime()
-        assert runcache.clear_disk_cache() == 1
-        assert not _entry_paths()

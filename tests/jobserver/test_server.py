@@ -94,7 +94,8 @@ class TestPerJobRngNamespacing:
 
     def test_two_job_run_reproduces_single_job_rows(self):
         trace2 = trace_from_rows(5, self.ROWS)
-        solo = run_trace(small_cluster(), FifoScheduler(), trace2.head(1)).records[0]
+        solo_trace = trace_from_rows(5, self.ROWS[:1])
+        solo = run_trace(small_cluster(), FifoScheduler(), solo_trace).records[0]
         pair = run_trace(small_cluster(), FifoScheduler(), trace2).records[0]
         assert solo.start_s == pair.start_s
         assert solo.finish_s == pair.finish_s

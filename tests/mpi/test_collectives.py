@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.mpi import MPIWorld, RankSpec
+from repro.mpi.collectives import alltoallv
 from repro.simnet import IB_HDR, SimCluster, SimEngine, mpi_over
 
 
@@ -26,21 +27,6 @@ def run_collective(n, main, nodes_count=4, causal=False):
 
 
 SIZES = [1, 2, 3, 4, 5, 8, 13]
-
-
-class TestBarrier:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_barrier_synchronizes(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            # Ranks arrive at very different times; all must leave together.
-            yield proc.env.timeout(comm.rank * 1.0)
-            yield from comm.barrier()
-            return proc.env.now
-
-        times = run_collective(n, main)
-        # Nobody leaves before the last arrival at t = n-1.
-        assert all(t >= (n - 1) for t in times)
 
 
 class TestBcast:
@@ -76,40 +62,6 @@ class TestBcast:
             run_collective(2, main)
 
 
-class TestGatherScatter:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_gather_to_root(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            result = yield from comm.gather(comm.rank * 10, root=0)
-            return result
-
-        results = run_collective(n, main)
-        assert results[0] == [i * 10 for i in range(n)]
-        assert all(r is None for r in results[1:])
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_scatter_from_root(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            objs = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            value = yield from comm.scatter(objs, root=0)
-            return value
-
-        results = run_collective(n, main)
-        assert results == [f"item{i}" for i in range(n)]
-
-    def test_scatter_wrong_length(self):
-        def main(proc):
-            comm = proc.comm_world
-            objs = ["only-one"] if comm.rank == 0 else None
-            value = yield from comm.scatter(objs, root=0)
-            return value
-
-        with pytest.raises(Exception):
-            run_collective(3, main)
-
-
 class TestAllgather:
     @pytest.mark.parametrize("n", SIZES)
     def test_allgather_ring(self, n):
@@ -121,88 +73,6 @@ class TestAllgather:
         results = run_collective(n, main)
         expected = [f"r{i}" for i in range(n)]
         assert all(r == expected for r in results)
-
-
-class TestReduce:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_reduce_sum(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            result = yield from comm.reduce(comm.rank + 1, root=0)
-            return result
-
-        results = run_collective(n, main)
-        assert results[0] == n * (n + 1) // 2
-        assert all(r is None for r in results[1:])
-
-    def test_reduce_custom_op(self):
-        def main(proc):
-            comm = proc.comm_world
-            result = yield from comm.reduce(comm.rank + 1, op=max, root=0)
-            return result
-
-        results = run_collective(5, main)
-        assert results[0] == 5
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_allreduce(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            result = yield from comm.allreduce(1)
-            return result
-
-        results = run_collective(n, main)
-        assert all(r == n for r in results)
-
-
-class TestAlltoall:
-    @pytest.mark.parametrize("n", SIZES)
-    def test_alltoall_exchange(self, n):
-        def main(proc):
-            comm = proc.comm_world
-            objs = [(comm.rank, j) for j in range(comm.size)]
-            result = yield from comm.alltoall(objs)
-            return result
-
-        results = run_collective(n, main)
-        for i, row in enumerate(results):
-            assert row == [(j, i) for j in range(n)]
-
-    def test_alltoall_wrong_length(self):
-        def main(proc):
-            comm = proc.comm_world
-            result = yield from comm.alltoall([1])
-            return result
-
-        with pytest.raises(Exception):
-            run_collective(3, main)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_alltoall_zero_payload_slots(self, n):
-        # Empty/None payloads are real messages in the schedule, not
-        # skipped slots — the exchange still delivers them in order.
-        def main(proc):
-            comm = proc.comm_world
-            objs = [None if (comm.rank + j) % 2 else (comm.rank, j)
-                    for j in range(comm.size)]
-            result = yield from comm.alltoall(objs)
-            return result
-
-        results = run_collective(n, main)
-        for i, row in enumerate(results):
-            expected = [None if (j + i) % 2 else (j, i) for j in range(n)]
-            assert row == expected
-
-    def test_alltoall_self_slot_identity(self):
-        # The self slot never crosses the wire: the very object goes back.
-        def main(proc):
-            comm = proc.comm_world
-            marker = object()
-            objs = [marker for _ in range(comm.size)]
-            result = yield from comm.alltoall(objs)
-            return result[comm.rank] is marker
-
-        assert all(run_collective(4, main))
 
 
 def _reference_alltoallv(rows):
@@ -218,25 +88,13 @@ class TestAlltoallv:
             comm = proc.comm_world
             objs = [(comm.rank, j) for j in range(comm.size)]
             nbytes = [1024 * (comm.rank + j + 1) for j in range(comm.size)]
-            result = yield from comm.alltoallv(objs, nbytes=nbytes)
+            result = yield from alltoallv(comm, objs, nbytes=nbytes)
             return result
 
         results = run_collective(n, main)
         rows = [[(i, j) for j in range(n)] for i in range(n)]
         expected = _reference_alltoallv(rows)
         assert results == expected
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_alltoallv_matches_alltoall(self, n):
-        # With uniform payloads alltoallv is exactly alltoall.
-        def main(proc):
-            comm = proc.comm_world
-            objs = [(comm.rank, j) for j in range(comm.size)]
-            a = yield from comm.alltoall(objs)
-            b = yield from comm.alltoallv(objs)
-            return a == b
-
-        assert all(run_collective(n, main))
 
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_alltoallv_zero_size_slots(self, n):
@@ -247,7 +105,7 @@ class TestAlltoallv:
             objs = [(comm.rank, j) for j in range(comm.size)]
             nbytes = [0 if (comm.rank + j) % 2 else 4096
                       for j in range(comm.size)]
-            result = yield from comm.alltoallv(objs, nbytes=nbytes)
+            result = yield from alltoallv(comm, objs, nbytes=nbytes)
             return result
 
         results = run_collective(n, main)
@@ -260,7 +118,7 @@ class TestAlltoallv:
             marker = object()
             objs = [marker for _ in range(comm.size)]
             nbytes = [0] * comm.size
-            result = yield from comm.alltoallv(objs, nbytes=nbytes)
+            result = yield from alltoallv(comm, objs, nbytes=nbytes)
             return result[comm.rank] is marker
 
         assert all(run_collective(4, main))
@@ -268,7 +126,7 @@ class TestAlltoallv:
     def test_alltoallv_wrong_length(self):
         def main(proc):
             comm = proc.comm_world
-            result = yield from comm.alltoallv([1])
+            result = yield from alltoallv(comm, [1])
             return result
 
         with pytest.raises(Exception):
@@ -278,7 +136,7 @@ class TestAlltoallv:
         def main(proc):
             comm = proc.comm_world
             objs = [None] * comm.size
-            result = yield from comm.alltoallv(objs, nbytes=[1])
+            result = yield from alltoallv(comm, objs, nbytes=[1])
             return result
 
         with pytest.raises(Exception):
@@ -288,7 +146,7 @@ class TestAlltoallv:
         def main(proc):
             comm = proc.comm_world
             objs = [None] * comm.size
-            result = yield from comm.alltoallv(objs, ranks=[0, 1])
+            result = yield from alltoallv(comm, objs, ranks=[0, 1])
             return result
 
         with pytest.raises(Exception):
@@ -298,7 +156,7 @@ class TestAlltoallv:
         def main(proc):
             comm = proc.comm_world
             objs = [None] * comm.size
-            result = yield from comm.alltoallv(objs, ranks=[0, 0, 1])
+            result = yield from alltoallv(comm, objs, ranks=[0, 0, 1])
             return result
 
         with pytest.raises(Exception):
@@ -316,8 +174,8 @@ class TestAlltoallv:
                 return "absent"
             objs = [(comm.rank, j) if j in subset else None
                     for j in range(comm.size)]
-            result = yield from comm.alltoallv(
-                objs, tag=12345, ranks=subset
+            result = yield from alltoallv(
+                comm, objs, tag=12345, ranks=subset
             )
             return result
 
@@ -344,8 +202,8 @@ class TestAlltoallv:
         def main(proc):
             comm = proc.comm_world
             r = comm.rank
-            result = yield from comm.alltoallv(
-                rows[r], nbytes=size_matrix[r]
+            result = yield from alltoallv(
+                comm, rows[r], nbytes=size_matrix[r]
             )
             return result
 
@@ -361,7 +219,7 @@ class TestAlltoallv:
             comm = proc.comm_world
             objs = [(comm.rank, j) for j in range(comm.size)]
             root = proc.env.causal.mint()  # one trace per rank's exchange
-            result = yield from comm.alltoallv(objs, trace_parent=root)
+            result = yield from alltoallv(comm, objs, trace_parent=root)
             return result
 
         results, flight = run_collective(n, main, causal=True)
@@ -389,7 +247,7 @@ class TestAlltoallv:
             def main(proc):
                 comm = proc.comm_world
                 nbytes = [(comm.rank + j) * 100_000 for j in range(comm.size)]
-                yield from comm.alltoallv([None] * comm.size, nbytes=nbytes)
+                yield from alltoallv(comm, [None] * comm.size, nbytes=nbytes)
                 return proc.env.now
 
             return run_collective(5, main)
@@ -401,7 +259,7 @@ class TestAlltoallv:
         def main(proc):
             comm = proc.comm_world
             nbytes = [(comm.rank * j) * 65536 for j in range(comm.size)]
-            yield from comm.alltoallv([None] * comm.size, nbytes=nbytes)
+            yield from alltoallv(comm, [None] * comm.size, nbytes=nbytes)
             return proc.env.now
 
         untraced = run_collective(4, main)
@@ -417,27 +275,26 @@ class TestCollectiveIsolation:
             comm = proc.comm_world
             if comm.rank == 0:
                 yield from comm.send("user-msg", dest=1, tag=1)
-                yield from comm.barrier()
-                return "done0"
+                gathered = yield from comm.allgather(comm.rank)
+                return gathered
             value_req = comm.irecv(source=0, tag=1)
-            yield from comm.barrier()
+            gathered = yield from comm.allgather(comm.rank)
             value = yield from value_req.wait()
-            return value
+            return (gathered, value)
 
         results = run_collective(2, main)
-        assert results == ["done0", "user-msg"]
+        assert results == [[0, 1], ([0, 1], "user-msg")]
 
     def test_back_to_back_collectives(self):
         def main(proc):
             comm = proc.comm_world
             a = yield from comm.allgather(comm.rank)
-            b = yield from comm.allreduce(comm.rank)
-            yield from comm.barrier()
+            b = yield from alltoallv(comm, [(comm.rank, j) for j in range(comm.size)])
             c = yield from comm.bcast("last" if comm.rank == 0 else None, root=0)
             return (a, b, c)
 
         results = run_collective(4, main)
-        for a, b, c in results:
+        for rank, (a, b, c) in enumerate(results):
             assert a == [0, 1, 2, 3]
-            assert b == 6
+            assert b == [(j, rank) for j in range(4)]
             assert c == "last"

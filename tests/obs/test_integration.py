@@ -57,7 +57,7 @@ class TestDisabledPath:
         sim, result = _run("mpi-basic")
         assert result.metrics is None
         m = sim.env.metrics
-        live = {name: m.counter(name).value for name in m.names()}
+        live = {name: counter.value for name, counter in m._metrics.items()}
         snap = m.snapshot()
 
         def counts(values):

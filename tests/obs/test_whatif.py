@@ -101,7 +101,7 @@ class TestModelConstruction:
         for t in (a, b):
             assert (
                 t.fixed + t.compute + t.write + t.local + t.wire + t.dwell + t.rest
-            ) == pytest.approx(t.duration)
+            ) == pytest.approx(t.end - t.start)
 
     def test_missing_local_read_is_rejected(self):
         with pytest.raises(ValueError, match="no local_s attribute"):
@@ -200,7 +200,7 @@ class TestRetime:
         assert buckets["wire"] == pytest.approx(0.13)
         assert buckets["dwell"] == pytest.approx(0.05)
         assert buckets["write"] == pytest.approx(0.3)
-        total_dur = sum(t.duration for s in model.stages for t in s.tasks)
+        total_dur = sum(t.end - t.start for s in model.stages for t in s.tasks)
         assert sum(buckets.values()) == pytest.approx(total_dur)
 
 

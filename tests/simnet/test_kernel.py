@@ -303,7 +303,7 @@ class TestEvents:
         ev = env.event()
         assert ev.complete("done") is ev
         assert ev.processed and ev.ok and ev.value == "done"
-        assert env.peek() == float("inf")  # nothing was scheduled
+        assert not env._heap  # nothing was scheduled
 
         def late_waiter(env):
             value = yield ev  # resumes at once, no dispatch needed

@@ -55,12 +55,6 @@ class TestConnectionEstablishment:
         with pytest.raises(SocketError, match="in use"):
             stack.listen(0, 7077)
 
-    def test_rebind_after_close(self, rig):
-        env, cluster, stack = rig
-        listener = stack.listen(0, 7077)
-        listener.close()
-        stack.listen(0, 7077)  # no error
-
 
 class TestDataTransfer:
     def _establish(self, rig):

@@ -12,7 +12,7 @@ def sc():
 
 class TestStageCutting:
     def test_narrow_only_is_single_stage(self, sc):
-        rdd = sc.range(10).map(lambda x: x + 1).filter(lambda x: x > 2)
+        rdd = sc.range(10).map(lambda x: x + 1).map(lambda x: x * 2)
         job = sc.dag_scheduler.build_job(rdd, list)
         assert len(job.stages) == 1
         assert job.stages[0].kind() == "ResultStage"

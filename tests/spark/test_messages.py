@@ -126,33 +126,40 @@ class TestFrameProperties:
 # -- the struct codec against a ByteBuf-built reference -----------------------
 
 def reference_header(msg) -> bytes:
-    """The header as the original field-by-field ByteBuf codec built it."""
-    from repro.netty.bytebuf import ByteBuf
+    """The header as Spark's field-by-field encoders build it: big-endian
+    ints and longs, strings as an int length then UTF-8 bytes."""
 
-    buf = ByteBuf()
+    def long_(v):
+        return v.to_bytes(8, "big", signed=True)
+
+    def int_(v):
+        return v.to_bytes(4, "big", signed=True)
+
+    def str_(text):
+        encoded = text.encode("utf-8")
+        return int_(len(encoded)) + encoded
+
     if isinstance(msg, (ChunkFetchRequest, ChunkFetchSuccess, ChunkFetchFailure)):
-        buf.write_long(msg.stream_chunk_id.stream_id)
-        buf.write_int(msg.stream_chunk_id.chunk_index)
+        fields = long_(msg.stream_chunk_id.stream_id) + int_(msg.stream_chunk_id.chunk_index)
         if isinstance(msg, ChunkFetchFailure):
-            buf.write_string(msg.error)
+            fields += str_(msg.error)
         else:
-            buf.write_int(msg.num_blocks)
+            fields += int_(msg.num_blocks)
     elif isinstance(msg, (RpcRequest, RpcResponse, RpcFailure)):
-        buf.write_long(msg.request_id)
+        fields = long_(msg.request_id)
         if isinstance(msg, RpcFailure):
-            buf.write_string(msg.error)
+            fields += str_(msg.error)
     elif isinstance(msg, (StreamRequest, StreamResponse, StreamFailure)):
-        buf.write_string(msg.stream_id)
+        fields = str_(msg.stream_id)
         if isinstance(msg, StreamResponse):
-            buf.write_long(msg.byte_count)
+            fields += long_(msg.byte_count)
         elif isinstance(msg, StreamFailure):
-            buf.write_string(msg.error)
+            fields += str_(msg.error)
     else:
         assert isinstance(msg, OneWayMessage)
-    fields = buf.to_bytes()
+        fields = b""
     # Length prefix (8) + type tag (1) + fields, then the body's size.
-    head = ByteBuf().write_long(9 + len(fields) + msg.body_nbytes).write_byte(msg.type_tag)
-    return head.write_bytes(fields).to_bytes()
+    return long_(9 + len(fields) + msg.body_nbytes) + bytes([msg.type_tag]) + fields
 
 
 _longs = st.integers(0, 2**62)
@@ -182,7 +189,7 @@ class TestStructCodec:
         assert set(BUILDERS) == set(MESSAGE_TYPES.values())
 
     @given(MESSAGES)
-    def test_header_bytes_match_the_bytebuf_reference(self, msg):
+    def test_header_bytes_match_the_field_by_field_reference(self, msg):
         frame = encode_message(msg)
         assert frame.header == reference_header(msg)
         assert frame.body is msg.body and frame.body_nbytes == msg.body_nbytes

@@ -71,7 +71,3 @@ class TestTransportLoadedFlag:
         idle = self._mk("mpi-opt", loaded=False)
         loaded = self._mk("mpi-opt", loaded=True)
         assert idle.mpi_world.model.per_byte_s == loaded.mpi_world.model.per_byte_s
-
-    def test_describe(self):
-        t = self._mk("mpi-opt", loaded=True)
-        assert "IB-HDR" in t.describe()

@@ -5,11 +5,6 @@ import pytest
 from repro.util.config import Config, ConfigError
 
 
-class TestConfigBasics:
-    def test_get_default(self):
-        assert Config().get("missing", 42) == 42
-
-
 class TestTypedAccessors:
     def test_get_int_parses_strings(self):
         assert Config({"cores": "56"}).get_int("cores") == 56

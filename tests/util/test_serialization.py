@@ -59,20 +59,6 @@ class TestSizedPayload:
         with pytest.raises(ValueError):
             SizedPayload(b"", -1)
 
-    def test_scaled(self):
-        p = SizedPayload(b"x", 100).scaled(2.5)
-        assert p.nbytes == 250
-        assert p.data == b"x"
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SizedPayload(b"x", 100).scaled(-1)
-
-    @given(st.integers(0, 10**12), st.floats(0, 100))
-    def test_scaling_property(self, nbytes, factor):
-        p = SizedPayload(None, nbytes).scaled(factor)
-        assert p.nbytes == int(nbytes * factor)
-
 
 # Record shapes the batched data plane actually emits, plus awkward ones
 # (mixed arity, strings, nesting, non-tuples) that must hit the fallback.
