@@ -22,6 +22,9 @@ from repro.obs.critpath import SEGMENTS
 from repro.obs.flightrec import FlightRecorder
 from repro.util.units import GiB
 
+# Every test in this file gates a paper claim in CI (pytest -m gate).
+pytestmark = pytest.mark.gate
+
 BASELINES = pathlib.Path(__file__).resolve().parent.parent / "baselines"
 
 TRANSPORTS = ("nio", "rdma", "mpi-basic", "mpi-opt")

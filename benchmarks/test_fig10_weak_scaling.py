@@ -27,6 +27,10 @@ from repro.harness.report import ohb_speedups, render_ohb
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
 
+# CI's gates job runs this file (pytest -m gate) to regenerate its payload,
+# which carries the n_metrics census; it gates no paper claim.
+pytestmark = pytest.mark.gate
+
 
 @pytest.fixture(scope="module")
 def cells(jobs):

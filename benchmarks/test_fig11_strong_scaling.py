@@ -19,6 +19,10 @@ from repro.harness.experiments import fig11_strong_scaling
 from repro.harness.report import ohb_speedups, render_ohb
 from repro.util.units import GiB
 
+# CI's gates job runs this file (pytest -m gate) to regenerate its payload,
+# which carries the n_metrics census; it gates no paper claim.
+pytestmark = pytest.mark.gate
+
 DATA = 224 * GiB if FULL else 56 * GiB
 
 

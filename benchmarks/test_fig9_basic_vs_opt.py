@@ -14,6 +14,9 @@ from repro.obs import polling_tax_seconds
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY, SORT_BY
 
+# Every test in this file gates a paper claim in CI (pytest -m gate).
+pytestmark = pytest.mark.gate
+
 
 @pytest.fixture(scope="module")
 def cells(jobs):

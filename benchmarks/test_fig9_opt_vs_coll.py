@@ -25,6 +25,9 @@ from repro.obs import critical_path, diff_runs
 from repro.util.units import GiB
 from repro.workloads.ohb import GROUP_BY
 
+# Every test in this file gates a paper claim in CI (pytest -m gate).
+pytestmark = pytest.mark.gate
+
 TRANSPORTS = ("mpi-opt", "mpi-coll")
 
 

@@ -30,6 +30,9 @@ from repro.harness.parallel import JobServerSpec, run_cell, run_cells
 from repro.jobserver import JobServerReport, cell_stats
 from repro.util.units import MiB
 
+# Every test in this file gates a paper claim in CI (pytest -m gate).
+pytestmark = pytest.mark.gate
+
 TRANSPORTS = ("nio", "rdma", "mpi-basic", "mpi-opt")
 SCHEDULERS = ("fifo", "fair", "pack")
 

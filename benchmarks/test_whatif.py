@@ -35,6 +35,7 @@ def payload(jobs):
     )
 
 
+@pytest.mark.gate
 def test_whatif_smoke(jobs):
     """CI gate: the fig9 GroupBy cells, validated, in under a minute.
 

@@ -1,8 +1,9 @@
 """The MPI-based Netty transport: write/read paths for both designs.
 
 **MPI4Spark-Optimized** (paper Sec. VI-E): only ``ChunkFetchSuccess`` and
-``StreamResponse`` bodies travel over MPI. The frame *header* still goes
-over the Java socket; the receiving ChannelHandler parses the header
+``StreamResponse`` bodies travel over MPI; only the former is modelled,
+because no reproduced figure opens a stream. The frame *header* still
+goes over the Java socket; the receiving ChannelHandler parses the header
 (:func:`repro.spark.messages.peek_message_type`) and triggers a blocking
 ``MPI_Recv`` for the body on the event-loop thread.
 
@@ -198,19 +199,16 @@ class MpiBasicEventLoop(EventLoop):
         self.mpi_channels: list[Channel] = []
         # Cumulative CPU seconds spent in selectNow + MPI_Iprobe rounds —
         # the measured "polling tax" reported next to Fig 9.
-        self._c_poll_tax = env.metrics.counter(f"netty.loop.{name}.poll_tax_s")
-        self._c_poll_rounds = env.metrics.counter(
-            f"netty.loop.{name}.poll_rounds"
-        )
+        m = env.metrics
+        self._c_poll_tax = m.counter(f"netty.loop.{self.name}.poll_tax_s")
+        self._c_poll_rounds = m.counter(f"netty.loop.{self.name}.poll_rounds")
         # (channel, peer_rank, tag, context_id) rows of the bound channels
         # in mpi_channels order (the iprobe drain order is
         # simulation-visible); rebuilt lazily when a bind or unbind marks
         # them dirty. The idle park waits on these rows, each on its probe
-        # bucket, and on the task queue.
+        # bucket.
         self._poll_cache: list = []
         self._poll_dirty = True
-        self._park_tasks = ((self.tasks, self.tasks.when_nonempty),)
-        self._endpoint = None
 
     def _poll_rows(self) -> list:
         """The drain list, cached across rounds, its MPI route resolved to
@@ -262,9 +260,7 @@ class MpiBasicEventLoop(EventLoop):
 
             # Drain every MPI-bound channel that iprobe reports ready.
             progressed = bool(keys)
-            endpoint = self._endpoint
-            if endpoint is None:
-                endpoint = self._endpoint = getattr(self, "mpi_endpoint", None)
+            endpoint = self.mpi_endpoint
             if endpoint is not None:
                 iprobe = endpoint.proc.matching.iprobe
                 irecv = endpoint.proc._irecv
@@ -292,13 +288,6 @@ class MpiBasicEventLoop(EventLoop):
 
             if self._blocking:
                 yield from self._drain_blocking()
-            while self.tasks.items:
-                fn = self.tasks.get_nowait()
-                yield env.timeout(select_now_s)
-                fn()
-                if self._blocking:
-                    yield from self._drain_blocking()
-                progressed = True
 
             c_busy.value += env.now - t_busy
             if not progressed:
@@ -312,14 +301,13 @@ class MpiBasicEventLoop(EventLoop):
                 # holding nothing: not the last message read, nor its request.
                 req = frame = None
                 if endpoint is None:
-                    yield from self.selector.park(extra=self._park_tasks)
+                    yield from self.selector.park()
                 else:
                     # One persistent waiter per source, so a park costs the
                     # signals since the last one, not the channel count. The
                     # poll rows are the park's rows as they are: the loop
                     # keeps no per-row park object.
                     yield from self.selector.park(
-                        extra=self._park_tasks,
                         rows=self._poll_rows(),
                         make_row=endpoint.proc.matching.probe_event,
                     )

@@ -21,15 +21,9 @@ from repro.netty.frame import (
     TYPE_TAG_SIZE,
     WireFrame,
 )
-from repro.netty.handler import (
-    ChannelDuplexHandler,
-    ChannelHandler,
-    ChannelInboundHandler,
-    ChannelOutboundHandler,
-    HandlerContext,
-)
+from repro.netty.handler import ChannelHandler, HandlerContext
 from repro.netty.pipeline import ChannelPipeline, PipelineError
-from repro.netty.selector import OP_ACCEPT, OP_READ, SelectionKey, Selector
+from repro.netty.selector import SelectionKey, Selector
 
 __all__ = [
     "ByteBuf",
@@ -40,9 +34,6 @@ __all__ = [
     "ChannelPipeline",
     "PipelineError",
     "ChannelHandler",
-    "ChannelInboundHandler",
-    "ChannelOutboundHandler",
-    "ChannelDuplexHandler",
     "HandlerContext",
     "EventLoop",
     "WAKEUP_COST_S",
@@ -50,8 +41,6 @@ __all__ = [
     "TASK_COST_S",
     "Selector",
     "SelectionKey",
-    "OP_READ",
-    "OP_ACCEPT",
     "WireFrame",
     "FRAME_LENGTH_SIZE",
     "TYPE_TAG_SIZE",

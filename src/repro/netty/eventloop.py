@@ -1,21 +1,23 @@
 """The Netty event loop: one simulated I/O thread driving many channels.
 
 Implements the Fig-5 cycle: ``select`` → handle channel state changes →
-run queued tasks → repeat. Inbound handlers run *on the loop thread*; a
-handler that must block (the Optimized design's ``MPI_Recv`` inside a
-ChannelHandler) registers a *blocking continuation* which the loop runs to
-completion before selecting again — exactly the semantics of blocking the
-Netty I/O thread, which is what the paper's design does.
+repeat. Fig. 5's third step, running queued tasks, is not modelled: no
+Spark path the reproduced figures take submits a task to its I/O loop.
+
+Inbound handlers run *on the loop thread*; a handler that must block (the
+Optimized design's ``MPI_Recv`` inside a ChannelHandler) registers a
+*blocking continuation* which the loop runs to completion before
+selecting again — exactly the semantics of blocking the Netty I/O thread,
+which is what the paper's design does.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.netty.bytebuf import PooledByteBufAllocator
 from repro.netty.channel import Channel
 from repro.netty.selector import Selector
-from repro.simnet.resources import Store
 from repro.util.units import US
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # Per-iteration / per-event CPU costs of the loop machinery.
 WAKEUP_COST_S = 0.3 * US  # returning from select + key iteration
 READ_EVENT_COST_S = 0.4 * US  # pipeline traversal bookkeeping per message
-TASK_COST_S = 0.2 * US  # dequeue + dispatch of one submitted task
+TASK_COST_S = 0.2 * US  # building + registering one accepted child channel
 
 
 class EventLoopGroup:
@@ -59,7 +61,7 @@ class EventLoopGroup:
 
 
 class EventLoop:
-    """A single-threaded I/O loop owning a selector, channels and tasks."""
+    """A single-threaded I/O loop owning a selector and its channels."""
 
     def __init__(self, env: "SimEngine", name: str | None = None) -> None:
         if name is None:
@@ -67,7 +69,6 @@ class EventLoop:
         self.env = env
         self.name = name
         self.selector = Selector(env)
-        self.tasks: Store = Store(env)
         self.running = False
         self._proc: "Process | None" = None
         self._blocking: list[Generator] = []
@@ -116,12 +117,7 @@ class EventLoop:
     ) -> None:
         self.selector.register_acceptor(listener, child_initializer, child_group)
 
-    # -- task & blocking-continuation submission ---------------------------------
-    def submit(self, fn: Callable[[], Any]) -> None:
-        """Run ``fn()`` on the loop thread at the next iteration."""
-        self.tasks.put_nowait(fn)
-        self.selector.wakeup()
-
+    # -- blocking continuations ----------------------------------------------
     def run_blocking(self, gen: Generator) -> None:
         """Ask the loop to run ``gen`` to completion on its own thread.
 
@@ -152,14 +148,6 @@ class EventLoop:
             # Handlers may have parked blocking continuations.
             if self._blocking:
                 yield from self._drain_blocking()
-
-            # Run queued tasks.
-            while self.tasks.items:
-                fn = self.tasks.get_nowait()
-                yield env.timeout(TASK_COST_S)
-                fn()
-                if self._blocking:
-                    yield from self._drain_blocking()
             self._c_busy.value += env.now - t_busy
 
     def _accept_all(self, key) -> Generator:

@@ -47,13 +47,6 @@ class ChannelHandler:
         ctx.write(msg, promise)
 
 
-# Aliases matching Netty terminology; both directions share one base here
-# because the simulation dispatches explicitly.
-ChannelInboundHandler = ChannelHandler
-ChannelOutboundHandler = ChannelHandler
-ChannelDuplexHandler = ChannelHandler
-
-
 class HandlerContext:
     """A handler's position in its pipeline (doubly linked).
 

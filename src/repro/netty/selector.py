@@ -2,10 +2,10 @@
 
 Netty's event loop revolves around ``Selector.select(..)``: it blocks until
 a registered channel changes state (readable / acceptable) or a wakeup is
-issued, then the loop handles ready keys and queued tasks. MPI4Spark-Basic
-replaces the blocking ``select`` with ``selectNow`` + ``MPI_Iprobe``
-polling — which is why :meth:`Selector.select_now` exists as a first-class
-operation and counts its invocations (the polling tax the paper measures).
+issued, then the loop handles the ready keys. MPI4Spark-Basic replaces the
+blocking ``select`` with ``selectNow`` + ``MPI_Iprobe`` polling — which is
+why :meth:`Selector.select_now` exists as a first-class operation; the
+loop counts its rounds (the polling tax the paper measures).
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
     from repro.simnet.sockets import ListeningSocket
 
-OP_READ = 1
-OP_ACCEPT = 16
-
 
 @dataclass(eq=False, slots=True)
 class SelectionKey:
-    """A registered interest: either a connected channel or a listener."""
+    """A registered interest: a connected channel (read) or a listener
+    (accept); the one of the two that is set is the interest."""
 
-    ops: int
     channel: "Channel | None" = None
     listener: "ListeningSocket | None" = None
     # server-side: how to initialize accepted child channels
@@ -42,18 +39,10 @@ class SelectionKey:
     waiter: Event | None = field(default=None, repr=False)
 
     def is_readable(self) -> bool:
-        return (
-            self.ops & OP_READ != 0
-            and self.channel is not None
-            and self.channel.socket.readable
-        )
+        return self.channel is not None and self.channel.socket.readable
 
     def is_acceptable(self) -> bool:
-        return (
-            self.ops & OP_ACCEPT != 0
-            and self.listener is not None
-            and self.listener.acceptable
-        )
+        return self.listener is not None and self.listener.acceptable
 
     def when_ready(self) -> Event:
         """A fresh non-consuming event for the key's next readiness."""
@@ -75,8 +64,6 @@ class Selector:
         self._park_waiters: dict[Any, Event] = {}
         # Every pending waiter's one callback, bound once per selector.
         self._park_signal = self._on_park_signal
-        self.select_calls = 0
-        self.select_now_calls = 0
 
     # -- registration ------------------------------------------------------
     def register_channel(self, channel: "Channel") -> SelectionKey:
@@ -85,7 +72,7 @@ class Selector:
                 raise ValueError(
                     f"channel {channel.id} already registered with this selector"
                 )
-        key = SelectionKey(ops=OP_READ, channel=channel)
+        key = SelectionKey(channel=channel)
         self.keys.append(key)
         self.wakeup()  # a blocked select must notice the new registration
         return key
@@ -97,7 +84,6 @@ class Selector:
         child_group: Any = None,
     ) -> SelectionKey:
         key = SelectionKey(
-            ops=OP_ACCEPT,
             listener=listener,
             child_initializer=child_initializer,
             child_group=child_group,
@@ -137,19 +123,17 @@ class Selector:
 
     def select_now(self) -> list[SelectionKey]:
         """Non-blocking poll of ready keys (NIO selectNow)."""
-        self.select_now_calls += 1
         return self._ready()
 
-    def select(self, timeout: float | None = None) -> Generator:
-        """Blocking select (generator): waits until a key is ready, a
-        wakeup arrives (the loop has tasks to run: no keys are returned),
-        or ``timeout`` elapses. Returns ready keys."""
-        self.select_calls += 1
+    def select(self) -> Generator:
+        """Blocking select (generator): waits until a key is ready or a
+        wakeup arrives (a stop or a new registration: no keys may be
+        ready). Returns ready keys."""
         ready = self._ready()
         self._drain_wakeups()
         if ready:
             return ready
-        yield from self.park(timeout)
+        yield from self.park()
         return self._ready()
 
     def wakeup(self) -> None:
@@ -163,23 +147,20 @@ class Selector:
     # -- parking -------------------------------------------------------------
     def park(
         self,
-        timeout: float | None = None,
-        extra: Iterable = (),
         rows: Iterable[tuple] = (),
         make_row: Callable[..., Event] | None = None,
     ) -> Generator:
         """Block until a key, the wake-up queue or another source signals.
 
-        ``extra`` yields ``(source, make)`` pairs, ``make()`` building the
-        non-consuming event of one more long-lived source. ``rows`` are
-        more such sources that share one factory: each row is ``(source,
-        *args)`` and ``make_row(*args)`` builds its event, so a caller
-        keeps no per-source factory object. Sources are armed keys first,
-        then ``rows``, then ``extra``, then the wake-up queue. Every
-        source keeps one pending waiter while it stays quiet, so a park
-        re-arms only what fired since the last one and waits on one plain
-        event. A waiter made for an already-ready source triggers at
-        creation and wakes the park through the heap like any other.
+        ``rows`` are long-lived sources beside the keys that share one
+        factory: each row is ``(source, *args)`` and ``make_row(*args)``
+        builds its non-consuming event, so a caller keeps no per-source
+        factory object. Sources are armed keys first, then ``rows``, then
+        the wake-up queue. Every source keeps one pending waiter while it
+        stays quiet, so a park re-arms only what fired since the last one
+        and waits on one plain event. A waiter made for an already-ready
+        source triggers at creation and wakes the park through the heap
+        like any other.
         """
         arm = self._arm_park_waiter
         for key in self.keys:
@@ -194,19 +175,12 @@ class Selector:
                 self._detach(waiter)
                 waiter = waiters[source] = make_row(*row[1:])
                 waiter.add_callback(self._park_signal)
-        for source, make in extra:
-            waiter = waiters.get(source)
-            if waiter is None or waiter._value is not _PENDING:
-                waiters[source] = arm(waiter, make)
         wakeups = self._wakeups
         waiter = waiters.get(wakeups)
         if waiter is None or waiter._value is not _PENDING:
             waiters[wakeups] = arm(waiter, wakeups.when_nonempty)
-        park = self._park = Event(self.env)
-        if timeout is not None:
-            park = self.env.any_of((park, self.env.timeout(timeout)))
-        yield park
-        self._park = None  # still set only if the timeout won
+        self._park = Event(self.env)
+        yield self._park
         self._drain_wakeups()
 
     def _arm_park_waiter(self, spent: Event | None, make: Callable[[], Event]) -> Event:

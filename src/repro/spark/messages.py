@@ -2,7 +2,7 @@
 
 Encodings mirror Spark's ``network-common`` module: every message is a
 frame of ``[8B frame length][1B type tag][header fields][body]``; bulk
-bodies (shuffle chunks, stream data) are *not* materialized into header
+bodies (shuffle chunks, RPC payloads) are *not* materialized into header
 bytes — they ride as payload references with explicit sizes, like Netty
 FileRegions (see :class:`repro.netty.frame.WireFrame`).
 
@@ -30,9 +30,6 @@ _TAG_AT = 8
 _CHUNK = Struct(">qBqii")  # stream id, chunk index, then blocks or len(error)
 _RPC = Struct(">qBq")  # request id
 _RPC_FAILURE = Struct(">qBqi")  # request id, len(error)
-_STREAM = Struct(">qBi")  # len(stream id)
-_INT = Struct(">i")
-_LONG = Struct(">q")
 
 
 def _text(header: bytes, at: int, n: int) -> str:
@@ -221,78 +218,13 @@ class RpcFailure(Message):
 
 
 @dataclass
-class StreamRequest(Message):
-    """Request to open a stream (jar/file distribution, Table II)."""
-
-    stream_id: str
-
-    type_tag: ClassVar[int] = 6
-    is_request: ClassVar[bool] = True
-    HEADER: ClassVar[Struct] = _STREAM
-
-    def encode_header(self) -> bytes:
-        sid = self.stream_id.encode("utf-8")
-        return _STREAM.pack(_STREAM.size + len(sid), self.type_tag, len(sid)) + sid
-
-    @classmethod
-    def decode_header(cls, fields, header, body, body_nbytes):
-        return cls(_text(header, _STREAM.size, fields[2]))
-
-
-@dataclass
-class StreamResponse(Message):
-    """Stream opened successfully; body carries the stream data."""
-
-    stream_id: str
-    byte_count: int = 0
-    data: Any = None
-
-    type_tag: ClassVar[int] = 7
-    is_request: ClassVar[bool] = False
-    HEADER: ClassVar[Struct] = _STREAM
-
-    def encode_header(self) -> bytes:
-        sid = self.stream_id.encode("utf-8")
-        tail = sid + _LONG.pack(self.byte_count)
-        return _STREAM.pack(
-            _STREAM.size + len(tail) + self.byte_count, self.type_tag, len(sid)
-        ) + tail
-
-    @classmethod
-    def decode_header(cls, fields, header, body, body_nbytes):
-        stream_id = _text(header, _STREAM.size, fields[2])
-        return cls(stream_id, _LONG.unpack_from(header, _STREAM.size + fields[2])[0], body)
-
-    body = property(attrgetter("data"))
-    body_nbytes = property(attrgetter("byte_count"))
-
-
-@dataclass
-class StreamFailure(Message):
-    """Stream could not be opened."""
-
-    stream_id: str
-    error: str = ""
-
-    type_tag: ClassVar[int] = 8
-    is_request: ClassVar[bool] = False
-    HEADER: ClassVar[Struct] = _STREAM
-
-    def encode_header(self) -> bytes:
-        sid, error = self.stream_id.encode("utf-8"), self.error.encode("utf-8")
-        tail = sid + _INT.pack(len(error)) + error
-        return _STREAM.pack(_STREAM.size + len(tail), self.type_tag, len(sid)) + tail
-
-    @classmethod
-    def decode_header(cls, fields, header, body, body_nbytes):
-        at = _STREAM.size + fields[2]
-        error = _text(header, at + _INT.size, _INT.unpack_from(header, at)[0])
-        return cls(_text(header, _STREAM.size, fields[2]), error)
-
-
-@dataclass
 class OneWayMessage(Message):
-    """An RPC that expects no reply (Table II)."""
+    """An RPC that expects no reply (Table II).
+
+    Tags 6-8 are Spark's stream request, response and failure messages,
+    which no reproduced figure sends; they stay unassigned, so this class
+    keeps Spark's tag 9.
+    """
 
     payload: Any = None
     payload_nbytes: int = 0
@@ -320,16 +252,14 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
         RpcRequest,
         RpcResponse,
         RpcFailure,
-        StreamRequest,
-        StreamResponse,
-        StreamFailure,
         OneWayMessage,
     )
 }
 
-# The two bulk message types the Optimized design routes over MPI
-# (paper Sec. VI-E).
-MPI_OPTIMIZED_BODY_TYPES = (ChunkFetchSuccess.type_tag, StreamResponse.type_tag)
+# The bulk message types whose bodies the Optimized design routes over MPI
+# (paper Sec. VI-E). The paper also routes StreamResponse bodies; no
+# reproduced figure opens a stream, so that type is not modelled.
+MPI_OPTIMIZED_BODY_TYPES = (ChunkFetchSuccess.type_tag,)
 
 
 def ensure_trace(msg: Message, causal, parent=None):

@@ -37,9 +37,6 @@ from repro.spark.messages import (
     RpcRequest,
     RpcResponse,
     StreamChunkId,
-    StreamFailure,
-    StreamRequest,
-    StreamResponse,
     decode_message,
     encode_message,
     ensure_trace,
@@ -139,19 +136,6 @@ class RpcHandler:
         """Handle a OneWayMessage (no reply)."""
 
 
-class _CountedProvider:
-    """A plain chunk provider registered with its chunk count."""
-
-    __slots__ = ("provider", "n_chunks")
-
-    def __init__(self, provider: Callable[[int, int], tuple[Any, int]], n_chunks: int) -> None:
-        self.provider = provider
-        self.n_chunks = n_chunks
-
-    def __call__(self, chunk_index: int, num_blocks: int) -> tuple[Any, int]:
-        return self.provider(chunk_index, num_blocks)
-
-
 class OneForOneStreamManager:
     """Registers streams of chunks for fetching (Spark's stream manager)."""
 
@@ -168,7 +152,6 @@ class OneForOneStreamManager:
         self,
         chunk_provider: Callable[[int, int], tuple[Any, int]],
         owner: Any = None,
-        n_chunks: int | None = None,
     ) -> int:
         """``chunk_provider(chunk_index, num_blocks) -> (payload, nbytes)``.
 
@@ -177,12 +160,9 @@ class OneForOneStreamManager:
         when it finishes or is aborted. A stream whose chunk count is known
         is released once its last chunk is served, as Spark's
         ``OneForOneStreamManager.getChunk`` does; one without stays until
-        released. The count is ``n_chunks``, or else the provider's own
-        ``n_chunks`` attribute (an OpenBlocks stream descriptor carries
-        one and is stored as it is).
+        released. The count is the provider's own ``n_chunks`` attribute
+        (an OpenBlocks stream descriptor carries one).
         """
-        if n_chunks is not None:
-            chunk_provider = _CountedProvider(chunk_provider, n_chunks)
         stream_id = next(self._ids)
         self._streams[stream_id] = chunk_provider
         if owner is not None:
@@ -247,8 +227,6 @@ class TransportRequestHandler(ChannelHandler):
             self._handle_rpc(channel, msg)
         elif isinstance(msg, OneWayMessage):
             self.rpc_handler.receive_one_way(channel, msg.payload)
-        elif isinstance(msg, StreamRequest):
-            self._handle_stream(channel, msg)
         else:
             ctx.fire_channel_read(msg)
 
@@ -302,18 +280,6 @@ class TransportRequestHandler(ChannelHandler):
                 self._as_reply(channel, msg, RpcFailure(msg.request_id, str(exc)))
             )
 
-    def _handle_stream(self, channel: Channel, msg: StreamRequest) -> None:
-        try:
-            payload, nbytes = self.stream_manager.get_chunk(int(msg.stream_id), 0, 1)
-        except Exception as exc:
-            channel.write_and_flush(
-                self._as_reply(channel, msg, StreamFailure(msg.stream_id, str(exc)))
-            )
-            return
-        channel.write_and_flush(
-            self._as_reply(channel, msg, StreamResponse(msg.stream_id, nbytes, payload))
-        )
-
 
 # ---------------------------------------------------------------------------
 # client side
@@ -322,13 +288,12 @@ class TransportRequestHandler(ChannelHandler):
 class TransportResponseHandler(ChannelHandler):
     """Matches response messages to the futures awaiting them."""
 
-    __slots__ = ("env", "outstanding_fetches", "outstanding_rpcs", "outstanding_streams")
+    __slots__ = ("env", "outstanding_fetches", "outstanding_rpcs")
 
     def __init__(self, env: "SimEngine") -> None:
         self.env = env
         self.outstanding_fetches: dict[StreamChunkId, "Event"] = {}
         self.outstanding_rpcs: dict[int, "Event"] = {}
-        self.outstanding_streams: dict[str, "Event"] = {}
 
     def channel_read(self, ctx, msg):
         if isinstance(msg, ChunkFetchSuccess):
@@ -347,25 +312,13 @@ class TransportResponseHandler(ChannelHandler):
             future = self.outstanding_rpcs.pop(msg.request_id, None)
             if future is not None:
                 future.fail(TransportError(msg.error))
-        elif isinstance(msg, StreamResponse):
-            future = self.outstanding_streams.pop(msg.stream_id, None)
-            if future is not None:
-                future.succeed(msg)
-        elif isinstance(msg, StreamFailure):
-            future = self.outstanding_streams.pop(msg.stream_id, None)
-            if future is not None:
-                future.fail(TransportError(msg.error))
         else:
             ctx.fire_channel_read(msg)
 
     def _fail_all(self, exc_factory: Callable[[], Exception]) -> int:
         """Fail every outstanding future; returns how many were failed."""
         failed = 0
-        for table in (
-            self.outstanding_fetches,
-            self.outstanding_rpcs,
-            self.outstanding_streams,
-        ):
+        for table in (self.outstanding_fetches, self.outstanding_rpcs):
             futures = list(table.values())
             table.clear()
             for future in futures:
@@ -396,7 +349,7 @@ class TransportResponseHandler(ChannelHandler):
 
 
 class TransportClient:
-    """Client face of one channel: chunk fetches, RPCs, streams."""
+    """Client face of one channel: chunk fetches and RPCs."""
 
     __slots__ = ("channel", "handler", "env")
 
@@ -441,15 +394,6 @@ class TransportClient:
         self.channel.write_and_flush(
             self._parent(OneWayMessage(payload, nbytes), trace_parent)
         )
-
-    def stream(self, stream_id: str, trace_parent=None) -> "Event":
-        """Open a stream; returns a future of :class:`StreamResponse`."""
-        future = self.env.event()
-        self.handler.outstanding_streams[stream_id] = future
-        self.channel.write_and_flush(
-            self._parent(StreamRequest(stream_id), trace_parent)
-        )
-        return future
 
 
 # ---------------------------------------------------------------------------

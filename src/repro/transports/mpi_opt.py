@@ -1,7 +1,8 @@
 """MPI4Spark-Optimized: shuffle bodies over MPI, headers over sockets.
 
 The paper's headline design (Sec. VI-E): only ``ChunkFetchSuccess`` and
-``StreamResponse`` bodies ride MPI point-to-point; header parsing inside
+``StreamResponse`` bodies ride MPI point-to-point (the reproduction models
+the former; no reproduced figure opens a stream); header parsing inside
 ChannelHandlers triggers the matching ``MPI_Recv``. No polling — the
 selector loop is untouched, so no CPU tax.
 """

@@ -194,6 +194,7 @@ class TestCellRows:
         run_cells([SPEC], jobs=1)
         assert runcache.run_cache_stats()["cell_runs"] == base
 
+    @pytest.mark.gate
     def test_knob_twin_is_its_own_entry_and_warm_tiers_are_fast(self):
         # A fig9 cell and its 2x-NIC what-if twin: the knob is part of the
         # key, so the pair costs exactly two simulations across the cold,

@@ -1,7 +1,8 @@
-"""Event-loop integration: selector, accepts, reads, tasks, blocking ops."""
+"""Event-loop integration: selector, accepts, reads, blocking ops."""
 
 import pytest
 
+from repro.core.mpi_netty import MpiBasicEventLoop
 from repro.netty import (
     Bootstrap,
     Channel,
@@ -147,27 +148,15 @@ class TestClientServer:
 
 
 class TestTasksAndBlocking:
-    def test_submit_runs_on_loop(self, rig):
-        env, cluster, stack = rig
-        loop = EventLoop(env)
-        loop.start()
-        ran = []
-
-        def driver(env):
-            yield env.timeout(0.1)
-            loop.submit(lambda: ran.append(env.now))
-            yield env.timeout(0.1)
-            loop.stop()
-
-        env.process(driver(env))
-        env.run()
-        assert len(ran) == 1
-        assert ran[0] >= 0.1
-
     def test_blocking_continuation_blocks_loop(self, rig):
+        # A handler that blocks the loop thread (the Optimized design's
+        # MPI_Recv inside a ChannelHandler) holds every channel of that
+        # loop: a read on a second channel waits for the continuation.
         env, cluster, stack = rig
-        loop = EventLoop(env)
-        loop.start()
+        server_loop = EventLoop(env, "server-loop")
+        client_loop = EventLoop(env, "client-loop")
+        server_loop.start()
+        client_loop.start()
         order = []
 
         def blocking_op():
@@ -175,19 +164,39 @@ class TestTasksAndBlocking:
             yield env.timeout(1.0)
             order.append(("block-end", env.now))
 
-        def driver(env):
-            yield env.timeout(0.1)
-            loop.submit(lambda: loop.run_blocking(blocking_op()))
-            loop.submit(lambda: order.append(("task2", env.now)))
-            yield env.timeout(5.0)
-            loop.stop()
+        class Blocker(ChannelHandler):
+            def channel_read(self, ctx, msg):
+                if msg == "block":
+                    ctx.channel.event_loop.run_blocking(blocking_op())
+                else:
+                    order.append((msg, env.now))
 
-        env.process(driver(env))
+        (ServerBootstrap(stack)
+            .group(server_loop)
+            .child_handler(lambda ch: ch.pipeline.add_last("blocker", Blocker()))
+            .bind(0, 7077))
+
+        def client(env, msg, delay):
+            channel = yield from (
+                Bootstrap(stack).group(client_loop).connect(1, SocketAddress("node0", 7077))
+            )
+            yield env.timeout(delay)
+            channel.write_and_flush(msg)
+
+        def stopper(env):
+            yield env.timeout(5.0)
+            server_loop.stop()
+            client_loop.stop()
+
+        env.process(client(env, "block", 0.1))
+        env.process(client(env, "second", 0.2))
+        env.process(stopper(env))
         env.run()
-        kinds = [k for k, _ in order]
-        assert kinds == ["block-start", "block-end", "task2"]
-        # task2 could not run until the blocking op released the loop thread.
-        assert dict(order)["task2"] >= 1.0
+        assert [k for k, _ in order] == ["block-start", "block-end", "second"]
+        t = dict(order)
+        # "second" was sent at about t=0.2, while the loop thread was held.
+        assert t["block-start"] < 0.2
+        assert t["second"] >= t["block-start"] + 1.0
 
     def test_loop_counts_iterations_and_reads(self, rig):
         env, cluster, stack = rig
@@ -216,28 +225,43 @@ class TestTasksAndBlocking:
         assert m.counter("netty.loop.server-loop.messages_read").value == 3
         assert m.counter("netty.loop.server-loop.iterations").value >= 1
 
-    def test_unnamed_loops_count_apart(self, rig):
+    def test_unnamed_loops_count_apart(self):
         # Counters are keyed by loop name: two unnamed loops on one engine
-        # must not add into one shared set.
-        env, cluster, stack = rig
-        busy, idle = EventLoop(env), EventLoop(env)
-        busy.start()
-        idle.start()
+        # must not add into one shared set, whichever loop class they are.
+        for loop_cls in (EventLoop, MpiBasicEventLoop):
+            env = SimEngine()
+            cluster = SimCluster(env, IB_EDR, n_nodes=2, cores_per_node=4)
+            stack = SocketStack(env, cluster, tcp_over(IB_EDR))
+            busy, idle = loop_cls(env), loop_cls(env)
+            client_loop = EventLoop(env, "client-loop")
+            loops = (busy, idle, client_loop)
+            for loop in loops:
+                loop.start()
+            (ServerBootstrap(stack)
+                .group(busy)
+                .child_handler(lambda ch: None)
+                .bind(0, 1))
 
-        def driver(env):
-            yield env.timeout(0.1)
-            busy.submit(lambda: None)
-            yield env.timeout(0.1)
-            busy.submit(lambda: None)
-            yield env.timeout(0.1)
-            busy.stop()
-            idle.stop()
+            def client(env):
+                channel = yield from (
+                    Bootstrap(stack).group(client_loop).connect(1, SocketAddress("node0", 1))
+                )
+                for i in range(2):
+                    yield env.timeout(0.1)
+                    channel.write_and_flush(i)
+                yield env.timeout(0.1)
+                for loop in loops:
+                    loop.stop()
 
-        env.process(driver(env))
-        env.run()
-        m = env.metrics
-        assert m.counter(f"netty.loop.{busy.name}.iterations").value == 2
-        assert m.counter(f"netty.loop.{idle.name}.iterations").value == 0
+            env.process(client(env))
+            env.run()
+            snap = env.metrics.snapshot()
+            owners = {name.split(".")[2] for name in snap.names("netty.loop.*")}
+            assert owners == {loop.name for loop in loops}, loop_cls
+            busy_c, idle_c = f"netty.loop.{busy.name}", f"netty.loop.{idle.name}"
+            assert snap.value(f"{busy_c}.messages_read") == 2
+            assert snap.value(f"{idle_c}.messages_read") == 0
+            assert snap.value(f"{busy_c}.iterations") > snap.value(f"{idle_c}.iterations")
 
     def test_double_start_rejected(self, rig):
         env, cluster, stack = rig

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.experiments import _run_ohb
 from repro.netty import Channel, EventLoop
-from repro.netty.selector import OP_ACCEPT, OP_READ, Selector
+from repro.netty.selector import Selector
 from repro.simnet import IB_EDR, SimCluster, SimEngine, tcp_over
 from repro.simnet.sockets import SocketAddress, SocketStack
 from repro.util.units import GiB
@@ -41,7 +41,6 @@ class TestSelectNow:
         env, cluster, stack = rig
         selector = Selector(env)
         assert selector.select_now() == []
-        assert selector.select_now_calls == 1
 
     def test_readable_channel_reported(self, rig):
         env, cluster, stack = rig
@@ -122,58 +121,6 @@ class TestBlockingSelect:
         t, ready = p.value
         assert t == pytest.approx(2.0)
         assert ready == []  # nothing readable, just a wakeup
-
-    def test_select_with_timeout(self, rig):
-        env, cluster, stack = rig
-        selector = Selector(env)
-
-        def selecting(env):
-            ready = yield from selector.select(timeout=1.5)
-            return (env.now, ready)
-
-        p = env.process(selecting(env))
-        env.run()
-        t, ready = p.value
-        assert t == pytest.approx(1.5)
-        assert ready == []
-
-    def test_select_counts(self, rig):
-        env, cluster, stack = rig
-        selector = Selector(env)
-
-        def selecting(env):
-            yield from selector.select(timeout=0.1)
-
-        env.process(selecting(env))
-        env.run()
-        assert selector.select_calls == 1
-
-    def test_select_returns_early_when_ready_before_timeout(self, rig):
-        env, cluster, stack = rig
-        loop = EventLoop(env)
-        channel, server_sock = connect_pair(env, stack, loop)
-        selector = Selector(env)
-        key = selector.register_channel(channel)
-        woke = []
-
-        def selecting(env):
-            woke.append((yield from selector.select(timeout=5.0)))
-            woke.append(env.now)
-            channel.socket.recv_nowait()
-            # The first select's abandoned timeout fires at t=5: it must
-            # not cut this one short.
-            woke.append((yield from selector.select(timeout=20.0)))
-            woke.append(env.now)
-
-        def sender(env):
-            yield env.timeout(1.0)
-            server_sock.send("early", 10)
-
-        env.process(selecting(env))
-        env.process(sender(env))
-        env.run()
-        assert woke[0] == [key] and 1.0 <= woke[1] < 5.0
-        assert woke[2] == [] and woke[3] == pytest.approx(woke[1] + 20.0)
 
     def test_ready_key_returns_without_parking(self, rig):
         env, cluster, stack = rig
@@ -290,33 +237,6 @@ class TestParkWaiters:
         env.run()
         # A spent waiter waking the third select would read [1.0, 1.0].
         assert woke == pytest.approx([1.0, 5.0])
-
-    def test_extra_sources_wake_the_park(self, rig):
-        from repro.simnet.resources import Store
-
-        env, cluster, stack = rig
-        selector = Selector(env)
-        tasks = Store(env)
-        woke = []
-
-        def parking(env):
-            for _ in range(2):
-                yield from selector.park(extra=[(tasks, tasks.when_nonempty)])
-                woke.append((env.now, len(tasks)))
-                tasks.get_nowait()
-
-        def producer(env):
-            for t in (1.0, 2.0):
-                yield env.timeout(t)
-                tasks.put_nowait("job")
-
-        env.process(parking(env))
-        env.process(producer(env))
-        env.run()
-        assert woke == [(1.0, 1), (3.0, 1)]
-        # One persistent waiter per source, replaced only when spent.
-        assert set(selector._park_waiters) == {tasks, selector._wakeups}
-
 
 class TestPendingWaiterWitness:
     """``_ready`` skips a key whose park waiter is still pending: the waiter

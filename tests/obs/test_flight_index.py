@@ -436,6 +436,7 @@ def _recorded_basic_and_opt():
     ]
 
 
+@pytest.mark.gate
 def test_full_analysis_round_walks_each_recording_once():
     runs = _recorded_basic_and_opt()
     for run in runs:

@@ -641,8 +641,17 @@ class TestPerConnectionFootprint:
     def test_park_waiters_share_one_bound_signal(self, objs):
         _, objs = objs
         selectors = [o for o in objs if isinstance(o, Selector)]
+        # Besides its keys, a park waits on the wake-up queue and, on the
+        # mpi-basic loop, on its poll rows' channels; no other source.
+        row_channels = {
+            id(loop.selector): [row[0] for row in loop._poll_cache]
+            for loop in objs
+            if isinstance(loop, MpiBasicEventLoop)
+        }
         most = 0
         for selector in selectors:
+            sources = {selector._wakeups, *row_channels.get(id(selector), ())}
+            assert set(selector._park_waiters) <= sources
             waiters = [key.waiter for key in selector.keys if key.waiter is not None]
             waiters += selector._park_waiters.values()
             signals = {

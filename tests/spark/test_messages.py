@@ -15,9 +15,6 @@ from repro.spark.messages import (
     RpcRequest,
     RpcResponse,
     StreamChunkId,
-    StreamFailure,
-    StreamRequest,
-    StreamResponse,
     decode_message,
     encode_message,
     peek_message_type,
@@ -58,17 +55,6 @@ class TestRoundTrips:
         got = roundtrip(RpcFailure(5, "no such endpoint"))
         assert (got.request_id, got.error) == (5, "no such endpoint")
 
-    def test_stream_request_response(self):
-        got = roundtrip(StreamRequest("jars/app.jar"))
-        assert got.stream_id == "jars/app.jar"
-        resp = roundtrip(StreamResponse("jars/app.jar", 10_000, data=b"sample"))
-        assert resp.byte_count == 10_000
-        assert resp.data == b"sample"
-
-    def test_stream_failure(self):
-        got = roundtrip(StreamFailure("x", "denied"))
-        assert got.error == "denied"
-
     def test_one_way(self):
         got = roundtrip(OneWayMessage(payload={"hb": 1}, payload_nbytes=10))
         assert got.payload == {"hb": 1}
@@ -76,7 +62,7 @@ class TestRoundTrips:
 
 class TestFrameProperties:
     def test_type_tags_unique_and_spark_like(self):
-        assert len(MESSAGE_TYPES) == 10
+        assert len(MESSAGE_TYPES) == 7
         assert ChunkFetchRequest.type_tag == 0
         assert ChunkFetchSuccess.type_tag == 1
         assert RpcRequest.type_tag == 3
@@ -99,14 +85,14 @@ class TestFrameProperties:
 
     def test_optimized_body_types_are_the_papers_two(self):
         # Sec. VI-E: only ChunkFetchSuccess and StreamResponse go over MPI.
-        assert ChunkFetchSuccess.type_tag in MPI_OPTIMIZED_BODY_TYPES
-        assert StreamResponse.type_tag in MPI_OPTIMIZED_BODY_TYPES
-        assert len(MPI_OPTIMIZED_BODY_TYPES) == 2
+        # No reproduced figure opens a stream, so StreamResponse (Spark's
+        # tag 7) is not modelled and ChunkFetchSuccess is the one left.
+        assert MPI_OPTIMIZED_BODY_TYPES == (ChunkFetchSuccess.type_tag,)
+        assert 7 not in MESSAGE_TYPES
 
     def test_request_response_classification(self):
         assert ChunkFetchRequest.is_request and not ChunkFetchSuccess.is_request
         assert RpcRequest.is_request and not RpcResponse.is_request
-        assert StreamRequest.is_request and not StreamResponse.is_request
         assert OneWayMessage.is_request
 
     @given(st.integers(0, 2**62), st.integers(0, 2**31 - 1), st.integers(1, 10**6))
@@ -116,11 +102,6 @@ class TestFrameProperties:
         )
         got = roundtrip(msg)
         assert got.stream_chunk_id == msg.stream_chunk_id
-
-    @given(st.text(max_size=100), st.integers(0, 2**50))
-    def test_stream_response_property(self, sid, count):
-        got = roundtrip(StreamResponse(sid, count, data=None))
-        assert got.stream_id == sid and got.byte_count == count
 
 
 # -- the struct codec against a ByteBuf-built reference -----------------------
@@ -149,12 +130,6 @@ def reference_header(msg) -> bytes:
         fields = long_(msg.request_id)
         if isinstance(msg, RpcFailure):
             fields += str_(msg.error)
-    elif isinstance(msg, (StreamRequest, StreamResponse, StreamFailure)):
-        fields = str_(msg.stream_id)
-        if isinstance(msg, StreamResponse):
-            fields += long_(msg.byte_count)
-        elif isinstance(msg, StreamFailure):
-            fields += str_(msg.error)
     else:
         assert isinstance(msg, OneWayMessage)
         fields = b""
@@ -176,9 +151,6 @@ BUILDERS = {
     RpcRequest: st.builds(RpcRequest, _longs, _bodies, _sizes),
     RpcResponse: st.builds(RpcResponse, _longs, _bodies, _sizes),
     RpcFailure: st.builds(RpcFailure, _longs, _texts),
-    StreamRequest: st.builds(StreamRequest, _texts),
-    StreamResponse: st.builds(StreamResponse, _texts, _sizes, _bodies),
-    StreamFailure: st.builds(StreamFailure, _texts, _texts),
     OneWayMessage: st.builds(OneWayMessage, _bodies, _sizes),
 }
 MESSAGES = st.one_of(*BUILDERS.values())
@@ -208,7 +180,8 @@ class TestStructCodec:
         with pytest.raises(ValueError):
             decode_message(frame)
 
-    @given(MESSAGES, st.integers(len(MESSAGE_TYPES), 255))
+    # Tags 6-8 (Spark's stream messages) are unassigned, as is 10 onwards.
+    @given(MESSAGES, st.one_of(st.sampled_from([6, 7, 8]), st.integers(10, 255)))
     def test_unknown_tag_raises_value_error(self, msg, tag):
         frame = encode_message(msg)
         frame.header = frame.header[:8] + bytes([tag]) + frame.header[9:]

@@ -1,4 +1,4 @@
-"""Transport layer integration: chunk fetches, RPCs and streams end-to-end."""
+"""Transport layer integration: chunk fetches and RPCs end-to-end."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.harness.systems import FRONTERA
 from repro.netty import EventLoop
 from repro.simnet import IB_EDR, SimCluster, SimEngine, tcp_over
 from repro.simnet.sockets import SocketAddress, SocketStack
-from repro.spark.deploy import SparkSimCluster
+from repro.spark.deploy import TARGET_REQUEST_BYTES, SparkSimCluster, _OpenStream
 from repro.spark.network import (
     OneForOneStreamManager,
     RpcHandler,
@@ -147,11 +147,15 @@ class TestChunkFetch:
         assert streams.chunks_served == 8
 
     def test_stream_is_released_after_its_last_chunk(self, rig):
+        # An OpenBlocks descriptor carries its own chunk count.
         env, context, streams, rpc, client_loop, server_loop = rig
-        sid = streams.register_stream(lambda idx, n: (idx, 100), n_chunks=2)
+        stream = _OpenStream(TARGET_REQUEST_BYTES + 1, 3)
+        assert stream.n_chunks == 2
+        sid = streams.register_stream(stream)
 
         def body(client):
             yield client.fetch_chunk(sid, 0)
+            assert sid in streams._streams
             yield client.fetch_chunk(sid, 1)
             try:
                 yield client.fetch_chunk(sid, 1)
@@ -176,20 +180,6 @@ class TestChunkFetch:
 
         t_small, t_big = run_client(rig, body)
         assert t_big > 10 * t_small
-
-
-class TestStreams:
-    def test_stream_fetch(self, rig):
-        env, context, streams, rpc, client_loop, server_loop = rig
-        sid = streams.register_stream(lambda idx, n: (b"jar-bytes", 5 << 20))
-
-        def body(client):
-            resp = yield client.stream(str(sid))
-            return (resp.data, resp.byte_count)
-
-        data, count = run_client(rig, body)
-        assert data == b"jar-bytes"
-        assert count == 5 << 20
 
 
 class TestClientFactory:

@@ -13,7 +13,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 # and obs_trace.py each have one with stricter asserts.
 FAST_EXAMPLES = [
     "hibench_ml.py",
-    "jobserver_demo.py",
+    pytest.param("jobserver_demo.py", marks=pytest.mark.gate),
 ]
 
 
@@ -39,6 +39,7 @@ def test_launch_example_shows_fig3_steps(capsys):
     assert "DPM_COMM allgather" in out
 
 
+@pytest.mark.gate
 def test_obs_trace_example_writes_valid_chrome_trace(capsys):
     import json
 
