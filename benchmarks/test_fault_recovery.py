@@ -24,6 +24,8 @@ from repro.faults import (
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.util.units import MiB
 
+pytestmark = pytest.mark.gate
+
 N_WORKERS = 8 if FULL else 4
 SHUFFLE_BYTES = (256 if FULL else 64) * MiB
 SEED = 7

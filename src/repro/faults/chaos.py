@@ -118,12 +118,7 @@ def run_scenario(scenario: ChaosScenario) -> AvailabilityReport:
     # -- faulted: identical cluster, injector armed at the read stage -------
     sim = scenario.build_cluster()
     sim.launch()
-    injector = FaultInjector(
-        sim.cluster,
-        mpi_world=sim.transport.mpi_world,
-        executors=sim.executors,
-        report=report,
-    )
+    injector = FaultInjector(sim.cluster, executors=sim.executors, report=report)
     injector.install(scenario.plan)
     sched = ResilientScheduler(sim, report)
 

@@ -12,8 +12,7 @@ reduce task whose fetch fails raises
 marks the source executor's map output lost, recomputes those map tasks on
 survivors, redistributes the shuffle matrix, and resubmits only the
 unfinished reduce tasks. Dead executors are blacklisted so retries never
-land on them. Optional speculative execution races a second copy of
-stragglers.
+land on them.
 
 What it deliberately does *not* do is reach below the Spark layer: if the
 transport underneath cannot survive a fault (MPI in world-abort mode),
@@ -23,11 +22,12 @@ under identical fault plans is the experiment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.harness.profile import ShuffleReadStage, ShuffleWriteStage
 from repro.mpi.errors import WorldAbortedError
 from repro.simnet.events import Interrupt
+from repro.simnet.topology import DETECT_DELAY_S
 from repro.spark.deploy import JobFailedError, RunResult, SimExecutor
 from repro.spark.network import FetchFailedException
 
@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_TASK_FAILURES = 4  # spark.task.maxFailures
 MAX_STAGE_ATTEMPTS = 4  # spark.stage.maxConsecutiveAttempts
 RETRY_BACKOFF_S = 0.05
-SPECULATION_MULTIPLIER = 1.5  # spark.speculation.multiplier
-SPECULATION_QUANTILE = 0.75  # spark.speculation.quantile
 
 
 class ResilientScheduler:
@@ -54,11 +52,9 @@ class ResilientScheduler:
         self,
         sim: "SparkSimCluster",
         report: "AvailabilityReport | None" = None,
-        speculation: bool = False,  # spark.speculation
     ) -> None:
         self.sim = sim
         self.report = report
-        self.speculation = speculation
         # Executors the scheduler will no longer place tasks on.
         self.blacklist: set[int] = set()
         # Running task process -> the executor it occupies, so executor
@@ -73,21 +69,19 @@ class ResilientScheduler:
         # Hook: called with each stage right before it starts (the chaos
         # harness arms the fault injector at the shuffle-read stage).
         self.on_stage_start = None
-        sim.cluster.link_state.on_change(self._on_link_event)
+        sim.cluster.link_state.on_node_failed(self._on_node_failed)
 
     # -- failure detection --------------------------------------------------
-    def _on_link_event(self, kind: str, payload: Any) -> None:
-        if kind != "node-failed":
-            return
+    def _on_node_failed(self, node: "SimNode") -> None:
         self.sim.env.process(
-            self._handle_node_failure(payload), name="driver-detect-failure"
+            self._handle_node_failure(node), name="driver-detect-failure"
         )
 
     def _handle_node_failure(self, node: "SimNode") -> Generator:
         # The driver learns of executor loss after the detection delay
         # (heartbeat timeout), not instantly.
         env = self.sim.env
-        yield env.timeout(self.sim.cluster.link_state.detect_delay_s)
+        yield env.timeout(DETECT_DELAY_S)
         for ex in self.sim.executors:
             if ex.node is not node:
                 continue
@@ -129,7 +123,6 @@ class ResilientScheduler:
         if isinstance(stage, ShuffleWriteStage):
             self._last_write = stage
         finished: set[int] = set()
-        durations: list[float] = []
         attempt = 0
         while len(finished) < stage.n_tasks:
             attempt += 1
@@ -157,7 +150,7 @@ class ResilientScheduler:
             )
             sups = [
                 env.process(
-                    self._supervise(stage, t, finished, durations),
+                    self._supervise(stage, t, finished),
                     name=f"{stage.label}-sup{t}",
                 )
                 for t in pending
@@ -190,7 +183,7 @@ class ResilientScheduler:
         if not survivors:
             raise JobFailedError("no live executors left to recover onto")
         if not lost:
-            # Transient fetch failure (chaos window, degraded NIC): nothing
+            # Transient fetch failure (every source still usable): nothing
             # to recompute — back off briefly and retry as-is.
             yield env.timeout(RETRY_BACKOFF_S)
             return
@@ -232,12 +225,8 @@ class ResilientScheduler:
     def _is_usable(self, ex: SimExecutor) -> bool:
         return ex.alive and ex.exec_id not in self.blacklist
 
-    def _pick_executor(
-        self, t: int, exclude: SimExecutor | None = None
-    ) -> SimExecutor | None:
+    def _pick_executor(self, t: int) -> SimExecutor | None:
         live = [ex for ex in self.sim.executors if self._is_usable(ex)]
-        if exclude is not None and len(live) > 1:
-            live = [ex for ex in live if ex is not exclude]
         if not live:
             return None
         preferred = self.sim.executors[t % len(self.sim.executors)]
@@ -245,23 +234,19 @@ class ResilientScheduler:
             return preferred
         return live[t % len(live)]
 
-    def _supervise(
-        self, stage: "Stage", t: int, finished: set[int], durations: list[float]
-    ) -> Generator:
+    def _supervise(self, stage: "Stage", t: int, finished: set[int]) -> Generator:
         env = self.sim.env
         failures = 0
         while True:
             ex = self._pick_executor(t)
             if ex is None:
                 raise JobFailedError("no live executors left")
-            t0 = env.now
             proc = env.process(
                 self._task_body(ex, stage, t), name=f"{stage.label}-t{t}f{failures}"
             )
             self._running[proc] = ex
-            outcome = yield from self._await_task(proc, ex, stage, t, durations)
+            outcome = yield from self._await_task(proc)
             if outcome == "done":
-                durations.append(env.now - t0)
                 finished.add(t)
                 return
             if outcome == "fetch-failed":
@@ -278,39 +263,14 @@ class ResilientScheduler:
                 )
             yield env.timeout(RETRY_BACKOFF_S * failures)
 
-    def _await_task(
-        self,
-        proc: "Process",
-        ex: SimExecutor,
-        stage: "Stage",
-        t: int,
-        durations: list[float],
-    ) -> Generator:
-        """Wait for one task attempt (racing a speculative copy if armed).
+    def _await_task(self, proc: "Process") -> Generator:
+        """Wait for one task attempt.
 
         Returns "done" | "retry" | "fetch-failed"; raises JobFailedError on
         unrecoverable outcomes.
         """
-        env = self.sim.env
-        copy: "Process | None" = None
         try:
-            thr = self._speculation_threshold(ex, stage, t, durations)
-            if thr is not None:
-                yield env.any_of([proc, env.timeout(thr)])
-                if not proc.triggered:
-                    ex2 = self._pick_executor(t, exclude=ex)
-                    if ex2 is not None:
-                        copy = env.process(
-                            self._task_body(ex2, stage, t),
-                            name=f"{stage.label}-t{t}spec",
-                        )
-                        self._running[copy] = ex2
-                        if self.report is not None:
-                            self.report.speculative_launches += 1
-            if copy is None:
-                yield proc
-            else:
-                yield env.any_of([proc, copy])
+            yield proc
             return "done"
         except Interrupt:
             return "retry"
@@ -322,29 +282,9 @@ class ResilientScheduler:
             raise JobFailedError(f"MPI world aborted: {exc}") from exc
         finally:
             # Whatever happened, no attempt of this task may keep running.
-            for p in (proc, copy):
-                if p is not None:
-                    self._running.pop(p, None)
-                    if p.is_alive:
-                        p.interrupt("abandoned")
-
-    def _speculation_threshold(
-        self, ex: SimExecutor, stage: "Stage", t: int, durations: list[float]
-    ) -> float | None:
-        """Spark's rule: once a quantile of tasks finished, a task running
-        longer than multiplier × median is a straggler. Before enough
-        history exists, fall back on the task's nominal duration."""
-        if not self.speculation:
-            return None
-        delay = self.sim.cost.task_sched_delay_s
-        need = max(1, int(SPECULATION_QUANTILE * stage.n_tasks))
-        if len(durations) >= need:
-            median = sorted(durations)[len(durations) // 2]
-            return max(SPECULATION_MULTIPLIER * median, delay)
-        costs = ex.nominal_costs(stage, t)
-        if costs is None or (nominal := sum(costs)) <= 0:
-            return None
-        return SPECULATION_MULTIPLIER * nominal + delay
+            self._running.pop(proc, None)
+            if proc.is_alive:
+                proc.interrupt("abandoned")
 
     def _task_body(self, ex: SimExecutor, stage: "Stage", t: int) -> Generator:
         """One unaccounted attempt: the shared task body under a slot claim

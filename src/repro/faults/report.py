@@ -38,7 +38,6 @@ class AvailabilityReport:
     task_retries: int = 0
     stage_resubmissions: int = 0
     executors_lost: int = 0
-    speculative_launches: int = 0
     blacklisted: int = 0
     # -- outcome ------------------------------------------------------------
     job_completed: bool = False
@@ -76,7 +75,6 @@ class AvailabilityReport:
                 f"  task retries:        {self.task_retries}",
                 f"  stage resubmissions: {self.stage_resubmissions}",
                 f"  executors lost:      {self.executors_lost}",
-                f"  speculative copies:  {self.speculative_launches}",
                 f"  blacklisted:         {self.blacklisted}",
                 "outcome:",
                 f"  job completed:       {'yes' if self.job_completed else 'no'}"

@@ -31,7 +31,7 @@ from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event
 from repro.simnet.interconnect import WireModel
 from repro.simnet.resources import Store
-from repro.simnet.topology import LinkDown, MessageDropped, SimCluster, SimNode
+from repro.simnet.topology import LinkDown, SimCluster, SimNode
 from repro.util.serialization import sizeof
 from repro.util.units import GiB
 
@@ -335,7 +335,7 @@ class MPIProcess:
             # CTS back to the sender, then the bulk payload.
             yield from cluster.wire_path(self.node, src_node, RTS_BYTES, model)
             yield from cluster.wire_path(src_node, self.node, envl.nbytes, model)
-        except (LinkDown, MessageDropped) as exc:
+        except LinkDown as exc:
             # A lost CTS/payload on the lossless fabric means the path
             # itself failed: both sides complete in error.
             if done is not None and not done.triggered:
@@ -385,13 +385,6 @@ class _Pipe:
                 yield from self.world.cluster.wire_path(
                     self.src.node, self.dst.node, envl.wire_bytes(), self.world.model
                 )
-            except MessageDropped as exc:
-                # MPI has no transport-level retransmit in this model: a
-                # lost envelope on the "lossless" fabric escalates to a
-                # fault (world abort or rank isolation per fault_mode) —
-                # the blast-radius asymmetry vs. TCP's quiet RTO.
-                self.world._on_envelope_lost(envl, exc)
-                continue
             except LinkDown as exc:
                 if envl.send_done is not None and not envl.send_done.triggered:
                     envl.send_done.fail(RankDeadError(str(exc)))
@@ -449,7 +442,7 @@ class MPIWorld:
         self._gids = itertools.count(0)
         self._procs: dict[int, MPIProcess] = {}
         self._pipes: dict[tuple[int, int], _Pipe] = {}
-        cluster.link_state.on_change(self._on_link_event)
+        cluster.link_state.on_node_failed(self._on_node_failed)
         # World-level traffic counters (repro.obs).
         m = env.metrics
         self._c_send_eager = m.counter("mpi.world.sends_eager")
@@ -468,10 +461,7 @@ class MPIWorld:
             raise MPIError(f"no such MPI process gid={gid}") from None
 
     # -- failure machinery ---------------------------------------------------
-    def _on_link_event(self, kind: str, payload) -> None:
-        if kind != "node-failed":
-            return
-        node: SimNode = payload
+    def _on_node_failed(self, node: SimNode) -> None:
         for proc in list(self._procs.values()):
             if proc.node is node and proc.alive:
                 self.kill_process(proc.gid, reason=f"{node.name} failed")
@@ -546,13 +536,6 @@ class MPIWorld:
                 if envl.send_done is not None and not envl.send_done.triggered:
                     envl.send_done.fail(exc_factory())
             pipe.store.items.clear()
-
-    def _on_envelope_lost(self, envl: Envelope, exc: MessageDropped) -> None:
-        """A wire-level drop hit the MPI path (no retransmit layer here)."""
-        if envl.send_done is not None and not envl.send_done.triggered:
-            envl.send_done.fail(RankDeadError(f"envelope lost: {exc}"))
-        if self.fault_mode == "abort":
-            self._abort_world(f"message loss on the fabric ({exc})")
 
     def _route(self, envl: Envelope) -> None:
         key = (envl.src_gid, envl.dst_gid)

@@ -270,9 +270,11 @@ class FlightIndex:
       ``send_order`` lists the span of *every* ``msg.send`` in record
       order, duplicates kept (the timeline draws per send).
     * ``recv_first`` / ``recv_last`` — time of the first / last
-      ``msg.recv`` of a span.  They differ after a retransmit: the replay
-      model closes the wire leg at the first delivery, the critical path
-      ends its chain at the last.
+      ``msg.recv`` of a span.  They differ only when one span is decoded
+      twice: the decoder records a ``msg.recv`` per decoded frame, and a
+      message written twice keeps its trace context (``ensure_trace``),
+      as may a hand-built log.  The replay model closes the wire leg at
+      the first delivery, the critical path ends its chain at the last.
     * ``match_first`` — time of the first ``mpi.match``; ``waited`` sums
       ``waited_s`` over all of a span's matches.
     * ``close_first`` — time of the first ``msg.recv`` *or* ``mpi.match``

@@ -42,13 +42,7 @@ from repro.simnet.sockets import (
     SocketError,
     SocketStack,
 )
-from repro.simnet.topology import (
-    LinkDown,
-    LinkState,
-    MessageDropped,
-    SimCluster,
-    SimNode,
-)
+from repro.simnet.topology import LinkDown, LinkState, SimCluster, SimNode
 
 __all__ = [
     "SimEngine",
@@ -79,7 +73,6 @@ __all__ = [
     "SimNode",
     "LinkState",
     "LinkDown",
-    "MessageDropped",
     "SocketStack",
     "SocketAddress",
     "SimSocket",

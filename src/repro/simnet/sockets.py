@@ -19,12 +19,7 @@ from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event, SimError
 from repro.simnet.interconnect import WireModel
 from repro.simnet.resources import Store
-from repro.simnet.topology import LinkDown, MessageDropped, SimCluster, SimNode
-
-# TCP's minimum retransmission timeout; paid per dropped segment before the
-# pump retries. Makes lossy links slow for TCP where they are *fatal* for
-# the MPI path (see repro.mpi.runtime._Pipe).
-RETRANSMIT_DELAY_S = 0.2
+from repro.simnet.topology import DETECT_DELAY_S, LinkDown, SimCluster, SimNode
 
 
 class SocketError(SimError):
@@ -154,27 +149,21 @@ class SimSocket:
                         yield from self.stack.cluster.wire_path(
                             self.node, self.peer_node, 0, self.model
                         )
-                    except (LinkDown, MessageDropped):
+                    except LinkDown:
                         return  # peer gone; FIN is moot
                     peer._inbound.put_nowait(seg)
                 return
             # Sender-side stack cost, wire, receiver-side stack cost.
             yield env.timeout(self.model.sender_cpu_time(seg.nbytes))
-            delivered = False
-            while not delivered:
-                try:
-                    yield from self.stack.cluster.wire_path(
-                        self.node, self.peer_node, seg.nbytes, self.model
-                    )
-                    delivered = True
-                except MessageDropped:
-                    # TCP retransmits lost segments after an RTO.
-                    yield env.timeout(RETRANSMIT_DELAY_S)
-                except LinkDown:
-                    # Connection reset: surface EOF locally; a surviving
-                    # peer learns via the stack's failure-detection sweep.
-                    self.abort()
-                    return
+            try:
+                yield from self.stack.cluster.wire_path(
+                    self.node, self.peer_node, seg.nbytes, self.model
+                )
+            except LinkDown:
+                # Connection reset: surface EOF locally; a surviving
+                # peer learns via the stack's failure-detection sweep.
+                self.abort()
+                return
             yield env.timeout(self.model.receiver_cpu_time(seg.nbytes))
             self.bytes_sent += seg.nbytes
             peer = self.peer
@@ -219,15 +208,12 @@ class SocketStack:
         self._listeners: dict[SocketAddress, ListeningSocket] = {}
         self._ephemeral = itertools.count(49152)
         self._sockets: list[SimSocket] = []
-        cluster.link_state.on_change(self._on_link_event)
+        cluster.link_state.on_node_failed(self._on_node_failed)
 
     def _register(self, sock: SimSocket) -> None:
         self._sockets.append(sock)
 
-    def _on_link_event(self, kind: str, payload) -> None:
-        if kind != "node-failed":
-            return
-        node: SimNode = payload
+    def _on_node_failed(self, node: SimNode) -> None:
         self.env.process(
             self._failure_sweep(node), name=f"sock-sweep:{node.name}"
         )
@@ -239,7 +225,7 @@ class SocketStack:
         EOF on their stream (→ Netty fires ``channel_inactive``); new
         connects to the dead node are refused because its listeners close.
         """
-        yield self.env.timeout(self.cluster.link_state.detect_delay_s)
+        yield self.env.timeout(DETECT_DELAY_S)
         for addr, listener in list(self._listeners.items()):
             if listener.node is node:
                 listener.closed = True
@@ -284,7 +270,7 @@ class SocketStack:
         try:
             yield from self.cluster.wire_path(node, server_node, 0, self.model)
             yield from self.cluster.wire_path(server_node, node, 0, self.model)
-        except (LinkDown, MessageDropped) as exc:
+        except LinkDown as exc:
             raise SocketError(f"connect to {remote} failed: {exc}") from exc
         if listener.closed:
             raise SocketError(f"connection refused: {remote}")

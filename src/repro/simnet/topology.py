@@ -8,7 +8,7 @@ switch, are the contended resource.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event, SimError
@@ -22,90 +22,59 @@ from repro.simnet.interconnect import Fabric, WireModel, loopback
 # model would otherwise stall rendezvous handshakes by whole bulk slots.
 CONTROL_BYPASS_BYTES = 256
 
+# How long surviving peers take to notice a dead node (models TCP RST /
+# connection-timeout propagation and the driver's heartbeat timeout, not
+# instant oracle knowledge).
+DETECT_DELAY_S = 0.05
+
 
 class LinkDown(SimError):
-    """No path between two nodes: an endpoint died or a partition cut it."""
-
-
-class MessageDropped(SimError):
-    """One in-flight message was lost (or corrupted) by fault injection.
-
-    Reliable protocols (TCP) retransmit on this; lossless-fabric protocols
-    (MPI over IB) treat it as a fatal link event — that asymmetry is the
-    blast-radius story the fault experiments measure.
-    """
-
-    def __init__(self, message: str, corrupted: bool = False) -> None:
-        super().__init__(message)
-        self.corrupted = corrupted
+    """No path between two nodes: an endpoint node has failed."""
 
 
 class LinkState:
-    """Cluster-wide link health: dead nodes, degraded NICs, partitions.
+    """Cluster-wide link health: dead nodes and degraded NICs.
 
-    The injector mutates this; the wire path consults it; protocol layers
-    (sockets, MPI) subscribe via :meth:`on_change` to learn about failures
-    after their own detection delay. ``generation`` bumps on every change so
-    consumers can key caches off it.
+    The injector mutates this; the wire path consults it. A node failure
+    is the one notice: protocol layers (sockets, MPI, the recovery
+    scheduler) subscribe via :meth:`on_node_failed` and react after
+    :data:`DETECT_DELAY_S` where detection is not instant. ``generation``
+    bumps on every change so consumers can key caches off it.
     """
 
-    def __init__(self, env: SimEngine, detect_delay_s: float = 0.05) -> None:
+    def __init__(self, env: SimEngine) -> None:
         self.env = env
         self.failed: set[int] = set()
         self.degraded: dict[int, float] = {}  # node index -> slowdown factor
-        self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
         self.generation = 0
-        # How long surviving peers take to notice a dead endpoint (models
-        # TCP RST / connection-timeout propagation, not instant oracle
-        # knowledge).
-        self.detect_delay_s = detect_delay_s
-        self._listeners: list[Callable[[str, Any], None]] = []
+        self._listeners: list[Callable[["SimNode"], None]] = []
 
-    def on_change(self, listener: Callable[[str, Any], None]) -> None:
+    def on_node_failed(self, listener: Callable[["SimNode"], None]) -> None:
         self._listeners.append(listener)
-
-    def _notify(self, kind: str, payload: Any) -> None:
-        self.generation += 1
-        for listener in list(self._listeners):
-            listener(kind, payload)
 
     # -- mutations (the injector's surface) --------------------------------
     def fail_node(self, node: "SimNode") -> None:
         if node.index in self.failed:
             return
         self.failed.add(node.index)
-        self._notify("node-failed", node)
+        self.generation += 1
+        for listener in list(self._listeners):
+            listener(node)
 
     def degrade(self, node: "SimNode", factor: float) -> None:
         """Slow the node's NIC by ``factor`` (2.0 = half bandwidth)."""
         if factor < 1.0:
             raise ValueError(f"degrade factor must be >= 1, got {factor}")
         self.degraded[node.index] = factor
-        self._notify("nic-degraded", node)
+        self.generation += 1
 
     def restore(self, node: "SimNode") -> None:
         if self.degraded.pop(node.index, None) is not None:
-            self._notify("nic-restored", node)
-
-    def partition(self, group_a: Iterable[int], group_b: Iterable[int]) -> None:
-        self._partitions.append((frozenset(group_a), frozenset(group_b)))
-        self._notify("partitioned", self._partitions[-1])
-
-    def heal_partitions(self) -> None:
-        if self._partitions:
-            self._partitions.clear()
-            self._notify("healed", None)
+            self.generation += 1
 
     # -- queries (the wire path's surface) ---------------------------------
     def path_up(self, src: "SimNode", dst: "SimNode") -> bool:
-        if src.index in self.failed or dst.index in self.failed:
-            return False
-        for side_a, side_b in self._partitions:
-            if (src.index in side_a and dst.index in side_b) or (
-                src.index in side_b and dst.index in side_a
-            ):
-                return False
-        return True
+        return src.index not in self.failed and dst.index not in self.failed
 
     def slowdown(self, src: "SimNode", dst: "SimNode") -> float:
         return max(
@@ -167,14 +136,7 @@ class SimCluster:
         self._loopback = loopback(fabric)
         self.fluid = FluidNetwork(env)
         self.link_state = LinkState(env)
-        self.link_state.on_change(self._on_link_event)
-        # Optional per-message chaos hook: (src, dst, nbytes, model) ->
-        # None | ("drop"|"corrupt", 0.0) | ("delay", seconds). Installed by
-        # repro.faults.injector for message-level fault plans.
-        self.fault_filter: (
-            Callable[[SimNode, SimNode, int, WireModel], tuple[str, float] | None]
-            | None
-        ) = None
+        self.link_state.on_node_failed(self._on_node_failed)
         # Per-wire-model delivered-byte counters, cached so the
         # per-message hot path avoids registry name lookups.
         self._wire_bytes: dict[str, Any] = {}
@@ -195,10 +157,7 @@ class SimCluster:
             )
         counter.value += nbytes
 
-    def _on_link_event(self, kind: str, payload: Any) -> None:
-        if kind != "node-failed":
-            return
-        node: SimNode = payload
+    def _on_node_failed(self, node: SimNode) -> None:
         # In-flight bulk transfers touching the dead node fail promptly; the
         # generator parked on the flow's done event sees LinkDown.
         self.fluid.abort_flows(
@@ -243,10 +202,9 @@ class SimCluster:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         env = self.env
         start = env.now
-        # LinkState.generation stays 0 until something fails, degrades or
-        # partitions, so a healthy cluster skips the link-health queries.
-        # It is read afresh at each check: a fault can land during a
-        # fault-filter delay or a flow.
+        # LinkState.generation stays 0 until a node fails or a NIC
+        # degrades, so a healthy cluster skips the link-health queries.
+        # It is read afresh at each check: a fault can land during a flow.
         ls = self.link_state
         if ls.generation and not ls.path_up(src, dst):
             raise LinkDown(f"no path {src.name}->{dst.name}")
@@ -265,19 +223,6 @@ class SimCluster:
             elapsed = env.now - start
             self._count_wire_bytes(lo, nbytes)
             return elapsed
-
-        if self.fault_filter is not None:
-            verdict = self.fault_filter(src, dst, nbytes, model)
-            if verdict is not None:
-                action, amount = verdict
-                if action == "drop":
-                    raise MessageDropped(f"dropped {src.name}->{dst.name}")
-                if action == "corrupt":
-                    raise MessageDropped(
-                        f"corrupted {src.name}->{dst.name}", corrupted=True
-                    )
-                if action == "delay":
-                    yield env.timeout(amount)
 
         # NIC degradation stretches both serialization and flow rate; flows
         # started before a degradation keep their old rate (the fluid link

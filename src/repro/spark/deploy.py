@@ -42,7 +42,7 @@ from repro.simnet.engine import SimEngine
 from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import SocketAddress, SocketError
-from repro.simnet.topology import LinkDown, MessageDropped, SimCluster
+from repro.simnet.topology import LinkDown, SimCluster
 from repro.spark.network import (
     FetchFailedException,
     OneForOneStreamManager,
@@ -83,7 +83,6 @@ _FETCHABLE_ERRORS = (
     SocketError,
     MPIError,
     LinkDown,
-    MessageDropped,
 )
 
 
@@ -477,19 +476,6 @@ class SimExecutor:
             tm.remote_bytes.value += remote_bytes
 
     # -- the task body and its accounting envelope --------------------------
-    def nominal_costs(self, stage, t: int) -> tuple[float, float] | None:
-        """``(compute, write)`` seconds task ``t`` costs here with nothing
-        contending, or None for a read task (fetch time dominates and is
-        not nominal)."""
-        if isinstance(stage, ShuffleReadStage):
-            return None
-        if not isinstance(stage, (ComputeStage, ShuffleWriteStage)):
-            raise TypeError(f"unknown stage type {type(stage)}")
-        compute = float(stage.seconds_per_task[t]) * self.sim.transport.compute_inflation
-        if isinstance(stage, ComputeStage):
-            return compute, 0.0
-        return compute, float(stage.write_bytes_per_task[t]) / self.cost.ramdisk_write_Bps
-
     def task_body(
         self,
         stage,
@@ -520,9 +506,15 @@ class SimExecutor:
         """
         env = self.sim.env
         delay = self.cost.task_sched_delay_s
-        costs = self.nominal_costs(stage, t)
-        if costs is not None:
-            compute, write = costs
+        if not isinstance(stage, ShuffleReadStage):
+            if not isinstance(stage, (ComputeStage, ShuffleWriteStage)):
+                raise TypeError(f"unknown stage type {type(stage)}")
+            compute = (
+                float(stage.seconds_per_task[t]) * self.sim.transport.compute_inflation
+            )
+            write = 0.0
+            if isinstance(stage, ShuffleWriteStage):
+                write = float(stage.write_bytes_per_task[t]) / self.cost.ramdisk_write_Bps
             yield env.timeout(delay + compute + write)
             phases = {"compute_s": compute}
             if tm is not None:

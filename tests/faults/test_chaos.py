@@ -12,7 +12,6 @@ from repro.faults import (
     ChaosScenario,
     ExecutorCrash,
     FaultPlan,
-    MessageChaos,
     NicDegradation,
     render_matrix,
     run_scenario,
@@ -49,16 +48,15 @@ class TestDeterminism:
             FaultPlan(seed=21, name="noisy")
             .add(ExecutorCrash(at_s=0.004, exec_id=2))
             .add(NicDegradation(at_s=0.002, node_index=1, factor=3.0, duration_s=0.3))
-            .add(MessageChaos(at_s=0.0, delay_p=0.2, delay_s=1e-3, duration_s=0.2))
         )
         a = run_scenario(scenario("nio", plan=plan))
         b = run_scenario(scenario("nio", plan=plan))
         assert a.render() == b.render()
 
     def test_different_seed_changes_chaos(self):
-        # The crash is scripted either way; the chaos stream is seeded, so a
-        # different seed may reorder/redirect the probabilistic faults. At
-        # minimum the rendered seed differs and the run still completes.
+        # The faults are scripted either way; the plan's seed builds both
+        # clusters. At minimum the rendered seed differs and the run still
+        # completes.
         r = run_scenario(
             scenario("nio", plan=crash_plan(seed=8))
         )

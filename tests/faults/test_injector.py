@@ -1,4 +1,4 @@
-"""The injector's contract: faults land on LinkState / fault_filter on time."""
+"""The injector's contract: faults land on LinkState on time."""
 
 from types import SimpleNamespace
 
@@ -9,11 +9,8 @@ from repro.faults import (
     ExecutorCrash,
     FaultInjector,
     FaultPlan,
-    MessageChaos,
+    FaultSpec,
     NicDegradation,
-    NodeCrash,
-    Partition,
-    RankKill,
 )
 from repro.simnet import IB_HDR, SimCluster, SimEngine
 
@@ -41,29 +38,43 @@ class TestArming:
         with pytest.raises(RuntimeError, match="armed"):
             inj.arm()
 
-
-class TestNodeAndExecutorFaults:
-    def test_node_crash_fires_on_schedule(self):
-        env, cluster = make_cluster()
-        report = fresh_report()
-        plan = FaultPlan(seed=1).add(NodeCrash(at_s=0.5, node_index=1))
-        FaultInjector(cluster, report=report).install(plan).arm()
-        env.run()
-        assert cluster.node(1).index in cluster.link_state.failed
-        assert len(report.timeline) == 1
-        assert report.timeline[0].t_s == pytest.approx(0.5)
-        assert report.timeline[0].kind == "NodeCrash"
-
-    def test_executor_crash_kills_executor_and_host(self):
+    @pytest.mark.parametrize(
+        "spec, error, match",
+        [
+            (ExecutorCrash(at_s=0.1, exec_id=1), ValueError, "executor 1"),
+            (NicDegradation(at_s=0.1, node_index=-1), ValueError, "node -1"),
+            (NicDegradation(at_s=0.1, node_index=4), ValueError, "node 4"),
+            (NicDegradation(at_s=0.1, node_index=1, factor=0.5), ValueError, "factor"),
+            (FaultSpec(at_s=0.1), TypeError, "unknown fault spec"),
+        ],
+    )
+    def test_arm_rejects_specs_the_cluster_cannot_run(self, spec, error, match):
         env, cluster = make_cluster()
         ex = SimpleNamespace(alive=True, node=cluster.node(2), exec_id=0)
-        plan = FaultPlan(seed=1).add(ExecutorCrash(at_s=0.1, exec_id=0))
-        inj = FaultInjector(cluster, executors=[ex]).install(plan)
+        inj = FaultInjector(cluster, executors=[ex]).install(FaultPlan().add(spec))
+        with pytest.raises(error, match=match):
+            inj.arm()
+        # Rejected before any countdown started: nothing fires.
+        env.run()
+        assert inj.fired == []
+        assert cluster.link_state.generation == 0
+
+
+class TestNodeAndExecutorFaults:
+    def test_executor_crash_kills_executor_and_host(self):
+        env, cluster = make_cluster()
+        report = fresh_report()
+        ex = SimpleNamespace(alive=True, node=cluster.node(2), exec_id=0)
+        plan = FaultPlan(seed=1).add(ExecutorCrash(at_s=0.5, exec_id=0))
+        inj = FaultInjector(cluster, executors=[ex], report=report).install(plan)
         inj.arm()
         env.run()
         assert ex.alive is False
         assert cluster.node(2).index in cluster.link_state.failed
         assert inj.fired == plan.specs
+        assert len(report.timeline) == 1
+        assert report.timeline[0].t_s == pytest.approx(0.5)
+        assert report.timeline[0].kind == "ExecutorCrash"
 
 
 class TestLinkFaults:
@@ -86,85 +97,3 @@ class TestLinkFaults:
         env.run()
         assert samples["during"] == pytest.approx(4.0)
         assert samples["after"] == pytest.approx(1.0)
-
-    def test_partition_heals(self):
-        env, cluster = make_cluster()
-        plan = FaultPlan(seed=1).add(
-            Partition(at_s=0.0, group_a=(0, 1), group_b=(2, 3), duration_s=0.2)
-        )
-        FaultInjector(cluster).install(plan).arm()
-        samples = {}
-
-        def probe(env):
-            n0, n2 = cluster.node(0), cluster.node(2)
-            yield env.timeout(0.1)
-            samples["during"] = cluster.link_state.path_up(n0, n2)
-            yield env.timeout(0.2)
-            samples["after"] = cluster.link_state.path_up(n0, n2)
-
-        env.process(probe(env))
-        env.run()
-        assert samples["during"] is False
-        assert samples["after"] is True
-
-
-class TestMessageChaos:
-    def test_filter_installed_then_removed(self):
-        env, cluster = make_cluster()
-        plan = FaultPlan(seed=1).add(
-            MessageChaos(at_s=0.0, drop_p=1.0, duration_s=0.2)
-        )
-        FaultInjector(cluster).install(plan).arm()
-        samples = {}
-
-        def probe(env):
-            yield env.timeout(0.1)
-            samples["filter"] = cluster.fault_filter
-            samples["verdict"] = cluster.fault_filter(
-                cluster.node(0), cluster.node(1), 1024, None
-            )
-
-        env.process(probe(env))
-        env.run()
-        assert samples["filter"] is not None
-        assert samples["verdict"] == ("drop", 0.0)
-        # Window closed: the gremlin uninstalls itself.
-        assert cluster.fault_filter is None
-
-    def test_min_bytes_spares_small_messages(self):
-        env, cluster = make_cluster()
-        plan = FaultPlan(seed=1).add(
-            MessageChaos(at_s=0.0, drop_p=1.0, min_bytes=4096)
-        )
-        inj = FaultInjector(cluster).install(plan)
-        inj.arm()
-        env.run()
-        n0, n1 = cluster.node(0), cluster.node(1)
-        assert cluster.fault_filter(n0, n1, 100, None) is None
-        assert cluster.fault_filter(n0, n1, 8192, None) == ("drop", 0.0)
-
-    def test_chaos_decisions_replay_with_seed(self):
-        verdicts = []
-        for _ in range(2):
-            env, cluster = make_cluster()
-            plan = FaultPlan(seed=99).add(
-                MessageChaos(at_s=0.0, drop_p=0.3, delay_p=0.3, delay_s=1e-3)
-            )
-            FaultInjector(cluster).install(plan).arm()
-            env.run()
-            n0, n1 = cluster.node(0), cluster.node(1)
-            verdicts.append(
-                [cluster.fault_filter(n0, n1, 1024, None) for _ in range(50)]
-            )
-        assert verdicts[0] == verdicts[1]
-
-
-class TestRankKill:
-    def test_rank_kill_without_mpi_world_is_recorded_skipped(self):
-        env, cluster = make_cluster()
-        report = fresh_report()
-        plan = FaultPlan(seed=1).add(RankKill(at_s=0.0, gid=3))
-        FaultInjector(cluster, report=report).install(plan).arm()
-        env.run()
-        kinds = [ev.kind for ev in report.timeline]
-        assert "skipped" in kinds

@@ -3,7 +3,6 @@
 from repro.faults import (
     ExecutorCrash,
     FaultPlan,
-    MessageChaos,
     NicDegradation,
     SeededRng,
     derive_seed,
@@ -42,7 +41,7 @@ class TestFaultPlan:
             FaultPlan(seed=1)
             .add(NicDegradation(at_s=0.5))
             .add(ExecutorCrash(at_s=0.1))
-            .add(MessageChaos(at_s=0.3, drop_p=0.1))
+            .add(NicDegradation(at_s=0.3, node_index=1))
         )
         times = [s.at_s for s in plan.sorted_specs()]
         assert times == sorted(times)

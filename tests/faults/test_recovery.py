@@ -1,4 +1,4 @@
-"""Spark-side recovery semantics: retries, resubmission, blacklist, spec-ex."""
+"""Spark-side recovery semantics: retries, resubmission, blacklist."""
 
 from dataclasses import replace
 
@@ -36,10 +36,7 @@ def run_with_plan(plan, transport="nio", n_workers=4):
     report = AvailabilityReport(
         scenario="unit", transport=transport, fault_mode="n/a", seed=plan.seed
     )
-    injector = FaultInjector(
-        sim.cluster, mpi_world=sim.transport.mpi_world,
-        executors=sim.executors, report=report,
-    )
+    injector = FaultInjector(sim.cluster, executors=sim.executors, report=report)
     injector.install(plan)
     sched = ResilientScheduler(sim, report)
 
@@ -58,12 +55,9 @@ def run_with_plan(plan, transport="nio", n_workers=4):
 
 class TestSparkDefaults:
     def test_defaults_mirror_spark(self):
-        # Blacklisting (always on) is checked by TestCrashRecovery, and
-        # speculation being off by test_speculation_off_by_default.
+        # Blacklisting (always on) is checked by TestCrashRecovery.
         assert recovery.MAX_TASK_FAILURES == 4
         assert recovery.MAX_STAGE_ATTEMPTS == 4
-        assert recovery.SPECULATION_MULTIPLIER == 1.5
-        assert recovery.SPECULATION_QUANTILE == 0.75
 
 
 class TestCleanRun:
@@ -119,36 +113,6 @@ class TestCrashRecovery:
         assert report.executors_lost == 0
         # A slow NIC is not a lost executor: fetches finish, just later.
         assert set(result.stage_seconds) == {"gen", "write", "read"}
-
-
-class TestSpeculation:
-    def test_speculative_copy_races_queued_stragglers(self):
-        # Oversubscribe the executors (8 tasks per 4-core executor): the
-        # second wave of compute tasks queues behind the first, exceeds the
-        # multiplier-times-nominal threshold, and gets speculative copies.
-        sim = make_sim()
-        sim.launch()
-        report = AvailabilityReport(
-            scenario="spec", transport="nio", fault_mode="n/a", seed=0
-        )
-        sched = ResilientScheduler(sim, report, speculation=True)
-        profile = make_chaos_profile(4, cores_per_executor=8, shuffle_bytes=32 * MiB)
-        result = sched.run_profile(profile, deadline_s=60.0)
-        sim.shutdown()
-        assert set(result.stage_seconds) == {"gen", "write", "read"}
-        assert report.speculative_launches >= 1
-
-    def test_speculation_off_by_default(self):
-        sim = make_sim()
-        sim.launch()
-        report = AvailabilityReport(
-            scenario="nospec", transport="nio", fault_mode="n/a", seed=0
-        )
-        sched = ResilientScheduler(sim, report=report)
-        profile = make_chaos_profile(4, cores_per_executor=8, shuffle_bytes=32 * MiB)
-        sched.run_profile(profile, deadline_s=60.0)
-        sim.shutdown()
-        assert report.speculative_launches == 0
 
 
 class TestSharedTaskBody:

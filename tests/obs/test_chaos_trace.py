@@ -57,11 +57,7 @@ def run_faulted(scenario):
     """The faulted half of :func:`run_scenario`, keeping the flight log."""
     sim = scenario.build_cluster()
     sim.launch()
-    injector = FaultInjector(
-        sim.cluster,
-        mpi_world=sim.transport.mpi_world,
-        executors=sim.executors,
-    )
+    injector = FaultInjector(sim.cluster, executors=sim.executors)
     injector.install(scenario.plan)
     sched = ResilientScheduler(sim)
 

@@ -233,7 +233,7 @@ def _disagreeing_flight() -> FlightRecorder:
     ``stage`` attr all give different answers.
 
     Trace 1's response (span 11, child of request span 10) is delivered
-    at 0.40 and again at 0.60 after a retransmit; a second ``run.meta``
+    at 0.40 and decoded again at 0.60; a second ``run.meta``
     changes transport and slot width mid-log; one stage pair carries no
     ``stage`` attr.
     """
@@ -249,7 +249,7 @@ def _disagreeing_flight() -> FlightRecorder:
     rec.record(0.25, "msg.send", resp, type=1, nbytes=4096)
     rec.record(0.30, "mpi.match", resp, waited_s=0.0)
     rec.record(0.40, "msg.recv", resp, type=1, nbytes=4096)
-    rec.record(0.60, "msg.recv", resp, type=1, nbytes=4096)  # retransmit
+    rec.record(0.60, "msg.recv", resp, type=1, nbytes=4096)  # decoded twice
     rec.record(0.70, "task.finish", task, task="?-task0", exec=0,
                fetch_wait_s=0.6, local_s=0.0)
     rec.record(0.70, "stage.finish", None)

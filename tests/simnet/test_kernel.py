@@ -489,8 +489,8 @@ class TestConditions:
         # The detach rule has one exception, and this is where it lives: a
         # decided condition keeps its callback on Process sub-events. The
         # engine raises for a failed process nobody joined, and the loser
-        # of a race (speculative task copies, a deadline beating a worker)
-        # is joined by nothing but the AnyOf that already moved on.
+        # of a race (a deadline beating a worker) is joined by nothing but
+        # the AnyOf that already moved on.
         def loser(env):
             yield env.timeout(10)
             raise RuntimeError("lost the race, then died")
