@@ -16,7 +16,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import ExecutorCrash, FaultPlan, FaultSpec, NicDegradation
 from repro.faults.recovery import JobFailedError, ResilientScheduler
 from repro.faults.report import AvailabilityReport, FaultEvent, render_matrix
-from repro.util.rng import SeededRng, derive_seed
 
 __all__ = [
     "AvailabilityReport",
@@ -29,8 +28,6 @@ __all__ = [
     "JobFailedError",
     "NicDegradation",
     "ResilientScheduler",
-    "SeededRng",
-    "derive_seed",
     "make_chaos_profile",
     "render_matrix",
     "run_scenario",

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Generator, Sequence
 from repro.mpi import collectives as _coll
 from repro.mpi.errors import CommError, TagError
 from repro.mpi.request import Request
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.runtime import MPIProcess
@@ -91,7 +90,12 @@ class CommDescriptor:
 
 
 class Comm:
-    """Per-process communicator handle. Base for intra/inter variants."""
+    """Per-process communicator handle. Base for intra/inter variants.
+
+    Point-to-point calls name one peer rank and one tag in
+    ``[0, MAX_TAG)``, both checked before anything is posted; a blocking
+    call is its nonblocking twin followed by :meth:`Request.wait`.
+    """
 
     def __init__(self, proc: "MPIProcess", desc: CommDescriptor) -> None:
         self.proc = proc
@@ -125,12 +129,10 @@ class Comm:
     def send(
         self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None
     ) -> Generator:
-        """Blocking send (generator). ``nbytes`` overrides the size model."""
-        self._check_tag(tag)
-        dst_gid = self._dest_group().gid_of(dest)
-        yield from self.proc._send(
-            dst_gid, self.rank, self.desc.ctx_pt2pt, tag, obj, nbytes
-        )
+        """Blocking send (generator): :meth:`isend`, then wait for it. Eager
+        completes after the local overhead, rendezvous once the receiver
+        has pulled the payload. ``nbytes`` overrides the size model."""
+        yield from self.isend(obj, dest, tag, nbytes).wait()
 
     def isend(
         self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None
@@ -142,23 +144,16 @@ class Comm:
             dst_gid, self.rank, self.desc.ctx_pt2pt, tag, obj, nbytes
         )
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> Generator:
+    def recv(self, source: int, tag: int) -> Generator:
         """Blocking receive (generator) returning the payload."""
-        if tag != ANY_TAG:
-            self._check_tag(tag)
-        req = self.irecv(source, tag)
-        payload = yield from req.wait(status)
+        payload = yield from self.irecv(source, tag).wait()
         return payload
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive."""
-        if tag != ANY_TAG:
-            self._check_tag(tag)
+    def irecv(self, source: int, tag: int) -> Request:
+        """Nonblocking receive from rank ``source`` with tag ``tag``; the
+        completed request's :attr:`~Request.status` holds the size."""
+        self._check_tag(tag)
+        self._dest_group().gid_of(source)
         return self.proc._irecv(source, tag, self.desc.ctx_pt2pt)
 
     # -- collective internals ---------------------------------------------

@@ -16,7 +16,8 @@ class Request:
 
     ``wait()`` is a generator (simulation processes ``yield from`` it).
     Completed receives carry the payload as the request's value and fill
-    :attr:`status`.
+    :attr:`status` with the sender's rank, the tag and the size; a send's
+    status holds its size.
     """
 
     def __init__(self, env: "SimEngine", kind: str) -> None:
@@ -25,9 +26,7 @@ class Request:
         self.event: Event = Event(env)
         self.status = Status()
 
-    def wait(self, status: Status | None = None) -> Generator["Event", Any, Any]:
+    def wait(self) -> Generator["Event", Any, Any]:
         """Generator completing with the operation's value."""
         value = yield self.event
-        if status is not None:
-            status.fill_from(self.status)
         return value

@@ -26,7 +26,6 @@ from repro.mpi.envelope import RTS_BYTES, Envelope, Protocol
 from repro.mpi.errors import MPIError, RankDeadError, WorldAbortedError
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.request import Request
-from repro.mpi.status import ANY_SOURCE, ANY_TAG
 from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event
 from repro.simnet.interconnect import WireModel
@@ -132,37 +131,6 @@ class MPIProcess:
             send_done=send_done, trace_ctx=trace_ctx,
         ))
         return eager
-
-    def _send(
-        self,
-        dst_gid: int,
-        src_rank: int,
-        context_id: int,
-        tag: int,
-        payload: Any,
-        nbytes: int | None,
-        trace_ctx: Any = None,
-    ) -> Generator:
-        """Blocking send: eager returns after local overhead; rendezvous
-        returns once the payload has been pulled by the receiver.
-
-        Sends involving a dead peer (or an aborted world) raise
-        :class:`RankDeadError` / :class:`WorldAbortedError` — MPI transports
-        on lossless fabrics surface peer failure as an immediate error, not
-        a timeout.
-        """
-        self._check_sendable(dst_gid)
-        size = sizeof(payload) if nbytes is None else int(nbytes)
-        yield self.env.timeout(self._send_overhead(size))
-        done = None
-        if size > self.world.model.rendezvous_threshold:
-            done = self.env.event()
-        self._route_send(
-            (dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, None),
-            done,
-        )
-        if done is not None:
-            yield done
 
     def _isend(
         self,
@@ -271,7 +239,7 @@ class MPIProcess:
         if not self.alive:
             req.event.fail(RankDeadError(f"{self.name} is dead"))
             return req
-        if self.world.dead and source != ANY_SOURCE:
+        if self.world.dead:
             # A receive naming an already-dead peer can never complete; fail
             # it now unless matching data is already queued.
             peer_gid = self._peer_gid(source, context_id)
@@ -522,10 +490,7 @@ class MPIWorld:
             if proc is dead or not proc.alive:
                 continue
             proc.matching.fail_posted(
-                lambda p, proc=proc: (
-                    p.source != ANY_SOURCE
-                    and proc._peer_gid(p.source, p.context_id) == dead.gid
-                ),
+                lambda p, proc=proc: proc._peer_gid(p.source, p.context_id) == dead.gid,
                 exc_factory,
             )
         # Envelopes already queued toward or from the dead rank never land.

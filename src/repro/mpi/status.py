@@ -2,25 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-ANY_SOURCE = -1
-ANY_TAG = -1
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
 class Status:
-    """Receive/probe result metadata (mutable, filled in by the runtime)."""
+    """A completed operation's metadata, filled in by the runtime: the
+    sender's rank and tag (−1 until a receive completes) and the size."""
 
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
+    source: int = -1
+    tag: int = -1
     nbytes: int = 0
-    cancelled: bool = False
-    error: int = 0
-
-    def fill_from(self, other: "Status") -> None:
-        self.source = other.source
-        self.tag = other.tag
-        self.nbytes = other.nbytes
-        self.cancelled = other.cancelled
-        self.error = other.error

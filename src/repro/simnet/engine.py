@@ -20,7 +20,6 @@ from repro.simnet.events import (
     SimError,
     Timeout,
 )
-from repro.util.rng import SeededRng
 
 
 class EmptySchedule(SimError):
@@ -45,17 +44,13 @@ class SimEngine:
     # are simply dropped for the GC (bounds memory under timer storms).
     _POOL_MAX = 4096
 
-    def __init__(self, start_time: float = 0.0, seed: int = 0) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self.now: float = start_time
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
         self._n_dead = 0  # tombstoned (cancelled) entries still in the heap
         self.events_processed = 0  # lifetime dispatch count (read by bench/)
-        # Every stochastic component (fault injection, chaos filters) forks a
-        # substream off this so one seed reproduces the whole simulation.
-        self.seed = int(seed)
-        self.rng = SeededRng(self.seed)
         # Numbers this simulation's Netty channels (ChannelId) and its
         # unnamed event loops.
         self.channel_ids = itertools.count(1)

@@ -676,7 +676,7 @@ class SparkSimCluster:
         # metric columns on and records nothing.
         self.obs_enabled = obs_enabled or obs_trace or obs_causal
         self.obs_causal = obs_causal
-        self.env = SimEngine(seed=seed)
+        self.env = SimEngine()
         if obs_causal:
             from repro.obs.causal import CausalTracer
 

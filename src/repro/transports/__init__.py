@@ -16,36 +16,18 @@ TRANSPORTS: dict[str, type[Transport]] = {
     "mpi-coll": MpiCollectiveTransport,
 }
 
-# Friendly aliases matching the paper's figure legends.
-ALIASES = {
-    "vanilla": "nio",
-    "ipoib": "nio",
-    "rdma-spark": "rdma",
-    "mpi": "mpi-opt",
-    "mpi4spark": "mpi-opt",
-    "mpi4spark-basic": "mpi-basic",
-    "mpi4spark-optimized": "mpi-opt",
-    "coll": "mpi-coll",
-    "alltoallv": "mpi-coll",
-    "mpi4spark-collective": "mpi-coll",
-}
-
 
 def transport_class(name: str) -> type[Transport]:
-    """The transport class for a name or paper-legend alias.
+    """The transport class for a name.
 
     The class carries the design's declared traits (``uses_mpi``,
     ``polling_tax_cores``, ``collective_shuffle``, ``polls_for_messages``),
     so analyses of a recorded run can look them up from the recorded
     transport name without building a cluster.
     """
-    key = ALIASES.get(name.lower(), name.lower())
-    cls = TRANSPORTS.get(key)
+    cls = TRANSPORTS.get(name)
     if cls is None:
-        raise KeyError(
-            f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)} "
-            f"or aliases {sorted(ALIASES)}"
-        )
+        raise KeyError(f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)}")
     return cls
 
 
@@ -57,7 +39,7 @@ def make_transport(
     fault_mode: str = "abort",
     cost: CostModel = DEFAULT_COST,
 ) -> Transport:
-    """Instantiate a transport by name (accepts paper-legend aliases).
+    """Instantiate a transport by name.
 
     ``loaded=True`` selects the full-CPU-load wire models for CPU-bound
     stacks — use it for end-to-end cluster runs, not microbenchmarks.
@@ -78,7 +60,6 @@ __all__ = [
     "MpiCollectiveTransport",
     "MpiOptimizedTransport",
     "TRANSPORTS",
-    "ALIASES",
     "make_transport",
     "transport_class",
 ]

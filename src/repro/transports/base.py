@@ -71,7 +71,6 @@ class Transport:
         self.cost = cost
         self.fabric: Fabric = cluster.fabric
         tcp_model = tcp_loaded_over(self.fabric) if loaded else tcp_over(self.fabric)
-        self.control_stack = SocketStack(env, cluster, tcp_over(self.fabric))
         self.data_stack = SocketStack(env, cluster, tcp_model)
         self.mpi_world: "MPIWorld | None" = None
 

@@ -1,10 +1,11 @@
 """Seeded, forkable random streams for reproducible simulations.
 
-Every stochastic decision in the simulator (fault schedules, message-chaos
-coin flips, stochastic plans) must come from a :class:`SeededRng` so that two
-runs with the same seed replay *byte-identically*. Substreams are derived
-with SHA-256 over ``(seed, *keys)`` rather than Python's built-in ``hash()``,
-which is salted per interpreter run and would silently break replay.
+Every stochastic decision in the simulator (job arrival traces, per-app
+and per-fetch seeds) must come from a :class:`SeededRng` or a derived seed
+so that two runs with the same seed replay *byte-identically*. Substreams
+are derived with SHA-256 over ``(seed, *keys)`` rather than Python's
+built-in ``hash()``, which is salted per interpreter run and would
+silently break replay.
 """
 
 from __future__ import annotations

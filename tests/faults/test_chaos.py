@@ -92,10 +92,10 @@ class TestTransportAsymmetry:
         r = run_scenario(scenario("nio", mode="abort"))
         assert r.fault_mode == "n/a"
 
-    def test_aliased_mpi_transport_reports_its_fault_mode(self):
-        # "coll" names mpi-coll: its report carries the canonical name
-        # and the MPI world's fault mode, whatever the name's prefix.
-        r = run_scenario(scenario("coll", mode="shrink"))
+    def test_collective_transport_reports_its_fault_mode(self):
+        # mpi-coll is an MPI transport by its declared trait, not its
+        # name: its report carries the MPI world's fault mode.
+        r = run_scenario(scenario("mpi-coll", mode="shrink"))
         assert (r.transport, r.fault_mode) == ("mpi-coll", "shrink")
 
 

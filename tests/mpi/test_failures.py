@@ -122,7 +122,7 @@ def test_rendezvous_isend_completes_after_cts_and_bulk():
 
     def receiver(proc):
         yield proc.env.timeout(post_at)  # the RTS waits unexpected
-        yield from proc.comm_world.recv(source=0)
+        yield from proc.comm_world.recv(source=0, tag=0)
         times["recv"] = proc.env.now
 
     launch(world, [sender, receiver, idle])
@@ -148,7 +148,7 @@ def eager_receive(fault_mode, during_delay=None):
             yield from proc.comm_world.send("x", dest=1, nbytes=EAGER)
 
         def receiver(proc):
-            req = proc.comm_world.irecv(source=0)
+            req = proc.comm_world.irecv(source=0, tag=0)
             reqs.append(req)
             try:
                 value = yield from req.wait()
@@ -198,9 +198,9 @@ def test_receive_already_failed_by_a_sweep_is_left_alone():
 
 def receive_after_peer_death(queued, dies=True):
     """Rank 0 (optionally after an EAGER send to rank 1) dies at t=0.5;
-    rank 1 posts ``irecv(source=0)`` at t=1.0 in shrink mode. Returns the
-    receive's (sim time, outcome); ``dies=False`` is the live-peer
-    reference run."""
+    rank 1 posts ``irecv(source=0, tag=0)`` at t=1.0 in shrink mode.
+    Returns the receive's (sim time, outcome); ``dies=False`` is the
+    live-peer reference run."""
     _, _, world = make_world("shrink")
     out = {}
 
@@ -214,7 +214,7 @@ def receive_after_peer_death(queued, dies=True):
     def receiver(proc):
         yield proc.env.timeout(1.0)
         assert world.dead == ({0} if dies else set())
-        req = proc.comm_world.irecv(source=0)
+        req = proc.comm_world.irecv(source=0, tag=0)
         try:
             value = yield from req.wait()
         except Exception as exc:  # noqa: BLE001 - the outcome under test

@@ -1,11 +1,11 @@
-"""Point-to-point semantics: send/recv, wildcards, ordering, protocols."""
+"""Point-to-point semantics: send/recv, argument checks, ordering, protocols."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, MPIWorld, RankSpec, Status, TagError
+from repro.mpi import CommError, MPIWorld, RankSpec, TagError
 from repro.simnet import IB_HDR, SimCluster, SimEngine, mpi_over
 from repro.util.units import KiB, MiB
 
@@ -67,20 +67,6 @@ class TestBasicSendRecv:
         (result,) = run_ranks(world, [main], nodes=[0])
         assert result == "self-msg"
 
-    def test_status_filled(self):
-        env, cluster, world = make_world()
-
-        def sender(proc):
-            yield from proc.comm_world.send(b"x" * 500, dest=1, tag=42)
-
-        def receiver(proc):
-            status = Status()
-            yield from proc.comm_world.recv(source=ANY_SOURCE, tag=ANY_TAG, status=status)
-            return (status.source, status.tag, status.nbytes)
-
-        _, result = run_ranks(world, [sender, receiver])
-        assert result == (0, 42, 500)
-
     def test_bad_tag_rejected(self):
         env, cluster, world = make_world()
 
@@ -88,11 +74,45 @@ class TestBasicSendRecv:
             yield from proc.comm_world.send("x", dest=1, tag=-3)
 
         def receiver(proc):
-            value = yield from proc.comm_world.recv()
+            value = yield from proc.comm_world.recv(source=0, tag=0)
             return value
 
         with pytest.raises(TagError):
             run_ranks(world, [sender, receiver])
+
+    @pytest.mark.parametrize(
+        "source,tag,error",
+        [
+            (5, 0, CommError),
+            (-1, 0, CommError),
+            (0, -1, TagError),
+            (0, 1 << 24, TagError),
+        ],
+    )
+    @pytest.mark.parametrize("blocking", [False, True])
+    def test_bad_receive_rejected_before_posting(self, source, tag, error, blocking):
+        # A receive naming a rank outside the 2-rank world, or a tag
+        # outside [0, MAX_TAG), could never match: it raises as the same
+        # send would, and nothing is left posted.
+        env, cluster, world = make_world()
+
+        def receiver(proc):
+            comm = proc.comm_world
+            if blocking:
+                yield from comm.recv(source=source, tag=tag)
+            else:
+                comm.irecv(source=source, tag=tag)
+            yield proc.env.timeout(0)
+
+        def idle(proc):
+            yield proc.env.timeout(0)
+
+        procs = world.launch(
+            [RankSpec(main=receiver, node=0), RankSpec(main=idle, node=1)]
+        )
+        with pytest.raises(error):
+            env.run()
+        assert procs[0].matching.posted == []
 
     def test_explicit_nbytes_override(self):
         env, cluster, world = make_world()
@@ -102,9 +122,9 @@ class TestBasicSendRecv:
             yield from proc.comm_world.send("sample", dest=1, nbytes=4 * MiB)
 
         def receiver(proc):
-            status = Status()
-            value = yield from proc.comm_world.recv(status=status)
-            return (value, status.nbytes)
+            req = proc.comm_world.irecv(source=0, tag=0)
+            value = yield from req.wait()
+            return (value, req.status.nbytes)
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == ("sample", 4 * MiB)
@@ -146,23 +166,6 @@ class TestMatchingSemantics:
 
         _, result = run_ranks(world, [sender, receiver])
         assert result == [0, 1, 2, 3, 4]
-
-    def test_any_source_wildcard(self):
-        env, cluster, world = make_world(n_nodes=3)
-
-        def sender(proc):
-            yield from proc.comm_world.send(f"from-{proc.comm_world.rank}", dest=2, tag=0)
-
-        def receiver(proc):
-            comm = proc.comm_world
-            got = set()
-            for _ in range(2):
-                value = yield from comm.recv(source=ANY_SOURCE, tag=0)
-                got.add(value)
-            return got
-
-        results = run_ranks(world, [sender, sender, receiver], nodes=[0, 1, 2])
-        assert results[2] == {"from-0", "from-1"}
 
     def test_unexpected_queue_then_match(self):
         # Message arrives before recv is posted: unexpected queue path.
@@ -210,7 +213,7 @@ class TestProtocols:
 
         def receiver(proc):
             yield proc.env.timeout(0.5)
-            value = yield from proc.comm_world.recv(source=0)
+            value = yield from proc.comm_world.recv(source=0, tag=0)
             times["recv_done"] = proc.env.now
             return value
 
@@ -230,7 +233,7 @@ class TestProtocols:
 
         def receiver(proc):
             yield proc.env.timeout(0.5)  # delay posting the recv
-            value = yield from proc.comm_world.recv(source=0)
+            value = yield from proc.comm_world.recv(source=0, tag=0)
             times["recv_done"] = proc.env.now
             return value
 
@@ -246,7 +249,7 @@ class TestProtocols:
                 yield from proc.comm_world.send("x", dest=1, nbytes=nbytes)
 
             def receiver(proc):
-                yield from proc.comm_world.recv(source=0)
+                yield from proc.comm_world.recv(source=0, tag=0)
                 return proc.env.now
 
             _, t = run_ranks(world, [sender, receiver])
@@ -291,7 +294,7 @@ class TestNonblocking:
             refs.append(weakref.ref(req))
 
         def receiver(proc):
-            yield from proc.comm_world.recv(source=0)
+            yield from proc.comm_world.recv(source=0, tag=0)
 
         run_ranks(world, [sender, receiver])
         gc.collect()

@@ -84,10 +84,10 @@ class TestSyntheticAnalysis:
             )
 
     def test_classification_follows_the_declared_trait(self):
-        # Aliases resolve to the trait; a name this tree does not know
+        # The name resolves to the trait; a name this tree does not know
         # (a recording loaded from disk) is not poll-sensitive, not an error.
-        aliased = analyze(synthetic_flight(), "mpi4spark-basic")
-        assert aliased.stage("Job0-read").seconds("poll-tax") == pytest.approx(0.03)
+        basic = analyze(synthetic_flight(), "mpi-basic")
+        assert basic.stage("Job0-read").seconds("poll-tax") == pytest.approx(0.03)
         unknown = analyze(synthetic_flight(), "some-future-transport")
         assert unknown.stage("Job0-read").seconds("poll-tax") == 0.0
 

@@ -37,6 +37,10 @@ def test_launch_example_shows_fig3_steps(capsys):
     assert "Step A/B" in out
     assert "MPI_Comm_spawn_multiple" in out
     assert "DPM_COMM allgather" in out
+    # The parent hands each executor a task over the intercomm and reads
+    # back its reply: the example's point-to-point send/recv round trip.
+    assert "worker0 <- executor0: done(task-0)" in out
+    assert "worker0 <- executor1: done(task-1)" in out
 
 
 @pytest.mark.gate

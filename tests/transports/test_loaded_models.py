@@ -54,10 +54,6 @@ class TestTransportLoadedFlag:
             < idle.data_stack.model.effective_bandwidth_Bps()
         )
 
-    def test_control_plane_always_idle_tcp(self):
-        loaded = self._mk("nio", loaded=True)
-        assert loaded.control_stack.model.name.startswith("tcp/")
-
     def test_rdma_data_plane_switches(self):
         idle = self._mk("rdma", loaded=False)
         loaded = self._mk("rdma", loaded=True)
