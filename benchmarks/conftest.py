@@ -45,6 +45,9 @@ def jobs(request):
 OHB_WORKERS = (8, 16, 32) if FULL else (2, 4, 8)
 OHB_FIDELITY = 0.125 if FULL else 0.25
 HIBENCH_FIDELITY = 0.25 if FULL else 0.125
+# Fig 11's fixed data volume: quick mode's 56 GiB at 2/4/8 workers keeps
+# the per-core data of the paper's 224 GiB at 8/16/32.
+FIG11_DATA = (224 if FULL else 56) << 30
 
 
 def write_bench_json(figure: str, payload: dict) -> pathlib.Path:

@@ -1,8 +1,8 @@
 """Fig 8 — Netty ping-pong latency on the internal cluster (IB-EDR).
 
-Paper: "Netty+MPI performs considerably better with speedups of up to 9x
-for 4MB messages." This bench regenerates both curves (small and large
-message sizes) and checks the headline ratio.
+Regenerates both curves (small and large message sizes) and checks their
+shape. The paper's 4 MB speed-up and its band are a row of
+``repro.harness.paper``, gated by ``benchmarks/test_paper_scorecard.py``.
 """
 
 import pytest
@@ -18,30 +18,11 @@ def results():
     return fig8_pingpong(iterations=4)
 
 
-def test_fig8_curves(results):
-    out = fig8_pingpong(iterations=2)
-    print()
-    print(render_fig8(results))
-    assert set(out) == {"netty-nio", "netty-mpi"}
-    # Headline shape (also checked test-by-test below): MPI wins at every
-    # size and reaches the paper's ~9x at 4 MB.
-    nio, mpi = results["netty-nio"], results["netty-mpi"]
-    for size in FIG8_SMALL_SIZES + FIG8_LARGE_SIZES:
-        assert mpi.latency_s[size] < nio.latency_s[size]
-    ratio = nio.latency_s[4 * MiB] / mpi.latency_s[4 * MiB]
-    assert 7.0 < ratio < 11.0, f"4MB speedup {ratio:.2f} outside paper band"
-
-
 class TestFig8Shape:
     def test_mpi_wins_at_every_size(self, results):
         nio, mpi = results["netty-nio"], results["netty-mpi"]
         for size in FIG8_SMALL_SIZES + FIG8_LARGE_SIZES:
             assert mpi.latency_s[size] < nio.latency_s[size]
-
-    def test_speedup_up_to_9x_at_4mb(self, results):
-        nio, mpi = results["netty-nio"], results["netty-mpi"]
-        ratio = nio.latency_s[4 * MiB] / mpi.latency_s[4 * MiB]
-        assert 7.0 < ratio < 11.0, f"4MB speedup {ratio:.2f} outside paper band"
 
     def test_speedup_grows_from_small_to_large(self, results):
         nio, mpi = results["netty-nio"], results["netty-mpi"]
@@ -57,6 +38,7 @@ class TestFig8Shape:
 
 
 def test_fig8_bench_json(results):
+    print("\n" + render_fig8(results))
     path = write_bench_json(
         "fig8_pingpong",
         {

@@ -3,7 +3,8 @@
 Paper: "MPI4Spark-Optimized performs better than the MPI4Spark-Basic
 [because] constant polling in the selector thread was consuming CPU time
 hence starving the actual compute tasks." GroupByTest and SortByTest at
-28 GB / 112 cores and 56 GB / 224 cores on Frontera.
+28 GB / 112 cores and 56 GB / 224 cores on Frontera. The paper reports
+no Fig-9 numbers, so ``repro.harness.paper`` has no Fig-9 row.
 """
 
 import pytest
@@ -30,24 +31,6 @@ def cells(jobs):
         for transport in ("nio", "mpi-basic", "mpi-opt")
     ]
     return run_cells(specs, jobs)
-
-
-def test_fig9_runs(cells):
-    cell = next(
-        c for c in cells if c.workload == "GroupByTest" and c.transport == "mpi-basic"
-    )
-    print()
-    print(render_ohb(cells, "Fig 9 — Basic vs Optimized vs Vanilla (Frontera)"))
-    assert cell.total_seconds > 0
-    # Headline shape: Optimized beats Basic on both workloads, and Basic's
-    # polling inflates its compute stages past vanilla's.
-    for workload in ("GroupByTest", "SortByTest"):
-        per = {c.transport: c for c in cells if c.workload == workload}
-        assert per["mpi-opt"].total_seconds < per["mpi-basic"].total_seconds
-        assert (
-            per["mpi-basic"].result.stage_seconds["Job0-ResultStage"]
-            > per["nio"].result.stage_seconds["Job0-ResultStage"]
-        )
 
 
 class TestFig9Shape:
@@ -175,6 +158,7 @@ def test_fig9_rows_match_committed_goldens(cells):
 
 
 def test_fig9_bench_json(cells):
+    print("\n" + render_ohb(cells, "Fig 9 — Basic vs Optimized vs Vanilla (Frontera)"))
     path = write_bench_json("fig9_basic_vs_optimized", ohb_payload(cells))
     import json
 

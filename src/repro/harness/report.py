@@ -120,26 +120,6 @@ def ohb_speedups(cells: Iterable[OhbCell]) -> dict:
     return out
 
 
-def render_fig12(cells: Iterable[HiBenchCell]) -> str:
-    grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
-    for cell in cells:
-        grouped[(cell.system, cell.workload)][cell.transport] = cell.total_seconds
-    rows = []
-    for (system, workload), per_t in grouped.items():
-        row = {"System": system, "Workload": workload}
-        for transport in ("nio", "rdma", "mpi-opt"):
-            name = LEGEND[transport]
-            row[name] = fmt_time(per_t[transport]) if transport in per_t else "-"
-        if "nio" in per_t and "mpi-opt" in per_t:
-            row["MPI vs IPoIB"] = f"{per_t['nio'] / per_t['mpi-opt']:.2f}x"
-        if "rdma" in per_t and "mpi-opt" in per_t:
-            row["MPI vs RDMA"] = f"{per_t['rdma'] / per_t['mpi-opt']:.2f}x"
-        else:
-            row["MPI vs RDMA"] = "-"
-        rows.append(row)
-    return render_table(rows, "Fig 12 — Intel HiBench (Huge)")
-
-
 def hibench_speedups(cells: Iterable[HiBenchCell]) -> dict:
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     for cell in cells:
