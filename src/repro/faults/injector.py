@@ -61,6 +61,8 @@ class FaultInjector:
             self.env.process(self._countdown(spec), name=f"fault-{i}")
 
     def _check(self, spec: FaultSpec) -> None:
+        if spec.at_s < 0:
+            raise ValueError(f"{type(spec).__name__} at_s must be >= 0, got {spec.at_s}")
         if isinstance(spec, ExecutorCrash):
             if not 0 <= spec.exec_id < len(self.executors):
                 raise ValueError(
@@ -76,6 +78,10 @@ class FaultInjector:
             if spec.factor < 1.0:
                 raise ValueError(
                     f"NicDegradation factor must be >= 1, got {spec.factor}"
+                )
+            if spec.duration_s is not None and spec.duration_s < 0:
+                raise ValueError(
+                    f"NicDegradation duration_s must be >= 0, got {spec.duration_s}"
                 )
         else:
             raise TypeError(f"unknown fault spec {spec!r}")
@@ -95,9 +101,7 @@ class FaultInjector:
         self.fired.append(spec)
         self._record(type(spec).__name__, spec.describe())
         if isinstance(spec, ExecutorCrash):
-            ex = self.executors[spec.exec_id]
-            ex.alive = False
-            self.cluster.fail_node(ex.node)
+            self.cluster.fail_node(self.executors[spec.exec_id].node)
         else:
             node = self.cluster.node(spec.node_index)
             self.cluster.link_state.degrade(node, spec.factor)

@@ -42,7 +42,7 @@ class NicDegradation(FaultSpec):
     duration_s: float | None = None  # None = until the end of the run
 
     def describe(self) -> str:
-        dur = f" for {self.duration_s:g}s" if self.duration_s else ""
+        dur = f" for {self.duration_s:g}s" if self.duration_s is not None else ""
         return (
             f"degrade NIC of node {self.node_index} x{self.factor:g}"
             f" at +{self.at_s:g}s{dur}"

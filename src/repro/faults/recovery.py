@@ -1,4 +1,4 @@
-"""Spark-side recovery: task retry, stage resubmission, blacklisting.
+"""Spark-side recovery: task retry and stage resubmission.
 
 :class:`ResilientScheduler` is a recovery *policy over*
 ``SparkSimCluster.run_profile``, not a second implementation of it: the
@@ -11,8 +11,8 @@ reduce task whose fetch fails raises
 ``FetchFailedException``, which — exactly as in Spark's DAGScheduler —
 marks the source executor's map output lost, recomputes those map tasks on
 survivors, redistributes the shuffle matrix, and resubmits only the
-unfinished reduce tasks. Dead executors are blacklisted so retries never
-land on them.
+unfinished reduce tasks. An executor whose node is in
+``LinkState.failed`` is never placed on, from the instant of the crash.
 
 What it deliberately does *not* do is reach below the Spark layer: if the
 transport underneath cannot survive a fault (MPI in world-abort mode),
@@ -55,8 +55,6 @@ class ResilientScheduler:
     ) -> None:
         self.sim = sim
         self.report = report
-        # Executors the scheduler will no longer place tasks on.
-        self.blacklist: set[int] = set()
         # Running task process -> the executor it occupies, so executor
         # death can interrupt exactly its own tasks.
         self._running: dict["Process", SimExecutor] = {}
@@ -85,12 +83,8 @@ class ResilientScheduler:
         for ex in self.sim.executors:
             if ex.node is not node:
                 continue
-            if ex.alive:
-                ex.alive = False
-            self.blacklist.add(ex.exec_id)
             if self.report is not None:
                 self.report.executors_lost += 1
-                self.report.blacklisted = len(self.blacklist)
                 self.report.record(
                     env.now, "ExecutorLost", f"driver marked executor {ex.exec_id} lost"
                 )
@@ -223,7 +217,7 @@ class ResilientScheduler:
 
     # -- task supervision ---------------------------------------------------
     def _is_usable(self, ex: SimExecutor) -> bool:
-        return ex.alive and ex.exec_id not in self.blacklist
+        return ex.node.index not in self.sim.cluster.link_state.failed
 
     def _pick_executor(self, t: int) -> SimExecutor | None:
         live = [ex for ex in self.sim.executors if self._is_usable(ex)]

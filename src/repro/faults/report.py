@@ -38,7 +38,6 @@ class AvailabilityReport:
     task_retries: int = 0
     stage_resubmissions: int = 0
     executors_lost: int = 0
-    blacklisted: int = 0
     # -- outcome ------------------------------------------------------------
     job_completed: bool = False
     job_failure: str = ""
@@ -75,7 +74,6 @@ class AvailabilityReport:
                 f"  task retries:        {self.task_retries}",
                 f"  stage resubmissions: {self.stage_resubmissions}",
                 f"  executors lost:      {self.executors_lost}",
-                f"  blacklisted:         {self.blacklisted}",
                 "outcome:",
                 f"  job completed:       {'yes' if self.job_completed else 'no'}"
                 + (f" ({self.job_failure})" if self.job_failure else ""),

@@ -70,8 +70,7 @@ _STATS = {
     "errors": 0,
 }
 
-# Cached code fingerprint; recomputed per process (and droppable by tests
-# via _reset_fingerprint_cache when they fake a source tree).
+# Cached code fingerprint; recomputed per process.
 _FINGERPRINT: str | None = None
 
 
@@ -117,12 +116,6 @@ def code_fingerprint() -> str:
             h.update(hashlib.sha256(path.read_bytes()).digest())
         _FINGERPRINT = h.hexdigest()
     return _FINGERPRINT
-
-
-def _reset_fingerprint_cache() -> None:
-    """Testing hook: force the fingerprint to recompute."""
-    global _FINGERPRINT
-    _FINGERPRINT = None
 
 
 def run_key(spec: tuple) -> str:

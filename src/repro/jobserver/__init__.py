@@ -12,7 +12,6 @@ from repro.jobserver.arrivals import (
     ArrivalTrace,
     JobRequest,
     poisson_trace,
-    trace_from_rows,
 )
 from repro.jobserver.report import CellStats, JobServerReport, cell_stats
 from repro.jobserver.schedulers import (
@@ -41,7 +40,6 @@ __all__ = [
     "ArrivalTrace",
     "JobRequest",
     "poisson_trace",
-    "trace_from_rows",
     "CellStats",
     "JobServerReport",
     "cell_stats",

@@ -126,22 +126,3 @@ def poisson_trace(
             )
         )
     return ArrivalTrace(seed=seed, jobs=tuple(jobs))
-
-
-def trace_from_rows(seed: int, rows: list[dict]) -> ArrivalTrace:
-    """Build a trace from explicit rows (replay of a recorded schedule).
-
-    Rows need ``workload`` and ``submit_s``; everything else defaults.
-    """
-    jobs = tuple(
-        JobRequest(
-            app_id=int(row.get("app_id", i)),
-            workload=str(row["workload"]),
-            submit_s=float(row["submit_s"]),
-            nominal_bytes=int(row.get("nominal_bytes", 512 * MiB)),
-            parallelism=int(row.get("parallelism", 4)),
-            fidelity=float(row.get("fidelity", 0.5)),
-        )
-        for i, row in enumerate(rows)
-    )
-    return ArrivalTrace(seed=seed, jobs=jobs)

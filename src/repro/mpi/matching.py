@@ -103,13 +103,6 @@ class MatchingEngine:
         entries.sort(key=lambda e: e[0])
         return [envl for _, _, envl in entries]
 
-    @property
-    def posted(self) -> list[PostedRecv]:
-        """Outstanding posted receives in post order (read-only view)."""
-        entries = [p for dq in self._posted.values() for p in dq]
-        entries.sort(key=lambda p: p.seq)
-        return entries
-
     # -- arrivals ----------------------------------------------------------
     def deliver(self, env_msg: Envelope) -> None:
         """An envelope arrived from the network."""

@@ -102,14 +102,6 @@ class ChannelPipeline:
                 writer = ctx
             ctx = ctx.next
 
-    def names(self) -> list[str]:
-        out = []
-        ctx = self._head.next
-        while ctx is not None and ctx is not self._tail:
-            out.append(ctx.name)
-            ctx = ctx.next
-        return out
-
     # -- event entry points ------------------------------------------------------
     def fire_channel_active(self) -> None:
         self._head.fire_channel_active()

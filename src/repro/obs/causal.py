@@ -24,9 +24,9 @@ The causal edges (DESIGN.md §11):
   the request's, so a fetch chain is one connected trace.
 
 Runs opt in via ``obs_causal=True``; the engine default is
-:data:`NULL_CAUSAL`, whose every operation is a no-op and whose
-``mint``/``child`` return ``None`` — the hot paths guard on
-``env.causal.enabled`` or ``trace_ctx is not None`` and pay nothing.
+:data:`NULL_CAUSAL`, whose one method, ``event``, is a no-op — every
+other call site guards on ``env.causal.enabled`` or ``trace_ctx is not
+None`` and pays nothing.
 """
 
 from __future__ import annotations
@@ -57,37 +57,17 @@ class TraceContext:
 
 
 class NullCausal:
-    """Disabled causal tracer: mint/child return None, recording is free."""
+    """Disabled causal tracer: records nothing.
+
+    Every other method's call sites check ``enabled`` (or a non-None
+    trace context) first, so ``event`` is the one method it needs.
+    """
 
     enabled = False
     flight = None
     __slots__ = ()
 
-    def mint(self) -> None:
-        return None
-
-    def child(self, parent: "TraceContext | None") -> None:
-        return None
-
-    def send(self, ctx, type_tag, nbytes, channel=None, **attrs) -> None:
-        pass
-
-    def recv(self, ctx, type_tag, nbytes, channel=None, **attrs) -> None:
-        pass
-
-    def match(self, ctx, waited_s, buffered) -> None:
-        pass
-
-    def join(self, ctx, nbytes, channel=None) -> None:
-        pass
-
     def event(self, name, ctx=None, **attrs) -> None:
-        pass
-
-    def channel_closed(self, channel, reason) -> None:
-        pass
-
-    def abort(self, reason, terminal="mpi.abort") -> None:
         pass
 
 

@@ -80,9 +80,6 @@ class CriticalPathReport:
         total = self.total_seconds
         return self.segment_seconds(segment) / total if total > 0 else 0.0
 
-    def stage(self, name: str) -> StageCriticalPath | None:
-        return next((s for s in self.stages if s.stage == name), None)
-
     def render(self) -> str:
         """Text table: one row per stage, one column per segment."""
         cols = ["stage", "crit task"] + list(SEGMENTS) + ["total"]
@@ -140,7 +137,7 @@ def analyze(flight: FlightRecorder, transport: str) -> CriticalPathReport:
     poll_tax = polls_for_messages(transport)
     index = flight.index()
     sends = index.send
-    recvs = index.recv_last  # the chain ends at the last delivery
+    recvs = index.recv
     waited = index.waited
     parent_of = index.parent_of
     children = index.children

@@ -328,8 +328,7 @@ class _Side:
 
 def _side_of(run: Any, label: str, transport: str | None) -> _Side:
     flight = flight_of(run)
-    # A side is labelled by the header it started with.
-    meta = dict(flight.index().first_meta)
+    meta = dict(flight.index().meta)
     transport = transport or getattr(run, "transport", None) or meta.get("transport")
     if not transport:
         raise ValueError(

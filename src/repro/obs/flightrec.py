@@ -67,20 +67,21 @@ def _make_encode() -> Callable[[Any], str]:
 
 _ENCODE = _make_encode()
 
-# The fields ``FlightEvent.as_dict`` lifts off an event, in sorted order.
+# The fields a line lifts off an event, in sorted order.
 _LIFTED = ("ev", "parent", "span", "t", "trace")
 
 
 def _line_encoder() -> Callable[["FlightEvent"], str]:
-    """``line(ev)``, equal to ``_ENCODE(ev.as_dict())``, from templates.
+    """``line(ev)``: one encoded object of the event's fields, from templates.
 
     A line is its attrs' encoded fields with the event's own (``ev``,
     ``t`` and the nonzero ids) spliced in at their sorted places.  Attrs
     are shared, one dict per distinct set, so each dict and set of
     nonzero ids becomes one ``%`` template per export, and an event
     costs the text of its own fields instead of a dict, a key sort and
-    an encode.  Attrs with a non-``str`` key, or with a key ``as_dict``
-    lets override an event field, take ``_ENCODE(ev.as_dict())``.
+    an encode.  Attrs with a key that would override an event field are
+    encoded as one dict (the attrs win); so are attrs with a non-``str``
+    key, which the sorted encode rejects with ``TypeError``.
     """
     encode, float_text, int_text = _ENCODE, float.__repr__, int.__repr__
     templates: dict[int, str | None] = {}  # by attrs id and zero ids
@@ -107,7 +108,12 @@ def _line_encoder() -> Callable[["FlightEvent"], str]:
         except KeyError:
             tpl = templates[key] = template(ev)
         if tpl is None:
-            return encode(ev.as_dict())
+            fields = {"t": ev.t, "ev": ev.name}
+            for k in ("trace", "span", "parent"):
+                if getattr(ev, k):
+                    fields[k] = getattr(ev, k)
+            fields.update(ev.attrs)
+            return encode(fields)
         name = ev.name
         text = names.get(name) if type(name) is str else None
         if text is None:
@@ -233,18 +239,6 @@ class FlightEvent:
         self.parent = parent
         self.attrs = {} if attrs is None else attrs
 
-    def as_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"t": self.t, "ev": self.name}
-        if self.trace:
-            d["trace"] = self.trace
-        if self.span:
-            d["span"] = self.span
-        if self.parent:
-            d["parent"] = self.parent
-        if self.attrs:
-            d.update(self.attrs)
-        return d
-
     def __getstate__(self):
         return (self.t, self.name, self.trace, self.span, self.parent, self.attrs)
 
@@ -262,23 +256,19 @@ class FlightIndex:
 
     Span tables are keyed by span id, trace tables by trace id; plain
     dicts and lists in record order (insertion order only — nothing here
-    depends on hash order).  Where the readers' conventions differ the
-    index carries each variant under its own name instead of picking one:
+    depends on hash order).  One table per fact, under the invariant every
+    recording keeps: a span has one ``msg.send``, at most one ``msg.recv``
+    and at most one ``mpi.match``, and a run one ``run.meta``
+    (``tests/obs/test_flight_index.py`` checks it on the committed
+    baselines and a traced crash per transport).  On a log that breaks it
+    the last event of each kind wins.
 
-    * ``send``        — span -> its *last* ``msg.send`` event (``t``,
-      ``nbytes``, ``leg``, ``type`` are read off the event);
-      ``send_order`` lists the span of *every* ``msg.send`` in record
-      order, duplicates kept (the timeline draws per send).
-    * ``recv_first`` / ``recv_last`` — time of the first / last
-      ``msg.recv`` of a span.  They differ only when one span is decoded
-      twice: the decoder records a ``msg.recv`` per decoded frame, and a
-      message written twice keeps its trace context (``ensure_trace``),
-      as may a hand-built log.  The replay model closes the wire leg at
-      the first delivery, the critical path ends its chain at the last.
-    * ``match_first`` — time of the first ``mpi.match``; ``waited`` sums
-      ``waited_s`` over all of a span's matches.
-    * ``close_first`` — time of the first ``msg.recv`` *or* ``mpi.match``
-      in record order (what the message timeline draws to).
+    * ``send``        — span -> its ``msg.send`` event (``t``, ``nbytes``,
+      ``leg``, ``type`` are read off the event), in send order.
+    * ``recv`` / ``match`` — time of a span's ``msg.recv`` / ``mpi.match``;
+      ``waited`` is the match's ``waited_s``.
+    * ``close_first`` — time of a span's ``msg.recv`` *or* ``mpi.match``,
+      whichever was recorded first (what the message timeline draws to).
     * ``aborted``     — spans tombstoned by ``span.aborted``.
     * ``parent_of`` / ``children`` / ``body_legs`` — the send-side causal
       edges (``children`` in send order; ``body_legs`` are the mpi-opt
@@ -293,10 +283,8 @@ class FlightIndex:
       ``stage`` attr reads as the label ``"?"`` for every reader.
     * ``job_submit`` / ``job_start`` — app -> time (last event wins,
       first-seen app order).  Non-empty means a multi-tenant trace.
-    * ``first_meta`` / ``meta`` — attrs of the first / last ``run.meta``
-      (``{}`` when the recording predates the header).  The diff labels
-      a side by the header it started with, the replay model re-times
-      under the geometry in force at the end.
+    * ``meta`` — attrs of the ``run.meta`` header (``{}`` when the
+      recording predates it).
 
     Tables are read-only by contract: every reader of one recording
     shares them.  :meth:`memoized` caches tables that are pure functions
@@ -305,21 +293,18 @@ class FlightIndex:
     """
 
     __slots__ = (
-        "send", "send_order", "recv_first", "recv_last", "match_first",
-        "close_first", "waited", "aborted", "parent_of", "children",
-        "body_legs", "trace_spans", "task_start", "task_finish",
-        "stage_pairs", "job_submit", "job_start", "first_meta", "meta",
+        "send", "recv", "match", "waited", "close_first", "aborted",
+        "parent_of", "children", "body_legs", "trace_spans", "task_start",
+        "task_finish", "stage_pairs", "job_submit", "job_start", "meta",
         "_memo",
     )
 
     def __init__(self, events: Iterable[FlightEvent]) -> None:
         send: dict[int, FlightEvent] = {}
-        send_order: list[int] = []
-        recv_first: dict[int, float] = {}
-        recv_last: dict[int, float] = {}
-        match_first: dict[int, float] = {}
-        close_first: dict[int, float] = {}
+        recv: dict[int, float] = {}
+        match: dict[int, float] = {}
         waited: dict[int, float] = {}
+        close_first: dict[int, float] = {}
         aborted: set[int] = set()
         parent_of: dict[int, int] = {}
         children: dict[int, list[int]] = {}
@@ -330,25 +315,23 @@ class FlightIndex:
         stage_pairs: list[tuple[str, FlightEvent, FlightEvent]] = []
         job_submit: dict[str, float] = {}
         job_start: dict[str, float] = {}
-        self.send, self.send_order = send, send_order
-        self.recv_first, self.recv_last = recv_first, recv_last
-        self.match_first, self.close_first = match_first, close_first
-        self.waited, self.aborted = waited, aborted
+        self.send, self.recv, self.match = send, recv, match
+        self.waited, self.close_first = waited, close_first
+        self.aborted = aborted
         self.parent_of, self.children = parent_of, children
         self.body_legs, self.trace_spans = body_legs, trace_spans
         self.task_start, self.task_finish = task_start, task_finish
         self.stage_pairs = stage_pairs
         self.job_submit, self.job_start = job_submit, job_start
+        self.meta: dict[str, Any] = {}
         self._memo: dict[Any, Any] = {}
         open_stages: dict[str, FlightEvent] = {}
-        metas: list[dict[str, Any]] = []
 
         for ev in events:
             name = ev.name
             if name == "msg.send":
                 span = ev.span
                 send[span] = ev
-                send_order.append(span)
                 parent = ev.parent
                 if parent:
                     parent_of[span] = parent
@@ -365,20 +348,15 @@ class FlightIndex:
                     trace_spans[trace] = [span]
             elif name == "msg.recv":
                 span = ev.span
-                recv_last[span] = t = ev.t
-                if span not in recv_first:
-                    recv_first[span] = t
-                    if span not in close_first:
-                        close_first[span] = t
+                recv[span] = t = ev.t
+                if span not in close_first:
+                    close_first[span] = t
             elif name == "mpi.match":
                 span = ev.span
-                if span in match_first:
-                    waited[span] += ev.attrs.get("waited_s", 0.0)
-                else:
-                    match_first[span] = t = ev.t
-                    waited[span] = ev.attrs.get("waited_s", 0.0)
-                    if span not in close_first:
-                        close_first[span] = t
+                match[span] = t = ev.t
+                waited[span] = ev.attrs.get("waited_s", 0.0)
+                if span not in close_first:
+                    close_first[span] = t
             elif name == "task.start":
                 task_start[ev.trace] = ev
             elif name == "task.finish":
@@ -397,10 +375,7 @@ class FlightIndex:
             elif name == "job.start":
                 job_start[ev.attrs.get("app", "")] = ev.t
             elif name == "run.meta":
-                metas.append(ev.attrs)
-
-        self.first_meta: dict[str, Any] = dict(metas[0]) if metas else {}
-        self.meta: dict[str, Any] = dict(metas[-1]) if metas else {}
+                self.meta = dict(ev.attrs)
 
     def memoized(self, key: Any, build: Callable[[], Any]) -> Any:
         """``build()``, computed once per ``key`` for this index."""

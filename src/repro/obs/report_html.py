@@ -128,7 +128,7 @@ def _timeline_svg(
     index = flight.index()
     sends = index.send
     closes = index.close_first  # a line ends at the first recv or match
-    spans = [s for s in index.send_order if s in closes]
+    spans = [s for s in sends if s in closes]
     if not spans:
         return "<p class='note'>no completed message spans in the flight log</p>"
     total = len(spans)

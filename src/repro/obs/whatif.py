@@ -198,8 +198,8 @@ def _global_legs(
     memoized on the index: a second model of the same recording (the
     HTML report's planner section) does not redo the sort.
     """
-    recvs = index.recv_first  # the payload is delivered once: first recv
-    matches = index.match_first
+    recvs = index.recv
+    matches = index.match
     waited = index.waited
     wire_legs: list[tuple[float, float]] = []
     dwell_legs: list[tuple[float, float]] = []

@@ -64,11 +64,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         if self._value is _PENDING:
             raise SimError("event not yet triggered")

@@ -196,10 +196,6 @@ class FluidNetwork:
         self._sync()
         return done
 
-    @property
-    def active_count(self) -> int:
-        return len(self.flows)
-
     def abort_flows(self, link_pred, exc_factory) -> int:
         """Fail every active flow crossing a link matching ``link_pred``.
 
@@ -225,18 +221,6 @@ class FluidNetwork:
             self._rerate(affected)
             self._sync()
         return len(victims)
-
-    def utilization(self, link: Hashable) -> float:
-        """Instantaneous share of a link's capacity in use.
-
-        Sums the live rates of the link's flows on demand, in fid order,
-        so the result never depends on set-iteration order.
-        """
-        found = self.links.get(link)
-        if found is None:
-            return 0.0
-        flows = self.flows
-        return sum(flows[fid].rate for fid in sorted(found.fids)) / found.cap
 
     # -- internals ----------------------------------------------------------
     def _register_link(self, key: Hashable, cap: float) -> _Link:

@@ -122,10 +122,6 @@ class SlotGate:
     def __len__(self) -> int:
         return self.held
 
-    @property
-    def waiting(self) -> int:
-        return len(self.queue)
-
     def request(self) -> Event:
         """Claim one slot; the event triggers once the cap admits it."""
         ev = Event(self.env)

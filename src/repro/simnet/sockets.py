@@ -100,10 +100,6 @@ class SimSocket:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         self._outbound.put_nowait(Segment(payload, nbytes))
 
-    def recv(self) -> Event:
-        """Event yielding the next :class:`Segment` (``eof`` on close)."""
-        return self._inbound.get()
-
     def recv_nowait(self) -> Segment | None:
         """Non-blocking take, used by the NIO selector loop."""
         return self._inbound.get_nowait()

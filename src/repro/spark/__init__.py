@@ -23,7 +23,6 @@ from repro.spark.rdd import (
     ParallelCollectionRDD,
     ShuffleDependency,
     ShuffledRDD,
-    TaskContext,
 )
 from repro.spark.standalone import StandaloneMaster, StandaloneWorker
 from repro.spark.tracing import JobTrace, StageTrace, TraceRecorder
@@ -41,7 +40,6 @@ __all__ = [
     "MapPartitionsRDD",
     "ShuffledRDD",
     "CoGroupedRDD",
-    "TaskContext",
     "Partitioner",
     "HashPartitioner",
     "RangePartitioner",

@@ -282,8 +282,6 @@ class SimExecutor:
         self.bytes_read_local = 0
         # Default fetch-request rotation: advances once per fetch_shuffle call.
         self._fetch_seq = 0
-        # Cleared by the recovery scheduler when this executor's node dies.
-        self.alive = True
         # Cluster-wide scheduler metrics (get-or-create: all executors
         # aggregate into the same counters), mirroring Spark's
         # shuffle-read/task metrics. Job-server applications publish into

@@ -21,7 +21,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.spark.dag import Job, Stage
-from repro.spark.rdd import ShuffleDependency, TaskContext
+from repro.spark.rdd import ShuffleDependency
 from repro.spark.tracing import StageTrace
 from repro.util.serialization import estimate_batch, sizeof
 
@@ -90,8 +90,9 @@ class MapOutputRegistry:
         return out
 
 
-class LocalTaskContext(TaskContext):
-    """Task context bound to the local backend's registries."""
+class LocalTaskContext:
+    """The execution context a running task reads: the local backend's
+    shuffle outputs and RDD cache."""
 
     def __init__(self, backend: "LocalBackend") -> None:
         self.backend = backend

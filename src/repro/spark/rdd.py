@@ -30,6 +30,7 @@ from repro.spark.partitioner import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.context import SparkContext
+    from repro.spark.local import LocalTaskContext
 
 
 class Dependency:
@@ -111,10 +112,10 @@ class RDD:
     # ------------------------------------------------------------------
     # subclass contract
     # ------------------------------------------------------------------
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         raise NotImplementedError
 
-    def iterator(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def iterator(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         """Compute (or fetch from cache) one partition.
 
         A cached partition is a tuple: once the collector has seen that
@@ -275,7 +276,7 @@ class ParallelCollectionRDD(RDD):
             for i in range(num_partitions)
         ]
 
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         return iter(self._slices[split])
 
 
@@ -292,7 +293,7 @@ class GeneratedRDD(RDD):
         super().__init__(ctx, num_partitions, deps=(), name=name)
         self._gen_fn = gen_fn
 
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         return iter(self._gen_fn(split))
 
 
@@ -310,7 +311,7 @@ class MapPartitionsRDD(RDD):
         )
         self._fn = fn
 
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         parent = self.deps[0].parent
         return iter(self._fn(parent.iterator(split, task_ctx)))
 
@@ -344,7 +345,7 @@ class ShuffledRDD(RDD):
             name=name,
         )
 
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         dep: ShuffleDependency = self.deps[0]  # type: ignore[assignment]
         records = task_ctx.shuffle_fetch(dep, split)
         agg = dep.aggregator
@@ -401,7 +402,7 @@ class CoGroupedRDD(RDD):
             name="cogroup",
         )
 
-    def compute(self, split: int, task_ctx: "TaskContext") -> Iterator[Any]:
+    def compute(self, split: int, task_ctx: "LocalTaskContext") -> Iterator[Any]:
         n = len(self.deps)
         groups: dict[Any, tuple[list[Any], ...]] = {}
         for idx, dep in enumerate(self.deps):
@@ -410,17 +411,3 @@ class CoGroupedRDD(RDD):
                     groups[k] = tuple([] for _ in range(n))
                 groups[k][idx].append(v)
         return iter(groups.items())
-
-
-class TaskContext:
-    """Execution context a backend provides to running tasks."""
-
-    def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> Iterator[Any]:
-        """Iterate the shuffle records destined for ``reduce_id``."""
-        raise NotImplementedError
-
-    def get_cached(self, rdd_id: int, split: int) -> tuple[Any, ...] | None:
-        return None
-
-    def put_cached(self, rdd_id: int, split: int, data: tuple[Any, ...]) -> None:
-        pass

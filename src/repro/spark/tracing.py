@@ -103,13 +103,5 @@ class TraceRecorder:
         self.jobs.append(trace)
         return trace
 
-    def find_stage(self, label_suffix: str) -> StageTrace:
-        """First stage whose label ends with ``label_suffix`` across jobs."""
-        for job in self.jobs:
-            for st in job.stages:
-                if st.label.endswith(label_suffix):
-                    return st
-        raise KeyError(f"no stage label ending in {label_suffix!r}")
-
     def all_stages(self) -> list[StageTrace]:
         return [st for job in self.jobs for st in job.stages]

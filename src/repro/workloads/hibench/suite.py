@@ -42,7 +42,6 @@ from repro.harness.profile import (
     spread_cpu,
 )
 from repro.harness.systems import SystemConfig
-from repro.harness.tracecache import get_or_trace
 from repro.spark.conf import SparkConf
 from repro.spark.context import SparkContext
 from repro.spark.tracing import SampleTrace
@@ -210,16 +209,6 @@ class HiBenchSpec:
         sc = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
         program(sc, **merged)
         return SampleTrace.from_recorder(sc.tracer, self.name, merged)
-
-    def sample_trace(self, **params) -> SampleTrace:
-        """The frozen sample trace, via the per-process trace memo."""
-        merged = {**SAMPLE_PARAM_DEFAULTS[self.name], **params}
-        return get_or_trace(
-            self.name,
-            merged,
-            lambda: self.trace_sample(**merged),
-            cost_constants=COSTS[self.name],
-        )
 
 
 # -- sample programs (real executions, traced) ------------------------------

@@ -64,12 +64,8 @@ class OhbWorkload:
         return COSTS[self.name]
 
     # -- real execution (sample scale) ---------------------------------------
-    def build_rdd(self, sc: SparkContext, num_pairs: int, num_partitions: int,
-                  value_bytes: int = 64, seed: int = 42):
-        """The OHB benchmark body as a real RDD program."""
-
-        gen = _pair_gen(seed, num_pairs, num_partitions, value_bytes)
-        pairs = sc.generated(num_partitions, gen, name=f"{self.name}-datagen")
+    def build_rdd(self, pairs, num_partitions: int):
+        """The OHB benchmark's wide operation on the generated ``pairs``."""
         if self.name == "GroupByTest":
             return pairs.group_by_key(num_partitions)
         if self.name == "SortByTest":
@@ -88,11 +84,7 @@ class OhbWorkload:
         gen = _pair_gen(1234, num_pairs, num_partitions, value_bytes)
         pairs = sc.generated(num_partitions, gen, name=f"{self.name}-datagen").cache()
         assert pairs.count() == (num_pairs // num_partitions) * num_partitions  # Job0
-        if self.name == "GroupByTest":
-            result = pairs.group_by_key(num_partitions)
-        else:
-            result = pairs.sort_by_key(num_partitions=num_partitions)
-        result.count()  # the shuffle job
+        self.build_rdd(pairs, num_partitions).count()  # the shuffle job
         return sc
 
     def trace_sample(self, **params) -> SampleTrace:

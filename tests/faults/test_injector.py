@@ -46,11 +46,17 @@ class TestArming:
             (NicDegradation(at_s=0.1, node_index=4), ValueError, "node 4"),
             (NicDegradation(at_s=0.1, node_index=1, factor=0.5), ValueError, "factor"),
             (FaultSpec(at_s=0.1), TypeError, "unknown fault spec"),
+            # a negative restore delay used to fail mid-run in nic-restore
+            (NicDegradation(at_s=0.1, node_index=1, duration_s=-0.5), ValueError,
+             "duration_s"),
+            # a negative time used to fire at arm time without a word
+            (ExecutorCrash(at_s=-0.1, exec_id=0), ValueError, "at_s"),
+            (NicDegradation(at_s=-0.1, node_index=1), ValueError, "at_s"),
         ],
     )
     def test_arm_rejects_specs_the_cluster_cannot_run(self, spec, error, match):
         env, cluster = make_cluster()
-        ex = SimpleNamespace(alive=True, node=cluster.node(2), exec_id=0)
+        ex = SimpleNamespace(node=cluster.node(2), exec_id=0)
         inj = FaultInjector(cluster, executors=[ex]).install(FaultPlan().add(spec))
         with pytest.raises(error, match=match):
             inj.arm()
@@ -64,12 +70,11 @@ class TestNodeAndExecutorFaults:
     def test_executor_crash_kills_executor_and_host(self):
         env, cluster = make_cluster()
         report = fresh_report()
-        ex = SimpleNamespace(alive=True, node=cluster.node(2), exec_id=0)
+        ex = SimpleNamespace(node=cluster.node(2), exec_id=0)
         plan = FaultPlan(seed=1).add(ExecutorCrash(at_s=0.5, exec_id=0))
         inj = FaultInjector(cluster, executors=[ex], report=report).install(plan)
         inj.arm()
         env.run()
-        assert ex.alive is False
         assert cluster.node(2).index in cluster.link_state.failed
         assert inj.fired == plan.specs
         assert len(report.timeline) == 1
@@ -78,6 +83,15 @@ class TestNodeAndExecutorFaults:
 
 
 class TestLinkFaults:
+    @pytest.mark.parametrize("duration_s, text", [
+        (None, "degrade NIC of node 1 x4 at +0.1s"),
+        (0.0, "degrade NIC of node 1 x4 at +0.1s for 0s"),
+        (0.4, "degrade NIC of node 1 x4 at +0.1s for 0.4s"),
+    ])
+    def test_describe_names_any_restore(self, duration_s, text):
+        spec = NicDegradation(at_s=0.1, node_index=1, duration_s=duration_s)
+        assert spec.describe() == text
+
     def test_nic_degradation_window(self):
         env, cluster = make_cluster()
         plan = FaultPlan(seed=1).add(

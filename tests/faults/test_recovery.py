@@ -1,4 +1,4 @@
-"""Spark-side recovery semantics: retries, resubmission, blacklist."""
+"""Spark-side recovery semantics: retries, resubmission, liveness."""
 
 from dataclasses import replace
 
@@ -18,6 +18,7 @@ from repro.faults.chaos import make_chaos_profile
 from repro.harness.profile import ShuffleReadStage
 from repro.harness.systems import INTERNAL_CLUSTER
 from repro.simnet.interconnect import DEFAULT_COST
+from repro.simnet.topology import DETECT_DELAY_S
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import MiB
 
@@ -29,9 +30,9 @@ def make_sim(n_workers=4, transport="nio", seed=0, **kw):
     )
 
 
-def run_with_plan(plan, transport="nio", n_workers=4):
+def run_with_plan(plan, transport="nio", n_workers=4, shuffle_bytes=64 * MiB, **kw):
     """Run the chaos profile under `plan`, armed at the read stage."""
-    sim = make_sim(n_workers, transport, seed=plan.seed)
+    sim = make_sim(n_workers, transport, seed=plan.seed, **kw)
     sim.launch()
     report = AvailabilityReport(
         scenario="unit", transport=transport, fault_mode="n/a", seed=plan.seed
@@ -45,7 +46,7 @@ def run_with_plan(plan, transport="nio", n_workers=4):
             injector.arm()
 
     sched.on_stage_start = arm_at_read
-    profile = make_chaos_profile(n_workers, 4, 64 * MiB)
+    profile = make_chaos_profile(n_workers, 4, shuffle_bytes)
     try:
         result = sched.run_profile(profile, deadline_s=60.0)
     finally:
@@ -55,7 +56,7 @@ def run_with_plan(plan, transport="nio", n_workers=4):
 
 class TestSparkDefaults:
     def test_defaults_mirror_spark(self):
-        # Blacklisting (always on) is checked by TestCrashRecovery.
+        # Liveness (a crashed executor is never placed on) is TestLiveness.
         assert recovery.MAX_TASK_FAILURES == 4
         assert recovery.MAX_STAGE_ATTEMPTS == 4
 
@@ -84,7 +85,6 @@ class TestCrashRecovery:
         plan = FaultPlan(seed=5).add(ExecutorCrash(at_s=0.005, exec_id=1))
         result, report = run_with_plan(plan)
         assert report.executors_lost == 1
-        assert report.blacklisted == 1
         assert report.stage_resubmissions >= 1
         # The resubmitted read stage finished: the job ran to completion.
         assert set(result.stage_seconds) == {"gen", "write", "read"}
@@ -113,6 +113,37 @@ class TestCrashRecovery:
         assert report.executors_lost == 0
         # A slow NIC is not a lost executor: fetches finish, just later.
         assert set(result.stage_seconds) == {"gen", "write", "read"}
+
+
+class TestLiveness:
+    """An executor is unusable from the instant its node crashes, before
+    the driver's detection delay runs out."""
+
+    @pytest.mark.parametrize("transport,mode", [("nio", "abort"), ("mpi-opt", "shrink")])
+    def test_crashed_executor_is_never_picked(self, transport, mode, monkeypatch):
+        picks = []  # (time, executor) of every placement decision
+        pick = ResilientScheduler._pick_executor
+
+        def recorded(self, t):
+            ex = pick(self, t)
+            picks.append((self.sim.env.now, ex.exec_id))
+            return ex
+
+        monkeypatch.setattr(ResilientScheduler, "_pick_executor", recorded)
+        # 2 GiB keeps both jobs running past the detection delay, so the
+        # resubmitted read stage places its tasks inside the window.
+        plan = FaultPlan(seed=5).add(ExecutorCrash(at_s=0.005, exec_id=1))
+        _, report = run_with_plan(
+            plan, transport, shuffle_bytes=2048 * MiB, mpi_fault_mode=mode
+        )
+        times = {ev.kind: ev.t_s for ev in report.timeline}
+        crashed, lost = times["ExecutorCrash"], times["ExecutorLost"]
+        assert lost == pytest.approx(crashed + DETECT_DELAY_S)
+        assert 1 in {e for t, e in picks if t < crashed}
+        after = [(t, e) for t, e in picks if t >= crashed]
+        assert [t for t, _ in after if t < lost]
+        assert 1 not in {e for _, e in after}
+        assert report.executors_lost == 1
 
 
 class TestSharedTaskBody:

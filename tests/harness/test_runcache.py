@@ -114,15 +114,14 @@ class TestKeying:
     def test_fingerprint_tracks_source_edits(self, tmp_path, monkeypatch):
         (tmp_path / "a.py").write_text("x = 1\n")
         monkeypatch.setattr(runcache, "_source_root", lambda: tmp_path)
-        runcache._reset_fingerprint_cache()
+        monkeypatch.setattr(runcache, "_FINGERPRINT", None)
         f1 = code_fingerprint()
-        runcache._reset_fingerprint_cache()
+        runcache._FINGERPRINT = None
         assert code_fingerprint() == f1  # stable while sources are
         (tmp_path / "a.py").write_text("x = 2\n")
-        runcache._reset_fingerprint_cache()
+        runcache._FINGERPRINT = None
         f2 = code_fingerprint()
         assert f2 != f1
-        runcache._reset_fingerprint_cache()
 
 
 class TestTiers:

@@ -20,7 +20,6 @@ from repro.harness.systems import FRONTERA
 from repro.harness.tracecache import get_or_trace, trace_key
 from repro.spark.tracing import SampleTrace
 from repro.util.units import GiB
-from repro.workloads.hibench import SPECS
 from repro.workloads.ohb import GROUP_BY, SORT_BY
 
 
@@ -144,15 +143,6 @@ class TestProfileIdentity:
         tracecache.clear_memory_cache()
         recold = rows()
         assert cold == warm == recold
-
-    def test_fig12_shaped_hibench_trace_identical_across_cache_states(self):
-        # HiBench profiles are analytic, so the memoised artifact here is
-        # the sample trace itself (the fig-12 correctness-side input).
-        spec = SPECS["TeraSort"]
-        cold = _canon_trace(spec.sample_trace())
-        warm = _canon_trace(spec.sample_trace())
-        uncached = _canon_trace(spec.trace_sample())
-        assert cold == warm == uncached
 
 
 class TestParallelWorkers:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jobserver import poisson_trace, trace_from_rows
+from repro.jobserver import poisson_trace
 from repro.util.units import MiB
 
 
@@ -51,14 +51,3 @@ class TestPoissonTrace:
         trace = poisson_trace(seed=1, n_jobs=0)
         assert len(trace) == 0
         assert trace.makespan_floor_s == 0.0
-
-
-class TestTraceFromRows:
-    def test_defaults_fill_in(self):
-        trace = trace_from_rows(
-            0, [{"workload": "GroupByTest", "submit_s": 1.5}]
-        )
-        job = trace.jobs[0]
-        assert job.app_id == 0
-        assert job.submit_s == 1.5
-        assert job.parallelism == 4

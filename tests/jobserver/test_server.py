@@ -2,19 +2,25 @@
 
 from repro.harness.systems import SYSTEMS
 from repro.jobserver import (
+    ArrivalTrace,
     FairShareScheduler,
     FifoScheduler,
+    JobRequest,
     JobServer,
     JobServerReport,
     PackingScheduler,
     poisson_trace,
     run_trace,
-    trace_from_rows,
 )
 from repro.spark.deploy import SparkSimCluster
 from repro.util.units import MiB
 
 SYSTEM = SYSTEMS["Frontera"]
+
+
+def rows_trace(seed, rows):
+    """An arrival trace of explicit rows, app ids in row order."""
+    return ArrivalTrace(seed, tuple(JobRequest(i, **row) for i, row in enumerate(rows)))
 
 
 def small_cluster(transport="nio", n_workers=2, seed=3, **kw):
@@ -93,8 +99,8 @@ class TestPerJobRngNamespacing:
     ]
 
     def test_two_job_run_reproduces_single_job_rows(self):
-        trace2 = trace_from_rows(5, self.ROWS)
-        solo_trace = trace_from_rows(5, self.ROWS[:1])
+        trace2 = rows_trace(5, self.ROWS)
+        solo_trace = rows_trace(5, self.ROWS[:1])
         solo = run_trace(small_cluster(), FifoScheduler(), solo_trace).records[0]
         pair = run_trace(small_cluster(), FifoScheduler(), trace2).records[0]
         assert solo.start_s == pair.start_s
@@ -124,7 +130,7 @@ class TestShutdownWithInFlightApps:
             {"workload": "SortByTest", "submit_s": 0.2, "nominal_bytes": 64 * MiB,
              "parallelism": 4, "fidelity": 0.25},
         ]
-        server = JobServer(sim, FifoScheduler(), trace_from_rows(5, rows))
+        server = JobServer(sim, FifoScheduler(), rows_trace(5, rows))
         server.start()
         sim.env.run(until=sim.env.now + 0.35)  # tenants mid-flight
         assert sim.apps, "expected an application still in flight"

@@ -128,14 +128,11 @@ def test_randomized_streams_match_reference(seed):
             failed.clear()
 
     assert matches == ref.matches
-    # Residual queues agree too, in arrival/post order respectively.
+    # Residual queues agree too, in arrival/post order respectively: a
+    # final sweep of every posted survivor fails them all in post order.
     assert [e.payload for e in engine.unexpected] == [
         e.payload for e in ref.unexpected
     ]
-    assert [p.request.req_id for p in engine.posted] == [
-        req_id for (_, _, _, req_id) in ref.posted
-    ]
-    # A final sweep of every survivor fails them all in post order.
     everyone = [req_id for (_, _, _, req_id) in ref.posted]
     assert engine.fail_posted(lambda p: True, RuntimeError) == len(everyone)
     env.run()

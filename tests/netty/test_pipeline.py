@@ -76,14 +76,16 @@ class TestPipelineStructure:
         p = channel.pipeline
         p.add_last("a", Recorder("a", log))
         p.add_last("b", Recorder("b", log))
-        assert p.names() == ["a", "b"]
+        p.fire_channel_active()
+        assert log == [("a", "active"), ("b", "active")]
 
     def test_add_first(self, channel):
         log = []
         p = channel.pipeline
         p.add_last("a", Recorder("a", log))
         p.add_first("z", Recorder("z", log))
-        assert p.names() == ["z", "a"]
+        p.fire_channel_active()
+        assert log == [("z", "active"), ("a", "active")]
 
     def test_duplicate_name_rejected(self, channel):
         p = channel.pipeline
@@ -152,7 +154,7 @@ class TestOutboundPropagation:
         env = channel.env
         promise = channel.write_and_flush("x")
         # Processed in place: there is no dispatch left to wait for.
-        assert promise.processed and promise.ok
+        assert promise.callbacks is None and promise.ok
 
         def late_waiter(env):
             yield promise
@@ -173,7 +175,7 @@ class TestOutboundPropagation:
 
         channel.pipeline.add_last("obs", Observer())
         promise = channel.write_and_flush("x")
-        assert promise.triggered and not promise.processed and seen == []
+        assert promise.triggered and promise.callbacks is not None and seen == []
         channel.env.run()
         assert seen == ["x"]
 

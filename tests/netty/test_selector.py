@@ -201,7 +201,7 @@ class TestParkWaiters:
         assert key.waiter is None
         server_sock.send("late", 10)  # fires the dropped waiter
         env.run()
-        assert waiter.processed and woke == []
+        assert waiter.callbacks is None and woke == []
 
     def test_stale_waiter_does_not_wake_a_later_park(self, rig):
         env, cluster, stack = rig
@@ -221,9 +221,9 @@ class TestParkWaiters:
             channel.socket.abort()
             assert channel.socket.recv_nowait().eof
             spent = key.waiter
-            assert spent.triggered and not spent.processed
+            assert spent.triggered and spent.callbacks is not None
             yield from selector.select()
-            assert key.waiter is not spent and spent.processed
+            assert key.waiter is not spent and spent.callbacks is None
             woke.append(env.now - t0)
 
         def waker(env):
@@ -273,7 +273,7 @@ class TestPendingWaiterWitness:
         selector, key, channel, _ = self._parked(env, stack)
         now = env.now
         channel.socket.abort()  # queues an EOF on the local inbound store
-        assert key.waiter.triggered and not key.waiter.processed
+        assert key.waiter.triggered and key.waiter.callbacks is not None
         assert env.now == now
         assert selector.select_now() == [key]
 

@@ -19,6 +19,11 @@ from repro.obs.flightrec import FlightRecorder
 from repro.spark.deploy import SparkSimCluster
 
 
+def _stage(report, name):
+    """The stage of ``report`` labelled ``name``, or None."""
+    return next((s for s in report.stages if s.stage == name), None)
+
+
 def synthetic_flight() -> FlightRecorder:
     """Two stages; the read stage's critical task has a known chain.
 
@@ -58,7 +63,7 @@ class TestSyntheticAnalysis:
     def test_segment_decomposition_under_basic(self):
         report = analyze(synthetic_flight(), "mpi-basic")
         assert [s.stage for s in report.stages] == ["Job0-write", "Job0-read"]
-        read = report.stage("Job0-read")
+        read = _stage(report, "Job0-read")
         assert read.task == "Job0-read-task1"  # last finisher wins
         assert read.seconds("compute") == pytest.approx(0.07)
         # wire = both legs minus the matching dwell
@@ -67,7 +72,7 @@ class TestSyntheticAnalysis:
         assert read.seconds("poll-tax") == pytest.approx(0.03)
         # fetch wait not covered by the extracted chain (0.40 - 0.10)
         assert read.seconds("fetch-wait") == pytest.approx(0.35 - 0.30)
-        write = report.stage("Job0-write")
+        write = _stage(report, "Job0-write")
         assert write.segments == pytest.approx(
             {"compute": 0.1, "serialize": 0.3}
         )
@@ -75,7 +80,7 @@ class TestSyntheticAnalysis:
     def test_dwell_is_queue_not_poll_tax_off_basic(self):
         for transport in ("nio", "rdma", "mpi-opt"):
             report = analyze(synthetic_flight(), transport)
-            read = report.stage("Job0-read")
+            read = _stage(report, "Job0-read")
             assert read.seconds("poll-tax") == 0.0
             assert read.seconds("queue") == pytest.approx(0.05 + 0.03)
             # total is invariant under the classification
@@ -87,16 +92,16 @@ class TestSyntheticAnalysis:
         # The name resolves to the trait; a name this tree does not know
         # (a recording loaded from disk) is not poll-sensitive, not an error.
         basic = analyze(synthetic_flight(), "mpi-basic")
-        assert basic.stage("Job0-read").seconds("poll-tax") == pytest.approx(0.03)
+        assert _stage(basic, "Job0-read").seconds("poll-tax") == pytest.approx(0.03)
         unknown = analyze(synthetic_flight(), "some-future-transport")
-        assert unknown.stage("Job0-read").seconds("poll-tax") == 0.0
+        assert _stage(unknown, "Job0-read").seconds("poll-tax") == 0.0
 
     def test_rollups_and_shares(self):
         report = analyze(synthetic_flight(), "mpi-basic")
         assert report.total_seconds == pytest.approx(0.42 + 0.4)
         assert sum(report.share(seg) for seg in SEGMENTS) == pytest.approx(1.0)
         assert report.share("poll-tax") == pytest.approx(0.03 / 0.82)
-        assert report.stage("nope") is None
+        assert _stage(report, "nope") is None
 
     def test_render_table(self):
         text = analyze(synthetic_flight(), "mpi-basic").render()
@@ -141,7 +146,7 @@ class TestRollupAccessors:
         assert a.segments == {"sched-wait": pytest.approx(0.5)}
         assert (b.start_s, b.end_s) == (0.0, 0.2)
         # app-c started instantly: queueing contributed nothing, no row.
-        assert report.stage("app-c:sched-wait") is None
+        assert _stage(report, "app-c:sched-wait") is None
 
     def test_sched_wait_rolls_up_like_any_segment(self):
         report = analyze(multi_tenant_flight(), "mpi-basic")
@@ -166,7 +171,7 @@ class TestRollupAccessors:
             for seg in SEGMENTS:
                 assert s.seconds(seg) >= 0.0
             assert s.seconds("no-such-segment") == 0.0
-        read = report.stage("Job0-read")
+        read = _stage(report, "Job0-read")
         assert read.total_s == pytest.approx(
             sum(read.seconds(seg) for seg in SEGMENTS)
         )

@@ -2,10 +2,12 @@
 
 Every analysis (critpath, what-if, diff, the HTML report) reads a
 recording through ``FlightRecorder.index()``.  These tests pin the index
-against a deliberately naive reading of the same log, the conventions
-the readers disagree on (and which variant each reads), the invalidation
-and pickling rules, and the fence the whole design exists for: a full
-round of analyses walks ``flight.events`` once.
+against a deliberately naive reading of the same log, the invariant its
+one-table-per-fact design rests on (one send, at most one recv and one
+match per span, one ``run.meta`` per run) on committed and live
+recordings, what each reader takes from it, the invalidation and
+pickling rules, and the fence the whole design exists for: a full round
+of analyses walks ``flight.events`` once.
 """
 
 import pickle
@@ -17,8 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import ChaosScenario, ExecutorCrash, FaultInjector, FaultPlan
+from repro.faults.recovery import JobFailedError, ResilientScheduler
 from repro.harness.blame import BLAME_TRANSPORTS, baseline_path
 from repro.harness.experiments import _run_ohb
+from repro.harness.profile import ShuffleReadStage
+from repro.harness.systems import INTERNAL_CLUSTER
 from repro.obs import analyze, critical_path, diff_runs, render_report, stage_bounds
 from repro.obs.causal import TraceContext
 from repro.obs.flightrec import FlightEvent, FlightIndex, FlightRecorder, flight_of
@@ -27,7 +33,7 @@ from repro.obs.tracer import chrome_trace
 from repro.obs.whatif import ReplayModel
 from repro.spark.deploy import RunResult
 from repro.transports import TRANSPORTS
-from repro.util.units import GiB
+from repro.util.units import GiB, MiB
 from repro.workloads.ohb import GROUP_BY
 
 REPO = Path(__file__).resolve().parents[2]
@@ -118,17 +124,12 @@ def _naive_tables(events):
     metas = [e for e in events if e.name == "run.meta"]
     return {
         "send": {e.span: e for e in sends},
-        "send_order": [e.span for e in sends],
-        "recv_first": _first((e.span, e.t) for e in recvs),
-        "recv_last": {e.span: e.t for e in recvs},
-        "match_first": _first((e.span, e.t) for e in matches),
+        "recv": {e.span: e.t for e in recvs},
+        "match": {e.span: e.t for e in matches},
+        "waited": {e.span: e.attrs.get("waited_s", 0.0) for e in matches},
         "close_first": _first(
             (e.span, e.t) for e in events if e.name in ("msg.recv", "mpi.match")
         ),
-        "waited": {
-            span: sum(e.attrs.get("waited_s", 0.0) for e in matches if e.span == span)
-            for span in _first((e.span, None) for e in matches)
-        },
         "aborted": {e.span for e in events if e.name == "span.aborted"},
         "parent_of": {e.span: e.parent for e in sends if e.parent},
         "children": {
@@ -149,7 +150,6 @@ def _naive_tables(events):
         "job_start": {
             e.attrs.get("app", ""): e.t for e in events if e.name == "job.start"
         },
-        "first_meta": metas[0].attrs if metas else {},
         "meta": metas[-1].attrs if metas else {},
     }
 
@@ -178,11 +178,11 @@ def _log(*rows):
     ("stage.start", 0, {"stage": "A"}), ("stage.start", 0, {}),
     ("stage.start", 0, {"stage": "A"}), ("stage.finish", 0, {"stage": "A"}),
 ))
-# match before recv, duplicate recv and match, resend of a closed span
+# match before recv, a body leg, a recv of a span this log never sent
 @example(_log(
     ("msg.send", 1, {"nbytes": 64}), ("mpi.match", 1, {"waited_s": 0.25}),
-    ("msg.recv", 1, {}), ("msg.recv", 1, {}), ("mpi.match", 1, {"waited_s": 0.5}),
-    ("msg.send", 1, {"nbytes": 1 << 20, "leg": "mpi-body"}), ("msg.recv", 2, {}),
+    ("msg.recv", 1, {}), ("msg.send", 2, {"nbytes": 1 << 20, "leg": "mpi-body"}),
+    ("msg.recv", 3, {}),
 ))
 def test_every_table_equals_the_naive_reading(events):
     index = FlightIndex(events)
@@ -226,22 +226,79 @@ def test_naive_reading_covers_every_table():
     assert tables == set(_naive_tables([]))
 
 
-# -- the conventions the readers disagree on ----------------------------------
+# -- the invariant the tables rest on ------------------------------------------
 
-def _disagreeing_flight() -> FlightRecorder:
-    """A log on which first/last recv, first/last meta and the missing
-    ``stage`` attr all give different answers.
+def _assert_one_of_each(flight):
+    """One ``msg.send``, at most one ``msg.recv`` and one ``mpi.match`` per
+    span, and one ``run.meta``: the facts ``FlightIndex`` keeps one table
+    each for."""
+    counts = {}
+    metas = 0
+    for ev in flight.events:
+        if ev.name in ("msg.send", "msg.recv", "mpi.match"):
+            key = (ev.span, ev.name)
+            counts[key] = counts.get(key, 0) + 1
+        metas += ev.name == "run.meta"
+    sends = {span for span, name in counts if name == "msg.send"}
+    assert sends
+    assert {span for span, _ in counts} <= sends
+    assert max(counts.values()) == 1
+    assert metas == 1
 
-    Trace 1's response (span 11, child of request span 10) is delivered
-    at 0.40 and decoded again at 0.60; a second ``run.meta``
-    changes transport and slot width mid-log; one stage pair carries no
-    ``stage`` attr.
+
+@pytest.mark.parametrize("transport", BLAME_TRANSPORTS)
+def test_committed_baselines_keep_one_event_per_fact(transport):
+    _assert_one_of_each(
+        FlightRecorder.load_jsonl(str(baseline_path(transport, REPO / "baselines")))
+    )
+
+
+@pytest.mark.parametrize("transport,mode", [
+    ("nio", "abort"), ("rdma", "abort"), ("mpi-basic", "abort"),
+    ("mpi-opt", "abort"), ("mpi-opt", "shrink"), ("mpi-coll", "shrink"),
+])
+def test_traced_crash_runs_keep_one_event_per_fact(transport, mode):
+    """A crash mid-read: retries, resubmission, tombstones or world abort."""
+    scenario = ChaosScenario(
+        name="index", system=INTERNAL_CLUSTER, n_workers=4, transport=transport,
+        plan=FaultPlan(seed=7).add(ExecutorCrash(at_s=0.005, exec_id=1)),
+        mpi_fault_mode=mode, obs_causal=True,
+        shuffle_bytes=(256 if transport == "mpi-coll" else 64) * MiB,
+    )
+    sim = scenario.build_cluster()
+    sim.launch()
+    injector = FaultInjector(sim.cluster, executors=sim.executors)
+    injector.install(scenario.plan)
+    sched = ResilientScheduler(sim)
+
+    def arm_at_read(stage):
+        if isinstance(stage, ShuffleReadStage) and not injector._armed:
+            injector.arm()
+
+    sched.on_stage_start = arm_at_read
+    try:
+        sched.run_profile(scenario.build_profile(), scenario.deadline_s)
+    except JobFailedError:
+        assert mode == "abort"
+    finally:
+        sim.shutdown()
+    assert injector.fired == scenario.plan.specs
+    _assert_one_of_each(sim.env.causal.flight)
+
+
+# -- what each reader takes from the index --------------------------------------
+
+def _flight() -> FlightRecorder:
+    """A one-task log whose response is matched before it is received.
+
+    Trace 1's response (span 11, child of request span 10) is matched at
+    0.30 and decoded at 0.40; one stage pair carries no ``stage`` attr.
     """
     rec = FlightRecorder()
     task = TraceContext(1, 1)
     req, resp = TraceContext(1, 10, 1), TraceContext(1, 11, 10)
-    rec.record(0.0, "run.meta", None, transport="nio", n_workers=1,
-               slots_per_executor=1, compute_inflation=1.0)
+    rec.record(0.0, "run.meta", None, transport="mpi-opt", n_workers=1,
+               slots_per_executor=2, compute_inflation=1.0)
     rec.record(0.0, "stage.start", None, n_tasks=1)  # no stage attr
     rec.record(0.0, "task.start", task, task="?-task0", exec=0)
     rec.record(0.10, "msg.send", req, type=0, nbytes=32)
@@ -249,48 +306,43 @@ def _disagreeing_flight() -> FlightRecorder:
     rec.record(0.25, "msg.send", resp, type=1, nbytes=4096)
     rec.record(0.30, "mpi.match", resp, waited_s=0.0)
     rec.record(0.40, "msg.recv", resp, type=1, nbytes=4096)
-    rec.record(0.60, "msg.recv", resp, type=1, nbytes=4096)  # decoded twice
     rec.record(0.70, "task.finish", task, task="?-task0", exec=0,
                fetch_wait_s=0.6, local_s=0.0)
     rec.record(0.70, "stage.finish", None)
-    rec.record(0.70, "run.meta", None, transport="mpi-opt", n_workers=1,
-               slots_per_executor=2, compute_inflation=1.0)
     return rec
 
 
 class TestReaderConventions:
-    def test_index_names_both_variants(self):
-        index = _disagreeing_flight().index()
-        assert (index.recv_first[11], index.recv_last[11]) == (0.40, 0.60)
-        assert index.match_first[11] == index.close_first[11] == 0.30
-        assert index.first_meta["transport"] == "nio"
+    def test_index_keeps_one_table_per_fact(self):
+        index = _flight().index()
+        assert (index.recv[11], index.match[11]) == (0.40, 0.30)
+        assert index.close_first[11] == 0.30
         assert index.meta["transport"] == "mpi-opt"
         assert [label for label, _, _ in index.stage_pairs] == ["?"]
 
     def test_critpath_ends_the_chain_at_the_last_recv(self):
-        stage = analyze(_disagreeing_flight(), "nio").stage("?")
-        # wire = request leg + (last recv 0.60 - send 0.25)
-        assert stage.seconds("wire") == pytest.approx(0.10 + 0.35)
-        assert stage.seconds("fetch-wait") == pytest.approx(0.6 - 0.5)
+        stage = analyze(_flight(), "nio").stages[0]
+        # wire = request leg + (recv 0.40 - send 0.25)
+        assert stage.seconds("wire") == pytest.approx(0.10 + 0.15)
+        assert stage.seconds("fetch-wait") == pytest.approx(0.6 - 0.3)
 
     def test_whatif_closes_the_leg_at_the_first_recv_and_reads_last_meta(self):
-        model = ReplayModel.from_flight(_disagreeing_flight())
+        model = ReplayModel.from_flight(_flight())
         assert (model.transport, model.slots_per_executor) == ("mpi-opt", 2)
         # a missing stage attr is the label "?" here too (was a KeyError)
         assert [s.label for s in model.stages] == ["?"]
-        # busy wire: request [0.10, 0.20] + eager response [0.25, 0.30];
-        # the retransmit's second delivery adds nothing
+        # busy wire: request [0.10, 0.20] + eager response [0.25, 0.30]
         assert model.stages[0].tasks[0].wire == pytest.approx(0.10 + 0.05)
 
     def test_timeline_draws_to_the_first_recv_or_match(self):
-        svg = _timeline_svg(_disagreeing_flight())
+        svg = _timeline_svg(_flight())
         assert f"4096B {0.30 - 0.25:.6f}s" in svg
 
     def test_diff_labels_a_side_by_its_first_meta(self):
-        flight = _disagreeing_flight()
+        flight = _flight()
         report = diff_runs(flight, flight)
-        assert report.transport_a == report.transport_b == "nio"
-        assert report.meta_a["slots_per_executor"] == 1
+        assert report.transport_a == report.transport_b == "mpi-opt"
+        assert report.meta_a["slots_per_executor"] == 2
         assert list(stage_bounds(flight)) == ["?"]
 
 
@@ -320,7 +372,7 @@ def test_whatif_reads_a_recorded_rendezvous_threshold_of_zero():
     lambda run: diff_runs(run, run),
 ], ids=["critical_path", "ReplayModel.from_result", "chrome_trace", "diff_runs"])
 def test_readers_take_runs_through_flight_of(reader):
-    rec = _disagreeing_flight()
+    rec = _flight()
     assert flight_of(rec) is rec
     assert flight_of(SimpleNamespace(flight=rec)) is rec
     with pytest.raises(ValueError, match="^int carries no flight recording"):
@@ -338,11 +390,11 @@ def test_readers_take_runs_through_flight_of(reader):
 
 class TestInvalidation:
     def test_index_is_reused_while_the_log_is_unchanged(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         assert rec.index() is rec.index()
 
     def test_record_after_index_rebuilds(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         before = rec.index()
         rec.record(0.8, "msg.send", TraceContext(1, 12, 1), nbytes=8)
         after = rec.index()
@@ -361,7 +413,7 @@ class TestInvalidation:
         assert list(after.send) == [2, 3, 4]
 
     def test_memo_lives_and_dies_with_the_index(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         built = []
         rec.index().memoized("k", lambda: built.append(1) or "v")
         assert rec.index().memoized("k", lambda: built.append(1)) == "v"
@@ -374,18 +426,18 @@ class TestInvalidation:
 
 class TestPickling:
     def test_pickle_carries_the_log_alone(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         rec.span_open(TraceContext(1, 13), channel="c0")
         plain = pickle.dumps(rec)
         ReplayModel.from_flight(rec)  # builds the index and fills its memo
         assert pickle.dumps(rec) == plain
 
     def test_loaded_recorder_indexes_lazily(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         rec.index()
         loaded = pickle.loads(pickle.dumps(rec))
         assert "_index" not in vars(loaded)
-        assert loaded.index().recv_last == rec.index().recv_last
+        assert loaded.index().recv == rec.index().recv
         assert "_index" in vars(loaded)
 
 
@@ -393,7 +445,7 @@ class TestPickling:
 
 class TestMultiTenant:
     def _flight(self):
-        rec = _disagreeing_flight()
+        rec = _flight()
         rec.record(0.0, "job.submit", None, app="app-a")
         rec.record(0.3, "job.start", None, app="app-a")
         return rec
@@ -411,7 +463,7 @@ class TestMultiTenant:
             )
             return render_report([(result, analyze(flight, "nio"))])
 
-        assert "capacity planner" in page(_disagreeing_flight())
+        assert "capacity planner" in page(_flight())
         multi = page(self._flight())
         assert "capacity planner" not in multi
         assert "app-a:sched-wait" in multi

@@ -50,12 +50,13 @@ class TestRecording:
         assert ev.attrs == {"type": 1, "nbytes": 64}
         assert len(rec) == 1
 
-    def test_as_dict_omits_zero_ids(self):
-        plain = FlightRecorder().record(1.0, "stage.start", None, stage="s")
-        assert plain.as_dict() == {"t": 1.0, "ev": "stage.start", "stage": "s"}
-        traced = FlightRecorder().record(1.0, "msg.send", ctx(2, 5))
-        d = traced.as_dict()
-        assert d["trace"] == 2 and d["span"] == 5 and "parent" not in d
+    def test_export_omits_zero_ids(self):
+        rec = FlightRecorder()
+        rec.record(1.0, "stage.start", None, stage="s")
+        rec.record(1.0, "msg.send", ctx(2, 5))
+        plain, traced = map(json.loads, rec.to_jsonl().splitlines())
+        assert plain == {"t": 1.0, "ev": "stage.start", "stage": "s"}
+        assert traced["trace"] == 2 and traced["span"] == 5 and "parent" not in traced
 
     def test_capacity_bound_drops_oldest_and_counts(self):
         rec = FlightRecorder(capacity=4)
@@ -313,7 +314,7 @@ class TestPickling:
         ev = FlightEvent(1.5, "msg.send", trace=2, span=3, parent=1,
                          attrs={"nbytes": 4})
         back = pickle.loads(pickle.dumps(ev))
-        assert back.as_dict() == ev.as_dict()
+        assert back.__getstate__() == ev.__getstate__()
         c = pickle.loads(pickle.dumps(ctx(5, 6, 4)))
         assert (c.trace_id, c.span_id, c.parent_id) == (5, 6, 4)
 

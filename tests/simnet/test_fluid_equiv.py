@@ -175,6 +175,16 @@ class ReferenceFluidNetwork:
         self._rerate(self._affected(flow.links))
 
 
+def utilization(net, link):
+    """Share of ``link``'s capacity in use, summed in fid order."""
+    if isinstance(net, ReferenceFluidNetwork):
+        return net.utilization(link)
+    found = net.links.get(link)
+    if found is None:
+        return 0.0
+    return sum(net.flows[fid].rate for fid in sorted(found.fids)) / found.cap
+
+
 def _random_scenario(rng):
     """One op stream: links with fixed caps, transfers, aborts, probes."""
     links = {}
@@ -244,7 +254,7 @@ def _run_scenario(net_factory, keys, ops, marks=(), fence=None):
                 log.append(("abort", tag, env.now, n))
             else:
                 _, _, tag = op
-                util = tuple(net.utilization(k) for k in keys)
+                util = tuple(utilization(net, k) for k in keys)
                 log.append(("probe", tag, env.now, util))
             if fence is not None:
                 fence(net)

@@ -255,7 +255,7 @@ class TestInterrupt:
         victim = env.process(victim_body(env))
         env.process(interrupter(env, victim))
         env.run(until=env.timeout(10))
-        assert signal.processed
+        assert signal.callbacks is None
         assert victim.value == (6.0, "timeout")
 
     def test_stale_timeout_does_not_re_resume_finished_process(self, env):
@@ -302,7 +302,7 @@ class TestEvents:
     def test_complete_unobserved_is_processed_in_place(self, env):
         ev = env.event()
         assert ev.complete("done") is ev
-        assert ev.processed and ev.ok and ev.value == "done"
+        assert ev.callbacks is None and ev.ok and ev.value == "done"
         assert not env._heap  # nothing was scheduled
 
         def late_waiter(env):
@@ -320,9 +320,9 @@ class TestEvents:
         seen = []
         ev.add_callback(lambda e: seen.append(e.value))
         ev.complete("done")
-        assert ev.triggered and not ev.processed and seen == []
+        assert ev.triggered and ev.callbacks is not None and seen == []
         env.run()
-        assert ev.processed and seen == ["done"]
+        assert ev.callbacks is None and seen == ["done"]
 
     def test_fail_requires_exception(self, env):
         with pytest.raises(TypeError):
@@ -365,7 +365,7 @@ class TestEvents:
 
         env.process(firer(env))
         env.run()  # drains the schedule; ev is processed here
-        assert ev.processed
+        assert ev.callbacks is None
         assert env.run(until=ev) == "done-early"
 
     def test_run_until_already_failed_event_raises(self, env):
@@ -477,7 +477,7 @@ class TestConditions:
         done = env.event()
         done.succeed("early")
         env.run()
-        assert done.processed
+        assert done.callbacks is None
         before, after = env.event(), env.event()
         cond = AnyOf(env, [before, done, after])
         assert cond.triggered

@@ -172,7 +172,7 @@ class TestSlotGate:
             env.process(worker(env, i))
         env.run()
         assert max(peak) == 2
-        assert (gate.held, gate.waiting) == (0, 0)
+        assert (gate.held, len(gate.queue)) == (0, 0)
 
     def test_fifo_grant_order(self, env):
         gate = SlotGate(env, capacity=1)
@@ -217,12 +217,12 @@ class TestSlotGate:
         held = gate.request()
         queued = gate.request()
         assert held.triggered and not queued.triggered
-        assert (gate.held, gate.waiting) == (1, 1)
+        assert (gate.held, len(gate.queue)) == (1, 1)
         gate.cancel(queued)  # withdraw from the queue
-        assert (gate.held, gate.waiting) == (1, 0)
+        assert (gate.held, len(gate.queue)) == (1, 0)
         gate.cancel(held)
         env.run()
-        assert (gate.held, gate.waiting) == (0, 0)
+        assert (gate.held, len(gate.queue)) == (0, 0)
         assert not queued.triggered  # a withdrawn claim never triggers
 
     def test_release_with_nothing_held_raises(self, env):
@@ -245,14 +245,14 @@ class TestSlotGate:
         claims = [gate.request() for _ in range(3)]
         env.run()
         assert not any(claim.triggered for claim in claims)
-        assert (gate.held, gate.waiting) == (0, 3)
+        assert (gate.held, len(gate.queue)) == (0, 3)
 
     def test_raising_capacity_wakes_waiters_in_order(self, env):
         gate = SlotGate(env, capacity=0)
         claims = [gate.request() for _ in range(3)]
         gate.set_capacity(2)
         assert [claim.triggered for claim in claims] == [True, True, False]
-        assert (gate.held, gate.waiting) == (2, 1)
+        assert (gate.held, len(gate.queue)) == (2, 1)
 
     def test_lowering_capacity_never_preempts_a_holder(self, env):
         gate = SlotGate(env, capacity=2)

@@ -7,6 +7,13 @@ from repro.simnet.sockets import SocketAddress, SocketError, SocketStack
 from repro.util.units import KiB, MiB
 
 
+def recv(sock):
+    """The next segment, read the way the NIO loop reads: wait until the
+    socket is readable, then take without blocking."""
+    yield sock.when_readable()
+    return sock.recv_nowait()
+
+
 @pytest.fixture
 def env():
     return SimEngine()
@@ -77,7 +84,7 @@ class TestDataTransfer:
         env, client, server = self._establish(rig)
 
         def receiver(env):
-            seg = yield server.recv()
+            seg = yield from recv(server)
             return seg.payload
 
         client.send({"msg": "hello"}, nbytes=100)
@@ -92,7 +99,7 @@ class TestDataTransfer:
 
         def receiver(env):
             for _ in range(3):
-                seg = yield server.recv()
+                seg = yield from recv(server)
                 got.append(seg.payload)
 
         client.send("big", nbytes=4 * MiB)
@@ -107,11 +114,11 @@ class TestDataTransfer:
 
         def ping(env):
             client.send("ping", 64)
-            seg = yield client.recv()
+            seg = yield from recv(client)
             return seg.payload
 
         def pong(env):
-            seg = yield server.recv()
+            seg = yield from recv(server)
             server.send(seg.payload + "->pong", 64)
 
         p = env.process(ping(env))
@@ -124,7 +131,7 @@ class TestDataTransfer:
         t0 = env.now
 
         def receiver(env):
-            yield server.recv()
+            yield from recv(server)
             return env.now - t0
 
         client.send("payload", nbytes=4 * MiB)
@@ -137,8 +144,8 @@ class TestDataTransfer:
         env, client, server = self._establish(rig)
 
         def receiver(env):
-            yield server.recv()
-            yield server.recv()
+            yield from recv(server)
+            yield from recv(server)
 
         client.send("a", 100)
         client.send("b", 200)
@@ -151,9 +158,9 @@ class TestDataTransfer:
         env, client, server = self._establish(rig)
 
         def receiver(env):
-            seg = yield server.recv()
+            seg = yield from recv(server)
             first = seg
-            seg = yield server.recv()
+            seg = yield from recv(server)
             return (first.payload, seg.eof)
 
         client.send("last", 10)

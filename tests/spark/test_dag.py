@@ -3,6 +3,13 @@
 import pytest
 
 from repro.spark import SparkConf, SparkContext
+from repro.spark.tracing import SampleTrace
+
+
+def map_stage(sc):
+    """The shuffle-map stage of ``sc``'s traced jobs, read the way
+    ``OhbWorkload.build_profile`` reads a sample trace."""
+    return SampleTrace.from_recorder(sc.tracer, "test", {}).find_stage("ShuffleMapStage")
 
 
 @pytest.fixture
@@ -94,7 +101,7 @@ class TestTraces:
     def test_shuffle_matrix_accounts_all_bytes(self, sc):
         rdd = sc.range(100, 4).map(lambda x: (x % 8, x)).group_by_key(4)
         rdd.count()
-        trace = sc.tracer.find_stage("ShuffleMapStage")
+        trace = map_stage(sc)
         assert trace.shuffle_matrix is not None
         assert trace.shuffle_matrix.shape == (4, 4)
         assert trace.total_shuffle_bytes > 0
@@ -103,7 +110,7 @@ class TestTraces:
     def test_result_stage_fetch_matrix(self, sc):
         rdd = sc.range(100, 4).map(lambda x: (x % 8, x)).group_by_key(4)
         rdd.count()
-        map_trace = sc.tracer.find_stage("ShuffleMapStage")
+        map_trace = map_stage(sc)
         result_trace = sc.tracer.jobs[-1].stages[-1]
         assert result_trace.fetch_matrix is not None
         # fetch_matrix is the transpose view of the shuffle matrix.
@@ -121,4 +128,4 @@ class TestTraces:
 
     def test_find_stage_missing_raises(self, sc):
         with pytest.raises(KeyError):
-            sc.tracer.find_stage("nope")
+            SampleTrace.from_recorder(sc.tracer, "test", {}).find_stage("nope")

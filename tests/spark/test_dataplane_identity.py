@@ -37,7 +37,7 @@ from repro.spark.tracing import StageTrace
 from repro.util.serialization import _PRIMITIVE_SIZES, estimate_size, sizeof
 from repro.workloads import ohb
 from repro.workloads.hibench.suite import SAMPLE_PROGRAMS, SPECS
-from repro.workloads.ohb import GROUP_BY, SORT_BY
+from repro.workloads.ohb import GROUP_BY, SORT_BY, _pair_gen
 
 # -- the per-record reference -------------------------------------------------
 
@@ -272,7 +272,8 @@ def test_ohb_sample_traces_identical(workload, pairs, parts):
 def test_ohb_build_rdd_results_identical():
     def run():
         sc = SparkContext(SparkConf({"spark.default.parallelism": "3"}))
-        out = SORT_BY.build_rdd(sc, 3000, 3).collect()
+        pairs = sc.generated(3, _pair_gen(42, 3000, 3, 64))
+        out = SORT_BY.build_rdd(pairs, 3).collect()
         return out, sc.tracer.all_stages()
 
     (got, got_st), (want, want_st) = batched_and_reference(run)
@@ -285,7 +286,8 @@ def test_group_by_key_output_identical(pairs, parts):
     # Key order and per-key value order of the grouping fast path.
     def run():
         sc = SparkContext(SparkConf({"spark.default.parallelism": str(parts)}))
-        return GROUP_BY.build_rdd(sc, pairs, parts).collect()
+        generated = sc.generated(parts, _pair_gen(42, pairs, parts, 64))
+        return GROUP_BY.build_rdd(generated, parts).collect()
 
     got, want = batched_and_reference(run)
     assert got == want

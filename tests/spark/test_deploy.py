@@ -210,12 +210,12 @@ class TestTaskEnvelopeInterruptSafety:
         ex = sim.executors[0]
         procs = self._spawn(sim, 3)
         sim.env.run(until=sim.env.now + 1e-3)
-        assert ex.slots.held == 2 and ex.slots.waiting == 1
+        assert ex.slots.held == 2 and len(ex.slots.queue) == 1
         procs[2].interrupt("abandoned")
         sim.env.run(until=sim.env.all_of(procs[:2]))
         assert not procs[2].is_alive
         assert ex.slots.held == 0
-        assert ex.slots.waiting == 0
+        assert len(ex.slots.queue) == 0
         sim.shutdown()
 
     def test_interrupt_while_queued_for_the_app_gate(self):
@@ -227,12 +227,12 @@ class TestTaskEnvelopeInterruptSafety:
         app = sim.register_app(1, gate=gate)
         procs = self._spawn(sim, 2, app=app)
         sim.env.run(until=sim.env.now + 1e-3)
-        assert gate.held == 1 and gate.waiting == 1
+        assert gate.held == 1 and len(gate.queue) == 1
         procs[1].interrupt("abandoned")
         sim.env.run(until=procs[0])
         assert not procs[1].is_alive
-        assert gate.held == 0 and gate.waiting == 0
-        assert ex.slots.held == 0 and ex.slots.waiting == 0
+        assert gate.held == 0 and len(gate.queue) == 0
+        assert ex.slots.held == 0 and len(ex.slots.queue) == 0
         sim.shutdown()
 
     def test_interrupt_holding_the_gate_but_queued_for_a_slot(self):
@@ -244,11 +244,11 @@ class TestTaskEnvelopeInterruptSafety:
         gate = SlotGate(sim.env, capacity=1)
         (gated,) = self._spawn(sim, 1, app=sim.register_app(1, gate=gate))
         sim.env.run(until=sim.env.now + 1e-3)
-        assert gate.held == 1 and ex.slots.waiting == 1
+        assert gate.held == 1 and len(ex.slots.queue) == 1
         gated.interrupt("abandoned")
         sim.env.run(until=sim.env.all_of(fillers))
-        assert gate.held == 0 and gate.waiting == 0
-        assert ex.slots.held == 0 and ex.slots.waiting == 0
+        assert gate.held == 0 and len(gate.queue) == 0
+        assert ex.slots.held == 0 and len(ex.slots.queue) == 0
         sim.shutdown()
 
 

@@ -7,6 +7,13 @@ from hypothesis import strategies as st
 
 from repro.spark import SparkConf, SparkContext
 from repro.spark.local import MapOutputRegistry
+from repro.spark.tracing import SampleTrace
+
+
+def map_stage(sc):
+    """The shuffle-map stage of ``sc``'s traced jobs, read the way
+    ``OhbWorkload.build_profile`` reads a sample trace."""
+    return SampleTrace.from_recorder(sc.tracer, "test", {}).find_stage("ShuffleMapStage")
 
 
 @pytest.fixture
@@ -65,11 +72,11 @@ class TestCombineSemantics:
 
         sc1 = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
         sc1.parallelize(data, 4).reduce_by_key(lambda a, b: a + b).count()
-        reduced_bytes = sc1.tracer.find_stage("ShuffleMapStage").total_shuffle_bytes
+        reduced_bytes = map_stage(sc1).total_shuffle_bytes
 
         sc2 = SparkContext(SparkConf({"spark.default.parallelism": "4"}))
         sc2.parallelize(data, 4).group_by_key().count()
-        grouped_bytes = sc2.tracer.find_stage("ShuffleMapStage").total_shuffle_bytes
+        grouped_bytes = map_stage(sc2).total_shuffle_bytes
 
         assert reduced_bytes * 20 < grouped_bytes
 
@@ -85,7 +92,7 @@ class TestCombineSemantics:
 
     def test_combiner_records_counted_in_trace(self, sc):
         sc.parallelize([(1, 1)] * 100, 2).reduce_by_key(lambda a, b: a + b).count()
-        trace = sc.tracer.find_stage("ShuffleMapStage")
+        trace = map_stage(sc)
         # Map-side combine: each map partition emits one combiner for key 1.
         assert trace.shuffle_records.sum() == 2
 
@@ -97,7 +104,7 @@ class TestCombineSemantics:
         sc = SparkContext(SparkConf({"spark.default.parallelism": "3"}))
         rdd = sc.parallelize(pairs, 3).group_by_key(3)
         collected = rdd.collect()
-        trace = sc.tracer.find_stage("ShuffleMapStage")
+        trace = map_stage(sc)
         assert trace.shuffle_records.sum() == len(pairs)
         got_records = sum(len(vs) for _, vs in collected)
         assert got_records == len(pairs)

@@ -1,10 +1,12 @@
-"""Every ``repro.x.y`` dotted name in README.md and DESIGN.md resolves.
+"""Every ``repro.x.y`` dotted name and every backticked ``*.py`` path in
+README.md and DESIGN.md resolves.
 
 A deletion or rename that leaves a doc naming code that is not there
 fails here. A name resolves when its longest importable prefix is a
 module and the rest is reachable by ``getattr`` from it. Names that are
 part of a longer dotted word (``spark.repro.obs.causal``, a conf key)
-are not code names and are skipped.
+are not code names and are skipped. A path resolves when it names a file
+from the repo root or from ``src/repro/``.
 """
 
 import importlib
@@ -15,6 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 NAME = re.compile(r"(?<![\w.\-/])repro(?:\.[A-Za-z_]\w*)+")
+PATH = re.compile(r"`([^`\s]+\.py)`")
+DOCS = ["README.md", "DESIGN.md"]
 
 
 def _names(doc: str) -> list[str]:
@@ -34,7 +38,7 @@ def _resolve(name: str):
     raise ModuleNotFoundError(name)
 
 
-@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+@pytest.mark.parametrize("doc", DOCS)
 def test_dotted_names_resolve(doc):
     names = _names(doc)
     assert names
@@ -44,4 +48,15 @@ def test_dotted_names_resolve(doc):
             _resolve(name)
         except (ImportError, AttributeError):
             missing.append(name)
+    assert missing == []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_py_paths_exist(doc):
+    paths = sorted(set(PATH.findall((ROOT / doc).read_text())))
+    assert paths
+    missing = [
+        p for p in paths
+        if not (ROOT / p).is_file() and not (ROOT / "src" / "repro" / p).is_file()
+    ]
     assert missing == []

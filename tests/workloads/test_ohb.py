@@ -6,7 +6,16 @@ import pytest
 from repro.harness.profile import ComputeStage, ShuffleReadStage, ShuffleWriteStage
 from repro.harness.systems import FRONTERA
 from repro.util.units import GiB
-from repro.workloads.ohb import GROUP_BY, SORT_BY, OhbWorkload
+from repro.spark import SparkContext
+from repro.spark.tracing import SampleTrace
+from repro.workloads.ohb import GROUP_BY, SORT_BY, OhbWorkload, _pair_gen
+
+
+def ohb_rdd(workload, num_pairs, num_partitions):
+    """``workload``'s wide RDD over OHB-generated pairs, on a fresh context."""
+    gen = _pair_gen(42, num_pairs, num_partitions, 64)
+    pairs = SparkContext().generated(num_partitions, gen)
+    return workload.build_rdd(pairs, num_partitions)
 
 
 class TestRealExecution:
@@ -18,7 +27,9 @@ class TestRealExecution:
             "Job1-ShuffleMapStage",
             "Job1-ResultStage",
         ]
-        trace = sc.tracer.find_stage("Job1-ShuffleMapStage")
+        trace = SampleTrace.from_recorder(sc.tracer, "GroupByTest", {}).find_stage(
+            "Job1-ShuffleMapStage"
+        )
         assert trace.shuffle_records.sum() == 800
 
     def test_sortby_sample_has_job2_labels(self):
@@ -30,26 +41,18 @@ class TestRealExecution:
         assert "Job2-ResultStage" in labels
 
     def test_groupby_result_correct(self):
-        from repro.spark import SparkContext
-
-        sc = SparkContext()
-        rdd = GROUP_BY.build_rdd(sc, num_pairs=400, num_partitions=4)
+        rdd = ohb_rdd(GROUP_BY, num_pairs=400, num_partitions=4)
         groups = dict(rdd.collect())
         assert sum(len(v) for v in groups.values()) == 400
 
     def test_sortby_result_sorted(self):
-        from repro.spark import SparkContext
-
-        sc = SparkContext()
-        rdd = SORT_BY.build_rdd(sc, num_pairs=400, num_partitions=4)
+        rdd = ohb_rdd(SORT_BY, num_pairs=400, num_partitions=4)
         keys = [k for k, _ in rdd.collect()]
         assert keys == sorted(keys)
 
     def test_unknown_workload_rejected(self):
-        from repro.spark import SparkContext
-
         with pytest.raises(ValueError):
-            OhbWorkload("Bogus").build_rdd(SparkContext(), 10, 2)
+            OhbWorkload("Bogus").run_sample(num_pairs=10, num_partitions=2)
 
 
 class TestProfiles:
