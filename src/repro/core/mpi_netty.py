@@ -253,10 +253,11 @@ class MpiBasicEventLoop(EventLoop):
             c_iterations.value += 1.0
             keys = self.selector.select_now()
             for key in keys:
-                if key.is_acceptable():
-                    yield from self._accept_all(key)
-                elif key.is_readable():
-                    yield from self._read_all(key.channel)
+                if key.source.items:  # else drained since the select
+                    if key.listener is None:
+                        yield from self._read_all(key)
+                    else:
+                        yield from self._accept_all(key)
 
             # Drain every MPI-bound channel that iprobe reports ready.
             progressed = bool(keys)

@@ -71,6 +71,12 @@ class ResilientScheduler:
 
     # -- failure detection --------------------------------------------------
     def _on_node_failed(self, node: "SimNode") -> None:
+        # The loss is counted at the crash notice: a job that finishes
+        # inside the detection window has still lost the executor.
+        if self.report is not None:
+            self.report.executors_lost += sum(
+                ex.node is node for ex in self.sim.executors
+            )
         self.sim.env.process(
             self._handle_node_failure(node), name="driver-detect-failure"
         )
@@ -84,7 +90,6 @@ class ResilientScheduler:
             if ex.node is not node:
                 continue
             if self.report is not None:
-                self.report.executors_lost += 1
                 self.report.record(
                     env.now, "ExecutorLost", f"driver marked executor {ex.exec_id} lost"
                 )

@@ -140,10 +140,11 @@ class EventLoop:
             yield env.timeout(WAKEUP_COST_S)
 
             for key in keys:
-                if key.is_acceptable():
-                    yield from self._accept_all(key)
-                elif key.is_readable():
-                    yield from self._read_all(key.channel)
+                if key.source.items:  # else drained since the select
+                    if key.listener is None:
+                        yield from self._read_all(key)
+                    else:
+                        yield from self._accept_all(key)
 
             # Handlers may have parked blocking continuations.
             if self._blocking:
@@ -152,7 +153,8 @@ class EventLoop:
 
     def _accept_all(self, key) -> Generator:
         listener = key.listener
-        while listener.acceptable:
+        backlog = key.source.items
+        while backlog:
             ev = listener.accept()
             assert ev.triggered
             socket = ev.value
@@ -164,12 +166,13 @@ class EventLoop:
             child.pipeline.fire_channel_active()
             yield self.env.timeout(TASK_COST_S)
 
-    def _read_all(self, channel: Channel) -> Generator:
+    def _read_all(self, key) -> Generator:
+        """Drain the key's socket: its inbound segments, in place."""
         env = self.env
-        while True:
-            seg = channel.socket.recv_nowait()
-            if seg is None:
-                return
+        channel = key.channel
+        inbound = key.source.items
+        while inbound:
+            seg = inbound.pop(0)
             if seg.eof:
                 channel.active = False
                 self.deregister(channel)

@@ -25,8 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass(eq=False, slots=True)
 class SelectionKey:
     """A registered interest: a connected channel (read) or a listener
-    (accept); the one of the two that is set is the interest."""
+    (accept); the one of the two that is set is the interest.
 
+    ``source`` is the store the interest watches: the channel socket's
+    ``inbound`` segments or the listener's ``backlog``. The key is ready
+    (readable or acceptable) exactly while ``source.items`` is non-empty,
+    and its event loop drains that list in place.
+    """
+
+    source: Store
     channel: "Channel | None" = None
     listener: "ListeningSocket | None" = None
     # server-side: how to initialize accepted child channels
@@ -37,18 +44,6 @@ class SelectionKey:
     # The key's pending readiness event (see Selector.park); it lives and
     # dies with the key, so a later key can never inherit it.
     waiter: Event | None = field(default=None, repr=False)
-
-    def is_readable(self) -> bool:
-        return self.channel is not None and self.channel.socket.readable
-
-    def is_acceptable(self) -> bool:
-        return self.listener is not None and self.listener.acceptable
-
-    def when_ready(self) -> Event:
-        """A fresh non-consuming event for the key's next readiness."""
-        if self.channel is not None:
-            return self.channel.socket.when_readable()
-        return self.listener.when_acceptable()
 
 
 class Selector:
@@ -72,7 +67,7 @@ class Selector:
                 raise ValueError(
                     f"channel {channel.id} already registered with this selector"
                 )
-        key = SelectionKey(channel=channel)
+        key = SelectionKey(channel.socket.inbound, channel=channel)
         self.keys.append(key)
         self.wakeup()  # a blocked select must notice the new registration
         return key
@@ -84,6 +79,7 @@ class Selector:
         child_group: Any = None,
     ) -> SelectionKey:
         key = SelectionKey(
+            listener.backlog,
             listener=listener,
             child_initializer=child_initializer,
             child_group=child_group,
@@ -104,7 +100,8 @@ class Selector:
 
     # -- selection -----------------------------------------------------------
     def _ready(self) -> list[SelectionKey]:
-        """The keys that are readable or acceptable, in registration order.
+        """The keys that are readable or acceptable (their source holds an
+        item), in registration order.
 
         A key whose park waiter is still pending is skipped unchecked: the
         waiter came from its store's ``when_nonempty`` while the store was
@@ -117,7 +114,7 @@ class Selector:
             waiter = key.waiter
             if waiter is not None and waiter._value is _PENDING:
                 continue
-            if key.is_readable() or key.is_acceptable():
+            if key.source.items:
                 ready.append(key)
         return ready
 
@@ -130,7 +127,7 @@ class Selector:
         wakeup arrives (a stop or a new registration: no keys may be
         ready). Returns ready keys."""
         ready = self._ready()
-        self._drain_wakeups()
+        self._wakeups.items.clear()
         if ready:
             return ready
         yield from self.park()
@@ -139,10 +136,6 @@ class Selector:
     def wakeup(self) -> None:
         """Unblock a pending select (NIO Selector.wakeup)."""
         self._wakeups.put_nowait(None)
-
-    def _drain_wakeups(self) -> None:
-        while self._wakeups.items:
-            self._wakeups.get_nowait()
 
     # -- parking -------------------------------------------------------------
     def park(
@@ -161,12 +154,19 @@ class Selector:
         and waits on one plain event. A waiter made for an already-ready
         source triggers at creation and wakes the park through the heap
         like any other.
+
+        A spent waiter is detached and replaced in line: a store's
+        ``when_nonempty`` event is never processed at creation, so the
+        park's signal goes straight onto its callback list.
         """
-        arm = self._arm_park_waiter
+        signal = self._park_signal
         for key in self.keys:
             waiter = key.waiter
             if waiter is None or waiter._value is not _PENDING:
-                key.waiter = arm(waiter, key.when_ready)
+                if waiter is not None and waiter.callbacks:
+                    waiter.callbacks.clear()  # the staleness guard (_detach)
+                waiter = key.waiter = key.source.when_nonempty()
+                waiter.callbacks.append(signal)
         waiters = self._park_waiters
         for row in rows:
             source = row[0]
@@ -174,21 +174,16 @@ class Selector:
             if waiter is None or waiter._value is not _PENDING:
                 self._detach(waiter)
                 waiter = waiters[source] = make_row(*row[1:])
-                waiter.add_callback(self._park_signal)
+                waiter.add_callback(signal)
         wakeups = self._wakeups
         waiter = waiters.get(wakeups)
         if waiter is None or waiter._value is not _PENDING:
-            waiters[wakeups] = arm(waiter, wakeups.when_nonempty)
+            self._detach(waiter)
+            waiter = waiters[wakeups] = wakeups.when_nonempty()
+            waiter.callbacks.append(signal)
         self._park = Event(self.env)
         yield self._park
-        self._drain_wakeups()
-
-    def _arm_park_waiter(self, spent: Event | None, make: Callable[[], Event]) -> Event:
-        """Replace a source's spent waiter with a fresh one wired to the park."""
-        self._detach(spent)
-        waiter = make()
-        waiter.add_callback(self._park_signal)
-        return waiter
+        wakeups.items.clear()
 
     @staticmethod
     def _detach(waiter: Event | None) -> None:

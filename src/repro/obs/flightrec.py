@@ -80,8 +80,8 @@ def _line_encoder() -> Callable[["FlightEvent"], str]:
     nonzero ids becomes one ``%`` template per export, and an event
     costs the text of its own fields instead of a dict, a key sort and
     an encode.  Attrs with a key that would override an event field are
-    encoded as one dict (the attrs win); so are attrs with a non-``str``
-    key, which the sorted encode rejects with ``TypeError``.
+    encoded as one dict (the attrs win).  An attrs key that is not a
+    ``str`` raises ``TypeError`` naming it: JSON object keys are strings.
     """
     encode, float_text, int_text = _ENCODE, float.__repr__, int.__repr__
     templates: dict[int, str | None] = {}  # by attrs id and zero ids
@@ -89,7 +89,12 @@ def _line_encoder() -> Callable[["FlightEvent"], str]:
 
     def template(ev: "FlightEvent") -> str | None:
         attrs = ev.attrs
-        if any(type(k) is not str or k in _LIFTED for k in attrs):
+        for k in attrs:
+            if type(k) is not str:
+                raise TypeError(
+                    f"flight event {ev.name!r}: attrs key {k!r} is not a str"
+                )
+        if any(k in _LIFTED for k in attrs):
             return None
         fields = {k: encode(v).replace("%", "%%") for k, v in attrs.items()}
         fields["ev"] = fields["t"] = "%s"

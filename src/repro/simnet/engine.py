@@ -207,7 +207,6 @@ class SimEngine:
         timeout = pool.pop()
         timeout.callbacks = []
         timeout._value = value
-        timeout.delay = delay
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, timeout))
         return timeout
@@ -244,7 +243,6 @@ class SimEngine:
             timeout._dead = False
         timeout.callbacks = []
         timeout._value = value
-        timeout.delay = when - self.now
         heappush(self._heap, (when, seq, timeout))
         return timeout
 

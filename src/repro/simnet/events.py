@@ -139,7 +139,7 @@ class Timeout(Event):
     it from the callback, not afterwards.
     """
 
-    __slots__ = ("delay", "_dead")
+    __slots__ = ("_dead",)
 
     def __init__(self, env: "SimEngine", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -148,7 +148,6 @@ class Timeout(Event):
         self.callbacks = []
         self._ok = True
         self._value = value
-        self.delay = delay
         self._dead = False
         env._seq += 1
         heappush(env._heap, (env.now + delay, env._seq, self))

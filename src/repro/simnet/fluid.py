@@ -53,9 +53,10 @@ from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
+from repro.simnet.events import Event
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
-    from repro.simnet.events import Event
 
 # A residual below this many bytes counts as finished (guards against
 # float-time horizons that round to zero near large clock values).
@@ -163,7 +164,7 @@ class FluidNetwork:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        done = self.env.event()
+        done = Event(self.env)
         if nbytes == 0:
             done.succeed()
             return done
@@ -193,7 +194,6 @@ class FluidNetwork:
                 shares[link.idx] = share
         # _affected() after registration already includes the new fid.
         self._rerate(self._affected(path))
-        self._sync()
         return done
 
     def abort_flows(self, link_pred, exc_factory) -> int:
@@ -219,7 +219,6 @@ class FluidNetwork:
             for flow in victims:
                 affected |= self._affected(flow.links)
             self._rerate(affected)
-            self._sync()
         return len(victims)
 
     # -- internals ----------------------------------------------------------
@@ -263,25 +262,17 @@ class FluidNetwork:
             out |= link.fids
         return out
 
-    def _touch(self, flow: Flow) -> None:
-        """Drain progress since the flow's last update."""
-        now = self.env.now
-        dt = now - flow.last
-        if dt > 0:
-            flow.remaining -= flow.rate * dt
-            if flow.remaining < 0:
-                flow.remaining = 0.0
-        flow.last = now
-
     def _rerate(self, fids) -> None:
-        """Re-rate the given flows and file their new completion entries.
+        """Re-rate the given flows, file their new completion entries and
+        :meth:`_sync`.
 
         One pass per flow drains its progress, sets its rate from the
         cached link shares and files its new entry — one per affected flow
-        per re-rate, making its last one stale; the caller then runs
-        :meth:`_sync`. Batches of ``_VECTOR_MIN``+ flows gather all their
-        shares from ``_shares_arr`` and take the min in numpy first; the
-        filing loop runs in the same order either way.
+        per re-rate, making its last one stale. Batches of
+        ``_VECTOR_MIN``+ flows gather all their shares from
+        ``_shares_arr`` and take the min in numpy first; the filing loop
+        runs in the same order either way. The sync runs with no flow to
+        re-rate too: a finished flow's entry may head the heap.
         """
         # sorted(fids) is load-bearing: each entry's kernel sequence number
         # is reserved in this order, and the event heap breaks
@@ -291,11 +282,13 @@ class FluidNetwork:
         touched = list(map(self.flows.__getitem__, sorted(fids)))
         k = len(touched)
         if k == 0:
+            self._sync()
             return
         self._c_rerate_calls.value += 1.0
         self._c_rerate_flows.value += k
         if k > self._c_max_batch.value:
             self._c_max_batch.value = float(k)
+        rates = None  # scalar batches take each rate in the filing loop
         if k >= self._VECTOR_MIN:
             # Vectorized path: gather each flow's links' shares in one
             # shot. Wire flows always have exactly two links; mixed
@@ -309,24 +302,24 @@ class FluidNetwork:
             else:
                 offsets = list(accumulate(lens[:-1], initial=0))
                 rates = np.minimum.reduceat(shares, offsets).tolist()
-        else:
-            rates = []
-            for flow in touched:
-                links = flow.links
-                if len(links) == 2:
-                    # Fast path: the wire path always shares a TX and an RX lane.
-                    ra = links[0].share
-                    rb = links[1].share
-                    rates.append(ra if ra < rb else rb)
-                else:
-                    rates.append(min(link.share for link in links))
         now = self.env.now
         heap = self._heap
         cancel = self.env.cancel
         # One kernel key per re-rated flow, in sorted(fids) order: the
         # sequence numbers timeout() would have taken here.
-        seq = self.env.reserve(k)
-        for flow, rate in zip(touched, rates):
+        seq = first = self.env.reserve(k)
+        for flow in touched:
+            if rates is not None:
+                rate = rates[seq - first]
+            else:
+                links = flow.links
+                if len(links) == 2:
+                    # Fast path: the wire path always shares a TX and an RX lane.
+                    ra = links[0].share
+                    rb = links[1].share
+                    rate = ra if ra < rb else rb
+                else:
+                    rate = min(link.share for link in links)
             dt = now - flow.last
             if dt > 0:
                 flow.remaining -= flow.rate * dt
@@ -343,6 +336,7 @@ class FluidNetwork:
             else:
                 flow.seq = 0
             seq += 1
+        self._sync()
 
     def _disarm(self, flow: Flow) -> None:
         """Make the flow's completion entry stale and cancel its timer."""
@@ -380,12 +374,19 @@ class FluidNetwork:
         if flow.timer is not ev or flow.fid not in self.flows:
             return  # replaced by a later rate change, or already finished
         flow.timer = None
-        self._touch(flow)
+        # Drain progress since the flow's last update.
+        now = self.env.now
+        dt = now - flow.last
+        if dt > 0:
+            flow.remaining -= flow.rate * dt
+            if flow.remaining < 0:
+                flow.remaining = 0.0
+        flow.last = now
         if flow.remaining > max(_FINISH_SLACK_BYTES, flow.rate * 1e-9):
             # Float drift: not quite done; re-arm for the residual.
             horizon = flow.remaining / flow.rate
             seq = flow.seq = self.env.reserve(1)
-            heappush(self._heap, (self.env.now + max(horizon, 0.0), seq, flow))
+            heappush(self._heap, (now + max(horizon, 0.0), seq, flow))
             self._sync()
             return
         del self.flows[flow.fid]
@@ -395,4 +396,3 @@ class FluidNetwork:
         flow.done.succeed()
         # Freed capacity speeds up the neighbours.
         self._rerate(self._affected(flow.links))
-        self._sync()

@@ -21,10 +21,12 @@ class Store:
     """An unbounded FIFO item queue.
 
     :meth:`get` returns an event that triggers with the oldest item — at
-    once if one is queued. :meth:`put_nowait` / :meth:`get_nowait` are for
-    callers that never wait on the outcome: they build and schedule no
-    event. ``items`` is the queue itself, a list with the oldest item
-    first, and a caller may drain it in place.
+    once if one is queued. :meth:`put_nowait` is for callers that never
+    wait on the outcome: it builds and schedules no event. ``items`` is
+    the queue itself, a list with the oldest item first, and a caller may
+    drain it in place (``items.pop(0)``, ``items.clear()``), which is how
+    a taker that never waits takes: the event loops drain their sockets
+    and the selector its wake-up queue this way.
 
     The queues are lists, not deques: a cluster holds one store per
     socket end and per MPI pipe, an empty deque costs 760 B against 56 B
@@ -87,11 +89,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def get_nowait(self) -> Any | None:
-        """Take and return the oldest item, or None if there is none."""
-        items = self.items
-        return items.pop(0) if items else None
 
 
 class SlotGate:

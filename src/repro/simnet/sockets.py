@@ -37,12 +37,14 @@ class SocketAddress:
         return f"{self.host}:{self.port}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Segment:
     """One application message carried on the stream.
 
     ``payload`` is the sample-scale object; ``nbytes`` is the nominal wire
-    size actually charged. ``eof`` marks an orderly close.
+    size actually charged. ``eof`` marks an orderly close. Not frozen: a
+    frozen ``__init__`` pays an ``object.__setattr__`` per field, on every
+    message, and nothing mutates a segment once it is queued.
     """
 
     payload: Any
@@ -51,11 +53,16 @@ class Segment:
 
 
 class SimSocket:
-    """One endpoint of an established connection."""
+    """One endpoint of an established connection.
+
+    ``inbound`` is the stream's receive queue, the :class:`Store` of
+    delivered segments a NIO selector key watches and its event loop
+    drains in place (readable = ``inbound.items`` is non-empty).
+    """
 
     __slots__ = (
         "stack", "env", "node", "peer_node", "local", "remote", "model",
-        "socket_id", "peer", "_outbound", "_inbound", "closed", "bytes_sent",
+        "socket_id", "peer", "_outbound", "inbound", "closed", "bytes_sent",
         "bytes_received", "_pump",
     )
 
@@ -80,7 +87,7 @@ class SimSocket:
         self.socket_id = next(SimSocket._ids)
         self.peer: SimSocket | None = None  # wired by the stack
         self._outbound: Store = Store(stack.env)
-        self._inbound: Store = Store(stack.env)
+        self.inbound: Store = Store(stack.env)
         self.closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -100,18 +107,6 @@ class SimSocket:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         self._outbound.put_nowait(Segment(payload, nbytes))
 
-    def recv_nowait(self) -> Segment | None:
-        """Non-blocking take, used by the NIO selector loop."""
-        return self._inbound.get_nowait()
-
-    @property
-    def readable(self) -> bool:
-        return bool(self._inbound.items)
-
-    def when_readable(self):
-        """Non-consuming event: triggers when a segment is queued (NIO OP_READ)."""
-        return self._inbound.when_nonempty()
-
     def close(self) -> None:
         """Orderly close: flush queued segments then signal EOF to the peer."""
         if self.closed:
@@ -128,11 +123,13 @@ class SimSocket:
         if self.closed:
             return
         self.closed = True
-        self._inbound.put_nowait(Segment(None, 0, eof=True))
+        self.inbound.put_nowait(Segment(None, 0, eof=True))
 
     # -- internals ---------------------------------------------------------
     def _pump_loop(self) -> Generator[Event, Any, None]:
         env = self.env
+        model = self.model
+        wire_path = self.stack.cluster.wire_path
         while True:
             # Park holding nothing: a kept segment would pin its payload
             # until the next send, forever on a handshake-only socket.
@@ -142,31 +139,30 @@ class SimSocket:
                 peer = self.peer
                 if peer is not None:
                     try:
-                        yield from self.stack.cluster.wire_path(
-                            self.node, self.peer_node, 0, self.model
-                        )
+                        yield from wire_path(self.node, self.peer_node, 0, model)
                     except LinkDown:
                         return  # peer gone; FIN is moot
-                    peer._inbound.put_nowait(seg)
+                    peer.inbound.put_nowait(seg)
                 return
-            # Sender-side stack cost, wire, receiver-side stack cost.
-            yield env.timeout(self.model.sender_cpu_time(seg.nbytes))
+            # Sender-side stack cost, wire, receiver-side stack cost: the
+            # expressions of WireModel.sender_cpu_time/receiver_cpu_time,
+            # inline because they run twice per message.
+            nbytes = seg.nbytes
+            yield env.timeout(model.send_overhead_s + nbytes * model.per_byte_cpu_s)
             try:
-                yield from self.stack.cluster.wire_path(
-                    self.node, self.peer_node, seg.nbytes, self.model
-                )
+                yield from wire_path(self.node, self.peer_node, nbytes, model)
             except LinkDown:
                 # Connection reset: surface EOF locally; a surviving
                 # peer learns via the stack's failure-detection sweep.
                 self.abort()
                 return
-            yield env.timeout(self.model.receiver_cpu_time(seg.nbytes))
-            self.bytes_sent += seg.nbytes
+            yield env.timeout(model.recv_overhead_s + nbytes * model.per_byte_cpu_s)
+            self.bytes_sent += nbytes
             peer = self.peer
             if peer is None:
                 raise SocketError("socket pump running before peer wired")
-            peer.bytes_received += seg.nbytes
-            peer._inbound.put_nowait(seg)
+            peer.bytes_received += nbytes
+            peer.inbound.put_nowait(seg)
 
 
 class ListeningSocket:
@@ -176,22 +172,16 @@ class ListeningSocket:
         self.stack = stack
         self.node = node
         self.addr = addr
-        self._backlog: Store = Store(stack.env)
+        # Established server-side sockets awaiting accept; a NIO selector
+        # key watches it (acceptable = ``backlog.items`` is non-empty).
+        self.backlog: Store = Store(stack.env)
         self.closed = False
 
     def accept(self) -> Event:
         """Event yielding the next accepted :class:`SimSocket`."""
         if self.closed:
             raise SocketError(f"accept on closed listener {self.addr}")
-        return self._backlog.get()
-
-    @property
-    def acceptable(self) -> bool:
-        return bool(self._backlog.items)
-
-    def when_acceptable(self) -> Event:
-        """Non-consuming event: a connection is waiting (NIO OP_ACCEPT)."""
-        return self._backlog.when_nonempty()
+        return self.backlog.get()
 
 
 class SocketStack:
@@ -275,5 +265,5 @@ class SocketStack:
         server = SimSocket(self, server_node, node, remote, local, self.model)
         client.peer = server
         server.peer = client
-        listener._backlog.put_nowait(server)
+        listener.backlog.put_nowait(server)
         return client

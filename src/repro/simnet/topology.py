@@ -137,25 +137,23 @@ class SimCluster:
         self.fluid = FluidNetwork(env)
         self.link_state = LinkState(env)
         self.link_state.on_node_failed(self._on_node_failed)
-        # Per-wire-model delivered-byte counters, cached so the
-        # per-message hot path avoids registry name lookups.
-        self._wire_bytes: dict[str, Any] = {}
         # Per-model memo of the pure delay terms (WireModel is frozen, so
-        # every entry is a function of (model, nbytes) only). Keyed by
-        # id(model) with the model pinned in the entry so a recycled id
-        # can never alias another model's table. Entry layout:
+        # every entry is a function of (model, nbytes) only) and of the
+        # model's delivered-byte counter. Keyed by id(model) with the model
+        # pinned in the entry so a recycled id can never alias another
+        # model's table. Entry layout:
         # [model, {nbytes: serialization+latency}, bulk cap (B/s) or None,
-        #  {nbytes: post-transfer protocol+chunk delay}].
+        #  {nbytes: post-transfer protocol+chunk delay},
+        #  the simnet.wire.<model>.bytes counter or None].
+        # The counter is registered at the model's first delivery, not at
+        # its first send, so a model that never delivers adds no metric.
         self._wire_delay_memo: dict[int, list] = {}
 
-    def _count_wire_bytes(self, model: WireModel, nbytes: int) -> None:
-        """Add a delivered message to ``simnet.wire.<model>.bytes``."""
-        counter = self._wire_bytes.get(model.name)
-        if counter is None:
-            counter = self._wire_bytes[model.name] = self.env.metrics.counter(
-                f"simnet.wire.{model.name}.bytes"
-            )
-        counter.value += nbytes
+    def _wire_bytes_counter(self, entry: list):
+        """The memo entry's ``simnet.wire.<model>.bytes`` counter, made at
+        the first delivery (models sharing a name share the counter)."""
+        entry[4] = self.env.metrics.counter(f"simnet.wire.{entry[0].name}.bytes")
+        return entry[4]
 
     def _on_node_failed(self, node: SimNode) -> None:
         # In-flight bulk transfers touching the dead node fail promptly; the
@@ -213,16 +211,18 @@ class SimCluster:
             lo = self._loopback
             entry = memo.get(id(lo))
             if entry is None:
-                entry = memo[id(lo)] = [lo, {}, None, {}]
+                entry = memo[id(lo)] = [lo, {}, None, {}, None]
             delay = entry[1].get(nbytes)
             if delay is None:
                 delay = entry[1][nbytes] = (
                     lo.protocol_latency(nbytes) + lo.serialization_time(nbytes)
                 )
             yield env.timeout(delay)
-            elapsed = env.now - start
-            self._count_wire_bytes(lo, nbytes)
-            return elapsed
+            counter = entry[4]
+            if counter is None:
+                counter = self._wire_bytes_counter(entry)
+            counter.value += nbytes
+            return env.now - start
 
         # NIC degradation stretches both serialization and flow rate; flows
         # started before a degradation keep their old rate (the fluid link
@@ -231,7 +231,7 @@ class SimCluster:
         factor = ls.slowdown(src, dst) if ls.generation else 1.0
         entry = memo.get(id(model))
         if entry is None:
-            entry = memo[id(model)] = [model, {}, None, {}]
+            entry = memo[id(model)] = [model, {}, None, {}, None]
         if nbytes <= CONTROL_BYPASS_BYTES:
             # Control-sized messages interleave at packet granularity and
             # never queue behind bulk flows.
@@ -276,5 +276,8 @@ class SimCluster:
         src.tx_messages.value += 1.0
         dst.rx_bytes.value += nbytes
         dst.rx_messages.value += 1.0
-        self._count_wire_bytes(model, nbytes)
+        counter = entry[4]
+        if counter is None:
+            counter = self._wire_bytes_counter(entry)
+        counter.value += nbytes
         return env.now - start

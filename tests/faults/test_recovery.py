@@ -105,6 +105,16 @@ class TestCrashRecovery:
         with pytest.raises(JobFailedError):
             run_with_plan(plan)
 
+    def test_crash_counts_when_the_job_ends_inside_the_detection_window(self):
+        # mpi-opt shrink re-homes the lost columns and finishes before the
+        # driver's detection delay runs out: the loss still counts.
+        plan = FaultPlan(seed=5).add(ExecutorCrash(at_s=0.005, exec_id=1))
+        result, report = run_with_plan(plan, "mpi-opt", mpi_fault_mode="shrink")
+        kinds = [ev.kind for ev in report.timeline]
+        assert "ExecutorCrash" in kinds and "ExecutorLost" not in kinds
+        assert set(result.stage_seconds) == {"gen", "write", "read"}
+        assert report.executors_lost == 1
+
     def test_transient_degradation_recovers_without_resubmission(self):
         plan = FaultPlan(seed=8).add(
             NicDegradation(at_s=0.002, node_index=2, factor=4.0, duration_s=0.5)

@@ -53,7 +53,7 @@ class TestSelectNow:
         env.run()
         ready = selector.select_now()
         assert ready == [key]
-        assert key.is_readable()
+        assert key.source is channel.socket.inbound and key.source.items
 
     def test_acceptable_listener_reported(self, rig):
         env, cluster, stack = rig
@@ -67,7 +67,7 @@ class TestSelectNow:
         env.process(client(env))
         env.run()
         assert selector.select_now() == [key]
-        assert key.is_acceptable()
+        assert key.source is listener.backlog and key.source.items
 
     def test_deregister_removes_key(self, rig):
         env, cluster, stack = rig
@@ -160,7 +160,7 @@ class TestParkWaiters:
             while True:
                 ready = yield from selector.select()
                 for key in ready:
-                    key.channel.socket.recv_nowait()
+                    key.source.items.pop(0)
                 if ready:
                     woke.append(ready)
 
@@ -219,7 +219,7 @@ class TestParkWaiters:
             # Data lands and is consumed within this very instant: the
             # key's waiter has triggered but is still waiting in the heap.
             channel.socket.abort()
-            assert channel.socket.recv_nowait().eof
+            assert channel.socket.inbound.items.pop(0).eof
             spent = key.waiter
             assert spent.triggered and spent.callbacks is not None
             yield from selector.select()
@@ -256,15 +256,16 @@ class TestPendingWaiterWitness:
     def test_pending_waiter_means_an_empty_source(self, rig, monkeypatch):
         env, cluster, stack = rig
         selector, key, channel, _ = self._parked(env, stack)
-        assert not channel.socket.readable
+        assert not channel.socket.inbound.items
         checked = []
-        is_readable = type(key).is_readable
 
-        def counted(k):
-            checked.append(k)
-            return is_readable(k)
+        class Probe:
+            @property
+            def items(self):
+                checked.append(key)
+                return []
 
-        monkeypatch.setattr(type(key), "is_readable", counted)
+        monkeypatch.setattr(key, "source", Probe())
         assert selector.select_now() == []
         assert checked == []  # skipped on the witness, not probed
 
@@ -293,7 +294,7 @@ class TestPendingWaiterWitness:
         env.run()
         assert parked_key.waiter.triggered
         assert parked.select_now() == [parked_key]
-        parked_channel.socket.recv_nowait()
+        parked_channel.socket.inbound.items.pop(0)
         assert parked_key.waiter.triggered and parked.select_now() == []
 
     def test_a_deregistered_key_is_not_reported(self, rig):
@@ -302,21 +303,25 @@ class TestPendingWaiterWitness:
         selector.deregister(channel)
         server_sock.send("data", 10)
         env.run()
-        assert channel.socket.readable
+        assert channel.socket.inbound.items
         assert selector.select_now() == []
 
 
 @pytest.mark.parametrize("transport", ["nio", "mpi-basic"])
 def test_ready_equals_the_full_scan_for_a_whole_run(transport, monkeypatch):
     """Every ``_ready()`` of the Fig-9 GroupBy cell (2 workers) returns
-    exactly the readable-or-acceptable scan, and the witness does skip."""
+    exactly the readable-or-acceptable scan of the sockets and listeners
+    themselves, and the witness does skip."""
     ready = Selector._ready
     calls, skipped = [0], [0]
 
     def checked(selector):
         got = ready(selector)
         keys = selector.keys
-        full = [k for k in keys if k.is_readable() or k.is_acceptable()]
+        full = [
+            k for k in keys
+            if (k.channel.socket.inbound if k.listener is None else k.listener.backlog).items
+        ]
         calls[0] += 1
         skipped[0] += sum(k.waiter is not None and not k.waiter.triggered for k in keys)
         # Raised from the loop's own process, so it ends the run at once

