@@ -36,12 +36,14 @@ class CommBinding:
     kind: int
     peer_gid: int
     peer_rank: int  # rank to address/match the peer by, within `comm`
-    # The point-to-point context of `comm`; a communicator's descriptor
-    # never changes, so it is read once here.
+    # The point-to-point context of `comm` and this process's rank on it;
+    # a communicator's descriptor never changes, so both are read once here.
     context_id: int = field(init=False)
+    src_rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.context_id = self.comm.desc.ctx_pt2pt
+        self.src_rank = self.comm.rank
 
 
 class MpiEndpoint:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.netty.bytebuf import ByteBuf
 from repro.netty.channel import Channel
 from repro.netty.handler import ChannelHandler
+from repro.simnet.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.endpoint import MpiEndpoint
@@ -141,7 +142,7 @@ def initiate_handshake(channel: Channel, endpoint: "MpiEndpoint") -> None:
     processes never cross tags."""
     tag = channel.id._value
     channel.attributes[ATTR_TAG] = tag
-    channel.attributes[ATTR_DONE] = channel.env.event()
+    channel.attributes[ATTR_DONE] = Event(channel.env)
     ann = RankAnnouncement(
         gid=endpoint.proc.gid, tag=tag, kind=0, reply_expected=True
     )

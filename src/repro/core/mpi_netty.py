@@ -19,7 +19,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.endpoint import CommBinding
-from repro.core.handshake import ATTR_BINDING, ATTR_TAG, MpiHandshakeHandler
+from repro.core.handshake import (
+    ATTR_BINDING,
+    ATTR_TAG,
+    MpiHandshakeHandler,
+    _HandshakeEnvelope,
+)
 from repro.mpi.errors import MPIError
 from repro.netty.channel import Channel
 from repro.netty.eventloop import READ_EVENT_COST_S, EventLoop
@@ -45,13 +50,12 @@ def _binding_of(channel: Channel) -> CommBinding:
 def _mpi_isend(channel: Channel, payload: Any, nbytes: int, trace_ctx=None) -> None:
     """Nonblocking send nobody waits on: no request is built."""
     binding = _binding_of(channel)
-    tag = channel.attributes[ATTR_TAG]
     endpoint: "MpiEndpoint" = channel.event_loop.mpi_endpoint
     endpoint.proc._start_send(
         binding.peer_gid,
-        binding.comm.rank,
+        binding.src_rank,
         binding.context_id,
-        tag,
+        channel.attributes[ATTR_TAG],
         payload,
         int(nbytes),
         trace_ctx,
@@ -163,7 +167,8 @@ MpiBodyReceiveHandler.INSTANCE = MpiBodyReceiveHandler()
 def basic_transport_write(channel: Channel, msg: Any, promise: "Event") -> None:
     """Outbound: ALL messages over MPI point-to-point (Sec. VI-D)."""
     if isinstance(msg, WireFrame):
-        _mpi_isend(channel, msg, msg.nbytes, trace_ctx=msg.trace_ctx)
+        nbytes = msg.nbytes
+        _mpi_isend(channel, msg, nbytes, trace_ctx=msg.trace_ctx)
         try:
             c_msgs, c_bytes = channel._mpi_basic_counters
         except AttributeError:
@@ -172,7 +177,7 @@ def basic_transport_write(channel: Channel, msg: Any, promise: "Event") -> None:
             c_bytes = m.counter("transport.mpi-basic.bytes")
             channel._mpi_basic_counters = (c_msgs, c_bytes)
         c_msgs.value += 1.0
-        c_bytes.value += msg.nbytes
+        c_bytes.value += nbytes
         if not promise.triggered:
             promise.complete()
         return
@@ -263,16 +268,27 @@ class MpiBasicEventLoop(EventLoop):
             progressed = bool(keys)
             endpoint = self.mpi_endpoint
             if endpoint is not None:
-                iprobe = endpoint.proc.matching.iprobe
-                irecv = endpoint.proc._irecv
+                proc = endpoint.proc
+                world = proc.world
+                take = proc.matching.take
                 for channel, peer_rank, tag, context_id in self._poll_rows():
                     if not channel.active:
                         # Closed earlier in this round: its channel_inactive
                         # already unbound it, and the rows rebuild next round.
                         continue
-                    while iprobe(peer_rank, tag, context_id):
+                    while True:
+                        if not world.dead:
+                            # MPI_Iprobe, then MPI_Irecv of what it found.
+                            req = take(peer_rank, tag, context_id)
+                        elif proc.matching.iprobe(peer_rank, tag, context_id):
+                            # A rank died or the world aborted: the
+                            # receive's own checks decide.
+                            req = proc._irecv(peer_rank, tag, context_id)
+                        else:
+                            req = None
+                        if req is None:
+                            break
                         progressed = True
-                        req = irecv(peer_rank, tag, context_id)
                         try:
                             frame = yield req.event
                         except MPIError as exc:
@@ -320,6 +336,9 @@ class NotifyingHandshakeHandler(MpiHandshakeHandler):
     (the Basic design's loop must know which channels to iprobe)."""
 
     def channel_read(self, ctx, msg):
+        if not isinstance(msg, _HandshakeEnvelope):
+            ctx.fire_channel_read(msg)
+            return
         had_binding = ATTR_BINDING in ctx.channel.attributes
         super().channel_read(ctx, msg)
         if not had_binding and ATTR_BINDING in ctx.channel.attributes:

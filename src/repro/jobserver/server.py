@@ -33,6 +33,7 @@ from repro.jobserver.schedulers import (
     RunningJob,
     SchedulePlan,
 )
+from repro.simnet.events import Event
 from repro.simnet.resources import SlotGate
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,7 +155,7 @@ class JobServer:
         self._running: dict[int, RunningJob] = {}
         self._gates: dict[int, SlotGate] = {}
         self._n_finished = 0
-        self._all_done = cluster.env.event()
+        self._all_done = Event(cluster.env)
         self._started = False
         m = cluster.env.metrics
         self._m_submitted = m.counter("jobserver.submitted")

@@ -93,8 +93,9 @@ class Comm:
     """Per-process communicator handle. Base for intra/inter variants.
 
     Point-to-point calls name one peer rank and one tag in
-    ``[0, MAX_TAG)``, both checked before anything is posted; a blocking
-    call is its nonblocking twin followed by :meth:`Request.wait`.
+    ``[0, MAX_TAG)``, and a send's ``nbytes`` is ``None`` or at least 0,
+    all checked before anything is posted; a blocking call is its
+    nonblocking twin followed by :meth:`Request.wait`.
     """
 
     def __init__(self, proc: "MPIProcess", desc: CommDescriptor) -> None:
@@ -139,6 +140,8 @@ class Comm:
     ) -> Request:
         """Nonblocking send; returns a :class:`Request`."""
         self._check_tag(tag)
+        if nbytes is not None and nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         dst_gid = self._dest_group().gid_of(dest)
         return self.proc._isend(
             dst_gid, self.rank, self.desc.ctx_pt2pt, tag, obj, nbytes

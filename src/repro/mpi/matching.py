@@ -141,26 +141,8 @@ class MatchingEngine:
     def post_recv(self, source: int, tag: int, context_id: int, request: Request) -> None:
         """Post a receive; matches the oldest queued envelope if any."""
         buckets = self._ux.get(context_id)
-        dq = None if buckets is None else buckets.get((source, tag))
-        if dq:
-            _, arrived, env_msg = dq.pop(0)
-            if not dq:
-                del buckets[(source, tag)]
-                if not buckets:
-                    # Drop the empty per-context dict: the idle-queue probe
-                    # fast path is then a single int-keyed dict miss.
-                    del self._ux[context_id]
-            self._c_unexpected_matches.value += 1.0
-            if env_msg.trace_ctx is not None:
-                # The dwell in the unexpected queue is the poll-discovery
-                # delay the critical-path analyzer classifies (poll-tax for
-                # the Basic design, queueing for Optimized).
-                self.env.causal.match(env_msg.trace_ctx, self.env.now - arrived, True)
-            self.on_match(
-                env_msg,
-                PostedRecv(source, tag, context_id, request),
-                True,  # came off the unexpected queue → buffered copy
-            )
+        if buckets is not None and (source, tag) in buckets:
+            self._match_unexpected(buckets, source, tag, context_id, request)
             return
         self._post_seq += 1
         key = (context_id, source, tag)
@@ -168,6 +150,30 @@ class MatchingEngine:
         if pdq is None:
             pdq = self._posted[key] = []
         pdq.append(PostedRecv(source, tag, context_id, request, seq=self._post_seq))
+
+    def _match_unexpected(
+        self, buckets: dict, source: int, tag: int, context_id: int, request: Request
+    ) -> None:
+        """Hand the oldest envelope of a non-empty bucket to ``request``."""
+        dq = buckets[(source, tag)]
+        _, arrived, env_msg = dq.pop(0)
+        if not dq:
+            del buckets[(source, tag)]
+            if not buckets:
+                # Drop the empty per-context dict: the idle-queue probe
+                # fast path is then a single int-keyed dict miss.
+                del self._ux[context_id]
+        self._c_unexpected_matches.value += 1.0
+        if env_msg.trace_ctx is not None:
+            # The dwell in the unexpected queue is the poll-discovery
+            # delay the critical-path analyzer classifies (poll-tax for
+            # the Basic design, queueing for Optimized).
+            self.env.causal.match(env_msg.trace_ctx, self.env.now - arrived, True)
+        self.on_match(
+            env_msg,
+            PostedRecv(source, tag, context_id, request),
+            True,  # came off the unexpected queue → buffered copy
+        )
 
     # -- probes ------------------------------------------------------------
     def iprobe(self, source: int, tag: int, context_id: int) -> bool:
@@ -179,6 +185,23 @@ class MatchingEngine:
             return False
         self._c_iprobe_scanned.value += 1.0
         return (source, tag) in buckets
+
+    def take(self, source: int, tag: int, context_id: int) -> Request | None:
+        """:meth:`iprobe`, then, if it found an envelope, a receive posted
+        for it (MPI_Iprobe + MPI_Irecv, as the Basic design's poll loop
+        pairs them), counted as both, in one call. Returns the receive's
+        request, or ``None`` when nothing is queued. The caller checks
+        first that no rank is dead and the world has not aborted."""
+        self._c_iprobe.value += 1.0
+        buckets = self._ux.get(context_id)
+        if buckets is None:
+            return None
+        self._c_iprobe_scanned.value += 1.0
+        if (source, tag) not in buckets:
+            return None
+        request = Request(self.env, "recv")
+        self._match_unexpected(buckets, source, tag, context_id, request)
+        return request
 
     def probe_event(self, source: int, tag: int, context_id: int):
         """Event triggering (with the envelope) when a match is queued.

@@ -83,15 +83,17 @@ class MPIProcess:
             return group.gid_of(source_rank)
         return None
 
-    def _check_sendable(self, dst_gid: int) -> None:
+    def _send_error(self, dst_gid: int) -> MPIError:
+        """Why a send to ``dst_gid`` cannot go; asked only once a send
+        step has seen that it cannot (world aborted, this rank or the
+        peer dead or unknown)."""
         if self.world.aborted:
-            raise WorldAbortedError(f"{self.name}: MPI world has aborted")
+            return WorldAbortedError(f"{self.name}: MPI world has aborted")
         if not self.alive:
-            raise RankDeadError(f"{self.name} is dead")
+            return RankDeadError(f"{self.name} is dead")
         dst = self.world._procs.get(dst_gid)
-        if dst is None or not dst.alive:
-            name = dst.name if dst is not None else f"gid={dst_gid}"
-            raise RankDeadError(f"{self.name}: peer {name} is dead")
+        name = dst.name if dst is not None else f"gid={dst_gid}"
+        return RankDeadError(f"{self.name}: peer {name} is dead")
 
     def start(self) -> None:
         """Begin executing this rank's main() as a simulation process."""
@@ -104,34 +106,6 @@ class MPIProcess:
         )
 
     # -- send side -----------------------------------------------------------
-    def _send_overhead(self, size: int) -> float:
-        memo = self.world._send_cpu_memo
-        overhead = memo.get(size)
-        if overhead is None:
-            overhead = memo[size] = self.world.model.sender_cpu_time(size)
-        return overhead
-
-    def _route_send(self, send: tuple, send_done: Event | None) -> bool:
-        """The step after the send overhead: re-check the peer (it may have
-        died meanwhile), count, and route the envelope. ``send`` is the
-        message tuple of :meth:`_start_send`; ``send_done`` rides a
-        rendezvous envelope. Returns whether the send went eager."""
-        dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, _ = send
-        self._check_sendable(dst_gid)
-        world = self.world
-        world._c_send_bytes.value += size
-        eager = size <= world.model.rendezvous_threshold
-        if eager:
-            world._c_send_eager.value += 1.0
-        else:
-            world._c_send_rendezvous.value += 1.0
-        world._route(Envelope(
-            self.gid, src_rank, dst_gid, context_id, tag, payload, size,
-            Protocol.EAGER if eager else Protocol.RENDEZVOUS,
-            send_done=send_done, trace_ctx=trace_ctx,
-        ))
-        return eager
-
     def _isend(
         self,
         dst_gid: int,
@@ -163,53 +137,58 @@ class MPIProcess:
     ) -> None:
         """Nonblocking send as a callback chain (DESIGN §10 rule 7).
 
-        A start hop scheduled now, the overhead timeout, then
-        :meth:`_route_send`. With a ``req`` a termination hop settles it,
-        scheduled right after routing if eager and from ``send_done``'s
-        dispatch if rendezvous. Without one (the transports never read
-        it) nothing is scheduled past routing and a failure goes unseen.
-        Only :class:`MPIError` fails a request; anything else propagates
-        out of ``run``.
+        The overhead timeout, pushed here, then :meth:`_on_send_overhead`,
+        which re-checks both ranks and routes the envelope. With a
+        ``req`` a termination hop settles it, scheduled right after
+        routing if eager and from ``send_done``'s dispatch if rendezvous.
+        Without one (the transports never read it) nothing is scheduled
+        past routing and a failure goes unseen. Only :class:`MPIError`
+        fails a request; anything else propagates out of ``run``.
 
-        The message rides the events as their value, the tuple
-        ``(dst_gid, src_rank, context_id, tag, payload, size, trace_ctx,
-        req)``; one bound callback per step serves every message.
+        The message rides the timeout as its value, the tuple ``(dst,
+        src_rank, context_id, tag, payload, size, trace_ctx, req)`` with
+        ``dst`` the peer's :class:`MPIProcess`, resolved once here; one
+        bound callback per step serves every message.
         """
-        try:
-            self._check_sendable(dst_gid)
-        except MPIError as exc:
+        world = self.world
+        dst = world._procs.get(dst_gid)
+        if world.aborted or not self.alive or dst is None or not dst.alive:
             if req is not None:
-                req.event.fail(exc)
+                req.event.fail(self._send_error(dst_gid))
             return
-        start = Event(self.env)
-        start.callbacks.append(self._on_send_start)
-        start.succeed(
-            (dst_gid, src_rank, context_id, tag, payload, size, trace_ctx, req)
-        )
-
-    def _on_send_start(self, event: Event) -> None:
-        send = event._value
-        try:
-            self._check_sendable(send[0])
-        except MPIError as exc:
-            self._end_send(send[7], exc)
-            return
-        overhead = self.env.timeout(self._send_overhead(send[5]), send)
-        overhead.callbacks.append(self._on_send_overhead)
+        memo = world._send_cpu_memo
+        overhead = memo.get(size)
+        if overhead is None:
+            overhead = memo[size] = world.model.sender_cpu_time(size)
+        self.env.timeout(
+            overhead,
+            (dst, src_rank, context_id, tag, payload, size, trace_ctx, req),
+        ).callbacks.append(self._on_send_overhead)
 
     def _on_send_overhead(self, event: Event) -> None:
-        send = event._value
-        req = send[7]
-        done = None
-        if req is not None and send[5] > self.world.model.rendezvous_threshold:
-            done = _SendDone(self.env, req)
-            done.callbacks.append(self._on_send_done)
-        try:
-            eager = self._route_send(send, done)
-        except MPIError as exc:
-            self._end_send(req, exc)
+        """The step after the send overhead: re-check both ranks (either
+        may have died meanwhile), count, and route the envelope."""
+        dst, src_rank, context_id, tag, payload, size, trace_ctx, req = event._value
+        world = self.world
+        if world.aborted or not self.alive or not dst.alive:
+            self._end_send(req, self._send_error(dst.gid))
             return
-        if eager and req is not None:
+        world._c_send_bytes.value += size
+        done = None
+        if size <= world.model.rendezvous_threshold:
+            world._c_send_eager.value += 1.0
+            protocol = Protocol.EAGER
+        else:
+            world._c_send_rendezvous.value += 1.0
+            protocol = Protocol.RENDEZVOUS
+            if req is not None:
+                done = _SendDone(self.env, req)
+                done.callbacks.append(self._on_send_done)
+        world._route(Envelope(
+            self.gid, src_rank, dst.gid, context_id, tag, payload, size,
+            protocol, send_done=done, trace_ctx=trace_ctx,
+        ))
+        if done is None and req is not None:
             self._end_send(req, None)
 
     def _on_send_done(self, event: "_SendDone") -> None:
@@ -260,18 +239,22 @@ class MPIProcess:
 
         A rendezvous match is a process — its CTS and bulk legs are
         :meth:`SimCluster.wire_path` generators. An eager match is a
-        callback chain: a start hop, the receive delay, then
-        :meth:`_settle_recv`, the ``(envl, posted[, buffered])`` riding the
-        events as their value.
+        callback chain: the receive delay, pushed here, then
+        :meth:`_settle_recv`, the ``(envl, request)`` riding the timeout
+        as its value.
         """
         if envl.protocol is Protocol.RENDEZVOUS:
             self.env.process(
                 self._rendezvous_match(envl, posted), name=f"match:{self.name}"
             )
             return
-        start = Event(self.env)
-        start.callbacks.append(self._on_eager_start)
-        start.succeed((envl, posted, buffered))
+        delay = self._recv_delay(envl.nbytes)
+        if buffered:
+            # The payload was parked in a bounce buffer: copy it out.
+            delay += envl.nbytes * UNEXPECTED_COPY_S_PER_BYTE
+        self.env.timeout(delay, (envl, posted.request)).callbacks.append(
+            self._on_eager_delay
+        )
 
     def _recv_delay(self, nbytes: int) -> float:
         memo = self.world._recv_cpu_memo
@@ -280,19 +263,9 @@ class MPIProcess:
             delay = memo[nbytes] = self.world.model.receiver_cpu_time(nbytes)
         return delay
 
-    def _on_eager_start(self, event: Event) -> None:
-        envl, posted, buffered = event._value
-        delay = self._recv_delay(envl.nbytes)
-        if buffered:
-            # The payload was parked in a bounce buffer: copy it out.
-            delay += envl.nbytes * UNEXPECTED_COPY_S_PER_BYTE
-        self.env.timeout(delay, (envl, posted)).callbacks.append(
-            self._on_eager_delay
-        )
-
     def _on_eager_delay(self, event: Event) -> None:
-        envl, posted = event._value
-        self._settle_recv(envl, posted.request)
+        envl, req = event._value
+        self._settle_recv(envl, req)
 
     def _rendezvous_match(self, envl: Envelope, posted: PostedRecv) -> Generator:
         cluster = self.world.cluster

@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.netty.frame import WireFrame
 from repro.netty.pipeline import ChannelPipeline
+from repro.simnet.events import Event
 from repro.util.serialization import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netty.eventloop import EventLoop
-    from repro.simnet.events import Event
     from repro.simnet.sockets import SimSocket, SocketAddress
 
 
@@ -80,7 +80,7 @@ class Channel:
     # -- I/O ------------------------------------------------------------------
     def write_and_flush(self, msg: Any) -> "Event":
         """Send ``msg`` through the outbound pipeline; returns the write promise."""
-        promise = self.env.event()
+        promise = Event(self.env)
         self.pipeline.write(msg, promise)
         return promise
 

@@ -191,9 +191,6 @@ class SimEngine:
         return None
 
     # -- factories -----------------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A :class:`Timeout` firing ``delay`` from now with ``value``."""
         pool = self._timeout_pool

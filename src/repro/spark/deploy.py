@@ -39,6 +39,7 @@ from repro.mpi.errors import MPIError, WorldAbortedError
 from repro.mpi.runtime import RankSpec
 from repro.netty.eventloop import EventLoopGroup
 from repro.simnet.engine import SimEngine
+from repro.simnet.events import Event
 from repro.simnet.interconnect import DEFAULT_COST, CostModel
 from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import SocketAddress, SocketError
@@ -410,7 +411,7 @@ class SimExecutor:
                 nxt = next(order, None)
             if not pending:
                 break
-            wait = park = env.event()
+            wait = park = Event(env)
             for future in pending:
                 if future.callbacks is None:
                     # Processed while this task was busy: decided on the spot.
@@ -778,7 +779,7 @@ class SparkSimCluster:
         assert world is not None
         W = self.n_workers
         executor_procs: dict[int, Any] = {}
-        done = self.env.event()
+        done = Event(self.env)
         parents_ready = {"count": 0}
 
         def executor_main(proc):

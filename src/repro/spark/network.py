@@ -27,6 +27,7 @@ from repro.netty import (
     ServerBootstrap,
     WireFrame,
 )
+from repro.simnet.events import Event
 from repro.spark.messages import (
     ChunkFetchFailure,
     ChunkFetchRequest,
@@ -44,7 +45,6 @@ from repro.spark.messages import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import SimEngine
-    from repro.simnet.events import Event
     from repro.simnet.sockets import SocketAddress, SocketStack
 
 
@@ -373,7 +373,7 @@ class TransportClient:
     ) -> "Event":
         """Request one chunk; returns a future of :class:`ChunkFetchSuccess`."""
         sid = StreamChunkId(stream_id, chunk_index)
-        future = self.env.event()
+        future = Event(self.env)
         self.handler.outstanding_fetches[sid] = future
         self.channel.write_and_flush(
             self._parent(ChunkFetchRequest(sid, num_blocks), trace_parent)
@@ -383,7 +383,7 @@ class TransportClient:
     def send_rpc(self, payload: Any, nbytes: int = 0, trace_parent=None) -> "Event":
         """Send an RPC; returns a future of the reply payload."""
         rpc_id = next(TransportClient._rpc_ids)
-        future = self.env.event()
+        future = Event(self.env)
         self.handler.outstanding_rpcs[rpc_id] = future
         self.channel.write_and_flush(
             self._parent(RpcRequest(rpc_id, payload, nbytes), trace_parent)
@@ -495,7 +495,7 @@ class TransportClientFactory:
                 break
             # Another task is already connecting: join its wait.
             yield pending
-        done = self.context.env.event()
+        done = Event(self.context.env)
         self._connecting[key] = done
         try:
             client = yield from self.context.create_client(

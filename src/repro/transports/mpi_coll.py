@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from repro.mpi.collectives import alltoallv
 from repro.mpi.errors import MPIError, RankDeadError, WorldAbortedError
+from repro.simnet.events import Event
 from repro.transports.mpi_opt import MpiOptimizedTransport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +75,7 @@ class CollectiveShuffleExchange:
         self.members = list(members)
         self.totals = totals
         self.tag = tag
-        self.done = env.event()
+        self.done = Event(env)
         self.error: MPIError | None = None
         self._live: list[int] = []
         self._pending = 0

@@ -10,6 +10,8 @@ same model arithmetic the runtime does, or from a reference run of the
 same cell without the fault.
 """
 
+import pytest
+
 from repro.mpi import MPIWorld, RankSpec
 from repro.mpi.envelope import RTS_BYTES
 from repro.mpi.errors import RankDeadError, WorldAbortedError
@@ -78,6 +80,69 @@ def test_isend_fails_when_world_aborts_before_route():
     overhead, (t, exc) = isend_outcome("abort", victim_rank=2)
     assert t == overhead
     assert type(exc) is WorldAbortedError
+
+
+@pytest.mark.parametrize("nbytes", [EAGER, RENDEZVOUS])
+@pytest.mark.parametrize(
+    "fault_mode,error", [("shrink", RankDeadError), ("abort", WorldAbortedError)]
+)
+@pytest.mark.parametrize("kill_first", [False, True])
+def test_peer_killed_in_the_call_instant(nbytes, fault_mode, error, kill_first):
+    # A send starts with its overhead timeout, pushed at the call (DESIGN
+    # §10 rule 7), and the ranks are checked at the call and again when
+    # the overhead is over. So a peer killed before the isend fails the
+    # request at the call instant, and one killed right after it, in the
+    # same instant, one send overhead later.
+    _, _, world = make_world(fault_mode)
+    out = {}
+
+    def sender(proc):
+        if kill_first:
+            world.kill_process(1, reason="test")
+        req = proc.comm_world.isend("x", dest=1, nbytes=nbytes)
+        if not kill_first:
+            world.kill_process(1, reason="test")
+        try:
+            yield from req.wait()
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            out["outcome"] = (proc.env.now, exc)
+
+    launch(world, [sender, idle, idle])
+    t, exc = out["outcome"]
+    assert t == (0.0 if kill_first else world.model.sender_cpu_time(nbytes))
+    assert type(exc) is error
+    assert world._pipes == {}
+
+
+@pytest.mark.parametrize("fault_mode,victim", [("shrink", 1), ("abort", 2), (None, None)])
+def test_probe_and_take_finds_nothing_after_a_death(fault_mode, victim):
+    # Rank 1 holds rank 0's envelope in its unexpected queue when
+    # ``victim`` dies: its own death, or an abort, drops the queue, so the
+    # Basic loop's probe-and-take finds nothing (and counts the probe).
+    # With nobody dead it takes the envelope.
+    _, _, world = make_world(fault_mode or "shrink")
+    out = {}
+
+    def receiver(proc):
+        yield proc.env.timeout(1.0)
+        matching = proc.matching
+        ctx = proc.comm_world.desc.ctx_pt2pt
+        assert matching.iprobe(0, 0, ctx)
+        if victim is not None:
+            world.kill_process(victim, reason="test")
+        req = matching.take(0, 0, ctx)
+        out["probes"] = matching._c_iprobe.value
+        if req is not None:
+            out["value"] = yield from req.wait()
+        out["left"] = len(matching.unexpected)
+
+    def sender(proc):
+        yield from proc.comm_world.send("x", dest=1, nbytes=EAGER)
+
+    launch(world, [sender, receiver, idle])
+    assert out["probes"] == 2
+    assert out.get("value") == (None if victim is not None else "x")
+    assert out["left"] == 0
 
 
 def test_ignored_failed_isend_does_not_stop_the_run():

@@ -108,6 +108,21 @@ class TestProbes:
         # idle context looks at none.
         assert count(env, "iprobe_scan_len_total") == 2
 
+    def test_take_is_iprobe_then_post_recv(self, env, engine):
+        assert engine.take(0, 1, 100) is None
+        engine.deliver(make_envelope(nbytes=3))
+        assert engine.take(0, 2, 100) is None
+        req = engine.take(0, 1, 100)
+        ((envl, posted, buffered),) = engine.test_matches
+        assert posted.request is req and req.kind == "recv"
+        assert (envl.nbytes, buffered) == (3, True)
+        assert engine.take(0, 1, 100) is None
+        assert engine.unexpected == []
+        # Counted as the probes and the one unexpected match it stands for.
+        assert count(env, "iprobe_calls") == 4
+        assert count(env, "iprobe_scan_len_total") == 2
+        assert count(env, "unexpected_matches") == 1
+
     def test_iprobe_does_not_consume(self, engine):
         engine.deliver(make_envelope())
         engine.iprobe(0, 1, 100)

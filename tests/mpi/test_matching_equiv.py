@@ -6,7 +6,9 @@ from the textbook O(n)-scan implementation:
 
 * ``deliver`` matches the earliest-*posted* receive with the envelope's spec;
 * ``post_recv`` claims the earliest-*arrived* envelope with its spec;
-* ``iprobe`` sees exactly what a linear scan of the unexpected queue sees;
+* ``iprobe`` sees exactly what a linear scan of the unexpected queue sees,
+  and ``take`` is ``iprobe`` followed, when it sees a match, by
+  ``post_recv``;
 * the failure sweeps see the queues in the order a linear scan keeps them:
   ``fail_posted`` fails in post order, and the ``unexpected`` view a rank
   death walks lists envelopes in arrival order.
@@ -74,7 +76,9 @@ def test_randomized_streams_match_reference(seed):
     matches = []
 
     def on_match(envl, posted, buffered):
-        matches.append(("match", envl.payload, posted.request.req_id, buffered))
+        # A take's request is built inside the engine, without a req_id.
+        req_id = getattr(posted.request, "req_id", None)
+        matches.append(("match", envl.payload, req_id, buffered))
 
     engine = MatchingEngine(env, on_match)
     ref = ReferenceMatcher()
@@ -109,8 +113,13 @@ def test_randomized_streams_match_reference(seed):
             n_req += 1
             engine.post_recv(source, tag, ctx, req)
             ref.post_recv(source, tag, ctx, req.req_id)
-        elif op < 0.98:
+        elif op < 0.93:
             assert engine.iprobe(source, tag, ctx) == ref.iprobe(source, tag, ctx)
+        elif op < 0.98:
+            found = ref.iprobe(source, tag, ctx)
+            assert (engine.take(source, tag, ctx) is not None) == found
+            if found:
+                ref.post_recv(source, tag, ctx, None)
         else:
             # A peer dies: its posted receives on every context fail.
             def pred(src, tg, cx, dead=source):

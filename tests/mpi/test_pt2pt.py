@@ -114,6 +114,30 @@ class TestBasicSendRecv:
             env.run()
         assert procs[0].matching.fail_posted(lambda p: True, RuntimeError) == 0
 
+    @pytest.mark.parametrize("blocking", [False, True])
+    def test_negative_nbytes_rejected_before_sending(self, blocking):
+        # A negative size can never go on the wire: the call raises, in
+        # the caller's process, and nothing is scheduled or counted, where
+        # it used to kill the whole run at the wire path one hop later.
+        env, cluster, world = make_world()
+
+        def sender(proc):
+            comm = proc.comm_world
+            with pytest.raises(ValueError, match="nbytes must be >= 0, got -1"):
+                if blocking:
+                    yield from comm.send("x", dest=1, nbytes=-1)
+                else:
+                    comm.isend("x", dest=1, nbytes=-1)
+            yield proc.env.timeout(0)
+            return proc.env.now
+
+        def idle(proc):
+            yield proc.env.timeout(0)
+
+        assert run_ranks(world, [sender, idle]) == [0.0, None]
+        assert world._pipes == {}
+        assert world._c_send_eager.value == world._c_send_bytes.value == 0
+
     def test_explicit_nbytes_override(self):
         env, cluster, world = make_world()
 
@@ -240,6 +264,53 @@ class TestProtocols:
         run_ranks(world, [sender, receiver])
         # Rendezvous: the send cannot complete before the recv was posted.
         assert times["send_done"] >= 0.5
+
+    @pytest.mark.parametrize(
+        "nbytes,post_at,times",
+        [
+            (1 * KiB, 0.0, ("0x1.77cf44765195fp-20", "0x1.2d86b6cbfb1bfp-18")),
+            (1 * KiB, 1e-3, ("0x1.77cf44765195fp-20", "0x1.068ad10038342p-10")),
+            (8 * MiB, 0.0, ("0x1.94a6e6e23c55ap-11", "0x1.9562ce84777e7p-11")),
+            (8 * MiB, 1e-3, ("0x1.cfae99100de57p-10", "0x1.d00c8ce12b79dp-10")),
+        ],
+    )
+    def test_send_and_receive_complete_at_recorded_times(self, nbytes, post_at, times):
+        # An eager and a rendezvous send, each to a receive posted before
+        # the envelope lands and after it: when the blocking send and the
+        # receive return, exactly (recorded while sends and eager matches
+        # still began with a zero-delay start hop, DESIGN §10 rule 7).
+        env, cluster, world = make_world()
+        seen = {}
+
+        def sender(proc):
+            yield from proc.comm_world.send("x", dest=1, nbytes=nbytes)
+            seen["send"] = proc.env.now.hex()
+
+        def receiver(proc):
+            yield proc.env.timeout(post_at)
+            yield from proc.comm_world.recv(source=0, tag=0)
+            seen["recv"] = proc.env.now.hex()
+
+        run_ranks(world, [sender, receiver])
+        assert (seen["send"], seen["recv"]) == times
+
+    def test_send_overhead_step_precedes_a_timer_taken_after_the_call(self):
+        # The overhead timeout is pushed at the call, so a timer the caller
+        # takes for the same instant right after the isend fires after the
+        # envelope was routed (DESIGN §10 rule 7: the tie a start hop
+        # would order the other way).
+        env, cluster, world = make_world()
+        overhead = world.model.sender_cpu_time(1 * KiB)
+
+        def sender(proc):
+            proc.comm_world.isend("x", dest=1, nbytes=1 * KiB)
+            yield proc.env.timeout(overhead)
+            return world._c_send_eager.value
+
+        def receiver(proc):
+            yield from proc.comm_world.recv(source=0, tag=0)
+
+        assert run_ranks(world, [sender, receiver]) == [1.0, None]
 
     def test_rendezvous_timing_scales_with_size(self):
         def roundtrip_time(nbytes):

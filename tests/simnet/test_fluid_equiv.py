@@ -30,7 +30,7 @@ from typing import Hashable
 
 import pytest
 
-from repro.simnet import SimEngine
+from repro.simnet import Event, SimEngine
 from repro.simnet.fluid import _FINISH_SLACK_BYTES, FluidNetwork
 
 
@@ -62,7 +62,7 @@ class ReferenceFluidNetwork:
     def transfer(self, links, nbytes):
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        done = self.env.event()
+        done = Event(self.env)
         if nbytes == 0:
             done.succeed()
             return done

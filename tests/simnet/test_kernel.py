@@ -61,7 +61,7 @@ class TestClock:
 
     def test_run_until_event_on_empty_schedule_raises(self, env):
         with pytest.raises(EmptySchedule):
-            env.run(until=env.event())
+            env.run(until=Event(env))
 
     def test_reserved_key_pops_where_its_timeout_would_have(self, env):
         # Reserved before two same-instant timeouts, pushed after them: the
@@ -278,7 +278,7 @@ class TestInterrupt:
 
 class TestEvents:
     def test_manual_event_succeed(self, env):
-        ev = env.event()
+        ev = Event(env)
 
         def waiter(env):
             value = yield ev
@@ -294,13 +294,13 @@ class TestEvents:
         assert w.value == "fired"
 
     def test_double_trigger_raises(self, env):
-        ev = env.event()
+        ev = Event(env)
         ev.succeed(1)
         with pytest.raises(SimError):
             ev.succeed(2)
 
     def test_complete_unobserved_is_processed_in_place(self, env):
-        ev = env.event()
+        ev = Event(env)
         assert ev.complete("done") is ev
         assert ev.callbacks is None and ev.ok and ev.value == "done"
         assert not env._heap  # nothing was scheduled
@@ -316,7 +316,7 @@ class TestEvents:
             ev.complete()
 
     def test_complete_with_a_callback_goes_through_the_heap(self, env):
-        ev = env.event()
+        ev = Event(env)
         seen = []
         ev.add_callback(lambda e: seen.append(e.value))
         ev.complete("done")
@@ -326,14 +326,14 @@ class TestEvents:
 
     def test_fail_requires_exception(self, env):
         with pytest.raises(TypeError):
-            env.event().fail("not an exception")
+            Event(env).fail("not an exception")
 
     def test_value_before_trigger_raises(self, env):
         with pytest.raises(SimError):
-            _ = env.event().value
+            _ = Event(env).value
 
     def test_run_until_event_returns_value(self, env):
-        ev = env.event()
+        ev = Event(env)
 
         def firer(env):
             yield env.timeout(4)
@@ -344,7 +344,7 @@ class TestEvents:
         assert env.now == 4.0
 
     def test_run_until_event_never_fires(self, env):
-        ev = env.event()
+        ev = Event(env)
 
         def nothing(env):
             yield env.timeout(1)
@@ -357,7 +357,7 @@ class TestEvents:
         # The event was fired AND processed in an earlier run(); a later
         # run(until=it) must return its value without needing the schedule
         # to pop it again.
-        ev = env.event()
+        ev = Event(env)
 
         def firer(env):
             yield env.timeout(1)
@@ -369,7 +369,7 @@ class TestEvents:
         assert env.run(until=ev) == "done-early"
 
     def test_run_until_already_failed_event_raises(self, env):
-        ev = env.event()
+        ev = Event(env)
 
         def firer(env):
             yield env.timeout(1)
@@ -386,7 +386,7 @@ class TestEvents:
         # Fired but never scheduled for delivery (no callbacks, trigger
         # without schedule) — the drain path must still return its value
         # rather than report "drained before fired".
-        ev = env.event()
+        ev = Event(env)
         ev.succeed("limbo")
 
         def nothing(env):
@@ -442,8 +442,8 @@ class TestConditions:
     def test_decided_any_of_leaves_no_callback_on_pending_event(self, env, outcome):
         # An idle selector key is this shape: one long-lived pending event
         # that every select() waits on and something else decides.
-        idle = env.event()
-        decider = env.event()
+        idle = Event(env)
+        decider = Event(env)
         cond = AnyOf(env, [idle, decider])
         assert len(idle.callbacks) == 1
 
@@ -464,8 +464,8 @@ class TestConditions:
         assert idle.callbacks == []
 
     def test_failed_all_of_detaches_from_the_rest(self, env):
-        slow = env.event()
-        bad = env.event()
+        slow = Event(env)
+        bad = Event(env)
         cond = AllOf(env, [slow, bad])
         cond.callbacks.append(lambda ev: None)  # observed: failure is not raised
         bad.fail(RuntimeError("boom"))
@@ -474,11 +474,11 @@ class TestConditions:
         assert slow.callbacks == []
 
     def test_condition_decided_at_construction_skips_later_children(self, env):
-        done = env.event()
+        done = Event(env)
         done.succeed("early")
         env.run()
         assert done.callbacks is None
-        before, after = env.event(), env.event()
+        before, after = Event(env), Event(env)
         cond = AnyOf(env, [before, done, after])
         assert cond.triggered
         # Detached from the child attached before the decision, never
@@ -521,7 +521,7 @@ class TestUnobservedFailure:
             env.run(until=5.0)
 
     def test_failed_plain_event_nobody_waits_on_is_dropped(self, env):
-        env.event().fail(RuntimeError("abandoned request"))
+        Event(env).fail(RuntimeError("abandoned request"))
         env.run()
         assert env.events_processed == 1
 

@@ -1,5 +1,5 @@
-"""Whole-run fences for the kernel: dispatch order, object lifetime and
-the call budget per wire message.
+"""Whole-run fences for the kernel: dispatch order, object lifetime, the
+call budget per wire message and the dispatches by kind.
 
 All drive the Fig-9 GroupByTest cell end to end (2 workers, the golden's
 configuration, except where a property needs overlapping flows), because
@@ -11,17 +11,20 @@ isolation (those live in ``test_kernel.py`` and
 
 import gc
 import hashlib
+import heapq
 import itertools
 import os
 import sys
+import types
 from collections import Counter
 
 import pytest
 
 import repro
 from repro.harness.experiments import _run_ohb
+from repro.simnet import engine as engine_module
 from repro.simnet.engine import SimEngine
-from repro.simnet.events import AllOf, AnyOf, Condition, Event, Process
+from repro.simnet.events import AllOf, AnyOf, Condition, Event, Process, Timeout
 from repro.simnet.fluid import Flow, FluidNetwork
 from repro.simnet.sockets import SimSocket
 from repro.util.units import GiB
@@ -193,11 +196,11 @@ def test_mpi_messages_start_no_processes(transport, monkeypatch):
 # that adds calls on a wire path raises the row in the same change and says
 # why; one that removes some lowers it.
 CALL_BUDGETS = {
-    "nio": ((284, 3271), (954, 9859), 88.2),
-    "rdma": ((284, 3271), (954, 9859), 88.2),
-    "mpi-basic": ((542, 4043), (1882, 13206), 60.8),
-    "mpi-opt": ((654, 4392), (2329, 13268), 47.8),
-    "mpi-coll": ((36, 745), (36, 745), 165.9),
+    "nio": ((284, 3271), (954, 9859), 86.2),
+    "rdma": ((284, 3271), (954, 9859), 86.2),
+    "mpi-basic": ((542, 3535), (1882, 11693), 52.1),
+    "mpi-opt": ((654, 4220), (2329, 12761), 45.2),
+    "mpi-coll": ((36, 683), (36, 683), 156.3),
 }
 
 # Python 3.12 inlines these (PEP 709), so counting them would make the
@@ -260,3 +263,107 @@ def test_wire_messages_keep_their_call_budget(transport, monkeypatch):
     assert ((m2, d2), (m8, d8)) == (small_at, large_at)
     per_message = (c8 - c2) / (m8 - m2) if m8 != m2 else c8 / m8
     assert per_message <= budget, f"{per_message:.2f} calls per wire message"
+
+
+def dispatch_census(transport: str, data_bytes: int, monkeypatch) -> tuple[int, Counter]:
+    """(wire messages, dispatches by kind) of the Fig-9 GroupBy cell.
+
+    A dispatch's kind is the ``__qualname__`` of the first callback the
+    run loop calls for it, or, when that callback resumes a process, of
+    the process's generator function (``_Pipe._pump``,
+    ``MPIProcess._rendezvous_match``); an event dispatched with no
+    callback is ``(none)``. The run loop's ``heappop`` is wrapped for the
+    cell; a cancelled timer it skips is not a dispatch and is not counted.
+    """
+    kinds = Counter()
+    engines = []
+    init = SimEngine.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        event = entry[2]
+        if not (event.__class__ is Timeout and event._dead):
+            kinds[_kind(event.callbacks)] += 1
+        return entry
+
+    monkeypatch.setattr(SimEngine, "__init__", tracked)
+    monkeypatch.setattr(
+        engine_module,
+        "heapq",
+        types.SimpleNamespace(heappop=heappop, heapify=heapq.heapify),
+    )
+    cell = _run_ohb(GROUP_BY, 2, data_bytes, transport, 0.25)
+    monkeypatch.setattr(SimEngine, "__init__", init)
+    monkeypatch.setattr(engine_module, "heapq", heapq)
+    assert sum(kinds.values()) == sum(env.events_processed for env in engines)
+    return int(cell.result.metrics.total("simnet.link.*.tx_messages")), kinds
+
+
+def _kind(callbacks) -> str:
+    if not callbacks:
+        return "(none)"
+    cb = callbacks[0]
+    owner = getattr(cb, "__self__", None)
+    if isinstance(owner, Process) and cb.__name__ == "_resume":
+        return owner.gen.__qualname__
+    return getattr(cb, "__qualname__", type(cb).__qualname__)
+
+
+# The MPI runtime's dispatches on the Fig-9 GroupByTest cell (2 workers,
+# 2 GiB, fidelity 0.25), exact, by kind (``dispatch_census``); the wire
+# messages are the ``CALL_BUDGETS`` row's. ``_on_send_overhead`` is one
+# per MPI send, ``_on_eager_delay`` one per eager match, ``_on_send_end``
+# one per send whose request someone holds (the control plane's; the
+# transports' per-message sends hold none), and ``_Pipe._pump`` and
+# ``_rendezvous_match`` are the resumes of the pipe pumps and of the
+# rendezvous matches. A send and an eager match have no start hop (DESIGN
+# §10 rule 7): ``_on_send_start`` and ``_on_eager_start`` appear on no
+# transport.
+MPI_DISPATCHES = {
+    "mpi-basic": (542, {
+        "MPIProcess._on_send_overhead": 310,
+        "MPIProcess._on_send_end": 30,
+        "MPIProcess._on_eager_delay": 198,
+        "MPIProcess._rendezvous_match": 560,
+        "_Pipe._pump": 628,
+    }),
+    "mpi-opt": (654, {
+        "MPIProcess._on_send_overhead": 142,
+        "MPIProcess._on_send_end": 30,
+        "MPIProcess._on_eager_delay": 30,
+        "MPIProcess._rendezvous_match": 560,
+        "_Pipe._pump": 292,
+    }),
+    "mpi-coll": (36, {
+        "MPIProcess._on_send_overhead": 32,
+        "MPIProcess._on_send_done": 2,
+        "MPIProcess._on_send_end": 32,
+        "MPIProcess._on_eager_delay": 30,
+        "MPIProcess._rendezvous_match": 10,
+        "_Pipe._pump": 72,
+    }),
+}
+_FOLDED = ("MPIProcess._on_send_start", "MPIProcess._on_eager_start")
+
+
+@pytest.mark.parametrize("transport", sorted(CALL_BUDGETS))
+def test_dispatches_by_kind(transport, monkeypatch):
+    messages, kinds = dispatch_census(transport, 2 * GiB, monkeypatch)
+    mpi = {
+        kind: n for kind, n in kinds.items()
+        if kind.startswith(("MPIProcess.", "_Pipe.", "MatchingEngine."))
+    }
+    table = "\n".join(
+        f"{kind:<48} {n:>6} {n / messages:>8.3f}"
+        for kind, n in sorted(kinds.items(), key=lambda kv: (-kv[1], kv[0]))
+    )
+    report = (
+        f"{transport}: {messages} wire messages, {sum(kinds.values())} "
+        f"dispatches\n{'kind':<48} {'count':>6} {'/message':>8}\n{table}"
+    )
+    assert not set(_FOLDED) & set(kinds), report
+    assert (messages, mpi) == MPI_DISPATCHES.get(transport, (messages, {})), report

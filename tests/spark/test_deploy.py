@@ -31,6 +31,7 @@ from repro.netty.channel import ChannelId
 from repro.netty.handler import HandlerContext
 from repro.netty.pipeline import ChannelPipeline, _HeadHandler, _TailHandler
 from repro.netty.selector import SelectionKey, Selector
+from repro.simnet.events import Event
 from repro.simnet.resources import SlotGate
 from repro.simnet.sockets import Segment, SimSocket
 from repro.spark.deploy import (
@@ -262,10 +263,10 @@ class TestFetchShuffleWaits:
             self.futures = []
 
         def send_rpc(self, payload, nbytes, trace_parent=None):
-            return self.env.event().complete((7, self.sizes, self.blocks))
+            return Event(self.env).complete((7, self.sizes, self.blocks))
 
         def fetch_chunk(self, stream_id, idx, num_blocks=1, trace_parent=None):
-            self.futures.append(self.env.event())
+            self.futures.append(Event(self.env))
             return self.futures[-1]
 
     def _cluster(self, monkeypatch, chunks):
@@ -382,7 +383,7 @@ class TestLazyFetchOrder:
             return ("reply", (7, self.sizes, [1] * len(self.sizes)))
 
         def fetch_chunk(self, stream_id, idx, num_blocks=1, trace_parent=None):
-            future = self.env.event()
+            future = Event(self.env)
             self.issued.append((self.src.exec_id, idx, self.sizes[idx], future))
             return future
 
