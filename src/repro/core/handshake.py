@@ -80,6 +80,7 @@ class MpiHandshakeHandler(ChannelHandler):
     Consumes handshake envelopes, resolves the communicator binding via the
     event loop's :class:`~repro.core.endpoint.MpiEndpoint`, and completes
     the channel's handshake event. Application frames pass through.
+    A subclass learns of each binding through :meth:`channel_bound`.
     """
 
     def channel_read(self, ctx, msg):
@@ -116,6 +117,10 @@ class MpiHandshakeHandler(ChannelHandler):
         done = channel.attributes.get(ATTR_DONE)
         if done is not None and not done.triggered:
             done.succeed(binding)
+        self.channel_bound(channel)
+
+    def channel_bound(self, channel: Channel) -> None:
+        """Called each time a handshake binds ``channel``."""
 
     def channel_inactive(self, ctx):
         # Channel teardown releases its rank mapping; a handshake still in

@@ -19,12 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.endpoint import CommBinding
-from repro.core.handshake import (
-    ATTR_BINDING,
-    ATTR_TAG,
-    MpiHandshakeHandler,
-    _HandshakeEnvelope,
-)
+from repro.core.handshake import ATTR_BINDING, ATTR_TAG, MpiHandshakeHandler
 from repro.mpi.errors import MPIError
 from repro.netty.channel import Channel
 from repro.netty.eventloop import READ_EVENT_COST_S, EventLoop
@@ -268,24 +263,20 @@ class MpiBasicEventLoop(EventLoop):
             progressed = bool(keys)
             endpoint = self.mpi_endpoint
             if endpoint is not None:
-                proc = endpoint.proc
-                world = proc.world
-                take = proc.matching.take
+                take = endpoint.proc.matching.take
                 for channel, peer_rank, tag, context_id in self._poll_rows():
                     if not channel.active:
                         # Closed earlier in this round: its channel_inactive
                         # already unbound it, and the rows rebuild next round.
                         continue
+                    # MPI_Iprobe, then MPI_Irecv of what it found. A dead
+                    # rank (every rank, once the world aborts) has had its
+                    # unexpected queue dropped and is delivered nothing
+                    # more, so its take finds nothing; an envelope from a
+                    # dead peer that landed before the death is still
+                    # taken, as a checked receive would take it.
                     while True:
-                        if not world.dead:
-                            # MPI_Iprobe, then MPI_Irecv of what it found.
-                            req = take(peer_rank, tag, context_id)
-                        elif proc.matching.iprobe(peer_rank, tag, context_id):
-                            # A rank died or the world aborted: the
-                            # receive's own checks decide.
-                            req = proc._irecv(peer_rank, tag, context_id)
-                        else:
-                            req = None
+                        req = take(peer_rank, tag, context_id)
                         if req is None:
                             break
                         progressed = True
@@ -335,17 +326,11 @@ class NotifyingHandshakeHandler(MpiHandshakeHandler):
     """Handshake handler that also registers bound channels with the loop
     (the Basic design's loop must know which channels to iprobe)."""
 
-    def channel_read(self, ctx, msg):
-        if not isinstance(msg, _HandshakeEnvelope):
-            ctx.fire_channel_read(msg)
-            return
-        had_binding = ATTR_BINDING in ctx.channel.attributes
-        super().channel_read(ctx, msg)
-        if not had_binding and ATTR_BINDING in ctx.channel.attributes:
-            loop = ctx.channel.event_loop
-            hook = getattr(loop, "on_mpi_channel_bound", None)
-            if hook is not None:
-                hook(ctx.channel)
+    def channel_bound(self, channel):
+        # The loop's hook ignores a channel it already polls.
+        hook = getattr(channel.event_loop, "on_mpi_channel_bound", None)
+        if hook is not None:
+            hook(channel)
 
     def channel_inactive(self, ctx):
         # The loop's one unbind path: its poll round only skips a row whose

@@ -190,8 +190,9 @@ class MatchingEngine:
         """:meth:`iprobe`, then, if it found an envelope, a receive posted
         for it (MPI_Iprobe + MPI_Irecv, as the Basic design's poll loop
         pairs them), counted as both, in one call. Returns the receive's
-        request, or ``None`` when nothing is queued. The caller checks
-        first that no rank is dead and the world has not aborted."""
+        request, or ``None`` when nothing is queued. It makes no liveness
+        check: a dead rank's queue is dropped and nothing is delivered to
+        it, so its take finds nothing."""
         self._c_iprobe.value += 1.0
         buckets = self._ux.get(context_id)
         if buckets is None:

@@ -114,12 +114,17 @@ def test_peer_killed_in_the_call_instant(nbytes, fault_mode, error, kill_first):
     assert world._pipes == {}
 
 
-@pytest.mark.parametrize("fault_mode,victim", [("shrink", 1), ("abort", 2), (None, None)])
-def test_probe_and_take_finds_nothing_after_a_death(fault_mode, victim):
+@pytest.mark.parametrize(
+    "fault_mode,victim,taken",
+    [("shrink", 1, False), ("abort", 2, False), ("shrink", 0, True), (None, None, True)],
+)
+def test_probe_and_take_after_a_death(fault_mode, victim, taken):
     # Rank 1 holds rank 0's envelope in its unexpected queue when
-    # ``victim`` dies: its own death, or an abort, drops the queue, so the
-    # Basic loop's probe-and-take finds nothing (and counts the probe).
-    # With nobody dead it takes the envelope.
+    # ``victim`` dies. Its own death, or an abort (which kills every
+    # rank), drops the queue, and no pipe delivers to a dead rank, so the
+    # Basic loop's probe-and-take finds nothing: it needs no liveness
+    # check of its own. The sender's death under shrink leaves the landed
+    # envelope, which is taken. Each take counts one probe.
     _, _, world = make_world(fault_mode or "shrink")
     out = {}
 
@@ -141,8 +146,33 @@ def test_probe_and_take_finds_nothing_after_a_death(fault_mode, victim):
 
     launch(world, [sender, receiver, idle])
     assert out["probes"] == 2
-    assert out.get("value") == (None if victim is not None else "x")
+    assert out.get("value") == ("x" if taken else None)
     assert out["left"] == 0
+
+
+@pytest.mark.parametrize("fault_mode", ["shrink", "abort"])
+def test_nothing_lands_at_a_rank_that_died_in_flight(fault_mode):
+    # Rank 1 dies while rank 0's eager envelope is on the wire: the pipe
+    # drops it on arrival, so rank 1's later probe-and-take finds nothing.
+    _, _, world = make_world(fault_mode)
+    routed = world.model.sender_cpu_time(EAGER)
+    out = {}
+
+    def receiver(proc):
+        yield proc.env.timeout(routed + 1e-9)
+        out["landed_before_death"] = len(proc.matching.unexpected)
+        world.kill_process(proc.gid, reason="test")
+        yield proc.env.timeout(1.0)
+        ctx = proc.comm_world.desc.ctx_pt2pt
+        out["taken"] = proc.matching.take(0, 0, ctx)
+        out["left"] = len(proc.matching.unexpected)
+
+    def sender(proc):
+        proc.comm_world.isend("x", dest=1, nbytes=EAGER)
+        yield proc.env.timeout(0.0)
+
+    launch(world, [sender, receiver, idle])
+    assert out == {"landed_before_death": 0, "taken": None, "left": 0}
 
 
 def test_ignored_failed_isend_does_not_stop_the_run():
