@@ -31,6 +31,7 @@ class TestFig12Shape:
         assert 1.0 < entry["mpi_vs_rdma"] < entry["mpi_vs_vanilla"]
 
 
+@pytest.mark.gate
 def test_fig12_bench_json(cells):
     path = write_bench_json(
         "fig12_hibench",

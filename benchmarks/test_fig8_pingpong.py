@@ -37,6 +37,7 @@ class TestFig8Shape:
             assert lats == sorted(lats)
 
 
+@pytest.mark.gate
 def test_fig8_bench_json(results):
     print("\n" + render_fig8(results))
     path = write_bench_json(

@@ -115,6 +115,7 @@ class TestWhatifMatrix:
             assert row["predicted_speedup"] < 1.02
 
 
+@pytest.mark.gate
 @pytest.mark.skipif(FULL, reason="goldens are recorded at reduced geometry")
 def test_whatif_rows_match_committed_goldens(payload):
     """Re-running the matrix must reproduce the committed rows bit-exactly
@@ -134,6 +135,7 @@ def test_whatif_rows_match_committed_goldens(payload):
             assert row["simulated_s"] == rows[row["perturbation"]]["simulated_s"]
 
 
+@pytest.mark.gate
 def test_whatif_bench_json(payload):
     path = write_bench_json("whatif", payload)
     out = json.loads(path.read_text())

@@ -317,11 +317,17 @@ class _Pipe:
         world.env.process(self._pump(), name=f"pipe:{src.gid}->{dst.gid}")
 
     def _pump(self) -> Generator:
+        store = self.store
+        queued = store.items
         while True:
-            # Park holding nothing: a kept envelope would pin its payload
-            # (and a rendezvous send's request) until the next message.
-            envl = None
-            envl = yield self.store.get()
+            # A queued envelope is taken in place; otherwise park holding
+            # nothing: a kept envelope would pin its payload (and a
+            # rendezvous send's request) until the next message.
+            if queued:
+                envl = queued.pop(0)
+            else:
+                envl = None
+                envl = yield store.get()
             try:
                 yield from self.world.cluster.wire_path(
                     self.src.node, self.dst.node, envl.wire_bytes(), self.world.model

@@ -10,7 +10,7 @@ loop counts its rounds (the polling tax the paper measures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
 from repro.simnet.events import _PENDING, Event
@@ -30,7 +30,8 @@ class SelectionKey:
     ``source`` is the store the interest watches: the channel socket's
     ``inbound`` segments or the listener's ``backlog``. The key is ready
     (readable or acceptable) exactly while ``source.items`` is non-empty,
-    and its event loop drains that list in place.
+    and its event loop drains that list in place. While the key is
+    registered, the source's ``watcher`` is its selector's park signal.
     """
 
     source: Store
@@ -41,24 +42,33 @@ class SelectionKey:
     # server-side: loop group accepted channels are spread over (None =
     # register them on the accepting loop itself)
     child_group: Any = None
-    # The key's pending readiness event (see Selector.park); it lives and
-    # dies with the key, so a later key can never inherit it.
-    waiter: Event | None = field(default=None, repr=False)
 
 
 class Selector:
-    """Tracks registered keys and provides select / selectNow."""
+    """Tracks registered keys and provides select / selectNow.
+
+    A blocked select (or the mpi-basic idle park) waits on one plain
+    event, ``_park``. Every key's source and the wake-up queue are watched
+    stores (:attr:`Store.watcher`): a put that queues an item calls the
+    one bound ``_on_park_signal`` in line, which succeeds the current park
+    if there is one and does nothing while the loop is busy — the loop's
+    next select reads the sources themselves. The mpi-basic loop's poll
+    rows are MPI probe buckets, not stores; they keep one pending probe
+    event each (``_park_waiters``) carrying the same signal.
+    """
 
     def __init__(self, env: "SimEngine") -> None:
         self.env = env
         self.keys: list[SelectionKey] = []
         self._wakeups: Store = Store(env)
         # What a blocked select (or the mpi-basic idle park) waits on, and
-        # the pending waiters of its non-key sources (source -> event).
+        # the pending probe events of the poll rows (source -> event).
         self._park: Event | None = None
         self._park_waiters: dict[Any, Event] = {}
-        # Every pending waiter's one callback, bound once per selector.
+        # Every watcher and pending waiter's one callback, bound once per
+        # selector.
         self._park_signal = self._on_park_signal
+        self._wakeups.watcher = self._park_signal
 
     # -- registration ------------------------------------------------------
     def register_channel(self, channel: "Channel") -> SelectionKey:
@@ -68,6 +78,7 @@ class Selector:
                     f"channel {channel.id} already registered with this selector"
                 )
         key = SelectionKey(channel.socket.inbound, channel=channel)
+        key.source.watcher = self._park_signal
         self.keys.append(key)
         self.wakeup()  # a blocked select must notice the new registration
         return key
@@ -84,6 +95,7 @@ class Selector:
             child_initializer=child_initializer,
             child_group=child_group,
         )
+        key.source.watcher = self._park_signal
         self.keys.append(key)
         self.wakeup()
         return key
@@ -92,8 +104,9 @@ class Selector:
         kept = []
         for key in self.keys:
             if key.channel is channel:
-                self._detach(key.waiter)
-                key.waiter = None
+                # A deregistered channel's store must never wake a later
+                # park (a spurious iteration moves simulated time).
+                key.source.watcher = None
             else:
                 kept.append(key)
         self.keys = kept
@@ -101,19 +114,9 @@ class Selector:
     # -- selection -----------------------------------------------------------
     def _ready(self) -> list[SelectionKey]:
         """The keys that are readable or acceptable (their source holds an
-        item), in registration order.
-
-        A key whose park waiter is still pending is skipped unchecked: the
-        waiter came from its store's ``when_nonempty`` while the store was
-        empty, and the only thing that queues an item (``put_nowait``)
-        triggers every such waiter on the spot. Pending waiter => empty
-        source => neither readable nor acceptable.
-        """
+        item), in registration order."""
         ready = []
         for key in self.keys:
-            waiter = key.waiter
-            if waiter is not None and waiter._value is _PENDING:
-                continue
             if key.source.items:
                 ready.append(key)
         return ready
@@ -145,28 +148,21 @@ class Selector:
     ) -> Generator:
         """Block until a key, the wake-up queue or another source signals.
 
+        The keys and the wake-up queue signal through their watchers, so a
+        park arms nothing for them. It expects the keys empty (``select``
+        and the mpi-basic loop park only after a round found none ready),
+        and it succeeds at once if the wake-up queue holds an item: a
+        wake-up that arrived while the loop was busy wakes its next park.
+
         ``rows`` are long-lived sources beside the keys that share one
         factory: each row is ``(source, *args)`` and ``make_row(*args)``
         builds its non-consuming event, so a caller keeps no per-source
-        factory object. Sources are armed keys first, then ``rows``, then
-        the wake-up queue. Every source keeps one pending waiter while it
-        stays quiet, so a park re-arms only what fired since the last one
-        and waits on one plain event. A waiter made for an already-ready
-        source triggers at creation and wakes the park through the heap
-        like any other.
-
-        A spent waiter is detached and replaced in line: a store's
-        ``when_nonempty`` event is never processed at creation, so the
-        park's signal goes straight onto its callback list.
+        factory object. Every row keeps one pending waiter while it stays
+        quiet, so a park re-arms only the rows that fired since the last
+        one. A waiter made for an already-ready row triggers at creation
+        and wakes the park through the heap like any other.
         """
         signal = self._park_signal
-        for key in self.keys:
-            waiter = key.waiter
-            if waiter is None or waiter._value is not _PENDING:
-                if waiter is not None and waiter.callbacks:
-                    waiter.callbacks.clear()  # the staleness guard (_detach)
-                waiter = key.waiter = key.source.when_nonempty()
-                waiter.callbacks.append(signal)
         waiters = self._park_waiters
         for row in rows:
             source = row[0]
@@ -175,25 +171,23 @@ class Selector:
                 self._detach(waiter)
                 waiter = waiters[source] = make_row(*row[1:])
                 waiter.add_callback(signal)
+        park = self._park = Event(self.env)
         wakeups = self._wakeups
-        waiter = waiters.get(wakeups)
-        if waiter is None or waiter._value is not _PENDING:
-            self._detach(waiter)
-            waiter = waiters[wakeups] = wakeups.when_nonempty()
-            waiter.callbacks.append(signal)
-        self._park = Event(self.env)
-        yield self._park
+        if wakeups.items:
+            signal(wakeups)
+        yield park
         wakeups.items.clear()
 
     @staticmethod
     def _detach(waiter: Event | None) -> None:
-        """Staleness guard: a waiter replaced before the heap dispatched
-        it (it fired during a busy round), or whose key is gone, must never
-        wake a later park — a spurious iteration moves simulated time."""
+        """Staleness guard for poll rows: a waiter replaced before the heap
+        dispatched it (it fired during a busy round) must never wake a
+        later park — a spurious iteration moves simulated time."""
         if waiter is not None and waiter.callbacks is not None:
             waiter.callbacks.clear()
 
-    def _on_park_signal(self, _waiter: Event) -> None:
+    def _on_park_signal(self, _source: Any) -> None:
+        """A watched store queued an item, or a row's waiter fired."""
         park = self._park
         if park is not None:
             self._park = None  # the first signal decides; the rest find nobody

@@ -113,6 +113,19 @@ class Event:
         self.callbacks = None
         return self
 
+    def fire(self, value: Any = None) -> None:
+        """:meth:`succeed` and the dispatch in one: the event is processed
+        now and its callbacks run in line, before this returns. For a
+        hand-off whose waiter would otherwise resume from a zero-delay heap
+        entry doing no modelled work (a store's waiting getter)."""
+        if self._value is not _PENDING:
+            raise SimError(f"event {self!r} already triggered")
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for cb in callbacks:
+            cb(self)
+
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` when the event is processed.
 

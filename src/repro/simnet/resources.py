@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Callable, Deque
 
 from repro.simnet.engine import SimEngine
 from repro.simnet.events import Event, SimError
@@ -25,8 +25,9 @@ class Store:
     wait on the outcome: it builds and schedules no event. ``items`` is
     the queue itself, a list with the oldest item first, and a caller may
     drain it in place (``items.pop(0)``, ``items.clear()``), which is how
-    a taker that never waits takes: the event loops drain their sockets
-    and the selector its wake-up queue this way.
+    a taker that never waits takes: the event loops drain their sockets,
+    the selector its wake-up queue, and the socket and MPI pipe pumps
+    take a queued item before they wait on :meth:`get`.
 
     The queues are lists, not deques: a cluster holds one store per
     socket end and per MPI pipe, an empty deque costs 760 B against 56 B
@@ -34,50 +35,36 @@ class Store:
     any benchmark workload) for ``pop(0)`` to cost more than the bytes it
     saves (DESIGN §10 rule 8).
 
-    Getters and ``when_nonempty`` waiters wait only while ``items`` is
-    empty. So a put hands its item to the longest-waiting getter, or else
-    queues it and wakes the waiters, and taking an item never has anyone
-    to wake. Their lists are made on first use (None until then): most
-    stores only ever see one kind of waiter.
+    Getters wait only while ``items`` is empty. So a put hands its item
+    to the longest-waiting getter, or else queues it, and taking an item
+    never has anyone to wake. The hand-off is in line (:meth:`Event.fire`):
+    the getter resumes inside the put, with no heap entry between them.
+    ``watcher``, if set, is called with the store in line whenever a put
+    queues an item; it is how a selector hears that a key became ready
+    (``Selector._on_park_signal``, DESIGN §10 rule 3). The getter list is
+    made on first use (None until then): most stores never have one.
     """
 
-    __slots__ = ("env", "items", "_getters", "_nonempty_waiters")
+    __slots__ = ("env", "items", "_getters", "watcher")
 
     def __init__(self, env: SimEngine) -> None:
         self.env = env
         self.items: list[Any] = []
         self._getters: list[Event] | None = None
-        self._nonempty_waiters: list[Event] | None = None
+        self.watcher: Callable[[Store], None] | None = None
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put_nowait(self, item: Any) -> None:
-        """Queue ``item``, or hand it to the longest-waiting getter."""
+        """Hand ``item`` to the longest-waiting getter, or queue it and
+        tell the watcher."""
         if self._getters:
-            self._getters.pop(0).succeed(item)
+            self._getters.pop(0).fire(item)
             return
         self.items.append(item)
-        waiters = self._nonempty_waiters
-        if waiters:
-            self._nonempty_waiters = None
-            for ev in waiters:
-                ev.succeed()
-
-    def when_nonempty(self) -> Event:
-        """Event triggering when an item is queued, *without* consuming it.
-
-        This is the selector primitive: Netty's ``Selector.select()`` must
-        learn a socket became readable without draining it.
-        """
-        ev = Event(self.env)
-        if self.items:
-            ev.succeed()
-        elif self._nonempty_waiters is None:
-            self._nonempty_waiters = [ev]
-        else:
-            self._nonempty_waiters.append(ev)
-        return ev
+        if self.watcher is not None:
+            self.watcher(self)
 
     def get(self) -> Event:
         """Take the oldest item; the event waits for a put if there is none."""

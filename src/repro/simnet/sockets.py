@@ -130,11 +130,17 @@ class SimSocket:
         env = self.env
         model = self.model
         wire_path = self.stack.cluster.wire_path
+        outbound = self._outbound
+        queued = outbound.items
         while True:
-            # Park holding nothing: a kept segment would pin its payload
-            # until the next send, forever on a handshake-only socket.
-            seg = None
-            seg = yield self._outbound.get()
+            # A queued segment is taken in place; otherwise park holding
+            # nothing: a kept segment would pin its payload until the next
+            # send, forever on a handshake-only socket.
+            if queued:
+                seg = queued.pop(0)
+            else:
+                seg = None
+                seg = yield outbound.get()
             if seg.eof:
                 peer = self.peer
                 if peer is not None:

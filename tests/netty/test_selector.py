@@ -135,17 +135,18 @@ class TestBlockingSelect:
         with pytest.raises(StopIteration) as done:
             next(selector.select())
         assert done.value.value == [key]
-        assert key.waiter is None and selector._park is None
+        assert selector._park_waiters == {} and selector._park is None
 
 
 class TestParkWaiters:
-    """The persistent per-source waiters behind select and the mpi-basic park."""
+    """What wakes a park: the watchers of the keys' stores and of the
+    wake-up queue, and nothing once a key is gone or the loop is busy."""
 
     def test_recycled_key_does_not_inherit_a_dead_waiter(self, rig):
         # Regression: waiters used to live in a dict keyed by id(key) that
-        # outlived deregister. A locally closed channel's waiter never fires
-        # (its EOF goes to the peer), so a later key recycling the freed
-        # key's id inherited a dead socket's event and was never woken.
+        # outlived deregister, so a later key recycling a freed key's id
+        # inherited a dead socket's event and was never woken. A key's
+        # signal now lives on its own store; recycling must still wake.
         env, cluster, stack = rig
         loop = EventLoop(env)
         selector = Selector(env)
@@ -165,7 +166,7 @@ class TestParkWaiters:
                     woke.append(ready)
 
         env.process(selecting(env))
-        env.run()  # parked with one waiter per old key
+        env.run()  # parked, watching every old key's store
         for channel in old:
             channel.socket.close()
         keys = []
@@ -195,20 +196,20 @@ class TestParkWaiters:
 
         env.process(selecting(env))
         env.run()
-        waiter = key.waiter
-        assert waiter is not None and not waiter.triggered
+        assert key.source.watcher == selector._park_signal
+        assert selector._park is not None
         selector.deregister(channel)
-        assert key.waiter is None
-        server_sock.send("late", 10)  # fires the dropped waiter
+        assert key.source.watcher is None
+        server_sock.send("late", 10)  # lands on the unwatched store
         env.run()
-        assert waiter.callbacks is None and woke == []
+        assert key.source.items and woke == []
 
     def test_stale_waiter_does_not_wake_a_later_park(self, rig):
         env, cluster, stack = rig
         loop = EventLoop(env)
         channel, _ = connect_pair(env, stack, loop)
         selector = Selector(env)
-        key = selector.register_channel(channel)
+        selector.register_channel(channel)
         woke = []
 
         t0 = env.now
@@ -216,14 +217,12 @@ class TestParkWaiters:
         def selecting(env):
             yield from selector.select()  # parked; woken by the wakeup at t0+1
             woke.append(env.now - t0)
-            # Data lands and is consumed within this very instant: the
-            # key's waiter has triggered but is still waiting in the heap.
+            # Data lands and is consumed within this very instant, while
+            # the loop is busy: the store's watcher finds no park.
             channel.socket.abort()
+            assert selector._park is None
             assert channel.socket.inbound.items.pop(0).eof
-            spent = key.waiter
-            assert spent.triggered and spent.callbacks is not None
             yield from selector.select()
-            assert key.waiter is not spent and spent.callbacks is None
             woke.append(env.now - t0)
 
         def waker(env):
@@ -235,13 +234,42 @@ class TestParkWaiters:
         env.process(selecting(env))
         env.process(waker(env))
         env.run()
-        # A spent waiter waking the third select would read [1.0, 1.0].
+        # A put during the busy round waking the next select would read
+        # [1.0, 1.0].
         assert woke == pytest.approx([1.0, 5.0])
 
-class TestPendingWaiterWitness:
-    """``_ready`` skips a key whose park waiter is still pending: the waiter
-    was made while the key's store was empty, and the only thing that
-    queues an item triggers it on the spot."""
+    def test_a_wakeup_while_busy_wakes_the_next_park(self, rig):
+        # The mpi-basic loop parks without a select emptying the wake-up
+        # queue first: a wake-up (a newly bound channel to iprobe) queued
+        # during its busy round must end its next park at once.
+        env, cluster, stack = rig
+        selector = Selector(env)
+        woke = []
+
+        def parking(env):
+            yield env.timeout(1.0)
+            selector.wakeup()  # busy: nobody parked
+            assert selector._park is None and selector._wakeups.items
+            yield from selector.park()
+            woke.append(env.now)
+            assert not selector._wakeups.items
+            yield from selector.park()  # nothing queued: waits for the next
+            woke.append(env.now)
+
+        def waker(env):
+            yield env.timeout(3.0)
+            selector.wakeup()
+
+        env.process(parking(env))
+        env.process(waker(env))
+        env.run()
+        assert woke == pytest.approx([1.0, 3.0])
+
+
+class TestWatchers:
+    """A watched store signals its selector in line: the put that queues
+    an item succeeds the pending park, and ``_ready`` reads the sources
+    themselves."""
 
     def _parked(self, env, stack, port=9300):
         loop = EventLoop(env)
@@ -249,36 +277,35 @@ class TestPendingWaiterWitness:
         selector = Selector(env)
         key = selector.register_channel(channel)
         env.process(selector.select())
-        env.run()  # parked: the key holds a pending waiter
-        assert key.waiter is not None and not key.waiter.triggered
+        env.run()  # parked on its one plain event
+        assert selector._park is not None and not selector._park.triggered
         return selector, key, channel, server_sock
 
-    def test_pending_waiter_means_an_empty_source(self, rig, monkeypatch):
+    def test_every_watcher_is_the_selectors_one_signal(self, rig):
+        env, cluster, stack = rig
+        selector, key, _, _ = self._parked(env, stack)
+        listener = stack.listen(0, 9399)
+        acceptor = selector.register_acceptor(listener, lambda ch: None)
+        signal = selector._park_signal
+        assert signal.__self__ is selector
+        for store in (key.source, acceptor.source, selector._wakeups):
+            assert store.watcher is signal
+
+    def test_a_put_wakes_the_park_synchronously(self, rig):
         env, cluster, stack = rig
         selector, key, channel, _ = self._parked(env, stack)
-        assert not channel.socket.inbound.items
-        checked = []
-
-        class Probe:
-            @property
-            def items(self):
-                checked.append(key)
-                return []
-
-        monkeypatch.setattr(key, "source", Probe())
-        assert selector.select_now() == []
-        assert checked == []  # skipped on the witness, not probed
-
-    def test_a_put_triggers_the_waiter_synchronously(self, rig):
-        env, cluster, stack = rig
-        selector, key, channel, _ = self._parked(env, stack)
-        now = env.now
+        park = selector._park
+        now, dispatched = env.now, env.events_processed
         channel.socket.abort()  # queues an EOF on the local inbound store
-        assert key.waiter.triggered and key.waiter.callbacks is not None
-        assert env.now == now
+        # Succeeded inside the put: the loop resumes from the park's own
+        # heap entry, with no waiter's dispatch before it.
+        assert park.triggered and selector._park is None
+        assert env.now == now and env.events_processed == dispatched
         assert selector.select_now() == [key]
+        env.run()  # the park's entry, then the select process's end
+        assert env.events_processed == dispatched + 2
 
-    def test_a_key_without_a_pending_waiter_gets_the_full_check(self, rig):
+    def test_every_key_gets_the_full_check(self, rig):
         env, cluster, stack = rig
         loop = EventLoop(env)
         channel, server_sock = connect_pair(env, stack, loop, 9310)
@@ -286,34 +313,36 @@ class TestPendingWaiterWitness:
         key = selector.register_channel(channel)
         server_sock.send("data", 10)
         env.run()
-        assert key.waiter is None
         assert selector.select_now() == [key]
-        # A triggered waiter whose data was taken: checked, found empty.
+        # A key whose park was woken and whose data was taken: checked,
+        # found empty.
         parked, parked_key, parked_channel, peer = self._parked(env, stack, 9320)
         peer.send("data", 10)
         env.run()
-        assert parked_key.waiter.triggered
         assert parked.select_now() == [parked_key]
         parked_channel.socket.inbound.items.pop(0)
-        assert parked_key.waiter.triggered and parked.select_now() == []
+        assert parked.select_now() == []
 
     def test_a_deregistered_key_is_not_reported(self, rig):
         env, cluster, stack = rig
         selector, key, channel, server_sock = self._parked(env, stack)
+        park = selector._park
         selector.deregister(channel)
         server_sock.send("data", 10)
         env.run()
         assert channel.socket.inbound.items
-        assert selector.select_now() == []
+        assert selector.select_now() == [] and not park.triggered
 
 
 @pytest.mark.parametrize("transport", ["nio", "mpi-basic"])
 def test_ready_equals_the_full_scan_for_a_whole_run(transport, monkeypatch):
     """Every ``_ready()`` of the Fig-9 GroupBy cell (2 workers) returns
     exactly the readable-or-acceptable scan of the sockets and listeners
-    themselves, and the witness does skip."""
-    ready = Selector._ready
-    calls, skipped = [0], [0]
+    themselves, and every park starts with its keys empty and watched by
+    its selector's signal: a park arms nothing for its keys, so a key
+    holding an item as it parks would never wake it."""
+    ready, park = Selector._ready, Selector.park
+    calls, parks = [0], [0]
 
     def checked(selector):
         got = ready(selector)
@@ -323,12 +352,19 @@ def test_ready_equals_the_full_scan_for_a_whole_run(transport, monkeypatch):
             if (k.channel.socket.inbound if k.listener is None else k.listener.backlog).items
         ]
         calls[0] += 1
-        skipped[0] += sum(k.waiter is not None and not k.waiter.triggered for k in keys)
         # Raised from the loop's own process, so it ends the run at once
         # (a loop that misses a ready key would otherwise spin forever).
         assert got == full, f"t={selector.env.now}: {got} != {full}"
         return got
 
+    def parked(selector, *args, **kwargs):
+        parks[0] += 1
+        for key in selector.keys:
+            assert not key.source.items, f"t={selector.env.now}: {key} ready at park"
+            assert key.source.watcher == selector._park_signal
+        return park(selector, *args, **kwargs)
+
     monkeypatch.setattr(Selector, "_ready", checked)
+    monkeypatch.setattr(Selector, "park", parked)
     _run_ohb(GROUP_BY, 2, 28 * GiB, transport, 0.25)
-    assert calls[0] > 1000 and skipped[0] > 0
+    assert calls[0] > 1000 and parks[0] > 100

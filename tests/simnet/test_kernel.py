@@ -324,6 +324,18 @@ class TestEvents:
         env.run()
         assert ev.callbacks is None and seen == ["done"]
 
+    def test_fire_runs_the_callbacks_in_line(self, env):
+        ev = Event(env)
+        seen = []
+        ev.add_callback(lambda e: seen.append(e.value))
+        assert ev.fire("now") is None
+        assert seen == ["now"] and ev.callbacks is None and ev.ok
+        assert not env._heap  # nothing was scheduled
+        ev.add_callback(lambda e: seen.append("late"))  # processed: runs at once
+        assert seen == ["now", "late"]
+        with pytest.raises(SimError):
+            ev.fire()
+
     def test_fail_requires_exception(self, env):
         with pytest.raises(TypeError):
             Event(env).fail("not an exception")

@@ -13,15 +13,18 @@ import gc
 import hashlib
 import heapq
 import itertools
+import json
 import os
 import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.harness.experiments import _run_ohb
+from repro.harness.parallel import OhbSpec
 from repro.simnet import engine as engine_module
 from repro.simnet.engine import SimEngine
 from repro.simnet.events import AllOf, AnyOf, Condition, Event, Process, Timeout
@@ -32,23 +35,54 @@ from repro.workloads.ohb import GROUP_BY
 
 # Length and sha256 of the "(sim time, process name)" resume sequence of
 # the Fig-9 GroupByTest cell (2 workers, 28 GiB, fidelity 0.25, Frontera).
-# nio and rdma were recorded at commit 69e1880, the last tree whose kernel
-# scheduled every event, observed or not. The three MPI transports were
-# re-recorded when per-message MPI sends and eager matches stopped being
-# processes named ``isend:`` / ``match:`` (DESIGN §10 rule 7): with the
-# resumes of those processes dropped, the sequence is identical before and
-# after that change on all five transports (EXPERIMENTS.md has the
-# filtering script and the filtered values). A kernel change
-# that claims to preserve order must reproduce these; a change meant to
-# move simulated schedules re-records them (``resume_digest`` is the
-# recorder) in the same PR that regenerates the goldens.
+# Re-recorded when a store began handing its item to a waiting getter in
+# line and the socket and MPI pipe pumps began taking a queued item in
+# place: each such fold removes a pump resume or moves one within its
+# instant, so no order-preserving filter of the old sequence reproduces
+# the new one, while the committed figure rows and every pinned counter
+# stayed byte-identical (DESIGN §10 rule 7, "A hand-off has no hop"). A
+# kernel change that claims to preserve order must
+# reproduce these; a change meant to move simulated schedules re-records
+# them (``resume_digest`` is the recorder) in the same change that
+# regenerates the goldens.
 RESUME_DIGESTS = {
-    "nio": (24912, "b1681a71d0fe8909beb02c71c6cef839b614c9478d61a88e31358191fef178a4"),
-    "rdma": (24912, "341fb303089e1d59eb9d29c65bc5a480c83b6d4ed0124a1661c43893d0fc7a05"),
-    "mpi-basic": (27479, "603139f3716a2691098a4db85d415edfc7b1b6a5c4a13367e6ad944afd089a81"),
-    "mpi-opt": (32593, "7c32ed285e7ffd465b113540a261e2861239e9f11d7ae2b991ac69b210b7dcf3"),
-    "mpi-coll": (491, "4630f9107c61b8e8a65cb7d8e817353c9bbfaffb463e1dd4b043f6772a1517a0"),
+    "nio": (23234, "6068d10cd50d1c8998ae3d85f15dd34a0e4086e86b62e766d734f79882df2135"),
+    "rdma": (23238, "70a1d4d5f4f43226d03fc061e2f2e82da83725bb149f2f52edd664721a28704b"),
+    "mpi-basic": (27319, "1a2bf32dd24243990015bead7e8cd543f3f8f706d748fc81f83719a7b51360d9"),
+    "mpi-opt": (32350, "3328d12a19752fc4cc666681c14e1cb69394554af8ed684852a739e5652e9c8c"),
+    "mpi-coll": (483, "686a50445a32072164e08a87b2f304668c8207978add15b59698d03814c102ac"),
 }
+
+
+_RESULTS = Path(__file__).resolve().parents[2] / "results"
+
+
+@pytest.mark.parametrize("link_rate", [1.0, 2.0])
+def test_same_instant_order_keeps_the_committed_sortby_cell(link_rate):
+    # This cell's fetch-wait and its 2x-NIC wall depend on the order of
+    # events within one instant: folding the hop from a chunk future to
+    # the fetch_shuffle park (DESIGN §10 rule 7) moved them (523.757 ->
+    # 523.679 s, 12.0790498 -> 12.0790814 s) while every Fig-9 2-worker
+    # cell stayed put. A kernel change that claims to keep order must keep
+    # both, exactly, as the Fig 10 and what-if payloads commit them.
+    spec = ("SortByTest", 4, 56 * GiB, "rdma")
+
+    def committed(figure):
+        payload = json.loads((_RESULTS / f"BENCH_{figure}.json").read_text())
+        return next(
+            c for c in payload["cells"]
+            if (c["workload"], c["n_workers"], c["data_bytes"], c["transport"]) == spec
+        )
+
+    result = OhbSpec(*spec, 0.25, "Frontera", link_rate=link_rate).run().result
+    if link_rate == 1.0:
+        fig10 = committed("fig10_weak_scaling")
+        assert result.total_seconds == fig10["total_seconds"]
+        fetch_wait = result.metrics.total("spark.scheduler.fetch_wait_s")
+        assert fetch_wait == fig10["metrics"]["fetch_wait_s"]
+    else:
+        truth = next(r for r in committed("whatif")["rows"] if r["knobs"] == "link_rate x2")
+        assert result.total_seconds == truth["simulated_s"]
 
 
 def resume_digest(transport: str, monkeypatch) -> tuple[int, str]:
@@ -196,11 +230,11 @@ def test_mpi_messages_start_no_processes(transport, monkeypatch):
 # that adds calls on a wire path raises the row in the same change and says
 # why; one that removes some lowers it.
 CALL_BUDGETS = {
-    "nio": ((284, 3271), (954, 9859), 86.2),
-    "rdma": ((284, 3271), (954, 9859), 86.2),
-    "mpi-basic": ((542, 3535), (1882, 11693), 52.1),
-    "mpi-opt": ((654, 4220), (2329, 12761), 45.2),
-    "mpi-coll": ((36, 683), (36, 683), 156.3),
+    "nio": ((284, 2705), (954, 7953), 80.4),
+    "rdma": ((284, 2705), (954, 7953), 80.6),
+    "mpi-basic": ((542, 3200), (1882, 10690), 52.2),
+    "mpi-opt": ((654, 3614), (2329, 10834), 45.0),
+    "mpi-coll": ((36, 651), (36, 651), 154.3),
 }
 
 # Python 3.12 inlines these (PEP 709), so counting them would make the
@@ -322,21 +356,22 @@ def _kind(callbacks) -> str:
 # ``_rendezvous_match`` are the resumes of the pipe pumps and of the
 # rendezvous matches. A send and an eager match have no start hop (DESIGN
 # §10 rule 7): ``_on_send_start`` and ``_on_eager_start`` appear on no
-# transport.
+# transport. A pipe pump resumes only from a wire leg: it is handed an
+# envelope inside the put, or takes a queued one in place.
 MPI_DISPATCHES = {
     "mpi-basic": (542, {
         "MPIProcess._on_send_overhead": 310,
         "MPIProcess._on_send_end": 30,
         "MPIProcess._on_eager_delay": 198,
         "MPIProcess._rendezvous_match": 560,
-        "_Pipe._pump": 628,
+        "_Pipe._pump": 318,
     }),
     "mpi-opt": (654, {
         "MPIProcess._on_send_overhead": 142,
         "MPIProcess._on_send_end": 30,
         "MPIProcess._on_eager_delay": 30,
         "MPIProcess._rendezvous_match": 560,
-        "_Pipe._pump": 292,
+        "_Pipe._pump": 150,
     }),
     "mpi-coll": (36, {
         "MPIProcess._on_send_overhead": 32,
@@ -344,10 +379,14 @@ MPI_DISPATCHES = {
         "MPIProcess._on_send_end": 32,
         "MPIProcess._on_eager_delay": 30,
         "MPIProcess._rendezvous_match": 10,
-        "_Pipe._pump": 72,
+        "_Pipe._pump": 40,
     }),
 }
 _FOLDED = ("MPIProcess._on_send_start", "MPIProcess._on_eager_start")
+# A watched store signals a park in line (DESIGN §10 rule 3), so the park
+# signal is dispatched only as the callback of an mpi-basic poll row's
+# probe event.
+_PARK_SIGNAL = "Selector._on_park_signal"
 
 
 @pytest.mark.parametrize("transport", sorted(CALL_BUDGETS))
@@ -366,4 +405,5 @@ def test_dispatches_by_kind(transport, monkeypatch):
         f"dispatches\n{'kind':<48} {'count':>6} {'/message':>8}\n{table}"
     )
     assert not set(_FOLDED) & set(kinds), report
+    assert transport == "mpi-basic" or _PARK_SIGNAL not in kinds, report
     assert (messages, mpi) == MPI_DISPATCHES.get(transport, (messages, {})), report

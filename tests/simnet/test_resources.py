@@ -85,15 +85,48 @@ class TestStoreNowait:
         env.run()
         assert env.events_processed == 0
 
+    def test_a_put_hands_off_to_a_waiting_getter_in_line(self, env):
+        store = Store(env)
+        got = []
+
+        def consumer(env):
+            while True:
+                got.append((yield store.get()))
+
+        env.process(consumer(env))
+        env.run()  # parked on its first get
+        dispatched = env.events_processed
+        store.put_nowait("a")
+        assert got == ["a"]  # resumed inside the put, parked on the next get
+        store.put_nowait("b")
+        assert got == ["a", "b"] and store.items == []
+        assert env.events_processed == dispatched and not env._heap
+
+    def test_the_watcher_hears_every_queued_item_in_line(self, env):
+        store = Store(env)
+        heard = []
+        store.watcher = lambda s: heard.append(list(s.items))
+        store.put_nowait(1)
+        store.put_nowait(2)
+        assert heard == [[1], [1, 2]]
+        store.items.clear()
+        ev = store.get()  # a waiting getter takes the next put: nothing queued
+        store.put_nowait(3)
+        assert ev.value == 3 and heard == [[1], [1, 2]]
+        store.watcher = None
+        store.put_nowait(4)
+        assert heard == [[1], [1, 2]] and store.items == [4]
+
 
 # One op of a random Store history. ``nowait`` picks the event-free take;
-# the reference run ignores it.
+# the reference run ignores it. ``watch`` sets the store's watcher on, or
+# back off.
 _store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("put")),
         st.tuples(st.just("take"), st.booleans()),
         st.tuples(st.just("get")),
-        st.tuples(st.just("when_nonempty")),
+        st.tuples(st.just("watch")),
         st.tuples(st.just("run")),
     ),
     max_size=40,
@@ -108,11 +141,14 @@ def _drive(ops, use_nowait):
     """
     env = SimEngine()
     store = Store(env)
-    woken = []  # dispatch order of every getter and when_nonempty waiter
+    woken = []  # in-line order of every getter hand-off and watcher call
     taken = []
 
     def watch(ev, label):
         ev.callbacks.append(lambda e: woken.append((label, e._value)))
+
+    def watcher(s):
+        woken.append(("watch", s.items[-1]))
 
     for i, op in enumerate(ops):
         kind = op[0]
@@ -125,14 +161,18 @@ def _drive(ops, use_nowait):
                 taken.append(store.get().value if store.items else None)
         elif kind == "get":
             watch(store.get(), f"get{i}")
-        elif kind == "when_nonempty":
-            watch(store.when_nonempty(), f"nonempty{i}")
+        elif kind == "watch":
+            store.watcher = watcher if store.watcher is None else None
         else:
             env.run()
-        # The two invariants the event-free forms rely on.
-        assert not (store.items and store._nonempty_waiters)
+        # The invariant the event-free take relies on.
         assert not (store.items and store._getters)
     env.run()
+    # Items go to getters in FIFO order: taken in getter-creation order,
+    # the items are in put order (a hand-off runs in line, so a later
+    # getter can be woken before an earlier one's heap entry).
+    handed = sorted((int(label[3:]), item) for label, item in woken if label != "watch")
+    assert [item for _, item in handed] == sorted(item for _, item in handed)
     return woken, taken, list(store.items)
 
 
@@ -140,14 +180,14 @@ class TestStoreNowaitEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(ops=_store_ops)
     # A put consumed at once by a parked getter leaves the store empty:
-    # the when_nonempty waiter stays parked until the next put.
-    @example(ops=[("get",), ("when_nonempty",), ("put",), ("run",), ("put",)])
+    # the watcher hears only the next put, which is queued.
+    @example(ops=[("get",), ("watch",), ("put",), ("run",), ("put",)])
     # Two parked getters take two puts in arrival order; a take between
     # them finds the store empty.
     @example(ops=[("get",), ("get",), ("put",), ("take", True), ("put",)])
     def test_any_mix_matches_the_event_api(self, ops):
-        # Same items taken, same getter wake order and values, same
-        # when_nonempty wake-ups, same queue left.
+        # Same items taken, same getter hand-offs and values, same
+        # watcher calls, same queue left.
         assert _drive(ops, True) == _drive(ops, False)
 
 

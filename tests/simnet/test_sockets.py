@@ -8,10 +8,9 @@ from repro.util.units import KiB, MiB
 
 
 def recv(sock):
-    """The next segment, read the way the NIO loop reads: wait until the
-    socket's inbound store holds a segment, then take it in place."""
-    yield sock.inbound.when_nonempty()
-    return sock.inbound.items.pop(0)
+    """The next segment: taken from the socket's inbound store, or handed
+    over by the put that delivers it."""
+    return (yield sock.inbound.get())
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from repro.netty.handler import HandlerContext
 from repro.netty.pipeline import ChannelPipeline, _HeadHandler, _TailHandler
 from repro.netty.selector import SelectionKey, Selector
 from repro.simnet.events import Event
-from repro.simnet.resources import SlotGate
+from repro.simnet.resources import SlotGate, Store
 from repro.simnet.sockets import Segment, SimSocket
 from repro.spark.deploy import (
     PER_BLOCK_WIRE_BYTES,
@@ -642,29 +642,29 @@ class TestPerConnectionFootprint:
     def test_park_waiters_share_one_bound_signal(self, objs):
         _, objs = objs
         selectors = [o for o in objs if isinstance(o, Selector)]
-        # Besides its keys, a park waits on the wake-up queue and, on the
-        # mpi-basic loop, on its poll rows' channels; no other source.
+        # A park is signalled by its watched stores (its keys' sources and
+        # its wake-up queue) and, on the mpi-basic loop, by one pending
+        # probe event per poll row's channel; by nothing else.
         row_channels = {
             id(loop.selector): [row[0] for row in loop._poll_cache]
             for loop in objs
             if isinstance(loop, MpiBasicEventLoop)
         }
+        watched = {}
         most = 0
         for selector in selectors:
-            sources = {selector._wakeups, *row_channels.get(id(selector), ())}
-            assert set(selector._park_waiters) <= sources
-            waiters = [key.waiter for key in selector.keys if key.waiter is not None]
-            waiters += selector._park_waiters.values()
-            signals = {
-                id(cb)
-                for waiter in waiters
-                if waiter.callbacks
-                for cb in waiter.callbacks
-                if getattr(cb, "__self__", None) is selector
-            }
-            assert len(signals) <= 1
-            most = max(most, sum(bool(w.callbacks) for w in waiters))
-        assert most >= 2  # some selector has several pending waiters
+            signal = selector._park_signal
+            stores = [selector._wakeups, *(key.source for key in selector.keys)]
+            watched.update((id(store), id(signal)) for store in stores)
+            assert set(selector._park_waiters) <= set(row_channels.get(id(selector), ()))
+            waiters = [w for w in selector._park_waiters.values() if w.callbacks]
+            assert all(cb is signal for w in waiters for cb in w.callbacks)
+            most = max(most, len(stores) + len(waiters))
+        assert most >= 2  # some selector has several sources
+        # Every watched store's watcher is its selector's one bound signal,
+        # and no store outside a selector (a deregistered channel's) has one.
+        stores = [o for o in objs if isinstance(o, Store)]
+        assert {id(s): id(s.watcher) for s in stores if s.watcher is not None} == watched
 
     def test_open_streams_hold_no_list(self, cell):
         transport, _, opens = cell

@@ -2,7 +2,8 @@
 
 The committed files are the payloads CI's gates job regenerates and then
 requires byte-identical, so one that nothing regenerates is checked by
-nothing. The writer list lives here, beside the ``.gitignore`` policy it
+nothing: every ``results/`` writer carries the ``gate`` marker that job
+selects on. The writer list lives here, beside the ``.gitignore`` policy it
 enforces: a tracked file missing from it fails, and so does a listed file
 that is no longer tracked or whose writer no longer names it.
 """
@@ -75,6 +76,27 @@ def test_every_tracked_result_has_a_writer():
 def test_bench_writer_names_its_payload(figure):
     calls = _calls(_function(BENCH_WRITERS[figure]), "write_bench_json")
     assert [ast.literal_eval(c.args[0]) for c in calls] == [figure]
+
+
+def _gate_marked(node: str) -> bool:
+    """The node carries the ``gate`` marker: as a decorator, or through
+    its module's ``pytestmark``."""
+    path = node.split("::")[0]
+    marks = [ast.unparse(d) for d in _function(node).decorator_list]
+    for stmt in ast.parse((ROOT / path).read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+            getattr(t, "id", None) == "pytestmark" for t in stmt.targets
+        ):
+            marks.append(ast.unparse(stmt.value))
+    return any("pytest.mark.gate" in mark for mark in marks)
+
+
+@pytest.mark.parametrize("figure", sorted(BENCH_WRITERS))
+def test_bench_writer_runs_in_the_gates_job(figure):
+    # CI's gates job runs `-m gate` and then requires results/ unchanged:
+    # a writer without the marker is never regenerated there, so its
+    # payload is checked by nothing.
+    assert _gate_marked(BENCH_WRITERS[figure])
 
 
 def test_baseline_writer_names_its_recordings():
