@@ -188,7 +188,9 @@ class MpiBasicEventLoop(EventLoop):
     ``MPI_Iprobe``-s every bound channel. The per-iteration costs, from
     the :class:`CostModel` the loop is built with, are charged on the loop
     thread — with many idle iterations, this is the compute-starving
-    behaviour the paper measured.
+    behaviour the paper measured. The loop drains no blocking
+    continuations: only the Optimized pipeline's ``MpiBodyReceiveHandler``
+    registers one.
     """
 
     def __init__(
@@ -205,21 +207,30 @@ class MpiBasicEventLoop(EventLoop):
         # (channel, peer_rank, tag, context_id) rows of the bound channels
         # in mpi_channels order (the iprobe drain order is
         # simulation-visible); rebuilt lazily when a bind or unbind marks
-        # them dirty. The idle park waits on these rows, each on its probe
-        # bucket.
+        # them dirty. Each row's probe bucket is watched by the selector's
+        # park signal while the row is current.
         self._poll_cache: list = []
         self._poll_dirty = True
 
     def _poll_rows(self) -> list:
         """The drain list, cached across rounds, its MPI route resolved to
-        plain ints once per rebuild."""
+        plain ints once per rebuild. A rebuild moves the park signal from
+        the old rows' probe buckets to the new rows'."""
         if self._poll_dirty:
+            watchers = self.mpi_endpoint.proc.matching.watchers
+            for _, peer_rank, tag, context_id in self._poll_cache:
+                del watchers[(context_id, peer_rank, tag)]
+            signal = self.selector._park_signal
             rows = self._poll_cache = []
             for channel in self.mpi_channels:
                 binding = channel.attributes.get(ATTR_BINDING)
                 tag = channel.attributes.get(ATTR_TAG)
                 if binding is not None and tag is not None:
                     rows.append((channel, binding.peer_rank, tag, binding.context_id))
+                    # Each channel has its own tag: one watcher per bucket.
+                    bucket = (binding.context_id, binding.peer_rank, tag)
+                    assert bucket not in watchers, bucket
+                    watchers[bucket] = signal
             self._poll_dirty = False
         return self._poll_cache
 
@@ -291,11 +302,6 @@ class MpiBasicEventLoop(EventLoop):
                             channel.pipeline.fire_channel_read(frame)
                         except Exception as exc:
                             channel.pipeline.fire_exception_caught(exc)
-                        if self._blocking:
-                            yield from self._drain_blocking()
-
-            if self._blocking:
-                yield from self._drain_blocking()
 
             c_busy.value += env.now - t_busy
             if not progressed:
@@ -307,18 +313,11 @@ class MpiBasicEventLoop(EventLoop):
                 # the park nor the discovery delay counts as busy_s — the
                 # modeled spin burn is already the polling-core tax. Park
                 # holding nothing: not the last message read, nor its request.
+                # The keys' stores and the rows' buckets wake it through
+                # their watchers; none holds an item now, as the round just
+                # found.
                 req = frame = None
-                if endpoint is None:
-                    yield from self.selector.park()
-                else:
-                    # One persistent waiter per source, so a park costs the
-                    # signals since the last one, not the channel count. The
-                    # poll rows are the park's rows as they are: the loop
-                    # keeps no per-row park object.
-                    yield from self.selector.park(
-                        rows=self._poll_rows(),
-                        make_row=endpoint.proc.matching.probe_event,
-                    )
+                yield from self.selector.park()
                 yield env.timeout(discovery_s)
 
 

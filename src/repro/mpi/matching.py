@@ -60,11 +60,16 @@ class MatchingEngine:
       level makes a probe of an idle context one int-keyed dict miss.
     * posted: ``{(ctx, src, tag): list[PostedRecv]}``, FIFO per bucket.
 
-    Three sequence numbers survive only to order the failure sweeps across
-    buckets: ``PostedRecv.seq`` (:meth:`fail_posted` fails in post order),
-    ``arr_seq`` (the :attr:`unexpected` view a rank death walks in arrival
-    order) and the probe waiters' seq (:meth:`wake_probes_empty` wakes in
-    registration order).
+    Two sequence numbers survive only to order the failure sweeps across
+    buckets: ``PostedRecv.seq`` (:meth:`fail_posted` fails in post order)
+    and ``arr_seq`` (the :attr:`unexpected` view a rank death walks in
+    arrival order).
+
+    ``watchers`` maps a bucket ``(context_id, source, tag)`` to at most
+    one callable, called with the engine in line whenever :meth:`deliver`
+    queues an envelope there (the Basic loop's poll rows signal its idle
+    park this way). :meth:`wake_watchers` calls every one of them, in
+    registration order, when the rank dies or the world aborts.
     """
 
     def __init__(
@@ -79,8 +84,7 @@ class MatchingEngine:
         self._arr_seq = 0
         self._posted: dict[tuple[int, int, int], list] = {}
         self._post_seq = 0
-        self._probe_waiters: dict[tuple[int, int, int], list] = {}
-        self._probe_seq = 0
+        self.watchers: dict[tuple[int, int, int], Callable] = {}
         # Registry metrics (repro.obs), rank-scoped when the owner gave us
         # a name (MPIProcess does; anonymous engines in unit tests don't).
         # Same-named engines share these counters, so their counts add
@@ -130,12 +134,10 @@ class MatchingEngine:
             bucket = buckets[(src, tag)] = []
         self._arr_seq += 1
         bucket.append((self._arr_seq, self.env.now, env_msg))
-        if self._probe_waiters:
-            waiters = self._probe_waiters.pop((ctx, src, tag), None)
-            if waiters:
-                for _, ev in waiters:
-                    if not ev.triggered:
-                        ev.succeed(env_msg)
+        if self.watchers:
+            watcher = self.watchers.get((ctx, src, tag))
+            if watcher is not None:
+                watcher(self)
 
     # -- receives ----------------------------------------------------------
     def post_recv(self, source: int, tag: int, context_id: int, request: Request) -> None:
@@ -204,28 +206,6 @@ class MatchingEngine:
         self._match_unexpected(buckets, source, tag, context_id, request)
         return request
 
-    def probe_event(self, source: int, tag: int, context_id: int):
-        """Event triggering (with the envelope) when a match is queued.
-
-        If a match is already queued the event triggers immediately. The
-        envelope is *not* consumed — a subsequent recv claims it.
-        """
-        from repro.simnet.events import Event
-
-        ev = Event(self.env)
-        buckets = self._ux.get(context_id)
-        dq = None if buckets is None else buckets.get((source, tag))
-        if dq:
-            ev.succeed(dq[0][2])
-            return ev
-        self._probe_seq += 1
-        key = (context_id, source, tag)
-        waiters = self._probe_waiters.get(key)
-        if waiters is None:
-            waiters = self._probe_waiters[key] = []
-        waiters.append((self._probe_seq, ev))
-        return ev
-
     def drop_unexpected(self) -> None:
         """Discard every queued envelope (rank death / world abort)."""
         self._ux.clear()
@@ -254,15 +234,10 @@ class MatchingEngine:
                 posted.request.event.fail(exc_factory())
         return len(victims)
 
-    def wake_probes_empty(self) -> None:
-        """Wake every blocked probe with ``None`` (no message).
-
-        Used on rank death so pollers (the Basic design's selector loop)
-        re-examine their channels instead of parking forever on a peer that
-        will never send again.
-        """
-        buckets, self._probe_waiters = self._probe_waiters, {}
-        drained = sorted(w for dq in buckets.values() for w in dq)
-        for _, ev in drained:
-            if not ev.triggered:
-                ev.succeed(None)
+    def wake_watchers(self) -> None:
+        """Call every watcher, in registration order (rank death, world
+        abort): a poller parked on a dead rank's buckets re-examines its
+        channels instead of waiting forever for an envelope that will
+        never be delivered."""
+        for watcher in self.watchers.values():
+            watcher(self)

@@ -423,7 +423,7 @@ class MPIWorld:
         exc_factory = lambda: RankDeadError(f"{proc.name}: {reason}")  # noqa: E731
         # The dead rank's own pending operations die with it.
         proc.matching.fail_posted(lambda p: True, exc_factory)
-        proc.matching.wake_probes_empty()
+        proc.matching.wake_watchers()
         self._drop_unexpected(proc, exc_factory)
         if self.fault_mode == "abort":
             self._abort_world(f"{proc.name} died ({reason})")
@@ -453,7 +453,7 @@ class MPIWorld:
                 proc.alive = False
                 self.dead.add(proc.gid)
             proc.matching.fail_posted(lambda p: True, exc_factory)
-            proc.matching.wake_probes_empty()
+            proc.matching.wake_watchers()
             self._drop_unexpected(proc, exc_factory)
         for pipe in self._pipes.values():
             # ``fail`` only schedules, so the queue can be swept, then cleared.

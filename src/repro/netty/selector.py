@@ -11,9 +11,9 @@ loop counts its rounds (the polling tax the paper measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from repro.simnet.events import _PENDING, Event
+from repro.simnet.events import Event
 from repro.simnet.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,24 +49,21 @@ class Selector:
 
     A blocked select (or the mpi-basic idle park) waits on one plain
     event, ``_park``. Every key's source and the wake-up queue are watched
-    stores (:attr:`Store.watcher`): a put that queues an item calls the
-    one bound ``_on_park_signal`` in line, which succeeds the current park
-    if there is one and does nothing while the loop is busy — the loop's
-    next select reads the sources themselves. The mpi-basic loop's poll
-    rows are MPI probe buckets, not stores; they keep one pending probe
-    event each (``_park_waiters``) carrying the same signal.
+    stores (:attr:`Store.watcher`), and the mpi-basic loop's poll rows are
+    watched MPI probe buckets (:attr:`MatchingEngine.watchers`): a put or
+    a delivery that queues an item calls the one bound ``_on_park_signal``
+    in line, which succeeds the current park if there is one and does
+    nothing while the loop is busy — the loop's next round reads the
+    sources themselves.
     """
 
     def __init__(self, env: "SimEngine") -> None:
         self.env = env
         self.keys: list[SelectionKey] = []
         self._wakeups: Store = Store(env)
-        # What a blocked select (or the mpi-basic idle park) waits on, and
-        # the pending probe events of the poll rows (source -> event).
+        # What a blocked select (or the mpi-basic idle park) waits on.
         self._park: Event | None = None
-        self._park_waiters: dict[Any, Event] = {}
-        # Every watcher and pending waiter's one callback, bound once per
-        # selector.
+        # Every watcher's one callback, bound once per selector.
         self._park_signal = self._on_park_signal
         self._wakeups.watcher = self._park_signal
 
@@ -141,53 +138,25 @@ class Selector:
         self._wakeups.put_nowait(None)
 
     # -- parking -------------------------------------------------------------
-    def park(
-        self,
-        rows: Iterable[tuple] = (),
-        make_row: Callable[..., Event] | None = None,
-    ) -> Generator:
-        """Block until a key, the wake-up queue or another source signals.
+    def park(self) -> Generator:
+        """Block until a watched source signals: a key's store, the wake-up
+        queue or an mpi-basic poll row's bucket.
 
-        The keys and the wake-up queue signal through their watchers, so a
-        park arms nothing for them. It expects the keys empty (``select``
-        and the mpi-basic loop park only after a round found none ready),
+        Every source signals through its watcher, so a park arms nothing.
+        It expects its sources empty (``select`` and the mpi-basic loop
+        park only after a round found none ready, with no yield since),
         and it succeeds at once if the wake-up queue holds an item: a
         wake-up that arrived while the loop was busy wakes its next park.
-
-        ``rows`` are long-lived sources beside the keys that share one
-        factory: each row is ``(source, *args)`` and ``make_row(*args)``
-        builds its non-consuming event, so a caller keeps no per-source
-        factory object. Every row keeps one pending waiter while it stays
-        quiet, so a park re-arms only the rows that fired since the last
-        one. A waiter made for an already-ready row triggers at creation
-        and wakes the park through the heap like any other.
         """
-        signal = self._park_signal
-        waiters = self._park_waiters
-        for row in rows:
-            source = row[0]
-            waiter = waiters.get(source)
-            if waiter is None or waiter._value is not _PENDING:
-                self._detach(waiter)
-                waiter = waiters[source] = make_row(*row[1:])
-                waiter.add_callback(signal)
         park = self._park = Event(self.env)
         wakeups = self._wakeups
         if wakeups.items:
-            signal(wakeups)
+            self._park_signal(wakeups)
         yield park
         wakeups.items.clear()
 
-    @staticmethod
-    def _detach(waiter: Event | None) -> None:
-        """Staleness guard for poll rows: a waiter replaced before the heap
-        dispatched it (it fired during a busy round) must never wake a
-        later park — a spurious iteration moves simulated time."""
-        if waiter is not None and waiter.callbacks is not None:
-            waiter.callbacks.clear()
-
     def _on_park_signal(self, _source: Any) -> None:
-        """A watched store queued an item, or a row's waiter fired."""
+        """A watched store or probe bucket queued an item."""
         park = self._park
         if park is not None:
             self._park = None  # the first signal decides; the rest find nobody

@@ -114,6 +114,9 @@ class TestTeardownReleasesMapping:
         channel = captured["channel"]
         assert ATTR_BINDING not in channel.attributes
         assert channel not in client_loop.mpi_channels
+        # Its poll row is gone, and so is the watcher on the row's bucket.
+        assert client_loop._poll_cache == []
+        assert client_ep.proc.matching.watchers == {}
 
     def test_handshake_event_fails_rather_than_hangs_on_teardown(self):
         env, transport, context, _, client_ep, _, client_loop = make_rig("mpi-opt")
@@ -183,3 +186,40 @@ class TestChannelClosedMidRound:
         assert (first, second) == ("ping", "again")
         assert bound == [a_channel]
         assert not b_channel.active
+
+
+class TestDeathWakesTheParkedPollLoop:
+    @pytest.mark.parametrize(
+        "fault_mode,victim", [("shrink", "own rank"), ("abort", "peer rank")]
+    )
+    def test_parked_loop_runs_one_more_round(self, fault_mode, victim):
+        # A Basic loop parked on its poll rows is woken through its rank's
+        # probe-bucket watchers when the rank dies (shrink) or the world
+        # aborts (here by the peer's death), runs one more poll round, finds
+        # nothing and parks again.
+        env, transport, context, server_ep, client_ep, _, client_loop = make_rig(
+            "mpi-basic", fault_mode=fault_mode
+        )
+        rounds = env.metrics.counter(f"netty.loop.{client_loop.name}.poll_rounds")
+        selector = client_loop.selector
+
+        def main():
+            client = yield from context.create_client(
+                client_loop, 1, SocketAddress("node0", PORT)
+            )
+            yield from transport.establish(client.channel, client_ep)
+            yield env.timeout(0.01)  # idle: the loop parks on its one row
+            return client.channel
+
+        channel = drive(env, main())
+        watchers = client_ep.proc.matching.watchers
+        assert client_loop.mpi_channels == [channel]
+        assert list(watchers.values()) == [selector._park_signal]
+        assert selector._park is not None
+        parked_at = rounds.value
+        dead = client_ep if victim == "own rank" else server_ep
+        transport.mpi_world.kill_process(dead.proc.gid, reason="injected")
+        assert selector._park is None  # woken inside the kill
+        env.run(until=env.now + 1.0)
+        assert rounds.value == parked_at + 1
+        assert selector._park is not None

@@ -1,4 +1,5 @@
-"""Unit tests for the MPI matching engine (queues, probes, failure sweeps)."""
+"""Unit tests for the MPI matching engine (queues, probes, watchers, failure
+sweeps)."""
 
 import pytest
 
@@ -128,47 +129,48 @@ class TestProbes:
         engine.iprobe(0, 1, 100)
         assert len(engine.unexpected) == 1
 
-    def test_probe_event_immediate_when_queued(self, engine):
-        engine.deliver(make_envelope())
-        ev = engine.probe_event(0, 1, 100)
-        assert ev.triggered
+    # A watched bucket calls its watcher in line when a delivery queues an
+    # envelope there; nothing else calls it but ``wake_watchers``.
+    @staticmethod
+    def watch(engine, *buckets):
+        calls = []
+        for bucket in buckets:
+            engine.watchers[bucket] = lambda eng, bucket=bucket: calls.append((bucket, eng))
+        return calls
 
-    def test_probe_event_fires_on_arrival(self, env, engine):
-        ev = engine.probe_event(0, 1, 100)
-        assert not ev.triggered
+    def test_delivery_calls_the_watcher_once_in_line(self, env, engine):
+        calls = self.watch(engine, (100, 0, 1))
         engine.deliver(make_envelope())
-        assert ev.triggered
-        assert ev.value.tag == 1
+        # Called inside the delivery, with the engine: nothing is scheduled.
+        assert calls == [((100, 0, 1), engine)]
+        assert env._heap == []
+        engine.deliver(make_envelope())
+        assert calls == [((100, 0, 1), engine)] * 2
+        assert len(engine.unexpected) == 2  # the watcher consumes nothing
 
-    def test_probe_event_filter(self, env, engine):
-        ev = engine.probe_event(0, 5, 100)
-        engine.deliver(make_envelope(tag=1))
-        assert not ev.triggered
-        engine.deliver(make_envelope(tag=5))
-        assert ev.triggered
+    def test_posted_match_calls_nothing(self, env, engine):
+        calls = self.watch(engine, (100, 0, 1))
+        engine.post_recv(0, 1, 100, Request(env, "recv"))
+        engine.deliver(make_envelope())
+        assert len(engine.test_matches) == 1
+        assert calls == []
 
     def test_nonmatching_buckets_stay_parked(self, env, engine):
-        miss_src = engine.probe_event(3, 1, 100)
-        miss_tag = engine.probe_event(0, 9, 100)
-        miss_ctx = engine.probe_event(0, 1, 777)
-        hit = engine.probe_event(0, 1, 100)
-        engine.deliver(make_envelope(src_rank=0, tag=1))
-        assert hit.triggered
-        assert not miss_src.triggered
-        assert not miss_tag.triggered
-        assert not miss_ctx.triggered
+        # Another source, tag or context: only the exact bucket is called.
+        calls = self.watch(engine, (100, 3, 1), (100, 0, 9), (777, 0, 1))
+        engine.deliver(make_envelope(src_rank=0, tag=1, ctx=100))
+        assert calls == []
+        engine.deliver(make_envelope(src_rank=0, tag=9, ctx=100))
+        assert calls == [((100, 0, 9), engine)]
 
-    def test_wake_probes_empty_drains_in_order(self, env, engine):
-        order = []
-        for i, (src, tag) in enumerate([(0, 1), (1, 5), (2, 3), (0, 1)]):
-            ev = engine.probe_event(src, tag, 100)
-            ev.callbacks.append(lambda e, i=i: order.append(i))
-        engine.wake_probes_empty()
-        env.run()
-        assert order == [0, 1, 2, 3]
-        # The structure is fully drained: a later delivery wakes nothing.
-        engine.deliver(make_envelope())
-        assert len(engine.unexpected) == 1
+    def test_wake_watchers_calls_in_registration_order(self, env, engine):
+        buckets = [(100, 0, 1), (100, 1, 5), (100, 2, 3), (101, 0, 1)]
+        calls = self.watch(engine, *buckets)
+        engine.wake_watchers()
+        assert calls == [(bucket, engine) for bucket in buckets]
+        assert env._heap == []
+        # The watchers stay: their owner drops them, not the wake.
+        assert list(engine.watchers) == buckets
 
 
 class TestFailPosted:

@@ -131,11 +131,11 @@ class TestBlockingSelect:
         server_sock.send("data", 10)
         env.run()
         # Readable the instant select is entered: the generator finishes
-        # on its first step, having armed no waiter and built no park.
+        # on its first step, having built no park.
         with pytest.raises(StopIteration) as done:
             next(selector.select())
         assert done.value.value == [key]
-        assert selector._park_waiters == {} and selector._park is None
+        assert selector._park is None
 
 
 class TestParkWaiters:

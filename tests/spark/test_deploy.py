@@ -27,6 +27,7 @@ from repro.harness.profile import (
 )
 from repro.harness.systems import FRONTERA, INTERNAL_CLUSTER
 from repro.mpi.envelope import Envelope
+from repro.mpi.matching import MatchingEngine
 from repro.netty.channel import ChannelId
 from repro.netty.handler import HandlerContext
 from repro.netty.pipeline import ChannelPipeline, _HeadHandler, _TailHandler
@@ -640,31 +641,38 @@ class TestPerConnectionFootprint:
         ]
 
     def test_park_waiters_share_one_bound_signal(self, objs):
-        _, objs = objs
-        selectors = [o for o in objs if isinstance(o, Selector)]
+        transport, objs = objs
         # A park is signalled by its watched stores (its keys' sources and
-        # its wake-up queue) and, on the mpi-basic loop, by one pending
-        # probe event per poll row's channel; by nothing else.
-        row_channels = {
-            id(loop.selector): [row[0] for row in loop._poll_cache]
-            for loop in objs
-            if isinstance(loop, MpiBasicEventLoop)
-        }
-        watched = {}
+        # its wake-up queue) and, on the mpi-basic loop, by the watched
+        # probe buckets of its current poll rows; by nothing else.
+        watched, buckets = {}, {}
         most = 0
-        for selector in selectors:
-            signal = selector._park_signal
+        for selector in (o for o in objs if isinstance(o, Selector)):
             stores = [selector._wakeups, *(key.source for key in selector.keys)]
-            watched.update((id(store), id(signal)) for store in stores)
-            assert set(selector._park_waiters) <= set(row_channels.get(id(selector), ()))
-            waiters = [w for w in selector._park_waiters.values() if w.callbacks]
-            assert all(cb is signal for w in waiters for cb in w.callbacks)
-            most = max(most, len(stores) + len(waiters))
+            watched.update((id(store), id(selector._park_signal)) for store in stores)
+            most = max(most, len(stores))
+        for loop in (o for o in objs if isinstance(o, MpiBasicEventLoop)):
+            matching = loop.mpi_endpoint.proc.matching
+            rows = loop._poll_cache
+            buckets.update(
+                ((id(matching), (ctx, peer, tag)), id(loop.selector._park_signal))
+                for _, peer, tag, ctx in rows
+            )
+            most = max(most, len(loop.selector.keys) + 1 + len(rows))
         assert most >= 2  # some selector has several sources
-        # Every watched store's watcher is its selector's one bound signal,
-        # and no store outside a selector (a deregistered channel's) has one.
+        assert bool(buckets) == (transport == "mpi-basic")
+        # Every watched store's watcher and every watched bucket's is its
+        # selector's one bound signal; no store outside a selector (a
+        # deregistered channel's) has one, and no bucket outside a loop's
+        # current rows.
         stores = [o for o in objs if isinstance(o, Store)]
         assert {id(s): id(s.watcher) for s in stores if s.watcher is not None} == watched
+        engines = [o for o in objs if isinstance(o, MatchingEngine)]
+        assert {
+            (id(m), bucket): id(watcher)
+            for m in engines
+            for bucket, watcher in m.watchers.items()
+        } == buckets
 
     def test_open_streams_hold_no_list(self, cell):
         transport, _, opens = cell
