@@ -155,13 +155,21 @@ class TestProbes:
         assert len(engine.test_matches) == 1
         assert calls == []
 
+    def test_probe_event_filter(self, env, engine):
+        # A watcher on tag 5 is not called for tag 1, and is for tag 5.
+        calls = self.watch(engine, (100, 0, 5))
+        engine.deliver(make_envelope(tag=1))
+        assert calls == []
+        engine.deliver(make_envelope(tag=5))
+        assert calls == [((100, 0, 5), engine)]
+
     def test_nonmatching_buckets_stay_parked(self, env, engine):
         # Another source, tag or context: only the exact bucket is called.
-        calls = self.watch(engine, (100, 3, 1), (100, 0, 9), (777, 0, 1))
+        calls = self.watch(
+            engine, (100, 3, 1), (100, 0, 9), (777, 0, 1), (100, 0, 1)
+        )
         engine.deliver(make_envelope(src_rank=0, tag=1, ctx=100))
-        assert calls == []
-        engine.deliver(make_envelope(src_rank=0, tag=9, ctx=100))
-        assert calls == [((100, 0, 9), engine)]
+        assert calls == [((100, 0, 1), engine)]
 
     def test_wake_watchers_calls_in_registration_order(self, env, engine):
         buckets = [(100, 0, 1), (100, 1, 5), (100, 2, 3), (101, 0, 1)]
